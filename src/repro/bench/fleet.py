@@ -293,14 +293,16 @@ def run_fleet_workload(
         bytes_delivered += tracker.received
         messages_sent += tracker.sent_ok
         messages_failed += tracker.sent_failed
-        if tracker.aborted:
-            aborted += 1
         if tracker.completed_at is not None:
+            # Completed wins over aborted: messages already on the wire
+            # when the sender closed may still deliver the whole payload.
             completed += 1
             elapsed = tracker.completed_at - plan.start
             duration.add(elapsed)
             if elapsed > 0:
                 goodput.add(plan.size / elapsed)
+        elif tracker.aborted:
+            aborted += 1
         end = -1.0 if tracker.completed_at is None else tracker.completed_at
         digest.update(
             f"{plan.index} {plan.src}>{plan.dst} {plan.proto} {plan.size} "

@@ -27,10 +27,11 @@ Flags
     (:class:`repro.sim.Simulator`).  Pop order is unchanged — only
     which container holds an entry differs.
 ``ALLOC_EPOCH``
-    Epoch-cached link rate allocation: ``LinkDirection`` computes the
-    full tiered allocation map once per *allocation epoch* and
-    invalidates on activate/deactivate/spec-change/demand-dirty instead
-    of re-solving per flow per message
+    Incremental link rate allocation: ``LinkDirection`` partitions its
+    flow set once per change, reads time-invariant demands the flows
+    pushed instead of asking every controller, gathers the rest once per
+    *allocation epoch* (invalidated on activate/deactivate/spec-change/
+    demand movement) and settles only the asking flow
     (:meth:`repro.netsim.link.LinkDirection.allocate_rate`).
 ``VEC_MAXMIN``
     numpy-vectorized progressive-filling max-min solver used above a

@@ -42,30 +42,43 @@ class CongestionControl(ABC):
     #: scavenger protocols only get bandwidth foreground flows leave over
     scavenger: bool = False
     #: True when ``demand_rate`` depends on ``now`` (not only on controller
-    #: state), e.g. UDT's SYN-interval ramping.  The allocation-epoch cache
-    #: (``fastpath.ALLOC_EPOCH``) only reuses an allocation across
-    #: timestamps when every participating controller is time-invariant.
+    #: state), e.g. UDT's SYN-interval ramping.  Links *pull* such a
+    #: controller's demand at every solve at a new timestamp; the demand
+    #: of a time-invariant controller is *pushed* to them whenever
+    #: ``demand_gen`` moves and never asked for in between
+    #: (``fastpath.ALLOC_EPOCH``; see ``demand_rate`` for what that needs).
     demand_time_varying: bool = False
     def __init__(self) -> None:
         #: Generation counter for demand-relevant state.  Implementations
-        #: bump it whenever a signal (``on_bytes_sent``/``on_loss``/external
-        #: writes) actually changes the value ``demand_rate`` would return;
-        #: the allocation-epoch cache uses it to detect staleness without
-        #: re-querying (queries may mutate state).  A pegged controller
-        #: (e.g. TCP at ``wnd_max``) keeps its generation, which is what
-        #: makes steady-state allocations cacheable.  A true instance
-        #: attribute — a shared class default mutated in place would alias
-        #: generation state across every controller on a link.
+        #: bump it whenever a signal (``on_bytes_sent``/``on_loss``)
+        #: actually changes the value ``demand_rate`` would return, and so
+        #: must anything that writes such state from outside (then call
+        #: ``FlowState.publish_demand``, as ``SimNetwork.refresh_rtts``
+        #: does after writing ``rtt``).  The flow watches it to know when
+        #: to push the new demand to its links or invalidate their epochs.
+        #: A pegged controller (e.g. TCP at ``wnd_max``) keeps its
+        #: generation, which is what makes steady-state allocations
+        #: cacheable.  A true instance attribute — a shared class default
+        #: mutated in place would alias generation state across every
+        #: controller on a link.
         self.demand_gen: int = 0
 
     @abstractmethod
     def demand_rate(self, now: float) -> float:
         """Bytes/second the protocol is willing to push right now.
 
-        Contract for the allocation-epoch cache: calling this twice at the
-        same ``now`` with unchanged state must return the same value, and
-        the second call must not change observable state (idempotence
-        within a timestamp).  All built-in controllers satisfy this.
+        Contract for link allocation (``docs/congestion.md``):
+
+        * calling this twice at the same ``now`` with unchanged state must
+          return the same value, and the second call must not change
+          observable state (idempotence within a timestamp);
+        * with ``demand_time_varying = False`` it must be *pure*: no state
+          change at all, and a value that depends only on state covered
+          by ``demand_gen`` — never on ``now``.  Such a demand is
+          evaluated once per generation and pushed to the links, so a
+          change that does not move ``demand_gen`` is never seen.
+
+        All built-in controllers satisfy this.
         """
 
     def on_bytes_sent(self, nbytes: int, now: float) -> None:

@@ -89,6 +89,8 @@ class FlowState:
         self.sim = sim
         self.link_dir = link_dir
         self.cc = cc
+        self.subject_to_udp_cap = cc.subject_to_udp_cap
+        self.scavenger = cc.scavenger
         self.rng = rng
         self.deliver = deliver
         self.queue_limit_bytes = queue_limit_bytes
@@ -117,17 +119,26 @@ class FlowState:
         else:
             self._wire_stream = None
         self._wire_seq = 0
-
-    @property
-    def subject_to_udp_cap(self) -> bool:
-        return self.cc.subject_to_udp_cap
-
-    @property
-    def scavenger(self) -> bool:
-        return self.cc.scavenger
+        #: the demand last pushed to the links (time-invariant controllers
+        #: only; see publish_demand)
+        self.demand = math.nan if cc.demand_time_varying else cc.demand_rate(sim.clock._now)
 
     def demand_rate(self) -> float:
         return self.cc.demand_rate(self.sim.clock._now)
+
+    def publish_demand(self) -> None:
+        """Tell every hop that the controller's ``demand_gen`` moved.
+
+        A time-invariant controller's demand is a pure function of the
+        state ``demand_gen`` covers, so it is evaluated here, once, and
+        pushed; a time-varying one is asked by the links at every solve
+        and only needs their epochs invalidated.
+        """
+        if self.cc.demand_time_varying:
+            self.link_dir.demand_dirty()
+        else:
+            self.demand = demand = self.cc.demand_rate(self.sim.clock._now)
+            self.link_dir.publish_demand(self, demand)
 
     # ------------------------------------------------------------------
     # sending
@@ -191,7 +202,7 @@ class FlowState:
             self._cc_post(now)
         if cc.demand_gen != gen0:
             # The controller's demand moved: cached allocations are stale.
-            link_dir.demand_dirty()
+            self.publish_demand()
 
         if link_dir.up and (cc.reliable or not lost):
             spec = link_dir.spec

@@ -5,7 +5,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro import fastpath
 from repro.check import get_checker
@@ -24,6 +24,10 @@ PACKET_SIZE = 1500.0  # bytes; granularity for loss-probability conversion
 #: Hand the max-min solve to numpy only above this flow count; below it the
 #: scalar path wins on constant factors.
 VEC_MAXMIN_THRESHOLD = 32
+
+#: A link whose demands sum to at most this fraction of its bandwidth is
+#: under-subscribed beyond any rounding doubt (see ``_allocate_epoch``).
+FITS_MARGIN = 1.0 - 1e-9
 
 
 class Proto(enum.Enum):
@@ -163,6 +167,73 @@ def _max_min(demands: Sequence[float], capacity: float) -> List[float]:
     return max_min_allocation(demands, capacity)
 
 
+def max_min_share(demands: List[float], index: int, capacity: float) -> float:
+    """One flow's progressive-filling share, without settling the rest.
+
+    Bit-equal to ``max_min_allocation(demands, capacity)[index]``: the
+    reference settles flows in stable ascending-demand order, so flow
+    ``index`` is preceded by exactly the strictly smaller demands plus the
+    equal demands at lower indices, and its share depends on nothing that
+    settles after it.  Tied demands are equal *values*, so sorting the
+    values alone replays the same ``remaining -= give`` left fold.
+    """
+    mine = demands[index]
+    if len(demands) == 2:
+        # Two flows, unrolled like max_min_allocation's own n == 2 case.
+        other = demands[1 - index]
+        if other < mine or (other == mine and index == 1):
+            half = capacity / 2
+            capacity -= other if other <= half else half
+        else:
+            capacity /= 2
+        return mine if mine <= capacity else capacity
+    below = [d for d in demands if d < mine]
+    below.sort()
+    ties = demands[:index].count(mine)
+    if ties:
+        below.extend([mine] * ties)
+    remaining = capacity
+    active = len(demands)
+    for demand in below:
+        share = remaining / active
+        remaining -= demand if demand <= share else share
+        active -= 1
+    share = remaining / active
+    return mine if mine <= share else share
+
+
+class _Partition:
+    """Struct-of-arrays view of one active-flow set (see ``LinkDirection``)."""
+
+    __slots__ = ("index", "demands", "varying", "udp", "foreground", "scavengers", "slot")
+
+    def __init__(self, flows: Sequence["FlowState"]) -> None:
+        #: flow -> position in ``demands`` (activation order)
+        self.index: Dict["FlowState", int] = {f: i for i, f in enumerate(flows)}
+        #: per-flow demand: the pushed value for time-invariant controllers
+        #: (kept current in place by ``publish_demand``), a slot rewritten
+        #: at every solve for time-varying ones
+        self.demands: List[float] = [f.demand for f in flows]
+        #: (position, query) of the controllers that must be asked each solve
+        self.varying: List[Tuple[int, Callable[[], float]]] = [
+            (i, f.demand_rate) for i, f in enumerate(flows) if f.cc.demand_time_varying
+        ]
+        #: positions sharing the udp policing pool
+        self.udp: List[int] = [i for i, f in enumerate(flows) if f.subject_to_udp_cap]
+        #: positions per tier, and each position's rank inside its own
+        #: tier; only filled when the set has scavengers (otherwise the
+        #: foreground tier is ``demands`` itself)
+        self.scavengers: List[int] = [i for i, f in enumerate(flows) if f.scavenger]
+        self.foreground: List[int] = []
+        self.slot: List[int] = []
+        if self.scavengers:
+            self.foreground = [i for i, f in enumerate(flows) if not f.scavenger]
+            self.slot = [0] * len(flows)
+            for tier in (self.foreground, self.scavengers):
+                for rank, i in enumerate(tier):
+                    self.slot[i] = rank
+
+
 class LinkDirection:
     """One direction of a link; tracks active flows for fair sharing.
 
@@ -171,16 +242,28 @@ class LinkDirection:
     The tiered allocation (udp-cap pool → foreground max-min → scavenger
     leftover) is a pure function of the active-flow set, the link spec,
     the controllers' demand-relevant state, and — for time-varying
-    controllers like UDT — the clock.  Those inputs change far less often
-    than messages start, so the direction counts an *allocation epoch*
-    (``_epoch``), bumped on activate/deactivate, spec change, and
-    ``demand_dirty`` (a controller's demand-relevant state changed), and
-    caches the full allocation map per epoch.  A cache hit skips the
-    demand queries entirely; that is byte-equivalent because
-    ``demand_rate`` is idempotent within a timestamp (see
-    :class:`~repro.netsim.congestion.CongestionControl`) and a hit implies
-    unchanged state (same epoch) and — when any participant is
-    time-varying — the same timestamp.
+    controllers like UDT — the clock.  The direction counts an
+    *allocation epoch* (``_epoch``), bumped whenever one of those inputs
+    moves, and does work proportional to what moved:
+
+    * the **flow set** changes on activate/deactivate; the next solve
+      builds one :class:`_Partition` (positions, tier membership, the
+      controllers that need asking) and keeps it until the set changes
+      again;
+    * a **time-invariant demand** changes when its controller's
+      ``demand_gen`` moves; the flow *pushes* the new value
+      (``publish_demand``) and the solve reads a plain float list;
+    * a **time-varying demand** is *pulled*: those controllers are asked
+      at every solve at a new (epoch, timestamp), exactly where the
+      reference path asks them, because a query may advance their state
+      (``UdtCc._maybe_increase`` re-anchors its SYN clock when asked).
+
+    Within one epoch — and, when any participant is time-varying, one
+    timestamp — the gathered, udp-capped demand list is cached, and each
+    query settles only the asking flow (:func:`max_min_share`).  That is
+    byte-equivalent to the reference because ``demand_rate`` is
+    idempotent within a timestamp and pure for pushed controllers (see
+    :class:`~repro.netsim.congestion.CongestionControl`).
     """
 
     def __init__(self, spec: LinkSpec, name: str) -> None:
@@ -192,12 +275,15 @@ class LinkDirection:
         self._active: Dict["FlowState", None] = {}
         #: memoized tuple view of ``_active`` (rebuilt lazily on change)
         self._flows: Optional[Tuple["FlowState", ...]] = None
+        #: struct-of-arrays view of ``_active`` (rebuilt lazily on change)
+        self._partition: Optional[_Partition] = None
         #: allocation epoch; any change to allocation inputs bumps it
         self._epoch = 0
-        #: (epoch, timestamp-or-None, {flow: floored rate}) — timestamp is
-        #: None when every participant's demand is time-invariant
+        #: (epoch, timestamp-or-None, udp-capped demands by position,
+        #: whether they all fit) — timestamp is None when every
+        #: participant's demand is pushed
         self._alloc_cache: Optional[
-            Tuple[int, Optional[float], Dict["FlowState", float]]
+            Tuple[int, Optional[float], List[float], bool]
         ] = None
         #: (spec, nbytes, probability) — see loss_probability
         self._loss_memo: Optional[Tuple[LinkSpec, int, float]] = None
@@ -209,6 +295,10 @@ class LinkDirection:
         self._m_bytes = metrics.counter("netsim.link.bytes_total", link=name)
         self._m_messages = metrics.counter("netsim.link.messages_total", link=name)
         self._m_drops = metrics.counter("netsim.link.drops_total", link=name)
+        # Cost counters: how much work allocation did, not what it decided.
+        self._m_alloc_queries = metrics.counter("netsim.link.alloc_queries_total", link=name)
+        self._m_alloc_solves = metrics.counter("netsim.link.alloc_solves_total", link=name)
+        self._m_demand_queries = metrics.counter("netsim.link.demand_queries_total", link=name)
         if metrics.enabled:
             metrics.gauge("netsim.link.active_flows", link=name).set_function(
                 lambda: len(self._active)
@@ -231,6 +321,11 @@ class LinkDirection:
         if self._obs:
             self._m_drops.inc()
 
+    def _note_solve(self, demand_queries: int) -> None:
+        """Account one allocation computed (not served from the cache)."""
+        self._m_alloc_solves.inc()
+        self._m_demand_queries.inc(demand_queries)
+
     def update_spec(self, spec: LinkSpec) -> None:
         """Change the direction's characteristics at runtime.
 
@@ -251,25 +346,38 @@ class LinkDirection:
         active = self._active
         if flow not in active:
             active[flow] = None
-            self._flows = None
+            self._flows = self._partition = None
             self._epoch += 1
 
     def deactivate(self, flow: "FlowState") -> None:
         active = self._active
         if flow in active:
             del active[flow]
-            self._flows = None
+            self._flows = self._partition = None
             self._epoch += 1
 
     def demand_dirty(self) -> None:
-        """Invalidate the allocation epoch: a controller's demand changed.
+        """Invalidate the allocation epoch: a pulled demand's state moved.
 
         Called by :class:`~repro.netsim.connection.FlowState` when a
-        completion's congestion signals moved the controller's
-        ``demand_gen``, and by ``SimNetwork.refresh_rtts`` after writing
-        RTTs into live controllers.
+        time-varying controller's ``demand_gen`` moved (it is asked again
+        at the next solve) and when a flow aborts.  Time-invariant
+        controllers use :meth:`publish_demand` instead.
         """
         self._epoch += 1
+
+    def publish_demand(self, flow: "FlowState", demand: float) -> None:
+        """A time-invariant controller's demand moved to ``demand``.
+
+        The flow keeps the value in ``flow.demand`` (read when the next
+        partition is built); a live partition is updated in place.
+        """
+        self._epoch += 1
+        partition = self._partition
+        if partition is not None:
+            position = partition.index.get(flow)
+            if position is not None:
+                partition.demands[position] = demand
 
     def _flows_tuple(self) -> Tuple["FlowState", ...]:
         flows = self._flows
@@ -296,6 +404,8 @@ class LinkDirection:
           effort semantics of RFC 6817;
         * within each tier, progressive-filling max-min fairness.
         """
+        if self._obs:
+            self._m_alloc_queries.inc()
         if self._check is not None:
             # Checked runs always take the general path: it computes the
             # full demand/allocation maps the feasibility invariant needs,
@@ -303,14 +413,15 @@ class LinkDirection:
             # as the unrolled cases (controllers mutate state when queried,
             # so the hook must not re-query them).
             return self._allocate_general(flow)
-        active = self._flows_tuple()
         if fastpath.ALLOC_EPOCH:
-            if len(active) == 1 and active[0] is flow:
+            if len(self._active) == 1 and flow in self._active:
                 # Sole-flow queries gain nothing from the cache (the whole
-                # solve is four lines) but would pay its dict/tuple churn,
-                # so they keep the direct unrolled path.
+                # solve is four lines), so they keep a direct unrolled path.
                 spec = self.spec
-                demand = flow.demand_rate()
+                varying = flow.cc.demand_time_varying
+                demand = flow.demand_rate() if varying else flow.demand
+                if self._obs:
+                    self._note_solve(int(varying))
                 if flow.subject_to_udp_cap and spec.udp_cap is not None:
                     cap = spec.udp_cap
                     if demand > cap:
@@ -319,19 +430,15 @@ class LinkDirection:
                 if demand > bw:
                     demand = bw
                 return demand if demand > 1.0 else 1.0
-            cache = self._alloc_cache
-            if cache is not None and cache[0] == self._epoch:
-                stamp = cache[1]
-                if stamp is None or stamp == flow.sim.clock._now:
-                    rate = cache[2].get(flow)
-                    if rate is not None:
-                        return rate
             return self._allocate_epoch(flow)
+        active = self._flows_tuple()
         if len(active) == 1 and active[0] is flow:
             # Sole active flow (the bulk-transfer steady state): the tiers
             # collapse to min(demand, caps), bit-identical to the general
             # path below (max-min of one demand is min(demand, capacity)).
             demand = flow.demand_rate()
+            if self._obs:
+                self._note_solve(1)
             if flow.subject_to_udp_cap and self.spec.udp_cap is not None:
                 cap = self.spec.udp_cap
                 if demand > cap:
@@ -353,6 +460,8 @@ class LinkDirection:
             f0, f1 = active
             d0 = f0.demand_rate()
             d1 = f1.demand_rate()
+            if self._obs:
+                self._note_solve(2)
             cap = self.spec.udp_cap
             if cap is not None:
                 if f0.subject_to_udp_cap:
@@ -432,6 +541,8 @@ class LinkDirection:
     def _allocate_general(self, flow: "FlowState") -> float:
         flows = self._query_flows(flow)
         demands: Dict["FlowState", float] = {f: f.demand_rate() for f in flows}
+        if self._obs:
+            self._note_solve(len(flows))
         allocation = self._tiered_allocation(flows, demands)
 
         if self._check is not None:
@@ -444,92 +555,79 @@ class LinkDirection:
         return max(allocation[flow], 1.0)
 
     def _allocate_epoch(self, flow: "FlowState") -> float:
-        """Compute and cache the full allocation map for this epoch.
+        """Settle ``flow`` alone, over this epoch's gathered demands.
 
-        Performs exactly the demand queries (count and order) the
-        reference path would make for one allocation, then records every
-        flow's floored rate so subsequent queries in the same epoch skip
-        the solve entirely.  The cache is stamped with the current time
-        when any participant's demand is time-varying; it is reusable
-        across timestamps otherwise.
+        A miss asks the time-varying controllers (and only them: the rest
+        have pushed their demand), applies the udp-cap pool, and caches
+        the resulting demand list for the epoch — stamped with the
+        current time when anything was asked, reusable across timestamps
+        otherwise.  Hit or miss, the tiers then settle only as far as
+        ``flow``'s own position in the ascending-demand order.
         """
-        flows = self._query_flows(flow)
-        epoch = self._epoch  # before queries: a query must not outlive bumps
-        now = flow.sim.clock._now
+        partition = self._partition
+        if partition is None:
+            partition = self._partition = _Partition(self._flows_tuple())
+        position = partition.index.get(flow)
+        if position is None:
+            # Not (yet) in the active set: the reference path covers it.
+            return self._allocate_general(flow)
         spec = self.spec
-        n = len(flows)
-        time_varying = False
-        rates: Dict["FlowState", float]
-        if n == 1:
-            f0 = flows[0]
-            time_varying = f0.cc.demand_time_varying
-            demand = f0.demand_rate()
-            if f0.subject_to_udp_cap and spec.udp_cap is not None:
-                demand = min(demand, spec.udp_cap)
-            bw = spec.bandwidth
-            if demand > bw:
-                demand = bw
-            rates = {f0: demand if demand > 1.0 else 1.0}
-        elif n == 2 and not flows[0].scavenger and not flows[1].scavenger:
-            # Two foreground flows, unrolled: cap the UDP-pool members,
-            # then one two-flow max-min — same operations in the same
-            # order as the general path.
-            f0, f1 = flows
-            time_varying = f0.cc.demand_time_varying or f1.cc.demand_time_varying
-            d0 = f0.demand_rate()
-            d1 = f1.demand_rate()
-            cap = spec.udp_cap
-            if cap is not None:
-                if f0.subject_to_udp_cap:
-                    if f1.subject_to_udp_cap:
-                        if d0 <= d1:
-                            half = cap / 2
-                            if d0 > half:
-                                d0 = half
-                            rest = cap - d0
-                            if d1 > rest:
-                                d1 = rest
-                        else:
-                            half = cap / 2
-                            if d1 > half:
-                                d1 = half
-                            rest = cap - d1
-                            if d0 > rest:
-                                d0 = rest
-                    else:
-                        full = cap / 1
-                        if d0 > full:
-                            d0 = full
-                elif f1.subject_to_udp_cap:
-                    full = cap / 1
-                    if d1 > full:
-                        d1 = full
-            bw = spec.bandwidth
-            if d0 <= d1:
-                half = bw / 2
-                a0 = d0 if d0 <= half else half
-                rest = bw - a0
-                a1 = d1 if d1 <= rest else rest
-            else:
-                half = bw / 2
-                a1 = d1 if d1 <= half else half
-                rest = bw - a1
-                a0 = d0 if d0 <= rest else rest
-            if a0 < 1.0:
-                a0 = 1.0
-            if a1 < 1.0:
-                a1 = 1.0
-            rates = {f0: a0, f1: a1}
+        cache = self._alloc_cache
+        if (
+            cache is not None
+            and cache[0] == self._epoch
+            and (cache[1] is None or cache[1] == flow.sim.clock._now)
+        ):
+            demands, fits = cache[2], cache[3]
         else:
-            demands: Dict["FlowState", float] = {f: f.demand_rate() for f in flows}
-            allocation = self._tiered_allocation(flows, demands)
-            rates = {f: max(a, 1.0) for f, a in allocation.items()}
-            for f in flows:
-                if f.cc.demand_time_varying:
-                    time_varying = True
-                    break
-        self._alloc_cache = (epoch, now if time_varying else None, rates)
-        return rates[flow]
+            epoch = self._epoch  # before queries: a query must not outlive bumps
+            demands = partition.demands
+            varying = partition.varying
+            for i, query in varying:
+                demands[i] = query()
+            if self._obs:
+                self._note_solve(len(varying))
+            udp = partition.udp
+            cap = spec.udp_cap
+            if udp and cap is not None:
+                if len(udp) > 1:
+                    capped = _max_min([demands[i] for i in udp], cap)
+                elif demands[udp[0]] > cap:
+                    capped = (cap,)  # a pool of one is a clamp
+                else:
+                    capped = ()
+                if capped:
+                    demands = demands[:]  # the pushed values outlive the capping
+                    for i, c in zip(udp, capped):
+                        demands[i] = c
+            # When the demands fit the link with room to spare, progressive
+            # filling grants every one of them in full: its running share
+            # never drops below the demand being settled.  The margin is
+            # orders above the rounding error of the fold and of this sum.
+            fits = not partition.scavengers and (
+                sum(demands) <= spec.bandwidth * FITS_MARGIN
+            )
+            self._alloc_cache = (
+                epoch, flow.sim.clock._now if varying else None, demands, fits
+            )
+        if fits:
+            rate = demands[position]
+        elif not partition.scavengers:
+            rate = max_min_share(demands, position, spec.bandwidth)
+        else:
+            foreground = [demands[i] for i in partition.foreground]
+            if not flow.scavenger:
+                rate = max_min_share(foreground, partition.slot[position], spec.bandwidth)
+            else:
+                fg_alloc = _max_min(foreground, spec.bandwidth)
+                leftover = max(spec.bandwidth - sum(fg_alloc), 0.0)
+                rate = max_min_share(
+                    [demands[i] for i in partition.scavengers],
+                    partition.slot[position],
+                    leftover,
+                )
+        # Never return a zero rate for a flow with work: progress floor.
+        return rate if rate > 1.0 else 1.0
 
     # ------------------------------------------------------------------
     # loss

@@ -17,6 +17,7 @@ of link directions.  A composite path quacks like a single
 
 from __future__ import annotations
 
+import math
 from typing import TYPE_CHECKING, Sequence, Tuple
 
 from repro.netsim.link import LinkDirection, LinkSpec
@@ -66,8 +67,17 @@ class CompositePath:
         for d in self._dirs:
             d.demand_dirty()
 
+    def publish_demand(self, flow: "FlowState", demand: float) -> None:
+        for d in self._dirs:
+            d.publish_demand(flow, demand)
+
     def allocate_rate(self, flow: "FlowState") -> float:
-        return max(min(d.allocate_rate(flow) for d in self._dirs), 1.0)
+        rate = math.inf
+        for d in self._dirs:
+            hop_rate = d.allocate_rate(flow)
+            if hop_rate < rate:
+                rate = hop_rate
+        return rate if rate > 1.0 else 1.0
 
     # ------------------------------------------------------------------
     # wire accounting: every hop carries the bytes

@@ -220,6 +220,18 @@ class TestFleetCampaign:
         assert result.counters["bytes_delivered"] > 0
         assert result.stats["flow_duration_s"].count > 0
 
+    def test_churn_outcomes_partition_the_flows(self):
+        # Regression: a flow closed mid-life whose in-flight messages still
+        # delivered everything was counted completed *and* aborted (375 +
+        # 28 of 400), driving flows_unfinished to -3.  Completed wins.
+        c = run_fleet_workload(
+            topology="wan-mesh", hosts=64, flows=400, pattern="churn", seed=1
+        ).counters
+        assert (c["flows_completed"] + c["flows_aborted"]
+                + c["flows_unfinished"]) == c["flows"] == 400
+        assert c["flows_unfinished"] >= 0
+        assert c["flows_completed"] == 375 and c["flows_aborted"] > 0
+
     def test_pool_matches_inline(self):
         units = plan_campaign([("fleet", FAST_FLEET)], [0, 1])
         pooled = run_campaign(units, workers=2)
@@ -269,6 +281,32 @@ class TestFleetCampaign:
         unit = CampaignUnit.make("fleet", 3, {"hosts": 4, "flows": 8})
         assert unit.kwargs == {"hosts": 4, "flows": 8}
         assert hash(unit) == hash(CampaignUnit.make("fleet", 3, {"flows": 8, "hosts": 4}))
+
+
+class TestManyFlowEquivalence:
+    """Fast paths on vs. off, end to end, at many flows per link.
+
+    The figure-shaped equivalence workloads run 1-2 flows a link; these
+    small fleets put tens of flows on shared links, routed over several
+    hops, so they cover the partitioned solve, pushed demands, the
+    under-subscribed shortcut and the route trees against the reference.
+    """
+
+    @pytest.mark.parametrize("unit", [
+        dict(topology="wan-mesh", hosts=48, flows=300, pattern="uniform", seed=1),
+        dict(topology="fat-tree", hosts=32, flows=300, pattern="churn", seed=2),
+        dict(topology="star", hosts=24, flows=200, pattern="incast", seed=3),
+        dict(topology="wan-mesh", hosts=48, flows=300, pattern="churn", seed=4,
+             cc_arms=("reno", "cubic", "bbr", "udt", "ledbat")),
+    ], ids=["wan-mesh-uniform", "fat-tree-churn", "star-incast", "cc-arms"])
+    def test_digest_equal_with_fast_paths_disabled(self, unit):
+        from repro import fastpath
+
+        fast = run_fleet_workload(**unit)
+        with fastpath.disabled():
+            reference = run_fleet_workload(**unit)
+        assert fast.digest == reference.digest
+        assert fast.counters == reference.counters
 
 
 class TestCcArms:

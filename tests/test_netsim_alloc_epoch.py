@@ -1,9 +1,10 @@
-"""Vectorized max-min solver equivalence and allocation-epoch cache tests.
+"""Max-min solver equivalence and allocation-epoch tests.
 
-The PR-8 fast paths promise *bit-identical* results: the numpy solver must
-reproduce the scalar reference exactly (same IEEE operations in the same
-order), and the epoch cache must never serve a stale allocation across an
-activate/deactivate/spec-change/demand-dirty boundary.
+The allocation fast paths promise *bit-identical* results: the numpy
+solver and the single-flow solve must reproduce the scalar reference
+exactly (same IEEE operations in the same order), and an epoch must never
+serve a stale allocation across an activate/deactivate/spec-change/
+pushed-demand boundary.
 """
 
 import math
@@ -21,7 +22,9 @@ from repro.netsim.link import (
     LinkSpec,
     max_min_allocation,
     max_min_allocation_vec,
+    max_min_share,
 )
+from repro.obs import MetricsRegistry, collecting
 from repro.sim import Simulator
 
 from .netsim_helpers import Sink, make_pair
@@ -81,20 +84,37 @@ class TestVecEquivalence:
         assert _bits(max_min_allocation_vec(demands, 80.0)) == _bits(ref)
         assert sum(ref) == pytest.approx(80.0)
 
+    @given(
+        st.lists(_demand, min_size=1, max_size=48),
+        st.floats(min_value=1.0, max_value=1e9, allow_nan=False),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_single_flow_share_bit_equal_to_scalar(self, demands, capacity):
+        # Settling one flow must give what settling all of them gives it.
+        ref = max_min_allocation(demands, capacity)
+        assert _bits([max_min_share(demands, i, capacity)
+                      for i in range(len(demands))]) == _bits(ref)
+
 
 class _StubCC:
-    demand_time_varying = False
+    def __init__(self, time_varying=False):
+        self.demand_time_varying = time_varying
 
 
 class _StubFlow:
-    """Just enough of FlowState for LinkDirection's allocation paths."""
+    """Just enough of FlowState for LinkDirection's allocation paths.
 
-    def __init__(self, sim, demand, udp=False, scavenger=False):
+    ``demand`` doubles as the pushed value (what a time-invariant
+    controller publishes) and as what ``demand_rate()`` answers when the
+    link asks (reference path, time-varying controllers).
+    """
+
+    def __init__(self, sim, demand, udp=False, scavenger=False, time_varying=False):
         self.sim = sim
         self.demand = demand
         self.subject_to_udp_cap = udp
         self.scavenger = scavenger
-        self.cc = _StubCC()
+        self.cc = _StubCC(time_varying)
         self.queries = 0
 
     def demand_rate(self):
@@ -137,26 +157,70 @@ class TestTieredVecEquivalence:
         )
 
     @given(
-        st.lists(_demand, min_size=3, max_size=16),
+        # (demand, transport kind, time-varying): tcp is foreground and
+        # unpoliced, udt shares the udp pool, ledbat does too and is a
+        # scavenger; any of them may be pulled instead of pushed.
+        st.lists(
+            st.tuples(_demand, st.sampled_from(["tcp", "udt", "ledbat"]), st.booleans()),
+            min_size=2,
+            max_size=16,
+        ),
         st.floats(min_value=1e3, max_value=1e9, allow_nan=False),
+        st.one_of(st.none(), st.floats(min_value=1e3, max_value=1e8, allow_nan=False)),
+        st.booleans(),
     )
-    @settings(max_examples=100, deadline=None)
-    def test_allocate_rate_flag_equivalence(self, demand_values, bandwidth):
+    @settings(max_examples=200, deadline=None)
+    def test_allocate_rate_flag_equivalence(self, flow_specs, bandwidth, udp_cap, outsider):
         import repro.netsim.link as link_mod
+
+        def build(direction, sim):
+            flows = [
+                _StubFlow(sim, d, udp=kind != "tcp", scavenger=kind == "ledbat",
+                          time_varying=tv)
+                for (d, kind, tv) in flow_specs
+            ]
+            # ``outsider``: the last flow asks without having activated
+            # (``_query_flows`` appends it to the set it is solved in).
+            for f in flows[:-1] if outsider else flows:
+                direction.activate(f)
+            return flows
 
         with _threshold(link_mod, 3):
             sim = Simulator()
-            fast_dir = _direction(LinkSpec(bandwidth, 0.01))
-            ref_dir = _direction(LinkSpec(bandwidth, 0.01))
-            fast = [_StubFlow(sim, d) for d in demand_values]
-            ref = [_StubFlow(sim, d) for d in demand_values]
-            for f in fast:
-                fast_dir.activate(f)
-            for f in ref:
-                ref_dir.activate(f)
+            spec = LinkSpec(bandwidth, 0.01, udp_cap=udp_cap)
+            fast_dir, ref_dir = _direction(spec), _direction(spec)
+            fast, ref = build(fast_dir, sim), build(ref_dir, sim)
             fast_rates = [fast_dir.allocate_rate(f) for f in fast]
             with fastpath.disabled():
                 ref_rates = [ref_dir.allocate_rate(f) for f in ref]
+        assert _bits(fast_rates) == _bits(ref_rates)
+        # Pulled controllers are asked on both paths, pushed ones only on
+        # the reference path.
+        for f, (_, _, tv) in zip(fast, flow_specs):
+            if not tv and not outsider:
+                assert f.queries == 0
+
+    @given(
+        st.lists(_finite, min_size=3, max_size=12),
+        st.floats(min_value=0.5, max_value=2.0),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_near_capacity_sums_stay_bit_equal(self, demand_values, headroom):
+        # The under-subscribed shortcut must agree with progressive
+        # filling on both sides of "the demands just about fit".
+        sim = Simulator()
+        bandwidth = max(sum(demand_values) * headroom, 1e3)
+        fast_dir = _direction(LinkSpec(bandwidth, 0.01))
+        ref_dir = _direction(LinkSpec(bandwidth, 0.01))
+        fast = [_StubFlow(sim, d) for d in demand_values]
+        ref = [_StubFlow(sim, d) for d in demand_values]
+        for f in fast:
+            fast_dir.activate(f)
+        for f in ref:
+            ref_dir.activate(f)
+        fast_rates = [fast_dir.allocate_rate(f) for f in fast]
+        with fastpath.disabled():
+            ref_rates = [ref_dir.allocate_rate(f) for f in ref]
         assert _bits(fast_rates) == _bits(ref_rates)
 
 
@@ -170,15 +234,16 @@ class TestEpochCacheInvalidation:
         direction.activate(f1)
         return direction, f0, f1
 
-    def test_cache_hit_skips_demand_queries(self):
+    def test_pushed_demands_are_never_queried(self):
         direction, f0, f1 = self._two_flow_direction()
         first = direction.allocate_rate(f0)
-        queries = f0.queries + f1.queries
-        assert queries == 2  # one solve queries every participant once
         assert direction.allocate_rate(f1) == 70 * MB  # min(90, 100 - 30)
         assert direction.allocate_rate(f0) == first
-        # Same epoch: both answers came from the cached map.
-        assert f0.queries + f1.queries == queries
+        # Time-invariant controllers publish; the link reads the float.
+        assert f0.queries + f1.queries == 0
+        with fastpath.disabled():
+            assert direction.allocate_rate(f1) == 70 * MB
+        assert f0.queries + f1.queries == 2  # the reference path pulls
 
     def test_spec_change_mid_flight_invalidates(self):
         direction, f0, f1 = self._two_flow_direction()
@@ -191,16 +256,26 @@ class TestEpochCacheInvalidation:
         assert direction.allocate_rate(f0) == 20 * MB
         assert direction.allocate_rate(f1) == 20 * MB
 
-    def test_demand_dirty_invalidates(self):
+    def test_published_demand_invalidates(self):
         direction, f0, f1 = self._two_flow_direction()
         assert direction.allocate_rate(f0) == 30 * MB
         f0.demand = 80 * MB
-        # Without the dirty signal the cached epoch still answers; the
-        # contract is that FlowState calls demand_dirty() whenever a
-        # controller's demand-relevant state moves.
+        # Without the push the link still holds the old value; the
+        # contract is that FlowState publishes whenever a time-invariant
+        # controller's demand_gen moves.
         assert direction.allocate_rate(f0) == 30 * MB
-        direction.demand_dirty()
+        direction.publish_demand(f0, 80 * MB)
         assert direction.allocate_rate(f0) == 50 * MB
+        assert direction.allocate_rate(f1) == 50 * MB
+
+    def test_partition_rebuild_reads_published_demand(self):
+        direction, f0, f1 = self._two_flow_direction()
+        f2 = _StubFlow(f0.sim, 10 * MB)
+        direction.allocate_rate(f0)
+        direction.publish_demand(f0, 80 * MB)
+        f0.demand = 80 * MB  # what FlowState.publish_demand stores
+        direction.activate(f2)  # drops the partition
+        assert direction.allocate_rate(f0) == 45 * MB  # (100 - 10) / 2
 
     def test_deactivate_invalidates(self):
         direction, f0, f1 = self._two_flow_direction()
@@ -214,18 +289,17 @@ class TestEpochCacheInvalidation:
         sim = Simulator()
         direction = _direction()
         f0 = _StubFlow(sim, 30 * MB)
-        f1 = _StubFlow(sim, 90 * MB)
-        f1.cc = type("_TV", (), {"demand_time_varying": True})()
+        f1 = _StubFlow(sim, 90 * MB, time_varying=True)
         direction.activate(f0)
         direction.activate(f1)
         direction.allocate_rate(f0)
-        queries = f0.queries + f1.queries
+        assert (f0.queries, f1.queries) == (0, 1)  # only the pulled one
         direction.allocate_rate(f1)  # same timestamp: cache hit
-        assert f0.queries + f1.queries == queries
+        assert (f0.queries, f1.queries) == (0, 1)
         sim.schedule(1.0, lambda: None)
         sim.run()
-        direction.allocate_rate(f1)  # clock moved: must re-query
-        assert f0.queries + f1.queries == queries + 2
+        direction.allocate_rate(f1)  # clock moved: must ask again
+        assert (f0.queries, f1.queries) == (0, 2)
 
     def test_abort_during_train_invalidates_epoch(self):
         # Integration: two competing connections, one closed mid-transfer
@@ -258,3 +332,85 @@ class TestEpochCacheInvalidation:
         c1_payloads = [p for p in sink.payloads if p[0] == "c1"]
         assert len(c1_payloads) == 40
         assert c1.flow.messages_dropped == 0
+
+
+class TestOutsideWrites:
+    """``update_spec`` + ``refresh_rtts``: state written from outside the
+    controller must reach the pushed demands (docs/congestion.md)."""
+
+    FLOWS = 4
+
+    def _run(self):
+        sim = Simulator()
+        net, a, b = make_pair(sim, bandwidth=20 * MB, delay=0.02)
+        sink = Sink(sim)
+        b.stack.listen(7000, Proto.TCP, on_accept=sink.on_accept)
+        b.stack.listen(7001, Proto.UDT, on_accept=sink.on_accept)
+        conns = [a.stack.connect((b.ip, 7000), Proto.TCP) for _ in range(self.FLOWS - 1)]
+        conns.append(a.stack.connect((b.ip, 7001), Proto.UDT))
+        for i in range(60):
+            for c, conn in enumerate(conns):
+                conn.send(WireMessage((c, i), 64 * 1024))
+        probe = {}
+
+        def degrade():
+            link = net.link_between(a.ip, b.ip)
+            flows = [conn.flow for conn in conns]
+            probe["active"] = len(link.forward.active_flows)
+            before = [link.forward.allocate_rate(f) for f in flows]
+            for direction in (link.forward, link.backward):
+                direction.update_spec(LinkSpec(20 * MB, 0.2))
+            assert net.refresh_rtts() >= self.FLOWS
+            probe["published"] = [
+                f.demand == f.cc.demand_rate(sim.now) for f in flows[:-1]
+            ]
+            fast = [link.forward.allocate_rate(f) for f in flows]
+            with fastpath.disabled():
+                ref = [link.forward.allocate_rate(f) for f in flows]
+            probe["rates"] = (before, fast, ref)
+
+        sim.schedule(0.5, degrade)
+        sim.run()
+        return probe, sink.arrivals, sink.payloads
+
+    def test_refresh_reaches_a_live_multi_flow_link(self):
+        probe, arrivals, payloads = self._run()
+        assert probe["active"] == self.FLOWS  # the many-flow solve, live
+        assert all(probe["published"])
+        before, fast, ref = probe["rates"]
+        assert _bits(fast) == _bits(ref)
+        assert fast != before  # the tenfold RTT did move the allocation
+        assert len(payloads) == 60 * self.FLOWS
+        with fastpath.disabled():
+            _, ref_arrivals, ref_payloads = self._run()
+        assert arrivals == ref_arrivals
+        assert payloads == ref_payloads
+
+
+class TestCostCounters:
+    def test_queries_solves_and_demand_queries(self):
+        with collecting(MetricsRegistry()) as registry:
+            sim = Simulator()
+            direction = _direction()
+            flows = [_StubFlow(sim, 10 * MB), _StubFlow(sim, 20 * MB),
+                     _StubFlow(sim, 90 * MB, time_varying=True)]
+            for f in flows:
+                direction.activate(f)
+            for f in flows:
+                direction.allocate_rate(f)
+
+            def value(name):
+                return registry.value(f"netsim.link.{name}", link="t:a->b")
+
+            # One epoch, one timestamp: one solve asks the one pulled flow.
+            assert value("alloc_queries_total") == 3
+            assert value("alloc_solves_total") == 1
+            assert value("demand_queries_total") == 1
+            direction.publish_demand(flows[0], 15 * MB)
+            direction.allocate_rate(flows[1])
+            assert value("alloc_solves_total") == 2
+            assert value("demand_queries_total") == 2
+            with fastpath.disabled():
+                direction.allocate_rate(flows[1])  # the reference pulls all three
+            assert value("alloc_queries_total") == 5
+            assert value("demand_queries_total") == 5

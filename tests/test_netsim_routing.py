@@ -1,7 +1,11 @@
 """Multi-hop fabric routing: composite paths, bottleneck sharing, faults."""
 
+from unittest import mock
+
+import networkx as nx
 import pytest
 
+from repro.bench.topology import generate_topology
 from repro.errors import AddressError
 from repro.netsim import (
     CompositePath,
@@ -11,6 +15,7 @@ from repro.netsim import (
     SimNetwork,
     WireMessage,
 )
+from repro.netsim import fabric
 from repro.netsim.routing import single_hop_directions
 from repro.sim import Simulator
 
@@ -66,6 +71,68 @@ class TestCompositePath:
             net.path("10.0.0.1", "10.0.0.2")
         with pytest.raises(AddressError):
             net.path("10.0.0.1", "10.0.0.99")
+
+
+class TestRouteTrees:
+    """Per-source route trees give the hops the uncached pair search gives."""
+
+    @staticmethod
+    def _hop_names(net, a, b):
+        return [d.name for d in single_hop_directions(net.path(a, b))]
+
+    @staticmethod
+    def _pair_search(net, a, b):
+        hops = nx.shortest_path(net._graph, a, b, weight="delay")
+        return [f"{x}->{y}" for x, y in zip(hops, hops[1:])]
+
+    @pytest.mark.parametrize("kind,hosts", [
+        ("star", 12), ("fat-tree", 40), ("wan-mesh", 24),
+    ])
+    def test_every_endpoint_pair_matches_the_pair_search(self, kind, hosts):
+        topology = generate_topology(kind, hosts, seed=3)
+        net = SimNetwork(Simulator(), seed=1)
+        net.apply_topology(topology)
+        pairs = [(a, b) for a in topology.endpoints for b in topology.endpoints if a != b]
+        expected = {pair: self._pair_search(net, *pair) for pair in pairs}
+        with mock.patch.object(
+            fabric.nx, "shortest_path", wraps=nx.shortest_path
+        ) as pair_search:
+            for pair in pairs:
+                assert self._hop_names(net, *pair) == expected[pair], pair
+        # The generated families (the fat-tree is a strict tree) have no
+        # equal-delay multipath: every route came off a tree.
+        assert pair_search.call_count == 0
+        assert set(net._route_trees) == set(topology.endpoints)
+
+    @pytest.mark.parametrize("long_way", [
+        (0.010, 0.010),  # an exact tie with the 20 ms route
+        (0.1, 0.2),      # 0.1 + 0.2 != 0.3 in floats: a tie within rounding
+    ])
+    def test_tied_routes_use_the_pair_search(self, long_way):
+        net = SimNetwork(Simulator(), seed=4)
+        a, b, c, d = (net.add_host(n, f"10.2.0.{i}") for i, n in enumerate("abcd", 1))
+        total = 0.020 if long_way[0] == 0.010 else 0.3
+        net.connect_hosts(a, b, LinkSpec(1e8, total / 2))
+        net.connect_hosts(b, d, LinkSpec(1e8, total - total / 2))
+        net.connect_hosts(a, c, LinkSpec(1e8, long_way[0]))
+        net.connect_hosts(c, d, LinkSpec(1e8, long_way[1]))
+        pairs = ((a.ip, d.ip), (d.ip, a.ip))
+        expected = [self._pair_search(net, *pair) for pair in pairs]
+        with mock.patch.object(
+            fabric.nx, "shortest_path", wraps=nx.shortest_path
+        ) as pair_search:
+            assert [self._hop_names(net, *pair) for pair in pairs] == expected
+        assert pair_search.call_count == len(pairs)
+
+    def test_connect_hosts_drops_the_trees(self):
+        sim = Simulator()
+        net, hosts = chain(sim, [LinkSpec(1e8, 0.010), LinkSpec(1e8, 0.010),
+                                 LinkSpec(1e8, 0.010)])
+        assert len(single_hop_directions(net.path(hosts[0].ip, hosts[3].ip))) == 3
+        assert net._route_trees
+        net.connect_hosts(hosts[0], hosts[2], LinkSpec(1e8, 0.001))  # a shortcut
+        assert not net._route_trees and not net._route_cache
+        assert len(single_hop_directions(net.path(hosts[0].ip, hosts[3].ip))) == 2
 
 
 class TestRoutedTransfers:

@@ -1,5 +1,8 @@
 import math
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -151,6 +154,14 @@ class TestConfidence:
     def test_zero_variance(self):
         ci = mean_confidence_interval([3.0, 3.0, 3.0])
         assert ci.half_width == 0.0
+
+    def test_importing_the_package_does_not_load_scipy(self):
+        # scipy.stats is 0.9 s of start-up; only the interval itself needs it
+        src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+        probe = "import sys, repro.bench.harness; sys.exit('scipy' in sys.modules)"
+        done = subprocess.run([sys.executable, "-c", probe], timeout=60,
+                              env={**os.environ, "PYTHONPATH": src})
+        assert done.returncode == 0
 
     def test_rse(self):
         assert relative_standard_error([10.0, 10.0, 10.0]) == 0.0
