@@ -22,7 +22,7 @@ from typing import Callable, Iterable, List, Optional, Tuple
 from repro.aio.transport import Endpoint
 
 #: the raw transmit continuation an adaptor forwards (possibly mutated)
-#: packets to — ultimately ``DatagramTransport.sendto``
+#: packets to — ultimately the ``sendto`` of :class:`~repro.aio.udp.UdpEndpoint`'s socket
 Transmit = Callable[[bytes, Endpoint], None]
 PacketPredicate = Callable[[bytes, Endpoint], bool]
 

@@ -44,6 +44,8 @@ from repro.aio.transport import (
     ConnectionHandler,
     Endpoint,
 )
+from repro.aio.udp import DRAIN_MAX, UdpEndpoint
+from repro.obs import get_registry
 
 HEADER = struct.Struct(">BI")  # packet type, sequence/field
 LENGTH = struct.Struct(">I")  # frame length prefix inside the byte stream
@@ -60,6 +62,10 @@ RESUME = 1
 
 MSS = 1200  # payload bytes per DATA packet
 SYN_INTERVAL = 0.01  # UDT's fixed rate-control period
+#: the pacing loop sleeps once per this much accumulated pacing gap ...
+PACING_QUANTUM = 0.001
+#: ... or after this many packets, so ACK/NAK processing is never starved
+PACING_BURST = 16
 DECREASE = 8.0 / 9.0
 RTO = 0.25
 FLIGHT_WINDOW = 2048  # max unacked packets
@@ -102,6 +108,9 @@ class UdtLiteConnection(AioConnection):
         self.retransmissions = 0
         self.naks_received = 0
         self.sacked = 0
+        self._m_packets_per_sleep = get_registry().histogram(
+            "messaging.aio.udt.packets_per_sleep", buckets=(1, 2, 4, 8, PACING_BURST)
+        )
 
         # handshake state (0-RTT resume diagnostics)
         self.zero_rtt = False
@@ -144,24 +153,56 @@ class UdtLiteConnection(AioConnection):
         self._enqueue_frames(frames)
 
     async def drain(self) -> None:
+        """Wait until the peer has acknowledged everything queued so far.
+
+        Returns at once when nothing is outstanding; a sequence that was
+        NAKed and then acknowledged anyway does not count as outstanding.
+        """
         await self._all_acked.wait()
 
     async def _pacing_loop(self) -> None:
+        """Send DATA at the pacer's rate, yielding once per burst.
+
+        Each packet moves ``due`` — when the rate lets the next one out —
+        on by its own gap, ``len(payload) / rate``; the loop sleeps until
+        ``due`` once the gaps since its last yield add up to
+        :data:`PACING_QUANTUM`, or after :data:`PACING_BURST` packets.
+        Because ``due`` is a point in time, whatever the loop spent
+        sending, idle or oversleeping is credited against later gaps (by
+        at most one :data:`SYN_INTERVAL`, so a sender that was idle for
+        long does not burst), and the long-run rate is the pacer's.  A
+        packet whose gap alone reaches the quantum gets its own sleep.
+        """
+        due = time.monotonic()
+        owed = 0.0  # pacing gaps of the packets sent since the last yield
+        burst = 0  # ... and how many packets those are
         while not self.closed:
             if not self._retransmit and (not self._fresh or len(self._unacked) >= FLIGHT_WINDOW):
+                if burst:
+                    self._m_packets_per_sleep.observe(burst)
+                    owed, burst = 0.0, 0
                 self._work.clear()
                 try:
                     await asyncio.wait_for(self._work.wait(), timeout=RTO)
                 except asyncio.TimeoutError:
                     self._check_timeout()
                     continue
-            self.pacer.on_interval(time.monotonic())
+            now = time.monotonic()
+            self.pacer.on_interval(now)
             packet = self._pop_next()
             if packet is None:
                 continue
             seq, payload = packet
             self.endpoint._send_packet(DATA, seq, payload, self.remote)
-            await asyncio.sleep(len(payload) / self.pacer.rate)
+            gap = len(payload) / self.pacer.rate
+            due = max(due, now - SYN_INTERVAL) + gap
+            owed += gap
+            burst += 1
+            if owed >= PACING_QUANTUM or burst >= PACING_BURST:
+                self._m_packets_per_sleep.observe(burst)
+                owed, burst = 0.0, 0
+                # Not behind schedule: a real sleep.  Behind: a bare yield.
+                await asyncio.sleep(due - time.monotonic())
 
     def _pop_next(self) -> Optional[Tuple[int, bytes]]:
         while self._retransmit:
@@ -206,7 +247,12 @@ class UdtLiteConnection(AioConnection):
         if progressed:
             self._last_progress = time.monotonic()
             self._work.set()
-        if not self._unacked and not self._fresh and not self._retransmit:
+        if not self._unacked and not self._fresh:
+            # Nothing in flight, nothing queued: whatever _retransmit still
+            # lists was NAKed and then covered by an ACK.  _pop_next would
+            # skip it, but nobody would wake drain() afterwards.
+            self._retransmit.clear()
+            self._retransmit_set.clear()
             self._all_acked.set()
 
     def _on_nak(self, seqs: Iterable[int]) -> None:
@@ -316,21 +362,9 @@ class UdtLiteConnection(AioConnection):
             if self.endpoint.on_resume_failed is not None:
                 self.endpoint.on_resume_failed(self.remote)
         self.endpoint._forget(self.remote)
-        if getattr(self, "owns_endpoint", False) and self.endpoint._transport is not None:
-            self.endpoint._transport.close()
-            self.endpoint._transport = None
+        if getattr(self, "owns_endpoint", False):
+            self.endpoint._release_socket()
         self._closed()
-
-
-class _UdtProtocol(asyncio.DatagramProtocol):
-    def __init__(self, endpoint: "UdtLiteEndpoint") -> None:
-        self.endpoint = endpoint
-
-    def connection_made(self, transport) -> None:  # pragma: no cover - asyncio hook
-        self.endpoint._transport = transport
-
-    def datagram_received(self, data: bytes, addr) -> None:
-        self.endpoint._on_packet(bytes(data), (addr[0], addr[1]))
 
 
 class UdtLiteEndpoint:
@@ -351,7 +385,11 @@ class UdtLiteEndpoint:
         #: fault-injecting :class:`repro.aio.adaptors.SocketAdaptor` (tests)
         self.adaptor = adaptor
         self.connections: Dict[Endpoint, UdtLiteConnection] = {}
-        self._transport: Optional[asyncio.DatagramTransport] = None
+        #: the shared datagram socket: drained reads, adaptor on the way out
+        self._socket: Optional[UdpEndpoint] = None
+        self._m_datagrams_per_wakeup = get_registry().histogram(
+            "messaging.aio.udt.datagrams_per_wakeup", buckets=(1, 2, 4, 8, 16, 32, DRAIN_MAX)
+        )
         self._handshake_acks: Dict[Endpoint, asyncio.Event] = {}
         self.local: Optional[Endpoint] = None
         self.resumed_handshakes = 0
@@ -359,31 +397,21 @@ class UdtLiteEndpoint:
         self.on_resume_failed: Optional[Callable[[Endpoint], None]] = None
 
     async def open(self, host: str, port: int) -> Endpoint:
-        loop = asyncio.get_running_loop()
-        self._transport, _ = await loop.create_datagram_endpoint(
-            lambda: _UdtProtocol(self), local_addr=(host, port)
+        self._socket = UdpEndpoint(
+            adaptor=self.adaptor, per_wakeup=self._m_datagrams_per_wakeup
         )
-        sock = self._transport.get_extra_info("sockname")
-        self.local = (sock[0], sock[1])
+        self.local = await self._socket.open(host, port, self._on_packet)
         return self.local
 
     # ------------------------------------------------------------------
     # packet I/O
     # ------------------------------------------------------------------
     def _send_packet(self, ptype: int, field: int, payload: bytes, remote: Endpoint) -> None:
-        if self._transport is None:
+        if self._socket is None:
             return
         if ptype == DATA and self.loss_fn is not None and self.loss_fn(field):
             return  # injected loss (tests)
-        packet = HEADER.pack(ptype, field) + payload
-        if self.adaptor is not None:
-            self.adaptor.sendto(packet, remote, self._transmit)
-        else:
-            self._transmit(packet, remote)
-
-    def _transmit(self, packet: bytes, remote: Endpoint) -> None:
-        if self._transport is not None:
-            self._transport.sendto(packet, remote)
+        self._socket.send(HEADER.pack(ptype, field) + payload, remote)
 
     def _on_packet(self, data: bytes, src: Endpoint) -> None:
         if len(data) < HEADER.size:
@@ -423,8 +451,9 @@ class UdtLiteEndpoint:
                      for i in range(len(payload) // 4)]
             conn._on_ack(field, sacks)
         elif ptype == NAK:
-            seqs = [LENGTH.unpack_from(payload, i * 4)[0] for i in range(field)
-                    if (i + 1) * 4 <= len(payload)]
+            # ``field`` is the sender's count: trust the payload's length.
+            seqs = [LENGTH.unpack_from(payload, i * 4)[0]
+                    for i in range(min(field, len(payload) // 4))]
             conn._on_nak(seqs)
         elif ptype == CLOSE:
             conn._teardown()
@@ -518,12 +547,15 @@ class UdtLiteEndpoint:
     def _forget(self, remote: Endpoint) -> None:
         self.connections.pop(remote, None)
 
+    def _release_socket(self) -> None:
+        if self._socket is not None:
+            self._socket.release()
+            self._socket = None
+
     async def close(self) -> None:
         for conn in list(self.connections.values()):
             await conn.close()
-        if self._transport is not None:
-            self._transport.close()
-            self._transport = None
+        self._release_socket()
 
 
 class _UdtListener(AioListener):
@@ -573,7 +605,11 @@ class UdtLiteTransport(AioTransport):
             # A failed resume must fall back to a full handshake next time.
             endpoint.on_resume_failed = self._sessions.discard
             self.zero_rtt_resumes += 1
-        conn = await endpoint.dial(remote, hello, resume=resume)
+        try:
+            conn = await endpoint.dial(remote, hello, resume=resume)
+        except BaseException:
+            endpoint._release_socket()  # no connection will ever own it
+            raise
         self._sessions.add(remote)
         conn.owns_endpoint = True  # dialling side: socket dies with the conn
         return conn

@@ -12,8 +12,6 @@ if TYPE_CHECKING:  # pragma: no cover - structural typing only
         hosts: Tuple[Tuple[str, str], ...]
         links: Tuple[Any, ...]
 
-import networkx as nx
-
 from repro.errors import AddressError, TransportError
 from repro.kompics.config import Config
 from repro.netsim.routing import CompositePath
@@ -78,11 +76,9 @@ class SimNetwork:
         self.hosts: Dict[str, SimHost] = {}
         self.links: Dict[Tuple[str, str], Link] = {}
         self._loopbacks: Dict[str, Link] = {}
-        self._graph = nx.Graph()
-        #: the same graph as plain adjacency lists of (peer, delay), and
-        #: the sum of its link delays; ``connect_hosts`` is the one place
-        #: that grows either.  Growing the 256 trees of a 256-host wan-mesh
-        #: takes 0.06 s over these, 0.16 s over ``self._graph.adj``.
+        #: the routed topology: adjacency lists of (peer, delay at connect
+        #: time), and the sum of those delays; ``connect_hosts`` is the one
+        #: place that grows either
         self._neighbours: Dict[str, List[Tuple[str, float]]] = {}
         self._delay_total = 0.0
         self._route_cache: Dict[Tuple[str, str], CompositePath] = {}
@@ -90,6 +86,9 @@ class SimNetwork:
         #: tree, nodes that another route reaches at practically the same
         #: delay); dropped with ``_route_cache``
         self._route_trees: Dict[str, Tuple[Dict[str, str], FrozenSet[str]]] = {}
+        #: the ``networkx.Graph`` of :meth:`_pair_search`, built when first
+        #: asked for; dropped with ``_route_cache``
+        self._pair_graph: Any = None
 
     # ------------------------------------------------------------------
     # topology construction
@@ -115,12 +114,12 @@ class SimNetwork:
             raise AddressError(f"link {a.ip}<->{b.ip} already exists")
         link = Link(a.ip, b.ip, spec, spec_reverse)
         self.links[key] = link
-        self._graph.add_edge(a.ip, b.ip, delay=spec.delay, link=link)
         self._neighbours.setdefault(a.ip, []).append((b.ip, spec.delay))
         self._neighbours.setdefault(b.ip, []).append((a.ip, spec.delay))
         self._delay_total += spec.delay
         self._route_cache.clear()
         self._route_trees.clear()
+        self._pair_graph = None
         return link
 
     # ------------------------------------------------------------------
@@ -185,7 +184,7 @@ class SimNetwork:
         cached = self._route_cache.get((src_ip, dst_ip))
         if cached is not None:
             return cached
-        if src_ip not in self._graph or dst_ip not in self._graph:
+        if src_ip not in self._neighbours or dst_ip not in self._neighbours:
             raise AddressError(f"no route from {src_ip} to {dst_ip}")
         hops = self._tree_hops(src_ip, dst_ip)
         directions = [
@@ -196,7 +195,7 @@ class SimNetwork:
         return composite
 
     def _tree_hops(self, src_ip: str, dst_ip: str) -> List[str]:
-        """The hop list ``nx.shortest_path(graph, src, dst, "delay")`` gives.
+        """The hop list ``networkx.shortest_path(graph, src, dst, "delay")`` gives.
 
         Routes come from one single-source shortest-path tree per source
         instead of one bidirectional search per pair.  The two searches
@@ -216,11 +215,30 @@ class SimNetwork:
         node = dst_ip
         while node != src_ip:
             if node in tied:
-                return nx.shortest_path(self._graph, src_ip, dst_ip, weight="delay")
+                return self._pair_search(src_ip, dst_ip)
             node = parent[node]
             hops.append(node)
         hops.reverse()
         return hops
+
+    def _pair_search(self, src_ip: str, dst_ip: str) -> List[str]:
+        """``networkx.shortest_path``, whose pick among tied routes is the contract."""
+        # Imported here: 0.17 s and some 15 MB that only a fabric with
+        # equal-cost routes needs (no generated family or testbed has any).
+        import networkx
+
+        graph = self._pair_graph
+        if graph is None:
+            # The delays routing goes by (``update_spec`` does not re-route),
+            # the edges in the order they were made: networkx breaks ties by it.
+            delays = {
+                (a, b): delay
+                for a, peers in self._neighbours.items() for b, delay in peers
+            }
+            graph = self._pair_graph = networkx.Graph()
+            for a, b in self.links:
+                graph.add_edge(a, b, delay=delays[a, b])
+        return networkx.shortest_path(graph, src_ip, dst_ip, weight="delay")
 
     def _route_tree(self, src_ip: str) -> Tuple[Dict[str, str], FrozenSet[str]]:
         """Dijkstra from ``src_ip``: each node's parent, and the tied nodes."""

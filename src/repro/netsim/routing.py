@@ -2,7 +2,7 @@
 
 The paper's testbeds are point-to-point pairs, but a middleware meant for
 multi-datacenter and P2P deployments routes across networks.  The fabric
-builds a link graph (networkx) and, when two hosts share no direct link,
+keeps the links as a graph and, when two hosts share no direct link,
 returns a :class:`CompositePath` assembled from the delay-shortest chain
 of link directions.  A composite path quacks like a single
 ``LinkDirection`` for the fluid transmission machinery:

@@ -1,5 +1,8 @@
 """Multi-hop fabric routing: composite paths, bottleneck sharing, faults."""
 
+import os
+import subprocess
+import sys
 from unittest import mock
 
 import networkx as nx
@@ -15,7 +18,6 @@ from repro.netsim import (
     SimNetwork,
     WireMessage,
 )
-from repro.netsim import fabric
 from repro.netsim.routing import single_hop_directions
 from repro.sim import Simulator
 
@@ -82,7 +84,11 @@ class TestRouteTrees:
 
     @staticmethod
     def _pair_search(net, a, b):
-        hops = nx.shortest_path(net._graph, a, b, weight="delay")
+        """The uncached reference: one networkx search over the links as made."""
+        graph = nx.Graph()
+        for (x, y), link in net.links.items():
+            graph.add_edge(x, y, delay=link.forward.spec.delay)
+        hops = nx.shortest_path(graph, a, b, weight="delay")
         return [f"{x}->{y}" for x, y in zip(hops, hops[1:])]
 
     @pytest.mark.parametrize("kind,hosts", [
@@ -95,7 +101,7 @@ class TestRouteTrees:
         pairs = [(a, b) for a in topology.endpoints for b in topology.endpoints if a != b]
         expected = {pair: self._pair_search(net, *pair) for pair in pairs}
         with mock.patch.object(
-            fabric.nx, "shortest_path", wraps=nx.shortest_path
+            nx, "shortest_path", wraps=nx.shortest_path
         ) as pair_search:
             for pair in pairs:
                 assert self._hop_names(net, *pair) == expected[pair], pair
@@ -119,10 +125,31 @@ class TestRouteTrees:
         pairs = ((a.ip, d.ip), (d.ip, a.ip))
         expected = [self._pair_search(net, *pair) for pair in pairs]
         with mock.patch.object(
-            fabric.nx, "shortest_path", wraps=nx.shortest_path
+            nx, "shortest_path", wraps=nx.shortest_path
         ) as pair_search:
             assert [self._hop_names(net, *pair) for pair in pairs] == expected
         assert pair_search.call_count == len(pairs)
+        # The graph it searched was built for it and goes with the route caches.
+        assert net._pair_graph is not None
+        net.connect_hosts(b, c, LinkSpec(1e8, 1.0))
+        assert net._pair_graph is None
+
+    def test_a_fabric_without_tied_routes_never_imports_networkx(self):
+        # 0.17 s and some 15 MB in every process, socket-backend ones
+        # included; scipy rides along to pin its own lazy import
+        src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+        probe = (
+            "import sys, repro, repro.aio, repro.apps\n"
+            "def heavy(): return sorted({'networkx', 'scipy'} & set(sys.modules))\n"
+            "assert not heavy(), ('imported', heavy())\n"
+            "from repro.bench.fleet import run_fleet_workload\n"
+            "run_fleet_workload('wan-mesh', hosts=16, flows=32)\n"
+            "assert not heavy(), ('routing', heavy())\n"
+        )
+        done = subprocess.run([sys.executable, "-c", probe], timeout=120,
+                              env={**os.environ, "PYTHONPATH": src},
+                              capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
 
     def test_connect_hosts_drops_the_trees(self):
         sim = Simulator()
