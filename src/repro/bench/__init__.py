@@ -12,9 +12,8 @@
   restore) exercising the channel-recovery layer.
 * :mod:`repro.bench.chaos` — seeded random fault campaigns (handler
   faults + link cuts) exercising component supervision end to end.
-* :mod:`repro.bench.perf` — perf-regression harness: hot-path
-  microbenchmarks, figure-shaped wall-clock suites, a baseline
-  regression gate, and the fastpath equivalence gate.
+* :mod:`repro.bench.perf` — the fastpath equivalence gate (rates are
+  measured by ``python3 perf/run.py``, not here).
 * :mod:`repro.bench.topology` — deterministic fleet-scale topology
   generation (star / fat-tree / wan-mesh) with per-link WAN specs.
 * :mod:`repro.bench.fleet` — fleet workloads (thousands of churning
@@ -54,12 +53,7 @@ from repro.bench.fleet import (
     run_fleet_workload,
     validate_campaign_document,
 )
-from repro.bench.perf import (
-    check_regression,
-    regression_report,
-    run_equivalence,
-    run_perf,
-)
+from repro.bench.perf import run_equivalence
 from repro.bench.scenario import (
     AWS_SETUPS,
     DuplicateScenarioError,
@@ -98,10 +92,7 @@ __all__ = [
     "ChaosCampaignResult",
     "plan_chaos_timeline",
     "run_chaos_campaign",
-    "run_perf",
     "run_equivalence",
-    "check_regression",
-    "regression_report",
     "Scenario",
     "SCENARIOS",
     "UnknownScenarioError",

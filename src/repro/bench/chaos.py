@@ -59,6 +59,11 @@ from repro.util.rng import derive_seed
 #: on purpose: it is the health probe that measures convergence.
 DEFAULT_TARGETS: Tuple[str, ...] = ("sender", "ponger")
 
+#: every component label a campaign can fault
+ALL_TARGETS: Tuple[str, ...] = (
+    "pinger", "ponger", "sender", "receiver", "net-snd", "net-rcv",
+)
+
 
 @dataclass(frozen=True)
 class ChaosEvent:

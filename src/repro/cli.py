@@ -16,10 +16,11 @@ from __future__ import annotations
 import argparse
 import random
 import sys
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 from repro._version import __version__
 from repro.bench import AWS_SETUPS, setup_by_name
+from repro.bench.chaos import ALL_TARGETS, DEFAULT_TARGETS
 from repro.bench.harness import (
     run_latency_experiment,
     run_learner_trace,
@@ -32,6 +33,8 @@ from repro.messaging import Transport
 
 MB = 1024 * 1024
 
+SETUP_NAMES = tuple(s.name for s in AWS_SETUPS)
+
 FIGURES = ("fig1", "fig2", "fig4", "fig5", "fig6", "fig8", "fig9")
 
 
@@ -43,6 +46,26 @@ def _transport(name: str) -> Transport:
             f"unknown transport {name!r}; choose from "
             f"{[t.value for t in Transport]}"
         )
+
+
+def _targets(text: str) -> Tuple[str, ...]:
+    targets = tuple(t.strip() for t in text.split(",") if t.strip())
+    unknown = [t for t in targets if t not in ALL_TARGETS]
+    if unknown:
+        raise argparse.ArgumentTypeError(
+            f"unknown chaos target(s) {unknown}; choose from {list(ALL_TARGETS)}"
+        )
+    return targets
+
+
+def _emit(text: str, output: Optional[str], what: str) -> None:
+    """Write ``text`` to the ``--output`` file, or print it."""
+    if output is None:
+        print(text)
+        return
+    with open(output, "w", encoding="utf-8") as fh:
+        fh.write(text + "\n")
+    print(f"wrote {what} to {output}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -60,14 +83,15 @@ def build_parser() -> argparse.ArgumentParser:
                          help=f"figures to run: {', '.join(FIGURES)} or 'all'")
 
     transfer = sub.add_parser("transfer", help="repeated disk-to-disk transfer")
-    transfer.add_argument("--setup", default="EU2US", help="testbed setup name")
+    transfer.add_argument("--setup", choices=SETUP_NAMES, default="EU2US",
+                          help="testbed setup name")
     transfer.add_argument("--transport", type=_transport, default=Transport.DATA)
     transfer.add_argument("--size-mb", type=int, default=395)
     transfer.add_argument("--runs", type=int, default=5)
     transfer.add_argument("--seed", type=int, default=1)
 
     latency = sub.add_parser("latency", help="ping RTT with optional parallel data")
-    latency.add_argument("--setup", default="EU2AU")
+    latency.add_argument("--setup", choices=SETUP_NAMES, default="EU2AU")
     latency.add_argument("--ping-transport", type=_transport, default=Transport.TCP)
     latency.add_argument("--data-transport", type=_transport, default=None)
     latency.add_argument("--transfer-mb", type=int, default=395)
@@ -83,7 +107,7 @@ def build_parser() -> argparse.ArgumentParser:
         "obs",
         help="run an instrumented ping-pong + DATA scenario and dump metrics",
     )
-    obs.add_argument("--setup", default=None,
+    obs.add_argument("--setup", choices=SETUP_NAMES, default=None,
                      help="testbed setup name (default: the learner environment)")
     obs.add_argument("--duration", type=float, default=10.0,
                      help="simulated seconds to run")
@@ -170,9 +194,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="latest chaos event (sim seconds)")
     chaos.add_argument("--tail", type=float, default=3.0,
                        help="chaos-free convergence window at the end")
-    chaos.add_argument("--targets", default=None,
-                       help="comma-separated fault targets "
-                            "(pinger,ponger,sender,receiver,net-snd,net-rcv)")
+    chaos.add_argument("--targets", type=_targets, default=DEFAULT_TARGETS,
+                       help=f"comma-separated fault targets ({','.join(ALL_TARGETS)})")
     chaos.add_argument("--transfer-mb", type=int, default=4,
                        help="parallel file-transfer size")
     chaos.add_argument("--transport", type=_transport, default=Transport.TCP,
@@ -187,29 +210,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     perf = sub.add_parser(
         "perf",
-        help="hot-path perf suites, baseline regression gate, equivalence gate",
+        help="fastpath equivalence gate (rates: python3 perf/run.py)",
     )
-    perf.add_argument("--suite", action="append", default=None,
-                      help="suite to run (repeatable); default: all")
+    perf.add_argument("--equivalence", action="store_true",
+                      help="byte-compare obs snapshots with the fast paths "
+                           "on vs. off")
     perf.add_argument("--quick", action="store_true",
                       help="smaller workloads for CI smoke runs")
-    perf.add_argument("--out", default=None,
-                      help="write the result document (JSON) to this file")
-    perf.add_argument("--baseline", default=None,
-                      help="baseline JSON (e.g. BENCH_PR3.json) to gate against")
-    perf.add_argument("--max-regression", type=float, default=0.30,
-                      help="allowed fractional drop in gated rate metrics")
-    perf.add_argument("--equivalence", action="store_true",
-                      help="run the fastpath-on vs. off snapshot equivalence gate "
-                           "instead of the measurement suites")
-    perf.add_argument("--profile", action="store_true",
-                      help="run the suites under cProfile and print the top "
-                           "functions by cumulative time (no gating)")
-    perf.add_argument("--profile-top", type=int, default=25, metavar="N",
-                      help="rows per suite in the --profile report")
-    perf.add_argument("--summary", default=None, metavar="PATH",
-                      help="append a markdown measured-vs-baseline table to this "
-                           "file (e.g. $GITHUB_STEP_SUMMARY); needs --baseline")
 
     fleet = sub.add_parser(
         "fleet",
@@ -430,12 +437,7 @@ def cmd_obs(args: argparse.Namespace) -> int:
     else:
         text = "\n".join(_document_lines(document["metrics"]))
 
-    if args.output is not None:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-        print(f"wrote {args.format} snapshot to {args.output}")
-    else:
-        print(text)
+    _emit(text, args.output, f"{args.format} snapshot")
     return 0
 
 
@@ -463,12 +465,7 @@ def cmd_loopback(args: argparse.Namespace) -> int:
     else:
         text = format_comparison(comparison)
 
-    if args.output is not None:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-        print(f"wrote {args.format} output to {args.output}")
-    else:
-        print(text)
+    _emit(text, args.output, f"{args.format} output")
 
     incomplete = [r.transport for r in comparison.runs if not r.complete]
     if incomplete:
@@ -530,12 +527,7 @@ def cmd_faults(args: argparse.Namespace) -> int:
             lines.append("  converged       NO")
         text = "\n".join(lines)
 
-    if args.output is not None:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-        print(f"wrote {args.format} output to {args.output}")
-    else:
-        print(text)
+    _emit(text, args.output, f"{args.format} output")
     # Bare runs demonstrate the unrecovered floor and are allowed to lose
     # the transfer; with recovery on, non-convergence is a failure.
     return 0 if (args.no_recovery or result.converged) else 1
@@ -545,17 +537,12 @@ def cmd_chaos(args: argparse.Namespace) -> int:
     import dataclasses
     import json
 
-    from repro.bench.chaos import DEFAULT_TARGETS
     from repro.bench.harness import run_observed
     from repro.bench.scenario import run_scenario
 
     if args.backend == "aio":
         return _cmd_chaos_aio(args)
 
-    targets = (
-        DEFAULT_TARGETS if args.targets is None
-        else tuple(t.strip() for t in args.targets.split(",") if t.strip())
-    )
     result, document = run_observed(
         run_scenario,
         "chaos",
@@ -563,7 +550,7 @@ def cmd_chaos(args: argparse.Namespace) -> int:
         chaos_start=args.chaos_start,
         chaos_end=args.chaos_end,
         events=args.events,
-        targets=targets,
+        targets=args.targets,
         tail=args.tail,
         transfer_bytes=args.transfer_mb * MB,
         transfer_transport=args.transport,
@@ -603,12 +590,7 @@ def cmd_chaos(args: argparse.Namespace) -> int:
         ]
         text = "\n".join(lines)
 
-    if args.output is not None:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-        print(f"wrote {args.format} output to {args.output}")
-    else:
-        print(text)
+    _emit(text, args.output, f"{args.format} output")
     return 0 if result.healthy_at_end else 1
 
 
@@ -651,84 +633,27 @@ def _cmd_chaos_aio(args: argparse.Namespace) -> int:
         ]
         text = "\n".join(lines)
 
-    if args.output is not None:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-        print(f"wrote {args.format} output to {args.output}")
-    else:
-        print(text)
+    _emit(text, args.output, f"{args.format} output")
     return 0 if result.converged else 1
 
 
 def cmd_perf(args: argparse.Namespace) -> int:
-    import json
+    from repro.bench.perf import run_equivalence
 
-    from repro.bench.perf import check_regression, run_equivalence, run_perf
-
-    if args.profile:
-        from repro.bench.perf import run_profile
-
-        try:
-            report = run_profile(
-                suites=args.suite, quick=args.quick, top=args.profile_top,
-            )
-        except ValueError as exc:
-            print(str(exc), file=sys.stderr)
-            return 2
-        if args.out is not None:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(report)
-            print(f"wrote profile report to {args.out}")
-        else:
-            print(report)
-        return 0
-
-    if args.equivalence:
-        outcomes = run_equivalence(quick=args.quick)
-        width = max(len(name) for name, _ in outcomes)
-        for name, identical in outcomes:
-            print(f"{name:<{width}}  {'IDENTICAL' if identical else 'DIFFER'}")
-        bad = [name for name, identical in outcomes if not identical]
-        if bad:
-            print(f"equivalence gate FAILED: {', '.join(bad)}", file=sys.stderr)
-            return 1
-        print("equivalence gate passed: fast paths are observationally identical")
-        return 0
-
-    try:
-        document = run_perf(suites=args.suite, quick=args.quick)
-    except ValueError as exc:
-        print(str(exc), file=sys.stderr)
+    if not args.equivalence:
+        print("repro perf only runs the digest gate (--equivalence [--quick]); "
+              "rates are measured by: python3 perf/run.py --workload NAME",
+              file=sys.stderr)
         return 2
-
-    for suite, metrics in document["suites"].items():
-        parts = ", ".join(
-            f"{k}={v:,.2f}" if isinstance(v, float) else f"{k}={v}"
-            for k, v in metrics.items()
-        )
-        print(f"{suite}: {parts}")
-
-    if args.out is not None:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(document, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        print(f"wrote perf document to {args.out}")
-
-    if args.baseline is not None:
-        from repro.bench.perf import regression_report
-
-        with open(args.baseline, "r", encoding="utf-8") as fh:
-            baseline = json.load(fh)
-        failures = check_regression(document, baseline, args.max_regression)
-        if args.summary is not None:
-            with open(args.summary, "a", encoding="utf-8") as fh:
-                fh.write(regression_report(document, baseline, args.max_regression))
-        if failures:
-            for line in failures:
-                print(f"REGRESSION {line}", file=sys.stderr)
-            return 1
-        print(f"regression gate passed (threshold {args.max_regression:.0%} "
-              f"vs {args.baseline})")
+    outcomes = run_equivalence(quick=args.quick)
+    width = max(len(name) for name, _ in outcomes)
+    for name, identical in outcomes:
+        print(f"{name:<{width}}  {'IDENTICAL' if identical else 'DIFFER'}")
+    bad = [name for name, identical in outcomes if not identical]
+    if bad:
+        print(f"equivalence gate FAILED: {', '.join(bad)}", file=sys.stderr)
+        return 1
+    print("equivalence gate passed: fast paths are observationally identical")
     return 0
 
 

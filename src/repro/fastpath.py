@@ -33,11 +33,6 @@ Flags
     *allocation epoch* (invalidated on activate/deactivate/spec-change/
     demand movement) and settles only the asking flow
     (:meth:`repro.netsim.link.LinkDirection.allocate_rate`).
-``VEC_MAXMIN``
-    numpy-vectorized progressive-filling max-min solver used above a
-    flow-count threshold, bit-equal to the scalar reference
-    (:func:`repro.netsim.link.max_min_allocation_vec`).  No-op when
-    numpy is unavailable.
 
 All flags default to on.  They gate *pure memoizations*: flipping them
 must never change simulated timestamps, event order, metric values or
@@ -54,7 +49,6 @@ SERIALIZER_CACHE: bool = True
 RX_TRAIN: bool = True
 RUN_QUEUE: bool = True
 ALLOC_EPOCH: bool = True
-VEC_MAXMIN: bool = True
 
 _ALL: Tuple[str, ...] = (
     "DISPATCH_CACHE",
@@ -62,7 +56,6 @@ _ALL: Tuple[str, ...] = (
     "RX_TRAIN",
     "RUN_QUEUE",
     "ALLOC_EPOCH",
-    "VEC_MAXMIN",
 )
 
 

@@ -11,19 +11,10 @@ from repro import fastpath
 from repro.check import get_checker
 from repro.obs import get_registry
 
-try:  # numpy backs the vectorized max-min solver; scalar path otherwise
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy is in the dev environment
-    _np = None
-
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.netsim.connection import FlowState
 
 PACKET_SIZE = 1500.0  # bytes; granularity for loss-probability conversion
-
-#: Hand the max-min solve to numpy only above this flow count; below it the
-#: scalar path wins on constant factors.
-VEC_MAXMIN_THRESHOLD = 32
 
 #: A link whose demands sum to at most this fraction of its bandwidth is
 #: under-subscribed beyond any rounding doubt (see ``_allocate_epoch``).
@@ -109,62 +100,6 @@ def max_min_allocation(demands: Sequence[float], capacity: float) -> List[float]
         remaining -= give
         active -= 1
     return alloc
-
-
-def max_min_allocation_vec(demands: Sequence[float], capacity: float) -> List[float]:
-    """Vectorized progressive filling, bit-equal to :func:`max_min_allocation`.
-
-    The scalar reference settles flows in ascending-demand order and while
-    a flow demands less than its fair share the step degenerates to
-    ``remaining -= demand``.  That prefix is a pure left fold, which
-    ``np.subtract.accumulate`` reproduces with the *same* sequence of IEEE
-    subtractions — so the prefix allocations and the running ``remaining``
-    match the scalar path bit for bit.  The first flow whose demand
-    exceeds its share breaks the degenerate pattern; from there the scalar
-    loop finishes the (typically short) saturated tail, which also absorbs
-    ``inf`` demands and any share wobble.  ``argsort(kind="stable")``
-    matches ``sorted``'s stable tie-breaking exactly.
-    """
-    n = len(demands)
-    if n <= 2 or _np is None:
-        return max_min_allocation(demands, capacity)
-    arr = _np.asarray(demands, dtype=float)
-    order = _np.argsort(arr, kind="stable")
-    d_sorted = arr[order]
-    # remaining[k] = capacity after fully granting the first k demands,
-    # computed as the same left fold the scalar loop performs.
-    remaining_seq = _np.subtract.accumulate(
-        _np.concatenate(((capacity,), d_sorted[:-1]))
-    )
-    shares = remaining_seq / _np.arange(n, 0, -1, dtype=float)
-    under = d_sorted <= shares
-    k = n if bool(under.all()) else int(_np.argmin(under))
-    alloc = [0.0] * n
-    order_list = order.tolist()
-    d_list = d_sorted.tolist()
-    for i in range(k):
-        alloc[order_list[i]] = d_list[i]
-    if k < n:
-        remaining = float(remaining_seq[k])
-        active = n - k
-        for i in range(k, n):
-            share = remaining / active
-            give = min(d_list[i], share)
-            alloc[order_list[i]] = give
-            remaining -= give
-            active -= 1
-    return alloc
-
-
-def _max_min(demands: Sequence[float], capacity: float) -> List[float]:
-    """Dispatch between the scalar and vectorized max-min solvers."""
-    if (
-        fastpath.VEC_MAXMIN
-        and _np is not None
-        and len(demands) >= VEC_MAXMIN_THRESHOLD
-    ):
-        return max_min_allocation_vec(demands, capacity)
-    return max_min_allocation(demands, capacity)
 
 
 def max_min_share(demands: List[float], index: int, capacity: float) -> float:
@@ -407,11 +342,10 @@ class LinkDirection:
         if self._obs:
             self._m_alloc_queries.inc()
         if self._check is not None:
-            # Checked runs always take the general path: it computes the
-            # full demand/allocation maps the feasibility invariant needs,
-            # and it makes the same demand_rate() calls in the same order
-            # as the unrolled cases (controllers mutate state when queried,
-            # so the hook must not re-query them).
+            # Checked runs always take the reference path: it computes the
+            # full demand/allocation maps the feasibility invariant needs
+            # (controllers mutate state when queried, so the hook must not
+            # re-query them).
             return self._allocate_general(flow)
         if fastpath.ALLOC_EPOCH:
             if len(self._active) == 1 and flow in self._active:
@@ -431,76 +365,6 @@ class LinkDirection:
                     demand = bw
                 return demand if demand > 1.0 else 1.0
             return self._allocate_epoch(flow)
-        active = self._flows_tuple()
-        if len(active) == 1 and active[0] is flow:
-            # Sole active flow (the bulk-transfer steady state): the tiers
-            # collapse to min(demand, caps), bit-identical to the general
-            # path below (max-min of one demand is min(demand, capacity)).
-            demand = flow.demand_rate()
-            if self._obs:
-                self._note_solve(1)
-            if flow.subject_to_udp_cap and self.spec.udp_cap is not None:
-                cap = self.spec.udp_cap
-                if demand > cap:
-                    demand = cap
-            bw = self.spec.bandwidth
-            if demand > bw:
-                demand = bw
-            return demand if demand > 1.0 else 1.0
-        if (
-            len(active) == 2
-            and not active[0].scavenger
-            and not active[1].scavenger
-            and (flow is active[0] or flow is active[1])
-        ):
-            # Two foreground flows (adaptive DATA's TCP + UDT mix): the
-            # general path below reduces to capping the UDP-pool members,
-            # then one two-flow max-min — same operations, same order, no
-            # dict/list churn.
-            f0, f1 = active
-            d0 = f0.demand_rate()
-            d1 = f1.demand_rate()
-            if self._obs:
-                self._note_solve(2)
-            cap = self.spec.udp_cap
-            if cap is not None:
-                if f0.subject_to_udp_cap:
-                    if f1.subject_to_udp_cap:
-                        if d0 <= d1:
-                            half = cap / 2
-                            if d0 > half:
-                                d0 = half
-                            rest = cap - d0
-                            if d1 > rest:
-                                d1 = rest
-                        else:
-                            half = cap / 2
-                            if d1 > half:
-                                d1 = half
-                            rest = cap - d1
-                            if d0 > rest:
-                                d0 = rest
-                    else:
-                        full = cap / 1
-                        if d0 > full:
-                            d0 = full
-                elif f1.subject_to_udp_cap:
-                    full = cap / 1
-                    if d1 > full:
-                        d1 = full
-            bw = self.spec.bandwidth
-            if d0 <= d1:
-                half = bw / 2
-                a0 = d0 if d0 <= half else half
-                rest = bw - a0
-                a1 = d1 if d1 <= rest else rest
-            else:
-                half = bw / 2
-                a1 = d1 if d1 <= half else half
-                rest = bw - a1
-                a0 = d0 if d0 <= rest else rest
-            alloc = a0 if flow is f0 else a1
-            return alloc if alloc > 1.0 else 1.0
         return self._allocate_general(flow)
 
     def _query_flows(self, flow: "FlowState") -> Tuple["FlowState", ...]:
@@ -524,17 +388,17 @@ class LinkDirection:
         if spec.udp_cap is not None:
             udp_flows = [f for f in flows if f.subject_to_udp_cap]
             if udp_flows:
-                capped = _max_min([demands[f] for f in udp_flows], spec.udp_cap)
+                capped = max_min_allocation([demands[f] for f in udp_flows], spec.udp_cap)
                 for f, c in zip(udp_flows, capped):
                     demands[f] = c
 
         foreground = [f for f in flows if not f.scavenger]
         background = [f for f in flows if f.scavenger]
-        fg_alloc = _max_min([demands[f] for f in foreground], spec.bandwidth)
+        fg_alloc = max_min_allocation([demands[f] for f in foreground], spec.bandwidth)
         allocation: Dict["FlowState", float] = dict(zip(foreground, fg_alloc))
         if background:
             leftover = max(spec.bandwidth - sum(fg_alloc), 0.0)
-            bg_alloc = _max_min([demands[f] for f in background], leftover)
+            bg_alloc = max_min_allocation([demands[f] for f in background], leftover)
             allocation.update(zip(background, bg_alloc))
         return allocation
 
@@ -591,7 +455,7 @@ class LinkDirection:
             cap = spec.udp_cap
             if udp and cap is not None:
                 if len(udp) > 1:
-                    capped = _max_min([demands[i] for i in udp], cap)
+                    capped = max_min_allocation([demands[i] for i in udp], cap)
                 elif demands[udp[0]] > cap:
                     capped = (cap,)  # a pool of one is a clamp
                 else:
@@ -619,7 +483,7 @@ class LinkDirection:
             if not flow.scavenger:
                 rate = max_min_share(foreground, partition.slot[position], spec.bandwidth)
             else:
-                fg_alloc = _max_min(foreground, spec.bandwidth)
+                fg_alloc = max_min_allocation(foreground, spec.bandwidth)
                 leftover = max(spec.bandwidth - sum(fg_alloc), 0.0)
                 rate = max_min_share(
                     [demands[i] for i in partition.scavengers],

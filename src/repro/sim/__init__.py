@@ -6,7 +6,6 @@ that only the kernel advances, and cancellable event handles.
 """
 
 from repro.sim.event import EventHandle
-from repro.sim.process import Process, ProcessEnv, Signal, run_process
 from repro.sim.simulator import Simulator
 
-__all__ = ["Simulator", "EventHandle", "Process", "ProcessEnv", "Signal", "run_process"]
+__all__ = ["Simulator", "EventHandle"]

@@ -17,6 +17,22 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["transfer", "--transport", "carrier-pigeon"])
 
+    @pytest.mark.parametrize("argv, valid", [
+        (["transfer", "--setup", "bogus"], "EU2US"),
+        (["latency", "--setup", "bogus"], "EU2US"),
+        (["obs", "--setup", "bogus"], "EU2US"),
+        (["chaos", "--targets", "sender,bogus"], "net-rcv"),
+    ])
+    def test_bad_setup_or_target_exits_2_naming_the_valid_values(
+        self, argv, valid, capsys
+    ):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "bogus" in err and valid in err
+        assert "Traceback" not in err
+
     def test_command_required(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args([])

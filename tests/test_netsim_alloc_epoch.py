@@ -1,15 +1,14 @@
 """Max-min solver equivalence and allocation-epoch tests.
 
-The allocation fast paths promise *bit-identical* results: the numpy
-solver and the single-flow solve must reproduce the scalar reference
-exactly (same IEEE operations in the same order), and an epoch must never
-serve a stale allocation across an activate/deactivate/spec-change/
-pushed-demand boundary.
+The allocation fast paths promise *bit-identical* results: the
+single-flow solve must reproduce the scalar reference exactly (same IEEE
+operations in the same order), and an epoch must never serve a stale
+allocation across an activate/deactivate/spec-change/pushed-demand
+boundary.
 """
 
 import math
 import struct
-from contextlib import contextmanager
 
 import pytest
 from hypothesis import given, settings
@@ -21,7 +20,6 @@ from repro.netsim.link import (
     LinkDirection,
     LinkSpec,
     max_min_allocation,
-    max_min_allocation_vec,
     max_min_share,
 )
 from repro.obs import MetricsRegistry, collecting
@@ -37,17 +35,6 @@ def _bits(values):
     return struct.pack(f"<{len(values)}d", *values)
 
 
-@contextmanager
-def _threshold(link_mod, value):
-    """Temporarily lower VEC_MAXMIN_THRESHOLD so small pools vectorize."""
-    saved = link_mod.VEC_MAXMIN_THRESHOLD
-    link_mod.VEC_MAXMIN_THRESHOLD = value
-    try:
-        yield
-    finally:
-        link_mod.VEC_MAXMIN_THRESHOLD = saved
-
-
 # Demand strategies: finite rates, exact-tie pools (duplicates are the
 # interesting case for stable-sort tie-breaking), and inf (greedy flows).
 _finite = st.floats(min_value=0.0, max_value=1e9, allow_nan=False)
@@ -57,35 +44,7 @@ _demand = st.one_of(_finite, _tied, st.just(math.inf))
 
 class TestVecEquivalence:
     @given(
-        st.lists(_demand, min_size=3, max_size=64),
-        st.floats(min_value=1.0, max_value=1e9, allow_nan=False),
-    )
-    @settings(max_examples=300, deadline=None)
-    def test_vec_bit_equal_to_scalar(self, demands, capacity):
-        ref = max_min_allocation(demands, capacity)
-        vec = max_min_allocation_vec(demands, capacity)
-        assert _bits(vec) == _bits(ref)
-
-    @given(
-        st.lists(_tied, min_size=3, max_size=40),
-        st.sampled_from([1.0, 1e4, 5e4, 1e9]),
-    )
-    @settings(max_examples=200, deadline=None)
-    def test_exact_ties_break_identically(self, demands, capacity):
-        # All-duplicate pools exercise argsort-vs-sorted stability head on.
-        assert _bits(max_min_allocation_vec(demands, capacity)) == _bits(
-            max_min_allocation(demands, capacity)
-        )
-
-    @given(st.lists(st.just(math.inf), min_size=3, max_size=20))
-    @settings(max_examples=50, deadline=None)
-    def test_all_infinite_demands(self, demands):
-        ref = max_min_allocation(demands, 80.0)
-        assert _bits(max_min_allocation_vec(demands, 80.0)) == _bits(ref)
-        assert sum(ref) == pytest.approx(80.0)
-
-    @given(
-        st.lists(_demand, min_size=1, max_size=48),
+        st.lists(_demand, min_size=1, max_size=160),
         st.floats(min_value=1.0, max_value=1e9, allow_nan=False),
     )
     @settings(max_examples=300, deadline=None)
@@ -94,6 +53,16 @@ class TestVecEquivalence:
         ref = max_min_allocation(demands, capacity)
         assert _bits([max_min_share(demands, i, capacity)
                       for i in range(len(demands))]) == _bits(ref)
+
+
+def test_one_solver_five_flags():
+    # The numpy fork of max_min_allocation and its flag are gone for good.
+    assert sorted(fastpath.flags()) == [
+        "ALLOC_EPOCH", "DISPATCH_CACHE", "RUN_QUEUE", "RX_TRAIN", "SERIALIZER_CACHE",
+    ]
+    with pytest.raises(ValueError):
+        with fastpath.disabled("VEC_MAXMIN"):
+            pass
 
 
 class _StubCC:
@@ -128,35 +97,6 @@ def _direction(spec=None):
 
 class TestTieredVecEquivalence:
     @given(
-        st.lists(
-            st.tuples(_demand, st.booleans(), st.booleans()),
-            min_size=3,
-            max_size=24,
-        ),
-        st.floats(min_value=1e3, max_value=1e9, allow_nan=False),
-        st.floats(min_value=1e3, max_value=1e8, allow_nan=False),
-    )
-    @settings(max_examples=150, deadline=None)
-    def test_udp_pool_and_scavenger_tiers(self, flow_specs, bandwidth, udp_cap):
-        # Force the vec solver to engage for every pool size so the tiers
-        # (udp-cap pool, foreground, scavenger leftover) all go through it.
-        import repro.netsim.link as link_mod
-
-        with _threshold(link_mod, 3):
-            sim = Simulator()
-            direction = _direction(LinkSpec(bandwidth, 0.01, udp_cap=udp_cap))
-            flows = [
-                _StubFlow(sim, d, udp=u, scavenger=s) for (d, u, s) in flow_specs
-            ]
-            demands = {f: f.demand_rate() for f in flows}
-            vec_map = direction._tiered_allocation(flows, dict(demands))
-            with fastpath.disabled("VEC_MAXMIN"):
-                ref_map = direction._tiered_allocation(flows, dict(demands))
-        assert _bits([vec_map[f] for f in flows]) == _bits(
-            [ref_map[f] for f in flows]
-        )
-
-    @given(
         # (demand, transport kind, time-varying): tcp is foreground and
         # unpoliced, udt shares the udp pool, ledbat does too and is a
         # scavenger; any of them may be pulled instead of pushed.
@@ -171,8 +111,6 @@ class TestTieredVecEquivalence:
     )
     @settings(max_examples=200, deadline=None)
     def test_allocate_rate_flag_equivalence(self, flow_specs, bandwidth, udp_cap, outsider):
-        import repro.netsim.link as link_mod
-
         def build(direction, sim):
             flows = [
                 _StubFlow(sim, d, udp=kind != "tcp", scavenger=kind == "ledbat",
@@ -185,14 +123,13 @@ class TestTieredVecEquivalence:
                 direction.activate(f)
             return flows
 
-        with _threshold(link_mod, 3):
-            sim = Simulator()
-            spec = LinkSpec(bandwidth, 0.01, udp_cap=udp_cap)
-            fast_dir, ref_dir = _direction(spec), _direction(spec)
-            fast, ref = build(fast_dir, sim), build(ref_dir, sim)
-            fast_rates = [fast_dir.allocate_rate(f) for f in fast]
-            with fastpath.disabled():
-                ref_rates = [ref_dir.allocate_rate(f) for f in ref]
+        sim = Simulator()
+        spec = LinkSpec(bandwidth, 0.01, udp_cap=udp_cap)
+        fast_dir, ref_dir = _direction(spec), _direction(spec)
+        fast, ref = build(fast_dir, sim), build(ref_dir, sim)
+        fast_rates = [fast_dir.allocate_rate(f) for f in fast]
+        with fastpath.disabled():
+            ref_rates = [ref_dir.allocate_rate(f) for f in ref]
         assert _bits(fast_rates) == _bits(ref_rates)
         # Pulled controllers are asked on both paths, pushed ones only on
         # the reference path.
@@ -383,6 +320,58 @@ class TestOutsideWrites:
         assert len(payloads) == 60 * self.FLOWS
         with fastpath.disabled():
             _, ref_arrivals, ref_payloads = self._run()
+        assert arrivals == ref_arrivals
+        assert payloads == ref_payloads
+
+
+class TestReferenceIsTheGeneralPath:
+    """With the fast paths off every query runs ``_allocate_general``.  One
+    link goes through a sole-flow phase, a two-flow phase and a 40-member
+    udp pool, so the reference is compared where it is the only answer."""
+
+    POOL = 40
+
+    def _run(self):
+        sim = Simulator()
+        net, a, b = make_pair(sim, bandwidth=20 * MB, delay=0.02, udp_cap=5 * MB)
+        sink = Sink(sim)
+        b.stack.listen(7000, Proto.TCP, on_accept=sink.on_accept)
+        b.stack.listen(7001, Proto.UDT, on_accept=sink.on_accept)
+        forward = net.link_between(a.ip, b.ip).forward
+        phases = []
+
+        def start(proto, port, tag, messages):
+            conn = a.stack.connect((b.ip, port), proto)
+            for i in range(messages):
+                conn.send(WireMessage((tag, i), 64 * 1024))
+
+        def probe():
+            flows = forward.active_flows
+            phases.append((len(flows), sum(f.subject_to_udp_cap for f in flows)))
+
+        def start_pool():
+            for n in range(self.POOL):
+                start(Proto.UDT, 7001, ("pool", n), 8)
+
+        # Same-time events run in scheduling order: probe, then the arrivals.
+        start(Proto.TCP, 7000, "tcp", 400)
+        sim.schedule(0.3, probe)
+        sim.schedule(0.3, lambda: start(Proto.UDT, 7001, "udt", 60))
+        sim.schedule(0.6, probe)
+        sim.schedule(0.6, start_pool)
+        sim.schedule(0.9, probe)
+        sim.run()
+        return phases, sink.arrivals, sink.payloads
+
+    def test_sole_two_flow_and_pool_phases_match_the_reference(self):
+        phases, arrivals, payloads = self._run()
+        assert phases[0] == (1, 0)
+        assert phases[1] == (2, 1)
+        assert phases[2][1] >= self.POOL
+        assert len(payloads) == 400 + 60 + 8 * self.POOL
+        with fastpath.disabled():
+            ref_phases, ref_arrivals, ref_payloads = self._run()
+        assert phases == ref_phases
         assert arrivals == ref_arrivals
         assert payloads == ref_payloads
 
