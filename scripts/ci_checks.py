@@ -198,11 +198,13 @@ def check_fleet(args: argparse.Namespace) -> int:
 
 
 def check_hygiene(args: argparse.Namespace) -> int:
-    """No compiled Python artifacts may ever be tracked by git.
+    """No compiled or packaging artifacts may ever be tracked by git.
 
     A tracked ``.pyc`` is stale the moment its source changes and breaks
-    fresh-clone determinism; this gate fails the build if ``git ls-files``
-    reports any ``__pycache__`` directory or ``*.pyc`` file.
+    fresh-clone determinism, and a tracked ``*.egg-info/`` lists sources
+    that have since moved; this gate fails the build if ``git ls-files``
+    reports any ``__pycache__`` / ``*.egg-info`` directory or ``*.pyc``
+    file (all three are in ``.gitignore``).
     """
     import subprocess
 
@@ -213,11 +215,15 @@ def check_hygiene(args: argparse.Namespace) -> int:
     tracked = out.stdout.splitlines()
     offenders = [
         path for path in tracked
-        if "__pycache__" in path.split("/") or path.endswith(".pyc")
+        if path.endswith(".pyc") or any(
+            part == "__pycache__" or part.endswith(".egg-info")
+            for part in path.split("/")[:-1]
+        )
     ]
     assert not offenders, \
-        "compiled artifacts tracked by git: " + ", ".join(offenders)
-    print(f"hygiene OK: {len(tracked)} tracked files, no __pycache__/*.pyc")
+        "build artifacts tracked by git: " + ", ".join(offenders)
+    print(f"hygiene OK: {len(tracked)} tracked files, "
+          "no __pycache__/*.pyc/*.egg-info")
     return 0
 
 
@@ -300,7 +306,7 @@ def main(argv=None) -> int:
     p_fleet.set_defaults(func=check_fleet)
 
     p_hygiene = sub.add_parser(
-        "hygiene", help="fail if git tracks __pycache__/*.pyc artifacts"
+        "hygiene", help="fail if git tracks __pycache__/*.pyc/*.egg-info artifacts"
     )
     p_hygiene.set_defaults(func=check_hygiene)
 

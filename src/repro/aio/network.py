@@ -1,46 +1,37 @@
-"""AioNetwork: the NettyNetwork sibling for real sockets.
+"""AioNetwork: the network component on real sockets.
 
-Provides the same Kompics ``Network`` port semantics — per-message
-transport choice, lazy channel establishment with reuse via the handshake
-hello, MessageNotify on sent, same-instance reflection — but executes on
-an asyncio event loop running in a dedicated thread, for use with
-``KompicsSystem.threaded()``.
+The port contract — transport choice, ``MessageNotify``, reflection,
+``TransportStatus``, instruments — is
+:class:`~repro.messaging.network_component.NetworkComponent`'s.  What is
+socket-specific lives here, on an asyncio event loop running in a
+dedicated thread (for use with ``KompicsSystem.threaded()``):
 
-Production behaviours layered on top of the raw transports:
-
-* **Frame batching**: the component thread serializes and enqueues;
-  a per-(remote, transport) drainer task on the loop thread coalesces
-  whatever has accumulated into one vectored ``send_frames`` call
-  (one writer hand-off + drain per batch on TCP, one pacing-loop wakeup
-  on UDT-lite).
-* **Send-path safety**: an oversized frame or a disabled transport fails
-  the message — ``MessageNotify.Resp(success=False)`` plus a
-  ``send_failures`` bump — instead of faulting the component and leaking
-  the pending notify.
-* **Channel recovery**: a failed send drops the channel and retries the
-  dial (``messaging.aio.redial_attempts``) on the capped-exponential
-  backoff schedule of :class:`~repro.messaging.recovery.ReconnectPolicy`
-  (``messaging.reconnect.*`` keys, gated by ``messaging.aio.backoff``)
-  so redial storms after a peer crash back off instead of thundering;
-  after ``messaging.aio.down_after`` consecutive batch failures the
-  component publishes ``TransportStatus.Down`` so the adaptive selector
-  steers away, and ``TransportStatus.Up`` once traffic flows again.
-* **Network epochs & crash-recovery**: every (re)start of the component
-  draws a fresh, process-monotonic *epoch*; outgoing frames carry an
-  ``(epoch, seq)`` header and receivers suppress duplicates through a
-  bounded per-peer delivery window (``messaging.aio.dedup_window``).
-  Under supervision RESTART the old instance tears down leak-free and —
-  with ``messaging.aio.redelivery = at-least-once`` — stashes its queued
-  and in-flight sends on the surviving core, which the successor
-  instance re-enqueues in ``on_start``; the epoch fence plus the dedup
-  window make the resend safe even when part of the old batch already
-  reached the wire (e.g. over a resumed UDT session cache).  The default
-  ``at-most-once`` fails pending sends across the restart, exactly like
-  a plain kill.
-* **Observability**: the same ``messaging.*`` counter families as
-  NettyNetwork, so ``repro.obs`` snapshots read identically across the
-  simulated and real backends; with :mod:`repro.check` enabled the
-  ``aio.epoch`` and ``aio.nodup`` invariants verify the recovery path.
+* **Bytes**: the component thread serializes, compresses and prefixes
+  every frame with ``EPOCH_HEADER`` (network epoch, per-channel sequence),
+  then hands it to the loop thread.
+* **Frame batching**: a per-(remote, transport) drainer task coalesces
+  whatever has accumulated into one vectored ``send_frames`` call (one
+  writer hand-off + drain per batch on TCP, one pacing-loop wakeup on
+  UDT-lite).
+* **Channel recovery**: a failed dial is retried ``REDIAL_ATTEMPTS``
+  times on the capped-exponential schedule of
+  :class:`~repro.messaging.recovery.ReconnectPolicy`
+  (``messaging.reconnect.*`` keys), so redial storms after a peer crash
+  back off instead of thundering; ``DOWN_AFTER`` consecutive failed sends
+  publish ``TransportStatus.Down``, the next success ``Up``.
+* **Network epochs & crash-recovery**: every (re)start draws a fresh,
+  process-monotonic *epoch*; receivers suppress duplicate ``(epoch,
+  seq)`` pairs through a bounded per-peer window.  Under supervision
+  RESTART the old instance tears down leak-free and — with
+  ``messaging.aio.redelivery = at-least-once`` — stashes its queued and
+  in-flight sends on the surviving core for the successor to replay; the
+  epoch fence plus the dedup window make the resend safe even when part
+  of the old batch already reached the wire.  The default
+  ``at-most-once`` fails pending sends across the restart, like a kill.
+  With :mod:`repro.check` enabled the ``aio.epoch`` and ``aio.nodup``
+  invariants verify this path.
+* **Hostile input**: a frame that does not decode is counted
+  (``decode_failures``) and dropped; it never raises out of the loop.
 """
 
 from __future__ import annotations
@@ -59,23 +50,33 @@ from repro.aio.udp import UdpEndpoint
 from repro.aio.udt import UdtLiteTransport
 from repro.check import get_checker
 from repro.errors import AioStartupError, TransportError
-from repro.kompics.component import ComponentDefinition
 from repro.messaging.address import Address
 from repro.messaging.compression import CompressionCodec, NoCompression
 from repro.messaging.message import Msg
-from repro.messaging.network_port import MessageNotify, Network, TransportStatus
+from repro.messaging.network_component import NetworkComponent, Report
 from repro.messaging.recovery import ReconnectPolicy
 from repro.messaging.serialization import SerializerRegistry, pack_address, unpack_address
 from repro.messaging.transport import Transport
-from repro.obs import get_registry, get_tracer
+from repro.obs import get_registry
 
 DEFAULT_PROTOCOLS = (Transport.TCP, Transport.UDP, Transport.UDT)
 
 #: (frame bytes, optional report callback) queued towards one channel
-_QueuedSend = Tuple[bytes, Optional[Callable[[bool, int], None]]]
+_QueuedSend = Tuple[bytes, Report]
+#: (remote socket, transport): one channel, one send queue, one sequence
+_Key = Tuple[Endpoint, Transport]
 
 #: wire prefix on every aio frame: (network epoch, per-channel sequence)
 EPOCH_HEADER = struct.Struct(">II")
+#: extra dial attempts after a channel-establishment failure
+REDIAL_ATTEMPTS = 1
+#: consecutive failed sends on one channel before TransportStatus.Down
+DOWN_AFTER = 3
+#: per-peer (epoch, seq) delivery-window size for duplicate suppression
+DEDUP_WINDOW = 4096
+#: at-least-once only: bound (s) on waiting for transport-level ACKs
+#: before a batch may be reported sent
+ACK_TIMEOUT = 30.0
 
 #: redelivery knob values for ``messaging.aio.redelivery``
 AT_MOST_ONCE = "at-most-once"
@@ -124,7 +125,7 @@ class _DedupWindow:
         return len(self._order)
 
 
-class AioNetwork(ComponentDefinition):
+class AioNetwork(NetworkComponent):
     """Network component over real asyncio transports."""
 
     def __init__(
@@ -138,26 +139,16 @@ class AioNetwork(ComponentDefinition):
         udt_adaptor: Optional[object] = None,
         udp_adaptor: Optional[object] = None,
     ) -> None:
-        super().__init__()
-        self.net = self.provides(Network)
-        self.self_address = self_address
-        self.protocols = tuple(protocols)
-        for transport in self.protocols:
-            if not transport.is_wire_protocol:
-                raise TransportError("DATA is a pseudo-protocol; listen on TCP/UDP/UDT")
-        self.serializers = serializers if serializers is not None else SerializerRegistry()
-        self.compression = compression if compression is not None else NoCompression()
-        self.buffer_size = self.config.get_int("messaging.buffer_size", 65536)
+        super().__init__(
+            self_address, protocols, serializers,
+            compression if compression is not None else NoCompression(),
+        )
         self.bind_ip = bind_ip if bind_ip is not None else self_address.ip
         # Real UDT multiplexes over a UDP socket, so it cannot share the
         # instance port with the plain-UDP listener: by convention it binds
         # (and dials) port + offset.  The simulated stack keys listeners by
         # (port, protocol) and does not need this.
         self.udt_port_offset = self.config.get_int("messaging.aio.udt_port_offset", 1)
-        #: extra dial attempts after a channel-establishment failure
-        self.redial_attempts = self.config.get_int("messaging.aio.redial_attempts", 1)
-        #: consecutive failed batches before TransportStatus.Down is published
-        self.down_after = self.config.get_int("messaging.aio.down_after", 3)
         #: what happens to queued/in-flight sends across a supervised restart
         self.redelivery = self.config.get_str("messaging.aio.redelivery", AT_MOST_ONCE)
         if self.redelivery not in (AT_MOST_ONCE, AT_LEAST_ONCE):
@@ -165,15 +156,9 @@ class AioNetwork(ComponentDefinition):
                 f"messaging.aio.redelivery must be {AT_MOST_ONCE!r} or "
                 f"{AT_LEAST_ONCE!r}, not {self.redelivery!r}"
             )
-        #: per-peer (epoch, seq) delivery-window size for duplicate suppression
-        self.dedup_window = self.config.get_int("messaging.aio.dedup_window", 4096)
-        #: at-least-once only: bound on waiting for transport-level ACKs
-        #: before a batch may be reported sent
-        self.ack_timeout = self.config.get_float("messaging.aio.ack_timeout", 30.0)
         #: capped-exponential backoff between redials (shared with the
         #: simulated ChannelPool's reconnect campaigns)
         self.reconnect_policy = ReconnectPolicy.from_config(self.config)
-        self._backoff_enabled = self.config.get_bool("messaging.aio.backoff", True)
         self._backoff_rng = self.rng("aio-backoff")
         self._hello = pack_address(self_address)
         #: this instance's network epoch, stamped into every outgoing frame
@@ -201,71 +186,48 @@ class AioNetwork(ComponentDefinition):
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._thread: Optional[threading.Thread] = None
         self._listeners: list[AioListener] = []
-        #: (remote socket, transport) -> future resolving to AioConnection
-        self._channels: Dict[Tuple[Endpoint, Transport], "asyncio.Future[AioConnection]"] = {}
+        #: channel -> future resolving to its AioConnection
+        self._channels: Dict[_Key, "asyncio.Future[AioConnection]"] = {}
+        self._watch_channels(self._channels)
         #: loop-thread outbound queues, drained in batches per channel
-        self._sendq: Dict[Tuple[Endpoint, Transport], Deque[_QueuedSend]] = {}
-        self._drainers: Dict[Tuple[Endpoint, Transport], "asyncio.Task"] = {}
-        #: consecutive failed batches per channel (recovery bookkeeping)
-        self._fail_streak: Dict[Tuple[Endpoint, Transport], int] = {}
-        self._down: Set[Tuple[Endpoint, Transport]] = set()
-        #: per-(remote socket, transport) outgoing sequence counters
-        self._seq: Dict[Tuple[Endpoint, Transport], int] = {}
+        self._sendq: Dict[_Key, Deque[_QueuedSend]] = {}
+        self._drainers: Dict[_Key, "asyncio.Task"] = {}
+        #: consecutive failed sends per channel (decides TransportStatus.Down)
+        self._fail_streak: Dict[_Key, int] = {}
+        #: per-channel outgoing sequence counters
+        self._seq: Dict[_Key, int] = {}
         #: per-(peer socket, transport) receive-side delivery windows —
         #: one per sender sequence stream (they survive restarts via the
         #: core stash, so a resend after our own crash still dedups)
-        self._dedup: Dict[Tuple[Endpoint, Transport], _DedupWindow] = {}
+        self._dedup: Dict[_Key, _DedupWindow] = {}
         self._closing = False
         #: set False at the top of on_kill (any thread): late sends fail
         #: fast instead of racing the stopping event loop
         self._accepting = True
         #: non-None during an at-least-once teardown: cancelled drainers
         #: park their in-flight batch here instead of failing it
-        self._parked_batches: Optional[List[Tuple[Tuple[Endpoint, Transport], list]]] = None
+        self._parked_batches: Optional[List[Tuple[_Key, list]]] = None
         self._ready = threading.Event()
         self._startup_error: Optional[BaseException] = None
-        self.counters = {
-            "sent": 0, "received": 0, "reflected": 0, "send_failures": 0,
-            "batches": 0, "dups_suppressed": 0, "requeued": 0,
-        }
+        self.counters.update(
+            batches=0, dups_suppressed=0, requeued=0, decode_failures=0,
+        )
 
         metrics = get_registry()
-        self._obs = metrics.enabled
-        self.tracer = get_tracer()
         chk = get_checker()
         self._check = chk if chk.enabled else None
-        instance = f"{self_address.ip}:{self_address.port}"
-        self._instance = instance
-        self._m_sent = {
-            t: metrics.counter("messaging.sent_total", transport=t.value)
-            for t in self.protocols
-        }
-        self._m_send_failures = {
-            t: metrics.counter("messaging.send_failures_total", transport=t.value)
-            for t in self.protocols
-        }
-        self._m_received = metrics.counter("messaging.received_total", instance=instance)
-        self._m_reflected = metrics.counter("messaging.reflected_total", instance=instance)
         self._m_dups = metrics.counter(
-            "messaging.aio.dups_suppressed_total", instance=instance
+            "messaging.aio.dups_suppressed_total", instance=self._instance
         )
         self._m_requeued = metrics.counter(
-            "messaging.aio.requeued_total", instance=instance
+            "messaging.aio.requeued_total", instance=self._instance
         )
-        self._m_wire_bytes = metrics.histogram(
-            "messaging.serialization.wire_bytes",
-            buckets=(64, 256, 1024, 4096, 16384, 65536),
+        self._m_decode_failures = metrics.counter(
+            "messaging.decode_failures_total", instance=self._instance
         )
         self._m_batch_frames = metrics.histogram(
             "messaging.aio.batch_frames", buckets=(1, 2, 4, 8, 16, 32, 64)
         )
-        if metrics.enabled:
-            metrics.gauge("messaging.channels.open", instance=instance).set_function(
-                lambda: len(self._channels)
-            )
-
-        self.subscribe(self.net, MessageNotify.Req, self._on_notify_request)
-        self.subscribe(self.net, Msg, self._on_msg_request)
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -363,7 +325,7 @@ class AioNetwork(ComponentDefinition):
         restarting = self._core.restarting
         redeliver = restarting and self.redelivery == AT_LEAST_ONCE
 
-        async def teardown() -> List[Tuple[Tuple[Endpoint, Transport], bytes, Any]]:
+        async def teardown() -> List[Tuple[_Key, bytes, Any]]:
             self._closing = True
             if redeliver:
                 self._parked_batches = []
@@ -372,7 +334,7 @@ class AioNetwork(ComponentDefinition):
                 task.cancel()
             await asyncio.gather(*drainers, return_exceptions=True)
             self._drainers.clear()
-            stash: List[Tuple[Tuple[Endpoint, Transport], bytes, Any]] = []
+            stash: List[Tuple[_Key, bytes, Any]] = []
             if self._parked_batches:
                 # In-flight batches first: they were on the wire before
                 # anything still queued, so per-key FIFO order survives.
@@ -387,7 +349,7 @@ class AioNetwork(ComponentDefinition):
                     if redeliver:
                         stash.append((key, frame, report))
                     else:
-                        self._record_failure(None, report, len(frame))
+                        self._resolve(key[1], len(frame), report, False)
             self._sendq.clear()
             for listener in self._listeners:
                 await listener.close()
@@ -404,7 +366,7 @@ class AioNetwork(ComponentDefinition):
             await asyncio.sleep(0)
             return stash
 
-        stash: List[Tuple[Tuple[Endpoint, Transport], bytes, Any]] = []
+        stash: List[Tuple[_Key, bytes, Any]] = []
         try:
             stash = asyncio.run_coroutine_threadsafe(teardown(), self._loop).result(timeout=5.0)
         finally:
@@ -465,53 +427,12 @@ class AioNetwork(ComponentDefinition):
     # ------------------------------------------------------------------
     # send path (component thread)
     # ------------------------------------------------------------------
-    def _on_msg_request(self, msg: Msg) -> None:
-        self._send(msg, None)
-
-    def _on_notify_request(self, req: MessageNotify.Req) -> None:
-        def report(success: bool, size: int) -> None:
-            self.trigger(MessageNotify.Resp(req.notify_id, success, self.clock.now(), size), self.net)
-
-        self._send(req.msg, report)
-
-    def _send(self, msg: Msg, report: Optional[Callable[[bool, int], None]]) -> None:
-        transport = msg.header.protocol
-        if not transport.is_wire_protocol:
-            # A DATA message reaching the network component is a wiring
-            # error (the interceptor must stamp a concrete transport), not
-            # a runtime condition — keep it loud, like NettyNetwork.
-            raise TransportError("Transport.DATA requires a DataNetwork interceptor")
-        destination = msg.header.destination
-        if destination.as_socket() == self.self_address.as_socket():
-            self.counters["reflected"] += 1
-            if self._obs:
-                self._m_reflected.inc()
-            self.trigger(msg, self.net)
-            if report is not None:
-                report(True, 0)
-            return
-
-        # Anything from here on fails the *message*, never the component:
-        # a bad send must resolve its pending notify (the interceptor's
-        # flow window leaks otherwise) and leave the network healthy.
-        if transport not in self.protocols:
-            self._record_failure(transport, report, 0)
-            self.logger.debug(
-                "%s: dropping %s send to %s (transport not enabled)",
-                self.name, transport.value, destination,
-            )
-            return
+    def _transmit(self, msg: Msg, transport: Transport, remote: Endpoint,
+                  report: Report) -> None:
         payload = self.compression.compress(self.serializers.serialize(msg))
-        if len(payload) > self.buffer_size:
-            self._record_failure(transport, report, len(payload))
-            self.logger.debug(
-                "%s: dropping %d byte frame to %s (exceeds %d byte buffer)",
-                self.name, len(payload), destination, self.buffer_size,
-            )
+        if not self._fits(transport, len(payload), report):
             return
-        if self._obs:
-            self._m_wire_bytes.observe(len(payload))
-        key = (destination.as_socket(), transport)
+        key = (remote, transport)
         seq = self._seq.get(key, 0)
         self._seq[key] = seq + 1
         frame = EPOCH_HEADER.pack(self.epoch, seq) + payload
@@ -519,26 +440,21 @@ class AioNetwork(ComponentDefinition):
         if not self._accepting or loop is None:
             # Killed (or being restarted) under our feet: fail the
             # message rather than race the stopping event loop.
-            self._record_failure(transport, report, len(frame))
+            self._resolve(transport, len(frame), report, False)
             return
         try:
             loop.call_soon_threadsafe(self._enqueue_send, key, frame, report)
         except RuntimeError:
             # The loop closed between the check above and the call —
             # the teardown already flushed the queues, so resolve here.
-            self._record_failure(transport, report, len(frame))
+            self._resolve(transport, len(frame), report, False)
 
     # ------------------------------------------------------------------
     # batching drainers (loop thread)
     # ------------------------------------------------------------------
-    def _enqueue_send(
-        self,
-        key: Tuple[Endpoint, Transport],
-        frame: bytes,
-        report: Optional[Callable[[bool, int], None]],
-    ) -> None:
+    def _enqueue_send(self, key: _Key, frame: bytes, report: Report) -> None:
         if self._closing:
-            self._record_failure(key[1], report, len(frame))
+            self._resolve(key[1], len(frame), report, False)
             return
         queue = self._sendq.get(key)
         if queue is None:
@@ -547,7 +463,7 @@ class AioNetwork(ComponentDefinition):
         if key not in self._drainers:
             self._drainers[key] = asyncio.ensure_future(self._drain(key))
 
-    async def _drain(self, key: Tuple[Endpoint, Transport]) -> None:
+    async def _drain(self, key: _Key) -> None:
         """Drain ``key``'s queue until empty, one coalesced batch at a time.
 
         Everything that accumulated while the previous batch was on the
@@ -591,29 +507,29 @@ class AioNetwork(ComponentDefinition):
             if not self._closing and self._sendq.get(key):
                 self._drainers[key] = asyncio.ensure_future(self._drain(key))
 
-    def _send_datagrams(self, key: Tuple[Endpoint, Transport], batch: list) -> None:
+    def _send_datagrams(self, key: _Key, batch: list) -> None:
         remote, _ = key
         assert self._udp is not None
-        for frame, report in batch:
+        for item in batch:
             try:
-                self._udp.send(frame, remote)
+                self._udp.send(item[0], remote)
             except OSError:
-                self._record_failure(Transport.UDP, report, len(frame), key=key)
+                self._fail_batch(key, [item])
             else:
-                self._record_success(Transport.UDP, report, len(frame), key=key)
+                self._sent_batch(key, [item])
 
-    async def _send_batch(self, key: Tuple[Endpoint, Transport], batch: list) -> None:
+    async def _send_batch(self, key: _Key, batch: list) -> None:
         remote, transport = key
         frames = [frame for frame, _ in batch]
         conn: Optional[AioConnection] = None
-        for attempt in range(self.redial_attempts + 1):
+        for attempt in range(REDIAL_ATTEMPTS + 1):
             try:
                 conn = await self._channel(remote, transport)
                 break
             except (ConnectionError, OSError, asyncio.TimeoutError):
                 self._channels.pop(key, None)
                 conn = None
-            if attempt < self.redial_attempts and self._backoff_enabled:
+            if attempt < REDIAL_ATTEMPTS:
                 # Capped-exponential backoff between redials: a restart
                 # storm (many peers redialling a recovering network at
                 # once) spreads out instead of thundering.  Cancellation
@@ -641,74 +557,32 @@ class AioNetwork(ComponentDefinition):
                 # receiver's dedup window absorbs the replayed overlap.
                 drain = getattr(conn, "drain", None)
                 if drain is not None:
-                    await asyncio.wait_for(drain(), timeout=self.ack_timeout)
+                    await asyncio.wait_for(drain(), timeout=ACK_TIMEOUT)
         except (ConnectionError, OSError, asyncio.TimeoutError):
             # The batch may be partially on the wire: at-most-once
             # semantics forbid re-sending, so fail it and drop the channel.
             self._channels.pop(key, None)
             self._fail_batch(key, batch)
             return
-        for frame, report in batch:
-            self._record_success(transport, report, len(frame), key=key)
-
-    def _fail_batch(self, key: Tuple[Endpoint, Transport], batch: list) -> None:
-        _, transport = key
-        for frame, report in batch:
-            self._record_failure(transport, report, len(frame), key=key)
+        self._sent_batch(key, batch)
 
     # ------------------------------------------------------------------
-    # recovery bookkeeping (TransportStatus Down/Up)
+    # recovery bookkeeping: when a transport is Down / Up (loop thread)
     # ------------------------------------------------------------------
-    def _record_success(
-        self,
-        transport: Transport,
-        report: Optional[Callable[[bool, int], None]],
-        size: int,
-        key: Optional[Tuple[Endpoint, Transport]] = None,
-    ) -> None:
-        self.counters["sent"] += 1
-        if self._obs:
-            self._m_sent[transport].inc()
-        if key is not None:
-            self._fail_streak.pop(key, None)
-            if key in self._down:
-                self._down.discard(key)
-                remote, _ = key
-                self.trigger(TransportStatus.Up(remote, transport), self.net)
-                self.tracer.event(
-                    "messaging.transport_up",
-                    remote=f"{remote[0]}:{remote[1]}", proto=transport.value,
-                )
-        if report is not None:
-            report(True, size)
+    def _sent_batch(self, key: _Key, batch: list) -> None:
+        remote, transport = key
+        self._fail_streak.pop(key, None)
+        self._mark_up(remote, transport)
+        for frame, report in batch:
+            self._resolve(transport, len(frame), report, True)
 
-    def _record_failure(
-        self,
-        transport: Optional[Transport],
-        report: Optional[Callable[[bool, int], None]],
-        size: int,
-        key: Optional[Tuple[Endpoint, Transport]] = None,
-    ) -> None:
-        self.counters["send_failures"] += 1
-        if self._obs and transport is not None and transport in self._m_send_failures:
-            self._m_send_failures[transport].inc()
-        if key is not None:
-            streak = self._fail_streak.get(key, 0) + 1
-            self._fail_streak[key] = streak
-            if streak >= self.down_after and key not in self._down:
-                self._down.add(key)
-                remote, _ = key
-                assert transport is not None
-                self.trigger(
-                    TransportStatus.Down(remote, transport, "send failures"), self.net
-                )
-                self.tracer.event(
-                    "messaging.transport_down",
-                    remote=f"{remote[0]}:{remote[1]}", proto=transport.value,
-                    streak=streak,
-                )
-        if report is not None:
-            report(False, size)
+    def _fail_batch(self, key: _Key, batch: list) -> None:
+        remote, transport = key
+        for frame, report in batch:
+            streak = self._fail_streak[key] = self._fail_streak.get(key, 0) + 1
+            if streak >= DOWN_AFTER:
+                self._mark_down(remote, transport, "send failures")
+            self._resolve(transport, len(frame), report, False)
 
     async def _channel(self, remote: Endpoint, transport: Transport) -> AioConnection:
         key = (remote, transport)
@@ -745,7 +619,7 @@ class AioNetwork(ComponentDefinition):
     # ------------------------------------------------------------------
     def _accept(self, transport: Transport) -> Callable[[AioConnection], None]:
         def on_connection(conn: AioConnection) -> None:
-            key: Optional[Tuple[Endpoint, Transport]] = None
+            key: Optional[_Key] = None
             if conn.peer_hello:
                 peer_addr, _ = unpack_address(conn.peer_hello)
                 key = (peer_addr.as_socket(), transport)
@@ -760,7 +634,7 @@ class AioNetwork(ComponentDefinition):
 
         return on_connection
 
-    def _wire_connection(self, conn: AioConnection, key: Optional[Tuple[Endpoint, Transport]]) -> None:
+    def _wire_connection(self, conn: AioConnection, key: Optional[_Key]) -> None:
         # The dedup identity is the peer's *instance* address (from the
         # dial target or the handshake hello) plus the transport — one
         # window per sender sequence stream, NOT per connection: a
@@ -776,16 +650,29 @@ class AioNetwork(ComponentDefinition):
 
             conn.on_closed = on_closed
 
-    def _on_frame(
-        self, frame: bytes, key: Optional[Tuple[Endpoint, Transport]] = None
-    ) -> None:
-        if len(frame) < EPOCH_HEADER.size:
-            return  # malformed: shorter than the epoch header
-        epoch, seq = EPOCH_HEADER.unpack_from(frame)
+    def _on_frame(self, frame: bytes, key: Optional[_Key] = None) -> None:
+        try:
+            epoch, seq = EPOCH_HEADER.unpack_from(frame)
+            msg = self.serializers.deserialize(
+                self.compression.decompress(frame[EPOCH_HEADER.size:])
+            )
+        except Exception:  # noqa: BLE001 - socket bytes are hostile input
+            # Whatever a decoder raises on garbage must not escape into
+            # the loop thread: count the frame, drop it, keep serving.
+            # (Decoding comes before the dedup window on purpose: garbage
+            # must not be able to occupy a valid frame's (epoch, seq).)
+            self.counters["decode_failures"] += 1
+            if self._obs:
+                self._m_decode_failures.inc()
+            self.logger.debug(
+                "%s: dropping undecodable %d byte frame from %s",
+                self.name, len(frame), key, exc_info=True,
+            )
+            return
         if key is not None:
             window = self._dedup.get(key)
             if window is None:
-                window = self._dedup[key] = _DedupWindow(self.dedup_window)
+                window = self._dedup[key] = _DedupWindow(DEDUP_WINDOW)
             peer, transport = key
             stream = f"{peer[0]}:{peer[1]}/{transport.value}"
             if not window.admit(epoch, seq):
@@ -799,13 +686,7 @@ class AioNetwork(ComponentDefinition):
                 return
             if self._check is not None:
                 self._check.on_aio_delivery(self._instance, stream, epoch, seq)
-        msg = self.serializers.deserialize(
-            self.compression.decompress(frame[EPOCH_HEADER.size:])
-        )
-        self.counters["received"] += 1
-        if self._obs:
-            self._m_received.inc()
-        self.trigger(msg, self.net)
+        self._deliver(msg)
 
     def _on_datagram(self, frame: bytes, src: Endpoint) -> None:
         # The UDP endpoint binds the instance port, so the datagram source

@@ -34,7 +34,6 @@ snapshot document.
 from __future__ import annotations
 
 import random
-import threading
 import time
 from collections import deque
 from dataclasses import dataclass, field
@@ -42,14 +41,11 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from repro.apps import FileReceiver, FileSender, Pinger, Ponger, SyntheticDataset
 from repro.apps.filetransfer.chunks import PAPER_CHUNK_BYTES as CHUNK
-from repro.apps.filetransfer.chunks import DataChunkMsg
 from repro.bench.faults import FAULT_ENV
 from repro.bench.harness import run_in_steps, wire_endpoint
 from repro.bench.scenario import MB, Setup, TestbedPair
 from repro.kompics import SimTimerComponent, Timer
-from repro.kompics.component import ComponentDefinition
 from repro.messaging import Transport
-from repro.messaging.message import Msg
 from repro.messaging.network_port import Network
 from repro.netsim.faults import FaultInjector
 from repro.obs import get_registry
@@ -375,43 +371,6 @@ class AioChaosResult:
         }
 
 
-class _ChaosChunkReceiver(ComponentDefinition):
-    """Counts chunk deliveries *per sequence number* to expose duplicates.
-
-    ``delivered_unique`` is distinct chunks seen; ``duplicates`` is every
-    delivery beyond the first of a sequence number — the number that must
-    stay zero when at-least-once redelivery replays a crashed sender's
-    frames through the receiver network's dedup window.
-    """
-
-    def __init__(self, expected_chunks: int) -> None:
-        super().__init__()
-        self.net = self.requires(Network)
-        self.expected = expected_chunks
-        self.seen: Dict[int, int] = {}
-        self.delivered_total = 0
-        self.bytes = 0
-        self.all_delivered = threading.Event()
-        self.subscribe(self.net, Msg, self._on_msg)
-
-    def _on_msg(self, msg: Msg) -> None:
-        if not isinstance(msg, DataChunkMsg):
-            return
-        self.delivered_total += 1
-        self.bytes += msg.length
-        self.seen[msg.seq] = self.seen.get(msg.seq, 0) + 1
-        if len(self.seen) >= self.expected:
-            self.all_delivered.set()
-
-    @property
-    def delivered_unique(self) -> int:
-        return len(self.seen)
-
-    @property
-    def duplicates(self) -> int:
-        return self.delivered_total - len(self.seen)
-
-
 def plan_aio_kill_points(seed: int, restarts: int, chunks: int) -> Tuple[int, ...]:
     """Chunk-progress thresholds at which the sender network gets killed.
 
@@ -471,6 +430,7 @@ def run_aio_chaos_campaign(
     from repro.bench.loopback import (
         HOST,
         LOOPBACK_CHUNK,
+        _ChunkReceiver,
         _free_port,
         _LoopbackSender,
         _registry,
@@ -520,7 +480,7 @@ def run_aio_chaos_campaign(
         sender = system.create(
             _LoopbackSender, addr_snd, addr_rcv, dataset, transport, window
         )
-        receiver = system.create(_ChaosChunkReceiver, chunks)
+        receiver = system.create(_ChunkReceiver, chunks)
         system.connect(net_snd.provided(Network), sender.required(Network))
         system.connect(net_rcv.provided(Network), receiver.required(Network))
 
@@ -571,15 +531,15 @@ def run_aio_chaos_campaign(
         if redelivery == "at-least-once":
             # Every chunk must eventually land; give the wire time to
             # drain the replayed tail.
-            rcv_def.all_delivered.wait(timeout=max(0.0, deadline - time.monotonic()))
+            rcv_def.complete.wait(timeout=max(0.0, deadline - time.monotonic()))
         else:
             # at-most-once: no completion promise — wait for the receive
             # side to go quiet so late frames are counted, not raced.
-            settled = rcv_def.delivered_total
+            settled = rcv_def.delivered
             settle_deadline = min(deadline, time.monotonic() + 5.0)
             while time.monotonic() < settle_deadline:
                 time.sleep(0.1)
-                now_count = rcv_def.delivered_total
+                now_count = rcv_def.delivered
                 if now_count == settled:
                     break
                 settled = now_count

@@ -145,16 +145,24 @@ class _LoopbackSender(ComponentDefinition):
         return self.requested - self.ok - self.failed
 
 
-class _LoopbackReceiver(ComponentDefinition):
-    """Counts delivered chunks and the wire protocol each arrived on."""
+class _ChunkReceiver(ComponentDefinition):
+    """Counts chunk deliveries per sequence number and per wire protocol.
+
+    ``delivered`` is every delivery, ``delivered_unique`` distinct chunks
+    and ``duplicates`` the difference — the number that must stay zero
+    when at-least-once redelivery replays a crashed sender's frames
+    through the receiver network's dedup window.
+    """
 
     def __init__(self, expected_chunks: int) -> None:
         super().__init__()
         self.net = self.requires(Network)
         self.expected = expected_chunks
+        self.seen: Dict[int, int] = {}
         self.delivered = 0
         self.bytes = 0
         self.protocols: Dict[str, int] = {}
+        #: set once every expected chunk arrived at least once
         self.complete = threading.Event()
         self.subscribe(self.net, Msg, self._on_msg)
 
@@ -163,10 +171,19 @@ class _LoopbackReceiver(ComponentDefinition):
             return
         self.delivered += 1
         self.bytes += msg.length
+        self.seen[msg.seq] = self.seen.get(msg.seq, 0) + 1
         proto = msg.header.protocol.value
         self.protocols[proto] = self.protocols.get(proto, 0) + 1
-        if self.delivered >= self.expected:
+        if len(self.seen) >= self.expected:
             self.complete.set()
+
+    @property
+    def delivered_unique(self) -> int:
+        return len(self.seen)
+
+    @property
+    def duplicates(self) -> int:
+        return self.delivered - len(self.seen)
 
 
 @dataclass(frozen=True)
@@ -240,7 +257,7 @@ def run_loopback_once(
         net_rcv = system.create(AioNetwork, addr_rcv, serializers=_registry())
 
         sender = system.create(_LoopbackSender, addr_snd, addr_rcv, dataset, transport, window)
-        receiver = system.create(_LoopbackReceiver, dataset.total_chunks)
+        receiver = system.create(_ChunkReceiver, dataset.total_chunks)
         if use_data:
             net_snd.definition.connect_consumer(sender.required(Network))
         else:

@@ -7,7 +7,8 @@ Public surface:
 * :class:`Msg`, :class:`Header`, :class:`BasicHeader`, :class:`DataHeader`,
   :class:`RoutingHeader`, :class:`Route`, :class:`BaseMsg`.
 * :class:`Network` port and :class:`MessageNotify`.
-* :class:`NettyNetwork` — the network component (simulation backend).
+* :class:`NetworkComponent` — the port's send/receive pipeline, shared
+  by :class:`NettyNetwork` (simulation backend) and ``repro.aio``.
 * :class:`VirtualNetworkChannel` — vnode routing.
 * Serialization registry and compression codecs.
 """
@@ -31,6 +32,7 @@ from repro.messaging.message import (
     RoutingHeader,
 )
 from repro.messaging.netty import NettyNetwork
+from repro.messaging.network_component import NetworkComponent
 from repro.messaging.network_port import MessageNotify, Network, TransportStatus
 from repro.messaging.recovery import ChannelRecovery, PendingSend, ReconnectPolicy
 from repro.messaging.serialization import (
@@ -60,6 +62,7 @@ __all__ = [
     "Network",
     "MessageNotify",
     "TransportStatus",
+    "NetworkComponent",
     "NettyNetwork",
     "ReconnectPolicy",
     "ChannelRecovery",

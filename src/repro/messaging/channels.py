@@ -31,11 +31,8 @@ RecoveryExhausted = Callable[[ChannelKey, List[PendingSend], str], None]
 
 @dataclass
 class ChannelStats:
-    messages_out: int = 0
-    bytes_out: int = 0
     messages_in: int = 0
     bytes_in: int = 0
-    send_failures: int = 0
 
 
 class ChannelRef:
@@ -55,18 +52,6 @@ class ChannelRef:
     def usable(self) -> bool:
         state = self.conn.state
         return state is ConnectionState.ACTIVE or state is ConnectionState.CONNECTING
-
-    def send(self, payload: Any, size: int, on_sent: Optional[Callable[[bool], None]]) -> None:
-        def wrapped(success: bool) -> None:
-            if success:
-                self.stats.messages_out += 1
-                self.stats.bytes_out += size
-            else:
-                self.stats.send_failures += 1
-            if on_sent is not None:
-                on_sent(success)
-
-        self.conn.send(WireMessage(payload, size, wrapped))
 
 
 class ChannelPool:
@@ -133,7 +118,7 @@ class ChannelPool:
         ref = self.get_or_connect(remote, proto)
         if now > ref.last_used:
             ref.last_used = now
-        ref.send(payload, size, on_sent)
+        ref.conn.send(WireMessage(payload, size, on_sent))
 
     def get_or_connect(self, remote: Socket, proto: Proto) -> ChannelRef:
         key = (remote, proto)
@@ -210,7 +195,7 @@ class ChannelPool:
             return
         ref.last_used = max(ref.last_used, self.stack.sim.now)
         for item in pending:
-            ref.send(item.payload, item.size, item.on_sent)
+            ref.conn.send(WireMessage(item.payload, item.size, item.on_sent))
 
     def _recovery_exhausted(self, key: ChannelKey, pending: List[PendingSend],
                             reason: str) -> None:

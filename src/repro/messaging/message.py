@@ -10,7 +10,6 @@ multi-hop forwarding with direct reply (listing 5).
 
 from __future__ import annotations
 
-import copy
 import itertools
 from abc import ABC, abstractmethod
 from typing import List, Optional, Sequence

@@ -1,37 +1,36 @@
-"""The NettyNetwork component: KompicsMessaging's network core (§III).
+"""NettyNetwork: the network component on the simulated substrate.
 
-Bridges the Kompics ``Network`` port onto the transport substrate:
+The port contract — transport choice, ``MessageNotify``, reflection,
+``TransportStatus``, instruments — is :class:`NetworkComponent`'s.  What
+is simulator-specific lives here:
 
-* per-message transport choice read from the header (UDP / TCP / UDT);
-* lazy channel establishment with messages buffered until ready, and
-  conservative channel retention (§III-C);
-* ``MessageNotify`` responses at transmission completion (§III-A);
-* same-instance messages (vnodes) reflected back up the port without
-  serialization (§III-B);
-* serialization registry + compression stage sizing every wire message.
-
-One component instance listens on one port per protocol; start more
-instances for more ports (§III-A).
+* messages travel as objects; only their wire *size* is computed
+  (serializer ``wire_size`` + the compression codec's estimate);
+* a :class:`ChannelPool` over the host's ``NetworkStack``: lazy channel
+  establishment, messages buffered until ready, conservative retention
+  and the optional idle sweep (§III-C);
+* reconnect campaigns and degrade-to-TCP fallback (``messaging.reconnect.*``,
+  ``messaging.fallback.enabled``), which decide when a transport is Down.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Iterable, List, Optional, Set, Tuple
+from functools import partial
+from typing import Any, Iterable, List, Optional
 
-from repro.errors import SerializationError, TransportError
-from repro.kompics.component import ComponentDefinition
+from repro.errors import TransportError
 from repro.messaging.address import Address
 from repro.messaging.channels import ChannelKey, ChannelPool
 from repro.messaging.compression import CompressionCodec, codec_by_name, compressibility_of
 from repro.messaging.message import Msg, RoutingHeader
-from repro.messaging.network_port import MessageNotify, Network, TransportStatus
+from repro.messaging.network_component import NetworkComponent, Report, Socket
 from repro.messaging.recovery import PendingSend, ReconnectPolicy
 from repro.messaging.serialization import SerializerRegistry
 from repro.messaging.transport import Transport
 from repro.netsim.connection import Connection
 from repro.netsim.host import Listener, SimHost
 from repro.netsim.link import Proto
-from repro.obs import get_registry, get_tracer
+from repro.obs import get_registry
 
 # The paper's three protocols plus the LEDBAT extension; simulated
 # listeners are free, so the extension is enabled by default here (the
@@ -39,7 +38,7 @@ from repro.obs import get_registry, get_tracer
 DEFAULT_PROTOCOLS = (Transport.TCP, Transport.UDP, Transport.UDT, Transport.LEDBAT)
 
 
-class NettyNetwork(ComponentDefinition):
+class NettyNetwork(NetworkComponent):
     """The network component (simulation backend).
 
     Parameters
@@ -50,7 +49,7 @@ class NettyNetwork(ComponentDefinition):
     host:
         The simulated machine whose network stack this instance uses.
     protocols:
-        Wire protocols to listen on (default: TCP, UDP and UDT).
+        Wire protocols to listen on (default: TCP, UDP, UDT and LEDBAT).
     serializers:
         Message serializer registry (defaults to one with pickle fallback).
     compression:
@@ -66,27 +65,17 @@ class NettyNetwork(ComponentDefinition):
         serializers: Optional[SerializerRegistry] = None,
         compression: Optional[CompressionCodec] = None,
     ) -> None:
-        super().__init__()
-        self.net = self.provides(Network)
-        self.self_address = self_address
+        super().__init__(self_address, protocols, serializers, compression)
+        if compression is None:
+            self.compression = codec_by_name(
+                self.config.get_str("messaging.compression", "snappy-sim")
+            )
         self.host = host
-        self.protocols = tuple(protocols)
-        for transport in self.protocols:
-            if not transport.is_wire_protocol:
-                raise TransportError("DATA is a pseudo-protocol; listen on TCP/UDP/UDT")
-        # Send-path constants, resolved once instead of per message.
-        self._protocol_set = frozenset(self.protocols)
         self._proto_of = {t: t.to_proto() for t in self.protocols}
-        self._self_socket = self_address.as_socket()
         if self_address.ip != host.ip:
             raise TransportError(
                 f"self address {self_address!r} does not match host ip {host.ip}"
             )
-        self.serializers = serializers if serializers is not None else SerializerRegistry()
-        self.buffer_size = self.config.get_int("messaging.buffer_size", 65536)
-        if compression is None:
-            compression = codec_by_name(self.config.get_str("messaging.compression", "snappy-sim"))
-        self.compression = compression
 
         # Channel recovery (§III-B/§III-C): default-off — without the
         # switch the pool behaves byte-for-byte like the bare middleware.
@@ -96,50 +85,20 @@ class NettyNetwork(ComponentDefinition):
             recovery_policy = ReconnectPolicy.from_config(self.config)
             recovery_rng = self.rng("reconnect")
         self._fallback_enabled = self.config.get_bool("messaging.fallback.enabled", False)
-        #: protocols currently known-bad per remote (fallback bookkeeping)
-        self._down: Set[ChannelKey] = set()
 
         self.pool = ChannelPool(
             host.stack, self._on_wire_message, self.logger,
-            hello=self_address.as_socket(),
+            hello=self._self_socket,
             recovery_policy=recovery_policy, recovery_rng=recovery_rng,
         )
         self.pool.on_recovery_exhausted = self._on_recovery_exhausted
         self.pool.on_channel_up = self._on_channel_up
+        self._watch_channels(self.pool)
         idle = self.config.get("messaging.channel_idle_timeout", None)
         self._idle_timeout = float(idle) if idle is not None else None
         self._sweep_armed = False
         self._listeners: list[Listener] = []
-        self.counters: Dict[str, int] = {
-            "sent": 0, "received": 0, "reflected": 0, "send_failures": 0,
-        }
-
-        metrics = get_registry()
-        self._obs = metrics.enabled
-        self.tracer = get_tracer()
-        instance = f"{self_address.ip}:{self_address.port}"
-        self._m_fallbacks = metrics.counter("messaging.fallback.activations_total")
-        self._m_sent = {
-            t: metrics.counter("messaging.sent_total", transport=t.value)
-            for t in self.protocols
-        }
-        self._m_send_failures = {
-            t: metrics.counter("messaging.send_failures_total", transport=t.value)
-            for t in self.protocols
-        }
-        self._m_received = metrics.counter("messaging.received_total", instance=instance)
-        self._m_reflected = metrics.counter("messaging.reflected_total", instance=instance)
-        self._m_wire_bytes = metrics.histogram(
-            "messaging.serialization.wire_bytes",
-            buckets=(64, 256, 1024, 4096, 16384, 65536),
-        )
-        if metrics.enabled:
-            metrics.gauge("messaging.channels.open", instance=instance).set_function(
-                lambda: len(self.pool)
-            )
-
-        self.subscribe(self.net, MessageNotify.Req, self._on_notify_request)
-        self.subscribe(self.net, Msg, self._on_msg_request)
+        self._m_fallbacks = get_registry().counter("messaging.fallback.activations_total")
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -200,75 +159,21 @@ class NettyNetwork(ComponentDefinition):
     # ------------------------------------------------------------------
     # send path
     # ------------------------------------------------------------------
-    def _on_msg_request(self, msg: Msg) -> None:
-        self._send(msg, None)
-
-    def _on_notify_request(self, req: MessageNotify.Req) -> None:
-        def report(success: bool, size: int) -> None:
-            resp = MessageNotify.Resp(req.notify_id, success, self.clock.now(), size)
-            self.net.trigger(resp)
-
-        self._send(req.msg, report)
-
-    def _send(self, msg: Msg, report: Optional[Callable[[bool, int], None]]) -> None:
-        header = msg.header
-        transport = header.protocol
-        # One dict probe covers both send-path guards (the map only ever
-        # holds enabled wire protocols); the cold branch reproduces the
-        # original error precedence.
-        proto = self._proto_of.get(transport)
-        if proto is None:
-            if not transport.is_wire_protocol:
-                raise TransportError(
-                    "Transport.DATA reached NettyNetwork: wrap the network in a "
-                    "DataNetwork so the interceptor can replace it (paper §IV-A)"
-                )
-            raise TransportError(f"{transport.value} not enabled on {self.name}")
-
-        destination = header.destination
-        remote = destination.as_socket()
-        if remote == self._self_socket:
-            # Same middleware instance (vnode traffic): reflect, never
-            # serialized — receivers must not expect a copy (§III-B).
-            self.counters["reflected"] += 1
-            if self._obs:
-                self._m_reflected.inc()
-            self.trigger(msg, self.net)
-            if report is not None:
-                report(True, 0)
+    def _transmit(self, msg: Msg, transport: Transport, remote: Socket,
+                  report: Report) -> None:
+        size = self.compression.estimate_size(
+            self.serializers.wire_size(msg), compressibility_of(msg)
+        )
+        if not self._fits(transport, size, report):
             return
-
-        size = self._wire_size(msg)
-
-        def on_sent(success: bool) -> None:
-            if success:
-                self.counters["sent"] += 1
-                if self._obs:
-                    self._m_sent[transport].inc()
-            else:
-                self.counters["send_failures"] += 1
-                if self._obs:
-                    self._m_send_failures[transport].inc()
-            if report is not None:
-                report(success, size)
-
-        self.pool.send(remote, proto, msg, size, on_sent, now=self.clock.now())
+        self.pool.send(
+            remote, self._proto_of[transport], msg, size,
+            partial(self._resolve, transport, size, report), now=self.clock.now(),
+        )
         # Inline the common-case guard of _arm_channel_sweep (sweeps are
         # off unless an idle timeout is configured).
         if not self._sweep_armed and self._idle_timeout is not None:
             self._arm_channel_sweep()
-
-    def _wire_size(self, msg: Msg) -> int:
-        frame = self.serializers.wire_size(msg)
-        size = self.compression.estimate_size(frame, compressibility_of(msg))
-        if size > self.buffer_size:
-            raise SerializationError(
-                f"message of {size} bytes exceeds the {self.buffer_size} byte "
-                f"serialisation buffer; split it into chunks"
-            )
-        if self._obs:
-            self._m_wire_bytes.observe(size)
-        return size
 
     # ------------------------------------------------------------------
     # recovery fallback
@@ -282,9 +187,7 @@ class NettyNetwork(ComponentDefinition):
         prescribing it (§IV-A's penalty signal for the Sarsa(λ) learner).
         """
         remote, proto = key
-        transport = Transport(proto.value)
-        self._down.add(key)
-        self.trigger(TransportStatus.Down(remote, transport, reason), self.net)
+        self._mark_down(remote, Transport(proto.value), reason)
         can_fall_back = (
             self._fallback_enabled
             and proto is not Proto.TCP
@@ -316,15 +219,8 @@ class NettyNetwork(ComponentDefinition):
         delivered message — a fallback delivery over TCP says nothing
         about whether UDT is back.
         """
-        if key not in self._down:
-            return
-        self._down.discard(key)
         remote, proto = key
-        self.trigger(TransportStatus.Up(remote, Transport(proto.value)), self.net)
-        self.tracer.event(
-            "messaging.transport_up",
-            remote=f"{remote[0]}:{remote[1]}", proto=proto.value,
-        )
+        self._mark_up(remote, Transport(proto.value))
 
     # ------------------------------------------------------------------
     # receive path
@@ -349,7 +245,7 @@ class NettyNetwork(ComponentDefinition):
             )
         self._deliver(msg)
 
-    def _on_datagram(self, payload: Any, size: int, src: Tuple[str, int]) -> None:
+    def _on_datagram(self, payload: Any, size: int, src: Socket) -> None:
         # Datagrams carry no connection hello, and ``src`` is the sender's
         # ephemeral socket — but a basic header's source names the sending
         # middleware instance, which is exactly the key an outbound UDP
@@ -362,9 +258,3 @@ class NettyNetwork(ComponentDefinition):
                 msg.header.source.as_socket(), Proto.UDP, size, now=self.clock.now()
             )
         self._deliver(msg)
-
-    def _deliver(self, msg: Any) -> None:
-        self.counters["received"] += 1
-        if self._obs:
-            self._m_received.inc()
-        self.net.trigger(msg)

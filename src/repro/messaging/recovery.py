@@ -27,8 +27,7 @@ before.
 The real-socket backend shares the schedule: :class:`~repro.aio.network.
 AioNetwork` builds a :class:`ReconnectPolicy` from the same config keys
 and sleeps ``delay_for(attempt)`` between redial attempts of a failed
-batch (gated by ``messaging.aio.backoff``), so post-crash redial storms
-back off identically on both backends.
+batch, so post-crash redial storms back off identically on both backends.
 
 Config keys (all under ``messaging.reconnect.*``)::
 

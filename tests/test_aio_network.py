@@ -1,5 +1,6 @@
 """End-to-end AioNetwork tests: threaded Kompics over real loopback sockets."""
 
+import asyncio
 import socket
 import threading
 import time
@@ -9,6 +10,7 @@ import pytest
 from repro.aio import AioNetwork
 from repro.apps import register_app_serializers
 from repro.kompics import ComponentDefinition, KompicsSystem
+from repro.kompics.component import ComponentState
 from repro.messaging import (
     BasicAddress,
     BasicHeader,
@@ -168,3 +170,41 @@ class TestAioNetwork:
         send_blob(app_a, addr_a, addr_b, "d", Transport.UDP)
         assert app_b.definition.wait(lambda: len(app_b.definition.received) == 3)
         assert sorted(m.tag for m in app_b.definition.received) == ["d", "t", "u"]
+
+
+class TestHostileFrames:
+    """Bytes from a socket that do not decode are counted and dropped."""
+
+    def test_garbage_then_valid_frame_on_udp_and_tcp(self, two_nodes):
+        system, (addr_a, net_a, app_a), (addr_b, net_b, app_b) = two_nodes
+        loop_b = net_b.definition._loop
+        loop_errors = []
+        loop_b.call_soon_threadsafe(
+            loop_b.set_exception_handler, lambda loop, context: loop_errors.append(context)
+        )
+        counters = net_b.definition.counters
+
+        # UDP: anyone can throw datagrams at the instance port.
+        with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as raw:
+            for i in range(3):
+                raw.sendto(b"garbage-datagram-%d" % i, addr_b.as_socket())
+        assert app_b.definition.wait(lambda: counters["decode_failures"] == 3)
+        send_blob(app_a, addr_a, addr_b, "udp-ok", Transport.UDP)
+        assert app_b.definition.wait(lambda: len(app_b.definition.received) == 1)
+
+        # TCP: a well-framed body of garbage on an established channel.
+        send_blob(app_a, addr_a, addr_b, "tcp-first", Transport.TCP)
+        assert app_b.definition.wait(lambda: len(app_b.definition.received) == 2)
+        conn = net_a.definition._channels[(addr_b.as_socket(), Transport.TCP)].result()
+        asyncio.run_coroutine_threadsafe(
+            conn.send_frames([b"\x00\x00\x00\x01\x00\x00\x00\x02not-a-frame", b"x"]),
+            net_a.definition._loop,
+        ).result(timeout=5.0)
+        assert app_b.definition.wait(lambda: counters["decode_failures"] == 5)
+        send_blob(app_a, addr_a, addr_b, "tcp-ok", Transport.TCP)
+        assert app_b.definition.wait(lambda: len(app_b.definition.received) == 3)
+
+        assert [m.tag for m in app_b.definition.received] == ["udp-ok", "tcp-first", "tcp-ok"]
+        assert counters["received"] == 3
+        assert loop_errors == []
+        assert net_b.state is ComponentState.ACTIVE

@@ -1,9 +1,9 @@
-"""AioNetwork failure handling: non-faulting sends, races, recovery.
+"""AioNetwork failure handling: races, recovery, crash-restart.
 
-Locks in the PR's send-path contract: a bad message fails the *message*
-(``MessageNotify.Resp(success=False)``) and never the component; channels
-recover across peer restarts; sustained failure surfaces as
+Channels recover across peer restarts; sustained failure surfaces as
 ``TransportStatus.Down`` and the first success afterwards as ``Up``.
+(That a bad message fails the *message* and never the component is the
+port's contract on every backend: tests/test_network_contract.py.)
 """
 
 import socket
@@ -131,60 +131,13 @@ def send_blob(app, src, dst, tag, transport, nbytes=200, notify=False):
     return msg
 
 
-class TestNonFaultingSendPath:
-    def test_oversized_frame_fails_notify_not_component(self, system):
-        addr_a, net_a, app_a = build_node(system, free_port())
-        addr_b, net_b, app_b = build_node(system, free_port())
-
-        # Way past the 65536-byte serialization buffer (the payload is the
-        # tag itself: BlobSerializer pickles the whole object).
-        send_blob(app_a, addr_a, addr_b, "h" * 200_000, Transport.TCP,
-                  notify=True)
-        assert app_a.definition.wait(lambda: len(app_a.definition.notifies) == 1)
-        assert not app_a.definition.notifies[0].success
-        assert net_a.definition.counters["send_failures"] == 1
-
-        # The component survived: a normal send still goes through.
-        send_blob(app_a, addr_a, addr_b, "after", Transport.TCP, notify=True)
-        assert app_a.definition.wait(lambda: len(app_a.definition.notifies) == 2)
-        assert app_a.definition.notifies[1].success
-        assert app_b.definition.wait(lambda: len(app_b.definition.received) == 1)
-        assert app_b.definition.received[0].tag == "after"
-
-    def test_disabled_transport_fails_notify_not_component(self, system):
-        addr_a, net_a, app_a = build_node(
-            system, free_port(), protocols=(Transport.TCP,)
-        )
-        addr_b, net_b, app_b = build_node(system, free_port())
-
-        send_blob(app_a, addr_a, addr_b, "no-udt", Transport.UDT, notify=True)
-        assert app_a.definition.wait(lambda: len(app_a.definition.notifies) == 1)
-        assert not app_a.definition.notifies[0].success
-        assert net_a.definition.counters["send_failures"] == 1
-
-        send_blob(app_a, addr_a, addr_b, "tcp-ok", Transport.TCP, notify=True)
-        assert app_a.definition.wait(lambda: len(app_a.definition.notifies) == 2)
-        assert app_a.definition.notifies[1].success
-
-    def test_fire_and_forget_oversized_only_counts(self, system):
-        addr_a, net_a, app_a = build_node(system, free_port())
-        ghost = BasicAddress(HOST, free_port())
-        send_blob(app_a, addr_a, ghost, "s" * 200_000, Transport.TCP)
-        app_a.definition.wait(
-            lambda: net_a.definition.counters["send_failures"] == 1, timeout=5.0
-        )
-        assert net_a.definition.counters["send_failures"] == 1
-        assert app_a.definition.notifies == []  # nothing to resolve
-
-
 class TestTransportStatusRecovery:
     def test_down_after_streak_then_up_on_recovery(self, system):
         addr_a, net_a, app_a = build_node(system, free_port())
         ghost_port = free_port()
         ghost = BasicAddress(HOST, ghost_port)
 
-        # down_after defaults to 3 consecutive failed batches; send
-        # sequentially so each failure is its own batch.
+        # DOWN_AFTER is 3 consecutive failed sends on one channel.
         for i in range(3):
             send_blob(app_a, addr_a, ghost, f"f{i}", Transport.TCP, notify=True)
             assert app_a.definition.wait(

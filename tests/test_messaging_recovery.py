@@ -212,7 +212,7 @@ class TestTransportFallback:
             assert any(m.tag == "rescued" for m in app_b.received)
             assert reg.value("messaging.fallback.activations_total") == 1
             assert tracer.named("messaging.transport_fallback")
-            down = (b_addr.as_socket(), Transport.UDT.to_proto())
+            down = (b_addr.as_socket(), Transport.UDT)
             assert down in net_a.definition._down
             # The rescued send was notified as successful; the first one
             # died with its cold dial (at-most-once).
@@ -223,7 +223,7 @@ class TestTransportFallback:
             sim, net_a, net_b, app_a, b_addr, app_b = self._world_without_udt_listener()
             app_a.send(b_addr, "first", transport=Transport.UDT, notify=True)
             sim.run()
-            down = (b_addr.as_socket(), Transport.UDT.to_proto())
+            down = (b_addr.as_socket(), Transport.UDT)
             assert down in net_a.definition._down
             # The peer starts listening on UDT; the next UDT send dials
             # cold, succeeds, and the Down mark is lifted.
