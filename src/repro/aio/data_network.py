@@ -12,7 +12,7 @@ neither required nor touched.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Optional
+from typing import Iterable, Optional
 
 from repro.aio.network import DEFAULT_PROTOCOLS, AioNetwork
 from repro.core.data_network import DataNetworkBase
@@ -40,7 +40,6 @@ class AioDataNetwork(DataNetworkBase):
         compression: Optional[CompressionCodec] = None,
         timer: Optional[Component] = None,
         bind_ip: Optional[str] = None,
-        udt_loss_fn: Optional[Callable[[int], bool]] = None,
         udt_adaptor: Optional[object] = None,
         udp_adaptor: Optional[object] = None,
     ) -> None:
@@ -53,7 +52,6 @@ class AioDataNetwork(DataNetworkBase):
             serializers=serializers,
             compression=compression,
             bind_ip=bind_ip,
-            udt_loss_fn=udt_loss_fn,
             udt_adaptor=udt_adaptor,
             udp_adaptor=udp_adaptor,
         )

@@ -135,7 +135,6 @@ class AioNetwork(NetworkComponent):
         serializers: Optional[SerializerRegistry] = None,
         compression: Optional[CompressionCodec] = None,
         bind_ip: Optional[str] = None,
-        udt_loss_fn: Optional[Callable[[int], bool]] = None,
         udt_adaptor: Optional[object] = None,
         udp_adaptor: Optional[object] = None,
     ) -> None:
@@ -170,8 +169,7 @@ class AioNetwork(NetworkComponent):
         self.cc_policy = self.config.get_str("messaging.aio.cc", "udt")
         self._tcp = TcpTransport()
         self._udt = UdtLiteTransport(
-            loss_fn=udt_loss_fn, adaptor=udt_adaptor,
-            pacer_factory=pacer_by_name(self.cc_policy),
+            adaptor=udt_adaptor, pacer_factory=pacer_by_name(self.cc_policy),
         )
         self._udp: Optional[UdpEndpoint] = None
         self._udp_adaptor = udp_adaptor

@@ -17,20 +17,18 @@ Policy names match the netsim registry where the dynamics correspond
 
 from __future__ import annotations
 
-import difflib
 import math
-from typing import Callable, Dict, List
+from typing import Callable
+
+from repro.util.registry import Registry, UnknownNameError
 
 MSS = 1200  # payload bytes per DATA packet (mirrors repro.aio.udt.MSS)
 SYN_INTERVAL = 0.01  # UDT's fixed rate-control period
 MIN_RATE = 64 * 1024  # rate floor after multiplicative decreases
 
 
-class UnknownPacerError(KeyError):
+class UnknownPacerError(UnknownNameError):
     """Raised on a lookup of a name no pacing policy was registered under."""
-
-    def __str__(self) -> str:  # KeyError wraps its message in repr()
-        return self.args[0] if self.args else ""
 
 
 class PacingPolicy:
@@ -180,28 +178,9 @@ PacerFactory = Callable[[float, float, float], PacingPolicy]
 
 #: registered pacing policies by name (the real-socket mirror of
 #: repro.netsim.congestion.CC_POLICIES)
-PACERS: Dict[str, PacerFactory] = {
-    "udt": DaimdPacing,
-    "reno": RenoPacing,
-    "cubic": CubicPacing,
-    "bbr": BbrPacing,
-}
+PACERS: Registry[PacerFactory] = Registry("pacing policy", UnknownPacerError)
+for _pacer in (DaimdPacing, RenoPacing, CubicPacing, BbrPacing):
+    PACERS.add(_pacer.name, _pacer)
 
-
-def pacer_names() -> List[str]:
-    return sorted(PACERS)
-
-
-def pacer_by_name(name: str) -> PacerFactory:
-    factory = PACERS.get(name)
-    if factory is None:
-        close = difflib.get_close_matches(name, sorted(PACERS), n=3)
-        hint = (
-            f"; did you mean {' or '.join(repr(c) for c in close)}?"
-            if close else ""
-        )
-        raise UnknownPacerError(
-            f"unknown pacing policy {name!r}{hint} "
-            f"(registered: {', '.join(sorted(PACERS))})"
-        )
-    return factory
+pacer_names = PACERS.names
+pacer_by_name = PACERS.get

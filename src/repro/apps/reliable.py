@@ -152,7 +152,7 @@ class ReliabilityLayer(ComponentDefinition):
     def __init__(
         self,
         self_address: Address,
-        retransmit_timeout: Optional[float] = None,
+        retransmit_timeout: float = 0.3,
         transport_override: Optional[Transport] = None,
     ) -> None:
         super().__init__()
@@ -160,11 +160,7 @@ class ReliabilityLayer(ComponentDefinition):
         self.lower = self.requires(Network)
         self.timer = self.requires(Timer)
         self.self_address = self_address
-        self.retransmit_timeout = (
-            retransmit_timeout
-            if retransmit_timeout is not None
-            else self.config.get_float("reliability.retransmit_timeout", 0.3)
-        )
+        self.retransmit_timeout = retransmit_timeout
         self.transport_override = transport_override
 
         self.outgoing: Dict[FlowKey, _OutgoingFlow] = {}

@@ -36,19 +36,16 @@ from __future__ import annotations
 import random
 import time
 from collections import deque
+from contextlib import ExitStack
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.apps import FileReceiver, FileSender, Pinger, Ponger, SyntheticDataset
-from repro.apps.filetransfer.chunks import PAPER_CHUNK_BYTES as CHUNK
-from repro.bench.faults import FAULT_ENV
-from repro.bench.harness import run_in_steps, wire_endpoint
+from repro.bench.faults import FAULT_ENV, run_campaign_workload, wire_campaign_workload
+from repro.bench.report import campaign_document, failed
 from repro.bench.scenario import MB, Setup, TestbedPair
-from repro.kompics import SimTimerComponent, Timer
 from repro.messaging import Transport
 from repro.messaging.network_port import Network
 from repro.netsim.faults import FaultInjector
-from repro.obs import get_registry
 from repro.util.rng import derive_seed
 
 #: components a campaign may fault by default.  The pinger is left alone
@@ -99,10 +96,49 @@ class ChaosCampaignResult:
         """Pings answered after the convergence probe point."""
         return self.pings_answered - self.pings_answered_before_tail
 
+    kind = "chaos"
+
+    def problems(self) -> List[str]:
+        """Why the system did not converge after chaos (empty = it did)."""
+        return failed(
+            (self.transfer_done, f"transfer_done=False: transfer stopped at "
+             f"{self.transfer_progress:.1%} of {self.transfer_bytes} bytes"),
+            (self.pings_answered_in_tail > 0,
+             f"pings_answered_in_tail=0 ({self.pings_answered} answered, all before "
+             f"the tail): no pings answered after the last chaos event"),
+            (self.faults_injected == 0 or self.restarts > 0,
+             f"restarts=0 although {self.faults_injected} component fault(s) were "
+             f"planned: supervision never restarted anything"),
+        )
+
     @property
     def healthy_at_end(self) -> bool:
-        """Did the system converge back to answering pings after chaos?"""
-        return self.pings_answered_in_tail > 0
+        return not self.problems()
+
+    def summary(self) -> str:
+        lines = [
+            f"chaos campaign on {self.setup} (seed {self.seed}): "
+            f"{self.faults_injected} fault(s), {self.link_cuts} link cut(s)",
+        ]
+        for event in self.timeline:
+            detail = f" for {event.duration:.2f}s" if event.kind == "link_cut" else ""
+            lines.append(f"  {event.time:7.3f}s  {event.kind:16s} {event.target}{detail}")
+        lines += [
+            f"  supervision     {self.restarts} restart(s), "
+            f"{self.escalations} escalation(s), {self.destroys} destroy(s)",
+            f"  dead letters    {self.deadletters}",
+            f"  pings           {self.pings_answered}/{self.pings_sent} answered, "
+            f"{self.pings_answered_in_tail} in the convergence tail",
+            f"  transfer        {self.transfer_progress:.1%} of "
+            f"{self.transfer_bytes // MB} MB"
+            + (" (complete)" if self.transfer_done else ""),
+            f"  reconnects      {self.reconnect_attempts} attempt(s), "
+            f"{self.reconnect_recovered} recovered",
+        ]
+        return "\n".join(lines)
+
+    def to_document(self) -> Dict[str, Any]:
+        return campaign_document(self)
 
 
 def plan_chaos_timeline(
@@ -182,36 +218,10 @@ def run_chaos_campaign(
 
     pair = TestbedPair(setup, seed=seed, sys_config=sys_config)
     pair.fabric.connect_timeout = connect_timeout
-    snd = wire_endpoint(pair, pair.sender, "snd", data=False)
-    rcv = wire_endpoint(pair, pair.receiver, "rcv", data=False)
-
-    pinger = pair.system.create(
-        Pinger, pair.sender.address, pair.receiver.address,
-        transport=Transport.TCP, interval=ping_interval,
+    components = wire_campaign_workload(
+        pair, seed, transfer_bytes, transfer_transport, ping_interval
     )
-    ponger = pair.system.create(Ponger, pair.receiver.address)
-    timer = pair.system.create(SimTimerComponent)
-    pair.system.connect(timer.provided(Timer), pinger.required(Timer))
-    snd.attach(pair.system, pinger)
-    rcv.attach(pair.system, ponger)
-
-    dataset = SyntheticDataset(size=transfer_bytes, chunk_size=CHUNK, seed=seed)
-    sender = pair.system.create(
-        FileSender, pair.sender.address, pair.receiver.address, dataset,
-        transport=transfer_transport, disk=pair.sender.disk,
-    )
-    receiver = pair.system.create(
-        FileReceiver, pair.receiver.address, disk=pair.receiver.disk,
-    )
-    snd.attach(pair.system, sender)
-    rcv.attach(pair.system, receiver)
-
-    components = {
-        "pinger": pinger, "ponger": ponger,
-        "sender": sender, "receiver": receiver,
-        "net-snd": snd.network, "net-rcv": rcv.network,
-    }
-    unknown = {e.target for e in timeline if e.kind == "component_fault"} - set(components)
+    unknown = {e.target for e in timeline if e.kind == "component_fault"} - set(ALL_TARGETS)
     if unknown:
         raise ValueError(f"unknown chaos targets {sorted(unknown)}")
 
@@ -239,20 +249,13 @@ def run_chaos_campaign(
     probe = {"answered": 0}
 
     def take_probe() -> None:
-        probe["answered"] = len(pinger.definition.rtts)
+        probe["answered"] = len(components["pinger"].definition.rtts)
 
     pair.sim.schedule_at(duration - tail, take_probe, label="chaos-probe")
 
-    for component in (timer, ponger, receiver, pinger, sender):
-        pair.system.start(component)
-    run_in_steps(pair, duration, lambda: False, step=0.25)
-
-    metrics = get_registry()
-    transfer_id = sender.definition.transfer_id
+    observed = run_campaign_workload(pair, components, duration)
     return ChaosCampaignResult(
-        setup=setup.name,
         seed=seed,
-        sim_time=pair.sim.now,
         timeline=timeline,
         faults_injected=sum(1 for e in timeline if e.kind == "component_fault"),
         link_cuts=sum(1 for e in timeline if e.kind == "link_cut"),
@@ -260,14 +263,8 @@ def run_chaos_campaign(
         escalations=supervision.escalations_total,
         destroys=supervision.destroys_total,
         deadletters=pair.system.deadletters_total,
-        pings_sent=pinger.definition._next_seq,
-        pings_answered=len(pinger.definition.rtts),
         pings_answered_before_tail=probe["answered"],
-        transfer_bytes=transfer_bytes,
-        transfer_progress=receiver.definition.progress(transfer_id),
-        transfer_done=sender.definition.duration is not None,
-        reconnect_attempts=int(metrics.total("messaging.reconnect.attempts_total")),
-        reconnect_recovered=int(metrics.total("messaging.reconnect.recovered_total")),
+        **observed,
     )
 
 
@@ -320,55 +317,61 @@ class AioChaosResult:
     def epochs_monotone(self) -> bool:
         return all(a < b for a, b in zip(self.epochs, self.epochs[1:]))
 
+    kind = "chaos-aio"
+
+    def problems(self) -> List[str]:
+        """Where the run broke its redelivery contract (empty = it held).
+
+        Under ``at-most-once`` chunks in flight across a kill may fail
+        (that is the contract) but every notify resolves and nothing
+        doubles; ``at-least-once`` must also land every chunk: redelivery
+        replays the gap, the epoch fence dedups the overlap.
+        """
+        at_most_once = self.redelivery != "at-least-once"
+        return failed(
+            (self.sender_done, "sender_done=False: sender never finished its accounting"),
+            (self.leaked == 0,
+             f"leaked={self.leaked}: notifies never resolved across a restart"),
+            (self.duplicates_delivered == 0,
+             f"duplicates_delivered={self.duplicates_delivered}: chunks delivered twice"),
+            (self.restarts_done == self.restarts_planned,
+             f"restarts_done={self.restarts_done} of {self.restarts_planned} planned: "
+             f"not every kill landed"),
+            (len(self.epochs) == self.restarts_done + 1 and self.epochs_monotone,
+             f"epochs={list(self.epochs)}: want {self.restarts_done + 1} strictly "
+             f"increasing network epochs"),
+            (self.check_ok, "check_ok=False: " + "; ".join(self.violations)),
+            ("aio" in self.check_streams, f"check_streams={sorted(self.check_streams)}: "
+             f"no aio digest stream (checker was off?)"),
+            (at_most_once or self.delivered_unique == self.chunks,
+             f"delivered_unique={self.delivered_unique} of {self.chunks} chunks "
+             f"under at-least-once"),
+            (at_most_once or self.failed == 0,
+             f"failed={self.failed} notifies under at-least-once"),
+        )
+
     @property
     def converged(self) -> bool:
-        """Did the run meet its redelivery contract with zero leaks?"""
-        if not (
-            self.sender_done
-            and self.leaked == 0
-            and self.duplicates_delivered == 0
-            and self.restarts_done == self.restarts_planned
-            and self.epochs_monotone
-            and self.check_ok
-        ):
-            return False
-        if self.redelivery == "at-least-once":
-            # Every chunk must arrive despite the kills: redelivery
-            # replays the gap, the epoch fence dedups the overlap.
-            return self.failed == 0 and self.delivered_unique == self.chunks
-        # at-most-once: chunks in flight across a kill may fail (that is
-        # the contract) but every notify resolved and nothing doubled.
-        return self.delivered_unique <= self.chunks
+        return not self.problems()
+
+    def summary(self) -> str:
+        return "\n".join([
+            f"aio chaos campaign ({self.transport}, {self.redelivery}, "
+            f"seed {self.seed}): {self.restarts_done}/{self.restarts_planned} "
+            f"supervised restart(s) at chunk(s) {list(self.kill_points)}",
+            f"  epochs          {list(self.epochs)}",
+            f"  notifies        {self.ok} ok / {self.failed} failed / "
+            f"{self.leaked} leaked of {self.requested}",
+            f"  delivered       {self.delivered_unique}/{self.chunks} unique, "
+            f"{self.duplicates_delivered} duplicate(s), "
+            f"{self.dups_suppressed} suppressed by the dedup window",
+            f"  redelivery      {self.requeued} frame(s) requeued across restarts",
+            f"  dead letters    {self.deadletters}",
+            f"  invariants      {'ok' if self.check_ok else 'VIOLATED'}",
+        ])
 
     def to_document(self) -> Dict[str, Any]:
-        return {
-            "kind": "chaos-aio",
-            "transport": self.transport,
-            "redelivery": self.redelivery,
-            "seed": self.seed,
-            "size": self.size,
-            "chunks": self.chunks,
-            "restarts_planned": self.restarts_planned,
-            "restarts_done": self.restarts_done,
-            "kill_points": list(self.kill_points),
-            "epochs": list(self.epochs),
-            "epochs_monotone": self.epochs_monotone,
-            "requested": self.requested,
-            "ok": self.ok,
-            "failed": self.failed,
-            "leaked": self.leaked,
-            "delivered_unique": self.delivered_unique,
-            "duplicates_delivered": self.duplicates_delivered,
-            "dups_suppressed": self.dups_suppressed,
-            "requeued": self.requeued,
-            "deadletters": self.deadletters,
-            "sender_done": self.sender_done,
-            "duration": self.duration,
-            "check_ok": self.check_ok,
-            "violations": list(self.violations),
-            "check_streams": self.check_streams,
-            "converged": self.converged,
-        }
+        return campaign_document(self, "leaked", "epochs_monotone")
 
 
 def plan_aio_kill_points(seed: int, restarts: int, chunks: int) -> Tuple[int, ...]:
@@ -403,7 +406,6 @@ def run_aio_chaos_campaign(
     max_restarts: int = 10,
     restart_window: float = 30.0,
     timeout: float = 120.0,
-    check: bool = True,
 ) -> AioChaosResult:
     """Kill and supervision-restart a live ``AioNetwork`` mid-transfer.
 
@@ -458,9 +460,10 @@ def run_aio_chaos_campaign(
         "messaging.aio.redelivery": redelivery,
     }
 
-    already_checking = get_checker().enabled
-    ctx = checking() if (check and not already_checking) else None
-    chk = ctx.__enter__() if ctx is not None else get_checker()
+    # The verdict needs the aio digest stream: run under the caller's
+    # checker when one is installed, under our own otherwise.
+    own_checker = ExitStack()
+    chk = get_checker() if get_checker().enabled else own_checker.enter_context(checking())
     started = time.monotonic()
     deadline = started + timeout
     epochs: List[int] = []
@@ -568,13 +571,10 @@ def run_aio_chaos_campaign(
             deadletters=system.deadletters_total,
             sender_done=snd_def.done.is_set(),
             duration=time.monotonic() - started,
-            check_ok=chk.ok if chk.enabled else True,
-            violations=tuple(v.format() for v in chk.violations) if chk.enabled else (),
-            check_streams=(
-                chk.document()["streams"] if chk.enabled else {}
-            ),
+            check_ok=chk.ok,
+            violations=tuple(v.format() for v in chk.violations),
+            check_streams=chk.document()["streams"],
         )
     finally:
         system.shutdown()
-        if ctx is not None:
-            ctx.__exit__(None, None, None)
+        own_checker.close()

@@ -16,13 +16,14 @@ Run it instrumented via :func:`repro.bench.harness.run_observed` (the
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.apps import FileReceiver, FileSender, Pinger, Ponger, SyntheticDataset
 from repro.apps.filetransfer.chunks import PAPER_CHUNK_BYTES as CHUNK
 from repro.bench.harness import run_in_steps, wire_endpoint
+from repro.bench.report import campaign_document, failed
 from repro.bench.scenario import MB, Setup, TestbedPair
-from repro.kompics import SimTimerComponent, Timer
+from repro.kompics import Component, SimTimerComponent, Timer
 from repro.messaging import Transport
 from repro.netsim import LinkSpec
 from repro.netsim.faults import FaultInjector
@@ -57,16 +58,116 @@ class FaultCampaignResult:
     def ping_loss(self) -> int:
         return self.pings_sent - self.pings_answered
 
+    kind = "faults"
+
+    def problems(self) -> List[str]:
+        """Why the workload did not ride out the scripted faults (empty = it did).
+
+        The transfer must have completed, the control plane must have
+        stayed alive, and a cut that landed inside the run must have been
+        answered by the recovery layer.  Bare (``recovery=False``) runs
+        exist to demonstrate the at-most-once floor and are expected to
+        fail this — the CLI only enforces it when recovery is on.
+        """
+        no_cut = self.cut_at >= self.sim_time
+        cut = f"although the link was cut at {self.cut_at}s"
+        return failed(
+            (self.transfer_done, f"transfer_done=False: transfer stopped at "
+             f"{self.transfer_progress:.1%} of {self.transfer_bytes} bytes"),
+            (self.pings_answered > 0,
+             f"pings_answered=0 of {self.pings_sent} sent: control plane died"),
+            (no_cut or self.reconnect_attempts > 0,
+             f"reconnect_attempts=0 {cut}: recovery never dialled"),
+            (no_cut or self.reconnect_recovered > 0,
+             f"reconnect_recovered=0 {cut}: channel never recovered"),
+        )
+
     @property
     def converged(self) -> bool:
-        """Did the workload ride out the scripted faults?
+        return not self.problems()
 
-        The transfer must have completed and the control plane must have
-        stayed alive (some pings answered).  Bare (``recovery=False``)
-        runs exist to demonstrate the at-most-once floor and are expected
-        to fail this — the CLI only enforces it when recovery is on.
-        """
-        return self.transfer_done and self.pings_answered > 0
+    def summary(self) -> str:
+        lines = [
+            f"fault campaign on {self.setup}: "
+            f"link cut at {self.cut_at:.1f}s for {self.cut_duration:.1f}s",
+            f"  pings           {self.pings_answered}/{self.pings_sent} answered "
+            f"({self.ping_loss} lost)",
+            f"  transfer        {self.transfer_progress:.1%} of "
+            f"{self.transfer_bytes // MB} MB"
+            + (" (complete)" if self.transfer_done else ""),
+            f"  reconnects      {self.reconnect_attempts} attempt(s), "
+            f"{self.reconnect_recovered} recovered, {self.reconnect_giveups} gave up",
+            f"  fallbacks       {self.fallback_activations}",
+        ]
+        if self.backoff_delays:
+            delays = ", ".join(f"{d:.3f}" for d in self.backoff_delays)
+            lines.append(f"  backoff (s)     {delays}")
+        return "\n".join(lines)
+
+    def to_document(self) -> Dict[str, object]:
+        return campaign_document(self)
+
+
+def wire_campaign_workload(
+    pair: TestbedPair, seed: int, transfer_bytes: int,
+    transfer_transport: Transport, ping_interval: float,
+) -> Dict[str, Component]:
+    """TCP control pings beside a bulk transfer over the pair's one link.
+
+    The workload both campaigns disturb.  Returns its components by label
+    (component ids and RNG streams follow the creation order here).
+    """
+    snd = wire_endpoint(pair, pair.sender, "snd", data=False)
+    rcv = wire_endpoint(pair, pair.receiver, "rcv", data=False)
+
+    pinger = pair.system.create(
+        Pinger, pair.sender.address, pair.receiver.address,
+        transport=Transport.TCP, interval=ping_interval,
+    )
+    ponger = pair.system.create(Ponger, pair.receiver.address)
+    timer = pair.system.create(SimTimerComponent)
+    pair.system.connect(timer.provided(Timer), pinger.required(Timer))
+    snd.attach(pair.system, pinger)
+    rcv.attach(pair.system, ponger)
+
+    dataset = SyntheticDataset(size=transfer_bytes, chunk_size=CHUNK, seed=seed)
+    sender = pair.system.create(
+        FileSender, pair.sender.address, pair.receiver.address, dataset,
+        transport=transfer_transport, disk=pair.sender.disk,
+    )
+    receiver = pair.system.create(
+        FileReceiver, pair.receiver.address, disk=pair.receiver.disk,
+    )
+    snd.attach(pair.system, sender)
+    rcv.attach(pair.system, receiver)
+    return {
+        "timer": timer, "pinger": pinger, "ponger": ponger,
+        "sender": sender, "receiver": receiver,
+        "net-snd": snd.network, "net-rcv": rcv.network,
+    }
+
+
+def run_campaign_workload(
+    pair: TestbedPair, parts: Dict[str, Component], duration: float
+) -> Dict[str, object]:
+    """Start the workload, run ``duration`` sim seconds, and report the
+    fields both campaign results record."""
+    for label in ("timer", "ponger", "receiver", "pinger", "sender"):
+        pair.system.start(parts[label])
+    run_in_steps(pair, duration, lambda: False, step=0.25)
+    metrics = get_registry()
+    pinger, sender = parts["pinger"].definition, parts["sender"].definition
+    return dict(
+        setup=pair.setup.name,
+        sim_time=pair.sim.now,
+        pings_sent=pinger._next_seq,
+        pings_answered=len(pinger.rtts),
+        transfer_bytes=sender.dataset.size,
+        transfer_progress=parts["receiver"].definition.progress(sender.transfer_id),
+        transfer_done=sender.duration is not None,
+        reconnect_attempts=int(metrics.total("messaging.reconnect.attempts_total")),
+        reconnect_recovered=int(metrics.total("messaging.reconnect.recovered_total")),
+    )
 
 
 def run_fault_campaign(
@@ -112,29 +213,9 @@ def run_fault_campaign(
 
     pair = TestbedPair(setup, seed=seed, sys_config=sys_config)
     pair.fabric.connect_timeout = connect_timeout
-    snd = wire_endpoint(pair, pair.sender, "snd", data=False)
-    rcv = wire_endpoint(pair, pair.receiver, "rcv", data=False)
-
-    pinger = pair.system.create(
-        Pinger, pair.sender.address, pair.receiver.address,
-        transport=Transport.TCP, interval=ping_interval,
+    parts = wire_campaign_workload(
+        pair, seed, transfer_bytes, transfer_transport, ping_interval
     )
-    ponger = pair.system.create(Ponger, pair.receiver.address)
-    timer = pair.system.create(SimTimerComponent)
-    pair.system.connect(timer.provided(Timer), pinger.required(Timer))
-    snd.attach(pair.system, pinger)
-    rcv.attach(pair.system, ponger)
-
-    dataset = SyntheticDataset(size=transfer_bytes, chunk_size=CHUNK, seed=seed)
-    sender = pair.system.create(
-        FileSender, pair.sender.address, pair.receiver.address, dataset,
-        transport=transfer_transport, disk=pair.sender.disk,
-    )
-    receiver = pair.system.create(
-        FileReceiver, pair.receiver.address, disk=pair.receiver.disk,
-    )
-    snd.attach(pair.system, sender)
-    rcv.attach(pair.system, receiver)
 
     injector = FaultInjector(pair.fabric)
     ip_a, ip_b = pair.sender.host.ip, pair.receiver.host.ip
@@ -151,29 +232,17 @@ def run_fault_campaign(
             lambda: injector.degrade_link(ip_a, ip_b, degraded, duration=degrade_duration),
         )
 
-    for component in (timer, ponger, receiver, pinger, sender):
-        pair.system.start(component)
-    run_in_steps(pair, duration, lambda: False, step=0.25)
-
+    observed = run_campaign_workload(pair, parts, duration)
     metrics = get_registry()
     tracer = get_tracer()
     backoff = tuple(
         r.fields["delay"] for r in tracer.named("messaging.reconnect_scheduled")
     ) if tracer.enabled else ()
-    transfer_id = sender.definition.transfer_id
     return FaultCampaignResult(
-        setup=setup.name,
-        sim_time=pair.sim.now,
         cut_at=cut_at,
         cut_duration=cut_duration,
-        pings_sent=pinger.definition._next_seq,
-        pings_answered=len(pinger.definition.rtts),
-        transfer_bytes=transfer_bytes,
-        transfer_progress=receiver.definition.progress(transfer_id),
-        transfer_done=sender.definition.duration is not None,
-        reconnect_attempts=int(metrics.total("messaging.reconnect.attempts_total")),
-        reconnect_recovered=int(metrics.total("messaging.reconnect.recovered_total")),
         reconnect_giveups=int(metrics.total("messaging.reconnect.giveups_total")),
         fallback_activations=int(metrics.total("messaging.fallback.activations_total")),
         backoff_delays=backoff,
+        **observed,
     )

@@ -626,6 +626,44 @@ def validate_campaign_document(document: Dict[str, Any]) -> List[str]:
     return problems
 
 
+@dataclass(frozen=True)
+class FleetCampaign:
+    """A campaign document under the campaign-result contract (``bench.report``)."""
+
+    document: Dict[str, Any]
+    kind = "fleet"
+
+    def problems(self) -> List[str]:
+        """An invalid document, or else every unit that failed."""
+        return validate_campaign_document(self.document) or [
+            f"unit ok=False: {unit['scenario']} seed {unit['seed']}: {unit.get('error')}"
+            for unit in self.document["units"] if not unit["ok"]
+        ]
+
+    def summary(self) -> str:
+        merged = self.document["merged"]
+        totals = merged["totals"]
+        lines = [
+            f"campaign: {totals['ok']}/{totals['units']} unit(s) ok, "
+            f"{totals['failed']} failed, workers={self.document['meta']['workers']}",
+            f"merged digest: {merged['digest']}",
+        ]
+        for name, bucket in merged["scenarios"].items():
+            lines.append(f"  {name}: ok={bucket['units_ok']} failed={bucket['units_failed']}")
+            for counter, value in bucket["counters"].items():
+                lines.append(f"    {counter:<20} {value:,.0f}")
+            for stat, state in bucket["stats"].items():
+                if state["count"]:
+                    lines.append(
+                        f"    {stat:<20} n={state['count']} mean={state['mean']:,.4g} "
+                        f"min={state['min']:,.4g} max={state['max']:,.4g}"
+                    )
+        return "\n".join(lines)
+
+    def to_document(self) -> Dict[str, Any]:
+        return self.document
+
+
 # ----------------------------------------------------------------------
 # registry entries: fleet workloads as composable scenarios
 # ----------------------------------------------------------------------

@@ -26,11 +26,12 @@ import socket
 import threading
 import time
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from repro.apps import SyntheticDataset, register_app_serializers
 from repro.apps.filetransfer.chunks import DataChunkMsg, next_transfer_id
+from repro.bench.report import campaign_document, failed, format_table
 from repro.kompics.component import ComponentDefinition
 from repro.kompics.runtime import KompicsSystem
 from repro.messaging.address import Address, BasicAddress
@@ -206,14 +207,26 @@ class LoopbackRun:
     def throughput(self) -> float:
         return self.bytes / self.duration if self.duration > 0 else 0.0
 
+    def problems(self) -> List[str]:
+        """Why this transfer is not loss-free and leak-free (empty = it is)."""
+        return failed(
+            (self.delivered == self.chunks,
+             f"delivered={self.delivered} of {self.chunks} chunks"),
+            (self.notifies_ok == self.chunks,
+             f"notifies_ok={self.notifies_ok} of {self.chunks} chunks"),
+            (self.notifies_failed == 0, f"notifies_failed={self.notifies_failed}"),
+            (self.leaked_notifies == 0,
+             f"leaked_notifies={self.leaked_notifies}: notifies never resolved (leak)"),
+            (self.throughput > 0, f"throughput={self.throughput}: zero throughput"),
+            (self.transport != "data" or bool(self.protocols),
+             "protocols={}: the data run recorded no wire protocols"),
+            ("data" not in self.protocols, f"protocols={self.protocols}: DATA "
+             f"pseudo-protocol reached the wire unstamped"),
+        )
+
     @property
     def complete(self) -> bool:
-        return (
-            self.delivered == self.chunks
-            and self.notifies_ok == self.chunks
-            and self.notifies_failed == 0
-            and self.leaked_notifies == 0
-        )
+        return not self.problems()
 
 
 def run_loopback_once(
@@ -316,31 +329,25 @@ class LoopbackComparison:
     runs: Tuple[LoopbackRun, ...]
     sim_throughput: Dict[str, float]  # transport -> bytes/s (netsim Local)
 
+    kind = "loopback-comparison"
+
+    def problems(self) -> List[str]:
+        if not self.runs:
+            return ["runs=(): the comparison ran no transport"]
+        return [f"{run.transport}: {p}" for run in self.runs for p in run.problems()]
+
+    def summary(self) -> str:
+        return format_comparison(self)
+
     def to_document(self) -> Dict[str, Any]:
-        return {
-            "kind": "loopback-comparison",
-            "size": self.size,
-            "seed": self.seed,
-            "runs": [
-                {
-                    "transport": r.transport,
-                    "bytes": r.bytes,
-                    "chunks": r.chunks,
-                    "duration": r.duration,
-                    "delivered": r.delivered,
-                    "notifies_ok": r.notifies_ok,
-                    "notifies_failed": r.notifies_failed,
-                    "leaked_notifies": r.leaked_notifies,
-                    "send_failures": r.send_failures,
-                    "batches": r.batches,
-                    "protocols": r.protocols,
-                    "throughput": r.throughput,
-                    "complete": r.complete,
-                    "sim_throughput": self.sim_throughput.get(r.transport),
-                }
-                for r in self.runs
-            ],
-        }
+        document = campaign_document(self)
+        sim = document.pop("sim_throughput")
+        document["runs"] = [
+            dict(asdict(run), throughput=run.throughput,
+                 complete=run.complete, sim_throughput=sim.get(run.transport))
+            for run in self.runs
+        ]
+        return document
 
 
 def run_loopback_comparison(
@@ -375,8 +382,6 @@ def run_loopback_comparison(
 
 def format_comparison(comparison: LoopbackComparison) -> str:
     """Human-readable sim-vs-real table."""
-    from repro.bench.report import format_table
-
     rows = []
     for run in comparison.runs:
         sim_rate = comparison.sim_throughput.get(run.transport)

@@ -1,8 +1,38 @@
-"""Plain-text table rendering for benchmark output."""
+"""Plain-text rendering for benchmark output, and the campaign verdict.
+
+Every campaign result (faults, chaos, chaos-aio, loopback, fleet) states
+what "passed" means exactly once, through one small contract: a ``kind``
+string, ``problems()`` (empty means passed; each entry names the field
+and its value), ``summary()`` and ``to_document()``.  The ``repro`` exit
+code, ``scripts/ci_checks.py`` and the tests all read that one
+statement, through :func:`campaign_summary` and
+:func:`campaign_document`.
+"""
 
 from __future__ import annotations
 
-from typing import Iterable, List, Sequence
+import dataclasses
+from typing import Any, Dict, Iterable, List, Sequence, Tuple
+
+
+def failed(*checks: Tuple[bool, str]) -> List[str]:
+    """The messages of the ``(holds, message)`` checks that do not hold."""
+    return [message for holds, message in checks if not holds]
+
+
+def campaign_summary(result: Any) -> str:
+    """The result's own summary, then the one verdict line."""
+    verdict = "NO" if result.problems() else "yes"
+    return f"{result.summary()}\n  {'converged':<15} {verdict}"
+
+
+def campaign_document(result: Any, *derived: str) -> Dict[str, Any]:
+    """Dataclass fields, the named ``derived`` properties, then the verdict."""
+    document = dataclasses.asdict(result)
+    document.update((name, getattr(result, name)) for name in derived)
+    problems = result.problems()
+    document.update(kind=result.kind, converged=not problems, problems=problems)
+    return document
 
 
 def format_table(headers: Sequence[str], rows: Iterable[Sequence[object]], title: str = "") -> str:

@@ -17,7 +17,6 @@ bandwidth-delay product.
 
 from __future__ import annotations
 
-import difflib
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
@@ -25,6 +24,7 @@ from repro.kompics import KompicsSystem
 from repro.messaging import BasicAddress
 from repro.netsim import DiskModel, LinkSpec, SimNetwork
 from repro.sim import Simulator
+from repro.util.registry import Registry, UnknownNameError
 
 MB = 1024 * 1024
 
@@ -138,11 +138,8 @@ class TestbedPair:
 # scenario registry
 # ----------------------------------------------------------------------
 
-class UnknownScenarioError(KeyError):
+class UnknownScenarioError(UnknownNameError):
     """Raised on a lookup of a name no scenario was registered under."""
-
-    def __str__(self) -> str:  # KeyError wraps its message in repr()
-        return self.args[0] if self.args else ""
 
 
 class DuplicateScenarioError(ValueError):
@@ -174,69 +171,20 @@ class Scenario:
         return self.builder(**merged)
 
 
-class ScenarioRegistry:
-    """Name -> :class:`Scenario`, with strict registration semantics.
-
-    Unlike the ad-hoc dicts this replaces, registering the same name twice
-    raises instead of silently shadowing the earlier entry, and unknown
-    lookups fail with a did-you-mean suggestion.
-    """
+class ScenarioRegistry(Registry[Scenario]):
+    """Name -> :class:`Scenario` (strict: see :class:`~repro.util.registry.Registry`)."""
 
     def __init__(self) -> None:
-        self._scenarios: Dict[str, Scenario] = {}
-
-    def register(
-        self,
-        name: str,
-        builder: Callable[..., Any],
-        *,
-        description: str = "",
-        kind: str = "workload",
-        tags: Tuple[str, ...] = (),
-        defaults: Optional[Dict[str, Any]] = None,
-    ) -> Scenario:
-        if name in self._scenarios:
-            raise DuplicateScenarioError(
-                f"scenario {name!r} is already registered "
-                f"(by {self._scenarios[name].builder!r}); "
-                f"pick a distinct name or remove() the old entry first"
-            )
-        scenario = Scenario(
-            name=name, builder=builder, description=description,
-            kind=kind, tags=tuple(tags), defaults=dict(defaults or {}),
+        super().__init__(
+            "scenario", UnknownScenarioError, DuplicateScenarioError,
+            owner=lambda scenario: scenario.builder,
         )
-        self._scenarios[name] = scenario
-        return scenario
-
-    def remove(self, name: str) -> None:
-        """Drop a registration (test hygiene; unknown names are a no-op)."""
-        self._scenarios.pop(name, None)
-
-    def get(self, name: str) -> Scenario:
-        scenario = self._scenarios.get(name)
-        if scenario is None:
-            close = difflib.get_close_matches(name, sorted(self._scenarios), n=3)
-            hint = (
-                f"; did you mean {' or '.join(repr(c) for c in close)}?"
-                if close else ""
-            )
-            raise UnknownScenarioError(
-                f"unknown scenario {name!r}{hint} "
-                f"(registered: {', '.join(sorted(self._scenarios))})"
-            )
-        return scenario
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._scenarios
 
     def names(self, kind: Optional[str] = None, tag: Optional[str] = None) -> List[str]:
-        return sorted(
-            name for name, s in self._scenarios.items()
+        return [
+            s.name for s in self.all()
             if (kind is None or s.kind == kind) and (tag is None or tag in s.tags)
-        )
-
-    def all(self) -> List[Scenario]:
-        return [self._scenarios[name] for name in sorted(self._scenarios)]
+        ]
 
 
 #: the process-wide registry; campaign layers (check, faults, chaos, perf,
@@ -245,7 +193,8 @@ SCENARIOS = ScenarioRegistry()
 
 
 def register_scenario(name: str, builder: Callable[..., Any], **kwargs: Any) -> Scenario:
-    return SCENARIOS.register(name, builder, **kwargs)
+    """Register ``builder`` under ``name``; ``kwargs`` are :class:`Scenario` fields."""
+    return SCENARIOS.add(name, Scenario(name=name, builder=builder, **kwargs))
 
 
 def get_scenario(name: str) -> Scenario:

@@ -27,7 +27,7 @@ from repro.bench.harness import (
     run_static_reference,
     run_transfer_repeated,
 )
-from repro.bench.report import format_table
+from repro.bench.report import campaign_summary, format_table
 from repro.core import TDRatioLearner
 from repro.messaging import Transport
 
@@ -66,6 +66,28 @@ def _emit(text: str, output: Optional[str], what: str) -> None:
     with open(output, "w", encoding="utf-8") as fh:
         fh.write(text + "\n")
     print(f"wrote {what} to {output}")
+
+
+def _finish(result, fmt: str, output: Optional[str], document: Optional[dict] = None,
+            enforce: bool = True) -> int:
+    """Where every campaign command ends: render, emit, problems, exit code.
+
+    ``result`` follows the contract in :mod:`repro.bench.report`;
+    ``document`` replaces its own when the result rides inside an obs
+    snapshot (faults, chaos).
+    """
+    from repro.obs.export import document_json
+
+    if fmt == "json":
+        text = document_json(result.to_document() if document is None else document)
+    else:
+        text = campaign_summary(result)
+    _emit(text, output, f"{fmt} output")
+    problems = result.problems()
+    for problem in problems:
+        print(f"{result.kind}: {problem}" + ("" if enforce else " (not enforced)"),
+              file=sys.stderr)
+    return 1 if problems and enforce else 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -415,9 +437,8 @@ def cmd_learn(args: argparse.Namespace) -> int:
 
 
 def cmd_obs(args: argparse.Namespace) -> int:
-    import json
-
     from repro.bench.harness import LEARNER_ENV, run_observability_demo, run_observed
+    from repro.obs.export import document_json, document_lines
 
     setup = LEARNER_ENV if args.setup is None else setup_by_name(args.setup)
     summary, document = run_observed(
@@ -429,26 +450,15 @@ def cmd_obs(args: argparse.Namespace) -> int:
         document.pop("trace", None)
 
     if args.format == "json":
-        from repro.obs.export import _json_default, _sanitize
-
-        text = json.dumps(
-            _sanitize(document), indent=2, sort_keys=True, default=_json_default
-        )
+        text = document_json(document)
     else:
-        text = "\n".join(_document_lines(document["metrics"]))
-
+        text = "\n".join(document_lines(document["metrics"]))
     _emit(text, args.output, f"{args.format} snapshot")
     return 0
 
 
 def cmd_loopback(args: argparse.Namespace) -> int:
-    import json
-
-    from repro.bench.loopback import (
-        DEFAULT_TRANSPORTS,
-        format_comparison,
-        run_loopback_comparison,
-    )
+    from repro.bench.loopback import DEFAULT_TRANSPORTS, run_loopback_comparison
 
     transports = (
         DEFAULT_TRANSPORTS
@@ -459,145 +469,59 @@ def cmd_loopback(args: argparse.Namespace) -> int:
         transports, size=int(args.size_mb * MB), seed=args.seed,
         sim=not args.no_sim, timeout=args.timeout,
     )
-
-    if args.format == "json":
-        text = json.dumps(comparison.to_document(), indent=2, sort_keys=True)
-    else:
-        text = format_comparison(comparison)
-
-    _emit(text, args.output, f"{args.format} output")
-
-    incomplete = [r.transport for r in comparison.runs if not r.complete]
-    if incomplete:
-        print(f"loopback run(s) incomplete: {', '.join(incomplete)}", file=sys.stderr)
-        return 1
-    return 0
+    return _finish(comparison, args.format, args.output)
 
 
-def cmd_faults(args: argparse.Namespace) -> int:
-    import dataclasses
-    import json
-
+def _sim_campaign(name: str, args: argparse.Namespace, meta: dict,
+                  enforce: bool = True, **kwargs) -> int:
+    """``faults`` and ``chaos``: the registered scenario, observed, then finished."""
     from repro.bench.harness import run_observed
     from repro.bench.scenario import run_scenario
 
-    reconnect = {} if args.jitter is None else {"jitter": args.jitter}
     result, document = run_observed(
-        run_scenario,
-        "faults",
+        run_scenario, name,
         duration=args.duration,
-        cut_at=args.cut_at,
-        cut_duration=args.cut_duration,
-        degrade_at=args.degrade_at,
         transfer_bytes=args.transfer_mb * MB,
         transfer_transport=args.transport,
         seed=args.seed,
+        meta={"seed": args.seed, "duration": args.duration, **meta},
+        **kwargs,
+    )
+    document["meta"]["summary"] = result.to_document()
+    return _finish(result, args.format, args.output, document, enforce=enforce)
+
+
+def cmd_faults(args: argparse.Namespace) -> int:
+    # Bare runs demonstrate the unrecovered floor and are allowed to lose
+    # the transfer; with recovery on, any problem is a failure.
+    return _sim_campaign(
+        "faults", args, {"driver": "run_fault_campaign"},
+        enforce=not args.no_recovery,
+        cut_at=args.cut_at,
+        cut_duration=args.cut_duration,
+        degrade_at=args.degrade_at,
         recovery=not args.no_recovery,
         fallback=args.fallback,
-        reconnect=reconnect,
-        meta={"driver": "run_fault_campaign",
-              "seed": args.seed, "duration": args.duration},
+        reconnect={} if args.jitter is None else {"jitter": args.jitter},
     )
-
-    if args.format == "json":
-        from repro.obs.export import _json_default, _sanitize
-
-        document["meta"]["summary"] = dataclasses.asdict(result)
-        text = json.dumps(
-            _sanitize(document), indent=2, sort_keys=True, default=_json_default
-        )
-    else:
-        mode = "bare (no recovery)" if args.no_recovery else "recovery on"
-        lines = [
-            f"fault campaign on {result.setup} ({mode}): "
-            f"link cut at {result.cut_at:.1f}s for {result.cut_duration:.1f}s",
-            f"  pings           {result.pings_answered}/{result.pings_sent} answered "
-            f"({result.ping_loss} lost)",
-            f"  transfer        {result.transfer_progress:.1%} of "
-            f"{result.transfer_bytes // MB} MB"
-            + (" (complete)" if result.transfer_done else ""),
-            f"  reconnects      {result.reconnect_attempts} attempt(s), "
-            f"{result.reconnect_recovered} recovered, {result.reconnect_giveups} gave up",
-            f"  fallbacks       {result.fallback_activations}",
-        ]
-        if result.backoff_delays:
-            delays = ", ".join(f"{d:.3f}" for d in result.backoff_delays)
-            lines.append(f"  backoff (s)     {delays}")
-        if not result.converged:
-            lines.append("  converged       NO")
-        text = "\n".join(lines)
-
-    _emit(text, args.output, f"{args.format} output")
-    # Bare runs demonstrate the unrecovered floor and are allowed to lose
-    # the transfer; with recovery on, non-convergence is a failure.
-    return 0 if (args.no_recovery or result.converged) else 1
 
 
 def cmd_chaos(args: argparse.Namespace) -> int:
-    import dataclasses
-    import json
-
-    from repro.bench.harness import run_observed
-    from repro.bench.scenario import run_scenario
-
     if args.backend == "aio":
         return _cmd_chaos_aio(args)
-
-    result, document = run_observed(
-        run_scenario,
-        "chaos",
-        duration=args.duration,
+    return _sim_campaign(
+        "chaos", args, {"driver": "run_chaos_campaign", "events": args.events},
         chaos_start=args.chaos_start,
         chaos_end=args.chaos_end,
         events=args.events,
         targets=args.targets,
         tail=args.tail,
-        transfer_bytes=args.transfer_mb * MB,
-        transfer_transport=args.transport,
-        seed=args.seed,
         max_restarts=args.max_restarts,
-        meta={"driver": "run_chaos_campaign",
-              "seed": args.seed, "duration": args.duration, "events": args.events},
     )
-
-    if args.format == "json":
-        from repro.obs.export import _json_default, _sanitize
-
-        document["meta"]["summary"] = dataclasses.asdict(result)
-        text = json.dumps(
-            _sanitize(document), indent=2, sort_keys=True, default=_json_default
-        )
-    else:
-        lines = [
-            f"chaos campaign on {result.setup} (seed {result.seed}): "
-            f"{result.faults_injected} fault(s), {result.link_cuts} link cut(s)",
-        ]
-        for event in result.timeline:
-            detail = f" for {event.duration:.2f}s" if event.kind == "link_cut" else ""
-            lines.append(f"  {event.time:7.3f}s  {event.kind:16s} {event.target}{detail}")
-        lines += [
-            f"  supervision     {result.restarts} restart(s), "
-            f"{result.escalations} escalation(s), {result.destroys} destroy(s)",
-            f"  dead letters    {result.deadletters}",
-            f"  pings           {result.pings_answered}/{result.pings_sent} answered, "
-            f"{result.pings_answered_in_tail} in the convergence tail",
-            f"  transfer        {result.transfer_progress:.1%} of "
-            f"{result.transfer_bytes // MB} MB"
-            + (" (complete)" if result.transfer_done else ""),
-            f"  reconnects      {result.reconnect_attempts} attempt(s), "
-            f"{result.reconnect_recovered} recovered",
-            f"  converged       {'yes' if result.healthy_at_end else 'NO'}",
-        ]
-        text = "\n".join(lines)
-
-    _emit(text, args.output, f"{args.format} output")
-    return 0 if result.healthy_at_end else 1
 
 
 def _cmd_chaos_aio(args: argparse.Namespace) -> int:
     """``repro chaos --backend aio``: real-socket kill/restart campaign."""
-    import json
-
     from repro.bench.chaos import run_aio_chaos_campaign
 
     result = run_aio_chaos_campaign(
@@ -609,32 +533,7 @@ def _cmd_chaos_aio(args: argparse.Namespace) -> int:
         drop=args.drop,
         max_restarts=args.max_restarts,
     )
-    document = result.to_document()
-
-    if args.format == "json":
-        text = json.dumps(document, indent=2, sort_keys=True)
-    else:
-        lines = [
-            f"aio chaos campaign ({result.transport}, {result.redelivery}, "
-            f"seed {result.seed}): {result.restarts_done}/{result.restarts_planned} "
-            f"supervised restart(s) at chunk(s) {list(result.kill_points)}",
-            f"  epochs          {list(result.epochs)}"
-            + ("" if result.epochs_monotone else "  NOT MONOTONE"),
-            f"  notifies        {result.ok} ok / {result.failed} failed / "
-            f"{result.leaked} leaked of {result.requested}",
-            f"  delivered       {result.delivered_unique}/{result.chunks} unique, "
-            f"{result.duplicates_delivered} duplicate(s), "
-            f"{result.dups_suppressed} suppressed by the dedup window",
-            f"  redelivery      {result.requeued} frame(s) requeued across restarts",
-            f"  dead letters    {result.deadletters}",
-            f"  invariants      {'ok' if result.check_ok else 'VIOLATED'}"
-            + ("" if result.check_ok else "\n    " + "\n    ".join(result.violations)),
-            f"  converged       {'yes' if result.converged else 'NO'}",
-        ]
-        text = "\n".join(lines)
-
-    _emit(text, args.output, f"{args.format} output")
-    return 0 if result.converged else 1
+    return _finish(result, args.format, args.output)
 
 
 def cmd_perf(args: argparse.Namespace) -> int:
@@ -658,15 +557,9 @@ def cmd_perf(args: argparse.Namespace) -> int:
 
 
 def cmd_fleet(args: argparse.Namespace) -> int:
-    import json
-
-    from repro.bench.fleet import (
-        campaign_json,
-        plan_campaign,
-        run_campaign,
-        validate_campaign_document,
-    )
+    from repro.bench.fleet import FleetCampaign, plan_campaign, run_campaign
     from repro.bench.scenario import SCENARIOS, UnknownScenarioError, get_scenario
+    from repro.obs.export import document_json
 
     if args.fleet_action == "list":
         scenarios = SCENARIOS.all()
@@ -694,40 +587,10 @@ def cmd_fleet(args: argparse.Namespace) -> int:
         entries = [(name, None) for name in args.scenario]
 
     seeds = list(range(args.seed_base, args.seed_base + args.seeds))
-    units = plan_campaign(entries, seeds)
-    document = run_campaign(units, workers=args.workers)
-    problems = validate_campaign_document(document)
-    if problems:  # internal invariant, should never fire
-        for problem in problems:
-            print(f"INVALID CAMPAIGN DOCUMENT: {problem}", file=sys.stderr)
-        return 1
-
-    text = campaign_json(document)
+    campaign = FleetCampaign(run_campaign(plan_campaign(entries, seeds), workers=args.workers))
     if args.out is not None:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        print(f"wrote campaign document to {args.out}")
-
-    merged = document["merged"]
-    if args.format == "json":
-        print(text, end="")
-    else:
-        totals = merged["totals"]
-        print(f"campaign: {totals['ok']}/{totals['units']} unit(s) ok, "
-              f"{totals['failed']} failed, workers={args.workers}")
-        print(f"merged digest: {merged['digest']}")
-        for name, bucket in merged["scenarios"].items():
-            print(f"  {name}: ok={bucket['units_ok']} "
-                  f"failed={bucket['units_failed']}")
-            for counter, value in bucket["counters"].items():
-                print(f"    {counter:<20} {value:,.0f}")
-            for stat, state in bucket["stats"].items():
-                if not state["count"]:
-                    continue
-                mean = state["mean"]
-                print(f"    {stat:<20} n={state['count']} mean={mean:,.4g} "
-                      f"min={state['min']:,.4g} max={state['max']:,.4g}")
-    return 0 if merged["totals"]["failed"] == 0 else 1
+        _emit(document_json(campaign.document), args.out, "campaign document")
+    return _finish(campaign, args.format, None)
 
 
 def cmd_cc(args: argparse.Namespace) -> int:
@@ -740,7 +603,7 @@ def cmd_cc(args: argparse.Namespace) -> int:
     for policy in policies:
         pacer = "aio" if policy.name in PACERS else "-"
         print(f"  {policy.name:<{width}}  [{pacer:>3}] {policy.description}")
-    aio_only = sorted(set(PACERS) - {p.name for p in policies})
+    aio_only = sorted(set(PACERS.names()) - {p.name for p in policies})
     for name in aio_only:  # pragma: no cover - registries currently align
         print(f"  {name:<{width}}  [aio] (real-socket pacer only)")
     print("\n[aio] marks names also usable as messaging.aio.cc pacing policies.")
@@ -801,10 +664,7 @@ def cmd_check(args: argparse.Namespace) -> int:
                   f"digest={stream['digest']} "
                   f"checkpoints={len(stream['checkpoints'])}")
         if args.output is not None:
-            with open(args.output, "w", encoding="utf-8") as fh:
-                json.dump(doc, fh, indent=2, sort_keys=True)
-                fh.write("\n")
-            print(f"wrote checker document to {args.output}")
+            _emit(json.dumps(doc, indent=2, sort_keys=True), args.output, "checker document")
         violations = doc["violations"]
         if violations:
             for v in violations:
@@ -847,29 +707,6 @@ def cmd_check(args: argparse.Namespace) -> int:
     report = bisect_divergence(run_pair, streams)
     print(report.format())
     return 0 if report.identical else 1
-
-
-def _document_lines(metrics: dict) -> List[str]:
-    """Flat ``name{labels} value`` lines from a snapshot's metrics section."""
-    import math
-
-    lines: List[str] = []
-    for name, entries in sorted(metrics.items()):
-        for entry in entries:
-            labels = entry["labels"]
-            label_text = (
-                "{" + ",".join(f"{k}={v}" for k, v in sorted(labels.items())) + "}"
-                if labels else ""
-            )
-            if entry["type"] in ("counter", "gauge"):
-                lines.append(f"{name}{label_text} {entry['value']}")
-                continue
-            for stat in ("count", "mean", "p50", "p90", "p99", "min", "max"):
-                value = entry[stat]
-                if isinstance(value, float) and math.isnan(value):
-                    continue
-                lines.append(f"{name}.{stat}{label_text} {value}")
-    return lines
 
 
 def main(argv: Optional[List[str]] = None) -> int:

@@ -37,6 +37,11 @@ PrpFactory = Callable[[], ProtocolRatioPolicy]
 
 FlowKey = Tuple[str, int]
 
+#: seconds per learning episode unless the constructor says otherwise
+DEFAULT_EPISODE_LENGTH = 1.0
+#: exploration rate of the arm-list selector (``data.arms``)
+ARMS_EPSILON = 0.1
+
 
 class _EpisodeTick(Timeout):
     __slots__ = ()
@@ -80,7 +85,7 @@ class DataNetworkInterceptor(ComponentDefinition):
             self.psp_factory: PspFactory = psp_factory
         elif self.arms is not None:
             arms = self.arms
-            epsilon = self.config.get_float("data.arms_epsilon", 0.1)
+            epsilon = ARMS_EPSILON
             rng = self.rng("arms")
 
             def make_arm_psp() -> ProtocolSelectionPolicy:
@@ -105,14 +110,10 @@ class DataNetworkInterceptor(ComponentDefinition):
         else:
             self.selectable = (Transport.TCP, Transport.UDT)
         self.episode_length = (
-            episode_length
-            if episode_length is not None
-            else self.config.get_float("data.episode_length", 1.0)
+            DEFAULT_EPISODE_LENGTH if episode_length is None else episode_length
         )
         self.window_messages = (
-            window_messages
-            if window_messages is not None
-            else self.config.get_int("data.window_messages", DEFAULT_WINDOW_MESSAGES)
+            DEFAULT_WINDOW_MESSAGES if window_messages is None else window_messages
         )
 
         self.flows: Dict[FlowKey, DestinationFlow] = {}

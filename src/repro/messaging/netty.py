@@ -125,9 +125,7 @@ class NettyNetwork(NetworkComponent):
         """
         if self._sweep_armed or self._idle_timeout is None or self.system.simulator is None:
             return
-        interval = self.config.get_float(
-            "messaging.channel_sweep_interval", self._idle_timeout / 2
-        )
+        interval = self._idle_timeout / 2
         self._sweep_armed = True
 
         def sweep() -> None:

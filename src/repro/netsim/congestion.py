@@ -20,12 +20,13 @@ protocol set.
 
 from __future__ import annotations
 
-import difflib
 import importlib
 import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple, Union
+
+from repro.util.registry import Registry, UnknownNameError
 
 MSS = 1448.0  # bytes of payload per TCP segment
 
@@ -549,11 +550,8 @@ class BbrCc(CongestionControl):
 # the policy registry: name -> controller factory
 # ----------------------------------------------------------------------
 
-class UnknownCcError(KeyError):
+class UnknownCcError(UnknownNameError):
     """Raised on a lookup of a name no policy was registered under."""
-
-    def __str__(self) -> str:  # KeyError wraps its message in repr()
-        return self.args[0] if self.args else ""
 
 
 class DuplicateCcError(ValueError):
@@ -601,51 +599,25 @@ class CcPolicy:
         return self.factory(ctx)
 
 
-class CcRegistry:
-    """Name -> :class:`CcPolicy`, with strict registration semantics.
+class CcRegistry(Registry[CcPolicy]):
+    """Name -> :class:`CcPolicy` (strict: see :class:`~repro.util.registry.Registry`).
 
-    Mirrors :class:`repro.bench.scenario.ScenarioRegistry`: registering a
-    taken name raises instead of silently shadowing, and unknown lookups
-    fail with a did-you-mean suggestion.  Names containing a dot are
-    resolved as ``package.module:attr`` (or ``package.module.attr``)
-    imports, so out-of-tree controllers are usable without registration.
+    Names containing a dot are resolved as ``package.module:attr`` (or
+    ``package.module.attr``) imports, so out-of-tree controllers are
+    usable without registration.
     """
 
     def __init__(self) -> None:
-        self._policies: Dict[str, CcPolicy] = {}
+        super().__init__(
+            "congestion-control policy", UnknownCcError, DuplicateCcError,
+            owner=lambda policy: policy.factory,
+            resolve=lambda name: self._import_dotted(name) if "." in name else None,
+        )
 
     def register(
         self, name: str, factory: CcFactory, *, description: str = ""
     ) -> CcPolicy:
-        if name in self._policies:
-            raise DuplicateCcError(
-                f"congestion-control policy {name!r} is already registered "
-                f"(by {self._policies[name].factory!r}); "
-                f"pick a distinct name or remove() the old entry first"
-            )
-        policy = CcPolicy(name=name, factory=factory, description=description)
-        self._policies[name] = policy
-        return policy
-
-    def remove(self, name: str) -> None:
-        """Drop a registration (test hygiene; unknown names are a no-op)."""
-        self._policies.pop(name, None)
-
-    def get(self, name: str) -> CcPolicy:
-        policy = self._policies.get(name)
-        if policy is not None:
-            return policy
-        if "." in name:
-            return self._import_dotted(name)
-        close = difflib.get_close_matches(name, sorted(self._policies), n=3)
-        hint = (
-            f"; did you mean {' or '.join(repr(c) for c in close)}?"
-            if close else ""
-        )
-        raise UnknownCcError(
-            f"unknown congestion-control policy {name!r}{hint} "
-            f"(registered: {', '.join(sorted(self._policies))})"
-        )
+        return self.add(name, CcPolicy(name=name, factory=factory, description=description))
 
     def _import_dotted(self, name: str) -> CcPolicy:
         """Resolve ``pkg.mod:attr`` / ``pkg.mod.attr`` to a factory."""
@@ -663,15 +635,6 @@ class CcRegistry:
             cls = factory
             return CcPolicy(name=name, factory=lambda ctx: cls(rtt=ctx.rtt, **ctx.params))
         return CcPolicy(name=name, factory=factory)
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._policies
-
-    def names(self) -> List[str]:
-        return sorted(self._policies)
-
-    def all(self) -> List[CcPolicy]:
-        return [self._policies[name] for name in sorted(self._policies)]
 
 
 #: the process-wide policy registry; connections resolve ``cc=`` specs here
@@ -766,8 +729,7 @@ def _udt_factory(ctx: CcContext) -> CongestionControl:
 def _bbr_factory(ctx: CcContext) -> CongestionControl:
     kw: Dict[str, Any] = dict(
         rtt=ctx.rtt,
-        bandwidth_estimate=min(ctx.bandwidth,
-                               ctx.get_float("net.bbr.max_rate", math.inf)),
+        bandwidth_estimate=ctx.bandwidth,
     )
     kw.update(ctx.params)
     return BbrCc(**kw)

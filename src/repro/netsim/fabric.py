@@ -48,10 +48,10 @@ NETSIM_DEFAULTS = {
     "net.cc.udt": "udt",
     "net.cc.udp": "udp",
     "net.cc.ledbat": "ledbat",
-    # Loopback interface for same-host (and same-node dual-instance) traffic.
-    "net.loopback.bandwidth": 150 * 1024 * 1024,
-    "net.loopback.delay": 25e-6,
 }
+
+#: the loopback interface for same-host (and same-node dual-instance) traffic
+LOOPBACK_SPEC = LinkSpec(bandwidth=150.0 * 1024 * 1024, delay=25e-6)
 
 
 class SimNetwork:
@@ -98,11 +98,7 @@ class SimNetwork:
             raise AddressError(f"duplicate host ip {ip}")
         host = SimHost(self, name, ip, disk)
         self.hosts[ip] = host
-        loopback_spec = LinkSpec(
-            bandwidth=self.config.get_float("net.loopback.bandwidth"),
-            delay=self.config.get_float("net.loopback.delay"),
-        )
-        self._loopbacks[ip] = Link(ip, ip, loopback_spec)
+        self._loopbacks[ip] = Link(ip, ip, LOOPBACK_SPEC)
         return host
 
     def connect_hosts(

@@ -50,8 +50,12 @@ def to_json(
     meta: Optional[Dict[str, Any]] = None,
     indent: int = 2,
 ) -> str:
-    document = _sanitize(snapshot_document(registry, tracer, meta))
-    return json.dumps(document, indent=indent, sort_keys=True, default=_json_default)
+    return document_json(snapshot_document(registry, tracer, meta), indent=indent)
+
+
+def document_json(document: Dict[str, Any], indent: int = 2) -> str:
+    """Strict, key-sorted JSON text of a snapshot or campaign document."""
+    return json.dumps(_sanitize(document), indent=indent, sort_keys=True, default=_json_default)
 
 
 def _sanitize(value: Any) -> Any:
@@ -86,8 +90,13 @@ def _format_value(value: float) -> str:
 
 def to_lines(registry: MetricsRegistry) -> List[str]:
     """Flat ``name{labels} value`` lines, sorted for stable diffs."""
+    return document_lines(registry.snapshot())
+
+
+def document_lines(metrics: Dict[str, Any]) -> List[str]:
+    """:func:`to_lines` of a snapshot document's ``metrics`` section."""
     lines: List[str] = []
-    for name, entries in sorted(registry.snapshot().items()):
+    for name, entries in sorted(metrics.items()):
         for entry in entries:
             labels = entry["labels"]
             if entry["type"] in ("counter", "gauge"):

@@ -65,8 +65,8 @@ class TestRealRuns:
 
 
 class TestArtifactAndRendering:
-    def _fake_comparison(self):
-        run = LoopbackRun(
+    def _fake_comparison(self, **flaw):
+        run = LoopbackRun(**{**dict(
             transport="data",
             bytes=2 * 1024 * 1024,
             chunks=35,
@@ -78,7 +78,7 @@ class TestArtifactAndRendering:
             send_failures=0,
             batches=12,
             protocols={"tcp": 20, "udt": 15},
-        )
+        ), **flaw})
         return LoopbackComparison(
             size=2 * 1024 * 1024, seed=3, runs=(run,),
             sim_throughput={"data": 120.0 * 1024 * 1024},
@@ -94,8 +94,7 @@ class TestArtifactAndRendering:
     def test_ci_check_rejects_leaks(self, tmp_path, capsys):
         import scripts.ci_checks as ci_checks
 
-        doc = self._fake_comparison().to_document()
-        doc["runs"][0]["leaked_notifies"] = 2
+        doc = self._fake_comparison(leaked_notifies=2).to_document()
         artifact = tmp_path / "leaky.json"
         artifact.write_text(json.dumps(doc))
         assert ci_checks.main(["loopback", str(artifact)]) == 1
@@ -104,8 +103,7 @@ class TestArtifactAndRendering:
     def test_ci_check_rejects_unstamped_data(self, tmp_path, capsys):
         import scripts.ci_checks as ci_checks
 
-        doc = self._fake_comparison().to_document()
-        doc["runs"][0]["protocols"] = {"data": 35}
+        doc = self._fake_comparison(protocols={"data": 35}).to_document()
         artifact = tmp_path / "unstamped.json"
         artifact.write_text(json.dumps(doc))
         assert ci_checks.main(["loopback", str(artifact)]) == 1
