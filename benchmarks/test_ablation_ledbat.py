@@ -8,9 +8,9 @@ TCP transfer essentially undisturbed, while bulk data over TCP halves it.
 
 import pytest
 
+from repro.apps import FileSender, SyntheticDataset
+from repro.bench.harness import run_in_steps
 from repro.bench.scenario import MB, Setup, TestbedPair
-from repro.bench.harness import run_in_steps, wire_endpoint
-from repro.apps import FileReceiver, FileSender, SyntheticDataset
 from repro.messaging import Transport
 
 from conftest import save_result
@@ -23,28 +23,23 @@ BACKGROUND = 240 * MB
 def foreground_duration(background_transport) -> float:
     """Foreground TCP transfer time while a background stream runs."""
     pair = TestbedPair(SETUP, seed=5)
-    snd = wire_endpoint(pair, pair.sender, "snd", data=False)
-    rcv = wire_endpoint(pair, pair.receiver, "rcv", data=False)
-    receiver = pair.system.create(FileReceiver, pair.receiver.address, disk=pair.receiver.disk)
-    rcv.attach(pair.system, receiver)
-    pair.system.start(receiver)
+    pair.wire()
+    pair.start(pair.file_receiver())
 
     if background_transport is not None:
-        bg_dataset = SyntheticDataset(size=BACKGROUND, seed=1)
+        # memory-to-memory: the background must not share the foreground's disk
         bg = pair.system.create(
-            FileSender, pair.sender.address, pair.receiver.address, bg_dataset,
+            FileSender, pair.sender.address, pair.receiver.address,
+            SyntheticDataset(size=BACKGROUND, seed=1),
             transport=background_transport, name="bg-sender",
         )
-        snd.attach(pair.system, bg)
-        pair.system.start(bg)
+        pair.sender.attach(bg)
+        pair.start(bg)
 
-    fg_dataset = SyntheticDataset(size=FOREGROUND, seed=2)
-    fg = pair.system.create(
-        FileSender, pair.sender.address, pair.receiver.address, fg_dataset,
-        transport=Transport.TCP, disk=pair.sender.disk, name="fg-sender",
+    fg = pair.file_sender(
+        SyntheticDataset(size=FOREGROUND, seed=2), Transport.TCP, name="fg-sender"
     )
-    snd.attach(pair.system, fg)
-    pair.system.start(fg)
+    pair.start(fg)
 
     run_in_steps(pair, 600.0, lambda: fg.definition.duration is not None)
     assert fg.definition.duration is not None

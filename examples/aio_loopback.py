@@ -8,29 +8,13 @@ exercises UDT-lite's sequencing and pacing.
 Run:  python examples/aio_loopback.py
 """
 
-import socket
 import threading
 import time
 
-from repro.aio import AioNetwork
-from repro.apps import PingMsg, register_app_serializers
-from repro.kompics import ComponentDefinition, KompicsSystem
-from repro.messaging import (
-    BasicAddress,
-    BasicHeader,
-    Msg,
-    Network,
-    SerializerRegistry,
-    Transport,
-)
-
-HOST = "127.0.0.1"
-
-
-def free_port() -> int:
-    with socket.socket() as s:
-        s.bind((HOST, 0))
-        return s.getsockname()[1]
+from repro.apps import PingMsg
+from repro.bench.loopback import loopback_pair
+from repro.kompics import ComponentDefinition
+from repro.messaging import BasicAddress, BasicHeader, Msg, Network, Transport
 
 
 class EchoApp(ComponentDefinition):
@@ -57,25 +41,16 @@ class EchoApp(ComponentDefinition):
 
 
 def main() -> None:
-    system = KompicsSystem.threaded(workers=3)
-    nodes = {}
-    try:
-        for name in ("alice", "bob"):
-            address = BasicAddress(HOST, free_port())
-            network = system.create(
-                AioNetwork, address,
-                serializers=register_app_serializers(SerializerRegistry()),
-                name=f"net-{name}",
-            )
-            app = system.create(EchoApp, address, name=f"app-{name}")
-            system.connect(network.provided(Network), app.required(Network))
-            system.start(network)
-            system.start(app)
-            nodes[name] = (address, app.definition)
-        time.sleep(0.3)  # let the listeners bind
-
-        alice_addr, alice = nodes["alice"]
-        bob_addr, bob = nodes["bob"]
+    # Both networks are bound and ready inside the block (wait_ready, not a
+    # sleep) and shut down after it.
+    with loopback_pair() as pair:
+        alice_addr, bob_addr = pair.sender.address, pair.receiver.address
+        app_alice = pair.system.create(EchoApp, alice_addr, name="app-alice")
+        app_bob = pair.system.create(EchoApp, bob_addr, name="app-bob")
+        pair.sender.attach(app_alice)
+        pair.receiver.attach(app_bob)
+        pair.start(app_alice, app_bob)
+        alice = app_alice.definition
 
         for i, transport in enumerate((Transport.TCP, Transport.UDT, Transport.UDP)):
             t0 = time.monotonic()
@@ -90,8 +65,6 @@ def main() -> None:
             print(f"  {transport.value:4s} echo over real loopback sockets: {rtt:6.2f} ms")
 
         print("\nAll three wire protocols worked — same middleware API as the simulation.")
-    finally:
-        system.shutdown()
 
 
 if __name__ == "__main__":

@@ -10,8 +10,8 @@ them.
 Run:  python examples/background_transfer.py
 """
 
-from repro.apps import FileReceiver, FileSender, SyntheticDataset
-from repro.bench.harness import run_in_steps, wire_endpoint
+from repro.apps import FileSender, SyntheticDataset
+from repro.bench.harness import run_in_steps
 from repro.bench.scenario import Setup, TestbedPair
 from repro.messaging import Transport
 
@@ -21,28 +21,24 @@ SETUP = Setup(name="office-uplink", rtt=0.006, bandwidth=40 * MB, udp_cap=None)
 
 def run_scenario(background: Transport | None) -> float:
     pair = TestbedPair(SETUP, seed=11)
-    snd = wire_endpoint(pair, pair.sender, "snd")
-    rcv = wire_endpoint(pair, pair.receiver, "rcv")
-    receiver = pair.system.create(FileReceiver, pair.receiver.address, disk=pair.receiver.disk)
-    rcv.attach(pair.system, receiver)
-    pair.system.start(receiver)
+    pair.wire()
+    pair.start(pair.file_receiver())
 
     if background is not None:
+        # memory-to-memory (no disk model), so it does not share the
+        # foreground's disk — attached like any app, by hand
         bulk = pair.system.create(
             FileSender, pair.sender.address, pair.receiver.address,
             SyntheticDataset(size=400 * MB, seed=1),
             transport=background, name="background-sync",
         )
-        snd.attach(pair.system, bulk)
-        pair.system.start(bulk)
+        pair.sender.attach(bulk)
+        pair.start(bulk)
 
-    foreground = pair.system.create(
-        FileSender, pair.sender.address, pair.receiver.address,
-        SyntheticDataset(size=40 * MB, seed=2),
-        transport=Transport.TCP, disk=pair.sender.disk, name="foreground",
+    foreground = pair.file_sender(
+        SyntheticDataset(size=40 * MB, seed=2), Transport.TCP, name="foreground"
     )
-    snd.attach(pair.system, foreground)
-    pair.system.start(foreground)
+    pair.start(foreground)
     run_in_steps(pair, 600.0, lambda: foreground.definition.duration is not None)
     return foreground.definition.duration
 

@@ -58,7 +58,3 @@ class AioDataNetwork(DataNetworkBase):
         if timer is None:
             timer = self.create(WallTimerComponent)
         self._wire_interceptor(timer, psp_factory, prp_factory, episode_length, window_messages)
-
-    @property
-    def network_def(self) -> AioNetwork:
-        return self.network.definition

@@ -22,7 +22,7 @@ from typing import Callable
 
 from repro.util.registry import Registry, UnknownNameError
 
-MSS = 1200  # payload bytes per DATA packet (mirrors repro.aio.udt.MSS)
+MSS = 1200  # payload bytes per DATA packet (the datapath imports it from here)
 SYN_INTERVAL = 0.01  # UDT's fixed rate-control period
 MIN_RATE = 64 * 1024  # rate floor after multiplicative decreases
 

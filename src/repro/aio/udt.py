@@ -36,7 +36,7 @@ import time
 from collections import OrderedDict, deque
 from typing import Callable, Deque, Dict, Iterable, Optional, Sequence, Set, Tuple
 
-from repro.aio.pacing import DaimdPacing, PacerFactory, PacingPolicy
+from repro.aio.pacing import MSS, SYN_INTERVAL, DaimdPacing, PacerFactory, PacingPolicy
 from repro.aio.transport import (
     AioConnection,
     AioListener,
@@ -60,13 +60,10 @@ CLOSE = 6
 #: HANDSHAKE field flag: the dialler believes this is a resumed session
 RESUME = 1
 
-MSS = 1200  # payload bytes per DATA packet
-SYN_INTERVAL = 0.01  # UDT's fixed rate-control period
 #: the pacing loop sleeps once per this much accumulated pacing gap ...
 PACING_QUANTUM = 0.001
 #: ... or after this many packets, so ACK/NAK processing is never starved
 PACING_BURST = 16
-DECREASE = 8.0 / 9.0
 RTO = 0.25
 FLIGHT_WINDOW = 2048  # max unacked packets
 MAX_NAK_BATCH = 128

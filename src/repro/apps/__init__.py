@@ -7,11 +7,13 @@
 """
 
 from repro.apps.filetransfer import (
+    ChunkSink,
     DataChunkMsg,
     FileReceiver,
     FileSender,
     SyntheticDataset,
     TransferDone,
+    WindowSource,
 )
 from repro.apps.pingpong import PingMsg, Pinger, Ponger, PongMsg
 from repro.apps.serializers import register_app_serializers
@@ -22,6 +24,8 @@ __all__ = [
     "TransferDone",
     "FileSender",
     "FileReceiver",
+    "WindowSource",
+    "ChunkSink",
     "PingMsg",
     "PongMsg",
     "Pinger",

@@ -1,4 +1,9 @@
-"""Disk-to-disk file transfer over selectable transports (paper §V-A)."""
+"""Chunked transfer over selectable transports (paper §V-A).
+
+Two clocking disciplines, one implementation each: the disk-clocked,
+fire-and-forget :class:`FileSender` / :class:`FileReceiver` (the paper's
+app) and the notify-clocked :class:`WindowSource` / :class:`ChunkSink`.
+"""
 
 from repro.apps.filetransfer.chunks import (
     PAPER_CHUNK_BYTES,
@@ -10,6 +15,7 @@ from repro.apps.filetransfer.chunks import (
 )
 from repro.apps.filetransfer.receiver import FileReceiver
 from repro.apps.filetransfer.sender import FileSender
+from repro.apps.filetransfer.window import ChunkSink, WindowSource
 
 __all__ = [
     "SyntheticDataset",
@@ -17,6 +23,8 @@ __all__ = [
     "TransferDone",
     "FileSender",
     "FileReceiver",
+    "WindowSource",
+    "ChunkSink",
     "PAPER_DATASET_BYTES",
     "PAPER_CHUNK_BYTES",
     "next_transfer_id",

@@ -2,7 +2,10 @@
 
 * :mod:`repro.bench.scenario` — the paper's EC2 testbed (Figure 7) as
   simulated setups: Local (0 ms), EU-VPC (3 ms), EU2US (155 ms),
-  EU2AU (320 ms).
+  EU2AU (320 ms) — and :class:`TestbedPair`, where every two-node driver
+  starts: it wires the endpoints and offers the workloads (pings, the
+  disk-clocked transfer, the notify-clocked stream).  Its real-socket
+  twin is :func:`repro.bench.loopback.loopback_pair`.
 * :mod:`repro.bench.harness` — experiment drivers: repeated transfers with
   the paper's RSE stopping rule, parallel ping+data latency runs, learner
   traces, and offline selection-skew sampling.

@@ -44,13 +44,20 @@ from repro.bench.faults import FAULT_ENV, run_campaign_workload, wire_campaign_w
 from repro.bench.report import campaign_document, failed
 from repro.bench.scenario import MB, Setup, TestbedPair
 from repro.messaging import Transport
-from repro.messaging.network_port import Network
 from repro.netsim.faults import FaultInjector
 from repro.util.rng import derive_seed
 
 #: components a campaign may fault by default.  The pinger is left alone
 #: on purpose: it is the health probe that measures convergence.
 DEFAULT_TARGETS: Tuple[str, ...] = ("sender", "ponger")
+
+#: the supervision both campaigns run under: restart, ten times per 30 s
+RESTART_POLICY: Dict[str, object] = {
+    "kompics.supervision.enabled": True,
+    "kompics.supervision.action": "restart",
+    "kompics.supervision.max_restarts": 10,
+    "kompics.supervision.window": 30.0,
+}
 
 #: every component label a campaign can fault
 ALL_TARGETS: Tuple[str, ...] = (
@@ -182,8 +189,6 @@ def run_chaos_campaign(
     transfer_transport: Transport = Transport.TCP,
     ping_interval: float = 0.25,
     seed: int = 0,
-    max_restarts: int = 10,
-    restart_window: float = 30.0,
     p_component_fault: float = 0.6,
     cut_range: Tuple[float, float] = (0.3, 1.0),
     reconnect: Optional[Dict[str, object]] = None,
@@ -191,9 +196,9 @@ def run_chaos_campaign(
 ) -> ChaosCampaignResult:
     """Random faults + link cuts under a fig8-shaped workload.
 
-    Supervision is on with a global RESTART policy (budget
-    ``max_restarts`` per ``restart_window`` seconds); channel recovery is
-    on so cut links re-establish on demand.  ``tail`` seconds at the end
+    Supervision is on with a global RESTART policy
+    (:data:`RESTART_POLICY`); channel recovery is on so cut links
+    re-establish on demand.  ``tail`` seconds at the end
     of the run are chaos-free: pings answered in that window are the
     convergence signal (:attr:`ChaosCampaignResult.healthy_at_end`).
     """
@@ -206,10 +211,7 @@ def run_chaos_campaign(
     )
 
     sys_config: Dict[str, object] = {
-        "kompics.supervision.enabled": True,
-        "kompics.supervision.action": "restart",
-        "kompics.supervision.max_restarts": max_restarts,
-        "kompics.supervision.window": restart_window,
+        **RESTART_POLICY,
         "messaging.reconnect.enabled": True,
         "messaging.reconnect.jitter": 0.0,
     }
@@ -400,11 +402,6 @@ def run_aio_chaos_campaign(
     seed: int = 0,
     restarts: int = 2,
     redelivery: str = "at-most-once",
-    drop: float = 0.0,
-    chunk: Optional[int] = None,
-    window: int = 16,
-    max_restarts: int = 10,
-    restart_window: float = 30.0,
     timeout: float = 120.0,
 ) -> AioChaosResult:
     """Kill and supervision-restart a live ``AioNetwork`` mid-transfer.
@@ -413,89 +410,46 @@ def run_aio_chaos_campaign(
     receiver node while the harness, at seeded progress points, faults
     the **sender's network component** through
     ``system.supervision.inject_fault`` — the same entry point the
-    simulated campaign uses.  Supervision (RESTART policy, budget
-    ``max_restarts`` per ``restart_window``) tears the faulted network
-    down leak-free and reinstantiates it from its recorded create args;
-    the sender application never sees the crash except through its
-    notify accounting.
+    simulated campaign uses.  Supervision (:data:`RESTART_POLICY`) tears
+    the faulted network down leak-free and reinstantiates it from its
+    recorded create args; the sender application never sees the crash
+    except through its notify accounting.
 
     ``redelivery`` selects the ``messaging.aio.redelivery`` contract:
     ``at-most-once`` (default) fails chunks in flight across each kill,
     ``at-least-once`` stashes and replays them under the epoch fence.
-    ``drop`` > 0 additionally runs a seeded
-    :class:`~repro.aio.adaptors.DropAdaptor` under UDT for packet-level
-    chaos on top of the process-level kills.
     """
-    from repro.aio import AioNetwork
-    from repro.aio.adaptors import DropAdaptor
     from repro.apps import SyntheticDataset
-    from repro.bench.loopback import (
-        HOST,
-        LOOPBACK_CHUNK,
-        _ChunkReceiver,
-        _free_port,
-        _LoopbackSender,
-        _registry,
-    )
+    from repro.bench.loopback import LOOPBACK_CHUNK, loopback_pair
     from repro.check import checking, get_checker
-    from repro.kompics.runtime import KompicsSystem
-    from repro.messaging.address import BasicAddress
 
     if transport not in (Transport.TCP, Transport.UDT):
         raise ValueError("aio chaos runs on TCP or UDT (UDP has no delivery contract)")
     if redelivery not in ("at-most-once", "at-least-once"):
         raise ValueError(f"unknown redelivery mode {redelivery!r}")
-    chunk = LOOPBACK_CHUNK if chunk is None else chunk
 
-    dataset = SyntheticDataset(size=size, chunk_size=chunk, seed=seed)
+    dataset = SyntheticDataset(size=size, chunk_size=LOOPBACK_CHUNK, seed=seed)
     chunks = dataset.total_chunks
     kill_points = plan_aio_kill_points(seed, restarts, chunks)
 
     config: Dict[str, object] = {
-        "kompics.supervision.enabled": True,
-        "kompics.supervision.action": "restart",
-        "kompics.supervision.max_restarts": max_restarts,
-        "kompics.supervision.window": restart_window,
+        **RESTART_POLICY,
         "kompics.fault_policy": "store",
         "messaging.aio.redelivery": redelivery,
     }
 
     # The verdict needs the aio digest stream: run under the caller's
     # checker when one is installed, under our own otherwise.
-    own_checker = ExitStack()
-    chk = get_checker() if get_checker().enabled else own_checker.enter_context(checking())
-    started = time.monotonic()
-    deadline = started + timeout
-    epochs: List[int] = []
-    system = KompicsSystem.threaded(workers=4, config=config, seed=seed)
-    try:
-        addr_snd = BasicAddress(HOST, _free_port())
-        addr_rcv = BasicAddress(HOST, _free_port())
-        adaptor_args: Dict[str, object] = {}
-        if drop > 0.0:
-            adaptor_args["udt_adaptor"] = DropAdaptor(
-                probability=drop, seed=derive_seed(seed, "chaos-aio-drop")
-            )
-        net_snd = system.create(
-            AioNetwork, addr_snd, serializers=_registry(), **adaptor_args
-        )
-        net_rcv = system.create(AioNetwork, addr_rcv, serializers=_registry())
-        sender = system.create(
-            _LoopbackSender, addr_snd, addr_rcv, dataset, transport, window
-        )
-        receiver = system.create(_ChunkReceiver, chunks)
-        system.connect(net_snd.provided(Network), sender.required(Network))
-        system.connect(net_rcv.provided(Network), receiver.required(Network))
-
-        system.start(net_snd)
-        system.start(net_rcv)
-        system.start(receiver)
-        net_snd.definition.wait_ready(10.0)
-        net_rcv.definition.wait_ready(10.0)
-        epochs.append(net_snd.definition.epoch)
-
-        snd_def = sender.definition
-        rcv_def = receiver.definition
+    with ExitStack() as stack:
+        chk = get_checker() if get_checker().enabled else stack.enter_context(checking())
+        started = time.monotonic()
+        deadline = started + timeout
+        pair = stack.enter_context(loopback_pair(transport, seed, config))
+        system, net_snd, net_rcv = pair.system, pair.sender.network, pair.receiver.network
+        source, sink = pair.stream(dataset, transport, window=16)
+        epochs: List[int] = [net_snd.definition.epoch]
+        snd_def = source.definition
+        rcv_def = sink.definition
 
         # The kills fire from the sender's own notify-accounting path, at
         # the exact planned completion counts: the hook runs on the
@@ -524,12 +478,12 @@ def run_aio_chaos_campaign(
                 kill_state["requeued"] += new_def.counters["requeued"]
 
         snd_def.on_progress = on_progress
-        system.start(sender)
+        pair.start(sink, source)
 
         if not snd_def.done.wait(timeout=max(0.0, deadline - time.monotonic())):
             raise RuntimeError(
                 f"aio chaos sender stalled: {snd_def.ok} ok / {snd_def.failed} "
-                f"failed / {len(snd_def._in_flight)} in flight of {chunks}"
+                f"failed / {snd_def.outstanding} in flight of {chunks}"
             )
         if redelivery == "at-least-once":
             # Every chunk must eventually land; give the wire time to
@@ -575,6 +529,3 @@ def run_aio_chaos_campaign(
             violations=tuple(v.format() for v in chk.violations),
             check_streams=chk.document()["streams"],
         )
-    finally:
-        system.shutdown()
-        own_checker.close()

@@ -18,12 +18,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from repro.apps import FileReceiver, FileSender, Pinger, Ponger, SyntheticDataset
-from repro.apps.filetransfer.chunks import PAPER_CHUNK_BYTES as CHUNK
-from repro.bench.harness import run_in_steps, wire_endpoint
+from repro.apps import SyntheticDataset
+from repro.bench.harness import run_in_steps
 from repro.bench.report import campaign_document, failed
 from repro.bench.scenario import MB, Setup, TestbedPair
-from repro.kompics import Component, SimTimerComponent, Timer
+from repro.kompics import Component
 from repro.messaging import Transport
 from repro.netsim import LinkSpec
 from repro.netsim.faults import FaultInjector
@@ -117,33 +116,15 @@ def wire_campaign_workload(
     The workload both campaigns disturb.  Returns its components by label
     (component ids and RNG streams follow the creation order here).
     """
-    snd = wire_endpoint(pair, pair.sender, "snd", data=False)
-    rcv = wire_endpoint(pair, pair.receiver, "rcv", data=False)
-
-    pinger = pair.system.create(
-        Pinger, pair.sender.address, pair.receiver.address,
-        transport=Transport.TCP, interval=ping_interval,
+    pair.wire()
+    pinger, ponger, timer = pair.pings(Transport.TCP, ping_interval)
+    sender = pair.file_sender(
+        SyntheticDataset(size=transfer_bytes, seed=seed), transfer_transport
     )
-    ponger = pair.system.create(Ponger, pair.receiver.address)
-    timer = pair.system.create(SimTimerComponent)
-    pair.system.connect(timer.provided(Timer), pinger.required(Timer))
-    snd.attach(pair.system, pinger)
-    rcv.attach(pair.system, ponger)
-
-    dataset = SyntheticDataset(size=transfer_bytes, chunk_size=CHUNK, seed=seed)
-    sender = pair.system.create(
-        FileSender, pair.sender.address, pair.receiver.address, dataset,
-        transport=transfer_transport, disk=pair.sender.disk,
-    )
-    receiver = pair.system.create(
-        FileReceiver, pair.receiver.address, disk=pair.receiver.disk,
-    )
-    snd.attach(pair.system, sender)
-    rcv.attach(pair.system, receiver)
     return {
         "timer": timer, "pinger": pinger, "ponger": ponger,
-        "sender": sender, "receiver": receiver,
-        "net-snd": snd.network, "net-rcv": rcv.network,
+        "sender": sender, "receiver": pair.file_receiver(),
+        "net-snd": pair.sender.network, "net-rcv": pair.receiver.network,
     }
 
 
@@ -152,8 +133,7 @@ def run_campaign_workload(
 ) -> Dict[str, object]:
     """Start the workload, run ``duration`` sim seconds, and report the
     fields both campaign results record."""
-    for label in ("timer", "ponger", "receiver", "pinger", "sender"):
-        pair.system.start(parts[label])
+    pair.start(*(parts[label] for label in ("timer", "ponger", "receiver", "pinger", "sender")))
     run_in_steps(pair, duration, lambda: False, step=0.25)
     metrics = get_registry()
     pinger, sender = parts["pinger"].definition, parts["sender"].definition

@@ -1,7 +1,12 @@
 """Experiment drivers used by the per-figure benchmarks.
 
 All drivers are deterministic in their ``seed`` and run on the simulated
-testbed of :mod:`repro.bench.scenario`.
+testbed of :mod:`repro.bench.scenario`.  A new driver starts from the
+pair, not from a copy of another driver: ``TestbedPair(setup, seed)``,
+``pair.wire(transport)``, then the workloads it names — ``pair.pings``,
+``pair.file_sender`` / ``pair.file_receiver``, ``pair.stream`` —
+``pair.start(...)`` in the order it wants, :func:`run_in_steps`, read
+the results off the returned components.
 """
 
 from __future__ import annotations
@@ -10,45 +15,15 @@ import random
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.apps import (
-    FileReceiver,
-    FileSender,
-    Pinger,
-    Ponger,
-    SyntheticDataset,
-    register_app_serializers,
-)
-from repro.apps.filetransfer.chunks import DataChunkMsg, next_transfer_id
+from repro.apps import SyntheticDataset
 from repro.bench.scenario import MB, Setup, TestbedPair
-from repro.core import (
-    DataNetwork,
-    PatternSelection,
-    ProtocolRatio,
-    StaticRatio,
-    TDRatioLearner,
-)
+from repro.core import PatternSelection, ProtocolRatio, StaticRatio, TDRatioLearner
 from repro.core.interceptor import PrpFactory, PspFactory
-from repro.kompics import Component, KompicsSystem, SimTimerComponent, Timer
-from repro.kompics.component import ComponentDefinition
-from repro.messaging import (
-    DataHeader,
-    MessageNotify,
-    Msg,
-    NettyNetwork,
-    Network,
-    SerializerRegistry,
-    Transport,
-)
+from repro.messaging import Transport
 from repro.obs import MetricsRegistry, collecting, snapshot_document, tracing
 from repro.stats import TimeSeries, mean_confidence_interval
 from repro.stats.confidence import enough_runs, relative_standard_error
 from repro.stats.reservoir import BoxStats, summarize_distribution
-
-from repro.apps.filetransfer.chunks import PAPER_CHUNK_BYTES as CHUNK
-
-
-def app_registry() -> SerializerRegistry:
-    return register_app_serializers(SerializerRegistry())
 
 
 def default_transfer_learner(seed: int) -> PrpFactory:
@@ -63,63 +38,6 @@ def default_transfer_learner(seed: int) -> PrpFactory:
     return lambda: TDRatioLearner(
         rng, "approx", epsilon_max=0.5, epsilon_min=0.05, epsilon_decay=0.01
     )
-
-
-# ----------------------------------------------------------------------
-# endpoint wiring
-# ----------------------------------------------------------------------
-
-@dataclass
-class WiredEndpoint:
-    network: Component  # NettyNetwork or DataNetwork component
-    is_data: bool
-
-    def attach(self, system: KompicsSystem, app: Component) -> None:
-        """Connect an application component's Network port."""
-        port = app.required(Network)
-        if self.is_data:
-            self.network.definition.connect_consumer(port)
-        else:
-            system.connect(self.network.provided(Network), port)
-
-    @property
-    def interceptor(self):
-        return self.network.definition.interceptor_def if self.is_data else None
-
-
-def wire_endpoint(
-    pair: TestbedPair,
-    endpoint,
-    name: str,
-    data: bool = False,
-    psp_factory: Optional[PspFactory] = None,
-    prp_factory: Optional[PrpFactory] = None,
-    window_messages: Optional[int] = None,
-    episode_length: Optional[float] = None,
-) -> WiredEndpoint:
-    """Create the network component for one endpoint of the pair."""
-    if data:
-        network = pair.system.create(
-            DataNetwork,
-            endpoint.address,
-            endpoint.host,
-            psp_factory=psp_factory,
-            prp_factory=prp_factory,
-            window_messages=window_messages,
-            episode_length=episode_length,
-            serializers=app_registry(),
-            name=f"data-net-{name}",
-        )
-    else:
-        network = pair.system.create(
-            NettyNetwork,
-            endpoint.address,
-            endpoint.host,
-            serializers=app_registry(),
-            name=f"net-{name}",
-        )
-    pair.system.start(network)
-    return WiredEndpoint(network, data)
 
 
 def run_in_steps(pair: TestbedPair, until: float, done: Callable[[], bool], step: float = 0.25) -> None:
@@ -163,28 +81,14 @@ def run_transfer_once(
 ) -> TransferResult:
     """One disk-to-disk transfer; returns its measured duration."""
     pair = TestbedPair(setup, seed=seed, net_config=net_config)
-    use_data = transport is Transport.DATA
-    if use_data and prp_factory is None:
-        prp_factory = default_transfer_learner(seed)
-    snd = wire_endpoint(
-        pair, pair.sender, "snd", data=use_data,
-        psp_factory=psp_factory, prp_factory=prp_factory,
+    pair.wire(
+        transport, psp_factory=psp_factory,
+        prp_factory=prp_factory or default_transfer_learner(seed),
         window_messages=window_messages, episode_length=episode_length,
     )
-    rcv = wire_endpoint(pair, pair.receiver, "rcv", data=False)
-
-    dataset = SyntheticDataset(size=size, chunk_size=CHUNK, seed=seed)
-    sender = pair.system.create(
-        FileSender, pair.sender.address, pair.receiver.address, dataset,
-        transport=transport, disk=pair.sender.disk,
-    )
-    receiver = pair.system.create(
-        FileReceiver, pair.receiver.address, disk=pair.receiver.disk,
-    )
-    snd.attach(pair.system, sender)
-    rcv.attach(pair.system, receiver)
-    pair.system.start(receiver)
-    pair.system.start(sender)
+    sender = pair.file_sender(SyntheticDataset(size=size, seed=seed), transport)
+    receiver = pair.file_receiver()
+    pair.start(receiver, sender)
 
     run_in_steps(pair, max_sim_time, lambda: sender.definition.duration is not None)
     duration = sender.definition.duration
@@ -240,36 +144,24 @@ def run_transfer_repeated(
     only the first run pays the ramp-up.
     """
     pair = TestbedPair(setup, seed=base_seed, net_config=kwargs.pop("net_config", None))
-    use_data = transport is Transport.DATA
-    psp_factory = kwargs.pop("psp_factory", None)
-    prp_factory = kwargs.pop("prp_factory", None)
-    if use_data and prp_factory is None:
-        prp_factory = default_transfer_learner(base_seed)
-    window_messages = kwargs.pop("window_messages", None)
-    episode_length = kwargs.pop("episode_length", 0.25)
+    wiring = dict(
+        psp_factory=kwargs.pop("psp_factory", None),
+        prp_factory=kwargs.pop("prp_factory", None) or default_transfer_learner(base_seed),
+        window_messages=kwargs.pop("window_messages", None),
+        episode_length=kwargs.pop("episode_length", 0.25),
+    )
     max_sim_time = kwargs.pop("max_sim_time", 3600.0)
     if kwargs:
         raise TypeError(f"unexpected arguments {sorted(kwargs)}")
-
-    snd = wire_endpoint(
-        pair, pair.sender, "snd", data=use_data,
-        psp_factory=psp_factory, prp_factory=prp_factory,
-        window_messages=window_messages, episode_length=episode_length,
-    )
-    rcv = wire_endpoint(pair, pair.receiver, "rcv", data=False)
-    receiver = pair.system.create(FileReceiver, pair.receiver.address, disk=pair.receiver.disk)
-    rcv.attach(pair.system, receiver)
-    pair.system.start(receiver)
+    pair.wire(transport, **wiring)
+    pair.start(pair.file_receiver())
 
     durations: List[float] = []
     for i in range(max_runs):
-        dataset = SyntheticDataset(size=size, chunk_size=CHUNK, seed=base_seed + i)
-        sender = pair.system.create(
-            FileSender, pair.sender.address, pair.receiver.address, dataset,
-            transport=transport, disk=pair.sender.disk, name=f"sender-{i}",
+        sender = pair.file_sender(
+            SyntheticDataset(size=size, seed=base_seed + i), transport, name=f"sender-{i}"
         )
-        snd.attach(pair.system, sender)
-        pair.system.start(sender)
+        pair.start(sender)
         deadline = pair.sim.now + max_sim_time
         run_in_steps(pair, deadline, lambda: sender.definition.duration is not None)
         duration = sender.definition.duration
@@ -351,36 +243,15 @@ def run_latency_experiment(
     RTT).  Without a data transport, ``baseline_pings`` probes are sent.
     """
     pair = TestbedPair(setup, seed=seed)
-    use_data = data_transport is Transport.DATA
-    snd = wire_endpoint(pair, pair.sender, "snd", data=use_data)
-    rcv = wire_endpoint(pair, pair.receiver, "rcv", data=False)
-
-    pinger = pair.system.create(
-        Pinger, pair.sender.address, pair.receiver.address,
-        transport=ping_transport, interval=ping_interval,
-    )
-    ponger = pair.system.create(Ponger, pair.receiver.address)
-    timer = pair.system.create(SimTimerComponent)
-    pair.system.connect(timer.provided(Timer), pinger.required(Timer))
-    snd.attach(pair.system, pinger)
-    rcv.attach(pair.system, ponger)
-
+    pair.wire(data_transport)
+    pinger, ponger, timer = pair.pings(ping_transport, ping_interval)
     sender = None
     if data_transport is not None:
-        dataset = SyntheticDataset(size=transfer_bytes, chunk_size=CHUNK, seed=seed)
-        sender = pair.system.create(
-            FileSender, pair.sender.address, pair.receiver.address, dataset,
-            transport=data_transport, disk=pair.sender.disk,
+        sender = pair.file_sender(
+            SyntheticDataset(size=transfer_bytes, seed=seed), data_transport
         )
-        receiver = pair.system.create(FileReceiver, pair.receiver.address, disk=pair.receiver.disk)
-        snd.attach(pair.system, sender)
-        rcv.attach(pair.system, receiver)
-        pair.system.start(receiver)
-        pair.system.start(sender)
-
-    pair.system.start(timer)
-    pair.system.start(ponger)
-    pair.system.start(pinger)
+        pair.start(pair.file_receiver(), sender)
+    pair.start(timer, ponger, pinger)
 
     if sender is None:
         window = warmup + (baseline_pings + 2) * ping_interval
@@ -418,48 +289,6 @@ def run_latency_experiment(
 # learner traces (Figures 2, 4, 5, 6)
 # ----------------------------------------------------------------------
 
-class SaturatingSource(ComponentDefinition):
-    """Keeps a bounded backlog of DATA chunks flowing to one destination.
-
-    Notify-clocked: at most ``outstanding_limit`` unacknowledged messages,
-    so the interceptor's queue stays charged without unbounded growth.
-    """
-
-    def __init__(self, self_address, destination, chunk: int = CHUNK,
-                 outstanding_limit: int = 256) -> None:
-        super().__init__()
-        self.net = self.requires(Network)
-        self.self_address = self_address
-        self.destination = destination
-        self.chunk = chunk
-        self.outstanding_limit = outstanding_limit
-        self.outstanding = 0
-        self.seq = 0
-        self.transfer_id = next_transfer_id()
-        self.subscribe(self.net, MessageNotify.Resp, self._on_resp)
-
-    def on_start(self) -> None:
-        self._fill()
-
-    def _fill(self) -> None:
-        while self.outstanding < self.outstanding_limit:
-            msg = DataChunkMsg(
-                DataHeader(self.self_address, self.destination),
-                transfer_id=self.transfer_id,
-                seq=self.seq,
-                length=self.chunk,
-                total_chunks=2**31 - 1,
-                total_bytes=2**62,
-            )
-            self.seq += 1
-            self.outstanding += 1
-            self.trigger(MessageNotify.Req(msg), self.net)
-
-    def _on_resp(self, resp: MessageNotify.Resp) -> None:
-        self.outstanding -= 1
-        self._fill()
-
-
 @dataclass
 class LearnerTrace:
     label: str
@@ -494,23 +323,16 @@ def run_learner_trace(
     pair = TestbedPair(setup, seed=seed)
     for at, fn in scheduled_events:
         pair.sim.schedule(at, lambda f=fn: f(pair), label="scheduled-event")
-    snd = wire_endpoint(
-        pair, pair.sender, "snd", data=True,
-        psp_factory=psp_factory, prp_factory=prp_factory,
+    pair.wire(
+        Transport.DATA, psp_factory=psp_factory, prp_factory=prp_factory,
         window_messages=window_messages, episode_length=episode_length,
     )
-    rcv = wire_endpoint(pair, pair.receiver, "rcv", data=False)
-
-    source = pair.system.create(SaturatingSource, pair.sender.address, pair.receiver.address)
-    sink = pair.system.create(_Sink, name="sink")
-    snd.attach(pair.system, source)
-    rcv.attach(pair.system, sink)
-    pair.system.start(sink)
-    pair.system.start(source)
+    source, sink = pair.stream(sink_name="sink")
+    pair.start(sink, source)
 
     run_in_steps(pair, duration, lambda: False, step=1.0)
 
-    flow = snd.interceptor.flow_to(pair.receiver.address.ip, pair.receiver.address.port)
+    flow = _data_flow(pair)
     if flow is None:
         raise RuntimeError("no flow was created; source never sent")
     return LearnerTrace(
@@ -519,6 +341,12 @@ def run_learner_trace(
         ratio_prescribed=flow.telemetry.ratio_prescribed,
         ratio_true=flow.telemetry.ratio_true,
     )
+
+
+def _data_flow(pair: TestbedPair):
+    """The sending interceptor's flow towards the receiver (None before the first send)."""
+    address = pair.receiver.address
+    return pair.sender.network.definition.interceptor_def.flow_to(address.ip, address.port)
 
 
 def run_static_reference(
@@ -538,19 +366,6 @@ def run_static_reference(
         seed=seed,
         window_messages=window_messages,
     )
-
-
-class _Sink(ComponentDefinition):
-    """Swallows inbound messages (the saturating stream's far end)."""
-
-    def __init__(self) -> None:
-        super().__init__()
-        self.net = self.requires(Network)
-        self.count = 0
-        self.subscribe(self.net, Msg, self._on_msg)
-
-    def _on_msg(self, msg: Msg) -> None:
-        self.count += 1
 
 
 # ----------------------------------------------------------------------
@@ -645,32 +460,16 @@ def run_observability_demo(
     snapshot.
     """
     pair = TestbedPair(setup, seed=seed)
-    snd = wire_endpoint(
-        pair, pair.sender, "snd", data=True,
-        prp_factory=default_transfer_learner(seed), episode_length=episode_length,
+    pair.wire(
+        Transport.DATA, prp_factory=default_transfer_learner(seed),
+        episode_length=episode_length,
     )
-    rcv = wire_endpoint(pair, pair.receiver, "rcv", data=False)
-
-    pinger = pair.system.create(
-        Pinger, pair.sender.address, pair.receiver.address,
-        transport=Transport.TCP, interval=ping_interval,
-    )
-    ponger = pair.system.create(Ponger, pair.receiver.address)
-    timer = pair.system.create(SimTimerComponent)
-    pair.system.connect(timer.provided(Timer), pinger.required(Timer))
-    snd.attach(pair.system, pinger)
-    rcv.attach(pair.system, ponger)
-
-    source = pair.system.create(SaturatingSource, pair.sender.address, pair.receiver.address)
-    sink = pair.system.create(_Sink, name="obs-sink")
-    snd.attach(pair.system, source)
-    rcv.attach(pair.system, sink)
-
-    for component in (timer, ponger, pinger, sink, source):
-        pair.system.start(component)
+    pinger, ponger, timer = pair.pings(Transport.TCP, ping_interval)
+    source, sink = pair.stream(sink_name="obs-sink")
+    pair.start(timer, ponger, pinger, sink, source)
     run_in_steps(pair, duration, lambda: False, step=1.0)
 
-    flow = snd.interceptor.flow_to(pair.receiver.address.ip, pair.receiver.address.port)
+    flow = _data_flow(pair)
     rtts = pinger.definition.rtts
     return {
         "setup": setup.name,

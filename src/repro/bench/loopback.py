@@ -18,26 +18,27 @@ c3.2xlarge pair (disk-bound at 120 MB/s on Local), while the real leg
 measures this host's loopback through a pure-Python stack.  The point of
 the table is the methodology — one workload, two backends, compared
 figure-style — and the regression signal of the real column.
+
+A new real-socket driver starts from :func:`loopback_pair`, the
+real-socket twin of :class:`~repro.bench.scenario.TestbedPair`: both
+networks are up and ready inside the ``with`` block and shut down after
+it, and ``pair.stream(...)`` is the same workload the simulator runs.
 """
 
 from __future__ import annotations
 
 import socket
-import threading
-import time
-from collections import deque
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
-from typing import Any, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple
 
-from repro.apps import SyntheticDataset, register_app_serializers
-from repro.apps.filetransfer.chunks import DataChunkMsg, next_transfer_id
+from repro.aio import AioDataNetwork, AioNetwork
+from repro.apps import SyntheticDataset
+from repro.bench.harness import default_transfer_learner, run_transfer_once
 from repro.bench.report import campaign_document, failed, format_table
-from repro.kompics.component import ComponentDefinition
+from repro.bench.scenario import EndpointHandle, Pair, app_registry, setup_by_name
 from repro.kompics.runtime import KompicsSystem
-from repro.messaging.address import Address, BasicAddress
-from repro.messaging.message import BasicHeader, DataHeader, Msg
-from repro.messaging.network_port import MessageNotify, Network
-from repro.messaging.serialization import SerializerRegistry
+from repro.messaging.address import BasicAddress
 from repro.messaging.transport import Transport
 
 MB = 1024 * 1024
@@ -57,134 +58,41 @@ def _free_port() -> int:
         return s.getsockname()[1]
 
 
-def _registry() -> SerializerRegistry:
-    return register_app_serializers(SerializerRegistry())
+@contextmanager
+def loopback_pair(
+    transport: Optional[Transport] = None,
+    seed: int = 0,
+    config: Optional[Dict[str, object]] = None,
+    **interceptor_args: Any,
+) -> Iterator[Pair]:
+    """Two middleware instances on real loopback sockets, shut down on exit.
 
-
-class _LoopbackSender(ComponentDefinition):
-    """Notify-clocked sliding-window chunk source.
-
-    Keeps at most ``window`` chunks in flight, each wrapped in a
-    ``MessageNotify.Req``; a response (success or failure) frees a slot.
-    Strict accounting: every request must come back exactly once, so
-    ``requested - ok - failed`` is the leak count at any quiescent point.
+    The sending side is an ``AioDataNetwork`` (default transfer learner,
+    wall-clock episodes, ``interceptor_args``) when ``transport`` is
+    DATA, a plain ``AioNetwork`` otherwise.  Both networks are started
+    and ``wait_ready`` has returned before the block runs — it raises
+    ``AioStartupError`` with the bind failure attached instead of letting
+    the first send dial a port that is not there.
     """
-
-    def __init__(
-        self,
-        self_address: Address,
-        destination: Address,
-        dataset: SyntheticDataset,
-        transport: Transport,
-        window: int = 32,
-    ) -> None:
-        super().__init__()
-        self.net = self.requires(Network)
-        self.self_address = self_address
-        self.destination = destination
-        self.dataset = dataset
-        self.transport = transport
-        self.window = window
-        self.transfer_id = next_transfer_id()
-        self._pending = deque(range(dataset.total_chunks))
-        self._in_flight: Dict[int, int] = {}  # notify_id -> chunk index
-        self.requested = 0
-        self.ok = 0
-        self.failed = 0
-        self.started_at: Optional[float] = None
-        self.finished_at: Optional[float] = None
-        self.done = threading.Event()
-        #: optional hook called with ``ok + failed`` after each resolved
-        #: notify, *before* the window refills — the chaos campaign uses
-        #: it to kill the network at an exact mid-transfer point.
-        self.on_progress: Optional[Any] = None
-        self.subscribe(self.net, MessageNotify.Resp, self._on_resp)
-
-    def on_start(self) -> None:
-        self.started_at = time.monotonic()
-        self._pump()
-
-    def _header(self) -> BasicHeader:
-        if self.transport is Transport.DATA:
-            return DataHeader(self.self_address, self.destination)
-        return BasicHeader(self.self_address, self.destination, self.transport)
-
-    def _pump(self) -> None:
-        while self._pending and len(self._in_flight) < self.window:
-            index = self._pending.popleft()
-            msg = DataChunkMsg(
-                self._header(),
-                transfer_id=self.transfer_id,
-                seq=index,
-                length=self.dataset.chunk_length(index),
-                total_chunks=self.dataset.total_chunks,
-                total_bytes=self.dataset.size,
-                payload=self.dataset.chunk_bytes(index),
+    system = KompicsSystem.threaded(workers=4, config=config, seed=seed)
+    try:
+        snd = EndpointHandle(BasicAddress(HOST, _free_port()))
+        rcv = EndpointHandle(BasicAddress(HOST, _free_port()))
+        if transport is Transport.DATA:
+            snd.network = system.create(
+                AioDataNetwork, snd.address, prp_factory=default_transfer_learner(seed),
+                serializers=app_registry(), **interceptor_args,
             )
-            req = MessageNotify.Req(msg)
-            self._in_flight[req.notify_id] = index
-            self.requested += 1
-            self.trigger(req, self.net)
-
-    def _on_resp(self, resp: MessageNotify.Resp) -> None:
-        if self._in_flight.pop(resp.notify_id, None) is None:
-            return
-        if resp.success:
-            self.ok += 1
         else:
-            self.failed += 1
-        if self.on_progress is not None:
-            self.on_progress(self.ok + self.failed)
-        if not self._pending and not self._in_flight:
-            self.finished_at = time.monotonic()
-            self.done.set()
-        else:
-            self._pump()
-
-    @property
-    def leaked(self) -> int:
-        return self.requested - self.ok - self.failed
-
-
-class _ChunkReceiver(ComponentDefinition):
-    """Counts chunk deliveries per sequence number and per wire protocol.
-
-    ``delivered`` is every delivery, ``delivered_unique`` distinct chunks
-    and ``duplicates`` the difference — the number that must stay zero
-    when at-least-once redelivery replays a crashed sender's frames
-    through the receiver network's dedup window.
-    """
-
-    def __init__(self, expected_chunks: int) -> None:
-        super().__init__()
-        self.net = self.requires(Network)
-        self.expected = expected_chunks
-        self.seen: Dict[int, int] = {}
-        self.delivered = 0
-        self.bytes = 0
-        self.protocols: Dict[str, int] = {}
-        #: set once every expected chunk arrived at least once
-        self.complete = threading.Event()
-        self.subscribe(self.net, Msg, self._on_msg)
-
-    def _on_msg(self, msg: Msg) -> None:
-        if not isinstance(msg, DataChunkMsg):
-            return
-        self.delivered += 1
-        self.bytes += msg.length
-        self.seen[msg.seq] = self.seen.get(msg.seq, 0) + 1
-        proto = msg.header.protocol.value
-        self.protocols[proto] = self.protocols.get(proto, 0) + 1
-        if len(self.seen) >= self.expected:
-            self.complete.set()
-
-    @property
-    def delivered_unique(self) -> int:
-        return len(self.seen)
-
-    @property
-    def duplicates(self) -> int:
-        return self.delivered - len(self.seen)
+            snd.network = system.create(AioNetwork, snd.address, serializers=app_registry())
+        rcv.network = system.create(AioNetwork, rcv.address, serializers=app_registry())
+        pair = Pair(system, snd, rcv)
+        pair.start(snd.network, rcv.network)
+        for endpoint in (snd, rcv):
+            endpoint.network.definition.network_def.wait_ready(10.0)
+        yield pair
+    finally:
+        system.shutdown()
 
 
 @dataclass(frozen=True)
@@ -246,68 +154,32 @@ def run_loopback_once(
     interceptor, learner and wall-clock episode timer included — so the
     paper's transport-selection loop runs against the OS network stack.
     """
-    from repro.aio import AioDataNetwork, AioNetwork
-    from repro.bench.harness import default_transfer_learner
-
-    system = KompicsSystem.threaded(workers=4)
-    addr_snd = BasicAddress(HOST, _free_port())
-    addr_rcv = BasicAddress(HOST, _free_port())
     dataset = SyntheticDataset(size=size, chunk_size=chunk, seed=seed)
-    use_data = transport is Transport.DATA
+    with loopback_pair(
+        transport, seed, episode_length=episode_length, window_messages=window_messages,
+    ) as pair:
+        source, sink = pair.stream(dataset, transport, window)
+        pair.start(sink, source)
 
-    try:
-        if use_data:
-            net_snd = system.create(
-                AioDataNetwork,
-                addr_snd,
-                prp_factory=default_transfer_learner(seed),
-                episode_length=episode_length,
-                window_messages=window_messages,
-                serializers=_registry(),
-            )
-        else:
-            net_snd = system.create(AioNetwork, addr_snd, serializers=_registry())
-        net_rcv = system.create(AioNetwork, addr_rcv, serializers=_registry())
-
-        sender = system.create(_LoopbackSender, addr_snd, addr_rcv, dataset, transport, window)
-        receiver = system.create(_ChunkReceiver, dataset.total_chunks)
-        if use_data:
-            net_snd.definition.connect_consumer(sender.required(Network))
-        else:
-            system.connect(net_snd.provided(Network), sender.required(Network))
-        system.connect(net_rcv.provided(Network), receiver.required(Network))
-
-        system.start(net_snd)
-        system.start(net_rcv)
-        system.start(receiver)
-        # Start events are asynchronous: both listener sets must be bound
-        # before the first chunk goes out, or the opening batch dials a
-        # port that does not exist yet.
-        # wait_ready raises AioStartupError (with the bind failure as
-        # __cause__) if either network did not come up.
-        aio_snd = net_snd.definition.network_def if use_data else net_snd.definition
-        aio_snd.wait_ready(10.0)
-        net_rcv.definition.wait_ready(10.0)
-        system.start(sender)
-
-        deadline = time.monotonic() + timeout
-        snd_def = sender.definition
-        rcv_def = receiver.definition
+        snd_def = source.definition
+        rcv_def = sink.definition
+        started = pair.system.clock.now()
         if not snd_def.done.wait(timeout=timeout):
             raise RuntimeError(
                 f"loopback {transport.value} sender stalled: "
                 f"{snd_def.ok} ok / {snd_def.failed} failed / "
-                f"{len(snd_def._in_flight)} in flight of {dataset.total_chunks}"
+                f"{snd_def.outstanding} in flight of {dataset.total_chunks}"
             )
-        rcv_def.complete.wait(timeout=max(0.0, deadline - time.monotonic()))
+        rcv_def.complete.wait(
+            timeout=max(0.0, started + timeout - pair.system.clock.now())
+        )
 
-        aio_net = net_snd.definition.network_def if use_data else net_snd.definition
-        duration = (snd_def.finished_at or time.monotonic()) - (snd_def.started_at or 0.0)
+        aio_net = pair.sender.network.definition.network_def
         return LoopbackRun(
             transport=transport.value,
             bytes=rcv_def.bytes,
             chunks=dataset.total_chunks,
-            duration=duration,
+            duration=snd_def.finished_at - snd_def.started_at,
             delivered=rcv_def.delivered,
             notifies_ok=snd_def.ok,
             notifies_failed=snd_def.failed,
@@ -316,8 +188,6 @@ def run_loopback_once(
             batches=aio_net.counters["batches"],
             protocols=dict(rcv_def.protocols),
         )
-    finally:
-        system.shutdown()
 
 
 @dataclass(frozen=True)
@@ -359,9 +229,6 @@ def run_loopback_comparison(
     **run_kwargs: Any,
 ) -> LoopbackComparison:
     """The fig9-style table: each transport simulated, then run for real."""
-    from repro.bench.harness import run_transfer_once
-    from repro.bench.scenario import setup_by_name
-
     transports = tuple(transports)
     sim_throughput: Dict[str, float] = {}
     if sim:

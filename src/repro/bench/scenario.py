@@ -20,8 +20,19 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from repro.kompics import KompicsSystem
-from repro.messaging import BasicAddress
+from repro.apps import (
+    ChunkSink,
+    FileReceiver,
+    FileSender,
+    Pinger,
+    Ponger,
+    SyntheticDataset,
+    WindowSource,
+    register_app_serializers,
+)
+from repro.core import DataNetwork
+from repro.kompics import Component, KompicsSystem, SimTimerComponent, Timer
+from repro.messaging import BasicAddress, NettyNetwork, Network, SerializerRegistry, Transport
 from repro.netsim import DiskModel, LinkSpec, SimNetwork
 from repro.sim import Simulator
 from repro.util.registry import Registry, UnknownNameError
@@ -74,21 +85,74 @@ def aws_testbed() -> Tuple[Setup, ...]:
     return AWS_SETUPS
 
 
+def app_registry() -> SerializerRegistry:
+    return register_app_serializers(SerializerRegistry())
+
+
 @dataclass
 class EndpointHandle:
-    """One middleware endpoint of a testbed pair."""
+    """One middleware endpoint of a pair."""
 
-    host: object  # SimHost
     address: BasicAddress
-    disk: DiskModel
+    host: object = None  # SimHost (simulated pairs only)
+    disk: Optional[DiskModel] = None
+    #: what apps attach to: a network component or a DataNetwork bundle
+    network: Optional[Component] = None
+
+    def attach(self, app: Component) -> None:
+        """Connect an application's Network port — plain endpoint or DATA."""
+        self.network.definition.connect_consumer(app.required(Network))
 
 
-class TestbedPair:
-    """A sender/receiver pair on one :class:`Setup`.
+class Pair:
+    """What a two-node testbed offers on either backend.
+
+    Once both endpoints have their networks, a driver names its
+    workloads, starts what they return in the order it wants, runs, and
+    reads the results.
+    """
+
+    def __init__(self, system: KompicsSystem, sender: EndpointHandle,
+                 receiver: EndpointHandle) -> None:
+        self.system = system
+        self.sender = sender
+        self.receiver = receiver
+
+    def start(self, *components: Component) -> None:
+        for component in components:
+            self.system.start(component)
+
+    def stream(
+        self,
+        dataset: Optional[SyntheticDataset] = None,
+        transport: Transport = Transport.DATA,
+        window: int = 256,
+        sink_name: Optional[str] = None,
+    ) -> Tuple[Component, Component]:
+        """The notify-clocked windowed stream: ``(source, sink)``, attached.
+
+        Sends ``dataset`` once, or streams endlessly without one.
+        """
+        source = self.system.create(
+            WindowSource, self.sender.address, self.receiver.address,
+            dataset, transport, window,
+        )
+        sink = self.system.create(
+            ChunkSink, None if dataset is None else dataset.total_chunks, name=sink_name,
+        )
+        self.sender.attach(source)
+        self.receiver.attach(sink)
+        return source, sink
+
+
+class TestbedPair(Pair):
+    """A sender/receiver pair on one simulated :class:`Setup`.
 
     Creates the simulator, fabric and Kompics system, plus two endpoints
     (on one host for the Local setup, otherwise on two linked hosts).
-    Network components and applications are attached by the harness.
+    :meth:`wire` gives them their network components; the workload
+    methods create the apps, attach them and leave starting to the driver
+    (creation, attach and start order are what the digests pin).
     """
 
     __test__ = False  # not a pytest class, despite the name
@@ -99,25 +163,19 @@ class TestbedPair:
         self.seed = seed
         self.sim = Simulator()
         self.fabric = SimNetwork(self.sim, seed=seed, config=net_config)
-        self.system = KompicsSystem.simulated(self.sim, seed=seed, config=sys_config)
+        system = KompicsSystem.simulated(self.sim, seed=seed, config=sys_config)
+
+        def disk() -> DiskModel:
+            return DiskModel(self.sim, setup.disk_read, setup.disk_write)
 
         if setup.local:
-            host = self.fabric.add_host(
-                "node", "10.0.0.1", disk=DiskModel(self.sim, setup.disk_read, setup.disk_write)
-            )
-            self.sender = EndpointHandle(host, BasicAddress(host.ip, MIDDLEWARE_PORT), host.disk)
             # Second instance on the same node: different port, same stack,
             # traffic crosses the loopback interface (never reflected).
-            self.receiver = EndpointHandle(
-                host, BasicAddress(host.ip, SECOND_INSTANCE_PORT), host.disk
-            )
+            h_send = h_recv = self.fabric.add_host("node", "10.0.0.1", disk=disk())
+            recv_port = SECOND_INSTANCE_PORT
         else:
-            h_send = self.fabric.add_host(
-                "sender", "10.0.0.1", disk=DiskModel(self.sim, setup.disk_read, setup.disk_write)
-            )
-            h_recv = self.fabric.add_host(
-                "receiver", "10.0.0.2", disk=DiskModel(self.sim, setup.disk_read, setup.disk_write)
-            )
+            h_send = self.fabric.add_host("sender", "10.0.0.1", disk=disk())
+            h_recv = self.fabric.add_host("receiver", "10.0.0.2", disk=disk())
             self.fabric.connect_hosts(
                 h_send,
                 h_recv,
@@ -128,10 +186,69 @@ class TestbedPair:
                     udp_cap=setup.udp_cap,
                 ),
             )
-            self.sender = EndpointHandle(h_send, BasicAddress(h_send.ip, MIDDLEWARE_PORT), h_send.disk)
-            self.receiver = EndpointHandle(
-                h_recv, BasicAddress(h_recv.ip, MIDDLEWARE_PORT), h_recv.disk
+            recv_port = MIDDLEWARE_PORT
+        super().__init__(
+            system,
+            EndpointHandle(BasicAddress(h_send.ip, MIDDLEWARE_PORT), h_send, h_send.disk),
+            EndpointHandle(BasicAddress(h_recv.ip, recv_port), h_recv, h_recv.disk),
+        )
+
+    def wire(self, transport: Optional[Transport] = None, **interceptor_args: Any) -> None:
+        """Create and start both network components.
+
+        The sending side is a :class:`DataNetwork` built with
+        ``interceptor_args`` when ``transport`` is DATA; otherwise both
+        sides are plain and the arguments are not used.
+        """
+        snd, rcv = self.sender, self.receiver
+        if transport is Transport.DATA:
+            snd.network = self.system.create(
+                DataNetwork, snd.address, snd.host, **interceptor_args,
+                serializers=app_registry(), name="data-net-snd",
             )
+        else:
+            snd.network = self._plain_network(snd, "net-snd")
+        self.system.start(snd.network)
+        rcv.network = self._plain_network(rcv, "net-rcv")
+        self.system.start(rcv.network)
+
+    def _plain_network(self, endpoint: EndpointHandle, name: str) -> Component:
+        return self.system.create(
+            NettyNetwork, endpoint.address, endpoint.host,
+            serializers=app_registry(), name=name,
+        )
+
+    def pings(self, transport: Transport,
+              interval: float) -> Tuple[Component, Component, Component]:
+        """Control pings sender -> receiver: ``(pinger, ponger, timer)``."""
+        pinger = self.system.create(
+            Pinger, self.sender.address, self.receiver.address,
+            transport=transport, interval=interval,
+        )
+        ponger = self.system.create(Ponger, self.receiver.address)
+        timer = self.system.create(SimTimerComponent)
+        self.system.connect(timer.provided(Timer), pinger.required(Timer))
+        self.sender.attach(pinger)
+        self.receiver.attach(ponger)
+        return pinger, ponger, timer
+
+    def file_sender(self, dataset: SyntheticDataset, transport: Transport,
+                    name: Optional[str] = None) -> Component:
+        """The disk-clocked §V-A sender."""
+        sender = self.system.create(
+            FileSender, self.sender.address, self.receiver.address, dataset,
+            transport=transport, disk=self.sender.disk, name=name,
+        )
+        self.sender.attach(sender)
+        return sender
+
+    def file_receiver(self) -> Component:
+        """Its receiver; one serves any number of senders."""
+        receiver = self.system.create(
+            FileReceiver, self.receiver.address, disk=self.receiver.disk
+        )
+        self.receiver.attach(receiver)
+        return receiver
 
 
 # ----------------------------------------------------------------------

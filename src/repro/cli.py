@@ -18,7 +18,6 @@ import random
 import sys
 from typing import List, Optional, Tuple
 
-from repro._version import __version__
 from repro.bench import AWS_SETUPS, setup_by_name
 from repro.bench.chaos import ALL_TARGETS, DEFAULT_TARGETS
 from repro.bench.harness import (
@@ -95,7 +94,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="repro",
         description="KompicsMessaging reproduction (ICDCS 2017) experiment runner",
     )
-    parser.add_argument("--version", action="version", version=f"repro {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
     sub.add_parser("setups", help="list the simulated testbed setups")
@@ -114,7 +112,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     latency = sub.add_parser("latency", help="ping RTT with optional parallel data")
     latency.add_argument("--setup", choices=SETUP_NAMES, default="EU2AU")
-    latency.add_argument("--ping-transport", type=_transport, default=Transport.TCP)
     latency.add_argument("--data-transport", type=_transport, default=None)
     latency.add_argument("--transfer-mb", type=int, default=395)
     latency.add_argument("--seed", type=int, default=2)
@@ -148,14 +145,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     loopback.add_argument("--size-mb", type=float, default=2.0,
                           help="dataset size per transport")
-    loopback.add_argument("--transports", default=None,
-                          help="comma-separated transports "
-                               "(default: tcp,udt,data)")
     loopback.add_argument("--seed", type=int, default=3)
-    loopback.add_argument("--timeout", type=float, default=120.0,
-                          help="wall-clock deadline per transport run")
-    loopback.add_argument("--no-sim", action="store_true",
-                          help="skip the netsim prediction column")
     loopback.add_argument("--format", choices=("table", "json"), default="table",
                           help="human table or the JSON document")
     loopback.add_argument("--output", default=None,
@@ -204,8 +194,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="[aio] messaging.aio.redelivery contract across restarts")
     chaos.add_argument("--size-mb", type=float, default=1.0,
                        help="[aio] transfer size in MB")
-    chaos.add_argument("--drop", type=float, default=0.0,
-                       help="[aio] seeded UDT packet-drop probability on top of kills")
     chaos.add_argument("--duration", type=float, default=20.0,
                        help="simulated seconds to run")
     chaos.add_argument("--events", type=int, default=5,
@@ -223,8 +211,6 @@ def build_parser() -> argparse.ArgumentParser:
     chaos.add_argument("--transport", type=_transport, default=Transport.TCP,
                        help="transfer transport (pings always use TCP)")
     chaos.add_argument("--seed", type=int, default=3)
-    chaos.add_argument("--max-restarts", type=int, default=10,
-                       help="supervision restart budget per window")
     chaos.add_argument("--format", choices=("summary", "json"), default="summary",
                        help="human summary or the full obs snapshot document")
     chaos.add_argument("--output", default=None,
@@ -264,9 +250,7 @@ def build_parser() -> argparse.ArgumentParser:
     fleet_run.add_argument("--horizon", type=float, default=120.0,
                            help="simulated-seconds cap per run")
     fleet_run.add_argument("--seeds", type=int, default=4,
-                           help="how many seeded runs to fan out")
-    fleet_run.add_argument("--seed-base", type=int, default=0,
-                           help="first seed; runs use seed-base..seed-base+seeds-1")
+                           help="how many seeded runs to fan out (seeds 0..N-1)")
     fleet_run.add_argument("--workers", type=int, default=1,
                            help="process-pool width (1 = run inline)")
     fleet_run.add_argument("--out", default=None,
@@ -283,7 +267,6 @@ def build_parser() -> argparse.ArgumentParser:
                              help="scenario to include (repeatable); see "
                                   "'fleet list'")
     fleet_sweep.add_argument("--seeds", type=int, default=4)
-    fleet_sweep.add_argument("--seed-base", type=int, default=0)
     fleet_sweep.add_argument("--workers", type=int, default=1)
     fleet_sweep.add_argument("--out", default=None,
                              help="write the campaign document (JSON) to this file")
@@ -315,17 +298,9 @@ def build_parser() -> argparse.ArgumentParser:
     check.add_argument("--duration", type=float, default=4.0,
                        help="sim duration for the obs workload")
     check.add_argument("--seed", type=int, default=3)
-    check.add_argument("--streams", default=None,
-                       help="comma-separated digest streams to compare/bisect "
-                            "(default: every stream except 'sim', whose raw "
-                            "heap pops legitimately differ across fast paths)")
     check.add_argument("--perturb", type=int, default=None, metavar="N",
                        help="arm the seeded RX-train swap on the Nth eligible "
                             "append (fast-path fault for the bisect demo)")
-    check.add_argument("--strict", action="store_true",
-                       help="raise on the first violation instead of collecting")
-    check.add_argument("--checkpoint-every", type=int, default=None,
-                       help="digest checkpoint interval in events")
     check.add_argument("--output", default=None,
                        help="write the checker document (JSON) to this file")
 
@@ -400,7 +375,7 @@ def cmd_transfer(args: argparse.Namespace) -> int:
 def cmd_latency(args: argparse.Namespace) -> int:
     setup = setup_by_name(args.setup)
     result = run_latency_experiment(
-        setup, args.ping_transport, args.data_transport,
+        setup, Transport.TCP, args.data_transport,
         seed=args.seed, transfer_bytes=args.transfer_mb * MB,
     )
     print(f"{result.combo} on {setup.name}: median {result.median_ms:.2f} ms, "
@@ -458,17 +433,9 @@ def cmd_obs(args: argparse.Namespace) -> int:
 
 
 def cmd_loopback(args: argparse.Namespace) -> int:
-    from repro.bench.loopback import DEFAULT_TRANSPORTS, run_loopback_comparison
+    from repro.bench.loopback import run_loopback_comparison
 
-    transports = (
-        DEFAULT_TRANSPORTS
-        if args.transports is None
-        else tuple(_transport(t.strip()) for t in args.transports.split(",") if t.strip())
-    )
-    comparison = run_loopback_comparison(
-        transports, size=int(args.size_mb * MB), seed=args.seed,
-        sim=not args.no_sim, timeout=args.timeout,
-    )
+    comparison = run_loopback_comparison(size=int(args.size_mb * MB), seed=args.seed)
     return _finish(comparison, args.format, args.output)
 
 
@@ -516,7 +483,6 @@ def cmd_chaos(args: argparse.Namespace) -> int:
         events=args.events,
         targets=args.targets,
         tail=args.tail,
-        max_restarts=args.max_restarts,
     )
 
 
@@ -530,8 +496,6 @@ def _cmd_chaos_aio(args: argparse.Namespace) -> int:
         seed=args.seed,
         restarts=args.restarts,
         redelivery=args.redelivery,
-        drop=args.drop,
-        max_restarts=args.max_restarts,
     )
     return _finish(result, args.format, args.output)
 
@@ -586,7 +550,7 @@ def cmd_fleet(args: argparse.Namespace) -> int:
             return 2
         entries = [(name, None) for name in args.scenario]
 
-    seeds = list(range(args.seed_base, args.seed_base + args.seeds))
+    seeds = list(range(args.seeds))
     campaign = FleetCampaign(run_campaign(plan_campaign(entries, seeds), workers=args.workers))
     if args.out is not None:
         _emit(document_json(campaign.document), args.out, "campaign document")
@@ -615,13 +579,11 @@ def cmd_check(args: argparse.Namespace) -> int:
     from contextlib import ExitStack
 
     from repro import fastpath
-    from repro.check import DEFAULT_CHECKPOINT_EVERY, checking
+    from repro.check import checking
     from repro.check import perturb as check_perturb
     from repro.check.bisection import bisect_divergence, compare_documents
 
     action = "mutate" if args.mutate else args.action
-    every = args.checkpoint_every or DEFAULT_CHECKPOINT_EVERY
-    streams = args.streams.split(",") if args.streams else None
 
     if action == "mutate":
         from repro.check.selftest import run_selftest
@@ -649,10 +611,7 @@ def cmd_check(args: argparse.Namespace) -> int:
                 stack.enter_context(check_perturb.rx_swap(at=args.perturb))
             if not fast:
                 stack.enter_context(fastpath.disabled())
-            chk = stack.enter_context(
-                checking(strict=args.strict, checkpoint_every=every,
-                         capture=capture)
-            )
+            chk = stack.enter_context(checking(capture=capture))
             run_workload(args.workload, size_mb=args.size_mb,
                          duration=args.duration, seed=args.seed)
         return chk.document()
@@ -679,10 +638,10 @@ def cmd_check(args: argparse.Namespace) -> int:
     if action == "compare":
         doc_a = run_once(fast=True, perturbed=True)
         doc_b = run_once(fast=False)
-        divergences = compare_documents(doc_a, doc_b, streams)
-        names = streams or sorted(
-            (set(doc_a["streams"]) | set(doc_b["streams"])) - {"sim"}
-        )
+        # every stream but 'sim': raw heap pops legitimately differ across
+        # fast paths
+        divergences = compare_documents(doc_a, doc_b)
+        names = sorted((set(doc_a["streams"]) | set(doc_b["streams"])) - {"sim"})
         diverged = {d.stream for d in divergences}
         for name in names:
             print(f"stream {name:<8} "
@@ -704,7 +663,7 @@ def cmd_check(args: argparse.Namespace) -> int:
             run_once(capture=capture, fast=False),
         )
 
-    report = bisect_divergence(run_pair, streams)
+    report = bisect_divergence(run_pair)
     print(report.format())
     return 0 if report.identical else 1
 

@@ -28,6 +28,7 @@ from repro.kompics.timer import SimTimerComponent, Timer
 from repro.messaging.address import Address
 from repro.messaging.compression import CompressionCodec
 from repro.messaging.netty import DEFAULT_PROTOCOLS, NettyNetwork
+from repro.messaging.network_component import NetworkComponent
 from repro.messaging.network_port import MessageNotify, Network, TransportStatus
 from repro.messaging.serialization import SerializerRegistry
 from repro.messaging.transport import Transport
@@ -120,6 +121,11 @@ class DataNetworkBase(ComponentDefinition):
     def interceptor_def(self) -> DataNetworkInterceptor:
         return self.interceptor.definition
 
+    @property
+    def network_def(self) -> NetworkComponent:
+        """The wire-level network component behind the interceptor."""
+        return self.network.definition
+
 
 class DataNetwork(DataNetworkBase):
     """Wrapper composing NettyNetwork + DataNetworkInterceptor + timer."""
@@ -147,12 +153,6 @@ class DataNetwork(DataNetworkBase):
             serializers=serializers,
             compression=compression,
         )
-        # Historical name: the simulated network child is the "netty" side.
-        self.netty = self.network
         if timer is None:
             timer = self.create(SimTimerComponent)
         self._wire_interceptor(timer, psp_factory, prp_factory, episode_length, window_messages)
-
-    @property
-    def netty_def(self) -> NettyNetwork:
-        return self.network.definition

@@ -15,7 +15,9 @@ from __future__ import annotations
 from typing import Any, Callable, Dict, Iterable, Optional, Set, Sized, Tuple
 
 from repro.errors import TransportError
+from repro.kompics.channel import Channel
 from repro.kompics.component import ComponentDefinition
+from repro.kompics.port import Port
 from repro.messaging.address import Address
 from repro.messaging.compression import CompressionCodec
 from repro.messaging.message import Msg
@@ -83,6 +85,15 @@ class NetworkComponent(ComponentDefinition):
 
         self.subscribe(self.net, MessageNotify.Req, self._on_notify_request)
         self.subscribe(self.net, Msg, self._on_msg_request)
+
+    def connect_consumer(self, consumer_port: Port) -> Channel:
+        """Attach a consumer's required Network port (same call on a DataNetwork)."""
+        return self.connect(self.net, consumer_port)
+
+    @property
+    def network_def(self) -> "NetworkComponent":
+        """The wire-level component: itself (a DataNetwork answers with its child)."""
+        return self
 
     def _watch_channels(self, channels: Sized) -> None:
         """Let ``messaging.channels.open`` read the backend's channel map."""

@@ -2,15 +2,26 @@
 
 import pytest
 
+import hashlib
+import random
+from contextlib import contextmanager
+
+from repro.apps import ChunkSink, SyntheticDataset, WindowSource
 from repro.bench import AWS_SETUPS, TestbedPair, aws_testbed, setup_by_name
 from repro.bench.harness import (
     estimate_rate,
+    run_in_steps,
+    run_learner_trace,
+    run_observability_demo,
     run_selection_skew,
     run_transfer_once,
     run_transfer_repeated,
 )
+from repro.bench.loopback import loopback_pair
 from repro.bench.report import format_series, format_table
 from repro.bench.scenario import MB, Setup
+from repro.core import TDRatioLearner
+from repro.core.data_network import DataNetworkBase
 from repro.messaging import Transport
 
 
@@ -99,6 +110,97 @@ class TestTransferRunners:
         with pytest.raises(TypeError):
             run_transfer_repeated(setup_by_name("EU-VPC"), Transport.UDT, 1 * MB,
                                   min_runs=1, max_runs=1, bogus=1)
+
+
+@contextmanager
+def pair_on(backend, transport):
+    """``(pair, wait)`` on either backend; ``wait(source, sink)`` runs the stream out."""
+    if backend == "sim":
+        pair = TestbedPair(setup_by_name("EU-VPC"), seed=1)
+        pair.wire(transport)
+        yield pair, lambda source, sink: run_in_steps(pair, 60.0, source.done.is_set)
+    else:
+        with loopback_pair(transport, seed=1) as pair:
+            yield pair, lambda source, sink: source.done.wait(30.0) and sink.complete.wait(30.0)
+
+
+@pytest.mark.integration
+class TestPairStream:
+    @pytest.mark.parametrize("transport", [Transport.TCP, Transport.DATA], ids=["tcp", "data"])
+    @pytest.mark.parametrize("backend", ["sim", "aio"])
+    def test_every_chunk_once(self, backend, transport):
+        dataset = SyntheticDataset(size=500_000, chunk_size=20_000, seed=1)
+        n = dataset.total_chunks
+        with pair_on(backend, transport) as (pair, wait):
+            # the one attach call, DATA or not: stream() never asks which
+            bundled = isinstance(pair.sender.network.definition, DataNetworkBase)
+            assert bundled == (transport is Transport.DATA)
+            components = pair.stream(dataset, transport, window=8)
+            pair.start(*reversed(components))
+            source, sink = (c.definition for c in components)
+            wait(source, sink)
+            assert source.requested == source.ok == n
+            assert (source.failed, source.leaked, source.outstanding) == (0, 0, 0)
+            assert (sink.delivered_unique, sink.duplicates) == (n, 0)
+            assert sink.bytes == dataset.size
+            assert "data" not in sink.protocols  # DATA is stamped before the wire
+
+    def test_endless_source_stays_inside_its_window(self):
+        peaks = []
+
+        class SamplingSink(ChunkSink):
+            def _on_msg(self, msg):
+                peaks.append(source.definition.outstanding)
+                super()._on_msg(msg)
+
+        pair = TestbedPair(setup_by_name("EU-VPC"), seed=1)
+        pair.wire(Transport.DATA)
+        source = pair.system.create(
+            WindowSource, pair.sender.address, pair.receiver.address, window=8
+        )
+        sink = pair.system.create(SamplingSink)
+        pair.sender.attach(source)
+        pair.receiver.attach(sink)
+        pair.start(sink, source)
+        run_in_steps(pair, 2.0, lambda: False)
+        assert len(peaks) > 100 and max(peaks) == 8
+        assert not source.definition.done.is_set()
+        assert source.definition.leaked == source.definition.outstanding <= 8
+
+
+@pytest.mark.integration
+class TestCreationOrderPins:
+    """Values recorded at the commit before the drivers moved onto the
+    pair: component creation, attach and start order feed the RNG streams
+    and the event order, so any drift lands here."""
+
+    def test_learner_trace_series(self):
+        rng = random.Random(7)
+        trace = run_learner_trace(
+            "approx", prp_factory=lambda: TDRatioLearner(rng, "approx"), duration=20.0, seed=7
+        )
+        series = tuple(
+            list(zip(ts.times, ts.values))
+            for ts in (trace.throughput, trace.ratio_true, trace.ratio_prescribed)
+        )
+        assert series[0][0] == (1.000004, 6861526.276947447)
+        assert series[1][0] == (1.000004, -0.19708029197080293)
+        assert [len(s) for s in series] == [19, 19, 19]
+        assert hashlib.sha256(repr(series).encode()).hexdigest() == (
+            "fa114745ca2caa86ae789da0184a3dbeb9deb50e24448ab7f902d5e49100a0bd"
+        )
+
+    def test_observability_demo_summary(self):
+        assert run_observability_demo(duration=3.0, seed=3) == {
+            "setup": "learner-env",
+            "sim_time": 3.0,
+            "pings_answered": 11,
+            "mean_rtt_ms": 5.260720857743267,
+            # every message that reached the sink's port: 446 chunks + 11 pings
+            "data_messages_delivered": 457,
+            "data_bytes_acked": 29210556,
+            "data_messages_total": 447,
+        }
 
 
 class TestReport:

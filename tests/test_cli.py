@@ -70,6 +70,18 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "tcp ping only on EU-VPC" in out
 
+    @pytest.mark.parametrize("argv, expected", [
+        # one Figure 8 cell under load: what latency's --transfer-mb sizes
+        (["latency", "--setup", "EU-VPC", "--data-transport", "udt", "--transfer-mb", "8"],
+         "tcp ping + udt data on EU-VPC"),
+        # the star-incast campaign ROADMAP item 4 measures, at any size
+        (["fleet", "run", "--pattern", "incast", "--hosts", "8", "--flows", "20",
+          "--seeds", "1", "--horizon", "30"], "fleet: ok=1 failed=0"),
+    ], ids=["latency-data-transport", "fleet-run-pattern"])
+    def test_flags_that_are_the_only_route_to_a_claim(self, argv, expected, capsys):
+        assert main(argv) == 0
+        assert expected in capsys.readouterr().out
+
     def test_learn_smoke(self, capsys):
         code = main(["learn", "--value-function", "approx", "--duration", "15"])
         assert code == 0

@@ -303,7 +303,7 @@ class TestInterceptorFallback:
 
         sim, fabric, system, nodes = make_data_world()
         (h0, a0, dn0, app0), (h1, a1, dn1, app1) = nodes
-        netty = dn0.definition.netty_def
+        netty = dn0.definition.network_def
         netty.trigger(
             TransportStatus.Down(a1.as_socket(), Transport.UDT, "test"), netty.net
         )
