@@ -33,8 +33,8 @@ class Envelope(BaseMsg):
         self.text = text
 
     def forwarded(self) -> "Envelope":
-        assert isinstance(self._header, RoutingHeader)
-        return Envelope(self._header.next_hop(), self.text)
+        assert isinstance(self.header, RoutingHeader)
+        return Envelope(self.header.next_hop(), self.text)
 
 
 class Node(ComponentDefinition):

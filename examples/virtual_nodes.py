@@ -13,7 +13,6 @@ from repro.messaging import (
     BaseMsg,
     BasicAddress,
     BasicHeader,
-    Msg,
     NettyNetwork,
     Network,
     Transport,

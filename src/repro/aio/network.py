@@ -53,7 +53,7 @@ from repro.errors import AioStartupError, TransportError
 from repro.messaging.address import Address
 from repro.messaging.compression import CompressionCodec, NoCompression
 from repro.messaging.message import Msg
-from repro.messaging.network_component import NetworkComponent, Report
+from repro.messaging.network_component import NetworkComponent, Route
 from repro.messaging.recovery import ReconnectPolicy
 from repro.messaging.serialization import SerializerRegistry, pack_address, unpack_address
 from repro.messaging.transport import Transport
@@ -61,8 +61,8 @@ from repro.obs import get_registry
 
 DEFAULT_PROTOCOLS = (Transport.TCP, Transport.UDP, Transport.UDT)
 
-#: (frame bytes, optional report callback) queued towards one channel
-_QueuedSend = Tuple[bytes, Report]
+#: (frame bytes, notify id of a tracked send or None) queued towards one channel
+_QueuedSend = Tuple[bytes, Optional[int]]
 #: (remote socket, transport): one channel, one send queue, one sequence
 _Key = Tuple[Endpoint, Transport]
 
@@ -266,8 +266,8 @@ class AioNetwork(NetworkComponent):
             )
 
             def replay() -> None:
-                for key, frame, report in sends:
-                    self._enqueue_send(key, frame, report)
+                for key, frame, notify_id in sends:
+                    self._enqueue_send(key, frame, notify_id)
 
             self._loop.call_soon_threadsafe(replay)
 
@@ -337,17 +337,17 @@ class AioNetwork(NetworkComponent):
                 # In-flight batches first: they were on the wire before
                 # anything still queued, so per-key FIFO order survives.
                 for key, batch in self._parked_batches:
-                    stash.extend((key, frame, report) for frame, report in batch)
+                    stash.extend((key, frame, notify_id) for frame, notify_id in batch)
             self._parked_batches = None
             # Pending sends must not leak their notifies: stash them for
             # the successor instance (at-least-once) or fail them.
             for key, queue in self._sendq.items():
                 while queue:
-                    frame, report = queue.popleft()
+                    frame, notify_id = queue.popleft()
                     if redeliver:
-                        stash.append((key, frame, report))
+                        stash.append((key, frame, notify_id))
                     else:
-                        self._resolve(key[1], len(frame), report, False)
+                        self._resolve(key[1], len(frame), notify_id, False)
             self._sendq.clear()
             for listener in self._listeners:
                 await listener.close()
@@ -425,12 +425,12 @@ class AioNetwork(NetworkComponent):
     # ------------------------------------------------------------------
     # send path (component thread)
     # ------------------------------------------------------------------
-    def _transmit(self, msg: Msg, transport: Transport, remote: Endpoint,
-                  report: Report) -> None:
+    def _transmit(self, msg: Msg, route: Route, notify_id: Optional[int]) -> None:
+        transport = route.transport
         payload = self.compression.compress(self.serializers.serialize(msg))
-        if not self._fits(transport, len(payload), report):
+        if not self._fits(transport, len(payload), notify_id):
             return
-        key = (remote, transport)
+        key = route.key
         seq = self._seq.get(key, 0)
         self._seq[key] = seq + 1
         frame = EPOCH_HEADER.pack(self.epoch, seq) + payload
@@ -438,26 +438,26 @@ class AioNetwork(NetworkComponent):
         if not self._accepting or loop is None:
             # Killed (or being restarted) under our feet: fail the
             # message rather than race the stopping event loop.
-            self._resolve(transport, len(frame), report, False)
+            self._resolve(transport, len(frame), notify_id, False)
             return
         try:
-            loop.call_soon_threadsafe(self._enqueue_send, key, frame, report)
+            loop.call_soon_threadsafe(self._enqueue_send, key, frame, notify_id)
         except RuntimeError:
             # The loop closed between the check above and the call —
             # the teardown already flushed the queues, so resolve here.
-            self._resolve(transport, len(frame), report, False)
+            self._resolve(transport, len(frame), notify_id, False)
 
     # ------------------------------------------------------------------
     # batching drainers (loop thread)
     # ------------------------------------------------------------------
-    def _enqueue_send(self, key: _Key, frame: bytes, report: Report) -> None:
+    def _enqueue_send(self, key: _Key, frame: bytes, notify_id: Optional[int]) -> None:
         if self._closing:
-            self._resolve(key[1], len(frame), report, False)
+            self._resolve(key[1], len(frame), notify_id, False)
             return
         queue = self._sendq.get(key)
         if queue is None:
             queue = self._sendq[key] = deque()
-        queue.append((frame, report))
+        queue.append((frame, notify_id))
         if key not in self._drainers:
             self._drainers[key] = asyncio.ensure_future(self._drain(key))
 
@@ -571,16 +571,16 @@ class AioNetwork(NetworkComponent):
         remote, transport = key
         self._fail_streak.pop(key, None)
         self._mark_up(remote, transport)
-        for frame, report in batch:
-            self._resolve(transport, len(frame), report, True)
+        for frame, notify_id in batch:
+            self._resolve(transport, len(frame), notify_id, True)
 
     def _fail_batch(self, key: _Key, batch: list) -> None:
         remote, transport = key
-        for frame, report in batch:
+        for frame, notify_id in batch:
             streak = self._fail_streak[key] = self._fail_streak.get(key, 0) + 1
             if streak >= DOWN_AFTER:
                 self._mark_down(remote, transport, "send failures")
-            self._resolve(transport, len(frame), report, False)
+            self._resolve(transport, len(frame), notify_id, False)
 
     async def _channel(self, remote: Endpoint, transport: Transport) -> AioConnection:
         key = (remote, transport)

@@ -47,16 +47,12 @@ class SyntheticDataset:
         self.compressibility = compressibility
         self.seed = seed
         # Datasets are immutable after construction; the sender consults
-        # total_chunks several times per chunk, so derive it once.
-        self._total_chunks = math.ceil(size / chunk_size)
-
-    @property
-    def total_chunks(self) -> int:
-        return self._total_chunks
+        # total_chunks several times per chunk, so it is a plain attribute.
+        self.total_chunks = math.ceil(size / chunk_size)
 
     def chunk_length(self, index: int) -> int:
         """Byte length of chunk ``index`` (the last one may be short)."""
-        total = self._total_chunks
+        total = self.total_chunks
         if not 0 <= index < total:
             raise IndexError(f"chunk {index} out of range (0..{total - 1})")
         if index == total - 1:

@@ -9,6 +9,7 @@ can be read on either side.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Callable, Dict, Optional, Set
 
 from repro.apps.filetransfer.chunks import DataChunkMsg, TransferDone
@@ -64,9 +65,7 @@ class FileReceiver(ComponentDefinition):
         state.seen.add(msg.seq)
         source = msg.header.source
         if self.disk is not None:
-            self.disk.write(
-                msg.length, lambda m=msg, s=state, src=source: self._written(m, s, src)
-            )
+            self.disk.write(msg.length, partial(self._written, msg, state, source))
         else:
             self._written(msg, state, source)
 

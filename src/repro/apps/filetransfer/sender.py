@@ -10,6 +10,7 @@ in the paper's Figure 8 and the DATA protocol's internal queueing helps.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Callable, Optional
 
 from repro.apps.filetransfer.chunks import DataChunkMsg, SyntheticDataset, TransferDone, next_transfer_id
@@ -69,7 +70,7 @@ class FileSender(ComponentDefinition):
             while self._next_to_read < self.dataset.total_chunks:
                 index = self._next_to_read
                 self._next_to_read += 1
-                self._chunk_ready(index)
+                self._chunk_ready(index, self.dataset.chunk_length(index))
             return
         # Prime the disk pipeline; each completed read issues the next.
         for _ in range(min(self.read_ahead, self.dataset.total_chunks)):
@@ -92,9 +93,9 @@ class FileSender(ComponentDefinition):
             return
         self._next_to_read += 1
         length = self.dataset.chunk_length(index)
-        self.disk.read(length, lambda i=index: self._chunk_ready(i))
+        self.disk.read(length, partial(self._chunk_ready, index, length))
 
-    def _chunk_ready(self, index: int) -> None:
+    def _chunk_ready(self, index: int, length: int) -> None:
         if self._halted:
             return
         dataset = self.dataset
@@ -102,7 +103,7 @@ class FileSender(ComponentDefinition):
             self._chunk_header,
             transfer_id=self.transfer_id,
             seq=index,
-            length=dataset.chunk_length(index),
+            length=length,
             total_chunks=dataset.total_chunks,
             total_bytes=dataset.size,
             compressibility=dataset.compressibility,

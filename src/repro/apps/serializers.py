@@ -73,6 +73,9 @@ class PingSerializer(Serializer):
     def wire_size(self, obj: PingMsg) -> int:
         return packed_header_size(obj.header) + self._FIXED.size
 
+    def variable_size(self, obj: PingMsg) -> int:
+        return 0
+
 
 class PongSerializer(Serializer):
     _FIXED = struct.Struct(">Id")  # seq, ping_sent_at
@@ -87,6 +90,9 @@ class PongSerializer(Serializer):
 
     def wire_size(self, obj: PongMsg) -> int:
         return packed_header_size(obj.header) + self._FIXED.size
+
+    def variable_size(self, obj: PongMsg) -> int:
+        return 0
 
 
 class DataChunkSerializer(Serializer):
@@ -122,6 +128,9 @@ class DataChunkSerializer(Serializer):
         # The chunk body counts in full whether or not it was materialised.
         return packed_header_size(obj.header) + self._FIXED.size + obj.length
 
+    def variable_size(self, obj: DataChunkMsg) -> int:
+        return obj.length
+
 
 class TransferDoneSerializer(Serializer):
     _FIXED = struct.Struct(">Id")  # transfer_id, completed_at
@@ -136,6 +145,9 @@ class TransferDoneSerializer(Serializer):
 
     def wire_size(self, obj: TransferDone) -> int:
         return packed_header_size(obj.header) + self._FIXED.size
+
+    def variable_size(self, obj: TransferDone) -> int:
+        return 0
 
 
 def register_app_serializers(registry: SerializerRegistry) -> SerializerRegistry:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 MB = 1024 * 1024
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EpisodeStats:
     """What one destination flow did during one learning episode."""
 

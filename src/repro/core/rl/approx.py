@@ -12,11 +12,12 @@ stored and never override learned values — they only fill the gaps.
 from __future__ import annotations
 
 import warnings
-from typing import Hashable, Optional
-
-import numpy as np
+from typing import TYPE_CHECKING, Hashable, Optional
 
 from repro.core.rl.model import ModelBasedV, TransitionModel
+
+if TYPE_CHECKING:  # pragma: no cover - numpy loads only when a fit runs
+    import numpy as np
 
 
 class QuadraticApproxV(ModelBasedV):
@@ -51,6 +52,8 @@ class QuadraticApproxV(ModelBasedV):
     def _fit(self) -> Optional[np.poly1d]:
         if not self._fit_dirty:
             return self._fit_cache
+        import numpy as np  # only --value-function approx gets here
+
         xs = np.array([float(s) for s in self._v.keys()])
         ys = np.array(list(self._v.values()))
         degree = min(2, len(xs) - 1)

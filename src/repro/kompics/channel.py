@@ -57,22 +57,6 @@ class Channel:
         positive.attach(self)
         negative.attach(self)
 
-    def forward_request(self, event: KompicsEvent) -> None:
-        """Carry an event from the requirer toward the provider."""
-        if not self.connected:
-            return
-        if self.selector and self.selector.on_request and not self.selector.on_request(event):
-            return
-        self.positive.deliver(event)
-
-    def forward_indication(self, event: KompicsEvent) -> None:
-        """Carry an event from the provider toward the requirer."""
-        if not self.connected:
-            return
-        if self.selector and self.selector.on_indication and not self.selector.on_indication(event):
-            return
-        self.negative.deliver(event)
-
     def other(self, port: Port) -> Port:
         """The opposite end of the channel from ``port``."""
         if port is self.positive:

@@ -134,7 +134,7 @@ class ComponentCore:
                 self._queue.append((port, event))
                 if not self._scheduled:
                     self._scheduled = True
-                    self._schedule_ready(self)
+                    self._schedule_ready()
                 return
             if state is ComponentState.DESTROYED or state is ComponentState.FAULTY:
                 self.system.note_deadletter(self, event, state, dropped=True)
@@ -145,7 +145,7 @@ class ComponentCore:
             # inlined _maybe_schedule_locked: _queue is known non-empty
             if not self._scheduled and self._control_queue:
                 self._scheduled = True
-                self._schedule_ready(self)
+                self._schedule_ready()
             return
         # note_deadletter runs outside the lock: publishing a DeadLetter
         # can re-enter enqueue on this very component.
@@ -245,7 +245,7 @@ class ComponentCore:
             self._scheduled = False
             if control_queue or (queue and self.state is active):
                 self._scheduled = True
-                self._schedule_ready(self)
+                self._schedule_ready()
             return
         lock = self._lock
         while handled < max_batch:
@@ -379,6 +379,9 @@ class ComponentDefinition:
             )
         self._core: ComponentCore = _construction.stack[-1]
         self.logger = logging.getLogger(f"repro.kompics.{self._core.name}")
+        #: the system's clock (simulated or wall), a plain attribute because
+        #: handlers read it per event: ``self.clock.now()``
+        self.clock = self._core.system.clock
 
     # ------------------------------------------------------------------
     # declaration API
@@ -469,10 +472,6 @@ class ComponentDefinition:
     @property
     def config(self):
         return self._core.system.config
-
-    @property
-    def clock(self):
-        return self._core.system.clock
 
     @property
     def name(self) -> str:

@@ -38,14 +38,6 @@ class PortType:
     requests: Tuple[Type[KompicsEvent], ...] = ()
     indications: Tuple[Type[KompicsEvent], ...] = ()
 
-    @classmethod
-    def allows_request(cls, event: KompicsEvent) -> bool:
-        return isinstance(event, cls.requests) if cls.requests else False
-
-    @classmethod
-    def allows_indication(cls, event: KompicsEvent) -> bool:
-        return isinstance(event, cls.indications) if cls.indications else False
-
 
 Handler = Callable[[KompicsEvent], None]
 
@@ -169,10 +161,6 @@ class Port:
         # reference path: re-scan the subscription list per event
         return [h for (t, h) in self._subscriptions if isinstance(event, t)]
 
-    @property
-    def has_subscriptions(self) -> bool:
-        return bool(self._subscriptions)
-
     # ------------------------------------------------------------------
     # event flow
     # ------------------------------------------------------------------
@@ -198,10 +186,8 @@ class Port:
                 declared = self.port_type.requests
             allowed = bool(declared) and issubclass(cls, declared)
             self._direction_cache[cls] = allowed
-        # Channel forwarding is inlined below (one call per event per
-        # channel on the hottest path in the system); the logic must stay
-        # in lockstep with Channel.forward_indication/forward_request and
-        # Port.deliver.
+        # Channels are walked here, not through a Channel method: this is
+        # one call per event per channel on the hottest path in the system.
         if self.positive:
             if not allowed:
                 raise PortError(
@@ -238,10 +224,6 @@ class Port:
                     continue
                 dest = channel.positive
                 dest.owner.enqueue(dest, event)
-
-    def deliver(self, event: KompicsEvent) -> None:
-        """Queue an inbound ``event`` at the owning component."""
-        self.owner.enqueue(self, event)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         side = "+" if self.positive else "-"

@@ -16,6 +16,7 @@ from __future__ import annotations
 import queue
 import threading
 from abc import ABC, abstractmethod
+from functools import partial
 from typing import TYPE_CHECKING, Callable, List, Optional
 
 from repro.obs import get_registry, get_tracer
@@ -32,13 +33,14 @@ class Scheduler(ABC):
     def schedule_ready(self, core: "ComponentCore") -> None:
         """Called (under the core's lock) when ``core`` has work to do."""
 
-    def ready_callable(self, core: "ComponentCore") -> Callable[["ComponentCore"], None]:
-        """The cheapest per-core equivalent of :meth:`schedule_ready`.
+    def ready_callable(self, core: "ComponentCore") -> Callable[[], None]:
+        """``schedule_ready(core)`` as a no-argument callable.
 
-        Cores bind this once at construction; schedulers that can skip
-        per-call bookkeeping for a known core may return a fused closure.
+        Cores bind this once at construction and call it on every
+        wake-up, so it is a C-level :func:`functools.partial`; schedulers
+        that can skip per-call bookkeeping bind past ``schedule_ready``.
         """
-        return self.schedule_ready
+        return partial(self.schedule_ready, core)
 
     def shutdown(self) -> None:
         """Release execution resources; idempotent."""
@@ -72,15 +74,12 @@ class SimScheduler(Scheduler):
         else:
             self._schedule(self.overhead, core.execute_batch, label="")
 
-    def ready_callable(self, core: "ComponentCore") -> Callable[["ComponentCore"], None]:
+    def ready_callable(self, core: "ComponentCore") -> Callable[[], None]:
         if self._obs or self._labels:
-            return self.schedule_ready
-        # No bookkeeping to do: fuse straight into simulator.schedule with
-        # the core's bound execute_batch, skipping a frame on every wakeup.
-        schedule = self._schedule
-        overhead = self.overhead
-        execute_batch = core.execute_batch
-        return lambda _core: schedule(overhead, execute_batch, "")
+            return partial(self.schedule_ready, core)
+        # No bookkeeping to do: bind straight into simulator.schedule with
+        # the core's bound execute_batch — no Python frame per wake-up.
+        return partial(self._schedule, self.overhead, core.execute_batch, "")
 
 
 class ThreadPoolScheduler(Scheduler):

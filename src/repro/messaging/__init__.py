@@ -34,7 +34,7 @@ from repro.messaging.message import (
 from repro.messaging.netty import NettyNetwork
 from repro.messaging.network_component import NetworkComponent
 from repro.messaging.network_port import MessageNotify, Network, TransportStatus
-from repro.messaging.recovery import ChannelRecovery, PendingSend, ReconnectPolicy
+from repro.messaging.recovery import ChannelRecovery, ReconnectPolicy
 from repro.messaging.serialization import (
     PickleSerializer,
     Serializer,
@@ -66,7 +66,6 @@ __all__ = [
     "NettyNetwork",
     "ReconnectPolicy",
     "ChannelRecovery",
-    "PendingSend",
     "VirtualNetworkChannel",
     "ChannelPool",
     "ChannelRef",

@@ -14,7 +14,7 @@ import logging
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from repro.messaging.recovery import ChannelRecovery, PendingSend, ReconnectPolicy
+from repro.messaging.recovery import ChannelRecovery, ReconnectPolicy, fail_sends
 from repro.netsim.connection import Connection, ConnectionState, WireMessage
 from repro.netsim.host import NetworkStack
 from repro.netsim.link import Proto
@@ -26,7 +26,10 @@ ChannelKey = Tuple[Socket, Proto]
 #: callback invoked when a recovery campaign exhausts its attempts:
 #: ``(key, pending sends, reason)`` — set by the pool owner for transport
 #: fallback; the default fails every pending send (at-most-once).
-RecoveryExhausted = Callable[[ChannelKey, List[PendingSend], str], None]
+RecoveryExhausted = Callable[[ChannelKey, List[WireMessage], str], None]
+
+#: states a pooled connection can still carry a send in
+_USABLE = (ConnectionState.ACTIVE, ConnectionState.CONNECTING)
 
 
 @dataclass
@@ -50,8 +53,7 @@ class ChannelRef:
 
     @property
     def usable(self) -> bool:
-        state = self.conn.state
-        return state is ConnectionState.ACTIVE or state is ConnectionState.CONNECTING
+        return self.conn.state in _USABLE
 
 
 class ChannelPool:
@@ -67,6 +69,8 @@ class ChannelPool:
         recovery_rng: Any = None,
     ) -> None:
         self.stack = stack
+        #: the kernel's clock, read for ``last_used`` on every send/receive
+        self._clock = stack.sim.clock
         self.on_message = on_message
         self.logger = logger or logging.getLogger("repro.messaging.channels")
         #: handshake payload announcing this middleware instance's own
@@ -99,26 +103,26 @@ class ChannelPool:
     # ------------------------------------------------------------------
     # outbound
     # ------------------------------------------------------------------
-    def send(self, remote: Socket, proto: Proto, payload: Any, size: int,
-             on_sent: Optional[Callable[[bool], None]] = None,
-             now: float = 0.0) -> None:
+    def send(self, key: ChannelKey, wire: WireMessage) -> None:
         """Send over the pooled channel, dialling (or recovering) as needed.
 
-        While a recovery campaign runs for ``(remote, proto)`` the message
-        is parked in the campaign's bounded queue instead of being thrown
-        into a connection that is known to be down; beyond the bound the
-        send fails immediately.
+        While a recovery campaign runs for ``key`` the message is parked
+        in the campaign's bounded queue instead of being thrown into a
+        connection that is known to be down; beyond the bound the send
+        fails immediately.
         """
-        key = (remote, proto)
-        if self.recovery is not None and self.recovery.recovering(key):
-            if not self.recovery.queue_send(key, payload, size, on_sent):
-                if on_sent is not None:
-                    on_sent(False)
+        recovery = self.recovery
+        if recovery is not None and recovery.recovering(key):
+            if not recovery.queue_send(key, wire):
+                fail_sends([wire])
             return
-        ref = self.get_or_connect(remote, proto)
+        ref = self.channels.get(key)
+        if ref is None or ref.conn.state not in _USABLE:
+            ref = self.get_or_connect(*key)
+        now = self._clock._now
         if now > ref.last_used:
             ref.last_used = now
-        ref.conn.send(WireMessage(payload, size, on_sent))
+        ref.conn.send(wire)
 
     def get_or_connect(self, remote: Socket, proto: Proto) -> ChannelRef:
         key = (remote, proto)
@@ -127,22 +131,26 @@ class ChannelPool:
             return ref
         if ref is not None:
             self._discard_stale(ref)
+        ref = self._dial(key, self._channel_up)
+        self.tracer.event(
+            "messaging.channel_dial", remote=f"{remote[0]}:{remote[1]}",
+            proto=proto.value,
+        )
+        return ref
+
+    def _dial(self, key: ChannelKey, on_up: Callable[[ChannelKey], None]) -> ChannelRef:
+        remote, proto = key
         conn = self.stack.connect(
             remote,
             proto,
-            on_connected=lambda c: self._channel_up(key),
+            on_connected=lambda c: on_up(key),
             on_failed=lambda c, reason: self._on_gone(key, reason),
             hello=self.hello,
         )
         conn.on_message = self.on_message
         conn.on_closed = lambda c: self._on_gone(key, "closed")
-        ref = ChannelRef(key, conn, outbound=True, now=self.stack.sim.now)
-        self.channels[key] = ref
+        ref = self.channels[key] = ChannelRef(key, conn, outbound=True, now=self._clock._now)
         self._m_dialed.inc()
-        self.tracer.event(
-            "messaging.channel_dial", remote=f"{remote[0]}:{remote[1]}",
-            proto=proto.value,
-        )
         return ref
 
     def _discard_stale(self, ref: ChannelRef) -> None:
@@ -162,21 +170,10 @@ class ChannelPool:
     # ------------------------------------------------------------------
     def _redial(self, key: ChannelKey) -> None:
         """One recovery attempt: dial and report the outcome to recovery."""
-        remote, proto = key
         stale = self.channels.get(key)
         if stale is not None and not stale.usable:
             self._discard_stale(stale)
-        conn = self.stack.connect(
-            remote,
-            proto,
-            on_connected=lambda c: self._on_redialed(key),
-            on_failed=lambda c, reason: self._on_gone(key, reason),
-            hello=self.hello,
-        )
-        conn.on_message = self.on_message
-        conn.on_closed = lambda c: self._on_gone(key, "closed")
-        self.channels[key] = ChannelRef(key, conn, outbound=True, now=self.stack.sim.now)
-        self._m_dialed.inc()
+        self._dial(key, self._on_redialed)
 
     def _on_redialed(self, key: ChannelKey) -> None:
         if self.recovery is not None:
@@ -187,46 +184,44 @@ class ChannelPool:
         if self.on_channel_up is not None:
             self.on_channel_up(key)
 
-    def _flush_recovered(self, key: ChannelKey, pending: List[PendingSend]) -> None:
+    def _flush_recovered(self, key: ChannelKey, pending: List[WireMessage]) -> None:
         ref = self.channels.get(key)
         if ref is None or not ref.usable:  # lost again between dial and flush
-            for item in pending:
-                item.fail()
+            fail_sends(pending)
             return
-        ref.last_used = max(ref.last_used, self.stack.sim.now)
-        for item in pending:
-            ref.conn.send(WireMessage(item.payload, item.size, item.on_sent))
+        ref.last_used = max(ref.last_used, self._clock._now)
+        for wire in pending:
+            ref.conn.send(wire)
 
-    def _recovery_exhausted(self, key: ChannelKey, pending: List[PendingSend],
+    def _recovery_exhausted(self, key: ChannelKey, pending: List[WireMessage],
                             reason: str) -> None:
         if self.on_recovery_exhausted is not None:
             self.on_recovery_exhausted(key, pending, reason)
             return
-        for item in pending:
-            item.fail()
+        fail_sends(pending)
 
     # ------------------------------------------------------------------
     # inbound
     # ------------------------------------------------------------------
-    def register_inbound(self, source: Socket, proto: Proto, conn: Connection,
-                         now: float = 0.0) -> None:
-        """Make an accepted connection reusable for replies to ``source``."""
-        key = (source, proto)
+    def register_inbound(self, key: ChannelKey, conn: Connection) -> None:
+        """Make an accepted connection reusable for replies to ``key``'s socket."""
         existing = self.channels.get(key)
         if existing is not None and existing.usable:
             return
         conn.on_closed = lambda c: self._on_gone(key, "closed")
-        # ``now`` matters: a fresh inbound channel with last_used=0 would be
-        # reaped by the first idle sweep right after being accepted.
-        self.channels[key] = ChannelRef(key, conn, outbound=False, now=now)
+        # The current time matters: a fresh inbound channel with
+        # last_used=0 would be reaped by the first idle sweep right after
+        # being accepted.
+        self.channels[key] = ChannelRef(key, conn, outbound=False, now=self._clock._now)
         self._m_inbound.inc()
 
-    def note_traffic_in(self, source: Socket, proto: Proto, size: int,
-                        now: float = 0.0) -> None:
-        ref = self.channels.get((source, proto))
+    def note_traffic_in(self, key: ChannelKey, size: int) -> None:
+        ref = self.channels.get(key)
         if ref is not None:
-            ref.stats.messages_in += 1
-            ref.stats.bytes_in += size
+            stats = ref.stats
+            stats.messages_in += 1
+            stats.bytes_in += size
+            now = self._clock._now
             if now > ref.last_used:
                 ref.last_used = now
 

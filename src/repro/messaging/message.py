@@ -11,7 +11,6 @@ multi-hop forwarding with direct reply (listing 5).
 from __future__ import annotations
 
 import itertools
-from abc import ABC, abstractmethod
 from typing import List, Optional, Sequence
 
 from repro.kompics.event import KompicsEvent
@@ -58,70 +57,47 @@ def _make_copier(cls: type):
     return namespace["_copy"]
 
 
-class Header(ABC):
-    """Routing metadata of a message (listing 3)."""
+class Header:
+    """Routing metadata of a message (listing 3).
 
-    @property
-    @abstractmethod
-    def source(self) -> Address: ...
-
-    @property
-    @abstractmethod
-    def destination(self) -> Address: ...
-
-    @property
-    @abstractmethod
-    def protocol(self) -> Transport: ...
-
-
-class Msg(KompicsEvent, ABC):
-    """Anything with a header can travel over the network port (listing 2)."""
+    An interface, not a base to inherit from: anything with ``source``,
+    ``destination`` (both :class:`Address`) and ``protocol``
+    (:class:`Transport`) attributes is a header.  Headers are immutable
+    once sent — the network derives the route and the wire size from a
+    header once and reuses them for every message carrying it.
+    """
 
     __slots__ = ()
 
-    @property
-    @abstractmethod
-    def header(self) -> Header: ...
+    source: Address
+    destination: Address
+    protocol: Transport
 
-    # Convenience pass-throughs used pervasively by the middleware.
-    @property
-    def source(self) -> Address:
-        return self.header.source
 
-    @property
-    def destination(self) -> Address:
-        return self.header.destination
+class Msg(KompicsEvent):
+    """Anything with a ``header`` can travel over the network port (listing 2).
 
-    @property
-    def protocol(self) -> Transport:
-        return self.header.protocol
+    Routing fields are read from the header: ``msg.header.destination``.
+    """
+
+    __slots__ = ()
+
+    header: Header
 
 
 class BasicHeader(Header):
-    """Immutable default header."""
+    """Immutable default header: its fields are plain attributes."""
 
-    __slots__ = ("_source", "_destination", "_protocol", "_stamped")
+    __slots__ = ("source", "destination", "protocol", "_stamped")
 
     def __init__(self, source: Address, destination: Address, protocol: Transport) -> None:
-        self._source = source
-        self._destination = destination
-        self._protocol = protocol
+        self.source = source
+        self.destination = destination
+        self.protocol = protocol
         #: memoized with_protocol results — headers are immutable, so the
         #: stamped variants can be shared by every message reusing this
         #: header (the bulk sender stamps one header once per chunk)
         self._stamped = None
-
-    @property
-    def source(self) -> Address:
-        return self._source
-
-    @property
-    def destination(self) -> Address:
-        return self._destination
-
-    @property
-    def protocol(self) -> Transport:
-        return self._protocol
 
     def with_protocol(self, protocol: Transport) -> "BasicHeader":
         """A copy with the transport replaced (headers stay immutable)."""
@@ -130,13 +106,11 @@ class BasicHeader(Header):
             stamped = self._stamped = {}
         header = stamped.get(protocol)
         if header is None:
-            header = stamped[protocol] = type(self)(
-                self._source, self._destination, protocol
-            )
+            header = stamped[protocol] = type(self)(self.source, self.destination, protocol)
         return header
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"{self._source!r}->{self._destination!r}/{self._protocol.value}"
+        return f"{self.source!r}->{self.destination!r}/{self.protocol.value}"
 
 
 class DataHeader(BasicHeader):
@@ -230,15 +204,11 @@ class BaseMsg(Msg):
     and add typed fields.  ``msg_id`` supports notification correlation.
     """
 
-    __slots__ = ("_header", "msg_id")
+    __slots__ = ("header", "msg_id")
 
     def __init__(self, header: Header) -> None:
-        self._header = header
+        self.header = header
         self.msg_id = next(_msg_ids)
-
-    @property
-    def header(self) -> Header:
-        return self._header
 
     def with_protocol(self, protocol: Transport) -> "BaseMsg":
         """A shallow copy with the header's transport replaced.
@@ -248,15 +218,15 @@ class BaseMsg(Msg):
         protocol transparently at runtime (§IV-A).  Requires a header
         implementation with ``with_protocol`` (e.g. :class:`BasicHeader`).
         """
-        replace = getattr(self._header, "with_protocol", None)
+        replace = getattr(self.header, "with_protocol", None)
         if replace is None:
             raise TypeError(
-                f"{type(self._header).__name__} does not support protocol replacement"
+                f"{type(self.header).__name__} does not support protocol replacement"
             )
         # copy.copy(self) resolves to __copy__ anyway; call it directly —
         # the data interceptor stamps every data message through here.
         clone = self.__copy__()
-        clone._header = replace(protocol)
+        clone.header = replace(protocol)
         return clone
 
     def __copy__(self) -> "BaseMsg":
@@ -280,4 +250,4 @@ class BaseMsg(Msg):
         return clone
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"{type(self).__name__}(#{self.msg_id} {self._header!r})"
+        return f"{type(self).__name__}(#{self.msg_id} {self.header!r})"

@@ -23,11 +23,11 @@ from repro.messaging.address import Address
 from repro.messaging.channels import ChannelKey, ChannelPool
 from repro.messaging.compression import CompressionCodec, codec_by_name, compressibility_of
 from repro.messaging.message import Msg, RoutingHeader
-from repro.messaging.network_component import NetworkComponent, Report, Socket
-from repro.messaging.recovery import PendingSend, ReconnectPolicy
+from repro.messaging.network_component import NetworkComponent, Route, Socket
+from repro.messaging.recovery import ReconnectPolicy, fail_sends
 from repro.messaging.serialization import SerializerRegistry
 from repro.messaging.transport import Transport
-from repro.netsim.connection import Connection
+from repro.netsim.connection import Connection, WireMessage
 from repro.netsim.host import Listener, SimHost
 from repro.netsim.link import Proto
 from repro.obs import get_registry
@@ -71,7 +71,6 @@ class NettyNetwork(NetworkComponent):
                 self.config.get_str("messaging.compression", "snappy-sim")
             )
         self.host = host
-        self._proto_of = {t: t.to_proto() for t in self.protocols}
         if self_address.ip != host.ip:
             raise TransportError(
                 f"self address {self_address!r} does not match host ip {host.ip}"
@@ -157,17 +156,20 @@ class NettyNetwork(NetworkComponent):
     # ------------------------------------------------------------------
     # send path
     # ------------------------------------------------------------------
-    def _transmit(self, msg: Msg, transport: Transport, remote: Socket,
-                  report: Report) -> None:
+    def _channel_key(self, remote: Socket, transport: Transport) -> Any:
+        return (remote, transport.to_proto())
+
+    def _transmit(self, msg: Msg, route: Route, notify_id: Optional[int]) -> None:
         size = self.compression.estimate_size(
             self.serializers.wire_size(msg), compressibility_of(msg)
         )
-        if not self._fits(transport, size, report):
+        if not self._fits(route.transport, size, notify_id):
             return
-        self.pool.send(
-            remote, self._proto_of[transport], msg, size,
-            partial(self._resolve, transport, size, report), now=self.clock.now(),
-        )
+        self.pool.send(route.key, WireMessage(
+            msg, size,
+            route.sent if notify_id is None
+            else partial(self._resolve, route.transport, size, notify_id),
+        ))
         # Inline the common-case guard of _arm_channel_sweep (sweeps are
         # off unless an idle timeout is configured).
         if not self._sweep_armed and self._idle_timeout is not None:
@@ -176,7 +178,7 @@ class NettyNetwork(NetworkComponent):
     # ------------------------------------------------------------------
     # recovery fallback
     # ------------------------------------------------------------------
-    def _on_recovery_exhausted(self, key: ChannelKey, pending: List[PendingSend],
+    def _on_recovery_exhausted(self, key: ChannelKey, pending: List[WireMessage],
                                reason: str) -> None:
         """A reconnect campaign gave up: degrade to TCP or fail the queue.
 
@@ -202,13 +204,10 @@ class NettyNetwork(NetworkComponent):
                 "%s: %s to %s down (%s); degrading %d pending message(s) to tcp",
                 self.name, proto.value, remote, reason, len(pending),
             )
-            now = self.clock.now()
-            for item in pending:
-                self.pool.send(remote, Proto.TCP, item.payload, item.size,
-                               item.on_sent, now=now)
+            for wire in pending:
+                self.pool.send((remote, Proto.TCP), wire)
             return
-        for item in pending:
-            item.fail()
+        fail_sends(pending)
 
     def _on_channel_up(self, key: ChannelKey) -> None:
         """A dial over ``key``'s protocol completed: lift any Down mark.
@@ -224,35 +223,35 @@ class NettyNetwork(NetworkComponent):
     # receive path
     # ------------------------------------------------------------------
     def _on_accept(self, conn: Connection) -> None:
-        conn.on_message = self._on_wire_message
         # The handshake hello names the dialling middleware instance's own
-        # listening socket: register the channel so replies reuse it.  (The
-        # message header's *source* must NOT be used here — with multi-hop
+        # listening socket: register the channel so replies reuse it, and
+        # credit what arrives on this connection to it.  (The message
+        # header's *source* must NOT be used here — with multi-hop
         # RoutingHeaders it names the original sender, not the peer.)
-        if conn.peer_hello is not None:
-            self.pool.register_inbound(
-                tuple(conn.peer_hello), conn.proto, conn, now=self.clock.now()
-            )
-            self._arm_channel_sweep()
+        if conn.peer_hello is None:
+            conn.on_message = self._on_wire_message
+            return
+        key = (tuple(conn.peer_hello), conn.proto)
+        self.pool.register_inbound(key, conn)
+        conn.on_message = partial(self._on_inbound, key)
+        self._arm_channel_sweep()
 
-    def _on_wire_message(self, payload: Any, size: int, conn: Connection) -> None:
-        msg = payload  # fluid path: the envelope is the message itself
-        if conn.peer_hello is not None and isinstance(msg, Msg):
-            self.pool.note_traffic_in(
-                tuple(conn.peer_hello), conn.proto, size, now=self.clock.now()
-            )
+    def _on_inbound(self, key: ChannelKey, msg: Any, size: int, conn: Connection) -> None:
+        if isinstance(msg, Msg):
+            self.pool.note_traffic_in(key, size)
         self._deliver(msg)
 
-    def _on_datagram(self, payload: Any, size: int, src: Socket) -> None:
+    def _on_wire_message(self, msg: Any, size: int, conn: Connection) -> None:
+        # fluid path: the envelope is the message itself
+        self._deliver(msg)
+
+    def _on_datagram(self, msg: Any, size: int, src: Socket) -> None:
         # Datagrams carry no connection hello, and ``src`` is the sender's
         # ephemeral socket — but a basic header's source names the sending
         # middleware instance, which is exactly the key an outbound UDP
         # channel to that peer is pooled under.  Crediting it keeps UDP
         # stats symmetric with TCP/UDT and visible to the idle sweep.
         # (Routed headers name the origin, not the peer — skip those.)
-        msg = payload
         if isinstance(msg, Msg) and not isinstance(msg.header, RoutingHeader):
-            self.pool.note_traffic_in(
-                msg.header.source.as_socket(), Proto.UDP, size, now=self.clock.now()
-            )
+            self.pool.note_traffic_in((msg.header.source.as_socket(), Proto.UDP), size)
         self._deliver(msg)

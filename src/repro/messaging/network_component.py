@@ -12,7 +12,8 @@ is in ``docs/component-model.md``.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Iterable, Optional, Set, Sized, Tuple
+from functools import partial
+from typing import Any, Callable, Dict, Iterable, NamedTuple, Optional, Set, Sized, Tuple
 
 from repro.errors import TransportError
 from repro.kompics.channel import Channel
@@ -27,8 +28,20 @@ from repro.messaging.transport import Transport
 from repro.obs import get_registry, get_tracer
 
 Socket = Tuple[str, int]
-#: ``report(success, size)`` resolves one ``MessageNotify.Req``
-Report = Optional[Callable[[bool, int], None]]
+
+
+class Route(NamedTuple):
+    """One (remote instance, transport) pair as a send sees it, resolved once."""
+
+    remote: Socket
+    transport: Transport
+    #: the remote is this instance: reflect, never serialize (§III-B)
+    local: bool
+    enabled: bool
+    #: what the backend keys the channel by
+    key: Any
+    #: completion callback of a send nobody tracks, bound once
+    sent: Callable[[bool], None]
 
 
 class NetworkComponent(ComponentDefinition):
@@ -60,6 +73,8 @@ class NetworkComponent(ComponentDefinition):
         self.buffer_size = self.config.get_int("messaging.buffer_size", 65536)
         #: (remote socket, transport) pairs currently published as Down
         self._down: Set[Tuple[Socket, Transport]] = set()
+        #: (remote socket, transport) -> its Route, made on first send
+        self._routes: Dict[Tuple[Socket, Transport], Route] = {}
         self.counters: Dict[str, int] = {
             "sent": 0, "received": 0, "reflected": 0, "send_failures": 0,
         }
@@ -84,7 +99,7 @@ class NetworkComponent(ComponentDefinition):
         )
 
         self.subscribe(self.net, MessageNotify.Req, self._on_notify_request)
-        self.subscribe(self.net, Msg, self._on_msg_request)
+        self.subscribe(self.net, Msg, self._send)
 
     def connect_consumer(self, consumer_port: Port) -> Channel:
         """Attach a consumer's required Network port (same call on a DataNetwork)."""
@@ -105,22 +120,35 @@ class NetworkComponent(ComponentDefinition):
     # ------------------------------------------------------------------
     # send path
     # ------------------------------------------------------------------
-    def _on_msg_request(self, msg: Msg) -> None:
-        self._send(msg, None)
-
     def _on_notify_request(self, req: MessageNotify.Req) -> None:
-        def report(success: bool, size: int) -> None:
-            self.net.trigger(
-                MessageNotify.Resp(req.notify_id, success, self.clock.now(), size)
-            )
+        self._send(req.msg, req.notify_id)
 
-        self._send(req.msg, report)
-
-    def _send(self, msg: Msg, report: Report) -> None:
+    def _send(self, msg: Msg, notify_id: Optional[int] = None) -> None:
+        """The one send path: ``Msg`` handler and tracked-send body alike."""
         header = msg.header
-        transport = header.protocol
-        # A handful of enum members: the tuple scan compares by identity,
-        # where a set or dict probe would run Enum.__hash__ in Python.
+        key = (header.destination.as_socket(), header.protocol)
+        route = self._routes.get(key)
+        if route is None:
+            route = self._routes[key] = self._route(*key)
+        if route.local:
+            # vnode traffic: receivers must not expect a copy
+            self.counters["reflected"] += 1
+            if self._obs:
+                self._m_reflected.inc()
+            self.net.trigger(msg)
+            if notify_id is not None:
+                self.net.trigger(MessageNotify.Resp(notify_id, True, self.clock.now(), 0))
+        elif route.enabled:
+            self._transmit(msg, route, notify_id)
+        else:
+            # A bad send fails the *message*, never the component: its
+            # pending notify must resolve (the interceptor's flow window
+            # leaks otherwise) and the network stays healthy.
+            self.logger.debug("%s: dropping %s send to %s (transport not enabled)",
+                              self.name, route.transport.value, route.remote)
+            self._resolve(route.transport, 0, notify_id, False)
+
+    def _route(self, remote: Socket, transport: Transport) -> Route:
         enabled = transport in self.protocols
         if not enabled and not transport.is_wire_protocol:
             # A wiring error, not a runtime condition — keep it loud.
@@ -128,49 +156,38 @@ class NetworkComponent(ComponentDefinition):
                 f"Transport.DATA reached {self.name}: wrap the network in a "
                 "DataNetwork so the interceptor can replace it (paper §IV-A)"
             )
-        remote = header.destination.as_socket()
-        if remote == self._self_socket:
-            # Same middleware instance (vnode traffic): reflect, never
-            # serialized — receivers must not expect a copy (§III-B).
-            self.counters["reflected"] += 1
-            if self._obs:
-                self._m_reflected.inc()
-            self.net.trigger(msg)
-            if report is not None:
-                report(True, 0)
-            return
-        # From here on a bad send fails the *message*, never the component:
-        # its pending notify must resolve (the interceptor's flow window
-        # leaks otherwise) and the network stays healthy for the next one.
-        if not enabled:
-            self.logger.debug("%s: dropping %s send to %s (transport not enabled)",
-                              self.name, transport.value, remote)
-            self._resolve(transport, 0, report, False)
-            return
-        self._transmit(msg, transport, remote, report)
+        return Route(
+            remote, transport, remote == self._self_socket, enabled,
+            self._channel_key(remote, transport) if enabled else None,
+            partial(self._resolve, transport, 0, None),
+        )
 
-    def _transmit(self, msg: Msg, transport: Transport, remote: Socket,
-                  report: Report) -> None:
-        """Backend hook: put ``msg`` on the wire towards ``remote``.
+    def _channel_key(self, remote: Socket, transport: Transport) -> Any:
+        """Backend hook: what the backend keys the route's channel by."""
+        return (remote, transport)
 
-        The backend sizes the frame, passes it by :meth:`_fits`, and calls
-        :meth:`_resolve` exactly once when the message has left or failed.
-        It must not raise for anything the network can do to it.
+    def _transmit(self, msg: Msg, route: Route, notify_id: Optional[int]) -> None:
+        """Backend hook: put ``msg`` on the wire along ``route``.
+
+        The backend sizes the frame, passes it by :meth:`_fits`, and has
+        :meth:`_resolve` called exactly once when the message has left or
+        failed — ``route.sent`` for an untracked send.  It must not raise
+        for anything the network can do to it.
         """
         raise NotImplementedError
 
-    def _fits(self, transport: Transport, size: int, report: Report) -> bool:
+    def _fits(self, transport: Transport, size: int, notify_id: Optional[int]) -> bool:
         """Frame-size guard: over ``messaging.buffer_size`` fails the message."""
         if size > self.buffer_size:
             self.logger.debug("%s: dropping %d byte frame (buffer is %d; split it "
                               "into chunks)", self.name, size, self.buffer_size)
-            self._resolve(transport, size, report, False)
+            self._resolve(transport, size, notify_id, False)
             return False
         if self._obs:
             self._m_wire_bytes.observe(size)
         return True
 
-    def _resolve(self, transport: Transport, size: int, report: Report,
+    def _resolve(self, transport: Transport, size: int, notify_id: Optional[int],
                  ok: bool) -> None:
         """Account for one finished send and answer its notify, if any.
 
@@ -185,8 +202,8 @@ class NetworkComponent(ComponentDefinition):
             self.counters["send_failures"] += 1
             if self._obs and transport in self._m_send_failures:
                 self._m_send_failures[transport].inc()
-        if report is not None:
-            report(ok, size)
+        if notify_id is not None:
+            self.net.trigger(MessageNotify.Resp(notify_id, ok, self.clock.now(), size))
 
     # ------------------------------------------------------------------
     # transport health

@@ -47,8 +47,9 @@ from __future__ import annotations
 import logging
 from collections import deque
 from dataclasses import dataclass
-from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
+from typing import Any, Callable, Deque, Dict, Iterable, List, Optional, Tuple
 
+from repro.netsim.connection import WireMessage
 from repro.obs import get_registry, get_tracer
 
 Socket = Tuple[str, int]
@@ -87,20 +88,11 @@ class ReconnectPolicy:
         return delay
 
 
-class PendingSend:
-    """One message parked while its channel recovers."""
-
-    __slots__ = ("payload", "size", "on_sent")
-
-    def __init__(self, payload: Any, size: int,
-                 on_sent: Optional[Callable[[bool], None]]) -> None:
-        self.payload = payload
-        self.size = size
-        self.on_sent = on_sent
-
-    def fail(self) -> None:
-        if self.on_sent is not None:
-            self.on_sent(False)
+def fail_sends(pending: Iterable[WireMessage]) -> None:
+    """Resolve sends that will never reach a connection as failed."""
+    for wire in pending:
+        if wire.on_sent is not None:
+            wire.on_sent(False)
 
 
 class _Campaign:
@@ -111,7 +103,7 @@ class _Campaign:
     def __init__(self, key: ChannelKey) -> None:
         self.key = key
         self.attempts = 0
-        self.queue: Deque[PendingSend] = deque()
+        self.queue: Deque[WireMessage] = deque()
         self.handle = None  # EventHandle of the next scheduled dial
         self.dialing = False  # a dial is currently in flight
 
@@ -130,8 +122,8 @@ class ChannelRecovery:
         sim,
         policy: ReconnectPolicy,
         dial: Callable[[ChannelKey], None],
-        flush: Callable[[ChannelKey, List[PendingSend]], None],
-        give_up: Callable[[ChannelKey, List[PendingSend], str], None],
+        flush: Callable[[ChannelKey, List[WireMessage]], None],
+        give_up: Callable[[ChannelKey, List[WireMessage], str], None],
         rng=None,
         logger: Optional[logging.Logger] = None,
     ) -> None:
@@ -183,8 +175,7 @@ class ChannelRecovery:
             delay, lambda: self._attempt(campaign), label="chan-reconnect"
         )
 
-    def queue_send(self, key: ChannelKey, payload: Any, size: int,
-                   on_sent: Optional[Callable[[bool], None]]) -> bool:
+    def queue_send(self, key: ChannelKey, wire: WireMessage) -> bool:
         """Park a send for a recovering channel; False beyond the bound."""
         campaign = self.campaigns.get(key)
         if campaign is None:
@@ -192,7 +183,7 @@ class ChannelRecovery:
         if len(campaign.queue) >= self.policy.queue_limit:
             self._m_queue_drops.inc()
             return False
-        campaign.queue.append(PendingSend(payload, size, on_sent))
+        campaign.queue.append(wire)
         return True
 
     def dial_succeeded(self, key: ChannelKey) -> None:
@@ -219,8 +210,7 @@ class ChannelRecovery:
         for campaign in self.campaigns.values():
             if campaign.handle is not None:
                 campaign.handle.cancel()
-            for pending in campaign.queue:
-                pending.fail()
+            fail_sends(campaign.queue)
         self.campaigns.clear()
 
     # ------------------------------------------------------------------

@@ -13,7 +13,7 @@ from __future__ import annotations
 import pickle
 import struct
 from abc import ABC, abstractmethod
-from typing import Any, Dict, Optional, Tuple, Type
+from typing import Any, Callable, Dict, Optional, Tuple, Type
 
 from repro import fastpath
 from repro.errors import SerializationError
@@ -21,6 +21,8 @@ from repro.messaging.address import Address, BasicAddress, VirtualAddress
 
 FRAME_HEADER = struct.Struct(">HI")  # type id, body length
 PICKLE_TYPE_ID = 0
+#: (class, header) pairs whose fixed frame size one registry remembers
+SIZES_LIMIT = 1024
 
 
 class Serializer(ABC):
@@ -36,6 +38,16 @@ class Serializer(ABC):
         """Body size in bytes; override when computable without encoding."""
         return len(self.to_bytes(obj))
 
+    def variable_size(self, obj: Any) -> Optional[int]:
+        """The part of :meth:`wire_size` not fixed by ``obj``'s class and header.
+
+        ``None`` (the default) means the size has no such split.  A number
+        promises that ``wire_size(obj) - variable_size(obj)`` is the same
+        for every object of one class carrying one header, so the
+        registry sizes that part once and adds this per message.
+        """
+        return None
+
 
 class PickleSerializer(Serializer):
     """Fallback serializer; convenient but neither compact nor portable."""
@@ -50,11 +62,14 @@ class PickleSerializer(Serializer):
 class SerializerRegistry:
     """Type-id <-> serializer mapping with mro-based lookup.
 
-    Two memoization layers keep the per-message cost flat (both gated on
+    Three memoization layers keep the per-message cost flat (all gated on
     :data:`repro.fastpath.SERIALIZER_CACHE`):
 
     * the MRO walk in :meth:`lookup` resolves once per concrete type and
       is cached (invalidated by :meth:`register`);
+    * for serializers that split their size (:meth:`Serializer.variable_size`)
+      :meth:`wire_size` computes the part fixed by class and header once
+      per (class, header) pair;
     * when sizing a message requires encoding it (serializers that don't
       override :meth:`Serializer.wire_size`, e.g. the pickle fallback),
       the encoded frame from :meth:`wire_size` is kept for the object and
@@ -75,6 +90,10 @@ class SerializerRegistry:
         #: contract is the send path's: size, then send, no mutation in
         #: between.  One entry only, so nothing can accumulate.
         self._sized_frame: Optional[Tuple[Any, bytes]] = None
+        #: (class, header) -> (framed size they fix, the serializer's
+        #: variable_size); emptied when full, so headers made per message
+        #: cannot grow it without bound
+        self._sizes: Dict[Tuple[Type, Any], Tuple[int, Callable[[Any], int]]] = {}
 
     def register(self, type_id: int, cls: Type, serializer: Serializer) -> None:
         if type_id == PICKLE_TYPE_ID:
@@ -87,6 +106,7 @@ class SerializerRegistry:
         self._by_id[type_id] = serializer
         self._lookup_cache.clear()
         self._sized_frame = None
+        self._sizes.clear()
 
     def lookup(self, obj: Any) -> Tuple[int, Serializer]:
         """Find the serializer for ``obj`` walking its mro."""
@@ -141,6 +161,15 @@ class SerializerRegistry:
         immediately following :meth:`serialize` of the same object reuses
         it instead of encoding again.
         """
+        key = None
+        if fastpath.SERIALIZER_CACHE:
+            try:
+                key = (obj.__class__, obj.header)
+                sized = self._sizes.get(key)
+            except (AttributeError, TypeError):  # no header, or unhashable
+                key = sized = None
+            if sized is not None:
+                return sized[0] + sized[1](obj)
         type_id, serializer = self.lookup(obj)
         if type(serializer).wire_size is Serializer.wire_size:
             # Sizing requires encoding: build the full frame once.
@@ -149,7 +178,14 @@ class SerializerRegistry:
             if fastpath.SERIALIZER_CACHE:
                 self._sized_frame = (obj, frame)
             return len(frame)
-        return FRAME_HEADER.size + serializer.wire_size(obj)
+        size = FRAME_HEADER.size + serializer.wire_size(obj)
+        if key is not None:
+            variable = serializer.variable_size(obj)
+            if variable is not None:
+                if len(self._sizes) >= SIZES_LIMIT:
+                    self._sizes.clear()
+                self._sizes[key] = (size - variable, serializer.variable_size)
+        return size
 
 
 # ----------------------------------------------------------------------

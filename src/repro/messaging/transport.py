@@ -25,22 +25,16 @@ class Transport(enum.Enum):
     #: pseudo-protocol resolved to TCP/UDT by the data interceptor (§IV-A)
     DATA = "data"
 
+    # Members are singletons: hash by identity in C (see Proto.__hash__).
+    __hash__ = object.__hash__
+
     @property
     def is_wire_protocol(self) -> bool:
         """True for protocols the network component can put on the wire."""
         return self is not Transport.DATA
 
     def to_proto(self) -> Proto:
-        """Map to the simulator's wire protocol."""
-        proto = _PROTO_BY_TRANSPORT.get(self)
-        if proto is None:
+        """Map to the simulator's wire protocol (same value)."""
+        if self is Transport.DATA:
             raise TransportError(f"{self.value} is not a wire protocol")
-        return proto
-
-
-_PROTO_BY_TRANSPORT = {
-    Transport.TCP: Proto.TCP,
-    Transport.UDP: Proto.UDP,
-    Transport.UDT: Proto.UDT,
-    Transport.LEDBAT: Proto.LEDBAT,
-}
+        return Proto(self.value)

@@ -29,6 +29,10 @@ class Proto(enum.Enum):
     UDT = "udt"  # runs over UDP and is therefore subject to UDP policing
     LEDBAT = "ledbat"  # scavenger background transport (RFC 6817), over UDP
 
+    # Members are singletons: hash by identity in C, not Enum.__hash__'s
+    # Python-level hash(name), on every per-message dict probe.
+    __hash__ = object.__hash__
+
 
 @dataclass(frozen=True)
 class LinkSpec:

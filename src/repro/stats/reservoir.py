@@ -12,8 +12,6 @@ import random
 from dataclasses import dataclass
 from typing import Iterable, List, Optional, Sequence
 
-import numpy as np
-
 
 class ReservoirSampler:
     """Uniform fixed-size sample over an unbounded stream (Vitter's R)."""
@@ -72,6 +70,8 @@ def summarize_distribution(values: Sequence[float]) -> BoxStats:
     """Compute the five-number summary (plus mean) of ``values``."""
     if len(values) == 0:
         raise ValueError("cannot summarise an empty sample")
+    import numpy as np  # here, not at module level: most processes never summarise
+
     arr = np.asarray(values, dtype=float)
     p25, median, p75 = np.percentile(arr, [25.0, 50.0, 75.0])
     return BoxStats(

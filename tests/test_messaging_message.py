@@ -71,10 +71,6 @@ class TestHeaders:
         assert h.protocol is Transport.DATA
         assert isinstance(h.with_protocol(Transport.TCP), DataHeader)
 
-    def test_msg_passthroughs(self):
-        msg = BaseMsg(BasicHeader(A, B, Transport.UDP))
-        assert msg.source is A and msg.destination is B and msg.protocol is Transport.UDP
-
     def test_msg_ids_unique(self):
         h = BasicHeader(A, B, Transport.TCP)
         assert BaseMsg(h).msg_id != BaseMsg(h).msg_id

@@ -140,6 +140,16 @@ class TestSummaries:
         with pytest.raises(ValueError):
             summarize_distribution([])
 
+    def test_the_runtime_packages_do_not_load_numpy(self):
+        # about 11 MiB and 50 ms of every CLI process and fleet worker;
+        # only summaries and the quadratic value function need it
+        src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+        probe = ("import sys, repro.aio, repro.apps, repro.kompics, repro.cli, "
+                 "repro.core; sys.exit('numpy' in sys.modules)")
+        done = subprocess.run([sys.executable, "-c", probe], timeout=60,
+                              env={**os.environ, "PYTHONPATH": src})
+        assert done.returncode == 0
+
 
 class TestConfidence:
     def test_interval_contains_mean(self):
