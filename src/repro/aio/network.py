@@ -31,7 +31,9 @@ dedicated thread (for use with ``KompicsSystem.threaded()``):
   With :mod:`repro.check` enabled the ``aio.epoch`` and ``aio.nodup``
   invariants verify this path.
 * **Hostile input**: a frame that does not decode is counted
-  (``decode_failures``) and dropped; it never raises out of the loop.
+  (``decode_failures``) and dropped; it never raises out of the loop.  A
+  serializer registry that allows the pickle fallback is refused, so no
+  peer's bytes ever reach ``pickle.loads``.
 """
 
 from __future__ import annotations
@@ -43,7 +45,6 @@ import threading
 from collections import deque
 from typing import Any, Callable, Deque, Dict, Iterable, List, Optional, Set, Tuple
 
-from repro.aio.pacing import pacer_by_name
 from repro.aio.tcp import TcpTransport
 from repro.aio.transport import AioConnection, AioListener, AioTransport, Endpoint
 from repro.aio.udp import UdpEndpoint
@@ -74,6 +75,10 @@ REDIAL_ATTEMPTS = 1
 DOWN_AFTER = 3
 #: per-peer (epoch, seq) delivery-window size for duplicate suppression
 DEDUP_WINDOW = 4096
+#: UDT-lite binds (and dials) the instance port + this: real UDT multiplexes
+#: over a UDP socket, so it cannot share the port with the plain-UDP
+#: listener (the simulated stack keys listeners by (port, protocol))
+UDT_PORT_OFFSET = 1
 #: at-least-once only: bound (s) on waiting for transport-level ACKs
 #: before a batch may be reported sent
 ACK_TIMEOUT = 30.0
@@ -142,12 +147,12 @@ class AioNetwork(NetworkComponent):
             self_address, protocols, serializers,
             compression if compression is not None else NoCompression(),
         )
+        if self.serializers.allow_pickle_fallback:
+            raise TransportError(
+                "AioNetwork decodes bytes from any peer: its serializer "
+                "registry must not allow the pickle fallback"
+            )
         self.bind_ip = bind_ip if bind_ip is not None else self_address.ip
-        # Real UDT multiplexes over a UDP socket, so it cannot share the
-        # instance port with the plain-UDP listener: by convention it binds
-        # (and dials) port + offset.  The simulated stack keys listeners by
-        # (port, protocol) and does not need this.
-        self.udt_port_offset = self.config.get_int("messaging.aio.udt_port_offset", 1)
         #: what happens to queued/in-flight sends across a supervised restart
         self.redelivery = self.config.get_str("messaging.aio.redelivery", AT_MOST_ONCE)
         if self.redelivery not in (AT_MOST_ONCE, AT_LEAST_ONCE):
@@ -163,14 +168,8 @@ class AioNetwork(NetworkComponent):
         #: this instance's network epoch, stamped into every outgoing frame
         self.epoch = next_network_epoch()
 
-        #: pacing policy for the UDT-lite datapath, by registry name —
-        #: the real-socket side of the pluggable congestion-control seam
-        #: (see repro.aio.pacing; the default keeps UDT's DAIMD exactly)
-        self.cc_policy = self.config.get_str("messaging.aio.cc", "udt")
         self._tcp = TcpTransport()
-        self._udt = UdtLiteTransport(
-            adaptor=udt_adaptor, pacer_factory=pacer_by_name(self.cc_policy),
-        )
+        self._udt = UdtLiteTransport(adaptor=udt_adaptor)
         self._udp: Optional[UdpEndpoint] = None
         self._udp_adaptor = udp_adaptor
         #: per-transport (driver, port offset) strategy objects — the dial
@@ -178,7 +177,7 @@ class AioNetwork(NetworkComponent):
         #: transport kind, so new stream transports are one entry away
         self._drivers: Dict[Transport, Tuple[AioTransport, int]] = {
             Transport.TCP: (self._tcp, 0),
-            Transport.UDT: (self._udt, self.udt_port_offset),
+            Transport.UDT: (self._udt, UDT_PORT_OFFSET),
         }
 
         self._loop: Optional[asyncio.AbstractEventLoop] = None

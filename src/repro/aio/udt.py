@@ -85,8 +85,7 @@ class UdtLiteConnection(AioConnection):
         self.endpoint = endpoint
         self.remote = remote
         self.max_rate = max_rate
-        # The pacing policy owns the rate; the default DAIMD policy keeps
-        # the historical arithmetic byte-for-byte.
+        # The pacing policy owns the rate: DAIMD unless a test substitutes one.
         self.pacer: PacingPolicy = (pacer_factory or DaimdPacing)(
             initial_rate, max_rate, time.monotonic()
         )
@@ -576,7 +575,7 @@ class UdtLiteTransport(AioTransport):
         self.loss_fn = loss_fn
         self.adaptor = adaptor
         #: pacing policy for every connection this transport creates;
-        #: None keeps the historical DAIMD behaviour
+        #: None is DAIMD (tests substitute fixed-rate pacers here)
         self.pacer_factory = pacer_factory
         #: remotes that completed a full handshake: eligible for 0-RTT
         self._sessions: Set[Endpoint] = set()

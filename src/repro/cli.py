@@ -275,10 +275,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     cc = sub.add_parser(
         "cc",
-        help="pluggable congestion-control policies (the netsim/aio registry)",
+        help="pluggable congestion-control policies (the netsim registry)",
     )
     cc_sub = cc.add_subparsers(dest="cc_action", required=True)
-    cc_sub.add_parser("list", help="list registered policies and aio pacers")
+    cc_sub.add_parser("list", help="list registered congestion-control policies")
 
     check = sub.add_parser(
         "check",
@@ -558,19 +558,13 @@ def cmd_fleet(args: argparse.Namespace) -> int:
 
 
 def cmd_cc(args: argparse.Namespace) -> int:
-    from repro.aio.pacing import PACERS
     from repro.netsim.congestion import CC_POLICIES
 
     policies = CC_POLICIES.all()
     width = max(len(p.name) for p in policies)
     print("netsim congestion-control policies (connect(..., cc=NAME)):")
     for policy in policies:
-        pacer = "aio" if policy.name in PACERS else "-"
-        print(f"  {policy.name:<{width}}  [{pacer:>3}] {policy.description}")
-    aio_only = sorted(set(PACERS.names()) - {p.name for p in policies})
-    for name in aio_only:  # pragma: no cover - registries currently align
-        print(f"  {name:<{width}}  [aio] (real-socket pacer only)")
-    print("\n[aio] marks names also usable as messaging.aio.cc pacing policies.")
+        print(f"  {policy.name:<{width}}  {policy.description}")
     return 0
 
 

@@ -21,7 +21,7 @@ from repro.core.patterns import (
 from repro.core.prp import ProtocolRatioPolicy, StaticRatio
 from repro.core.psp import ProtocolSelectionPolicy, RandomSelection
 from repro.core.ratio import PatternForm, ProtocolRatio, signed_of_counts
-from repro.core.rewards import EpisodeStats, LatencyPenalizedReward, RewardFunction, ThroughputReward
+from repro.core.rewards import EpisodeStats, reward
 from repro.core.td_learner import TDRatioLearner, ratio_states, step_actions
 
 __all__ = [
@@ -41,9 +41,7 @@ __all__ = [
     "ratio_states",
     "step_actions",
     "EpisodeStats",
-    "RewardFunction",
-    "ThroughputReward",
-    "LatencyPenalizedReward",
+    "reward",
     "DestinationFlow",
     "FlowTelemetry",
     "DataNetworkInterceptor",

@@ -15,7 +15,6 @@ latency-sensitive control traffic interleave with a DATA stream (§V-C).
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from typing import Callable, Deque, Dict, Optional, Tuple
 
 from repro.check import get_checker
@@ -32,20 +31,9 @@ from repro.stats import TimeSeries
 from repro.util.clock import Clock
 
 DEFAULT_WINDOW_MESSAGES = 64
-
-
-@dataclass(slots=True)
-class _Queued:
-    msg: Msg
-    consumer_notify_id: Optional[int]
-    enqueued_at: float
-
-
-@dataclass(slots=True)
-class _InFlight:
-    consumer_notify_id: Optional[int]
-    enqueued_at: float
-    transport: Transport
+#: wire transports the selection policy emits, in fallback-preference order:
+#: a hold on one reroutes releases to the other
+SELECTABLE = (Transport.TCP, Transport.UDT)
 
 
 class FlowTelemetry:
@@ -69,7 +57,6 @@ class DestinationFlow:
         release: Callable[[MessageNotify.Req], None],
         window_messages: int = DEFAULT_WINDOW_MESSAGES,
         dest: Optional[str] = None,
-        transports: Tuple[Transport, ...] = (Transport.TCP, Transport.UDT),
     ) -> None:
         if window_messages < 1:
             raise PolicyError("window_messages must be at least 1")
@@ -78,15 +65,13 @@ class DestinationFlow:
         self.clock = clock
         self._release = release
         self.window_messages = window_messages
-        #: wire transports this flow may release on, in fallback-preference
-        #: order — the hold logic reroutes within this set (binary TCP/UDT
-        #: by default; wider when the selector runs a configured arm list)
-        self.transports = transports
 
         self.psp.set_ratio(prp.initial_ratio())
 
-        self._queue: Deque[_Queued] = deque()
-        self._in_flight: Dict[int, _InFlight] = {}
+        #: (message, consumer notify id or None), oldest first
+        self._queue: Deque[Tuple[Msg, Optional[int]]] = deque()
+        #: released notify id -> the consumer's notify id, or None
+        self._in_flight: Dict[int, Optional[int]] = {}
         #: transports held out of selection until the given sim time
         #: (transport-fallback signal from the recovery layer, §IV-A)
         self._down_until: Dict[Transport, float] = {}
@@ -97,7 +82,6 @@ class DestinationFlow:
         self._messages_failed = 0
         self._tcp_released = 0
         self._udt_released = 0
-        self._queue_delay_sum = 0.0
 
         self.telemetry = FlowTelemetry()
         self.total_bytes_acked = 0
@@ -135,7 +119,7 @@ class DestinationFlow:
     # ------------------------------------------------------------------
     def enqueue(self, msg: Msg, consumer_notify_id: Optional[int] = None) -> None:
         """Accept a DATA message from a consumer."""
-        self._queue.append(_Queued(msg, consumer_notify_id, self.clock.now()))
+        self._queue.append((msg, consumer_notify_id))
         self._pump()
 
     def _pump(self) -> None:
@@ -149,7 +133,7 @@ class DestinationFlow:
         inv = self._inv
         obs = self._obs
         while queue and len(in_flight) < window:
-            item = queue.popleft()
+            msg, consumer_notify_id = queue.popleft()
             transport = select()
             if self._down_until:
                 transport = self._apply_transport_hold(transport)
@@ -161,13 +145,8 @@ class DestinationFlow:
                 self._udt_released += 1
                 if obs:
                     self._m_selected_udt.inc()
-            # other wire transports (widened arm lists) are episode-counted
-            # via messages_acked only; the binary ratio stats stay exact
-            stamped = item.msg.with_protocol(transport)
-            req = MessageNotify.Req(stamped)
-            in_flight[req.notify_id] = _InFlight(
-                item.consumer_notify_id, item.enqueued_at, transport
-            )
+            req = MessageNotify.Req(msg.with_protocol(transport))
+            in_flight[req.notify_id] = consumer_notify_id
             if inv is not None:
                 inv.on_release(transport.value, len(in_flight))
             release(req)
@@ -205,7 +184,7 @@ class DestinationFlow:
             del down[t]
         if transport not in down:
             return transport
-        for other in self.transports:
+        for other in SELECTABLE:
             if other is not transport and other not in down:
                 if self._obs:
                     self._m_overrides.inc()
@@ -220,25 +199,22 @@ class DestinationFlow:
 
     def on_notify_response(self, resp: MessageNotify.Resp) -> Optional[MessageNotify.Resp]:
         """Account a send notification; returns the consumer's Resp, if any."""
-        entry = self._in_flight.pop(resp.notify_id, None)
-        if entry is None:
+        in_flight = self._in_flight
+        if resp.notify_id not in in_flight:
             return None
+        consumer_notify_id = in_flight.pop(resp.notify_id)
         if resp.success:
             self._bytes_acked += resp.size
             self._messages_acked += 1
-            delay = resp.sent_at - entry.enqueued_at
-            if delay < 0.0:
-                delay = 0.0
-            self._queue_delay_sum += delay
             self.total_bytes_acked += resp.size
         else:
             self._messages_failed += 1
         self.total_messages += 1
         if self._inv is not None:
-            self._inv.on_result(resp.success, len(self._in_flight))
+            self._inv.on_result(resp.success, len(in_flight))
         self._pump()
-        if entry.consumer_notify_id is not None:
-            return MessageNotify.Resp(entry.consumer_notify_id, resp.success, resp.sent_at, resp.size)
+        if consumer_notify_id is not None:
+            return MessageNotify.Resp(consumer_notify_id, resp.success, resp.sent_at, resp.size)
         return None
 
     # ------------------------------------------------------------------
@@ -255,7 +231,6 @@ class DestinationFlow:
             messages_failed=self._messages_failed,
             tcp_released=self._tcp_released,
             udt_released=self._udt_released,
-            total_queue_delay=self._queue_delay_sum,
         )
         new_ratio = self.prp.update(stats)
         self.psp.set_ratio(new_ratio)
@@ -268,11 +243,6 @@ class DestinationFlow:
         if reward is not None:
             self.telemetry.reward.record(now, reward)
             self._m_reward.set(reward)
-            reward_episode = getattr(self.psp, "reward_episode", None)
-            if reward_episode is not None:
-                # Widened arm lists learn per-arm estimates from the same
-                # episode reward the ratio policy produced.
-                reward_episode(reward)
         self._m_episodes.inc()
         self._m_ratio.set(float(new_ratio.signed))
         self._tracer.event(
@@ -286,7 +256,6 @@ class DestinationFlow:
         self._messages_failed = 0
         self._tcp_released = 0
         self._udt_released = 0
-        self._queue_delay_sum = 0.0
         return stats, new_ratio
 
     # ------------------------------------------------------------------

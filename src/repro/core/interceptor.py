@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from typing import Callable, Dict, Optional, Tuple
 
-from repro.core.flow import DEFAULT_WINDOW_MESSAGES, DestinationFlow
+from repro.core.flow import DEFAULT_WINDOW_MESSAGES, SELECTABLE, DestinationFlow
 from repro.core.prp import ProtocolRatioPolicy, StaticRatio
 from repro.core.psp import ProtocolSelectionPolicy
 from repro.core.patterns import PatternSelection
@@ -39,8 +39,9 @@ FlowKey = Tuple[str, int]
 
 #: seconds per learning episode unless the constructor says otherwise
 DEFAULT_EPISODE_LENGTH = 1.0
-#: exploration rate of the arm-list selector (``data.arms``)
-ARMS_EPSILON = 0.1
+#: how long a TransportStatus.Down holds a transport out of a flow's
+#: release path (sim seconds); Up indications lift it early
+FALLBACK_HOLD = 10.0
 
 
 class _EpisodeTick(Timeout):
@@ -71,44 +72,10 @@ class DataNetworkInterceptor(ComponentDefinition):
         self.lower = self.requires(Network)  # the NettyNetwork
         self.timer = self.requires(Timer)
 
-        #: configured arm list (``data.arms``: comma-separated cc-policy
-        #: names from repro.netsim.congestion.CC_POLICIES).  When set and
-        #: no explicit psp_factory is given, flows select over the arm
-        #: list via ArmSelection instead of the binary TCP/UDT pattern.
-        arms_spec = self.config.get("data.arms", None)
-        self.arms = None
-        if arms_spec:
-            from repro.core.arms import build_arms
-
-            self.arms = build_arms(arms_spec)
-        if psp_factory is not None:
-            self.psp_factory: PspFactory = psp_factory
-        elif self.arms is not None:
-            arms = self.arms
-            epsilon = ARMS_EPSILON
-            rng = self.rng("arms")
-
-            def make_arm_psp() -> ProtocolSelectionPolicy:
-                from repro.core.arms import ArmSelection
-
-                return ArmSelection(arms, rng=rng, epsilon=epsilon)
-
-            self.psp_factory = make_arm_psp
-        else:
-            self.psp_factory = PatternSelection
+        self.psp_factory: PspFactory = psp_factory or PatternSelection
         self.prp_factory: PrpFactory = prp_factory or (
             lambda: StaticRatio(ProtocolRatio.FIFTY_FIFTY)
         )
-        #: transports the selector may emit and the fallback logic reroutes
-        #: within (binary TCP/UDT unless an arm list widens it)
-        if self.arms is not None:
-            seen = []
-            for arm in self.arms:
-                if arm.transport not in seen:
-                    seen.append(arm.transport)
-            self.selectable: Tuple[Transport, ...] = tuple(seen)
-        else:
-            self.selectable = (Transport.TCP, Transport.UDT)
         self.episode_length = (
             DEFAULT_EPISODE_LENGTH if episode_length is None else episode_length
         )
@@ -118,9 +85,6 @@ class DataNetworkInterceptor(ComponentDefinition):
 
         self.flows: Dict[FlowKey, DestinationFlow] = {}
         self._owned_notify_ids: set[int] = set()
-        #: how long a TransportStatus.Down holds a transport out of a flow's
-        #: release path (sim seconds); Up indications lift it early
-        self.fallback_hold = self.config.get_float("messaging.fallback.hold", 10.0)
         #: active holds, kept so flows created mid-outage inherit them
         self._transport_down: Dict[Tuple[FlowKey, Transport], float] = {}
 
@@ -182,7 +146,6 @@ class DataNetworkInterceptor(ComponentDefinition):
                 release=self._release,
                 window_messages=self.window_messages,
                 dest=f"{key[0]}:{key[1]}",
-                transports=self.selectable,
             )
             self.flows[key] = flow
             # A flow created mid-outage inherits the active holds.
@@ -219,10 +182,10 @@ class DataNetworkInterceptor(ComponentDefinition):
     # transport health (recovery-layer fallback signal, §IV-A)
     # ------------------------------------------------------------------
     def _on_transport_down(self, event: TransportStatus.Down) -> None:
-        if event.transport not in self.selectable:
+        if event.transport not in SELECTABLE:
             return  # only transports the PSP can emit matter to holds
         self._m_transport_down.inc()
-        until = self.clock.now() + self.fallback_hold
+        until = self.clock.now() + FALLBACK_HOLD
         self._transport_down[(event.remote, event.transport)] = until
         flow = self.flows.get(event.remote)
         if flow is not None:

@@ -19,7 +19,7 @@ from typing import List, Optional, Union
 
 from repro.core.prp import ProtocolRatioPolicy
 from repro.core.ratio import ProtocolRatio
-from repro.core.rewards import EpisodeStats, RewardFunction, ThroughputReward
+from repro.core.rewards import EpisodeStats, reward
 from repro.core.rl import (
     ActionValueFunction,
     EligibilityTraces,
@@ -60,7 +60,6 @@ class TDRatioLearner(ProtocolRatioPolicy):
         self,
         rng: random.Random,
         value_function: Union[str, ActionValueFunction] = "approx",
-        reward_function: Optional[RewardFunction] = None,
         kappa: Fraction = Fraction(1, 5),
         max_step: int = 2,
         alpha: float = 0.5,
@@ -96,7 +95,6 @@ class TDRatioLearner(ProtocolRatioPolicy):
                 epsilon_max = 0.3
 
         self.qfunc = qfunc
-        self.reward_function = reward_function if reward_function is not None else ThroughputReward()
         self.policy = EpsilonGreedy(rng, epsilon_max, epsilon_min, epsilon_decay)
         self.sarsa = SarsaLambda(
             actions=self.actions,
@@ -145,11 +143,11 @@ class TDRatioLearner(ProtocolRatioPolicy):
         """Fold one episode's reward into the learner; next target ratio."""
         if self._current_state is None:
             return self.initial_ratio()
-        reward = self.reward_function(stats)
-        self.last_reward = reward
+        r = reward(stats)
+        self.last_reward = r
         self._m_episodes.inc()
-        self._m_reward.set(reward)
-        self._current_state = self.sarsa.step(reward, self._current_state)
+        self._m_reward.set(r)
+        self._current_state = self.sarsa.step(r, self._current_state)
         return ProtocolRatio.from_signed(self._current_state)
 
     # ------------------------------------------------------------------

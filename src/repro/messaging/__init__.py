@@ -20,7 +20,6 @@ from repro.messaging.compression import (
     NoCompression,
     SimulatedSnappy,
     ZlibCodec,
-    codec_by_name,
 )
 from repro.messaging.message import (
     BaseMsg,
@@ -79,5 +78,4 @@ __all__ = [
     "NoCompression",
     "ZlibCodec",
     "SimulatedSnappy",
-    "codec_by_name",
 ]

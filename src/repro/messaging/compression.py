@@ -110,13 +110,3 @@ class SimulatedSnappy(CompressionCodec):
         ratio = max(ratio_hint, self.MIN_RATIO) if ratio_hint < 1.0 else 1.0
         return int(size * ratio) + self.OVERHEAD
 
-
-def codec_by_name(name: str) -> CompressionCodec:
-    """Factory used by the network component config."""
-    if name == "none":
-        return NoCompression()
-    if name == "zlib":
-        return ZlibCodec()
-    if name == "snappy-sim":
-        return SimulatedSnappy()
-    raise ValueError(f"unknown compression codec {name!r}")

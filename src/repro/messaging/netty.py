@@ -21,7 +21,7 @@ from typing import Any, Iterable, List, Optional
 from repro.errors import TransportError
 from repro.messaging.address import Address
 from repro.messaging.channels import ChannelKey, ChannelPool
-from repro.messaging.compression import CompressionCodec, codec_by_name, compressibility_of
+from repro.messaging.compression import CompressionCodec, SimulatedSnappy, compressibility_of
 from repro.messaging.message import Msg, RoutingHeader
 from repro.messaging.network_component import NetworkComponent, Route, Socket
 from repro.messaging.recovery import ReconnectPolicy, fail_sends
@@ -53,8 +53,8 @@ class NettyNetwork(NetworkComponent):
     serializers:
         Message serializer registry (defaults to one with pickle fallback).
     compression:
-        Pipeline codec; defaults to the config key ``messaging.compression``
-        (``snappy-sim``, matching the paper's default Snappy handler).
+        Pipeline codec; defaults to :class:`SimulatedSnappy`, matching the
+        paper's default Snappy handler.
     """
 
     def __init__(
@@ -65,11 +65,15 @@ class NettyNetwork(NetworkComponent):
         serializers: Optional[SerializerRegistry] = None,
         compression: Optional[CompressionCodec] = None,
     ) -> None:
-        super().__init__(self_address, protocols, serializers, compression)
-        if compression is None:
-            self.compression = codec_by_name(
-                self.config.get_str("messaging.compression", "snappy-sim")
-            )
+        # Messages travel as objects here and are only sized, never
+        # decoded from foreign bytes, so pickling an unregistered class to
+        # measure it is safe: the default registry opts in.
+        super().__init__(
+            self_address, protocols,
+            serializers if serializers is not None
+            else SerializerRegistry(allow_pickle_fallback=True),
+            compression if compression is not None else SimulatedSnappy(),
+        )
         self.host = host
         if self_address.ip != host.ip:
             raise TransportError(

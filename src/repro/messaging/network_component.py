@@ -29,6 +29,9 @@ from repro.obs import get_registry, get_tracer
 
 Socket = Tuple[str, int]
 
+#: largest serialized frame a send may put on the wire, bytes
+BUFFER_SIZE = 65536
+
 
 class Route(NamedTuple):
     """One (remote instance, transport) pair as a send sees it, resolved once."""
@@ -56,7 +59,7 @@ class NetworkComponent(ComponentDefinition):
         self_address: Address,
         protocols: Iterable[Transport],
         serializers: Optional[SerializerRegistry],
-        compression: Optional[CompressionCodec],
+        compression: CompressionCodec,
     ) -> None:
         super().__init__()
         self.net = self.provides(Network)
@@ -68,9 +71,7 @@ class NetworkComponent(ComponentDefinition):
         # Send-path constant, resolved once instead of per message.
         self._self_socket = self_address.as_socket()
         self.serializers = serializers if serializers is not None else SerializerRegistry()
-        #: pipeline codec; a backend fills in its own default for ``None``
         self.compression = compression
-        self.buffer_size = self.config.get_int("messaging.buffer_size", 65536)
         #: (remote socket, transport) pairs currently published as Down
         self._down: Set[Tuple[Socket, Transport]] = set()
         #: (remote socket, transport) -> its Route, made on first send
@@ -177,10 +178,10 @@ class NetworkComponent(ComponentDefinition):
         raise NotImplementedError
 
     def _fits(self, transport: Transport, size: int, notify_id: Optional[int]) -> bool:
-        """Frame-size guard: over ``messaging.buffer_size`` fails the message."""
-        if size > self.buffer_size:
+        """Frame-size guard: over :data:`BUFFER_SIZE` fails the message."""
+        if size > BUFFER_SIZE:
             self.logger.debug("%s: dropping %d byte frame (buffer is %d; split it "
-                              "into chunks)", self.name, size, self.buffer_size)
+                              "into chunks)", self.name, size, BUFFER_SIZE)
             self._resolve(transport, size, notify_id, False)
             return False
         if self._obs:

@@ -33,13 +33,13 @@ Config keys (all under ``messaging.reconnect.*``)::
 
     enabled       bool    master switch (default False)
     base_delay    float   first retry delay, seconds (default 0.2)
-    max_delay     float   backoff cap, seconds (default 5.0)
-    multiplier    float   backoff growth factor (default 2.0)
     jitter        float   +/- fraction of the delay, drawn from a seeded
                           stream (default 0.1; 0 disables draws entirely)
     max_attempts  int     dials before giving up (default 6)
     queue_limit   int     max messages parked per recovering channel
                           (default 128)
+
+The delay doubles per attempt (:data:`MULTIPLIER`) up to :data:`MAX_DELAY`.
 """
 
 from __future__ import annotations
@@ -57,14 +57,17 @@ Socket = Tuple[str, int]
 #: cycle — ``(remote socket, Proto)``
 ChannelKey = Tuple[Socket, Any]
 
+#: backoff growth factor per reconnect attempt
+MULTIPLIER = 2.0
+#: backoff cap, seconds
+MAX_DELAY = 5.0
+
 
 @dataclass(frozen=True)
 class ReconnectPolicy:
     """Backoff schedule and queueing bounds for one pool's recovery."""
 
     base_delay: float = 0.2
-    max_delay: float = 5.0
-    multiplier: float = 2.0
     jitter: float = 0.1
     max_attempts: int = 6
     queue_limit: int = 128
@@ -73,8 +76,6 @@ class ReconnectPolicy:
     def from_config(cls, config) -> "ReconnectPolicy":
         return cls(
             base_delay=config.get_float("messaging.reconnect.base_delay", cls.base_delay),
-            max_delay=config.get_float("messaging.reconnect.max_delay", cls.max_delay),
-            multiplier=config.get_float("messaging.reconnect.multiplier", cls.multiplier),
             jitter=config.get_float("messaging.reconnect.jitter", cls.jitter),
             max_attempts=config.get_int("messaging.reconnect.max_attempts", cls.max_attempts),
             queue_limit=config.get_int("messaging.reconnect.queue_limit", cls.queue_limit),
@@ -82,7 +83,7 @@ class ReconnectPolicy:
 
     def delay_for(self, attempt: int, rng=None) -> float:
         """Delay before 0-based reconnect ``attempt``, jittered."""
-        delay = min(self.base_delay * (self.multiplier ** attempt), self.max_delay)
+        delay = min(self.base_delay * (MULTIPLIER ** attempt), MAX_DELAY)
         if rng is not None and self.jitter > 0.0:
             delay *= 1.0 + self.jitter * (2.0 * rng.random() - 1.0)
         return delay

@@ -75,9 +75,13 @@ class SerializerRegistry:
       the encoded frame from :meth:`wire_size` is kept for the object and
       reused by the next :meth:`serialize` call on that same object — the
       send path sizes and encodes exactly once per message.
+
+    An unregistered class is an error unless ``allow_pickle_fallback``
+    is set: the fallback would ``pickle.loads`` type-id-0 frames, so only
+    a registry that never decodes foreign bytes may opt in.
     """
 
-    def __init__(self, allow_pickle_fallback: bool = True) -> None:
+    def __init__(self, allow_pickle_fallback: bool = False) -> None:
         self._by_type: Dict[Type, Tuple[int, Serializer]] = {}
         self._by_id: Dict[int, Serializer] = {}
         self._pickle: Optional[PickleSerializer] = PickleSerializer() if allow_pickle_fallback else None
@@ -94,6 +98,11 @@ class SerializerRegistry:
         #: variable_size); emptied when full, so headers made per message
         #: cannot grow it without bound
         self._sizes: Dict[Tuple[Type, Any], Tuple[int, Callable[[Any], int]]] = {}
+
+    @property
+    def allow_pickle_fallback(self) -> bool:
+        """True when unregistered classes fall back to pickle."""
+        return self._pickle is not None
 
     def register(self, type_id: int, cls: Type, serializer: Serializer) -> None:
         if type_id == PICKLE_TYPE_ID:

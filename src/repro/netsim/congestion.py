@@ -10,8 +10,7 @@ per RTT and congestion avoidance gains one MSS per RTT.
 
 Controllers are *policies*, not transports: connections look them up by
 name in :data:`CC_POLICIES` (see ``docs/congestion.md``), so new variants
-are drop-in scenario axes — and new arms for the RL selector — without
-touching the datapath.  The built-in catalog covers the paper's pair
+are drop-in scenario axes without touching the datapath.  The built-in catalog covers the paper's pair
 (Reno-style ``reno``, DAIMD ``udt``) plus ``cubic`` (window growth as a
 cubic of time since the last loss) and ``bbr`` (rate pacing with a
 gain-cycling probe phase), with ``udp`` and ``ledbat`` rounding out the
@@ -714,13 +713,17 @@ def _capped_estimate(ctx: CcContext, ceiling: float = math.inf) -> float:
     return min(ctx.bandwidth, cap, ceiling)
 
 
+#: UDT implementation processing cap ("limited by internal queue and
+#: buffer sizes" on loopback, §V-B): the 40 MiB/s calibration
+UDT_MAX_RATE = 40 * 1024 * 1024
+
+
 def _udt_factory(ctx: CcContext) -> CongestionControl:
-    max_rate = ctx.get_float("net.udt.max_rate", 40 * 1024 * 1024)
     kw: Dict[str, Any] = dict(
         rtt=ctx.rtt,
-        bandwidth_estimate=_capped_estimate(ctx, max_rate),
+        bandwidth_estimate=_capped_estimate(ctx, UDT_MAX_RATE),
         receive_buffer=ctx.get_float("net.udt.receive_buffer", 100 * 1024 * 1024),
-        max_rate=max_rate,
+        max_rate=UDT_MAX_RATE,
     )
     kw.update(ctx.params)
     return UdtCc(**kw)

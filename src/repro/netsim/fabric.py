@@ -36,9 +36,6 @@ NETSIM_DEFAULTS = {
     # UDT buffers: the paper raised Netty-UDT's 12 MB default to 100 MB to
     # avoid receiver-side loss on high-BDP links (§V-A).
     "net.udt.receive_buffer": 100 * 1024 * 1024,
-    # UDT implementation processing cap ("limited by internal queue and
-    # buffer sizes" on loopback, §V-B).
-    "net.udt.max_rate": 40 * 1024 * 1024,
     "net.udp.socket_buffer": 2 * 1024 * 1024,
     # Default congestion-control policy per wire protocol: registry names
     # resolved against repro.netsim.congestion.CC_POLICIES.  Overriding

@@ -1,4 +1,4 @@
-"""One strict name -> entry registry (scenarios, cc policies, pacers)."""
+"""One strict name -> entry registry (scenarios, cc policies)."""
 
 from __future__ import annotations
 

@@ -1,6 +1,7 @@
 """End-to-end AioNetwork tests: threaded Kompics over real loopback sockets."""
 
 import asyncio
+import pickle
 import socket
 import threading
 import time
@@ -8,7 +9,9 @@ import time
 import pytest
 
 from repro.aio import AioNetwork
+from repro.aio.network import EPOCH_HEADER
 from repro.apps import register_app_serializers
+from repro.errors import TransportError
 from repro.kompics import ComponentDefinition, KompicsSystem
 from repro.kompics.component import ComponentState
 from repro.messaging import (
@@ -21,6 +24,7 @@ from repro.messaging import (
     Transport,
     VirtualAddress,
 )
+from repro.messaging.serialization import FRAME_HEADER, PICKLE_TYPE_ID
 
 from tests.messaging_helpers import Blob, BlobSerializer
 
@@ -91,6 +95,22 @@ def two_nodes():
     yield system, a, b
     system.shutdown()
     time.sleep(0.2)
+
+
+#: what unpickling a :class:`Booby` appends to
+UNPICKLED = []
+
+
+def _mark_unpickled(tag):
+    UNPICKLED.append(tag)
+    return tag
+
+
+class Booby:
+    """Whoever unpickles one runs :func:`_mark_unpickled`."""
+
+    def __reduce__(self):
+        return (_mark_unpickled, ("pickle.loads ran on socket bytes",))
 
 
 def send_blob(app, src, dst, tag, transport, nbytes=200, notify=False):
@@ -208,3 +228,40 @@ class TestHostileFrames:
         assert counters["received"] == 3
         assert loop_errors == []
         assert net_b.state is ComponentState.ACTIVE
+
+    def test_pickled_frame_is_refused_on_udp_and_tcp(self, two_nodes):
+        """A type-id-0 frame never reaches ``pickle.loads``, whoever sends it."""
+        system, (addr_a, net_a, app_a), (addr_b, net_b, app_b) = two_nodes
+        counters = net_b.definition.counters
+        body = pickle.dumps(Booby())
+        frame = (EPOCH_HEADER.pack(1, 0)
+                 + FRAME_HEADER.pack(PICKLE_TYPE_ID, len(body)) + body)
+        UNPICKLED.clear()
+
+        with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as raw:
+            raw.sendto(frame, addr_b.as_socket())
+        assert app_b.definition.wait(lambda: counters["decode_failures"] == 1)
+
+        send_blob(app_a, addr_a, addr_b, "tcp-first", Transport.TCP)
+        assert app_b.definition.wait(lambda: len(app_b.definition.received) == 1)
+        conn = net_a.definition._channels[(addr_b.as_socket(), Transport.TCP)].result()
+        asyncio.run_coroutine_threadsafe(
+            conn.send_frames([frame]), net_a.definition._loop,
+        ).result(timeout=5.0)
+        assert app_b.definition.wait(lambda: counters["decode_failures"] == 2)
+        send_blob(app_a, addr_a, addr_b, "tcp-ok", Transport.TCP)
+        assert app_b.definition.wait(lambda: len(app_b.definition.received) == 2)
+
+        assert [m.tag for m in app_b.definition.received] == ["tcp-first", "tcp-ok"]
+        assert UNPICKLED == []
+
+    def test_registry_with_pickle_fallback_is_refused(self):
+        system = KompicsSystem.threaded(workers=1)
+        try:
+            with pytest.raises(TransportError, match="pickle"):
+                system.create(
+                    AioNetwork, BasicAddress(HOST, free_port()),
+                    serializers=SerializerRegistry(allow_pickle_fallback=True),
+                )
+        finally:
+            system.shutdown()

@@ -1,23 +1,11 @@
-"""Unit tests for the real-socket pacing policies and their threading
-through the UDT-lite transport stack."""
+"""Unit tests for the real-socket pacing law (UDT's DAIMD) and the
+``pacer_factory=`` seam through the UDT-lite transport stack."""
 
 import asyncio
 
 import pytest
 
-from repro.aio.pacing import (
-    MIN_RATE,
-    MSS,
-    SYN_INTERVAL,
-    BbrPacing,
-    CubicPacing,
-    DaimdPacing,
-    PacingPolicy,
-    RenoPacing,
-    UnknownPacerError,
-    pacer_by_name,
-    pacer_names,
-)
+from repro.aio.pacing import MIN_RATE, MSS, SYN_INTERVAL, DaimdPacing, PacingPolicy
 from repro.aio.udt import UdtLiteTransport
 
 HOST = "127.0.0.1"
@@ -35,18 +23,14 @@ async def free_port() -> int:
         return s.getsockname()[1]
 
 
-class TestRegistry:
-    def test_names(self):
-        assert pacer_names() == ["bbr", "cubic", "reno", "udt"]
+class FixedPacing(PacingPolicy):
+    """A test-local pacer whose rate never moves."""
 
-    def test_lookup_returns_factory(self):
-        assert pacer_by_name("udt") is DaimdPacing
-        assert pacer_by_name("cubic") is CubicPacing
+    def on_interval(self, now: float) -> None:
+        pass
 
-    def test_unknown_name_suggests(self):
-        with pytest.raises(UnknownPacerError) as err:
-            pacer_by_name("rino")
-        assert "did you mean 'reno'" in str(err.value)
+    def on_loss(self, now: float) -> None:
+        pass
 
 
 class TestDaimdPacing:
@@ -85,72 +69,6 @@ class TestDaimdPacing:
         assert p.rate == 1 * 1024 * 1024
 
 
-class TestRenoPacing:
-    def test_additive_increase_multiplicative_decrease(self):
-        p = RenoPacing(initial_rate=256 * 1024, max_rate=float("inf"), now=0.0)
-        before = p.rate
-        p.on_interval(SYN_INTERVAL)
-        assert p.rate == before + 10 * MSS
-        p.on_loss(1.0)
-        assert p.rate == pytest.approx((before + 10 * MSS) / 2)
-
-
-class TestCubicPacing:
-    def test_slow_start_before_first_loss(self):
-        p = CubicPacing(initial_rate=128 * 1024, max_rate=float("inf"), now=0.0)
-        before = p.rate
-        p.on_interval(SYN_INTERVAL)
-        assert p.rate == pytest.approx(before * 1.5)
-
-    def test_loss_records_plateau_and_backs_off(self):
-        p = CubicPacing(initial_rate=1e6, max_rate=float("inf"), now=0.0)
-        p.on_loss(1.0)
-        assert p._r_max == pytest.approx(1e6)
-        assert p.rate == pytest.approx(1e6 * CubicPacing.BETA)
-
-    def test_recovers_toward_plateau_then_probes_past(self):
-        p = CubicPacing(initial_rate=1e6, max_rate=float("inf"), now=0.0)
-        p.on_loss(1.0)
-        for i in range(400):
-            p.on_interval(1.0 + (i + 1) * 2 * SYN_INTERVAL)
-        assert p.rate > 1e6  # convex probing beyond the old plateau
-
-    def test_never_cut_below_floor(self):
-        p = CubicPacing(initial_rate=MIN_RATE, max_rate=float("inf"), now=0.0)
-        p.on_loss(1.0)
-        assert p.rate >= MIN_RATE
-
-
-class TestBbrPacing:
-    def test_startup_doubles_every_four_intervals(self):
-        p = BbrPacing(initial_rate=128 * 1024, max_rate=float("inf"), now=0.0)
-        for i in range(4):
-            p.on_interval((i + 1) * 2 * SYN_INTERVAL)
-        assert p.rate == pytest.approx(256 * 1024)
-
-    def test_first_loss_exits_startup_without_decay(self):
-        p = BbrPacing(initial_rate=1e6, max_rate=float("inf"), now=0.0)
-        p.on_loss(1.0)
-        assert not p.startup
-        assert p.rate == pytest.approx(1e6)
-
-    def test_gain_cycle_spans_probe_and_drain(self):
-        p = BbrPacing(initial_rate=1e6, max_rate=float("inf"), now=0.0)
-        p.on_loss(0.0)  # exit startup, btl_bw = 1e6
-        rates = []
-        for i in range(8):
-            p.on_interval((i + 1) * 2 * SYN_INTERVAL)
-            rates.append(p.rate)
-        assert max(rates) == pytest.approx(1.25e6)
-        assert min(rates) == pytest.approx(0.75e6)
-
-    def test_post_startup_loss_decays_estimate(self):
-        p = BbrPacing(initial_rate=1e6, max_rate=float("inf"), now=0.0)
-        p.on_loss(0.0)
-        p.on_loss(1.0)
-        assert p.btl_bw == pytest.approx(1e6 * BbrPacing.LOSS_DECAY)
-
-
 class TestPacerThreading:
     def test_transport_default_is_daimd(self):
         async def scenario():
@@ -168,13 +86,13 @@ class TestPacerThreading:
         async def scenario():
             port = await free_port()
             received = []
-            server = UdtLiteTransport(pacer_factory=RenoPacing)
+            server = UdtLiteTransport(pacer_factory=FixedPacing)
             listener = await server.listen(
                 HOST, port, lambda c: setattr(c, "on_frame", received.append)
             )
-            client = UdtLiteTransport(pacer_factory=RenoPacing)
+            client = UdtLiteTransport(pacer_factory=FixedPacing)
             conn = await client.connect((HOST, port), b"h")
-            assert isinstance(conn.pacer, RenoPacing)
+            assert isinstance(conn.pacer, FixedPacing)
             assert conn.rate == conn.pacer.rate  # property mirrors the policy
             await conn.send_frame(b"x" * 5000)
             await conn.drain()

@@ -95,4 +95,4 @@ class TestCommands:
         out = capsys.readouterr().out
         for name in ("reno", "cubic", "bbr", "udt", "udp", "ledbat"):
             assert name in out
-        assert "[aio]" in out  # names also usable as real-socket pacers
+        assert "[aio]" not in out  # real sockets pace UDT-lite by DAIMD only

@@ -167,7 +167,6 @@ class TestEpisodes:
         assert stats.throughput == pytest.approx(2000.0)
         assert stats.tcp_released == 2
         assert stats.udt_released == 2
-        assert stats.mean_queue_delay == pytest.approx(0.5)
         # Counters reset for the next episode.
         h.clock._advance_to(2.0)
         stats2, _ = h.flow.end_episode()
@@ -214,7 +213,7 @@ class TestLearnerDefaults:
         from repro.core.rewards import EpisodeStats
 
         learner = TDRatioLearner(random.Random(3), "model")
-        stats = EpisodeStats(0, 1.0, 1000, 1, 0, 1, 0, 0.0)
+        stats = EpisodeStats(0, 1.0, 1000, 1, 0, 1, 0)
         ratio = learner.update(stats)
         assert ratio.signed in set(learner.states)
 
@@ -238,7 +237,7 @@ class TestLearnerDefaults:
         learner = TDRatioLearner(random.Random(3), "approx")
         learner.initial_ratio()
         for i in range(5):
-            learner.update(EpisodeStats(i, 1.0, 1000, 1, 0, 1, 0, 0.0))
+            learner.update(EpisodeStats(i, 1.0, 1000, 1, 0, 1, 0))
         assert learner.episodes == 5
         assert learner.last_reward is not None
 

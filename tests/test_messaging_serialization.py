@@ -12,7 +12,6 @@ from repro.messaging import (
     SimulatedSnappy,
     VirtualAddress,
     ZlibCodec,
-    codec_by_name,
     pack_address,
     packed_address_size,
     unpack_address,
@@ -89,12 +88,12 @@ class TestRegistry:
         assert type_id == 10
 
     def test_pickle_fallback(self):
-        reg = SerializerRegistry()
+        reg = SerializerRegistry(allow_pickle_fallback=True)
         data = reg.serialize({"a": [1, 2, 3]})
         assert reg.deserialize(data) == {"a": [1, 2, 3]}
 
     def test_fallback_disabled(self):
-        reg = SerializerRegistry(allow_pickle_fallback=False)
+        reg = SerializerRegistry()
         with pytest.raises(SerializationError):
             reg.serialize(object())
 
@@ -181,7 +180,7 @@ class TestLookupCache:
         class Point3(Point):
             pass
 
-        reg = SerializerRegistry()
+        reg = SerializerRegistry(allow_pickle_fallback=True)
         reg.register(10, Point, PointSerializer())
         for obj in (Point(1, 2), Point3(3, 4), {"plain": "pickle"}):
             cached = reg.lookup(obj)
@@ -280,13 +279,6 @@ class TestCompression:
     def test_snappy_passthrough_bytes(self):
         codec = SimulatedSnappy()
         assert codec.decompress(codec.compress(b"x" * 10)) == b"x" * 10
-
-    def test_codec_by_name(self):
-        assert codec_by_name("none").name == "none"
-        assert codec_by_name("zlib").name == "zlib"
-        assert codec_by_name("snappy-sim").name == "snappy-sim"
-        with pytest.raises(ValueError):
-            codec_by_name("lz4")
 
     def test_zlib_bad_level(self):
         with pytest.raises(ValueError):

@@ -90,7 +90,7 @@ class TestCcRegistry:
 
     def test_udt_factory_matches_seed_parameters(self):
         # The registry path must reproduce the old hard-coded fabric
-        # arithmetic: estimate = min(bandwidth, udp_cap, net.udt.max_rate).
+        # arithmetic: estimate = min(bandwidth, udp_cap, UDT_MAX_RATE).
         cc = make_cc("udt", rtt=0.1, bandwidth=100 * MB, udp_cap=10 * MB)
         assert isinstance(cc, UdtCc)
         assert cc.bandwidth_estimate == 10 * MB

@@ -8,6 +8,7 @@ lossiness, fair link sharing and head-of-line queueing delay.
 import pytest
 
 from repro.netsim import ConnectionState, Proto, SimNetwork, WireMessage
+from repro.netsim.congestion import UDT_MAX_RATE
 from repro.sim import Simulator
 
 from tests.netsim_helpers import MB, Sink, make_pair, run_transfer
@@ -94,8 +95,7 @@ class TestUdtThroughput:
         net = SimNetwork(sim, seed=1)
         host = net.add_host("a", "10.0.0.1")
         sink = run_transfer(sim, net, host, host, Proto.UDT, 30 * MB)
-        max_rate = net.config.get_float("net.udt.max_rate")
-        assert sink.goodput() < max_rate * 1.05
+        assert sink.goodput() < UDT_MAX_RATE * 1.05
 
 
 class TestUdp:

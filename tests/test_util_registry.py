@@ -1,4 +1,4 @@
-"""The one strict registry under SCENARIOS, CC_POLICIES and PACERS."""
+"""The one strict registry under SCENARIOS and CC_POLICIES."""
 
 import pytest
 
