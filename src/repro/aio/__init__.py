@@ -3,8 +3,8 @@
 The simulation substrate reproduces the paper's experiments; this package
 makes the same middleware usable on actual sockets:
 
-* :mod:`repro.aio.tcp` — length-framed TCP via asyncio streams, with
-  vectored batch writes.
+* :mod:`repro.aio.tcp` — length-framed TCP on loop-owned non-blocking
+  sockets: gathered ``sendmsg`` writes, ``recv_into`` one buffer.
 * :mod:`repro.aio.udp` — plain datagrams (one frame per datagram).
 * :mod:`repro.aio.udt` — **UDT-lite**: a from-scratch reliable-UDP
   transport with sequence numbers, batched cumulative + selective ACKs,
@@ -35,14 +35,12 @@ from repro.aio.data_network import AioDataNetwork
 from repro.aio.network import AioNetwork
 from repro.aio.tcp import TcpTransport
 from repro.aio.transport import AioConnection, AioTransport
-from repro.aio.udp import UdpTransport
 from repro.aio.udt import UdtLiteTransport
 
 __all__ = [
     "AioTransport",
     "AioConnection",
     "TcpTransport",
-    "UdpTransport",
     "UdtLiteTransport",
     "AioNetwork",
     "AioDataNetwork",

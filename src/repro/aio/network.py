@@ -10,9 +10,8 @@ dedicated thread (for use with ``KompicsSystem.threaded()``):
   every frame with ``EPOCH_HEADER`` (network epoch, per-channel sequence),
   then hands it to the loop thread.
 * **Frame batching**: a per-(remote, transport) drainer task coalesces
-  whatever has accumulated into one vectored ``send_frames`` call (one
-  writer hand-off + drain per batch on TCP, one pacing-loop wakeup on
-  UDT-lite).
+  whatever has accumulated into one ``send_frames`` call (one gathered
+  ``sendmsg`` per batch on TCP, one pacing-loop wakeup on UDT-lite).
 * **Channel recovery**: a failed dial is retried ``REDIAL_ATTEMPTS``
   times on the capped-exponential schedule of
   :class:`~repro.messaging.recovery.ReconnectPolicy`
@@ -96,6 +95,10 @@ _epoch_counter = itertools.count(1)
 def next_network_epoch() -> int:
     """Allocate the next network epoch (monotonic per process)."""
     return next(_epoch_counter)
+
+
+def _stream(key: _Key) -> str:  # a channel's name in traces and checker events
+    return f"{key[0][0]}:{key[0][1]}/{key[1].value}"
 
 
 class _DedupWindow:
@@ -552,9 +555,7 @@ class AioNetwork(NetworkComponent):
                 # Waiting here keeps the batch cancellable — a teardown
                 # mid-drain parks it for the successor instance, and the
                 # receiver's dedup window absorbs the replayed overlap.
-                drain = getattr(conn, "drain", None)
-                if drain is not None:
-                    await asyncio.wait_for(drain(), timeout=ACK_TIMEOUT)
+                await asyncio.wait_for(conn.drain(), timeout=ACK_TIMEOUT)
         except (ConnectionError, OSError, asyncio.TimeoutError):
             # The batch may be partially on the wire: at-most-once
             # semantics forbid re-sending, so fail it and drop the channel.
@@ -651,7 +652,7 @@ class AioNetwork(NetworkComponent):
         try:
             epoch, seq = EPOCH_HEADER.unpack_from(frame)
             msg = self.serializers.deserialize(
-                self.compression.decompress(frame[EPOCH_HEADER.size:])
+                self.compression.decompress(memoryview(frame)[EPOCH_HEADER.size:])
             )
         except Exception:  # noqa: BLE001 - socket bytes are hostile input
             # Whatever a decoder raises on garbage must not escape into
@@ -670,19 +671,17 @@ class AioNetwork(NetworkComponent):
             window = self._dedup.get(key)
             if window is None:
                 window = self._dedup[key] = _DedupWindow(DEDUP_WINDOW)
-            peer, transport = key
-            stream = f"{peer[0]}:{peer[1]}/{transport.value}"
             if not window.admit(epoch, seq):
                 self.counters["dups_suppressed"] += 1
                 if self._obs:
                     self._m_dups.inc()
                 self.tracer.event(
                     "messaging.aio.dup_suppressed",
-                    peer=stream, epoch=epoch, seq=seq,
+                    peer=_stream(key), epoch=epoch, seq=seq,
                 )
                 return
             if self._check is not None:
-                self._check.on_aio_delivery(self._instance, stream, epoch, seq)
+                self._check.on_aio_delivery(self._instance, _stream(key), epoch, seq)
         self._deliver(msg)
 
     def _on_datagram(self, frame: bytes, src: Endpoint) -> None:

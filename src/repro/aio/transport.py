@@ -27,18 +27,13 @@ class AioConnection(ABC):
         self.peer_hello: Optional[bytes] = None
         self.closed = False
 
-    @abstractmethod
     async def send_frame(self, data: bytes) -> None:
         """Queue one frame for ordered, reliable delivery."""
+        await self.send_frames((data,))
 
+    @abstractmethod
     async def send_frames(self, frames: Sequence[bytes]) -> None:
-        """Queue a batch of frames.
-
-        The default just loops; transports override it with a vectored
-        fast path (one syscall/drain per batch instead of per frame).
-        """
-        for frame in frames:
-            await self.send_frame(frame)
+        """Queue a batch of frames: one gathered write or pacing wakeup."""
 
     @abstractmethod
     async def drain(self) -> None:

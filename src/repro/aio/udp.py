@@ -107,10 +107,3 @@ class UdpEndpoint:
 
     async def close(self) -> None:
         self.release()
-
-
-class UdpTransport:
-    """Connectionless: the network component uses :class:`UdpEndpoint`
-    directly (datagrams dispatch by port, not per-connection)."""
-
-    name = "udp"

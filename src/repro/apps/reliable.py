@@ -83,7 +83,7 @@ class SeqEnvelopeSerializer(Serializer):
 
         header, offset = unpack_header(data)
         (seq,) = struct.unpack_from(">I", data, offset)
-        inner = self.registry.deserialize(bytes(data[offset + 4:]))
+        inner = self.registry.deserialize(data[offset + 4:])
         return SeqEnvelope(header, seq, inner)
 
     def wire_size(self, obj: SeqEnvelope) -> int:

@@ -32,7 +32,8 @@ class Serializer(ABC):
     def to_bytes(self, obj: Any) -> bytes: ...
 
     @abstractmethod
-    def from_bytes(self, data: bytes) -> Any: ...
+    def from_bytes(self, data: bytes) -> Any:
+        """Decode ``data``, bytes or a read-only memoryview; keep no view of it."""
 
     def wire_size(self, obj: Any) -> int:
         """Body size in bytes; override when computable without encoding."""
@@ -159,7 +160,7 @@ class SerializerRegistry:
         serializer = self._by_id.get(type_id)
         if serializer is None:
             raise SerializationError(f"unknown type id {type_id}")
-        return serializer.from_bytes(bytes(body))
+        return serializer.from_bytes(body)
 
     def wire_size(self, obj: Any) -> int:
         """Framed size without materialising the body where possible.
@@ -216,7 +217,7 @@ def unpack_address(data: bytes, offset: int = 0) -> Tuple[Address, int]:
     """Inverse of :func:`pack_address`; returns (address, next_offset)."""
     ip_len = data[offset]
     offset += 1
-    ip = data[offset:offset + ip_len].decode("utf-8")
+    ip = str(data[offset:offset + ip_len], "utf-8")
     offset += ip_len
     (port,) = struct.unpack_from(">H", data, offset)
     offset += 2

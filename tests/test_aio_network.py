@@ -10,6 +10,7 @@ import pytest
 
 from repro.aio import AioNetwork
 from repro.aio.network import EPOCH_HEADER
+from repro.aio.tcp import HIGH_WATER, TcpConnection
 from repro.apps import register_app_serializers
 from repro.errors import TransportError
 from repro.kompics import ComponentDefinition, KompicsSystem
@@ -190,6 +191,45 @@ class TestAioNetwork:
         send_blob(app_a, addr_a, addr_b, "d", Transport.UDP)
         assert app_b.definition.wait(lambda: len(app_b.definition.received) == 3)
         assert sorted(m.tag for m in app_b.definition.received) == ["d", "t", "u"]
+
+
+class TestSendFailure:
+    def test_reset_with_unsent_bytes_fails_pending_notifies(self):
+        """A channel whose peer stops reading, then resets, holds a batch
+        over the high-water mark; the reset fails it and everything queued
+        behind it, so requested - ok - failed = 0."""
+        system = KompicsSystem.threaded(workers=2)
+        try:
+            addr, net, app = build_node(system, free_port())
+            network = net.definition
+            network.wait_ready()
+            ghost = BasicAddress(HOST, free_port())  # a redial finds nobody
+
+            async def install():
+                writer, reader = socket.socketpair()
+                writer.setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF, 4096)
+                writer.setblocking(False)
+                conn = TcpConnection(writer)
+                conn.start_reading()
+                channel = asyncio.get_running_loop().create_future()
+                channel.set_result(conn)
+                network._channels[(ghost.as_socket(), Transport.TCP)] = channel
+                return conn, reader
+
+            conn, reader = asyncio.run_coroutine_threadsafe(install(), network._loop).result(5.0)
+            requested = 12
+            for i in range(requested):
+                send_blob(app, addr, ghost, "x" * 20_000, Transport.TCP, notify=True)
+            collector = app.definition
+            assert collector.wait(lambda: conn._unsent_bytes > HIGH_WATER)
+            reader.close()
+            assert collector.wait(lambda: len(collector.notifies) == requested)
+            ok = sum(resp.success for resp in collector.notifies)
+            failed = sum(not resp.success for resp in collector.notifies)
+            assert failed >= 1 and requested - ok - failed == 0
+            assert conn.closed
+        finally:
+            system.shutdown()
 
 
 class TestHostileFrames:

@@ -2,10 +2,15 @@
 
 import asyncio
 import os
+import random
+import socket
+from collections import deque
 
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
-from repro.aio.tcp import TcpTransport
+from repro.aio.tcp import HELLO_BUFFER, HIGH_WATER, LENGTH, MAX_FRAME, MAX_HELLO, TcpConnection, TcpTransport
 from repro.aio.udp import UdpEndpoint
 from repro.aio.udt import UdtLiteTransport
 
@@ -95,6 +100,269 @@ class TestTcpTransport:
             await asyncio.sleep(0.2)
             assert closed == [True]
             await listener.close()
+
+        run(scenario())
+
+
+async def turns(count: int = 3) -> None:
+    """Let the loop run ``count`` iterations; no clock is involved."""
+    loop = asyncio.get_running_loop()
+    for _ in range(count):
+        step = loop.create_future()
+        loop.call_soon(step.set_result, None)
+        await step
+
+
+async def until(predicate, turns_left: int = 100_000) -> None:
+    """Run loop iterations until ``predicate()`` holds."""
+    while not predicate():
+        assert turns_left > 0, "condition never came true"
+        turns_left -= 1
+        await turns(1)
+
+
+def framed(*frames: bytes) -> bytes:
+    return b"".join(LENGTH.pack(len(frame)) + frame for frame in frames)
+
+
+class TestTcpHostileInput:
+    """The reader's bounds: MAX_FRAME per frame, HELLO_BUFFER before the hello."""
+
+    def test_oversize_prefix_closes_only_that_connection(self):
+        async def scenario():
+            loop = asyncio.get_running_loop()
+            port = await free_port()
+            accepted, received, closed = [], [], []
+
+            def on_connection(conn):
+                accepted.append(conn)
+                conn.on_frame = received.append
+                conn.on_closed = closed.append
+
+            listener = await TcpTransport().listen(HOST, port, on_connection)
+            raw = socket.socket()
+            raw.setblocking(False)
+            await loop.sock_connect(raw, (HOST, port))
+            await loop.sock_sendall(raw, framed(b"hello") + LENGTH.pack(MAX_FRAME + 1) + b"x" * 1000)
+            try:  # the listener side closes: EOF, or a reset for the unread bytes
+                assert await asyncio.wait_for(loop.sock_recv(raw, 1), 5.0) == b""
+            except ConnectionResetError:
+                pass
+            raw.close()
+            assert [c.peer_hello for c in accepted] == [b"hello"]
+            assert closed == accepted and received == []
+
+            # The listener keeps accepting, and delivering, on a new connection.
+            conn = await TcpTransport().connect((HOST, port), b"second")
+            await conn.send_frames([b"after", b"\x00" * MAX_FRAME])
+            await until(lambda: len(received) == 2)
+            assert accepted[1].peer_hello == b"second" and not accepted[1].closed
+            assert received == [b"after", b"\x00" * MAX_FRAME]
+            await conn.close()
+            await listener.close()
+
+        run(scenario())
+
+    def test_hello_is_read_into_a_small_bounded_buffer(self):
+        async def scenario():
+            loop = asyncio.get_running_loop()
+            port = await free_port()
+            accepted, received = [], []
+
+            def on_connection(conn):
+                accepted.append(conn)
+                conn.on_frame = received.append
+
+            listener = await TcpTransport().listen(HOST, port, on_connection)
+            greeting = listener._accepted
+            hello = b"h" * MAX_HELLO
+            raw = socket.socket()
+            raw.setblocking(False)
+            await loop.sock_connect(raw, (HOST, port))
+            await loop.sock_sendall(raw, framed(hello)[:300])
+            await until(lambda: any(c._end == 300 for c in greeting))
+            (pending,) = greeting
+            assert len(pending._buf) == HELLO_BUFFER and accepted == []
+            await loop.sock_sendall(raw, framed(hello)[300:] + framed(b"first"))
+            await until(lambda: received)
+            assert accepted == [pending] and pending.peer_hello == hello
+            assert len(pending._buf) == LENGTH.size + MAX_FRAME and received == [b"first"]
+            raw.close()
+
+            # One byte over MAX_HELLO closes the connection before any callback.
+            raw = socket.socket()
+            raw.setblocking(False)
+            await loop.sock_connect(raw, (HOST, port))
+            await loop.sock_sendall(raw, LENGTH.pack(MAX_HELLO + 1) + b"h" * 100)
+            try:
+                assert await asyncio.wait_for(loop.sock_recv(raw, 1), 5.0) == b""
+            except ConnectionResetError:
+                pass
+            raw.close()
+            assert accepted == [pending]
+            await listener.close()
+
+        run(scenario())
+
+
+class ScriptedSocket:
+    """A connected socket whose reads return ``chunks`` exactly as cut."""
+
+    def __init__(self, chunks) -> None:
+        self.chunks = deque(chunks)
+
+    def fileno(self) -> int:
+        return 1 << 20  # never registered with the loop
+
+    def recv_into(self, view) -> int:
+        chunk = self.chunks.popleft()
+        size = min(len(view), len(chunk))
+        view[:size] = chunk[:size]
+        if size < len(chunk):
+            self.chunks.appendleft(chunk[size:])
+        return size
+
+    def close(self) -> None:
+        pass
+
+
+def split(stream: bytes, cuts, accepted: bool):
+    """Feed ``stream`` cut at ``cuts`` to a connection; its hellos, frames and itself."""
+    bounds = [0, *sorted({c for c in cuts if 0 < c < len(stream)}), len(stream)]
+    view = memoryview(stream)
+    chunks = [view[a:b] for a, b in zip(bounds, bounds[1:]) if b > a]
+
+    async def feed():
+        hellos = []
+        conn = TcpConnection(ScriptedSocket(chunks), on_hello=hellos.append if accepted else None)
+        delivered = []
+        conn.on_frame = delivered.append
+        while conn._sock is not None and conn._sock.chunks:
+            conn._on_readable()
+        return hellos, delivered, conn
+
+    return asyncio.run(feed())
+
+
+def reference_split(stream: bytes, accepted: bool):
+    """The frames a reader must deliver from ``stream``, and whether it must close."""
+    frames, offset, limit = [], 0, MAX_HELLO if accepted else MAX_FRAME
+    while len(stream) - offset >= LENGTH.size:
+        (length,) = LENGTH.unpack_from(stream, offset)
+        if length > limit:
+            return frames, True
+        if offset + LENGTH.size + length > len(stream):
+            break
+        frames.append(stream[offset + LENGTH.size:offset + LENGTH.size + length])
+        offset, limit = offset + LENGTH.size + length, MAX_FRAME
+    return frames, False
+
+
+class TestTcpFrameSplitter:
+    """Property tests of the reader alone, on a scripted socket."""
+
+    @seed(20170605)
+    @settings(max_examples=40, deadline=None)
+    @given(
+        sizes=st.lists(st.one_of(st.integers(0, 70), st.integers(0, MAX_FRAME)), max_size=5),
+        hello=st.none() | st.binary(max_size=MAX_HELLO),
+        data=st.data(),
+    )
+    def test_frames_cut_anywhere_arrive_exactly_in_order(self, sizes, hello, data):
+        frames = [random.Random(i).randbytes(size) for i, size in enumerate(sizes)]
+        stream = framed(*([] if hello is None else [hello]), *frames)
+        cuts = data.draw(st.lists(st.integers(0, len(stream)), max_size=24))
+        hellos, delivered, conn = split(stream, cuts, accepted=hello is not None)
+        assert delivered == frames
+        assert conn._sock is not None and not conn.closed
+        if hello is not None:
+            assert hellos == [conn] and conn.peer_hello == hello
+
+    @seed(20170605)
+    @settings(max_examples=200, deadline=None)
+    @given(
+        pieces=st.lists(
+            st.binary(max_size=300)
+            | st.integers(0, 2 ** 32 - 1).map(LENGTH.pack)
+            | st.sampled_from([MAX_HELLO, MAX_HELLO + 1, MAX_FRAME, MAX_FRAME + 1]).map(LENGTH.pack),
+            max_size=12,
+        ),
+        accepted=st.booleans(),
+        data=st.data(),
+    )
+    def test_arbitrary_bytes_never_raise_or_overrun(self, pieces, accepted, data):
+        stream = b"".join(pieces)
+        cuts = data.draw(st.lists(st.integers(0, len(stream)), max_size=24))
+        hellos, delivered, conn = split(stream, cuts, accepted)
+        got = ([conn.peer_hello] if hellos else []) + delivered
+        assert all(len(frame) <= MAX_FRAME for frame in delivered)
+        assert all(len(hello) <= MAX_HELLO for hello in ([conn.peer_hello] if hellos else []))
+        assert (got, conn.closed) == reference_split(stream, accepted)
+
+
+def shrunk_socketpair():
+    """A connected pair whose first socket's kernel send buffer is tiny."""
+    writer, reader = socket.socketpair()
+    writer.setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF, 4096)
+    writer.setblocking(False)
+    reader.setblocking(False)
+    return writer, reader
+
+
+class TestTcpSendPath:
+    """Partial gathered sends, back-pressure and resets, on a paused reader."""
+
+    FRAMES = [bytes([i]) * (3000 + 7 * i) for i in range(60)]
+
+    def test_partial_sends_keep_order_and_drain_waits(self):
+        async def scenario():
+            loop = asyncio.get_running_loop()
+            writer, reader = shrunk_socketpair()
+            conn = TcpConnection(writer)
+            sender = asyncio.ensure_future(conn.send_frames(self.FRAMES))
+            await turns()
+            # The kernel took part of the batch; the rest waits, over HIGH_WATER.
+            assert not sender.done() and conn._unsent_bytes > HIGH_WATER
+            assert 0 < conn._unsent_bytes < len(framed(*self.FRAMES))
+            drainer = asyncio.ensure_future(conn.drain())
+            await turns()
+            assert not drainer.done()
+
+            stream = bytearray()
+            while len(stream) < len(framed(*self.FRAMES)):
+                stream += await loop.sock_recv(reader, 65536)
+                if drainer.done():
+                    assert conn._unsent_bytes == 0
+                if conn._unsent_bytes <= HIGH_WATER:
+                    await turns()
+                    assert sender.done()
+            await asyncio.wait_for(drainer, 5.0)
+            await sender
+            assert bytes(stream) == framed(*self.FRAMES)
+            assert conn._unsent_bytes == 0 and not conn._writing
+            await conn.close()
+            reader.close()
+
+        run(scenario())
+
+    def test_peer_reset_with_unsent_bytes_fails_send_and_drain(self):
+        async def scenario():
+            writer, reader = shrunk_socketpair()
+            conn = TcpConnection(writer)
+            conn.start_reading()
+            sender = asyncio.ensure_future(conn.send_frames(self.FRAMES))
+            await turns()
+            drainer = asyncio.ensure_future(conn.drain())
+            await turns()
+            assert not sender.done() and not drainer.done()
+            reader.close()
+            with pytest.raises(ConnectionError):
+                await asyncio.wait_for(sender, 5.0)
+            with pytest.raises(ConnectionError):
+                await asyncio.wait_for(drainer, 5.0)
+            assert conn.closed
+            with pytest.raises(ConnectionError):
+                await conn.send_frames([b"late"])
 
         run(scenario())
 

@@ -1,3 +1,5 @@
+from enum import Enum
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -25,6 +27,13 @@ class TestAddressPacking:
         out, offset = unpack_address(packed)
         assert out == addr
         assert offset == len(packed) == packed_address_size(addr)
+
+    def test_unpack_reads_a_view(self):
+        addr = VirtualAddress("10.0.0.1", 8080, b"vnode-42")
+        packed = b"pre" + pack_address(addr)
+        out, offset = unpack_address(memoryview(packed), 3)
+        assert out == addr and offset == len(packed)
+        assert type(out.ip) is str and type(out.vnode_id) is bytes
 
     def test_roundtrip_virtual(self):
         addr = VirtualAddress("10.0.0.1", 8080, b"vnode-42")
@@ -283,3 +292,68 @@ class TestCompression:
     def test_zlib_bad_level(self):
         with pytest.raises(ValueError):
             ZlibCodec(level=11)
+
+
+def _held(obj):
+    """Everything a decoded object holds, recursively, as plain values."""
+    if isinstance(obj, (list, tuple)):
+        return [_held(item) for item in obj]
+    if isinstance(obj, (bool, int, float, str, bytes, memoryview, Enum, type(None))):
+        return obj
+    fields = dict(getattr(obj, "__dict__", {}))
+    for cls in type(obj).__mro__:
+        slots = getattr(cls, "__slots__", ())
+        for name in (slots,) if isinstance(slots, str) else slots:
+            if hasattr(obj, name):
+                fields[name] = getattr(obj, name)
+    fields.pop("msg_id", None)  # drawn per constructed message, not decoded
+    return type(obj).__name__, {name: _held(value) for name, value in sorted(fields.items())}
+
+
+def _views(held):
+    if isinstance(held, memoryview):
+        return 1
+    if isinstance(held, (list, tuple)):
+        return sum(_views(item) for item in held)
+    if isinstance(held, dict):
+        return sum(_views(value) for value in held.values())
+    return 0
+
+
+class TestDecodeFromView:
+    """The socket backend decodes through a memoryview of the received frame."""
+
+    def test_in_tree_serializers_decode_views_keep_none(self):
+        from repro.apps import register_app_serializers
+        from repro.apps.filetransfer.chunks import DataChunkMsg, TransferDone
+        from repro.apps.gossip import DigestMsg, PullMsg, RumorMsg, register_gossip_serializers
+        from repro.apps.pingpong.messages import PingMsg, PongMsg
+        from repro.apps.reliable import AckMsg, SeqEnvelope, register_reliability_serializers
+        from repro.messaging import BasicHeader, DataHeader, Transport
+
+        registry = register_gossip_serializers(register_reliability_serializers(
+            register_app_serializers(SerializerRegistry())))
+        src = BasicAddress("10.0.0.1", 34000)
+        dst = VirtualAddress("10.0.0.2", 34001, b"vnode-7")
+        header = BasicHeader(src, dst, Transport.TCP)
+        ping = PingMsg(header, 7, 1.25)
+        samples = [
+            ping,
+            PongMsg(BasicHeader(dst, src, Transport.UDT), 7, 1.25),
+            DataChunkMsg(DataHeader(src, dst, Transport.DATA), 3, 9, 5, 10, 50, 0.5, b"abcde"),
+            TransferDone(header, 3, 2.5),
+            SeqEnvelope(header, 11, ping),
+            AckMsg(header, 11),
+            DigestMsg(header, [1, 2 ** 63]),
+            PullMsg(header, []),
+            RumorMsg(header, 5, b"rumour"),
+        ]
+        assert {type(msg) for msg in samples} == set(registry._by_type)
+        for msg in samples:
+            frame = registry.serialize(msg)
+            from_bytes = registry.deserialize(frame)
+            # As AioNetwork decodes: a view past the frame's epoch header.
+            from_view = registry.deserialize(memoryview(b"\x00" * 8 + frame)[8:])
+            assert _held(from_view) == _held(from_bytes)
+            assert _views(_held(from_view)) == 0, type(msg).__name__
+            assert registry.serialize(from_view) == frame
