@@ -17,6 +17,9 @@ FrameHandler = Callable[[bytes], None]
 DatagramHandler = Callable[[bytes, Endpoint], None]
 ConnectionHandler = Callable[["AioConnection"], None]
 
+#: longest hello a listener accepts, on every transport
+MAX_HELLO = 512
+
 
 class AioConnection(ABC):
     """A framed, ordered duplex connection."""

@@ -38,6 +38,7 @@ from typing import Callable, Deque, Dict, Iterable, Optional, Sequence, Set, Tup
 
 from repro.aio.pacing import MSS, SYN_INTERVAL, DaimdPacing, PacerFactory, PacingPolicy
 from repro.aio.transport import (
+    MAX_HELLO,
     AioConnection,
     AioListener,
     AioTransport,
@@ -68,6 +69,8 @@ RTO = 0.25
 FLIGHT_WINDOW = 2048  # max unacked packets
 MAX_NAK_BATCH = 128
 MAX_SACK = 64  # selective acks carried per ACK packet
+#: most connections an endpoint holds: at the cap a new peer evicts a silent one or is refused
+MAX_CONNECTIONS = 1024
 
 
 class UdtLiteConnection(AioConnection):
@@ -389,6 +392,8 @@ class UdtLiteEndpoint:
         self._handshake_acks: Dict[Endpoint, asyncio.Event] = {}
         self.local: Optional[Endpoint] = None
         self.resumed_handshakes = 0
+        self.refused_handshakes = 0
+        self.evicted_connections = 0
         #: called when a 0-RTT resume never got its HANDSHAKE_ACK
         self.on_resume_failed: Optional[Callable[[Endpoint], None]] = None
 
@@ -417,6 +422,11 @@ class UdtLiteEndpoint:
         if ptype == HANDSHAKE:
             conn = self.connections.get(src)
             if conn is None:
+                # Before anything is allocated: any source can send this.
+                if len(payload) > MAX_HELLO or (
+                        len(self.connections) >= MAX_CONNECTIONS and not self._evict_silent()):
+                    self.refused_handshakes += 1
+                    return
                 conn = UdtLiteConnection(
                     self, src, initial_rate=self.initial_rate,
                     pacer_factory=self.pacer_factory,
@@ -539,6 +549,15 @@ class UdtLiteEndpoint:
         finally:
             if self._handshake_acks.get(remote) is event:
                 self._handshake_acks.pop(remote, None)
+
+    def _evict_silent(self) -> bool:
+        """Tear down the oldest accepted connection that never got DATA (likely spoofed)."""
+        for conn in self.connections.values():
+            if conn.peer_hello is not None and conn._expected == 0 and not conn._ooo:
+                conn._teardown()
+                self.evicted_connections += 1
+                return True
+        return False
 
     def _forget(self, remote: Endpoint) -> None:
         self.connections.pop(remote, None)

@@ -212,128 +212,131 @@ def run_fleet_workload(
     sim = Simulator()
     net = SimNetwork(sim, seed=derive_seed(seed, "fleet.net"))
     net.apply_topology(topo)
+    try:
+        trackers = [_FlowTracker(plan) for plan in plans]
 
-    trackers = [_FlowTracker(plan) for plan in plans]
+        def on_message(payload: Any, size: int, conn: Any) -> None:
+            tracker = trackers[payload]
+            tracker.received += size
+            if tracker.received >= tracker.plan.size and tracker.completed_at is None:
+                tracker.completed_at = sim.now
 
-    def on_message(payload: Any, size: int, conn: Any) -> None:
-        tracker = trackers[payload]
-        tracker.received += size
-        if tracker.received >= tracker.plan.size and tracker.completed_at is None:
-            tracker.completed_at = sim.now
+        def on_accept(conn: Any) -> None:
+            conn.on_message = on_message
 
-    def on_accept(conn: Any) -> None:
-        conn.on_message = on_message
+        arms = tuple(cc_arms) if cc_arms else None
 
-    arms = tuple(cc_arms) if cc_arms else None
-
-    listening = {plan.dst for plan in plans}
-    if arms is None:
-        listen_protos = (Proto.TCP, Proto.UDT)
-    else:
-        listen_protos = tuple(sorted({_arm_proto(a) for a in arms},
-                                     key=lambda p: p.value))
-    for ip in sorted(listening):
-        stack = net.stack_for(ip)
-        for proto in listen_protos:
-            stack.listen(FLOW_PORT, proto, on_accept=on_accept)
-
-    def launch(tracker: _FlowTracker) -> None:
-        plan = tracker.plan
+        listening = {plan.dst for plan in plans}
         if arms is None:
-            conn = net.stack_for(plan.src).connect(
-                (plan.dst, FLOW_PORT), Proto(plan.proto)
-            )
+            listen_protos = (Proto.TCP, Proto.UDT)
         else:
-            arm = arms[plan.index % len(arms)]
-            conn = net.stack_for(plan.src).connect(
-                (plan.dst, FLOW_PORT), _arm_proto(arm), cc=arm
-            )
-        tracker.connection = conn
+            listen_protos = tuple(sorted({_arm_proto(a) for a in arms},
+                                         key=lambda p: p.value))
+        for ip in sorted(listening):
+            stack = net.stack_for(ip)
+            for proto in listen_protos:
+                stack.listen(FLOW_PORT, proto, on_accept=on_accept)
 
-        def sent(ok: bool) -> None:
-            if ok:
-                tracker.sent_ok += 1
+        def launch(tracker: _FlowTracker) -> None:
+            plan = tracker.plan
+            if arms is None:
+                conn = net.stack_for(plan.src).connect(
+                    (plan.dst, FLOW_PORT), Proto(plan.proto)
+                )
             else:
-                tracker.sent_failed += 1
+                arm = arms[plan.index % len(arms)]
+                conn = net.stack_for(plan.src).connect(
+                    (plan.dst, FLOW_PORT), _arm_proto(arm), cc=arm
+                )
+            tracker.connection = conn
 
-        remaining = plan.size
-        while remaining > 0:
-            chunk = min(remaining, msg_size)
-            conn.send(WireMessage(plan.index, chunk, on_sent=sent))
-            remaining -= chunk
-        if plan.abort_after is not None:
-            def abort() -> None:
-                if tracker.completed_at is None:
-                    tracker.aborted = True
-                    conn.close()
+            def sent(ok: bool) -> None:
+                if ok:
+                    tracker.sent_ok += 1
+                else:
+                    tracker.sent_failed += 1
 
-            sim.schedule(plan.abort_after, abort, label="fleet-abort")
+            remaining = plan.size
+            while remaining > 0:
+                chunk = min(remaining, msg_size)
+                conn.send(WireMessage(plan.index, chunk, on_sent=sent))
+                remaining -= chunk
+            if plan.abort_after is not None:
+                def abort() -> None:
+                    if tracker.completed_at is None:
+                        tracker.aborted = True
+                        conn.close()
 
-    for tracker in trackers:
-        sim.schedule_at(tracker.plan.start, lambda t=tracker: launch(t),
-                        label="fleet-launch")
+                sim.schedule(plan.abort_after, abort, label="fleet-abort")
 
-    sim.run_until(horizon)
+        for tracker in trackers:
+            sim.schedule_at(tracker.plan.start, lambda t=tracker: launch(t),
+                            label="fleet-launch")
 
-    duration = OnlineStats()
-    goodput = OnlineStats()
-    flow_bytes = OnlineStats()
-    completed = aborted = 0
-    messages_sent = messages_failed = 0
-    bytes_offered = bytes_delivered = 0
-    digest = hashlib.blake2b(digest_size=16)
-    digest.update(f"{topo.digest()} {pattern} {seed}\n".encode())
-    if arms is not None:
-        digest.update(f"cc={','.join(arms)}\n".encode())
-    for tracker in trackers:
-        plan = tracker.plan
-        arm_token = "" if arms is None else f" {arms[plan.index % len(arms)]}"
-        flow_bytes.add(float(plan.size))
-        bytes_offered += plan.size
-        bytes_delivered += tracker.received
-        messages_sent += tracker.sent_ok
-        messages_failed += tracker.sent_failed
-        if tracker.completed_at is not None:
-            # Completed wins over aborted: messages already on the wire
-            # when the sender closed may still deliver the whole payload.
-            completed += 1
-            elapsed = tracker.completed_at - plan.start
-            duration.add(elapsed)
-            if elapsed > 0:
-                goodput.add(plan.size / elapsed)
-        elif tracker.aborted:
-            aborted += 1
-        end = -1.0 if tracker.completed_at is None else tracker.completed_at
-        digest.update(
-            f"{plan.index} {plan.src}>{plan.dst} {plan.proto} {plan.size} "
-            f"{plan.start!r} {tracker.received} {end!r} "
-            f"{tracker.sent_ok} {tracker.sent_failed}{arm_token}\n".encode()
+        sim.run_until(horizon)
+
+        duration = OnlineStats()
+        goodput = OnlineStats()
+        flow_bytes = OnlineStats()
+        completed = aborted = 0
+        messages_sent = messages_failed = 0
+        bytes_offered = bytes_delivered = 0
+        digest = hashlib.blake2b(digest_size=16)
+        digest.update(f"{topo.digest()} {pattern} {seed}\n".encode())
+        if arms is not None:
+            digest.update(f"cc={','.join(arms)}\n".encode())
+        for tracker in trackers:
+            plan = tracker.plan
+            arm_token = "" if arms is None else f" {arms[plan.index % len(arms)]}"
+            flow_bytes.add(float(plan.size))
+            bytes_offered += plan.size
+            bytes_delivered += tracker.received
+            messages_sent += tracker.sent_ok
+            messages_failed += tracker.sent_failed
+            if tracker.completed_at is not None:
+                # Completed wins over aborted: messages already on the wire
+                # when the sender closed may still deliver the whole payload.
+                completed += 1
+                elapsed = tracker.completed_at - plan.start
+                duration.add(elapsed)
+                if elapsed > 0:
+                    goodput.add(plan.size / elapsed)
+            elif tracker.aborted:
+                aborted += 1
+            end = -1.0 if tracker.completed_at is None else tracker.completed_at
+            digest.update(
+                f"{plan.index} {plan.src}>{plan.dst} {plan.proto} {plan.size} "
+                f"{plan.start!r} {tracker.received} {end!r} "
+                f"{tracker.sent_ok} {tracker.sent_failed}{arm_token}\n".encode()
+            )
+
+        return FleetUnitResult(
+            topology_kind=topo.kind,
+            topology_digest=topo.digest(),
+            sim_time=sim.now,
+            stats={
+                "flow_duration_s": duration,
+                "flow_goodput_bytes_s": goodput,
+                "flow_bytes": flow_bytes,
+            },
+            counters={
+                "hosts": float(topo.host_count),
+                "links": float(topo.link_count),
+                "flows": float(len(plans)),
+                "flows_completed": float(completed),
+                "flows_aborted": float(aborted),
+                "flows_unfinished": float(len(plans) - completed - aborted),
+                "messages_sent": float(messages_sent),
+                "messages_failed": float(messages_failed),
+                "bytes_offered": float(bytes_offered),
+                "bytes_delivered": float(bytes_delivered),
+                "events_executed": float(sim.events_executed),
+            },
+            digest=digest.hexdigest(),
         )
-
-    return FleetUnitResult(
-        topology_kind=topo.kind,
-        topology_digest=topo.digest(),
-        sim_time=sim.now,
-        stats={
-            "flow_duration_s": duration,
-            "flow_goodput_bytes_s": goodput,
-            "flow_bytes": flow_bytes,
-        },
-        counters={
-            "hosts": float(topo.host_count),
-            "links": float(topo.link_count),
-            "flows": float(len(plans)),
-            "flows_completed": float(completed),
-            "flows_aborted": float(aborted),
-            "flows_unfinished": float(len(plans) - completed - aborted),
-            "messages_sent": float(messages_sent),
-            "messages_failed": float(messages_failed),
-            "bytes_offered": float(bytes_offered),
-            "bytes_delivered": float(bytes_delivered),
-            "events_executed": float(sim.events_executed),
-        },
-        digest=digest.hexdigest(),
-    )
+    finally:  # the result holds none of the world: free it now
+        net.close()
+        sim.close()
 
 
 # ----------------------------------------------------------------------

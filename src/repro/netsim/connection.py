@@ -5,6 +5,7 @@ from __future__ import annotations
 import enum
 import math
 from collections import deque
+from random import Random
 from typing import TYPE_CHECKING, Any, Callable, Deque, List, Optional, Tuple
 
 from repro import fastpath
@@ -82,7 +83,7 @@ class FlowState:
         sim: Simulator,
         link_dir: LinkDirection,
         cc: CongestionControl,
-        rng,
+        rng_source: Callable[[], Random],
         deliver: Callable[[WireMessage], None],
         queue_limit_bytes: float = math.inf,
     ) -> None:
@@ -91,7 +92,9 @@ class FlowState:
         self.cc = cc
         self.subject_to_udp_cap = cc.subject_to_udp_cap
         self.scavenger = cc.scavenger
-        self.rng = rng
+        #: loss and jitter stream, made by ``rng_source()`` at the first draw
+        self.rng: Optional[Random] = None
+        self._rng_source = rng_source
         self.deliver = deliver
         self.queue_limit_bytes = queue_limit_bytes
         self.queue: Deque[WireMessage] = deque()
@@ -193,7 +196,10 @@ class FlowState:
         cc = self.cc
         gen0 = cc.demand_gen
         cc.on_bytes_sent(size, now)
-        lost = self.rng.random() < link_dir.loss_probability(size)
+        rng = self.rng
+        if rng is None:
+            rng = self.rng = self._rng_source()
+        lost = rng.random() < link_dir.loss_probability(size)
         if lost:
             cc.on_loss(now)
         if self._cc_post is not None:
@@ -208,7 +214,7 @@ class FlowState:
             spec = link_dir.spec
             delay = spec.delay
             if not cc.ordered and spec.jitter > 0:
-                delay += self.rng.uniform(0.0, spec.jitter)
+                delay += rng.uniform(0.0, spec.jitter)
             if fastpath.RX_TRAIN:
                 self._enqueue_delivery(now + delay, msg)
             else:
@@ -399,6 +405,15 @@ class Connection:
             peer = self.peer
             delay = self.flow.link_dir.spec.delay if self.flow.link_dir.up else 0.0
             self.stack.sim.schedule(delay, lambda: peer.close(notify_peer=False), label="conn-close")
+
+    def _release(self) -> None:
+        """Drop peer, callbacks, messages and delivery closure, unreported (``SimNetwork.close``)."""
+        self.peer = self.on_message = self.on_connected = self.on_failed = self.on_closed = None
+        self._pending.clear()
+        flow = self.flow
+        flow.deliver = None
+        flow.queue.clear()
+        flow._train.clear()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from heapq import heappop, heappush
-from typing import TYPE_CHECKING, Any, Dict, FrozenSet, Iterable, List, Mapping, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Dict, FrozenSet, List, Mapping, Optional, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover - structural typing only
     from typing import Protocol
@@ -116,25 +116,8 @@ class SimNetwork:
         return link
 
     # ------------------------------------------------------------------
-    # fleet-scale wiring helpers
+    # fleet-scale wiring
     # ------------------------------------------------------------------
-    def host(self, ip: str) -> SimHost:
-        """Look a host up by IP (the key topology plans carry)."""
-        host = self.hosts.get(ip)
-        if host is None:
-            raise AddressError(f"unknown host {ip}")
-        return host
-
-    def add_hosts(self, named: Iterable[Tuple[str, str]]) -> List[SimHost]:
-        """Create many hosts from ``(name, ip)`` pairs, in order."""
-        return [self.add_host(name, ip) for name, ip in named]
-
-    def connect_ips(
-        self, ip_a: str, ip_b: str, spec: LinkSpec, spec_reverse: Optional[LinkSpec] = None
-    ) -> Link:
-        """Like :meth:`connect_hosts`, addressing endpoints by IP."""
-        return self.connect_hosts(self.host(ip_a), self.host(ip_b), spec, spec_reverse)
-
     def apply_topology(self, topology: "TopologyLike") -> List[SimHost]:
         """Instantiate a generated topology plan onto this fabric.
 
@@ -143,11 +126,10 @@ class SimNetwork:
         as objects with ``a``/``b`` IPs and a ``spec`` (optionally
         ``spec_reverse``).  Returns the created hosts in plan order.
         """
-        hosts = self.add_hosts(topology.hosts)
+        hosts = [self.add_host(name, ip) for name, ip in topology.hosts]
         for plan in topology.links:
-            self.connect_ips(
-                plan.a, plan.b, plan.spec, getattr(plan, "spec_reverse", None)
-            )
+            self.connect_hosts(self.stack_for(plan.a).host, self.stack_for(plan.b).host,
+                               plan.spec, getattr(plan, "spec_reverse", None))
         return hosts
 
     # ------------------------------------------------------------------
@@ -309,6 +291,23 @@ class SimNetwork:
                     conn.flow.publish_demand()
                     updated += 1
         return updated
+
+    def close(self) -> None:
+        """Cut this fabric's cycles so refcounting frees it; unusable after, idempotent."""
+        for host in self.hosts.values():
+            stack = host.stack
+            for conn in stack.connections:
+                conn._release()
+            stack.connections.clear()
+            stack._listeners.clear()
+            stack.host = host.stack = None
+        for link in (*self.links.values(), *self._loopbacks.values()):
+            link.forward._release()
+            link.backward._release()
+        for table in (self.hosts, self.links, self._loopbacks, self._neighbours,
+                      self._route_cache, self._route_trees):
+            table.clear()
+        self._pair_graph = None
 
     # ------------------------------------------------------------------
     # protocol parameters

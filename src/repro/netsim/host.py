@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from functools import partial
 from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Tuple
 
 from repro.errors import NetworkError
@@ -178,7 +179,6 @@ class NetworkStack:
         cc: Optional[CcSpec] = None,
     ) -> Connection:
         cc = self.network.make_congestion_control(proto, rtt, out_dir, cc=cc)
-        rng = self.network.rngs.get(f"link.{out_dir.name}.loss")
         conn_id = self.network.ids.next("connection")
         queue_limit = (
             self.network.config.get_float("net.udp.socket_buffer", 2 * 1024 * 1024)
@@ -200,7 +200,8 @@ class NetworkStack:
             sim=self.sim,
             link_dir=out_dir,
             cc=cc,
-            rng=rng,
+            # Seeded from its label alone, so making it late draws the same.
+            rng_source=partial(self.network.rngs.get, f"link.{out_dir.name}.loss"),
             deliver=deliver,
             queue_limit_bytes=queue_limit,
         )

@@ -318,6 +318,11 @@ class LinkDirection:
             if position is not None:
                 partition.demands[position] = demand
 
+    def _release(self) -> None:
+        """Forget every flow and cached allocation (``SimNetwork.close``)."""
+        self._active.clear()
+        self._flows = self._partition = self._alloc_cache = None
+
     def _flows_tuple(self) -> Tuple["FlowState", ...]:
         flows = self._flows
         if flows is None:

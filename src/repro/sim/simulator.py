@@ -45,7 +45,7 @@ from __future__ import annotations
 import heapq
 import math
 from collections import deque
-from typing import Callable, Deque, Iterable, List, Optional, Tuple
+from typing import Callable, Deque, Iterable, List, NoReturn, Optional, Tuple
 
 from repro import fastpath
 from repro.check import get_checker
@@ -66,6 +66,10 @@ _HeapEntry = Tuple[float, int, EventHandle]
 #: the hottest allocation in the kernel.  The inlined stores mirror
 #: ``EventHandle.__init__`` — keep the two in sync.
 _new_handle = object.__new__
+
+
+def _refuse(*args: object, **kwargs: object) -> NoReturn:  # a closed simulator's schedule*
+    raise SchedulingError("schedule on a closed simulator")
 
 
 class Simulator:
@@ -303,6 +307,18 @@ class Simulator:
         self._stopped = True
         if self._check is not None:
             self._check.on_stop()
+
+    def close(self) -> None:
+        """Drop every queued event and refuse new ones (not through a bound method
+        taken before); ``now``, the clock and ``events_executed`` stay readable."""
+        for handle in (*self._run_q, *(entry[2] for entry in self._heap)):
+            handle.owner = None
+        # In place, so that a run loop this is called from sees empty queues.
+        self._heap.clear()
+        self._run_q.clear()
+        self._tombstones = 0
+        # Shadow the methods on the instance, so the open path tests nothing.
+        self.schedule = self.schedule_at = self.schedule_many = _refuse  # type: ignore[method-assign]
 
     def _run(self, until: Optional[float], max_events: int) -> None:
         if self._running:

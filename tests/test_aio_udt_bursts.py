@@ -17,6 +17,7 @@ import pytest
 
 from repro.aio import udt
 from repro.aio.pacing import PacingPolicy
+from repro.aio.transport import MAX_HELLO
 from repro.aio.udp import DRAIN_MAX, UdpEndpoint
 from repro.aio.udt import (
     HEADER,
@@ -221,6 +222,72 @@ class TestHostileNak:
             endpoint._on_packet(packet(udt.NAK, 0xFFFFFFFF), REMOTE)
             endpoint._on_packet(packet(udt.NAK, 1, LENGTH.pack(3) + LENGTH.pack(4)), REMOTE)
         assert naks == [[9], [], [3]]
+
+
+class TestHostileHandshake:
+    """Any source can send a HANDSHAKE; what handshakes allocate is bounded."""
+
+    @staticmethod
+    def source(i):
+        return (f"10.0.{i >> 8}.{i & 255}", 9)
+
+    @staticmethod
+    async def on_loop(drive):
+        """Run ``drive(endpoint, acked)`` on a running loop; ``acked`` lists
+        the sources answered with a HANDSHAKE_ACK."""
+        endpoint = UdtLiteEndpoint()
+        acked = []
+        endpoint._send_packet = lambda ptype, field, payload, remote: (
+            acked.append(remote) if ptype == udt.HANDSHAKE_ACK else None)
+        try:
+            return drive(endpoint, acked)
+        finally:
+            for conn in list(endpoint.connections.values()):
+                conn._teardown()
+
+    def test_a_flood_of_sources_stops_at_the_connection_cap(self):
+        hello = packet(udt.HANDSHAKE, 0, b"h" * MAX_HELLO)
+
+        def drive(endpoint, acked):
+            for i in range(10_000):
+                endpoint._on_packet(hello, self.source(i))
+            held = set(endpoint.connections)
+            # A peer already in the table is answered, and evicts nobody.
+            endpoint._on_packet(hello, self.source(9_999))
+            assert set(endpoint.connections) == held
+            return held, len(acked), endpoint.evicted_connections, endpoint.refused_handshakes
+
+        held, acks, evicted, refused = run(self.on_loop(drive))
+        # Oldest silent connection out first: the newest sources are held.
+        assert held == {self.source(i) for i in range(10_000 - udt.MAX_CONNECTIONS, 10_000)}
+        assert (acks, evicted, refused) == (10_001, 10_000 - udt.MAX_CONNECTIONS, 0)
+
+    def test_a_peer_that_sent_data_outlives_the_flood(self):
+        def drive(endpoint, acked):
+            endpoint._on_packet(packet(udt.HANDSHAKE), REMOTE)
+            endpoint._on_packet(packet(udt.DATA, 0, b"x"), REMOTE)
+            for i in range(3 * udt.MAX_CONNECTIONS):
+                endpoint._on_packet(packet(udt.HANDSHAKE), self.source(i))
+            return REMOTE in endpoint.connections, len(endpoint.connections)
+
+        assert run(self.on_loop(drive)) == (True, udt.MAX_CONNECTIONS)
+
+    def test_a_table_of_peers_that_sent_data_refuses_a_new_source(self):
+        def drive(endpoint, acked):
+            for i in range(udt.MAX_CONNECTIONS):
+                endpoint._on_packet(packet(udt.HANDSHAKE), self.source(i))
+                endpoint._on_packet(packet(udt.DATA, 0, b"x"), self.source(i))
+            endpoint._on_packet(packet(udt.HANDSHAKE), REMOTE)
+            return (REMOTE in endpoint.connections, REMOTE in acked,
+                    endpoint.evicted_connections, endpoint.refused_handshakes)
+
+        assert run(self.on_loop(drive)) == (False, False, 0, 1)
+
+    def test_a_long_hello_is_refused_before_anything_is_allocated(self):
+        endpoint = UdtLiteEndpoint()  # no running loop: allocating would raise
+        endpoint._on_packet(packet(udt.HANDSHAKE, 0, b"h" * (MAX_HELLO + 1)), REMOTE)
+        assert endpoint.connections == {}
+        assert endpoint.refused_handshakes == 1
 
 
 class Wakeups(list):

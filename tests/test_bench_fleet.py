@@ -1,8 +1,12 @@
 """Fleet layer: topology determinism, campaign merge, registry semantics."""
 
+import gc
 import json
 import math
 import random
+import weakref
+from collections import Counter
+from unittest import mock
 
 import pytest
 
@@ -59,6 +63,18 @@ class TestTopology:
         src = topo.endpoints[0]
         for dst in topo.endpoints[1:]:
             assert net.path(src, dst) is not None
+
+    def test_a_link_to_an_unknown_ip_is_an_address_error(self):
+        from types import SimpleNamespace
+
+        from repro.errors import AddressError
+        from repro.netsim import LinkSpec, SimNetwork
+        from repro.sim import Simulator
+
+        link = SimpleNamespace(a="10.0.0.1", b="10.0.0.9", spec=LinkSpec(bandwidth=1e6, delay=0.001))
+        plan = SimpleNamespace(hosts=[("a", "10.0.0.1")], links=[link])
+        with pytest.raises(AddressError, match="10.0.0.9"):
+            SimNetwork(Simulator(), seed=0).apply_topology(plan)
 
     def test_endpoints_exclude_infrastructure(self):
         topo = generate_topology("fat-tree", 20, seed=0)
@@ -281,6 +297,59 @@ class TestFleetCampaign:
         unit = CampaignUnit.make("fleet", 3, {"hosts": 4, "flows": 8})
         assert unit.kwargs == {"hosts": 4, "flows": 8}
         assert hash(unit) == hash(CampaignUnit.make("fleet", 3, {"flows": 8, "hosts": 4}))
+
+
+class TestUnitTeardown:
+    """A unit frees its simulated world when it returns, by refcounting alone."""
+
+    UNIT = dict(topology="wan-mesh", hosts=16, flows=40, seed=3)
+
+    def test_world_is_dead_on_return_without_the_collector(self):
+        from repro.sim.simulator import Simulator
+
+        simulators = []
+        init = Simulator.__init__
+
+        def watched(sim, *args, **kwargs):
+            init(sim, *args, **kwargs)
+            simulators.append(weakref.ref(sim))
+
+        gc.collect()
+        gc.disable()
+        try:
+            with mock.patch.object(Simulator, "__init__", watched):
+                run_fleet_workload(**self.UNIT)
+            assert len(simulators) == 1 and simulators[0]() is None
+            gc.set_debug(gc.DEBUG_SAVEALL)
+            gc.collect()
+            left = Counter(
+                type(obj).__qualname__ for obj in gc.garbage
+                if str(getattr(obj, "__module__", "")).startswith("repro")
+            )
+            assert not left, f"cycles left behind: {left.most_common(5)}"
+        finally:
+            gc.set_debug(0)
+            gc.garbage.clear()
+            gc.enable()
+
+    def test_loss_streams_only_for_paths_that_send(self):
+        from repro.bench import fleet
+
+        networks = []
+
+        class Watched(fleet.SimNetwork):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                networks.append(self)
+
+        with mock.patch.object(fleet, "SimNetwork", Watched):
+            result = run_fleet_workload(**self.UNIT)
+        plans = plan_flows(generate_topology("wan-mesh", 16, seed=3), 40, seed=3)
+        assert result.counters["flows_completed"] == len(plans)
+        # Every flow sends; the accepting side of each connection never does.
+        assert len(networks[0].rngs._streams) == len({(p.src, p.dst) for p in plans})
+        # The streams made late draw what the eager ones did.
+        assert result.digest == "8d93aa60e7df355e3cb811e202a74155"
 
 
 class TestManyFlowEquivalence:

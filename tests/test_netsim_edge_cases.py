@@ -1,5 +1,9 @@
 """Edge cases of the transport substrate."""
 
+import gc
+import weakref
+from collections import deque
+
 import pytest
 
 from repro.netsim import ConnectionState, LinkSpec, Proto, SimNetwork, WireMessage
@@ -91,6 +95,46 @@ class TestConnectionLifecycle:
         conn.close()
         sim.run()
         assert a.stack.active_connections() == []
+
+
+class TestNetworkClose:
+    def _busy_pair(self):
+        """A pair mid-transfer: queued, in-flight and pending messages."""
+        sim = Simulator()
+        net, a, b = make_pair(sim, bandwidth=1 * MB)
+        sink = Sink(sim)
+        b.stack.listen(7000, Proto.TCP, on_accept=sink.on_accept)
+        conn = a.stack.connect((b.ip, 7000), Proto.TCP)
+        outcomes = []
+        for i in range(20):
+            conn.send(WireMessage(i, 65536, on_sent=outcomes.append))
+        sim.run_until(0.2)
+        return sim, net, conn, outcomes
+
+    def test_close_is_idempotent_and_reports_nothing(self):
+        sim, net, conn, outcomes = self._busy_pair()
+        sent = list(outcomes)
+        net.close()
+        net.close()
+        sim.close()
+        sim.run()
+        assert outcomes == sent
+        assert net.hosts == {} and net.links == {}
+        assert conn.peer is None and conn.flow.queue == deque()
+
+    def test_closed_world_is_freed_without_the_collector(self):
+        gc.collect()
+        gc.disable()
+        try:
+            sim, net, conn, _ = self._busy_pair()
+            flow = weakref.ref(conn.flow)
+            peer = weakref.ref(conn.peer)
+            net.close()
+            sim.close()
+            del sim, net, conn
+            assert flow() is None and peer() is None
+        finally:
+            gc.enable()
 
 
 class TestFlowStateEdges:

@@ -272,6 +272,58 @@ class TestIntrospection:
         assert sim.pending_events() == 2
 
 
+class TestClose:
+    def test_pending_callbacks_never_run(self):
+        sim = Simulator()
+        fired = []
+        sim.schedule(1.0, lambda: fired.append(1))
+        sim.schedule_at(50.0, lambda: fired.append(2))  # past the run queue tail
+        sim.schedule(0.5, lambda: fired.append(3))  # ejects both into the heap
+        sim.close()
+        sim.close()
+        sim.run()
+        assert fired == []
+        assert sim.pending_events() == 0
+        assert sim.peek_next_time() is None
+
+    def test_close_from_a_callback_ends_the_run(self):
+        sim = Simulator()
+        fired = []
+        sim.schedule(1.0, sim.close)
+        sim.schedule(2.0, lambda: fired.append(2))
+        sim.run()
+        assert fired == []
+        assert sim.now == 1.0
+
+    def test_schedule_after_close_raises(self):
+        sim = Simulator()
+        sim.close()
+        with pytest.raises(SchedulingError):
+            sim.schedule(1.0, lambda: None)
+        with pytest.raises(SchedulingError):
+            sim.schedule_at(1.0, lambda: None)
+        with pytest.raises(SchedulingError):
+            sim.schedule_many(1.0, [lambda: None])
+
+    def test_clock_and_count_stay_readable(self):
+        sim = Simulator()
+        for i in range(3):
+            sim.schedule(float(i + 1), lambda: None)
+        sim.schedule(10.0, lambda: None)
+        sim.run_until(5.0)
+        sim.close()
+        assert sim.now == 5.0
+        assert sim.clock.now() == 5.0
+        assert sim.events_executed == 3
+
+    def test_cancelling_a_dropped_handle_is_a_no_op(self):
+        sim = Simulator()
+        handle = sim.schedule(1.0, lambda: None)
+        sim.close()
+        handle.cancel()
+        assert sim.pending_events() == 0
+
+
 class TestPropertyBased:
     @given(st.lists(st.floats(min_value=0.0, max_value=1e6, allow_nan=False), min_size=1, max_size=50))
     @settings(max_examples=100, deadline=None)
