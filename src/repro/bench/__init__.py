@@ -15,7 +15,7 @@
   restore) exercising the channel-recovery layer.
 * :mod:`repro.bench.chaos` — seeded random fault campaigns (handler
   faults + link cuts) exercising component supervision end to end.
-* :mod:`repro.bench.perf` — the fastpath equivalence gate (rates are
+* :mod:`repro.bench.perf` — the golden-digest gate (rates are
   measured by ``python3 perf/run.py``, not here).
 * :mod:`repro.bench.topology` — deterministic fleet-scale topology
   generation (star / fat-tree / wan-mesh) with per-link WAN specs.

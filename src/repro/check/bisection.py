@@ -120,15 +120,11 @@ def bisect_divergence(
     each requested stream's checkpoints, and ranks divergent streams by
     window start.  Phase 2 re-runs the pair with a capture window over
     the earliest divergent interval and compares captured events one by
-    one.  ``streams`` defaults to every stream present in either run
-    except ``sim`` (raw heap pops legitimately differ across fastpath
-    configs that coalesce scheduler events).
+    one.  ``streams`` defaults to every stream present in either run.
     """
     doc_a, doc_b = run_pair(None)
     if streams is None:
-        names = set(doc_a.get("streams", {})) | set(doc_b.get("streams", {}))
-        names.discard("sim")
-        streams = sorted(names)
+        streams = sorted(set(doc_a.get("streams", {})) | set(doc_b.get("streams", {})))
 
     divergences = []
     for name in streams:
@@ -162,9 +158,7 @@ def compare_documents(
 ) -> List[StreamDivergence]:
     """Digest-level comparison of two checker documents (no re-runs)."""
     if streams is None:
-        names = set(doc_a.get("streams", {})) | set(doc_b.get("streams", {}))
-        names.discard("sim")
-        streams = sorted(names)
+        streams = sorted(set(doc_a.get("streams", {})) | set(doc_b.get("streams", {})))
     out = []
     for name in streams:
         d = _stream_divergence(name, doc_a, doc_b)

@@ -213,9 +213,10 @@ class InvariantChecker:
 class _SimHook:
     """Monotonic clock + no post-stop execution, plus the ``sim`` digest.
 
-    The ``sim`` digest folds raw heap pops, so it legitimately differs
-    between fastpath configurations that coalesce scheduler events (e.g.
-    RX_TRAIN); cross-config comparison uses the other streams.
+    The ``sim`` digest folds every executed event's ``(time, label)``, so
+    it moves with any change to what the kernel runs, including how many
+    events a delivery train coalesces; two runs of one code path compare
+    on it like any other stream.
     """
 
     __slots__ = ("checker", "last_time", "running", "stopped", "_digest")

@@ -1,17 +1,17 @@
-"""Deliberate fast-path perturbation for the bisection demo/self-test.
+"""Deliberate perturbation for the bisection demo/self-test.
 
 ``repro check bisect`` needs a divergence to find.  :func:`rx_swap`
-arms a one-shot fault in the RX-train fast path
+arms a one-shot fault in the RX delivery train
 (:meth:`repro.netsim.connection.FlowState._enqueue_delivery`): on the
 ``at``-th eligible append the last two train entries are swapped, so the
-fastpath-on run delivers two wire messages out of order while the
-fastpath-off run (no train) is untouched.  That is exactly the shape of
-bug the equivalence gate can only report as "outputs differ" — the
-bisector names the first divergent wire event instead.
+perturbed run delivers two wire messages out of order while a clean run
+of the same workload does not.  That is exactly the shape of bug a
+golden digest can only report as "outputs differ" — the bisector names
+the first divergent wire event instead.
 
-Module-level flag + counter, matching the :mod:`repro.fastpath` idiom;
-the hot path pays one module-attribute test only when a checker is
-installed (the stamp/fold branch is already behind that guard).
+Module-level flag + counter: the hot path pays one module-attribute
+test only when a checker is installed (the stamp/fold branch is already
+behind that guard).
 """
 
 from __future__ import annotations

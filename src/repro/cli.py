@@ -218,13 +218,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     perf = sub.add_parser(
         "perf",
-        help="fastpath equivalence gate (rates: python3 perf/run.py)",
+        help="golden-digest gate (rates: python3 perf/run.py)",
     )
     perf.add_argument("--equivalence", action="store_true",
-                      help="byte-compare obs snapshots with the fast paths "
-                           "on vs. off")
-    perf.add_argument("--quick", action="store_true",
-                      help="smaller workloads for CI smoke runs")
+                      help="check each workload's obs snapshot against its "
+                           "committed golden digest")
 
     fleet = sub.add_parser(
         "fleet",
@@ -287,8 +285,9 @@ def build_parser() -> argparse.ArgumentParser:
     check.add_argument("action", nargs="?", default="run",
                        choices=("run", "compare", "bisect", "mutate"),
                        help="run: workload with invariants on; compare: digest "
-                            "fastpath on vs. off; bisect: name the first "
-                            "divergent event; mutate: seeded-violation self-test")
+                            "a --perturb'ed run vs. a clean one; bisect: name "
+                            "the first divergent event; mutate: seeded-violation "
+                            "self-test")
     check.add_argument("--mutate", action="store_true",
                        help="alias for the 'mutate' action")
     check.add_argument("--workload", default="transfer",
@@ -300,7 +299,7 @@ def build_parser() -> argparse.ArgumentParser:
     check.add_argument("--seed", type=int, default=3)
     check.add_argument("--perturb", type=int, default=None, metavar="N",
                        help="arm the seeded RX-train swap on the Nth eligible "
-                            "append (fast-path fault for the bisect demo)")
+                            "append (the divergence compare/bisect look for)")
     check.add_argument("--output", default=None,
                        help="write the checker document (JSON) to this file")
 
@@ -504,19 +503,22 @@ def cmd_perf(args: argparse.Namespace) -> int:
     from repro.bench.perf import run_equivalence
 
     if not args.equivalence:
-        print("repro perf only runs the digest gate (--equivalence [--quick]); "
+        print("repro perf only runs the digest gate (--equivalence); "
               "rates are measured by: python3 perf/run.py --workload NAME",
               file=sys.stderr)
         return 2
-    outcomes = run_equivalence(quick=args.quick)
-    width = max(len(name) for name, _ in outcomes)
-    for name, identical in outcomes:
-        print(f"{name:<{width}}  {'IDENTICAL' if identical else 'DIFFER'}")
-    bad = [name for name, identical in outcomes if not identical]
+    outcomes = run_equivalence()
+    width = max(len(name) for name, _, _ in outcomes)
+    bad = []
+    for name, golden, digest in outcomes:
+        print(f"{name:<{width}}  {'IDENTICAL' if digest == golden else 'DIFFER'}")
+        if digest != golden:
+            bad.append(name)
+            print(f"  {name}: golden {golden}, got {digest}", file=sys.stderr)
     if bad:
         print(f"equivalence gate FAILED: {', '.join(bad)}", file=sys.stderr)
         return 1
-    print("equivalence gate passed: fast paths are observationally identical")
+    print("equivalence gate passed: every workload matches its golden digest")
     return 0
 
 
@@ -572,7 +574,6 @@ def cmd_check(args: argparse.Namespace) -> int:
     import json
     from contextlib import ExitStack
 
-    from repro import fastpath
     from repro.check import checking
     from repro.check import perturb as check_perturb
     from repro.check.bisection import bisect_divergence, compare_documents
@@ -599,12 +600,10 @@ def cmd_check(args: argparse.Namespace) -> int:
 
     from repro.check.workloads import run_workload
 
-    def run_once(capture=None, fast=True, perturbed=False):
+    def run_once(capture=None, perturbed=False):
         with ExitStack() as stack:
             if perturbed and args.perturb is not None:
                 stack.enter_context(check_perturb.rx_swap(at=args.perturb))
-            if not fast:
-                stack.enter_context(fastpath.disabled())
             chk = stack.enter_context(checking(capture=capture))
             run_workload(args.workload, size_mb=args.size_mb,
                          duration=args.duration, seed=args.seed)
@@ -630,12 +629,10 @@ def cmd_check(args: argparse.Namespace) -> int:
         return 0
 
     if action == "compare":
-        doc_a = run_once(fast=True, perturbed=True)
-        doc_b = run_once(fast=False)
-        # every stream but 'sim': raw heap pops legitimately differ across
-        # fast paths
+        doc_a = run_once(perturbed=True)
+        doc_b = run_once()
         divergences = compare_documents(doc_a, doc_b)
-        names = sorted((set(doc_a["streams"]) | set(doc_b["streams"])) - {"sim"})
+        names = sorted(set(doc_a["streams"]) | set(doc_b["streams"]))
         diverged = {d.stream for d in divergences}
         for name in names:
             print(f"stream {name:<8} "
@@ -644,18 +641,15 @@ def cmd_check(args: argparse.Namespace) -> int:
             print(f"  '{d.stream}' first diverges in events "
                   f"{d.window[0] + 1}..{d.window[1]}", file=sys.stderr)
         if divergences:
-            print("configurations diverge (use 'check bisect' to name the "
-                  "first event)", file=sys.stderr)
+            print("runs diverge (use 'check bisect' to name the first event)",
+                  file=sys.stderr)
             return 1
-        print("configurations identical on the compared streams")
+        print("runs identical on every stream")
         return 0
 
     # action == "bisect"
     def run_pair(capture):
-        return (
-            run_once(capture=capture, fast=True, perturbed=True),
-            run_once(capture=capture, fast=False),
-        )
+        return run_once(capture=capture, perturbed=True), run_once(capture=capture)
 
     report = bisect_divergence(run_pair)
     print(report.format())

@@ -20,7 +20,6 @@ import threading
 from collections import deque
 from typing import TYPE_CHECKING, Any, Callable, Deque, Dict, List, Optional, Tuple, Type
 
-from repro import fastpath
 from repro.errors import ComponentError, PortError
 from repro.kompics.channel import Channel, ChannelSelector
 from repro.kompics.event import Fault, Kill, KompicsEvent, Start, Stop
@@ -213,7 +212,6 @@ class ComponentCore:
             # per-event path is the hottest loop in the whole simulator);
             # semantics match _dispatch exactly, including the stop-on-
             # fault behaviour for the remaining handlers of that event.
-            cache_on = fastpath.DISPATCH_CACHE
             while handled < max_batch:
                 if control_queue:
                     handled += 1
@@ -224,11 +222,8 @@ class ComponentCore:
                 else:
                     break
                 handled += 1
-                if cache_on:
-                    handlers = port._dispatch_cache.get(event.__class__)
-                    if handlers is None:
-                        handlers = port.matching_handlers(event)
-                else:
+                handlers = port._dispatch_cache.get(event.__class__)
+                if handlers is None:
                     handlers = port.matching_handlers(event)
                 for handler in handlers:
                     try:

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Callable, Dict, List, Sequence, Tuple, Type
 
-from repro import fastpath
 from repro.check import get_checker
 from repro.errors import PortError
 from repro.kompics.event import KompicsEvent
@@ -149,17 +148,12 @@ class Port:
     def matching_handlers(self, event: KompicsEvent) -> Sequence[Handler]:
         """Handlers whose subscribed type matches ``event``, in
         subscription order (the paper's type-hierarchy matching)."""
-        if fastpath.DISPATCH_CACHE:
-            cls = event.__class__
-            handlers = self._dispatch_cache.get(cls)
-            if handlers is None:
-                handlers = tuple(
-                    h for (t, h) in self._subscriptions if issubclass(cls, t)
-                )
-                self._dispatch_cache[cls] = handlers
-            return handlers
-        # reference path: re-scan the subscription list per event
-        return [h for (t, h) in self._subscriptions if isinstance(event, t)]
+        cls = event.__class__
+        handlers = self._dispatch_cache.get(cls)
+        if handlers is None:
+            handlers = tuple(h for (t, h) in self._subscriptions if issubclass(cls, t))
+            self._dispatch_cache[cls] = handlers
+        return handlers
 
     # ------------------------------------------------------------------
     # event flow

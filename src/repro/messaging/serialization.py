@@ -15,7 +15,6 @@ import struct
 from abc import ABC, abstractmethod
 from typing import Any, Callable, Dict, Optional, Tuple, Type
 
-from repro import fastpath
 from repro.errors import SerializationError
 from repro.messaging.address import Address, BasicAddress, VirtualAddress
 
@@ -63,8 +62,7 @@ class PickleSerializer(Serializer):
 class SerializerRegistry:
     """Type-id <-> serializer mapping with mro-based lookup.
 
-    Three memoization layers keep the per-message cost flat (all gated on
-    :data:`repro.fastpath.SERIALIZER_CACHE`):
+    Three memoization layers keep the per-message cost flat:
 
     * the MRO walk in :meth:`lookup` resolves once per concrete type and
       is cached (invalidated by :meth:`register`);
@@ -121,13 +119,11 @@ class SerializerRegistry:
     def lookup(self, obj: Any) -> Tuple[int, Serializer]:
         """Find the serializer for ``obj`` walking its mro."""
         cls = obj.__class__
-        if fastpath.SERIALIZER_CACHE:
-            entry = self._lookup_cache.get(cls)
-            if entry is None:
-                entry = self._resolve(cls)
-                self._lookup_cache[cls] = entry
-            return entry
-        return self._resolve(cls)
+        entry = self._lookup_cache.get(cls)
+        if entry is None:
+            entry = self._resolve(cls)
+            self._lookup_cache[cls] = entry
+        return entry
 
     def _resolve(self, cls: Type) -> Tuple[int, Serializer]:
         for base in cls.__mro__:
@@ -171,22 +167,19 @@ class SerializerRegistry:
         immediately following :meth:`serialize` of the same object reuses
         it instead of encoding again.
         """
-        key = None
-        if fastpath.SERIALIZER_CACHE:
-            try:
-                key = (obj.__class__, obj.header)
-                sized = self._sizes.get(key)
-            except (AttributeError, TypeError):  # no header, or unhashable
-                key = sized = None
-            if sized is not None:
-                return sized[0] + sized[1](obj)
+        try:
+            key = (obj.__class__, obj.header)
+            sized = self._sizes.get(key)
+        except (AttributeError, TypeError):  # no header, or unhashable
+            key = sized = None
+        if sized is not None:
+            return sized[0] + sized[1](obj)
         type_id, serializer = self.lookup(obj)
         if type(serializer).wire_size is Serializer.wire_size:
             # Sizing requires encoding: build the full frame once.
             body = serializer.to_bytes(obj)
             frame = FRAME_HEADER.pack(type_id, len(body)) + body
-            if fastpath.SERIALIZER_CACHE:
-                self._sized_frame = (obj, frame)
+            self._sized_frame = (obj, frame)
             return len(frame)
         size = FRAME_HEADER.size + serializer.wire_size(obj)
         if key is not None:

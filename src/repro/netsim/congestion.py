@@ -46,7 +46,7 @@ class CongestionControl(ABC):
     #: controller's demand at every solve at a new timestamp; the demand
     #: of a time-invariant controller is *pushed* to them whenever
     #: ``demand_gen`` moves and never asked for in between
-    #: (``fastpath.ALLOC_EPOCH``; see ``demand_rate`` for what that needs).
+    #: (allocation epochs; see ``demand_rate`` for what that needs).
     demand_time_varying: bool = False
     def __init__(self) -> None:
         #: Generation counter for demand-relevant state.  Implementations

@@ -8,7 +8,6 @@ from collections import deque
 from random import Random
 from typing import TYPE_CHECKING, Any, Callable, Deque, List, Optional, Tuple
 
-from repro import fastpath
 from repro.check import get_checker
 from repro.check import perturb as check_perturb
 from repro.errors import ConnectionClosedError
@@ -68,14 +67,13 @@ class FlowState:
     When the congestion window keeps a bulk flow busy, completions come
     back-to-back and every one schedules its own delivery event one link
     delay ahead — on a long fat path that's O(bandwidth × delay) heap
-    entries per flow.  The fast path coalesces them into a per-flow
-    *delivery train*: due times are computed exactly as before (same
-    clock reads, same jitter draws, in the same order), appended to a
-    deque, and a single pump event walks the train, so the heap holds at
-    most one receive event per flow.  Entries whose due time would break
-    the train's monotonic order (the link delay dropped mid-flight) fall
-    back to an individually scheduled event, reproducing the reference
-    heap behaviour.  See ``docs/performance.md``.
+    entries per flow.  The flow coalesces them into a per-flow
+    *delivery train*: due times are computed once per completion (one
+    clock read, one jitter draw), appended to a deque, and a single pump
+    event walks the train, so the heap holds at most one receive event
+    per flow.  Entries whose due time would break the train's monotonic
+    order (the link delay dropped mid-flight) fall back to an
+    individually scheduled event.  See ``docs/performance.md``.
     """
 
     def __init__(
@@ -167,15 +165,8 @@ class FlowState:
 
     def _start_next(self) -> None:
         msg = self.queue[0]
-        if fastpath.ALLOC_EPOCH:
-            # allocate_rate() never exceeds this flow's demand and already
-            # floors at 1.0, so min(demand, rate) == rate and the extra
-            # demand query is redundant (demand_rate is idempotent within
-            # a timestamp; skipping it cannot change controller state).
-            rate = self.link_dir.allocate_rate(self)
-        else:
-            rate = min(self.demand_rate(), self.link_dir.allocate_rate(self))
-            rate = max(rate, 1.0)
+        # allocate_rate() never exceeds this flow's demand and floors at 1.0.
+        rate = self.link_dir.allocate_rate(self)
         self.busy = True
         duration = msg.size / rate
         self.sim.schedule(duration, self._complete, label="flow-tx")
@@ -215,10 +206,7 @@ class FlowState:
             delay = spec.delay
             if not cc.ordered and spec.jitter > 0:
                 delay += rng.uniform(0.0, spec.jitter)
-            if fastpath.RX_TRAIN:
-                self._enqueue_delivery(now + delay, msg)
-            else:
-                sim.schedule(delay, lambda m=msg: self.deliver(m), label="flow-rx")
+            self._enqueue_delivery(now + delay, msg)
             msg._sent(True)
         else:
             self.messages_dropped += 1
@@ -238,13 +226,13 @@ class FlowState:
         train = self._train
         if train and due < train[-1][0]:
             # The link delay shrank while messages were in flight: an
-            # appended entry would pump out of due order.  Match the
-            # reference heap exactly by scheduling this one individually.
+            # appended entry would pump out of due order, so this one is
+            # scheduled individually.
             self.sim.schedule_at(due, lambda m=msg: self.deliver(m), label="flow-rx")
             return
         train.append((due, msg))
         if self._wire_stream is not None and check_perturb.rx_swap_due() and len(train) >= 2:
-            # Seeded fast-path fault for the bisection demo/self-test:
+            # Seeded fault for the bisection demo/self-test:
             # swap the train tail so two deliveries come out reordered.
             train[-1], train[-2] = train[-2], train[-1]
         if not self._pump_scheduled:
@@ -256,7 +244,7 @@ class FlowState:
 
         Deliveries keep running after an abort or close: those messages
         were already on the wire, and the receiving connection drops them
-        itself if it is no longer active (same as the reference path).
+        itself if it is no longer active.
         """
         train = self._train
         now = self.sim.clock._now
@@ -273,7 +261,7 @@ class FlowState:
             # A real burst (coinciding due times): fan the batch out with
             # one schedule_many call — contiguous sequence numbers keep
             # train order, and each delivery runs as its own event so a
-            # mid-batch teardown behaves like the reference path.
+            # mid-batch teardown sees the deliveries before it.
             deliver = self.deliver
             batch = [train.popleft()[1] for _ in range(due)]
             self.sim.schedule_many(

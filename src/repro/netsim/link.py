@@ -7,7 +7,6 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro import fastpath
 from repro.check import get_checker
 from repro.obs import get_registry
 
@@ -176,8 +175,8 @@ class _Partition:
 class LinkDirection:
     """One direction of a link; tracks active flows for fair sharing.
 
-    Allocation epochs (``fastpath.ALLOC_EPOCH``)
-    --------------------------------------------
+    Allocation epochs
+    -----------------
     The tiered allocation (udp-cap pool → foreground max-min → scavenger
     leftover) is a pure function of the active-flow set, the link spec,
     the controllers' demand-relevant state, and — for time-varying
@@ -193,14 +192,15 @@ class LinkDirection:
       ``demand_gen`` moves; the flow *pushes* the new value
       (``publish_demand``) and the solve reads a plain float list;
     * a **time-varying demand** is *pulled*: those controllers are asked
-      at every solve at a new (epoch, timestamp), exactly where the
-      reference path asks them, because a query may advance their state
-      (``UdtCc._maybe_increase`` re-anchors its SYN clock when asked).
+      at every solve at a new (epoch, timestamp), exactly where
+      :meth:`_allocate_general` asks them, because a query may advance
+      their state (``UdtCc._maybe_increase`` re-anchors its SYN clock
+      when asked).
 
     Within one epoch — and, when any participant is time-varying, one
     timestamp — the gathered, udp-capped demand list is cached, and each
     query settles only the asking flow (:func:`max_min_share`).  That is
-    byte-equivalent to the reference because ``demand_rate`` is
+    byte-equivalent to :meth:`_allocate_general` because ``demand_rate`` is
     idempotent within a timestamp and pure for pushed controllers (see
     :class:`~repro.netsim.congestion.CongestionControl`).
     """
@@ -351,30 +351,28 @@ class LinkDirection:
         if self._obs:
             self._m_alloc_queries.inc()
         if self._check is not None:
-            # Checked runs always take the reference path: it computes the
+            # Checked runs always take the general path: it computes the
             # full demand/allocation maps the feasibility invariant needs
             # (controllers mutate state when queried, so the hook must not
             # re-query them).
             return self._allocate_general(flow)
-        if fastpath.ALLOC_EPOCH:
-            if len(self._active) == 1 and flow in self._active:
-                # Sole-flow queries gain nothing from the cache (the whole
-                # solve is four lines), so they keep a direct unrolled path.
-                spec = self.spec
-                varying = flow.cc.demand_time_varying
-                demand = flow.demand_rate() if varying else flow.demand
-                if self._obs:
-                    self._note_solve(int(varying))
-                if flow.subject_to_udp_cap and spec.udp_cap is not None:
-                    cap = spec.udp_cap
-                    if demand > cap:
-                        demand = cap
-                bw = spec.bandwidth
-                if demand > bw:
-                    demand = bw
-                return demand if demand > 1.0 else 1.0
-            return self._allocate_epoch(flow)
-        return self._allocate_general(flow)
+        if len(self._active) == 1 and flow in self._active:
+            # Sole-flow queries gain nothing from the cache (the whole
+            # solve is four lines), so they keep a direct unrolled path.
+            spec = self.spec
+            varying = flow.cc.demand_time_varying
+            demand = flow.demand_rate() if varying else flow.demand
+            if self._obs:
+                self._note_solve(int(varying))
+            if flow.subject_to_udp_cap and spec.udp_cap is not None:
+                cap = spec.udp_cap
+                if demand > cap:
+                    demand = cap
+            bw = spec.bandwidth
+            if demand > bw:
+                demand = bw
+            return demand if demand > 1.0 else 1.0
+        return self._allocate_epoch(flow)
 
     def _query_flows(self, flow: "FlowState") -> Tuple["FlowState", ...]:
         """The flow set an allocation covers, in activation order."""
@@ -442,7 +440,7 @@ class LinkDirection:
             partition = self._partition = _Partition(self._flows_tuple())
         position = partition.index.get(flow)
         if position is None:
-            # Not (yet) in the active set: the reference path covers it.
+            # Not (yet) in the active set: the general path covers it.
             return self._allocate_general(flow)
         spec = self.spec
         cache = self._alloc_cache

@@ -19,14 +19,14 @@ recurring timers that reschedule cannot grow the queues without bound.
 Pop order is a total order on ``(time, seq)``, so compaction — and any
 re-arrangement — cannot change execution order.
 
-Run queue (``fastpath.RUN_QUEUE``)
-----------------------------------
+Run queue
+---------
 Simulation workloads schedule in *almost sorted* order: the executing
 event at ``t`` usually schedules at ``t + delta`` for a small set of
 deltas, so successive pushes are non-decreasing with occasional
 far-future jumps (timeouts, retry timers).  Paying a full O(log n) heap
 sift per event for a stream that is already sorted is the kernel's
-single biggest cost, so the fast path keeps a second queue: a deque of
+single biggest cost, so the kernel keeps a second queue: a deque of
 bare handles, maintained sorted by appending at the tail while pushes
 stay monotone.  A push that is *smaller* than the tail first ejects the
 blocking tail entries into the heap — each entry can be ejected at most
@@ -35,7 +35,7 @@ and far-future entries migrate to the heap where they belong.  Pops take
 the minimum of the two sorted sources; since both are individually
 sorted, the merge always yields the global ``(time, seq)`` minimum
 regardless of which queue holds an entry, so execution order is
-bit-identical to the heap-only reference path.  Run-queue entries are
+the heap-only order.  Run-queue entries are
 never sifted, so they skip the ``(time, seq, handle)`` tuple entirely —
 one allocation per event instead of two.
 """
@@ -47,7 +47,6 @@ import math
 from collections import deque
 from typing import Callable, Deque, Iterable, List, NoReturn, Optional, Tuple
 
-from repro import fastpath
 from repro.check import get_checker
 from repro.errors import SchedulingError, SimulationError
 from repro.obs import get_registry
@@ -128,20 +127,17 @@ class Simulator:
         handle.cancelled = False
         handle.label = label
         handle.owner = self
-        if fastpath.RUN_QUEUE:
-            run_q = self._run_q
-            if run_q and time < run_q[-1].time:
-                # Out-of-order push: eject the blocking tail into the heap
-                # (each entry is ejected at most once — amortized O(1)).
-                heap = self._heap
-                push = heapq.heappush
-                eject = run_q.pop
-                while run_q and run_q[-1].time > time:
-                    tail = eject()
-                    push(heap, (tail.time, tail.seq, tail))
-            run_q.append(handle)
-        else:
-            heapq.heappush(self._heap, (time, seq, handle))
+        run_q = self._run_q
+        if run_q and time < run_q[-1].time:
+            # Out-of-order push: eject the blocking tail into the heap
+            # (each entry is ejected at most once — amortized O(1)).
+            heap = self._heap
+            push = heapq.heappush
+            eject = run_q.pop
+            while run_q and run_q[-1].time > time:
+                tail = eject()
+                push(heap, (tail.time, tail.seq, tail))
+        run_q.append(handle)
         return handle
 
     def schedule_at(self, time: float, callback: Callable[[], None], label: str = "") -> EventHandle:
@@ -157,18 +153,15 @@ class Simulator:
         handle.cancelled = False
         handle.label = label
         handle.owner = self
-        if fastpath.RUN_QUEUE:
-            run_q = self._run_q
-            if run_q and time < run_q[-1].time:
-                heap = self._heap
-                push = heapq.heappush
-                eject = run_q.pop
-                while run_q and run_q[-1].time > time:
-                    tail = eject()
-                    push(heap, (tail.time, tail.seq, tail))
-            run_q.append(handle)
-        else:
-            heapq.heappush(self._heap, (time, seq, handle))
+        run_q = self._run_q
+        if run_q and time < run_q[-1].time:
+            heap = self._heap
+            push = heapq.heappush
+            eject = run_q.pop
+            while run_q and run_q[-1].time > time:
+                tail = eject()
+                push(heap, (tail.time, tail.seq, tail))
+        run_q.append(handle)
         return handle
 
     def schedule_many(
@@ -192,31 +185,21 @@ class Simulator:
         seq = self._seq
         handles: List[EventHandle] = []
         append = handles.append
-        if fastpath.RUN_QUEUE:
-            run_q = self._run_q
-            if run_q and time < run_q[-1].time:
-                heap = self._heap
-                push = heapq.heappush
-                eject = run_q.pop
-                while run_q and run_q[-1].time > time:
-                    tail = eject()
-                    push(heap, (tail.time, tail.seq, tail))
-            enqueue = run_q.append
-            for callback in callbacks:
-                handle = EventHandle(time, seq, callback, label)
-                handle.owner = self
-                enqueue(handle)
-                seq += 1
-                append(handle)
-        else:
+        run_q = self._run_q
+        if run_q and time < run_q[-1].time:
             heap = self._heap
             push = heapq.heappush
-            for callback in callbacks:
-                handle = EventHandle(time, seq, callback, label)
-                handle.owner = self
-                push(heap, (time, seq, handle))
-                seq += 1
-                append(handle)
+            eject = run_q.pop
+            while run_q and run_q[-1].time > time:
+                tail = eject()
+                push(heap, (tail.time, tail.seq, tail))
+        enqueue = run_q.append
+        for callback in callbacks:
+            handle = EventHandle(time, seq, callback, label)
+            handle.owner = self
+            enqueue(handle)
+            seq += 1
+            append(handle)
         self._seq = seq
         return handles
 

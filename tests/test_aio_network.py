@@ -23,7 +23,6 @@ from repro.messaging import (
     Network,
     SerializerRegistry,
     Transport,
-    VirtualAddress,
 )
 from repro.messaging.serialization import FRAME_HEADER, PICKLE_TYPE_ID
 
@@ -174,15 +173,6 @@ class TestAioNetwork:
         assert app_a.definition.received[0].tag == "pong"
         # b reused the inbound channel registered via the handshake hello.
         assert len(net_b.definition._channels) == 1
-
-    def test_reflection_same_instance(self, two_nodes):
-        system, (addr_a, net_a, app_a), _ = two_nodes
-        vdst = VirtualAddress(addr_a.ip, addr_a.port, b"v1")
-        msg = Blob(BasicHeader(addr_a, vdst, Transport.TCP), "local", 100)
-        app_a.definition.trigger(msg, app_a.definition.net)
-        assert app_a.definition.wait(lambda: len(app_a.definition.received) == 1)
-        assert app_a.definition.received[0] is msg  # never serialized
-        assert net_a.definition.counters["reflected"] == 1
 
     def test_mixed_transports_same_destination(self, two_nodes):
         system, (addr_a, net_a, app_a), (addr_b, net_b, app_b) = two_nodes

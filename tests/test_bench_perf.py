@@ -1,35 +1,35 @@
-"""The fastpath equivalence gate (``repro perf --equivalence``)."""
+"""The golden-digest gate (``repro perf --equivalence``)."""
 
 import pytest
 
-from repro.bench.perf import behaviour_json, equivalence_workloads
+from repro.bench import perf
+from repro.bench.perf import GOLDEN, behaviour_digest, equivalence_workloads, run_equivalence
 
 pytestmark = pytest.mark.integration
 
 
 class TestEquivalenceGate:
     def test_workload_catalog_covers_the_figures(self):
-        names = [name for name, _ in equivalence_workloads(quick=True)]
+        names = [name for name, _ in equivalence_workloads()]
+        assert names == list(GOLDEN)
         for figure in ("fig1", "fig2", "fig8", "fig9-tcp", "fig9-data"):
             assert figure in names
 
     def test_obs_demo_snapshot_identical_with_fastpath_off(self):
-        """One end-to-end equivalence sample cheap enough for the suite;
-        the CI gate runs the full catalog (`repro perf --equivalence`)."""
-        from repro import fastpath
+        """The obs-demo golden was recorded with every memoization off;
+        the cost counters the gate leaves out do not reach the digest."""
+        workload = dict(equivalence_workloads())["obs-demo"]
+        _, doc = workload()
+        assert behaviour_digest(doc) == GOLDEN["obs-demo"]
+        queries = doc["metrics"]["netsim.link.demand_queries_total"]
+        assert sum(entry["value"] for entry in queries) > 0
+        for entry in queries:
+            entry["value"] *= 2
+        assert behaviour_digest(doc) == GOLDEN["obs-demo"]
 
-        workload = dict(equivalence_workloads(quick=True))["obs-demo"]
-        _, doc_fast = workload()
-        with fastpath.disabled():
-            _, doc_ref = workload()
-        assert behaviour_json(doc_fast) == behaviour_json(doc_ref)
-        # ... while the cost counters, which the gate leaves out, record
-        # that the reference path asked for more demands.
-        fast, ref = (
-            sum(e["value"] for e in doc["metrics"]["netsim.link.demand_queries_total"])
-            for doc in (doc_fast, doc_ref)
-        )
-        assert 0 < fast < ref
+    def test_every_workload_matches_its_golden(self):
+        for name, golden, digest in run_equivalence():
+            assert digest == golden, name
 
 
 class TestCli:
@@ -38,3 +38,14 @@ class TestCli:
 
         assert main(["perf"]) == 2
         assert "perf/run.py" in capsys.readouterr().err
+
+    def test_a_moved_golden_fails_naming_the_workload(self, capsys, monkeypatch):
+        from repro.cli import main
+
+        fig1 = [w for w in equivalence_workloads() if w[0] == "fig1"]
+        monkeypatch.setattr(perf, "equivalence_workloads", lambda: fig1)
+        monkeypatch.setitem(GOLDEN, "fig1", "0" * 64)
+        assert main(["perf", "--equivalence"]) == 1
+        err = capsys.readouterr().err
+        assert "fig1: golden " + "0" * 64 in err
+        assert "equivalence gate FAILED: fig1" in err

@@ -322,7 +322,7 @@ class TestCheckpointBisection:
         assert d[0].stream == "wire"
         assert d[0].window == (0, 3)
 
-    def test_compare_skips_sim_by_default(self):
+    def test_compare_includes_sim_by_default(self):
         def doc(digest):
             return {
                 "streams": {
@@ -331,9 +331,8 @@ class TestCheckpointBisection:
                 }
             }
 
-        assert compare_documents(doc("a"), doc("b")) == []
-        explicit = compare_documents(doc("a"), doc("b"), streams=["sim"])
-        assert len(explicit) == 1
+        assert [d.stream for d in compare_documents(doc("a"), doc("b"))] == ["sim"]
+        assert compare_documents(doc("a"), doc("b"), streams=[]) == []
 
     def test_bisect_names_first_divergent_event(self):
         # Synthetic run_pair: stream "s", run B's 6th event differs.

@@ -3,26 +3,23 @@
 import pytest
 
 from repro.check import checking, get_checker
-from repro.check.bisection import bisect_divergence, compare_documents
+from repro.check.bisection import bisect_divergence
 from repro.check.checker import InvariantError
 from repro.check.selftest import SCENARIOS, run_selftest
 from repro.check.workloads import run_workload
 from repro.check import perturb
-from repro import fastpath
 
 pytestmark = pytest.mark.integration
 
 MB = 1024 * 1024
 
 
-def checked_transfer(capture=None, fast=True, perturbed=False, size_mb=1.0):
+def checked_transfer(capture=None, perturbed=False, size_mb=1.0):
     from contextlib import ExitStack
 
     with ExitStack() as stack:
         if perturbed:
             stack.enter_context(perturb.rx_swap(at=2))
-        if not fast:
-            stack.enter_context(fastpath.disabled())
         chk = stack.enter_context(checking(capture=capture))
         run_workload("transfer", size_mb=size_mb)
     return chk
@@ -41,14 +38,6 @@ class TestCleanRuns:
         doc_a = checked_transfer().document()
         doc_b = checked_transfer().document()
         assert doc_a == doc_b
-
-    def test_fastpath_on_off_digests_identical(self):
-        # The equivalence gate, digest-style: every comparable stream must
-        # match between fastpath-on and fastpath-off runs ("sim" is
-        # excluded — RX-train coalescing legitimately changes heap pops).
-        doc_on = checked_transfer(fast=True).document()
-        doc_off = checked_transfer(fast=False).document()
-        assert compare_documents(doc_on, doc_off) == []
 
     def test_strict_mode_passes_clean_run(self):
         with checking(strict=True) as chk:
@@ -100,8 +89,8 @@ class TestMutationSelftest:
 class TestBisect:
     def test_perturbed_fastpath_names_first_divergent_event(self):
         def run_pair(capture):
-            a = checked_transfer(capture=capture, fast=True, perturbed=True)
-            b = checked_transfer(capture=capture, fast=False, perturbed=False)
+            a = checked_transfer(capture=capture, perturbed=True)
+            b = checked_transfer(capture=capture)
             return a.document(), b.document()
 
         report = bisect_divergence(run_pair)
@@ -115,9 +104,7 @@ class TestBisect:
 
     def test_unperturbed_pair_is_identical(self):
         def run_pair(capture):
-            a = checked_transfer(capture=capture, fast=True)
-            b = checked_transfer(capture=capture, fast=False)
-            return a.document(), b.document()
+            return tuple(checked_transfer(capture=capture).document() for _ in range(2))
 
         report = bisect_divergence(run_pair)
         assert report.identical

@@ -5,11 +5,9 @@ from repro.kompics.component import ComponentState
 from repro.messaging import (
     BasicAddress,
     BasicHeader,
-    MessageNotify,
     NettyNetwork,
     Network,
     Transport,
-    VirtualAddress,
 )
 from repro.netsim import FaultInjector
 
@@ -157,27 +155,7 @@ class TestValidationFaults:
 
 
 class TestReflection:
-    def test_same_instance_vnode_message_reflected(self):
-        world = make_world()
-        a, _ = world.nodes
-        vsrc = VirtualAddress(a.address.ip, a.address.port, b"v1")
-        vdst = VirtualAddress(a.address.ip, a.address.port, b"v2")
-        msg = Blob(BasicHeader(vsrc, vdst, Transport.TCP), "local", 100)
-        a.app_def.trigger(msg, a.app_def.net)
-        world.sim.run()
-        assert a.net_def.counters["reflected"] == 1
-        # Delivered back up the same port, same object (never serialized).
-        assert a.app_def.received[0] is msg
-
-    def test_reflected_notify_succeeds_with_zero_size(self):
-        world = make_world()
-        a, _ = world.nodes
-        vdst = VirtualAddress(a.address.ip, a.address.port, b"v2")
-        msg = Blob(BasicHeader(a.address, vdst, Transport.TCP), "local", 100)
-        a.app_def.trigger(MessageNotify.Req(msg), a.app_def.net)
-        world.sim.run()
-        assert a.app_def.notifies[0].success
-        assert a.app_def.notifies[0].size == 0
+    """Same-instance reflection is in ``test_network_contract.py``."""
 
     def test_same_host_different_port_goes_over_loopback(self):
         """Two middleware instances on one machine: no reflection."""

@@ -1,20 +1,20 @@
 """Max-min solver equivalence and allocation-epoch tests.
 
-The allocation fast paths promise *bit-identical* results: the
-single-flow solve must reproduce the scalar reference exactly (same IEEE
-operations in the same order), and an epoch must never serve a stale
-allocation across an activate/deactivate/spec-change/pushed-demand
-boundary.
+The allocation epochs promise *bit-identical* results: the single-flow
+solve must reproduce the scalar reference exactly (same IEEE operations
+in the same order), every answer must equal the general solve
+(``LinkDirection._allocate_general``, which checked runs take), and an
+epoch must never serve a stale allocation across an
+activate/deactivate/spec-change/pushed-demand boundary.
 """
 
 import math
 import struct
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import fastpath
+from repro.check import checking
 from repro.netsim import Proto, WireMessage
 from repro.netsim.link import (
     LinkDirection,
@@ -55,16 +55,6 @@ class TestVecEquivalence:
                       for i in range(len(demands))]) == _bits(ref)
 
 
-def test_one_solver_five_flags():
-    # The numpy fork of max_min_allocation and its flag are gone for good.
-    assert sorted(fastpath.flags()) == [
-        "ALLOC_EPOCH", "DISPATCH_CACHE", "RUN_QUEUE", "RX_TRAIN", "SERIALIZER_CACHE",
-    ]
-    with pytest.raises(ValueError):
-        with fastpath.disabled("VEC_MAXMIN"):
-            pass
-
-
 class _StubCC:
     def __init__(self, time_varying=False):
         self.demand_time_varying = time_varying
@@ -75,7 +65,7 @@ class _StubFlow:
 
     ``demand`` doubles as the pushed value (what a time-invariant
     controller publishes) and as what ``demand_rate()`` answers when the
-    link asks (reference path, time-varying controllers).
+    link asks (general solve, time-varying controllers).
     """
 
     def __init__(self, sim, demand, udp=False, scavenger=False, time_varying=False):
@@ -128,11 +118,10 @@ class TestTieredVecEquivalence:
         fast_dir, ref_dir = _direction(spec), _direction(spec)
         fast, ref = build(fast_dir, sim), build(ref_dir, sim)
         fast_rates = [fast_dir.allocate_rate(f) for f in fast]
-        with fastpath.disabled():
-            ref_rates = [ref_dir.allocate_rate(f) for f in ref]
+        ref_rates = [ref_dir._allocate_general(f) for f in ref]
         assert _bits(fast_rates) == _bits(ref_rates)
-        # Pulled controllers are asked on both paths, pushed ones only on
-        # the reference path.
+        # Pulled controllers are asked on both paths, pushed ones only by
+        # the general solve.
         for f, (_, _, tv) in zip(fast, flow_specs):
             if not tv and not outsider:
                 assert f.queries == 0
@@ -156,8 +145,7 @@ class TestTieredVecEquivalence:
         for f in ref:
             ref_dir.activate(f)
         fast_rates = [fast_dir.allocate_rate(f) for f in fast]
-        with fastpath.disabled():
-            ref_rates = [ref_dir.allocate_rate(f) for f in ref]
+        ref_rates = [ref_dir._allocate_general(f) for f in ref]
         assert _bits(fast_rates) == _bits(ref_rates)
 
 
@@ -178,9 +166,8 @@ class TestEpochCacheInvalidation:
         assert direction.allocate_rate(f0) == first
         # Time-invariant controllers publish; the link reads the float.
         assert f0.queries + f1.queries == 0
-        with fastpath.disabled():
-            assert direction.allocate_rate(f1) == 70 * MB
-        assert f0.queries + f1.queries == 2  # the reference path pulls
+        assert direction._allocate_general(f1) == 70 * MB
+        assert f0.queries + f1.queries == 2  # the general solve pulls
 
     def test_spec_change_mid_flight_invalidates(self):
         direction, f0, f1 = self._two_flow_direction()
@@ -302,8 +289,7 @@ class TestOutsideWrites:
                 f.demand == f.cc.demand_rate(sim.now) for f in flows[:-1]
             ]
             fast = [link.forward.allocate_rate(f) for f in flows]
-            with fastpath.disabled():
-                ref = [link.forward.allocate_rate(f) for f in flows]
+            ref = [link.forward._allocate_general(f) for f in flows]
             probe["rates"] = (before, fast, ref)
 
         sim.schedule(0.5, degrade)
@@ -318,16 +304,16 @@ class TestOutsideWrites:
         assert _bits(fast) == _bits(ref)
         assert fast != before  # the tenfold RTT did move the allocation
         assert len(payloads) == 60 * self.FLOWS
-        with fastpath.disabled():
+        with checking():  # every solve takes the general path
             _, ref_arrivals, ref_payloads = self._run()
         assert arrivals == ref_arrivals
         assert payloads == ref_payloads
 
 
 class TestReferenceIsTheGeneralPath:
-    """With the fast paths off every query runs ``_allocate_general``.  One
+    """A checked run sends every query through ``_allocate_general``.  One
     link goes through a sole-flow phase, a two-flow phase and a 40-member
-    udp pool, so the reference is compared where it is the only answer."""
+    udp pool, so the general solve is compared where it is the only answer."""
 
     POOL = 40
 
@@ -369,7 +355,7 @@ class TestReferenceIsTheGeneralPath:
         assert phases[1] == (2, 1)
         assert phases[2][1] >= self.POOL
         assert len(payloads) == 400 + 60 + 8 * self.POOL
-        with fastpath.disabled():
+        with checking():
             ref_phases, ref_arrivals, ref_payloads = self._run()
         assert phases == ref_phases
         assert arrivals == ref_arrivals
@@ -399,7 +385,6 @@ class TestCostCounters:
             direction.allocate_rate(flows[1])
             assert value("alloc_solves_total") == 2
             assert value("demand_queries_total") == 2
-            with fastpath.disabled():
-                direction.allocate_rate(flows[1])  # the reference pulls all three
-            assert value("alloc_queries_total") == 5
+            direction._allocate_general(flows[1])  # the general solve pulls all three
+            assert value("alloc_queries_total") == 4
             assert value("demand_queries_total") == 5
