@@ -5,9 +5,9 @@ socket adaptor sits between a protocol endpoint and its UDP socket and
 perturbs *outgoing* packets — dropping, duplicating, delaying, truncating
 or any chain thereof.  Both :class:`~repro.aio.udt.UdtLiteEndpoint` and
 :class:`~repro.aio.udp.UdpEndpoint` accept one via their ``adaptor``
-parameter, which makes loss patterns that the ``loss_fn`` hook cannot
-express (lost ACKs, duplicated control packets, corrupted lengths)
-scriptable in tests without touching the protocol code.
+parameter, which makes loss patterns (lost DATA or ACKs, duplicated
+control packets, corrupted lengths) scriptable in tests without touching
+the protocol code.
 
 All randomised adaptors take an explicit seed, so campaigns stay
 deterministic; predicates receive ``(packet_bytes, remote)`` and may

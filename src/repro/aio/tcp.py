@@ -18,13 +18,9 @@ from collections import deque
 from itertools import islice
 from typing import Callable, Deque, Optional, Sequence
 
-from repro.aio.transport import MAX_HELLO, AioConnection, AioListener, AioTransport, ConnectionHandler, Endpoint
+from repro.aio.transport import MAX_FRAME, MAX_HELLO, AioConnection, AioListener, AioTransport, ConnectionHandler, Endpoint
 
 LENGTH = struct.Struct(">I")
-#: largest frame; a longer prefix closes the connection.  The receive buffer
-#: (an anonymous mapping, resident as far as bursts have filled it) holds one,
-#: so one read takes up to 17 of AioNetwork's largest (65 544 byte) frames
-MAX_FRAME = 1024 * 1024
 HELLO_BUFFER = 1024  # an accepted connection reads into this until its hello is in
 HIGH_WATER = 64 * 1024  # send_frames returns once at most this many bytes are unsent
 IOV_MAX = 1024  # buffers one sendmsg may gather (Linux)

@@ -19,6 +19,11 @@ ConnectionHandler = Callable[["AioConnection"], None]
 
 #: longest hello a listener accepts, on every transport
 MAX_HELLO = 512
+#: largest frame on every stream transport; a longer length prefix closes
+#: the connection.  TCP's receive buffer (an anonymous mapping, resident as
+#: far as bursts have filled it) holds one, so one read takes up to 17 of
+#: AioNetwork's largest (65 544 byte) frames
+MAX_FRAME = 1024 * 1024
 
 
 class AioConnection(ABC):

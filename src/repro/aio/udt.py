@@ -22,10 +22,9 @@ Computer Networks 2007) sufficient for the middleware:
   the handshake confirmation completes in the background (COMP4621's
   "0RTT Handshaking" pattern).
 
-A per-endpoint ``loss_fn`` hook lets tests drop outgoing DATA packets
-deterministically, and an optional :class:`~repro.aio.adaptors.SocketAdaptor`
-can perturb *every* outgoing packet (drop ACKs, duplicate, delay,
-truncate) to exercise the control-plane machinery on a loopback socket.
+An optional :class:`~repro.aio.adaptors.SocketAdaptor` can perturb every
+outgoing packet (drop DATA or ACKs, duplicate, delay, truncate) to
+exercise loss recovery and the control plane on a loopback socket.
 """
 
 from __future__ import annotations
@@ -38,6 +37,7 @@ from typing import Callable, Deque, Dict, Iterable, Optional, Sequence, Set, Tup
 
 from repro.aio.pacing import MSS, SYN_INTERVAL, DaimdPacing, PacerFactory, PacingPolicy
 from repro.aio.transport import (
+    MAX_FRAME,
     MAX_HELLO,
     AioConnection,
     AioListener,
@@ -124,6 +124,8 @@ class UdtLiteConnection(AioConnection):
         self._ack_dirty = False
         self._next_reack = 0.0
         self.dup_data_received = 0
+        #: DATA dropped because its seq lies a flight window or more ahead
+        self.out_of_window_dropped = 0
         self.reacks_sent = 0
 
         self._tasks = [
@@ -188,7 +190,7 @@ class UdtLiteConnection(AioConnection):
                     continue
             now = time.monotonic()
             self.pacer.on_interval(now)
-            packet = self._pop_next()
+            packet = self._next_packet()
             if packet is None:
                 continue
             seq, payload = packet
@@ -203,7 +205,7 @@ class UdtLiteConnection(AioConnection):
                 # Not behind schedule: a real sleep.  Behind: a bare yield.
                 await asyncio.sleep(due - time.monotonic())
 
-    def _pop_next(self) -> Optional[Tuple[int, bytes]]:
+    def _next_packet(self) -> Optional[Tuple[int, bytes]]:
         while self._retransmit:
             seq = self._retransmit.popleft()
             self._retransmit_set.discard(seq)
@@ -248,7 +250,7 @@ class UdtLiteConnection(AioConnection):
             self._work.set()
         if not self._unacked and not self._fresh:
             # Nothing in flight, nothing queued: whatever _retransmit still
-            # lists was NAKed and then covered by an ACK.  _pop_next would
+            # lists was NAKed and then covered by an ACK.  _next_packet would
             # skip it, but nobody would wake drain() afterwards.
             self._retransmit.clear()
             self._retransmit_set.clear()
@@ -275,6 +277,11 @@ class UdtLiteConnection(AioConnection):
             self._reack()
             return
         if seq > self._expected:
+            if seq - self._expected >= FLIGHT_WINDOW:
+                # No sender of ours runs this far ahead: holding it would
+                # let a peer grow the out-of-order table without bound.
+                self.out_of_window_dropped += 1
+                return
             if seq in self._ooo:
                 # Duplicate out-of-order packet: our ACK carrying its
                 # selective acknowledgement (or the NAK reply) was lost.
@@ -292,7 +299,7 @@ class UdtLiteConnection(AioConnection):
                 )
             return
         self._consume(payload)
-        while self._expected in self._ooo:
+        while self._expected in self._ooo and not self.closed:
             self._consume(self._ooo.pop(self._expected))
 
     def _consume(self, payload: bytes) -> None:
@@ -300,6 +307,11 @@ class UdtLiteConnection(AioConnection):
         self._stream.extend(payload)
         while len(self._stream) >= LENGTH.size:
             (length,) = LENGTH.unpack_from(self._stream)
+            if length > MAX_FRAME:
+                # As TCP does: a longer prefix is a broken or hostile peer.
+                self.endpoint._send_packet(CLOSE, 0, b"", self.remote)
+                self._teardown()
+                return
             if len(self._stream) < LENGTH.size + length:
                 break
             frame = bytes(self._stream[LENGTH.size:LENGTH.size + length])
@@ -372,13 +384,11 @@ class UdtLiteEndpoint:
     def __init__(
         self,
         on_connection: Optional[ConnectionHandler] = None,
-        loss_fn: Optional[Callable[[int], bool]] = None,
         initial_rate: float = 2 * 1024 * 1024,
         adaptor: Optional[object] = None,
         pacer_factory: Optional[PacerFactory] = None,
     ) -> None:
         self.on_connection = on_connection
-        self.loss_fn = loss_fn
         self.initial_rate = initial_rate
         self.pacer_factory = pacer_factory
         #: fault-injecting :class:`repro.aio.adaptors.SocketAdaptor` (tests)
@@ -410,8 +420,6 @@ class UdtLiteEndpoint:
     def _send_packet(self, ptype: int, field: int, payload: bytes, remote: Endpoint) -> None:
         if self._socket is None:
             return
-        if ptype == DATA and self.loss_fn is not None and self.loss_fn(field):
-            return  # injected loss (tests)
         self._socket.send(HEADER.pack(ptype, field) + payload, remote)
 
     def _on_packet(self, data: bytes, src: Endpoint) -> None:
@@ -587,11 +595,9 @@ class UdtLiteTransport(AioTransport):
     name = "udt"
 
     def __init__(self, initial_rate: float = 2 * 1024 * 1024,
-                 loss_fn: Optional[Callable[[int], bool]] = None,
                  adaptor: Optional[object] = None,
                  pacer_factory: Optional[PacerFactory] = None) -> None:
         self.initial_rate = initial_rate
-        self.loss_fn = loss_fn
         self.adaptor = adaptor
         #: pacing policy for every connection this transport creates;
         #: None is DAIMD (tests substitute fixed-rate pacers here)
@@ -602,7 +608,7 @@ class UdtLiteTransport(AioTransport):
 
     async def listen(self, host: str, port: int, on_connection: ConnectionHandler) -> AioListener:
         endpoint = UdtLiteEndpoint(
-            on_connection=on_connection, loss_fn=self.loss_fn,
+            on_connection=on_connection,
             initial_rate=self.initial_rate, adaptor=self.adaptor,
             pacer_factory=self.pacer_factory,
         )
@@ -611,7 +617,7 @@ class UdtLiteTransport(AioTransport):
 
     async def connect(self, remote: Endpoint, hello: bytes) -> UdtLiteConnection:
         endpoint = UdtLiteEndpoint(
-            loss_fn=self.loss_fn, initial_rate=self.initial_rate,
+            initial_rate=self.initial_rate,
             adaptor=self.adaptor, pacer_factory=self.pacer_factory,
         )
         await endpoint.open("0.0.0.0", 0)

@@ -24,7 +24,6 @@ from repro.kompics.event import (
     Fault,
     Kill,
     KompicsEvent,
-    Restarted,
     Start,
     Started,
     Stop,
@@ -35,7 +34,6 @@ from repro.kompics.runtime import KompicsSystem
 from repro.kompics.scheduler import Scheduler, SimScheduler, ThreadPoolScheduler
 from repro.kompics.supervision import (
     FaultAction,
-    SupervisionEvents,
     SupervisionPolicy,
     Supervisor,
 )
@@ -57,11 +55,9 @@ __all__ = [
     "Stopped",
     "Kill",
     "Fault",
-    "Restarted",
     "DeadLetter",
     "FaultAction",
     "SupervisionPolicy",
-    "SupervisionEvents",
     "Supervisor",
     "PortType",
     "Port",

@@ -146,8 +146,8 @@ class ComponentCore:
                 self._scheduled = True
                 self._schedule_ready()
             return
-        # note_deadletter runs outside the lock: publishing a DeadLetter
-        # can re-enter enqueue on this very component.
+        # note_deadletter runs outside the lock: it touches only the
+        # system's dead-letter sink, none of this core's state.
         dead: Optional[bool] = None
         with self._lock:
             state = self.state
@@ -453,7 +453,7 @@ class ComponentDefinition:
 
         Return a :class:`~repro.kompics.supervision.SupervisionPolicy`
         to fix how faults of this component are handled regardless of
-        subtree or global configuration.
+        the global ``kompics.supervision.*`` configuration.
         """
         return None
 

@@ -69,31 +69,6 @@ class Fault(KompicsEvent):
         return f"Fault({self.component_name!r}, {type(self.event).__name__}, {self.exception!r})"
 
 
-class Restarted(KompicsEvent):
-    """Indication that a supervisor re-instantiated a component.
-
-    ``restarts`` counts restarts inside the current intensity window, so
-    subscribers can tell a first recovery from a flapping component.
-    """
-
-    __slots__ = ("component_name", "component_id", "fault", "restarts")
-
-    def __init__(
-        self,
-        component_name: str,
-        component_id: int,
-        fault: Optional["Fault"],
-        restarts: int,
-    ) -> None:
-        self.component_name = component_name
-        self.component_id = component_id
-        self.fault = fault
-        self.restarts = restarts
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"Restarted({self.component_name!r}, restarts={self.restarts})"
-
-
 class DeadLetter(KompicsEvent):
     """An event that reached a component past its useful life.
 

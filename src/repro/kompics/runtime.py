@@ -202,9 +202,8 @@ class KompicsSystem:
     ) -> None:
         """Record an event that reached a STOPPED/DESTROYED/FAULTY component.
 
-        Keeps a bounded ring of recent :class:`DeadLetter` records, counts
-        per receiver state, and republishes on the supervision events port
-        (unless the event itself is a DeadLetter — no cascades).
+        Keeps a bounded ring of recent :class:`DeadLetter` records and
+        counts them.
         """
         self.deadletters_total += 1
         key = state.value
@@ -218,8 +217,6 @@ class KompicsSystem:
             event=type(event).__name__,
             dropped=dropped,
         )
-        if not isinstance(event, DeadLetter):
-            self.supervision.publish(letter)
 
     # ------------------------------------------------------------------
     # faults

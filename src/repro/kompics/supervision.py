@@ -25,23 +25,14 @@ supervisors, Akka/CAF actor supervision):
 * ``DESTROY`` tears the faulted subtree down and lets the rest of the
   system keep running.
 
-Policies resolve most-specific-first: a runtime-set per-component policy,
-then the definition's :meth:`~repro.kompics.component.ComponentDefinition.
-supervision` override, then the nearest ancestor's *subtree* policy, then
-the global ``kompics.supervision.*`` config keys.
+A component's policy is its definition's
+:meth:`~repro.kompics.component.ComponentDefinition.supervision` override,
+else the global ``kompics.supervision.*`` config keys.
 
 Everything is **default-off**: without ``kompics.supervision.enabled``
-the fault path is byte-for-byte the seed behaviour, no broadcaster
-component exists and no RNG or timer state is created.
-
-Lifecycle visibility
---------------------
-``Fault``, ``Restarted`` and ``DeadLetter`` events are published on a
-:class:`SupervisionEvents` port provided by a lazily created broadcaster
-component (:meth:`Supervisor.events_port`), so applications — a
-``NettyNetwork`` wanting to drop channels for a dead peer component, a
-health monitor, the chaos harness — can subscribe like to any other
-indication stream.
+the fault path is byte-for-byte the seed behaviour and no RNG or timer
+state is created.  Faults and the actions taken are visible on
+:attr:`Supervisor.timeline`, the plain counters and the trace.
 """
 
 from __future__ import annotations
@@ -52,11 +43,10 @@ from collections import deque
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Deque, Dict, List, Optional
 
-from repro.kompics.event import DeadLetter, Fault, KompicsEvent, Restarted, Start
-from repro.kompics.port import Port, PortType
+from repro.kompics.event import Fault, KompicsEvent, Start
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.kompics.component import Component, ComponentCore
+    from repro.kompics.component import ComponentCore
     from repro.kompics.runtime import KompicsSystem
 
 logger = logging.getLogger("repro.kompics.supervision")
@@ -73,7 +63,7 @@ class FaultAction(enum.Enum):
 
 @dataclass(frozen=True)
 class SupervisionPolicy:
-    """One component's (or subtree's) fault handling policy.
+    """One component's fault handling policy.
 
     ``max_restarts`` and ``window`` bound the restart intensity: more
     than ``max_restarts`` restarts within a rolling ``window`` seconds
@@ -119,27 +109,6 @@ class SupervisionPolicy:
         )
 
 
-class SupervisionEvents(PortType):
-    """Lifecycle indication stream: faults, restarts and dead letters."""
-
-    indications = (Fault, Restarted, DeadLetter)
-
-
-def _broadcaster_cls():
-    # Deferred import: supervision is imported by runtime before
-    # component's definition machinery is needed.
-    from repro.kompics.component import ComponentDefinition
-
-    class _Broadcaster(ComponentDefinition):
-        """Internal component that owns the supervision indication port."""
-
-        def __init__(self) -> None:
-            super().__init__()
-            self.port = self.provides(SupervisionEvents)
-
-    return _Broadcaster
-
-
 @dataclass(frozen=True)
 class SupervisionRecord:
     """One row of the per-system fault timeline (obs integration)."""
@@ -166,9 +135,6 @@ class Supervisor:
         config = system.config
         self.enabled = config.get_bool("kompics.supervision.enabled", False)
         self.default_policy = SupervisionPolicy.from_config(config)
-        #: runtime-set per-component / per-subtree policies, by core id
-        self._component_policies: Dict[int, SupervisionPolicy] = {}
-        self._subtree_policies: Dict[int, SupervisionPolicy] = {}
         #: restart timestamps per core id (intensity budget bookkeeping)
         self._restart_times: Dict[int, Deque[float]] = {}
         #: plain counters, valid with or without a metrics registry
@@ -177,7 +143,6 @@ class Supervisor:
         self.escalations_total = 0
         self.destroys_total = 0
         self.timeline: List[SupervisionRecord] = []
-        self._broadcaster: Optional[Component] = None
 
         metrics = system.metrics
         self.tracer = system.tracer
@@ -191,58 +156,13 @@ class Supervisor:
     # ------------------------------------------------------------------
     # policy management
     # ------------------------------------------------------------------
-    def set_policy(self, component, policy: SupervisionPolicy, subtree: bool = False) -> None:
-        """Install ``policy`` for one component (or its whole subtree).
-
-        Subtree policies apply to every descendant that has no more
-        specific policy of its own; they are consulted bottom-up, so the
-        nearest ancestor wins.
-        """
-        core = getattr(component, "core", component)
-        if subtree:
-            self._subtree_policies[core.id] = policy
-        else:
-            self._component_policies[core.id] = policy
-
     def policy_for(self, core: "ComponentCore") -> SupervisionPolicy:
-        """Resolve the effective policy: component > definition override >
-        nearest ancestor subtree > global config default."""
-        policy = self._component_policies.get(core.id)
-        if policy is not None:
-            return policy
+        """The definition's ``supervision()`` override, else the config default."""
         if core.definition is not None:
             override = core.definition.supervision()
             if override is not None:
                 return override
-        node: Optional["ComponentCore"] = core
-        while node is not None:
-            policy = self._subtree_policies.get(node.id)
-            if policy is not None:
-                return policy
-            node = node.parent
         return self.default_policy
-
-    # ------------------------------------------------------------------
-    # supervision events port
-    # ------------------------------------------------------------------
-    def events_port(self) -> Port:
-        """The provided :class:`SupervisionEvents` port (created lazily).
-
-        Connect a component's ``requires(SupervisionEvents)`` port to it
-        to observe ``Fault`` / ``Restarted`` / ``DeadLetter`` events::
-
-            system.connect(system.supervision.events_port(), watcher.required(SupervisionEvents))
-        """
-        if self._broadcaster is None:
-            self._broadcaster = self.system.create(
-                _broadcaster_cls(), name="supervision-events"
-            )
-        return self._broadcaster.core.port(SupervisionEvents, positive=True)
-
-    def publish(self, event: KompicsEvent) -> None:
-        """Broadcast a lifecycle event to supervision subscribers (if any)."""
-        if self._broadcaster is not None:
-            self._broadcaster.core.port(SupervisionEvents, positive=True).trigger(event)
 
     # ------------------------------------------------------------------
     # fault handling
@@ -288,7 +208,6 @@ class Supervisor:
                 self.escalations_total += 1
                 self._m_escalations.inc()
                 self._note(core, "escalate-root", fault)
-                self.publish(fault)
                 core._terminal_fault(fault)
                 return
             self.escalations_total += 1
@@ -299,7 +218,6 @@ class Supervisor:
             )
             target = target.parent
 
-        self.publish(fault)
         if action is FaultAction.IGNORE:
             self.ignored_total += 1
             self._m_ignored.inc()
@@ -377,10 +295,6 @@ class Supervisor:
                 return
         finally:
             core.restarting = False
-        restarted = Restarted(
-            core.name, core.id, fault, len(self._restart_times[core.id])
-        )
-        self.publish(restarted)
         core.enqueue_control(Start())
 
     def destroy(self, core: "ComponentCore") -> None:

@@ -19,11 +19,10 @@ protocol set.
 
 from __future__ import annotations
 
-import importlib
 import math
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple, Union
+from dataclasses import dataclass
+from typing import Any, Callable, Dict, List, Optional
 
 from repro.util.registry import Registry, UnknownNameError
 
@@ -563,15 +562,13 @@ class CcContext:
 
     ``rtt``/``bandwidth``/``udp_cap`` describe the dialed path; ``config``
     is the owning network's :class:`~repro.kompics.config.Config` (or None
-    when built standalone — factories fall back to the netsim defaults);
-    ``params`` are per-spec overrides forwarded to the constructor.
+    when built standalone — factories fall back to the netsim defaults).
     """
 
     rtt: float = 0.1
     bandwidth: float = math.inf
     udp_cap: Optional[float] = None
     config: Any = None
-    params: Mapping[str, Any] = field(default_factory=dict)
 
     def get_float(self, key: str, default: float) -> float:
         if self.config is None:
@@ -580,10 +577,6 @@ class CcContext:
 
 
 CcFactory = Callable[[CcContext], CongestionControl]
-
-#: accepted ``cc=`` spec shapes: a registered/dotted name, a
-#: ``(name, params)`` pair, or a ready-made factory callable
-CcSpec = Union[str, Tuple[str, Mapping[str, Any]], CcFactory]
 
 
 @dataclass(frozen=True)
@@ -599,18 +592,12 @@ class CcPolicy:
 
 
 class CcRegistry(Registry[CcPolicy]):
-    """Name -> :class:`CcPolicy` (strict: see :class:`~repro.util.registry.Registry`).
-
-    Names containing a dot are resolved as ``package.module:attr`` (or
-    ``package.module.attr``) imports, so out-of-tree controllers are
-    usable without registration.
-    """
+    """Name -> :class:`CcPolicy` (strict: see :class:`~repro.util.registry.Registry`)."""
 
     def __init__(self) -> None:
         super().__init__(
             "congestion-control policy", UnknownCcError, DuplicateCcError,
             owner=lambda policy: policy.factory,
-            resolve=lambda name: self._import_dotted(name) if "." in name else None,
         )
 
     def register(
@@ -618,25 +605,8 @@ class CcRegistry(Registry[CcPolicy]):
     ) -> CcPolicy:
         return self.add(name, CcPolicy(name=name, factory=factory, description=description))
 
-    def _import_dotted(self, name: str) -> CcPolicy:
-        """Resolve ``pkg.mod:attr`` / ``pkg.mod.attr`` to a factory."""
-        module_name, sep, attr = name.partition(":")
-        if not sep:
-            module_name, _, attr = name.rpartition(".")
-        try:
-            module = importlib.import_module(module_name)
-            factory = getattr(module, attr)
-        except (ImportError, AttributeError) as exc:
-            raise UnknownCcError(
-                f"cannot import congestion-control policy {name!r}: {exc}"
-            ) from exc
-        if isinstance(factory, type) and issubclass(factory, CongestionControl):
-            cls = factory
-            return CcPolicy(name=name, factory=lambda ctx: cls(rtt=ctx.rtt, **ctx.params))
-        return CcPolicy(name=name, factory=factory)
 
-
-#: the process-wide policy registry; connections resolve ``cc=`` specs here
+#: the process-wide policy registry; connections resolve ``cc=`` names here
 CC_POLICIES = CcRegistry()
 
 
@@ -648,39 +618,16 @@ def cc_names() -> List[str]:
     return CC_POLICIES.names()
 
 
-def parse_cc_spec(spec: CcSpec) -> Tuple[Optional[str], Mapping[str, Any], Optional[CcFactory]]:
-    """Normalize a ``cc=`` spec to ``(name, params, factory)``."""
-    if isinstance(spec, str):
-        return spec, {}, None
-    if isinstance(spec, (tuple, list)) and len(spec) == 2 and isinstance(spec[0], str):
-        return spec[0], dict(spec[1] or {}), None
-    if callable(spec):
-        return None, {}, spec
-    raise TypeError(
-        f"cc spec must be a name, a (name, params) pair or a factory, "
-        f"not {spec!r}"
-    )
-
-
 def make_cc(
-    spec: CcSpec,
+    name: str,
     *,
     rtt: float = 0.1,
     bandwidth: float = math.inf,
     udp_cap: Optional[float] = None,
     config: Any = None,
-    params: Optional[Mapping[str, Any]] = None,
 ) -> CongestionControl:
-    """Build a controller from a spec and the dialed path's context."""
-    name, spec_params, factory = parse_cc_spec(spec)
-    merged = dict(spec_params)
-    if params:
-        merged.update(params)
-    ctx = CcContext(rtt=rtt, bandwidth=bandwidth, udp_cap=udp_cap,
-                    config=config, params=merged)
-    if factory is not None:
-        return factory(ctx)
-    assert name is not None
+    """Build the controller registered as ``name`` for the dialed path."""
+    ctx = CcContext(rtt=rtt, bandwidth=bandwidth, udp_cap=udp_cap, config=config)
     return CC_POLICIES.get(name).build(ctx)
 
 
@@ -691,13 +638,11 @@ def make_cc(
 # ----------------------------------------------------------------------
 
 def _buffered_window_kwargs(ctx: CcContext) -> Dict[str, Any]:
-    kw: Dict[str, Any] = dict(
+    return dict(
         rtt=ctx.rtt,
         send_buffer=ctx.get_float("net.tcp.send_buffer", 8 * 1024 * 1024),
         receive_buffer=ctx.get_float("net.tcp.receive_buffer", 8 * 1024 * 1024),
     )
-    kw.update(ctx.params)
-    return kw
 
 
 def _reno_factory(ctx: CcContext) -> CongestionControl:
@@ -719,23 +664,16 @@ UDT_MAX_RATE = 40 * 1024 * 1024
 
 
 def _udt_factory(ctx: CcContext) -> CongestionControl:
-    kw: Dict[str, Any] = dict(
+    return UdtCc(
         rtt=ctx.rtt,
         bandwidth_estimate=_capped_estimate(ctx, UDT_MAX_RATE),
         receive_buffer=ctx.get_float("net.udt.receive_buffer", 100 * 1024 * 1024),
         max_rate=UDT_MAX_RATE,
     )
-    kw.update(ctx.params)
-    return UdtCc(**kw)
 
 
 def _bbr_factory(ctx: CcContext) -> CongestionControl:
-    kw: Dict[str, Any] = dict(
-        rtt=ctx.rtt,
-        bandwidth_estimate=ctx.bandwidth,
-    )
-    kw.update(ctx.params)
-    return BbrCc(**kw)
+    return BbrCc(rtt=ctx.rtt, bandwidth_estimate=ctx.bandwidth)
 
 
 def _udp_factory(ctx: CcContext) -> CongestionControl:
@@ -743,11 +681,7 @@ def _udp_factory(ctx: CcContext) -> CongestionControl:
 
 
 def _ledbat_factory(ctx: CcContext) -> CongestionControl:
-    kw: Dict[str, Any] = dict(
-        rtt=ctx.rtt, bandwidth_estimate=_capped_estimate(ctx),
-    )
-    kw.update(ctx.params)
-    return LedbatCc(**kw)
+    return LedbatCc(rtt=ctx.rtt, bandwidth_estimate=_capped_estimate(ctx))
 
 
 register_cc("reno", _reno_factory,

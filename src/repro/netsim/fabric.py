@@ -12,10 +12,10 @@ if TYPE_CHECKING:  # pragma: no cover - structural typing only
         hosts: Tuple[Tuple[str, str], ...]
         links: Tuple[Any, ...]
 
-from repro.errors import AddressError, TransportError
+from repro.errors import AddressError
 from repro.kompics.config import Config
 from repro.netsim.routing import CompositePath
-from repro.netsim.congestion import CcSpec, CongestionControl, make_cc
+from repro.netsim.congestion import CongestionControl, make_cc
 from repro.netsim.disk import DiskModel
 from repro.netsim.host import NetworkStack, SimHost
 from repro.netsim.link import Link, LinkDirection, LinkSpec, Proto
@@ -37,15 +37,12 @@ NETSIM_DEFAULTS = {
     # avoid receiver-side loss on high-BDP links (§V-A).
     "net.udt.receive_buffer": 100 * 1024 * 1024,
     "net.udp.socket_buffer": 2 * 1024 * 1024,
-    # Default congestion-control policy per wire protocol: registry names
-    # resolved against repro.netsim.congestion.CC_POLICIES.  Overriding
-    # these (or passing cc= to connect()) swaps the policy without
-    # touching the datapath.
-    "net.cc.tcp": "reno",
-    "net.cc.udt": "udt",
-    "net.cc.udp": "udp",
-    "net.cc.ledbat": "ledbat",
 }
+
+#: the congestion-control policy each wire protocol dials with unless a
+#: connection or listener names another (``cc=``); registry names in
+#: :data:`repro.netsim.congestion.CC_POLICIES`
+DEFAULT_CC = {Proto.TCP: "reno", Proto.UDT: "udt", Proto.UDP: "udp", Proto.LEDBAT: "ledbat"}
 
 #: the loopback interface for same-host (and same-node dual-instance) traffic
 LOOPBACK_SPEC = LinkSpec(bandwidth=150.0 * 1024 * 1024, delay=25e-6)
@@ -317,22 +314,15 @@ class SimNetwork:
         proto: Proto,
         rtt: float,
         out_dir: LinkDirection,
-        cc: Optional[CcSpec] = None,
+        cc: Optional[str] = None,
     ) -> CongestionControl:
         """Build the congestion controller for a dialing connection.
 
-        The policy is resolved from the registry: an explicit ``cc=`` spec
-        wins, otherwise the ``net.cc.<proto>`` config key names the
-        default (``reno``/``udt``/``udp``/``ledbat``, matching the
-        historical hard-coded controllers byte-for-byte).
+        The policy is resolved from the registry: an explicit ``cc=`` name
+        wins, otherwise :data:`DEFAULT_CC` names the protocol's default.
         """
-        if cc is None:
-            key = f"net.cc.{proto.value}"
-            cc = self.config.get(key, None)
-            if cc is None:
-                raise TransportError(f"unsupported protocol {proto!r}")
         return make_cc(
-            cc,
+            cc or DEFAULT_CC[proto],
             rtt=rtt,
             bandwidth=out_dir.spec.bandwidth,
             udp_cap=out_dir.spec.udp_cap,

@@ -11,7 +11,6 @@ from repro.netsim.disk import DiskModel
 from repro.netsim.link import Proto
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.netsim.congestion import CcSpec
     from repro.netsim.fabric import SimNetwork
 
 Endpoint = Tuple[str, int]
@@ -34,7 +33,7 @@ class Listener:
         proto: Proto,
         on_accept: Optional[Callable[[Connection], None]] = None,
         on_datagram: Optional[Callable[[Any, int, Endpoint], None]] = None,
-        cc: Optional[CcSpec] = None,
+        cc: Optional[str] = None,
     ) -> None:
         if proto is Proto.UDP and on_datagram is None:
             raise NetworkError("UDP listener needs an on_datagram callback")
@@ -45,7 +44,7 @@ class Listener:
         self.on_accept = on_accept
         self.on_datagram = on_datagram
         self.closed = False
-        # Congestion-control spec applied to the *server-side* connections
+        # Congestion-control policy applied to the *server-side* connections
         # this listener accepts; None keeps the per-protocol default.
         self.cc = cc
 
@@ -74,7 +73,7 @@ class NetworkStack:
         proto: Proto,
         on_accept: Optional[Callable[[Connection], None]] = None,
         on_datagram: Optional[Callable[[Any, int, Endpoint], None]] = None,
-        cc: Optional[CcSpec] = None,
+        cc: Optional[str] = None,
     ) -> Listener:
         key = (port, proto)
         if key in self._listeners:
@@ -106,14 +105,14 @@ class NetworkStack:
         on_failed: Optional[Callable[[Connection, str], None]] = None,
         local_port: Optional[int] = None,
         hello: Any = None,
-        cc: Optional[CcSpec] = None,
+        cc: Optional[str] = None,
     ) -> Connection:
         """Open a connection to ``remote``; TCP/UDT handshake takes one RTT.
 
         ``hello`` is an opaque payload carried with the handshake and
         exposed to the acceptor as ``conn.peer_hello``.  ``cc`` picks the
-        congestion-control policy by registry name (or ``(name, params)``
-        pair / factory); None keeps the per-protocol default.
+        congestion-control policy by registry name; None keeps the
+        per-protocol default.
         """
         remote_ip, remote_port = remote
         out_dir = self.network.path(self.ip, remote_ip)
@@ -176,7 +175,7 @@ class NetworkStack:
         proto: Proto,
         out_dir,
         rtt: float,
-        cc: Optional[CcSpec] = None,
+        cc: Optional[str] = None,
     ) -> Connection:
         cc = self.network.make_congestion_control(proto, rtt, out_dir, cc=cc)
         conn_id = self.network.ids.next("connection")

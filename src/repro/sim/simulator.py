@@ -236,41 +236,6 @@ class Simulator:
     # ------------------------------------------------------------------
     # execution
     # ------------------------------------------------------------------
-    def _pop_next(self) -> Optional[EventHandle]:
-        """Pop the globally minimal handle across both sorted sources."""
-        heap = self._heap
-        run_q = self._run_q
-        if run_q:
-            if heap:
-                head = run_q[0]
-                h0 = heap[0]
-                h0t = h0[0]
-                rt = head.time
-                if h0t < rt or (h0t == rt and h0[1] < head.seq):
-                    return heapq.heappop(heap)[2]
-            return run_q.popleft()
-        if heap:
-            return heapq.heappop(heap)[2]
-        return None
-
-    def step(self) -> bool:
-        """Execute the next pending event; return False when none remain."""
-        while True:
-            handle = self._pop_next()
-            if handle is None:
-                return False
-            handle.owner = None
-            if handle.cancelled:
-                self._tombstones -= 1
-                continue
-            time = handle.time
-            self.clock._advance_to(time)
-            self.events_executed += 1
-            if self._check is not None:
-                self._check.on_execute(time, handle.label)
-            handle.callback()
-            return True
-
     def run(self, max_events: int = 100_000_000) -> None:
         """Run until the event queue drains (or ``stop`` is called)."""
         self._run(until=None, max_events=max_events)
@@ -447,36 +412,3 @@ class Simulator:
     def pending_events(self) -> int:
         """Number of queued (non-cancelled) events."""
         return len(self._heap) + len(self._run_q) - self._tombstones
-
-    def peek_next_time(self) -> Optional[float]:
-        """Timestamp of the next live event, or None if the queue is empty.
-
-        Pops tombstoned heads on the way, so repeated peeks stay O(1)
-        amortised instead of sorting the queues.
-        """
-        heap = self._heap
-        run_q = self._run_q
-        while True:
-            from_heap = True
-            if run_q:
-                head = run_q[0]
-                if heap:
-                    h0 = heap[0]
-                    if h0[0] < head.time or (h0[0] == head.time and h0[1] < head.seq):
-                        head = h0[2]
-                    else:
-                        from_heap = False
-                else:
-                    from_heap = False
-            elif heap:
-                head = heap[0][2]
-            else:
-                return None
-            if not head.cancelled:
-                return head.time
-            if from_heap:
-                heapq.heappop(heap)
-            else:
-                run_q.popleft()
-            head.owner = None
-            self._tombstones -= 1

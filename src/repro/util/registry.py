@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import difflib
-from typing import Callable, Dict, Generic, List, Optional, Type, TypeVar
+from typing import Callable, Dict, Generic, List, Type, TypeVar
 
 T = TypeVar("T")
 
@@ -22,9 +22,7 @@ class Registry(Generic[T]):
     shadowing the earlier entry; an unknown lookup raises ``unknown``
     with a did-you-mean suggestion and the registered names.  ``noun``
     names the kind of entry in both messages and ``owner`` picks what a
-    duplicate error blames the existing entry on.  ``resolve`` gets a
-    last chance at a missing name (cc policies import dotted names there)
-    and returns ``None`` to decline.
+    duplicate error blames the existing entry on.
     """
 
     def __init__(
@@ -33,13 +31,11 @@ class Registry(Generic[T]):
         unknown: Type[UnknownNameError],
         duplicate: Type[Exception] = ValueError,
         owner: Callable[[T], object] = lambda entry: entry,
-        resolve: Optional[Callable[[str], Optional[T]]] = None,
     ) -> None:
         self.noun = noun
         self._unknown = unknown
         self._duplicate = duplicate
         self._owner = owner
-        self._resolve = resolve
         self._entries: Dict[str, T] = {}
 
     def add(self, name: str, entry: T) -> T:
@@ -61,9 +57,6 @@ class Registry(Generic[T]):
         return entry if entry is not None else self._miss(name)
 
     def _miss(self, name: str) -> T:
-        entry = self._resolve(name) if self._resolve is not None else None
-        if entry is not None:
-            return entry
         close = difflib.get_close_matches(name, sorted(self._entries), n=3)
         hint = f"; did you mean {' or '.join(repr(c) for c in close)}?" if close else ""
         raise self._unknown(

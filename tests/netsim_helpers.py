@@ -68,14 +68,18 @@ def run_transfer(
     total_bytes: int,
     msg_size: int = 65536,
     port: int = 7000,
+    cc: Optional[str] = None,
 ) -> Sink:
-    """Blast ``total_bytes`` from src to dst and run the sim to completion."""
+    """Blast ``total_bytes`` from src to dst and run the sim to completion.
+
+    ``cc`` names the congestion-control policy of both ends (None keeps
+    the protocol's default)."""
     sink = Sink(sim)
     if proto is Proto.UDP:
-        dst.stack.listen(port, proto, on_datagram=sink.on_datagram)
+        dst.stack.listen(port, proto, on_datagram=sink.on_datagram, cc=cc)
     else:
-        dst.stack.listen(port, proto, on_accept=sink.on_accept)
-    conn = src.stack.connect((dst.ip, port), proto)
+        dst.stack.listen(port, proto, on_accept=sink.on_accept, cc=cc)
+    conn = src.stack.connect((dst.ip, port), proto, cc=cc)
     count = total_bytes // msg_size
     for i in range(count):
         conn.send(WireMessage(i, msg_size))

@@ -1,8 +1,7 @@
 """Fault-injecting socket adaptors, and the UDT-lite fixes they lock in.
 
-The adaptors manufacture loss patterns the ``loss_fn`` hook cannot
-express — lost ACKs, duplicated packets, reordering, truncation — on a
-real loopback socket.  The protocol-level tests here are regression
+The adaptors manufacture loss patterns — lost DATA or ACKs, duplicated
+packets, reordering, truncation — on a real loopback socket.  The protocol-level tests here are regression
 tests for sender/receiver control-plane bugs: the lost-ACK livelock,
 NAK-driven retransmission, selective ACKs and 0-RTT handshake resume.
 """
@@ -250,20 +249,11 @@ class TestLossRecoveryViaAdaptors:
             listener = await UdtLiteTransport(adaptor=nak_delay).listen(
                 HOST, port, lambda c: setattr(c, "on_frame", received.append)
             )
-
-            class DropOnce:
-                def __init__(self):
-                    self.done = False
-
-                def __call__(self, seq: int) -> bool:
-                    if seq == 5 and not self.done:
-                        self.done = True
-                        return True
-                    return False
-
-            transport = UdtLiteTransport(
-                initial_rate=16 * 1024 * 1024, loss_fn=DropOnce()
+            drops = DropAdaptor(
+                probability=1.0, max_drops=1,
+                match=lambda p, r: is_data(p, r) and data_seq(p) == 5,
             )
+            transport = UdtLiteTransport(initial_rate=16 * 1024 * 1024, adaptor=drops)
             conn = await transport.connect((HOST, port), b"h")
             frames = [bytes([i % 256]) * 3000 for i in range(30)]
             for frame in frames:

@@ -15,7 +15,7 @@ import pytest
 from repro.aio import AioNetwork
 from repro.apps import register_app_serializers
 from repro.errors import AioStartupError
-from repro.kompics import ComponentDefinition, KompicsSystem, SupervisionPolicy
+from repro.kompics import ComponentDefinition, KompicsSystem
 from repro.kompics.component import ComponentState
 from repro.messaging import (
     BasicAddress,
@@ -328,12 +328,9 @@ class TestCrashRecovery:
             time.sleep(0.2)
 
     def test_restart_budget_exhaustion_escalates_with_dead_letters(self):
-        system = supervised_system()
+        system = supervised_system(**{"kompics.supervision.max_restarts": 1})
         try:
             addr_a, net_a, app_a = build_node(system, free_port())
-            system.supervision.set_policy(
-                net_a, SupervisionPolicy.restart(max_restarts=1, window=60.0)
-            )
             system.supervision.inject_fault(net_a, RuntimeError("chaos #1"))
             assert net_a.definition.wait_ready(10.0)
             assert system.supervision.restarts_total == 1

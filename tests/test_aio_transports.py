@@ -10,6 +10,8 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
+from repro.aio import udt
+from repro.aio.adaptors import DropAdaptor, udt_packet_type
 from repro.aio.tcp import HELLO_BUFFER, HIGH_WATER, LENGTH, MAX_FRAME, MAX_HELLO, TcpConnection, TcpTransport
 from repro.aio.udp import UdpEndpoint
 from repro.aio.udt import UdtLiteTransport
@@ -23,19 +25,21 @@ def run(coro):
     return asyncio.run(asyncio.wait_for(coro, timeout=30.0))
 
 
-class DropOnce:
-    """Loss injector dropping each matching sequence number only once,
-    so retransmissions get through."""
+def drop_data_once(predicate) -> DropAdaptor:
+    """Drop the first transmission of each DATA packet whose sequence
+    number matches, so retransmissions get through."""
+    dropped = set()
 
-    def __init__(self, predicate):
-        self.predicate = predicate
-        self.dropped = set()
-
-    def __call__(self, seq: int) -> bool:
-        if self.predicate(seq) and seq not in self.dropped:
-            self.dropped.add(seq)
+    def match(packet, _remote) -> bool:
+        if udt_packet_type(packet) != udt.DATA:
+            return False
+        seq = udt.HEADER.unpack_from(packet)[1]
+        if predicate(seq) and seq not in dropped:
+            dropped.add(seq)
             return True
         return False
+
+    return DropAdaptor(probability=1.0, match=match)
 
 
 async def free_port() -> int:
@@ -436,7 +440,7 @@ class TestUdtLite:
             received = []
             # Drop every 7th DATA packet on the sender side.
             transport = UdtLiteTransport(
-                initial_rate=8 * 1024 * 1024, loss_fn=DropOnce(lambda seq: seq % 7 == 3)
+                initial_rate=8 * 1024 * 1024, adaptor=drop_data_once(lambda seq: seq % 7 == 3)
             )
             listener = await UdtLiteTransport(initial_rate=8 * 1024 * 1024).listen(
                 HOST, port, lambda c: setattr(c, "on_frame", received.append)
@@ -458,7 +462,7 @@ class TestUdtLite:
         async def scenario():
             port = await free_port()
             transport = UdtLiteTransport(
-                initial_rate=4 * 1024 * 1024, loss_fn=DropOnce(lambda seq: seq == 5)
+                initial_rate=4 * 1024 * 1024, adaptor=drop_data_once(lambda seq: seq == 5)
             )
             listener = await UdtLiteTransport().listen(HOST, port, lambda c: None)
             conn = await transport.connect((HOST, port), b"h")

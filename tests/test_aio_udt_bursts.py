@@ -17,9 +17,10 @@ import pytest
 
 from repro.aio import udt
 from repro.aio.pacing import PacingPolicy
-from repro.aio.transport import MAX_HELLO
+from repro.aio.transport import MAX_FRAME, MAX_HELLO
 from repro.aio.udp import DRAIN_MAX, UdpEndpoint
 from repro.aio.udt import (
+    FLIGHT_WINDOW,
     HEADER,
     LENGTH,
     PACING_BURST,
@@ -178,7 +179,7 @@ class TestDrainContract:
             conn = UdtLiteConnection(VirtualWire(expect=0), REMOTE)
             try:
                 conn._enqueue_frames([b"frame"])
-                assert conn._pop_next()[0] == 0  # on the wire, unacknowledged
+                assert conn._next_packet()[0] == 0  # on the wire, unacknowledged
                 conn._on_nak([0])
                 conn._on_ack(1)
                 assert not conn._unacked and not conn._fresh
@@ -288,6 +289,36 @@ class TestHostileHandshake:
         endpoint._on_packet(packet(udt.HANDSHAKE, 0, b"h" * (MAX_HELLO + 1)), REMOTE)
         assert endpoint.connections == {}
         assert endpoint.refused_handshakes == 1
+
+
+class TestHostileData:
+    """What DATA from an established peer makes the receiver hold is bounded."""
+
+    def test_a_prefix_over_max_frame_closes_the_connection(self):
+        def drive(endpoint, acked):
+            for remote, length in ((REMOTE, MAX_FRAME), (("10.0.0.8", 1234), MAX_FRAME + 1)):
+                endpoint._on_packet(packet(udt.HANDSHAKE), remote)
+                conn = endpoint.connections[remote]
+                endpoint._on_packet(packet(udt.DATA, 0, LENGTH.pack(length) + b"x" * 100), remote)
+                yield conn.closed, remote in endpoint.connections
+
+        fits, over = run(TestHostileHandshake.on_loop(lambda *args: list(drive(*args))))
+        assert fits == (False, True)  # a frame of MAX_FRAME bytes is still coming
+        assert over == (True, False)  # torn down, not buffering behind the prefix
+
+    def test_a_flood_past_the_flight_window_is_not_held(self):
+        flood = 50_000
+
+        def drive(endpoint, acked):
+            endpoint._on_packet(packet(udt.HANDSHAKE), REMOTE)
+            conn = endpoint.connections[REMOTE]
+            for seq in range(1, FLIGHT_WINDOW + flood):  # seq 0 never arrives
+                endpoint._on_packet(packet(udt.DATA, seq, b"x"), REMOTE)
+            return len(conn._ooo), conn.out_of_window_dropped
+
+        held, dropped = run(TestHostileHandshake.on_loop(drive))
+        assert held == FLIGHT_WINDOW - 1  # seqs 1 .. FLIGHT_WINDOW - 1
+        assert dropped == flood
 
 
 class Wakeups(list):

@@ -9,12 +9,9 @@ import pytest
 from repro.errors import ComponentError
 from repro.kompics import (
     ComponentDefinition,
-    DeadLetter,
     Fault,
     FaultAction,
     KompicsSystem,
-    Restarted,
-    SupervisionEvents,
     SupervisionPolicy,
 )
 from repro.kompics.component import ComponentState
@@ -28,8 +25,14 @@ def sim():
     return Simulator()
 
 
-def supervised(sim, **config):
-    merged = {"kompics.supervision.enabled": True}
+def supervised(sim, action="escalate", max_restarts=5, window=30.0, **config):
+    """A system whose components default to ``action`` on a fault."""
+    merged = {
+        "kompics.supervision.enabled": True,
+        "kompics.supervision.action": action,
+        "kompics.supervision.max_restarts": max_restarts,
+        "kompics.supervision.window": window,
+    }
     merged.update(config)
     return KompicsSystem.simulated(sim, config=merged)
 
@@ -107,9 +110,8 @@ class TestDisabledDefault:
 
 class TestRestart:
     def test_restart_reinstantiates_and_keeps_channels(self, sim):
-        system = supervised(sim)
+        system = supervised(sim, "restart")
         server, client = wire(sim, system)
-        system.supervision.set_policy(server, SupervisionPolicy.restart())
         send_and_run(sim, client, 1, 2, 3)
         # seq 2 faulted; the fresh instance answered seq 3 over the old channel
         assert [p.seq for p in client.definition.pongs] == [1, 3]
@@ -121,10 +123,9 @@ class TestRestart:
         assert server.definition.handled == [3]
 
     def test_restart_calls_on_fault_hook_on_old_instance(self, sim):
-        system = supervised(sim)
+        system = supervised(sim, "restart")
         server, client = wire(sim, system)
         old = server.definition
-        system.supervision.set_policy(server, SupervisionPolicy.restart())
         send_and_run(sim, client, 2)
         assert len(old.faults_seen) == 1
         assert server.definition is not old
@@ -141,11 +142,10 @@ class TestRestart:
             def on_ping(self, ping: Ping) -> None:
                 raise RuntimeError("boom")
 
-        system = supervised(sim)
+        system = supervised(sim, "restart")
         parent = system.create(Parent)
         client = system.create(Client)
         system.connect(parent.provided(PingPort), client.required(PingPort))
-        system.supervision.set_policy(parent, SupervisionPolicy.restart())
         system.start(parent)
         system.start(client)
         sim.run()
@@ -160,9 +160,8 @@ class TestRestart:
         # Actor-family restart semantics: the fault consumes only the
         # poisoned event; everything already queued behind it survives the
         # reinstantiation and is delivered to the successor instance.
-        system = supervised(sim)
+        system = supervised(sim, "restart")
         server, client = wire(sim, system)
-        system.supervision.set_policy(server, SupervisionPolicy.restart())
         for seq in (1, 2, 3, 4):
             client.definition.send(seq)
         sim.run()
@@ -173,11 +172,8 @@ class TestRestart:
         assert [p.seq for p in client.definition.pongs] == [1, 3, 4]
 
     def test_budget_exhaustion_escalates(self, sim):
-        system = supervised(sim)
+        system = supervised(sim, "restart", max_restarts=2, window=100.0)
         server, client = wire(sim, system, bad_seqs=(1, 2, 3))
-        system.supervision.set_policy(
-            server, SupervisionPolicy.restart(max_restarts=2, window=100.0)
-        )
         send_and_run(sim, client, 1)
         send_and_run(sim, client, 2)
         assert system.supervision.restarts_total == 2
@@ -189,11 +185,8 @@ class TestRestart:
         assert system.supervision.escalations_total == 1
 
     def test_budget_window_rolls(self, sim):
-        system = supervised(sim)
+        system = supervised(sim, "restart", max_restarts=1, window=2.0)
         server, client = wire(sim, system, bad_seqs=(1, 2, 3))
-        system.supervision.set_policy(
-            server, SupervisionPolicy.restart(max_restarts=1, window=2.0)
-        )
         send_and_run(sim, client, 1)  # restart #1
         sim.run_until(sim.clock.now() + 10.0)  # outlives the window
         send_and_run(sim, client, 2)  # budget rolled: restart #2, no escalation
@@ -203,9 +196,8 @@ class TestRestart:
 
 class TestOtherActions:
     def test_ignore_drops_event_and_resumes(self, sim):
-        system = supervised(sim)
+        system = supervised(sim, "ignore")
         server, client = wire(sim, system)
-        system.supervision.set_policy(server, SupervisionPolicy.ignore())
         send_and_run(sim, client, 1, 2, 3)
         assert [p.seq for p in client.definition.pongs] == [1, 3]
         assert Flaky.instances == 1  # same instance throughout
@@ -213,9 +205,8 @@ class TestOtherActions:
         assert system.supervision.ignored_total == 1
 
     def test_destroy_tears_down_and_spares_the_rest(self, sim):
-        system = supervised(sim)
+        system = supervised(sim, "destroy")
         server, client = wire(sim, system)
-        system.supervision.set_policy(server, SupervisionPolicy.destroy())
         send_and_run(sim, client, 2)
         assert server.state is ComponentState.DESTROYED
         assert client.state is ComponentState.ACTIVE
@@ -229,12 +220,14 @@ class TestOtherActions:
                 self.child = self.create(Flaky)
                 self.port = self.child.definition.port
 
+            def supervision(self):
+                return SupervisionPolicy.restart()
+
         system = supervised(sim)
         parent = system.create(Parent)
         client = system.create(Client)
         system.connect(parent.definition.port, client.required(PingPort))
         # child escalates (the global default); parent restarts
-        system.supervision.set_policy(parent, SupervisionPolicy.restart())
         system.start(parent)
         system.start(client)
         sim.run()
@@ -264,37 +257,6 @@ class TestPolicyResolution:
         assert [p.seq for p in client.definition.pongs] == [1, 3]
         assert system.supervision.restarts_total == 1
 
-    def test_component_policy_beats_definition_override(self, sim):
-        class SelfHealing(Flaky):
-            def supervision(self):
-                return SupervisionPolicy.restart()
-
-        system = supervised(sim)
-        server, client = wire(sim, system, server_cls=SelfHealing)
-        system.supervision.set_policy(server, SupervisionPolicy.ignore())
-        send_and_run(sim, client, 2)
-        assert system.supervision.restarts_total == 0
-        assert system.supervision.ignored_total == 1
-
-    def test_subtree_policy_applies_to_descendants(self, sim):
-        class Parent(ComponentDefinition):
-            def __init__(self) -> None:
-                super().__init__()
-                self.child = self.create(Flaky)
-                self.port = self.child.definition.port
-
-        system = supervised(sim)
-        parent = system.create(Parent)
-        client = system.create(Client)
-        system.connect(parent.definition.port, client.required(PingPort))
-        system.supervision.set_policy(parent, SupervisionPolicy.ignore(), subtree=True)
-        system.start(parent)
-        system.start(client)
-        sim.run()
-        send_and_run(sim, client, 2)
-        assert system.supervision.ignored_total == 1
-        assert parent.definition.child.state is ComponentState.ACTIVE
-
     def test_global_action_from_config(self, sim):
         system = supervised(sim, **{"kompics.supervision.action": "ignore"})
         server, client = wire(sim, system)
@@ -302,39 +264,10 @@ class TestPolicyResolution:
         assert [p.seq for p in client.definition.pongs] == [1, 3]
 
 
-class Watcher(ComponentDefinition):
-    """Collects supervision events for assertions."""
-
-    def __init__(self) -> None:
-        super().__init__()
-        self.port = self.requires(SupervisionEvents)
-        self.events: List[tuple] = []
-        self.subscribe(self.port, Fault, lambda e: self.events.append(("fault", e.component_name)))
-        self.subscribe(
-            self.port, Restarted, lambda e: self.events.append(("restarted", e.component_name))
-        )
-        self.subscribe(
-            self.port, DeadLetter, lambda e: self.events.append(("deadletter", e.component_name))
-        )
-
-
 class TestSupervisionEventsPort:
-    def test_fault_and_restart_observable(self, sim):
-        system = supervised(sim)
-        server, client = wire(sim, system)
-        system.supervision.set_policy(server, SupervisionPolicy.restart())
-        watcher = system.create(Watcher)
-        system.connect(system.supervision.events_port(), watcher.definition.port)
-        system.start(watcher)
-        sim.run()
-        send_and_run(sim, client, 2)
-        assert ("fault", server.name) in watcher.definition.events
-        assert ("restarted", server.name) in watcher.definition.events
-
     def test_inject_fault_behaves_like_handler_exception(self, sim):
-        system = supervised(sim)
+        system = supervised(sim, "restart")
         server, client = wire(sim, system)
-        system.supervision.set_policy(server, SupervisionPolicy.restart())
         system.supervision.inject_fault(server, RuntimeError("chaos"))
         sim.run()
         assert Flaky.instances == 2
@@ -342,9 +275,8 @@ class TestSupervisionEventsPort:
         assert system.supervision.restarts_total == 1
 
     def test_timeline_records_actions(self, sim):
-        system = supervised(sim)
+        system = supervised(sim, "restart")
         server, client = wire(sim, system)
-        system.supervision.set_policy(server, SupervisionPolicy.restart())
         send_and_run(sim, client, 2)
         records = system.supervision.timeline_for(server.name)
         assert [r.action for r in records] == ["restart"]
@@ -414,11 +346,9 @@ class TestDeadLetters:
         # the root (store policy -> FAULTY), every later send is a dropped
         # dead letter: the "gap" traffic is fully accounted, never lost
         # silently.
-        system = supervised(sim, **{"kompics.fault_policy": "store"})
+        system = supervised(sim, "restart", max_restarts=1, window=100.0,
+                            **{"kompics.fault_policy": "store"})
         server, client = wire(sim, system, bad_seqs=(1, 2))
-        system.supervision.set_policy(
-            server, SupervisionPolicy.restart(max_restarts=1, window=100.0)
-        )
         send_and_run(sim, client, 1)  # restart #1 uses up the budget
         assert system.supervision.restarts_total == 1
         send_and_run(sim, client, 2)  # escalates; stored, server FAULTY
@@ -443,18 +373,3 @@ class TestDeadLetters:
         assert system.deadletters_total == 10
         assert len(system.deadletters) == 4  # ring keeps only the newest
 
-    def test_dead_letters_published_on_events_port(self, sim):
-        # Root escalation under "store" leaves the server FAULTY with its
-        # channels attached (a DESTROY would disconnect them), so later
-        # sends reach the dead component and become observable letters.
-        system = supervised(sim, **{"kompics.fault_policy": "store"})
-        server, client = wire(sim, system)
-        watcher = system.create(Watcher)
-        system.connect(system.supervision.events_port(), watcher.definition.port)
-        system.start(watcher)
-        sim.run()
-        send_and_run(sim, client, 2)  # escalates to the root: stored, FAULTY
-        assert server.state is ComponentState.FAULTY
-        client.definition.send(3)
-        sim.run()
-        assert ("deadletter", server.name) in watcher.definition.events

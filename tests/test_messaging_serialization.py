@@ -310,11 +310,9 @@ class TestDecodeFromView:
         from repro.apps.filetransfer.chunks import DataChunkMsg, TransferDone
         from repro.apps.gossip import DigestMsg, PullMsg, RumorMsg, register_gossip_serializers
         from repro.apps.pingpong.messages import PingMsg, PongMsg
-        from repro.apps.reliable import AckMsg, SeqEnvelope, register_reliability_serializers
         from repro.messaging import BasicHeader, DataHeader, Transport
 
-        registry = register_gossip_serializers(register_reliability_serializers(
-            register_app_serializers(SerializerRegistry())))
+        registry = register_gossip_serializers(register_app_serializers(SerializerRegistry()))
         src = BasicAddress("10.0.0.1", 34000)
         dst = VirtualAddress("10.0.0.2", 34001, b"vnode-7")
         header = BasicHeader(src, dst, Transport.TCP)
@@ -324,8 +322,6 @@ class TestDecodeFromView:
             PongMsg(BasicHeader(dst, src, Transport.UDT), 7, 1.25),
             DataChunkMsg(DataHeader(src, dst, Transport.DATA), 3, 9, 5, 10, 50, 0.5, b"abcde"),
             TransferDone(header, 3, 2.5),
-            SeqEnvelope(header, 11, ping),
-            AckMsg(header, 11),
             DigestMsg(header, [1, 2 ** 63]),
             PullMsg(header, []),
             RumorMsg(header, 5, b"rumour"),

@@ -1,5 +1,6 @@
 """The pluggable congestion-control layer: registry, new controllers,
-spec threading, abort accounting and seed-equivalence of the defaults."""
+policy names threaded to connections, abort accounting and
+seed-equivalence of the defaults."""
 
 import pytest
 
@@ -18,7 +19,7 @@ from repro.netsim.congestion import (
     UnknownCcError,
     cc_names,
     make_cc,
-    parse_cc_spec,
+    register_cc,
 )
 from repro.sim import Simulator
 
@@ -26,7 +27,7 @@ from tests.netsim_helpers import MB, Sink, make_pair, run_transfer
 
 
 class FixedRate(CongestionControl):
-    """Minimal custom controller used by registry/import tests."""
+    """Minimal custom controller used by the registry tests."""
 
     def __init__(self, rtt: float = 0.1, rate: float = 1.0 * 1024 * 1024) -> None:
         super().__init__()
@@ -35,6 +36,14 @@ class FixedRate(CongestionControl):
 
     def demand_rate(self, now: float) -> float:
         return self.rate
+
+
+@pytest.fixture
+def fixed_rate():
+    """``FixedRate`` registered as ``fixed-rate`` for the test's duration."""
+    register_cc("fixed-rate", lambda ctx: FixedRate(rtt=ctx.rtt, rate=5.0))
+    yield "fixed-rate"
+    CC_POLICIES.remove("fixed-rate")
 
 
 class TestCcRegistry:
@@ -59,34 +68,15 @@ class TestCcRegistry:
         reg.register("x", lambda ctx: TcpCc(rtt=ctx.rtt), description="again")
         assert "x" in reg
 
-    def test_dotted_name_imports_class(self):
-        cc = make_cc("tests.test_netsim_cc_registry:FixedRate", rtt=0.2)
+    def test_registered_custom_policy_builds_by_name(self, fixed_rate):
+        cc = make_cc(fixed_rate, rtt=0.2)
         assert isinstance(cc, FixedRate)
-        assert cc.rtt == 0.2
-
-    def test_dotted_name_dot_form(self):
-        cc = make_cc("tests.test_netsim_cc_registry.FixedRate", rtt=0.3,
-                     params={"rate": 5.0})
-        assert isinstance(cc, FixedRate)
-        assert cc.rate == 5.0
+        assert (cc.rtt, cc.rate) == (0.2, 5.0)
+        assert fixed_rate in cc_names()
 
     def test_dotted_name_bad_module(self):
         with pytest.raises(UnknownCcError):
             CC_POLICIES.get("no.such.module:Thing")
-
-    def test_parse_spec_forms(self):
-        name, params, _ = parse_cc_spec("cubic")
-        assert name == "cubic" and params == {}
-        name, params, _ = parse_cc_spec(("reno", {"send_buffer": 1 * MB}))
-        assert name == "reno" and params == {"send_buffer": 1 * MB}
-        factory = lambda ctx: FixedRate()  # noqa: E731
-        name, params, got = parse_cc_spec(factory)
-        assert got is factory
-
-    def test_make_cc_params_override_config(self):
-        cc = make_cc(("reno", {"send_buffer": 1 * MB}), rtt=0.1)
-        assert isinstance(cc, TcpCc)
-        assert cc.wnd_max == 1 * MB  # min(1 MB param, 8 MB default receive)
 
     def test_udt_factory_matches_seed_parameters(self):
         # The registry path must reproduce the old hard-coded fabric
@@ -238,25 +228,6 @@ class TestSpecThreading:
         sim.run_until(1.0)
         assert accepted and isinstance(accepted[0].flow.cc, BbrCc)
 
-    def test_connect_with_params_pair(self):
-        sim = Simulator()
-        net, a, b = make_pair(sim)
-        b.stack.listen(7000, Proto.TCP, on_accept=lambda c: None)
-        conn = a.stack.connect(
-            (b.ip, 7000), Proto.TCP, cc=("reno", {"send_buffer": 1 * MB})
-        )
-        sim.run_until(1.0)
-        assert isinstance(conn.flow.cc, TcpCc)
-        assert conn.flow.cc.wnd_max == 1 * MB
-
-    def test_config_key_reroutes_protocol_default(self):
-        sim = Simulator()
-        net, a, b = make_pair(sim, config={"net.cc.tcp": "cubic"})
-        b.stack.listen(7000, Proto.TCP, on_accept=lambda c: None)
-        conn = a.stack.connect((b.ip, 7000), Proto.TCP)
-        sim.run_until(1.0)
-        assert isinstance(conn.flow.cc, CubicCc)
-
     def test_transfer_completes_under_cubic_and_bbr(self):
         for name in ("cubic", "bbr"):
             sim = Simulator()
@@ -275,19 +246,14 @@ class TestSeedEquivalence:
 
     @pytest.mark.parametrize("proto", [Proto.TCP, Proto.UDT, Proto.LEDBAT])
     def test_explicit_defaults_match_implicit(self, proto):
-        explicit_cfg = {
-            "net.cc.tcp": "reno",
-            "net.cc.udt": "udt",
-            "net.cc.ledbat": "ledbat",
-        }
+        explicit = {Proto.TCP: "reno", Proto.UDT: "udt", Proto.LEDBAT: "ledbat"}[proto]
         arrivals = []
-        for config in (None, explicit_cfg):
+        for cc in (None, explicit):
             sim = Simulator()
             net, a, b = make_pair(
-                sim, bandwidth=20 * MB, delay=0.01, loss=1e-5,
-                udp_cap=10 * MB, config=config,
+                sim, bandwidth=20 * MB, delay=0.01, loss=1e-5, udp_cap=10 * MB,
             )
-            sink = run_transfer(sim, net, a, b, proto, 8 * MB)
+            sink = run_transfer(sim, net, a, b, proto, 8 * MB, cc=cc)
             arrivals.append(sink.arrivals)
         assert arrivals[0] == arrivals[1]
 

@@ -83,10 +83,10 @@ class TestTeardown:
         conn = a.stack.connect((b.ip, 7000), Proto.TCP)
         for i in range(8):
             conn.send(WireMessage(payload=i, size=64 * 1024))
-        # Step until a completed transmission enters the train, then abort
-        # the flow before its propagation delay elapses.
-        while not conn.flow._train and sim.step():
-            pass
+        # Advance until a completed transmission enters the train, then
+        # abort the flow before its propagation delay elapses.
+        while not conn.flow._train and sim.pending_events():
+            sim.run_until(sim.now + 1e-4)
         in_train = len(conn.flow._train)
         conn.flow.abort()
         sim.run()

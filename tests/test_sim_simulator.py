@@ -132,17 +132,6 @@ class TestGuards:
         assert fired == [1]
         assert sim.pending_events() == 1
 
-    def test_step_returns_false_when_empty(self):
-        assert Simulator().step() is False
-
-    def test_step_executes_one_event(self):
-        sim = Simulator()
-        fired = []
-        sim.schedule(1.0, lambda: fired.append(1))
-        sim.schedule(2.0, lambda: fired.append(2))
-        assert sim.step() is True
-        assert fired == [1]
-
 
 class TestScheduleMany:
     def test_matches_individual_schedules(self):
@@ -248,21 +237,6 @@ class TestCancelledCounter:
 
 
 class TestIntrospection:
-    def test_peek_next_time_skips_tombstones(self):
-        sim = Simulator()
-        h1 = sim.schedule(1.0, lambda: None)
-        sim.schedule(2.0, lambda: None)
-        assert sim.peek_next_time() == 1.0
-        h1.cancel()
-        assert sim.peek_next_time() == 2.0
-
-    def test_peek_next_time_empty(self):
-        sim = Simulator()
-        assert sim.peek_next_time() is None
-        handle = sim.schedule(1.0, lambda: None)
-        handle.cancel()
-        assert sim.peek_next_time() is None
-
     def test_pending_events_is_live_count(self):
         sim = Simulator()
         handles = [sim.schedule(float(i + 1), lambda: None) for i in range(6)]
@@ -284,7 +258,6 @@ class TestClose:
         sim.run()
         assert fired == []
         assert sim.pending_events() == 0
-        assert sim.peek_next_time() is None
 
     def test_close_from_a_callback_ends_the_run(self):
         sim = Simulator()

@@ -45,10 +45,3 @@ def test_unknown_suggests_lists_and_is_a_plain_keyerror_message():
     )
     assert isinstance(err.value, KeyError)
 
-
-def test_resolve_gets_the_last_word_on_a_miss():
-    registry = make(resolve=lambda name: 99 if name.startswith("ext.") else None)
-    assert registry.get("ext.thing") == 99
-    assert "ext.thing" not in registry  # resolved, not registered
-    with pytest.raises(UnknownThing):
-        registry.get("gamma")
