@@ -41,7 +41,7 @@ import asyncio
 import itertools
 import struct
 import threading
-from collections import deque
+from collections import OrderedDict, deque
 from typing import Any, Callable, Deque, Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.aio.tcp import TcpTransport
@@ -74,6 +74,10 @@ REDIAL_ATTEMPTS = 1
 DOWN_AFTER = 3
 #: per-peer (epoch, seq) delivery-window size for duplicate suppression
 DEDUP_WINDOW = 4096
+#: delivery windows kept at once (as UDT-lite's ``MAX_CONNECTIONS``); past
+#: it the least recently used one goes, so spoofed UDP sources cannot grow
+#: the table
+MAX_DEDUP_WINDOWS = 1024
 #: UDT-lite binds (and dials) the instance port + this: real UDT multiplexes
 #: over a UDP socket, so it cannot share the port with the plain-UDP
 #: listener (the simulated stack keys listeners by (port, protocol))
@@ -198,8 +202,9 @@ class AioNetwork(NetworkComponent):
         self._seq: Dict[_Key, int] = {}
         #: per-(peer socket, transport) receive-side delivery windows —
         #: one per sender sequence stream (they survive restarts via the
-        #: core stash, so a resend after our own crash still dedups)
-        self._dedup: Dict[_Key, _DedupWindow] = {}
+        #: core stash, so a resend after our own crash still dedups);
+        #: least recently used first
+        self._dedup: "OrderedDict[_Key, _DedupWindow]" = OrderedDict()
         self._closing = False
         #: set False at the top of on_kill (any thread): late sends fail
         #: fast instead of racing the stopping event loop
@@ -211,6 +216,7 @@ class AioNetwork(NetworkComponent):
         self._startup_error: Optional[BaseException] = None
         self.counters.update(
             batches=0, dups_suppressed=0, requeued=0, decode_failures=0,
+            dedup_windows_evicted=0,
         )
 
         metrics = get_registry()
@@ -668,9 +674,15 @@ class AioNetwork(NetworkComponent):
             )
             return
         if key is not None:
-            window = self._dedup.get(key)
+            dedup = self._dedup
+            window = dedup.get(key)
             if window is None:
-                window = self._dedup[key] = _DedupWindow(DEDUP_WINDOW)
+                if len(dedup) >= MAX_DEDUP_WINDOWS:
+                    dedup.popitem(last=False)
+                    self.counters["dedup_windows_evicted"] += 1
+                window = dedup[key] = _DedupWindow(DEDUP_WINDOW)
+            else:
+                dedup.move_to_end(key)
             if not window.admit(epoch, seq):
                 self.counters["dups_suppressed"] += 1
                 if self._obs:

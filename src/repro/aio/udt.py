@@ -158,8 +158,12 @@ class UdtLiteConnection(AioConnection):
 
         Returns at once when nothing is outstanding; a sequence that was
         NAKed and then acknowledged anyway does not count as outstanding.
+        Raises :class:`ConnectionResetError` when the connection closes
+        with data still unacknowledged.
         """
         await self._all_acked.wait()
+        if self.closed and (self._unacked or self._fresh):
+            raise ConnectionResetError(f"UDT-lite connection to {self.remote} closed with data unacked")
 
     async def _pacing_loop(self) -> None:
         """Send DATA at the pacer's rate, yielding once per burst.
@@ -376,6 +380,8 @@ class UdtLiteConnection(AioConnection):
         if getattr(self, "owns_endpoint", False):
             self.endpoint._release_socket()
         self._closed()
+        # Wake drain(): it raises if anything is still unacknowledged.
+        self._all_acked.set()
 
 
 class UdtLiteEndpoint:

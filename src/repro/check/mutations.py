@@ -73,14 +73,12 @@ def in_flight_leak() -> Iterator[None]:
 def heap_disorder(sim) -> Iterator[None]:
     """Corrupt the kernel heap so events pop out of time order.
 
-    Reversing the queues breaks the heap property / the run queue's
-    sorted-tail invariant; the next pops execute with decreasing
-    timestamps and the sim hook reports ``sim.clock``.  (Writing
-    ``clock._now`` backwards would *not* trip the check — the invariant
-    is about pop order, not the clock cell.)
+    Reversing the heap breaks the heap property; the next pops execute
+    with decreasing timestamps and the sim hook reports ``sim.clock``.
+    (Writing ``clock._now`` backwards would *not* trip the check — the
+    invariant is about pop order, not the clock cell.)
     """
     sim._heap.reverse()
-    sim._run_q.reverse()
     try:
         yield
     finally:

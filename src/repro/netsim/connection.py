@@ -258,15 +258,15 @@ class FlowState:
             # exactly one entry matured, deliver it right here.
             self.deliver(train.popleft()[1])
         elif due:
-            # A real burst (coinciding due times): fan the batch out with
-            # one schedule_many call — contiguous sequence numbers keep
-            # train order, and each delivery runs as its own event so a
-            # mid-batch teardown sees the deliveries before it.
+            # A real burst (coinciding due times): one zero-delay event per
+            # entry — contiguous sequence numbers keep train order, and each
+            # delivery runs as its own event so a mid-batch teardown sees
+            # the deliveries before it.
             deliver = self.deliver
-            batch = [train.popleft()[1] for _ in range(due)]
-            self.sim.schedule_many(
-                0.0, [lambda m=m: deliver(m) for m in batch], label="flow-rx"
-            )
+            schedule = self.sim.schedule
+            for _ in range(due):
+                msg = train.popleft()[1]
+                schedule(0.0, lambda m=msg: deliver(m), label="flow-rx")
         if train:
             self.sim.schedule_at(train[0][0], self._pump_rx, label="flow-rx")
         else:

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from typing import Callable, Optional
-
 
 class EventHandle:
     """Handle to a scheduled callback; supports cancellation.
@@ -14,20 +12,12 @@ class EventHandle:
     it can account tombstones and compact the heap when they pile up; the
     kernel clears ``owner`` once the entry leaves the heap, so cancelling
     an already-fired handle stays a cheap no-op.
+
+    Only :meth:`Simulator.schedule` and :meth:`Simulator.schedule_at`
+    create handles; they allocate them bare and store every slot inline.
     """
 
     __slots__ = ("time", "seq", "callback", "cancelled", "label", "owner")
-
-    # NOTE: the Simulator scheduling fast paths construct handles via
-    # ``object.__new__`` and inline these slot stores; keep them in sync
-    # with any change here.
-    def __init__(self, time: float, seq: int, callback: Callable[[], None], label: str = "") -> None:
-        self.time = time
-        self.seq = seq
-        self.callback = callback
-        self.cancelled = False
-        self.label = label
-        self.owner: Optional[object] = None
 
     def cancel(self) -> None:
         """Prevent the callback from firing; safe to call multiple times."""
@@ -38,10 +28,6 @@ class EventHandle:
         owner = self.owner
         if owner is not None:
             owner._note_cancelled()  # type: ignore[attr-defined]
-
-    def __lt__(self, other: "EventHandle") -> bool:
-        # Tie-break equal timestamps by scheduling order for determinism.
-        return (self.time, self.seq) < (other.time, other.seq)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "cancelled" if self.cancelled else "pending"

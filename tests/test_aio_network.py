@@ -9,7 +9,7 @@ import time
 import pytest
 
 from repro.aio import AioNetwork
-from repro.aio.network import EPOCH_HEADER
+from repro.aio.network import EPOCH_HEADER, MAX_DEDUP_WINDOWS
 from repro.aio.tcp import HIGH_WATER, TcpConnection
 from repro.apps import register_app_serializers
 from repro.errors import TransportError
@@ -284,6 +284,27 @@ class TestHostileFrames:
 
         assert [m.tag for m in app_b.definition.received] == ["tcp-first", "tcp-ok"]
         assert UNPICKLED == []
+
+    def test_a_flood_of_udp_sources_keeps_the_dedup_table_bounded(self, two_nodes):
+        system, (addr_a, net_a, app_a), (addr_b, net_b, app_b) = two_nodes
+        network = net_b.definition
+        msg = Blob(BasicHeader(addr_a, addr_b, Transport.UDP), "flood", 10)
+        frame = EPOCH_HEADER.pack(1, 0) + network.compression.compress(network.serializers.serialize(msg))
+        sources = 10_000
+        kept = ("10.2.0.1", 9)
+
+        async def flood():
+            for i in range(sources):
+                network._on_datagram(frame, (f"10.1.{i >> 8}.{i & 255}", 9))
+                if i % 512 == 0:  # a duplicate still refreshes its window
+                    network._on_datagram(frame, kept)
+            return set(network._dedup)
+
+        held = asyncio.run_coroutine_threadsafe(flood(), network._loop).result(timeout=30.0)
+        assert len(held) == MAX_DEDUP_WINDOWS
+        assert (kept, Transport.UDP) in held
+        assert network.counters["dedup_windows_evicted"] == sources + 1 - MAX_DEDUP_WINDOWS
+        assert network.counters["dups_suppressed"] == sources // 512
 
     def test_registry_with_pickle_fallback_is_refused(self):
         system = KompicsSystem.threaded(workers=1)

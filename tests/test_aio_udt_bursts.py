@@ -320,6 +320,23 @@ class TestHostileData:
         assert held == FLIGHT_WINDOW - 1  # seqs 1 .. FLIGHT_WINDOW - 1
         assert dropped == flood
 
+    def test_a_close_with_data_unacknowledged_fails_drain(self):
+        async def scenario():
+            endpoint = UdtLiteEndpoint()
+            endpoint._send_packet = lambda ptype, field, payload, remote: None
+            endpoint._on_packet(packet(udt.HANDSHAKE), REMOTE)
+            conn = endpoint.connections[REMOTE]
+            await conn.send_frame(b"never acknowledged")
+            drain = asyncio.ensure_future(conn.drain())
+            await asyncio.sleep(0)
+            assert not drain.done()
+            endpoint._on_packet(packet(udt.CLOSE), REMOTE)
+            assert conn.closed
+            with pytest.raises(ConnectionResetError):
+                await asyncio.wait_for(drain, timeout=1.0)
+
+        run(scenario())
+
 
 class Wakeups(list):
     """Stands in for the per-wakeup histogram: keeps every observation."""

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -133,35 +135,6 @@ class TestGuards:
         assert sim.pending_events() == 1
 
 
-class TestScheduleMany:
-    def test_matches_individual_schedules(self):
-        sim = Simulator()
-        fired = []
-        sim.schedule(1.0, lambda: fired.append("before"))
-        sim.schedule_many(1.0, [lambda i=i: fired.append(i) for i in range(5)])
-        sim.schedule(1.0, lambda: fired.append("after"))
-        sim.run()
-        assert fired == ["before", 0, 1, 2, 3, 4, "after"]
-
-    def test_returns_cancellable_handles(self):
-        sim = Simulator()
-        fired = []
-        handles = sim.schedule_many(1.0, [lambda i=i: fired.append(i) for i in range(4)])
-        handles[1].cancel()
-        handles[3].cancel()
-        sim.run()
-        assert fired == [0, 2]
-
-    def test_negative_delay_rejected(self):
-        with pytest.raises(SchedulingError):
-            Simulator().schedule_many(-1.0, [lambda: None])
-
-    def test_empty_batch(self):
-        sim = Simulator()
-        assert sim.schedule_many(1.0, []) == []
-        sim.run()
-
-
 class TestCompaction:
     def test_mass_cancellation_compacts_heap(self):
         from repro.sim.simulator import COMPACTION_MIN_TOMBSTONES
@@ -197,9 +170,9 @@ class TestCompaction:
 
         sim.schedule(0.0, rearm)
         sim.run_until(30.0)
-        # 1000 cancels happened; without compaction the queues would hold
-        # ~1000 tombstones.  With it, they stay within a compaction window.
-        queued = len(sim._heap) + len(sim._run_q)
+        # 1000 cancels happened; without compaction the heap would hold
+        # ~1000 tombstones.  With it, it stays within a compaction window.
+        queued = len(sim._heap)
         assert queued and queued < 200
         assert sim.tombstones_evicted > 500
 
@@ -251,8 +224,8 @@ class TestClose:
         sim = Simulator()
         fired = []
         sim.schedule(1.0, lambda: fired.append(1))
-        sim.schedule_at(50.0, lambda: fired.append(2))  # past the run queue tail
-        sim.schedule(0.5, lambda: fired.append(3))  # ejects both into the heap
+        sim.schedule_at(50.0, lambda: fired.append(2))
+        sim.schedule(0.5, lambda: fired.append(3))
         sim.close()
         sim.close()
         sim.run()
@@ -275,8 +248,6 @@ class TestClose:
             sim.schedule(1.0, lambda: None)
         with pytest.raises(SchedulingError):
             sim.schedule_at(1.0, lambda: None)
-        with pytest.raises(SchedulingError):
-            sim.schedule_many(1.0, [lambda: None])
 
     def test_clock_and_count_stay_readable(self):
         sim = Simulator()
@@ -297,7 +268,111 @@ class TestClose:
         assert sim.pending_events() == 0
 
 
+class _ModelHandle:
+    def __init__(self, model, key):
+        self.model, self.key = model, key
+
+    def cancel(self):
+        self.model.pending.pop(self.key, None)
+
+
+class _ModelKernel:
+    """Reference kernel: a dict of pending events, popped by ``min((time, seq))``."""
+
+    def __init__(self):
+        self.now = 0.0
+        self.seq = 0
+        self.pending = {}
+
+    def schedule(self, delay, callback):
+        return self.schedule_at(self.now + delay, callback)
+
+    def schedule_at(self, time, callback):
+        key = (time, self.seq)
+        self.seq += 1
+        self.pending[key] = callback
+        return _ModelHandle(self, key)
+
+    def run_until(self, until):
+        while self.pending:
+            key = min(self.pending)
+            if key[0] > until:
+                break
+            callback = self.pending.pop(key)
+            self.now = key[0]
+            callback()
+        self.now = max(self.now, until)
+
+    def pending_events(self):
+        return len(self.pending)
+
+
+class _Program:
+    """One deterministic workload, driven against either kernel.
+
+    Event ``i`` follows ``plan[i % len(plan)]``: it schedules children
+    (relative or absolute, zero delay included) while fewer than
+    ``cap`` events exist, then cancels every other handle after its own,
+    up to ``k`` of them (most still pending, so compaction runs mid-run).
+    """
+
+    def __init__(self, kernel, plan, cap):
+        self.kernel, self.plan, self.cap = kernel, plan, cap
+        self.handles = []
+        self.fired = []
+
+    def add(self, absolute, value):
+        i = len(self.handles)
+        if absolute:
+            handle = self.kernel.schedule_at(self.kernel.now + value, lambda: self.fire(i))
+        else:
+            handle = self.kernel.schedule(value, lambda: self.fire(i))
+        self.handles.append(handle)
+
+    def fire(self, i):
+        self.fired.append(i)
+        children, k = self.plan[i % len(self.plan)]
+        for absolute, value in children:
+            if len(self.handles) < self.cap:
+                self.add(absolute, value)
+        for handle in self.handles[i + 1 : i + 1 + 2 * k : 2]:
+            handle.cancel()
+
+
+_child = st.tuples(st.booleans(), st.sampled_from([0.0, 0.0, 0.25, 0.5, 1.0, 3.0]))
+
+
 class TestPropertyBased:
+    @given(
+        seeds=st.lists(_child, min_size=64, max_size=300),
+        plan=st.lists(
+            st.tuples(st.lists(_child, max_size=3), st.integers(min_value=0, max_value=100)),
+            min_size=1,
+            max_size=8,
+        ),
+        splits=st.lists(st.sampled_from([0.0, 0.25, 0.5, 1.0, 2.0, 4.0]), max_size=4),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_matches_sorted_time_seq_model(self, seeds, plan, splits):
+        """schedule/schedule_at/cancel, nested scheduling and run_until splits
+        execute exactly as a sorted ``(time, seq)`` model, compaction included."""
+        sim, model = Simulator(), _ModelKernel()
+        programs = [_Program(sim, plan, 600), _Program(model, plan, 600)]
+        for program in programs:
+            for absolute, value in seeds:
+                program.add(absolute, value)
+        until = 0.0
+        for step in splits:
+            until += step
+            sim.run_until(until)
+            model.run_until(until)
+            assert programs[0].fired == programs[1].fired
+            assert sim.pending_events() == model.pending_events()
+        sim.run()
+        model.run_until(math.inf)
+        assert programs[0].fired == programs[1].fired
+        assert sim.pending_events() == model.pending_events() == 0
+
     @given(st.lists(st.floats(min_value=0.0, max_value=1e6, allow_nan=False), min_size=1, max_size=50))
     @settings(max_examples=100, deadline=None)
     def test_execution_times_are_sorted(self, delays):
