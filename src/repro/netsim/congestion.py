@@ -42,9 +42,9 @@ class CongestionControl(ABC):
     scavenger: bool = False
     #: True when ``demand_rate`` depends on ``now`` (not only on controller
     #: state), e.g. UDT's SYN-interval ramping.  Links *pull* such a
-    #: controller's demand at every solve at a new timestamp; the demand
-    #: of a time-invariant controller is *pushed* to them whenever
-    #: ``demand_gen`` moves and never asked for in between
+    #: controller's demand, and ask again once ``next_change_at`` has
+    #: passed; the demand of a time-invariant controller is *pushed* to
+    #: them whenever ``demand_gen`` moves and never asked for in between
     #: (allocation epochs; see ``demand_rate`` for what that needs).
     demand_time_varying: bool = False
     def __init__(self) -> None:
@@ -79,6 +79,12 @@ class CongestionControl(ABC):
 
         All built-in controllers satisfy this.
         """
+
+    def next_change_at(self, now: float) -> float:
+        """Asked right after ``demand_rate(now)``: until when asking again
+        changes no state and returns the same value, unless ``demand_gen``
+        moves first.  The default promises nothing beyond ``now``."""
+        return now
 
     def on_bytes_sent(self, nbytes: int, now: float) -> None:
         """Credit ``nbytes`` transmitted (and, in the fluid model, acked)."""
@@ -187,7 +193,7 @@ class UdtCc(CongestionControl):
 
     subject_to_udp_cap = True
     #: the SYN-interval ramp makes demand a function of time, not just
-    #: state; the allocation-epoch cache must re-solve at new timestamps
+    #: state; the allocation-epoch cache re-asks once a SYN interval passed
     demand_time_varying = True
 
     SYN = 0.01  # UDT rate-control interval, seconds
@@ -222,6 +228,15 @@ class UdtCc(CongestionControl):
         if rate > self.max_rate:
             rate = self.max_rate
         return rate
+
+    def next_change_at(self, now: float) -> float:
+        # ``last + SYN`` rounded down until ``_maybe_increase`` returns
+        # early there, and so (subtraction being monotone) before it.
+        last = self._last_increase
+        bound = last + self.SYN
+        while bound - last >= self.SYN:
+            bound = math.nextafter(bound, -math.inf)
+        return bound
 
     def _maybe_increase(self, now: float) -> None:
         last = self._last_increase

@@ -159,8 +159,9 @@ class FlowState:
             self._wire_seq += 1
         self.queue.append(msg)
         self.queued_bytes += msg.size
-        self.link_dir.activate(self)
         if not self.busy:
+            # A busy flow is already registered on every hop.
+            self.link_dir.activate(self)
             self._start_next()
 
     def _start_next(self) -> None:

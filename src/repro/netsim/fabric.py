@@ -175,23 +175,29 @@ class SimNetwork:
         tree route passes a node that a second route reaches within
         rounding distance of the same delay (equal-cost multipath) is
         looked up with the pair search instead, so no path ever differs
-        from the uncached one.
+        from the uncached one.  A stub host (one link) routes through its
+        only neighbour, so trees grow only from hosts with two or more.
         """
-        tree = self._route_trees.get(src_ip)
+        neighbours = self._neighbours
+        root = neighbours[src_ip][0][0] if len(neighbours[src_ip]) == 1 else src_ip
+        last = neighbours[dst_ip][0][0] if len(neighbours[dst_ip]) == 1 else dst_ip
+        tree = self._route_trees.get(root)
         if tree is None:
-            tree = self._route_trees[src_ip] = self._route_tree(src_ip)
+            tree = self._route_trees[root] = self._route_tree(root)
         parent, tied = tree
-        if dst_ip not in parent:
+        if last not in parent and last != root:
             raise AddressError(f"no route from {src_ip} to {dst_ip}")
-        hops = [dst_ip]
-        node = dst_ip
-        while node != src_ip:
+        hops = [last]
+        node = last
+        while node != root:
             if node in tied:
                 return self._pair_search(src_ip, dst_ip)
             node = parent[node]
             hops.append(node)
         hops.reverse()
-        return hops
+        head = [src_ip] if root != src_ip else []
+        tail = [dst_ip] if last != dst_ip else []
+        return head + hops + tail
 
     def _pair_search(self, src_ip: str, dst_ip: str) -> List[str]:
         """``networkx.shortest_path``, whose pick among tied routes is the contract."""

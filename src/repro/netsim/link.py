@@ -4,8 +4,9 @@ from __future__ import annotations
 
 import enum
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.check import get_checker
 from repro.obs import get_registry
@@ -141,35 +142,55 @@ def max_min_share(demands: List[float], index: int, capacity: float) -> float:
 
 
 class _Partition:
-    """Struct-of-arrays view of one active-flow set (see ``LinkDirection``)."""
+    """Struct-of-arrays view of a direction's active flows.
 
-    __slots__ = ("index", "demands", "varying", "udp", "foreground", "scavengers", "slot")
+    Edited, never rebuilt: :meth:`add` appends a flow, :meth:`remove`
+    drops one and shifts the later positions down, so positions stay in
+    activation order (the tie order of ``max_min_share`` and the udp pool).
+    """
 
-    def __init__(self, flows: Sequence["FlowState"]) -> None:
-        #: flow -> position in ``demands`` (activation order)
-        self.index: Dict["FlowState", int] = {f: i for i, f in enumerate(flows)}
+    __slots__ = ("index", "flows", "demands", "varying", "udp", "foreground", "scavengers")
+
+    def __init__(self) -> None:
+        #: flow -> position in ``flows`` and ``demands`` (activation order)
+        self.index: Dict["FlowState", int] = {}
+        self.flows: List["FlowState"] = []
         #: per-flow demand: the pushed value for time-invariant controllers
         #: (kept current in place by ``publish_demand``), a slot rewritten
         #: at every solve for time-varying ones
-        self.demands: List[float] = [f.demand for f in flows]
-        #: (position, query) of the controllers that must be asked each solve
-        self.varying: List[Tuple[int, Callable[[], float]]] = [
-            (i, f.demand_rate) for i, f in enumerate(flows) if f.cc.demand_time_varying
-        ]
-        #: positions sharing the udp policing pool
-        self.udp: List[int] = [i for i, f in enumerate(flows) if f.subject_to_udp_cap]
-        #: positions per tier, and each position's rank inside its own
-        #: tier; only filled when the set has scavengers (otherwise the
-        #: foreground tier is ``demands`` itself)
-        self.scavengers: List[int] = [i for i, f in enumerate(flows) if f.scavenger]
+        self.demands: List[float] = []
+        #: ascending positions of the controllers asked at a solve, of the
+        #: flows sharing the udp policing pool, and of each tier
+        self.varying: List[int] = []
+        self.udp: List[int] = []
         self.foreground: List[int] = []
-        self.slot: List[int] = []
-        if self.scavengers:
-            self.foreground = [i for i, f in enumerate(flows) if not f.scavenger]
-            self.slot = [0] * len(flows)
-            for tier in (self.foreground, self.scavengers):
-                for rank, i in enumerate(tier):
-                    self.slot[i] = rank
+        self.scavengers: List[int] = []
+
+    def add(self, flow: "FlowState") -> None:
+        position = len(self.flows)
+        self.index[flow] = position
+        self.flows.append(flow)
+        self.demands.append(flow.demand)
+        if flow.cc.demand_time_varying:
+            self.varying.append(position)
+        if flow.subject_to_udp_cap:
+            self.udp.append(position)
+        (self.scavengers if flow.scavenger else self.foreground).append(position)
+
+    def remove(self, flow: "FlowState") -> None:
+        gone = self.index.pop(flow)
+        flows = self.flows
+        del flows[gone]
+        del self.demands[gone]
+        index = self.index
+        for i in range(gone, len(flows)):
+            index[flows[i]] = i
+        for positions in (self.varying, self.udp, self.foreground, self.scavengers):
+            k = bisect_left(positions, gone)
+            if k < len(positions) and positions[k] == gone:
+                del positions[k]
+            for j in range(k, len(positions)):
+                positions[j] -= 1
 
 
 class LinkDirection:
@@ -181,27 +202,28 @@ class LinkDirection:
     leftover) is a pure function of the active-flow set, the link spec,
     the controllers' demand-relevant state, and — for time-varying
     controllers like UDT — the clock.  The direction counts an
-    *allocation epoch* (``_epoch``), bumped whenever one of those inputs
-    moves, and does work proportional to what moved:
+    *allocation epoch* (``_epoch``), bumped when one of those inputs moves
+    in a way the cache cannot absorb, and does work proportional to it:
 
-    * the **flow set** changes on activate/deactivate; the next solve
-      builds one :class:`_Partition` (positions, tier membership, the
-      controllers that need asking) and keeps it until the set changes
-      again;
+    * the **flow set** changes on activate/deactivate, which edit the
+      :class:`_Partition` (positions, tier membership, the controllers
+      that need asking);
     * a **time-invariant demand** changes when its controller's
       ``demand_gen`` moves; the flow *pushes* the new value
-      (``publish_demand``) and the solve reads a plain float list;
+      (``publish_demand``), stored in place — outside the udp pool into
+      the cache too, staling only its "all demands fit" test;
     * a **time-varying demand** is *pulled*: those controllers are asked
-      at every solve at a new (epoch, timestamp), exactly where
-      :meth:`_allocate_general` asks them, because a query may advance
-      their state (``UdtCc._maybe_increase`` re-anchors its SYN clock
-      when asked).
+      where :meth:`_allocate_general` asks them, because a query may
+      advance their state (``UdtCc._maybe_increase`` re-anchors its SYN
+      clock when asked), and say when it can next change
+      (``next_change_at``).
 
-    Within one epoch — and, when any participant is time-varying, one
-    timestamp — the gathered, udp-capped demand list is cached, and each
-    query settles only the asking flow (:func:`max_min_share`).  That is
-    byte-equivalent to :meth:`_allocate_general` because ``demand_rate`` is
-    idempotent within a timestamp and pure for pushed controllers (see
+    Within one epoch, up to the earliest ``next_change_at`` asked, the
+    gathered, udp-capped demand list is cached, and each query settles
+    only the asking flow (:func:`max_min_share`).  That is byte-equivalent
+    to :meth:`_allocate_general` because ``demand_rate`` is idempotent
+    within a timestamp, pure for pushed controllers and a no-op before
+    ``next_change_at`` for pulled ones (see
     :class:`~repro.netsim.congestion.CongestionControl`).
     """
 
@@ -209,24 +231,16 @@ class LinkDirection:
         self.spec = spec
         self.name = name
         self.up = True
-        #: insertion-ordered set of active flows (dict for O(1) membership;
-        #: iteration order matches the old append/remove list semantics)
-        self._active: Dict["FlowState", None] = {}
-        #: memoized tuple view of ``_active`` (rebuilt lazily on change)
-        self._flows: Optional[Tuple["FlowState", ...]] = None
-        #: struct-of-arrays view of ``_active`` (rebuilt lazily on change)
-        self._partition: Optional[_Partition] = None
-        #: allocation epoch; any change to allocation inputs bumps it
+        #: the active flows, in activation order
+        self._partition = _Partition()
+        #: allocation epoch; an input change the cache cannot take bumps it
         self._epoch = 0
-        #: (epoch, timestamp-or-None, udp-capped demands by position,
-        #: whether they all fit) — timestamp is None when every
-        #: participant's demand is pushed
-        self._alloc_cache: Optional[
-            Tuple[int, Optional[float], List[float], bool]
-        ] = None
+        #: [epoch, valid-until time, udp-capped demands by position,
+        #: whether they all fit or None when that is stale] — valid until
+        #: ``inf`` when every participant's demand is pushed
+        self._alloc_cache: Optional[List[Any]] = None
         #: (spec, nbytes, probability) — see loss_probability
         self._loss_memo: Optional[Tuple[LinkSpec, int, float]] = None
-        self.bytes_carried = 0.0
 
         # Per-direction wire accounting (no-ops unless a registry is enabled).
         metrics = get_registry()
@@ -240,7 +254,7 @@ class LinkDirection:
         self._m_demand_queries = metrics.counter("netsim.link.demand_queries_total", link=name)
         if metrics.enabled:
             metrics.gauge("netsim.link.active_flows", link=name).set_function(
-                lambda: len(self._active)
+                lambda: len(self._partition.flows)
             )
         checker = get_checker()
         self._check = checker.link_hook(name) if checker.enabled else None
@@ -250,7 +264,6 @@ class LinkDirection:
     # ------------------------------------------------------------------
     def note_transmit(self, nbytes: int) -> None:
         """Account one message put on the wire in this direction."""
-        self.bytes_carried += nbytes
         if self._obs:
             self._m_bytes.inc(nbytes)
             self._m_messages.inc()
@@ -282,17 +295,13 @@ class LinkDirection:
     # flow registration
     # ------------------------------------------------------------------
     def activate(self, flow: "FlowState") -> None:
-        active = self._active
-        if flow not in active:
-            active[flow] = None
-            self._flows = self._partition = None
+        if flow not in self._partition.index:
+            self._partition.add(flow)
             self._epoch += 1
 
     def deactivate(self, flow: "FlowState") -> None:
-        active = self._active
-        if flow in active:
-            del active[flow]
-            self._flows = self._partition = None
+        if flow in self._partition.index:
+            self._partition.remove(flow)
             self._epoch += 1
 
     def demand_dirty(self) -> None:
@@ -308,30 +317,31 @@ class LinkDirection:
     def publish_demand(self, flow: "FlowState", demand: float) -> None:
         """A time-invariant controller's demand moved to ``demand``.
 
-        The flow keeps the value in ``flow.demand`` (read when the next
-        partition is built); a live partition is updated in place.
+        The flow keeps the value in ``flow.demand`` (read when it joins
+        the partition; nothing here depends on it before).  A current
+        cache takes it in place unless the flow shares the udp pool,
+        whose capping it may move.
         """
-        self._epoch += 1
         partition = self._partition
-        if partition is not None:
-            position = partition.index.get(flow)
-            if position is not None:
-                partition.demands[position] = demand
+        position = partition.index.get(flow)
+        if position is None:
+            return
+        partition.demands[position] = demand
+        cache = self._alloc_cache
+        if cache is not None and cache[0] == self._epoch and not flow.subject_to_udp_cap:
+            cache[2][position] = demand  # the capped copy, or the same list
+            cache[3] = None
+        else:
+            self._epoch += 1
 
     def _release(self) -> None:
         """Forget every flow and cached allocation (``SimNetwork.close``)."""
-        self._active.clear()
-        self._flows = self._partition = self._alloc_cache = None
-
-    def _flows_tuple(self) -> Tuple["FlowState", ...]:
-        flows = self._flows
-        if flows is None:
-            flows = self._flows = tuple(self._active)
-        return flows
+        self._partition = _Partition()
+        self._alloc_cache = None
 
     @property
     def active_flows(self) -> Tuple["FlowState", ...]:
-        return self._flows_tuple()
+        return tuple(self._partition.flows)
 
     # ------------------------------------------------------------------
     # rate allocation
@@ -356,7 +366,8 @@ class LinkDirection:
             # (controllers mutate state when queried, so the hook must not
             # re-query them).
             return self._allocate_general(flow)
-        if len(self._active) == 1 and flow in self._active:
+        index = self._partition.index
+        if len(index) == 1 and flow in index:
             # Sole-flow queries gain nothing from the cache (the whole
             # solve is four lines), so they keep a direct unrolled path.
             spec = self.spec
@@ -376,8 +387,8 @@ class LinkDirection:
 
     def _query_flows(self, flow: "FlowState") -> Tuple["FlowState", ...]:
         """The flow set an allocation covers, in activation order."""
-        flows = self._flows_tuple()
-        if flow not in self._active:
+        flows = self.active_flows
+        if flow not in self._partition.index:
             flows = flows + (flow,)
         return flows
 
@@ -430,32 +441,31 @@ class LinkDirection:
 
         A miss asks the time-varying controllers (and only them: the rest
         have pushed their demand), applies the udp-cap pool, and caches
-        the resulting demand list for the epoch — stamped with the
-        current time when anything was asked, reusable across timestamps
-        otherwise.  Hit or miss, the tiers then settle only as far as
-        ``flow``'s own position in the ascending-demand order.
+        the resulting demand list for the epoch — up to the earliest time
+        an asked controller's state can change, across timestamps when
+        nothing was asked.  Hit or miss, the tiers then settle only as far
+        as ``flow``'s own position in the ascending-demand order.
         """
         partition = self._partition
-        if partition is None:
-            partition = self._partition = _Partition(self._flows_tuple())
         position = partition.index.get(flow)
         if position is None:
             # Not (yet) in the active set: the general path covers it.
             return self._allocate_general(flow)
         spec = self.spec
+        now = flow.sim.clock._now
         cache = self._alloc_cache
-        if (
-            cache is not None
-            and cache[0] == self._epoch
-            and (cache[1] is None or cache[1] == flow.sim.clock._now)
-        ):
-            demands, fits = cache[2], cache[3]
-        else:
+        if cache is None or cache[0] != self._epoch or now > cache[1]:
             epoch = self._epoch  # before queries: a query must not outlive bumps
             demands = partition.demands
             varying = partition.varying
-            for i, query in varying:
-                demands[i] = query()
+            until = math.inf
+            flows = partition.flows
+            for i in varying:
+                pulled = flows[i]
+                demands[i] = pulled.demand_rate()
+                change = pulled.cc.next_change_at(now)
+                if change < until:
+                    until = change
             if self._obs:
                 self._note_solve(len(varying))
             udp = partition.udp
@@ -471,30 +481,34 @@ class LinkDirection:
                     demands = demands[:]  # the pushed values outlive the capping
                     for i, c in zip(udp, capped):
                         demands[i] = c
+            cache = self._alloc_cache = [epoch, until, demands, None]
+        demands, fits = cache[2], cache[3]
+        if fits is None:
             # When the demands fit the link with room to spare, progressive
             # filling grants every one of them in full: its running share
             # never drops below the demand being settled.  The margin is
             # orders above the rounding error of the fold and of this sum.
-            fits = not partition.scavengers and (
+            fits = cache[3] = not partition.scavengers and (
                 sum(demands) <= spec.bandwidth * FITS_MARGIN
-            )
-            self._alloc_cache = (
-                epoch, flow.sim.clock._now if varying else None, demands, fits
             )
         if fits:
             rate = demands[position]
         elif not partition.scavengers:
             rate = max_min_share(demands, position, spec.bandwidth)
         else:
-            foreground = [demands[i] for i in partition.foreground]
+            foreground = partition.foreground
+            fg_demands = [demands[i] for i in foreground]
             if not flow.scavenger:
-                rate = max_min_share(foreground, partition.slot[position], spec.bandwidth)
-            else:
-                fg_alloc = max_min_allocation(foreground, spec.bandwidth)
-                leftover = max(spec.bandwidth - sum(fg_alloc), 0.0)
                 rate = max_min_share(
-                    [demands[i] for i in partition.scavengers],
-                    partition.slot[position],
+                    fg_demands, bisect_left(foreground, position), spec.bandwidth
+                )
+            else:
+                fg_alloc = max_min_allocation(fg_demands, spec.bandwidth)
+                leftover = max(spec.bandwidth - sum(fg_alloc), 0.0)
+                scavengers = partition.scavengers
+                rate = max_min_share(
+                    [demands[i] for i in scavengers],
+                    bisect_left(scavengers, position),
                     leftover,
                 )
         # Never return a zero rate for a flow with work: progress floor.

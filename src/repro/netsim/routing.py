@@ -42,7 +42,7 @@ class CompositePath:
             udp_cap=min(caps) if caps else None,
             jitter=sum(d.spec.jitter for d in self._dirs),
         )
-        self.bytes_carried = 0.0
+        self._obs = any(d._obs for d in self._dirs)
 
     @property
     def directions(self) -> Tuple[LinkDirection, ...]:
@@ -50,7 +50,10 @@ class CompositePath:
 
     @property
     def up(self) -> bool:
-        return all(d.up for d in self._dirs)
+        for d in self._dirs:
+            if not d.up:
+                return False
+        return True
 
     # ------------------------------------------------------------------
     # flow registration: every hop sees the flow
@@ -83,9 +86,9 @@ class CompositePath:
     # wire accounting: every hop carries the bytes
     # ------------------------------------------------------------------
     def note_transmit(self, nbytes: int) -> None:
-        self.bytes_carried += nbytes
-        for d in self._dirs:
-            d.note_transmit(nbytes)
+        if self._obs:
+            for d in self._dirs:
+                d.note_transmit(nbytes)
 
     def note_drop(self) -> None:
         for d in self._dirs:

@@ -10,6 +10,7 @@ from unittest import mock
 
 import pytest
 
+from repro.bench import fleet
 from repro.bench.fleet import (
     CampaignUnit,
     campaign_json,
@@ -372,7 +373,9 @@ class TestManyFlowEquivalence:
     hops, so they cover the partitioned solve, pushed demands, the
     under-subscribed shortcut and the route trees.  Each golden was
     recorded with every hot-path memoization on and with them all off
-    (identical both ways, under PYTHONHASHSEED 1 and 4242).
+    (identical both ways, under PYTHONHASHSEED 1 and 4242).  The last row
+    is the ``sim-fleet`` benchmark's own unit: wan-mesh 256 x 1 000, its
+    mesh pinned to topology seed 0 as ``perf/workloads.py`` pins it.
     """
 
     @pytest.mark.parametrize("unit, digest, counters", [
@@ -389,9 +392,22 @@ class TestManyFlowEquivalence:
               cc_arms=("reno", "cubic", "bbr", "udt", "ledbat")),
          "c9663b4e730463c4537cfc097d8a7d47",
          _counters(55, 56, 300, 284, 10, 6, 820100997, 763055113, 11797, 278, 24542)),
-    ], ids=["wan-mesh-uniform", "fat-tree-churn", "star-incast", "cc-arms"])
+        (dict(topology="wan-mesh", hosts=256, flows=1000, pattern="uniform", seed=1,
+              topology_seed=0),
+         "d66ea0ae3e4c5a54eccc6f8584d25a8c",
+         _counters(272, 277, 1000, 1000, 0, 0, 1017159664, 1017159664, 16031, 0, 35062)),
+    ], ids=["wan-mesh-uniform", "fat-tree-churn", "star-incast", "cc-arms", "perf"])
     def test_digest_equal_with_fast_paths_disabled(self, unit, digest, counters):
-        result = run_fleet_workload(**unit)
+        unit = dict(unit)
+        topology_seed = unit.pop("topology_seed", None)
+        if topology_seed is None:
+            result = run_fleet_workload(**unit)
+        else:
+            def pinned(kind, hosts, seed=0, **kwargs):
+                return generate_topology(kind, hosts, seed=topology_seed, **kwargs)
+
+            with mock.patch.object(fleet, "generate_topology", pinned):
+                result = run_fleet_workload(**unit)
         assert result.digest == digest
         assert result.counters == counters
 

@@ -10,12 +10,15 @@ activate/deactivate/spec-change/pushed-demand boundary.
 
 import math
 import struct
+from random import Random
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.check import checking
 from repro.netsim import Proto, WireMessage
+from repro.netsim.congestion import LedbatCc, TcpCc, UdtCc
+from repro.netsim.connection import FlowState
 from repro.netsim.link import (
     LinkDirection,
     LinkSpec,
@@ -58,6 +61,9 @@ class TestVecEquivalence:
 class _StubCC:
     def __init__(self, time_varying=False):
         self.demand_time_varying = time_varying
+
+    def next_change_at(self, now):
+        return now  # the base class's promise: nothing past this timestamp
 
 
 class _StubFlow:
@@ -149,6 +155,99 @@ class TestTieredVecEquivalence:
         assert _bits(fast_rates) == _bits(ref_rates)
 
 
+_CONTROLLERS = {
+    "udt": lambda bandwidth: UdtCc(0.02, bandwidth),
+    "tcp": lambda bandwidth: TcpCc(0.02),
+    # pushed like tcp, but shares the udp pool (and is a scavenger)
+    "ledbat": lambda bandwidth: LedbatCc(0.02, bandwidth),
+}
+
+
+def _twin_flows(sim, direction, kinds, bandwidth):
+    """Real flows (``FlowState`` over real controllers) on ``direction``."""
+    return [
+        FlowState(sim, direction, _CONTROLLERS[kind](bandwidth),
+                  rng_source=lambda: Random(0), deliver=lambda msg: None)
+        for kind in kinds
+    ]
+
+
+#: (operation, flow index, bytes credited, clock advance); "syn" moves the
+#: clock exactly onto the next SYN boundary, ``_last_increase + SYN``, of
+#: the UDT flow whose boundary comes first
+_step = st.tuples(
+    st.sampled_from(["query", "query", "publish", "publish", "loss",
+                     "activate", "deactivate", "advance", "syn"]),
+    st.integers(0, 5),
+    st.sampled_from([1448, 65536, 1 << 20]),
+    st.sampled_from([0.0, 1e-4, 0.005, 0.01, 0.0100001, 0.3]),
+)
+
+
+class TestSkipRuleTwins:
+    """The cached path asks a UDT controller at most once per SYN interval
+    and takes pushed demands in place; its twin asks every controller at
+    every query (``_allocate_general``).  Rates and UDT state must agree."""
+
+    @given(
+        st.lists(st.sampled_from(["udt", "tcp", "tcp", "ledbat"]), min_size=2, max_size=6),
+        st.sampled_from([2e5, 2e6, 1e8]),
+        st.one_of(st.none(), st.just(3e5)),
+        st.lists(_step, min_size=1, max_size=60),
+    )
+    # a pushed demand outgrows the link (the "fits" test goes stale); one
+    # grows the udp pool's capping; the clock lands on a SYN boundary
+    @example(["tcp", "tcp"], 2e6, None,
+             [("query", 0, 0, 0), ("publish", 0, 65536, 0), ("query", 0, 0, 0)])
+    @example(["udt", "ledbat"], 2e6, 3e5,
+             [("query", 0, 0, 0), ("publish", 1, 1 << 20, 0), ("query", 0, 0, 0)])
+    @example(["udt", "tcp"], 1e8, None,
+             [("query", 0, 0, 0), ("syn", 0, 0, 0), ("query", 0, 0, 0)])
+    @settings(max_examples=400, deadline=None)
+    def test_cached_and_general_twins_stay_bit_equal(self, kinds, bandwidth, udp_cap, steps):
+        sim = Simulator()
+        spec = LinkSpec(bandwidth, 0.01, udp_cap=udp_cap)
+        fast_dir, ref_dir = _direction(spec), _direction(spec)
+        fast = _twin_flows(sim, fast_dir, kinds, bandwidth)
+        ref = _twin_flows(sim, ref_dir, kinds, bandwidth)
+        for f in fast + ref:
+            f.link_dir.activate(f)
+        for step in steps:
+            op, i, nbytes, dt = step
+            now = sim.now
+            twins = (fast[i % len(kinds)], ref[i % len(kinds)])
+            if op == "advance":
+                sim.run_until(now + dt)
+            elif op == "syn":
+                boundaries = [f.cc._last_increase + UdtCc.SYN for f in fast
+                              if isinstance(f.cc, UdtCc) and f.cc._last_increase > -math.inf]
+                if boundaries and min(boundaries) > now:
+                    sim.run_until(min(boundaries))
+            elif op == "query":
+                rates = [fast_dir.allocate_rate(f) for f in fast]
+                expected = [ref_dir._allocate_general(f) for f in ref]
+                assert _bits(rates) == _bits(expected), step
+            elif op == "activate":
+                for f in twins:
+                    f.link_dir.activate(f)
+            elif op == "deactivate":
+                for f in twins:
+                    f.link_dir.deactivate(f)
+            else:
+                for f in twins:
+                    gen = f.cc.demand_gen
+                    if op == "loss":
+                        f.cc.on_loss(now)
+                    else:
+                        f.cc.on_bytes_sent(nbytes, now)
+                    if f.cc.demand_gen != gen:
+                        f.publish_demand()
+            for f, twin in zip(fast, ref):
+                if isinstance(f.cc, UdtCc):
+                    assert (f.cc.rate, f.cc._last_increase) == (
+                        twin.cc.rate, twin.cc._last_increase), step
+
+
 class TestEpochCacheInvalidation:
     def _two_flow_direction(self):
         sim = Simulator()
@@ -198,7 +297,7 @@ class TestEpochCacheInvalidation:
         direction.allocate_rate(f0)
         direction.publish_demand(f0, 80 * MB)
         f0.demand = 80 * MB  # what FlowState.publish_demand stores
-        direction.activate(f2)  # drops the partition
+        direction.activate(f2)  # a set change: a new epoch over the edited partition
         assert direction.allocate_rate(f0) == 45 * MB  # (100 - 10) / 2
 
     def test_deactivate_invalidates(self):
@@ -207,7 +306,7 @@ class TestEpochCacheInvalidation:
         direction.deactivate(f1)
         # Sole remaining flow gets its full demand, not the stale share.
         assert direction.allocate_rate(f0) == 30 * MB
-        assert f1 not in direction._active
+        assert f1 not in direction.active_flows
 
     def test_time_varying_cache_is_timestamp_scoped(self):
         sim = Simulator()
@@ -251,7 +350,7 @@ class TestEpochCacheInvalidation:
         sim.schedule(0.3, cut)
         sim.run()
         assert epochs[1] > epochs[0]
-        assert c2.flow not in link_dir._active
+        assert c2.flow not in link_dir.active_flows
         # The survivor finished untouched by the stale two-flow epoch.
         c1_payloads = [p for p in sink.payloads if p[0] == "c1"]
         assert len(c1_payloads) == 40
@@ -381,10 +480,11 @@ class TestCostCounters:
             assert value("alloc_queries_total") == 3
             assert value("alloc_solves_total") == 1
             assert value("demand_queries_total") == 1
+            # A pushed, non-udp demand is stored in place: no new solve.
             direction.publish_demand(flows[0], 15 * MB)
             direction.allocate_rate(flows[1])
-            assert value("alloc_solves_total") == 2
-            assert value("demand_queries_total") == 2
+            assert value("alloc_solves_total") == 1
+            assert value("demand_queries_total") == 1
             direction._allocate_general(flows[1])  # the general solve pulls all three
             assert value("alloc_queries_total") == 4
-            assert value("demand_queries_total") == 5
+            assert value("demand_queries_total") == 4

@@ -108,7 +108,14 @@ class TestRouteTrees:
         # The generated families (the fat-tree is a strict tree) have no
         # equal-delay multipath: every route came off a tree.
         assert pair_search.call_count == 0
-        assert set(net._route_trees) == set(topology.endpoints)
+        # A stub host routes through its only neighbour: every source's
+        # tree grew from it or, behind one link, from its gateway, and
+        # trees exist only for hosts with two or more links.
+        links = net._neighbours
+        assert set(net._route_trees) == {
+            a if len(links[a]) > 1 else links[a][0][0] for a in topology.endpoints
+        }
+        assert all(len(links[root]) > 1 for root in net._route_trees)
 
     @pytest.mark.parametrize("long_way", [
         (0.010, 0.010),  # an exact tie with the 20 ms route
@@ -133,6 +140,26 @@ class TestRouteTrees:
         assert net._pair_graph is not None
         net.connect_hosts(b, c, LinkSpec(1e8, 1.0))
         assert net._pair_graph is None
+
+    def test_tied_routes_behind_stubs_search_the_original_pair(self):
+        # s - a = {b, c} = d - t: two exactly tied routes between the
+        # gateways, each end a stub host with one link.
+        net = SimNetwork(Simulator(), seed=4)
+        s, a, b, c, d, t = (net.add_host(n, f"10.2.0.{i}") for i, n in enumerate("sabcdt", 1))
+        net.connect_hosts(s, a, LinkSpec(1e8, 0.001))
+        for via in (b, c):
+            net.connect_hosts(a, via, LinkSpec(1e8, 0.010))
+            net.connect_hosts(via, d, LinkSpec(1e8, 0.010))
+        net.connect_hosts(d, t, LinkSpec(1e8, 0.002))
+        pairs = ((s.ip, t.ip), (t.ip, s.ip))
+        expected = [self._pair_search(net, *pair) for pair in pairs]
+        with mock.patch.object(
+            nx, "shortest_path", wraps=nx.shortest_path
+        ) as pair_search:
+            assert [self._hop_names(net, *pair) for pair in pairs] == expected
+        searched = [call.args[1:3] for call in pair_search.call_args_list]
+        assert searched == list(pairs)
+        assert set(net._route_trees) == {a.ip, d.ip}
 
     def test_a_fabric_without_tied_routes_never_imports_networkx(self):
         # 0.17 s and some 15 MB in every process, socket-backend ones
