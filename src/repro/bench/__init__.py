@@ -20,12 +20,9 @@
 * :mod:`repro.bench.topology` — deterministic fleet-scale topology
   generation (star / fat-tree / wan-mesh) with per-link WAN specs.
 * :mod:`repro.bench.fleet` — fleet workloads (thousands of churning
-  flows over a generated topology) and the parallel seeds x scenarios
-  campaign runner with mergeable, digest-gated results.
-
-Named workloads live in the shared scenario registry
-(:data:`repro.bench.scenario.SCENARIOS`); the check, faults, chaos, perf
-and fleet layers all resolve scenarios there by name.
+  flows over a generated topology), their named presets, and the
+  parallel seeds x presets campaign runner with mergeable, digest-gated
+  results.
 """
 
 from repro.bench.chaos import (
@@ -49,7 +46,6 @@ from repro.bench.fleet import (
     CampaignUnit,
     FleetUnitResult,
     FlowPlan,
-    campaign_json,
     plan_campaign,
     plan_flows,
     run_campaign,
@@ -59,17 +55,9 @@ from repro.bench.fleet import (
 from repro.bench.perf import run_equivalence
 from repro.bench.scenario import (
     AWS_SETUPS,
-    DuplicateScenarioError,
-    SCENARIOS,
-    Scenario,
     Setup,
     TestbedPair,
-    UnknownScenarioError,
     aws_testbed,
-    get_scenario,
-    register_scenario,
-    run_scenario,
-    scenario_names,
     setup_by_name,
 )
 from repro.bench.topology import LinkPlan, Topology, generate_topology
@@ -96,14 +84,6 @@ __all__ = [
     "plan_chaos_timeline",
     "run_chaos_campaign",
     "run_equivalence",
-    "Scenario",
-    "SCENARIOS",
-    "UnknownScenarioError",
-    "DuplicateScenarioError",
-    "register_scenario",
-    "get_scenario",
-    "run_scenario",
-    "scenario_names",
     "Topology",
     "LinkPlan",
     "generate_topology",
@@ -114,6 +94,5 @@ __all__ = [
     "plan_campaign",
     "run_fleet_workload",
     "run_campaign",
-    "campaign_json",
     "validate_campaign_document",
 ]

@@ -13,32 +13,25 @@ users" story in simulation — three pieces:
   middleware per host, so hundreds of hosts stay cheap).  Produces
   mergeable :class:`~repro.stats.OnlineStats`, additive counters and a
   BLAKE2 digest over per-flow outcomes — the determinism fingerprint.
-* **Campaigns** (:func:`run_campaign`) — ``seeds x scenarios`` fanned out
+* **Campaigns** (:func:`run_campaign`) — ``seeds x presets`` fanned out
   over a ``concurrent.futures`` process pool.  Every unit is seed-
-  deterministic and ``PYTHONHASHSEED``-independent, workers resolve
-  scenarios by name from the shared registry
-  (:data:`repro.bench.scenario.SCENARIOS`), one crashed unit is recorded
-  as a failure instead of sinking the campaign, and results merge in a
-  fixed order so two identical invocations produce byte-identical JSON
+  deterministic and ``PYTHONHASHSEED``-independent, workers look presets
+  up by name in :data:`SCENARIOS`, one crashed unit is recorded as a
+  failure instead of sinking the campaign, and results merge in a fixed
+  order so two identical invocations produce byte-identical JSON
   artifacts (see ``docs/fleet.md`` for the schema).
-
-Campaigns compose *any* registered scenario — the fault and chaos
-campaigns sweep next to fleet workloads with no extra glue.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import json
-import math
 import random
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from repro.bench.scenario import register_scenario, run_scenario
 from repro.bench.topology import Topology, generate_topology
 from repro.netsim import Proto, SimNetwork, WireMessage
 from repro.sim import Simulator
@@ -340,6 +333,31 @@ def run_fleet_workload(
 
 
 # ----------------------------------------------------------------------
+# named presets
+# ----------------------------------------------------------------------
+
+#: preset name -> :func:`run_fleet_workload` arguments, which a campaign
+#: unit's own params override.  The ``cc-*`` presets pin every flow to one
+#: congestion-control policy (or interleave a list): the sweep axis of the
+#: cc-matrix CI entry.
+SCENARIOS: Dict[str, Dict[str, Any]] = {
+    "fleet": {},
+    "fleet-star": {"topology": "star", "pattern": "uniform"},
+    "fleet-fat-tree": {"topology": "fat-tree", "pattern": "uniform"},
+    "fleet-wan-mesh": {"topology": "wan-mesh", "pattern": "uniform"},
+    "fleet-incast": {"topology": "star", "pattern": "incast"},
+    "fleet-churn": {"topology": "fat-tree", "pattern": "churn"},
+    "cc-reno": {"topology": "star", "pattern": "uniform", "cc_arms": ("reno",)},
+    "cc-cubic": {"topology": "star", "pattern": "uniform", "cc_arms": ("cubic",)},
+    "cc-bbr": {"topology": "star", "pattern": "uniform", "cc_arms": ("bbr",)},
+    "cc-mixed-arms": {
+        "topology": "star", "pattern": "uniform",
+        "cc_arms": ("reno", "cubic", "bbr", "udt"),
+    },
+}
+
+
+# ----------------------------------------------------------------------
 # campaign planning and the process-pool runner
 # ----------------------------------------------------------------------
 
@@ -359,10 +377,6 @@ class CampaignUnit:
     def kwargs(self) -> Dict[str, Any]:
         return dict(self.params)
 
-    @property
-    def key(self) -> Tuple[str, int]:
-        return (self.scenario, self.seed)
-
 
 def plan_campaign(
     scenarios: Sequence[Any],
@@ -380,32 +394,10 @@ def plan_campaign(
     return units
 
 
-def _numeric_items(value: Any, prefix: str = "") -> List[Tuple[str, float]]:
-    """Flatten a result object into dotted numeric leaves (sorted keys)."""
-    items: List[Tuple[str, float]] = []
-    if dataclasses.is_dataclass(value) and not isinstance(value, type):
-        value = dataclasses.asdict(value)
-    if isinstance(value, dict):
-        for key in sorted(value):
-            items.extend(_numeric_items(value[key], f"{prefix}{key}."))
-    elif isinstance(value, (list, tuple)):
-        scalars = [v for v in value if isinstance(v, (int, float)) and not isinstance(v, bool)]
-        if scalars:
-            items.append((f"{prefix}count", float(len(scalars))))
-            for v in scalars:
-                items.append((f"{prefix}values", float(v)))
-    elif isinstance(value, bool):
-        items.append((prefix.rstrip("."), 1.0 if value else 0.0))
-    elif isinstance(value, (int, float)):
-        v = float(value)
-        if math.isfinite(v):
-            items.append((prefix.rstrip("."), v))
-    return items
-
-
-def _unit_payload(result: Any) -> Dict[str, Any]:
-    """The mergeable slice of a scenario result (fleet or generic)."""
-    if isinstance(result, FleetUnitResult):
+def _run_unit(scenario: str, seed: int, params: Dict[str, Any]) -> Dict[str, Any]:
+    """Process-pool worker: run one fleet unit, never raise."""
+    try:
+        result = run_fleet_workload(seed=seed, **{**SCENARIOS[scenario], **params})
         return {
             "stats": {k: v.state_dict() for k, v in sorted(result.stats.items())},
             "counters": dict(sorted(result.counters.items())),
@@ -415,35 +407,8 @@ def _unit_payload(result: Any) -> Dict[str, Any]:
                 "topology_digest": result.topology_digest,
                 "sim_time": result.sim_time,
             },
+            "scenario": scenario, "seed": seed, "ok": True,
         }
-    stats: Dict[str, OnlineStats] = {}
-    digest = hashlib.blake2b(digest_size=16)
-    for key, value in _numeric_items(result):
-        stats.setdefault(key, OnlineStats()).add(value)
-        digest.update(f"{key}={value!r}\n".encode())
-    return {
-        "stats": {k: v.state_dict() for k, v in sorted(stats.items())},
-        "counters": {},
-        "digest": digest.hexdigest(),
-        "info": {"result": type(result).__name__},
-    }
-
-
-def _run_unit(scenario: str, seed: int, params: Dict[str, Any]) -> Dict[str, Any]:
-    """Process-pool worker: run one unit, never raise.
-
-    Each worker collects into a private metrics registry so scenarios
-    whose summaries read ``repro.obs`` counters (faults, chaos) report
-    real numbers, and sibling units never share mutable state.
-    """
-    from repro.obs import MetricsRegistry, collecting
-
-    try:
-        with collecting(MetricsRegistry("fleet-worker")):
-            result = run_scenario(scenario, seed=seed, **params)
-        payload = _unit_payload(result)
-        payload.update({"scenario": scenario, "seed": seed, "ok": True})
-        return payload
     except Exception as exc:  # one bad unit must not sink the campaign
         return {
             "scenario": scenario, "seed": seed, "ok": False,
@@ -581,11 +546,6 @@ def run_campaign(
     }
 
 
-def campaign_json(document: Dict[str, Any]) -> str:
-    """Canonical byte-stable rendering of a campaign document."""
-    return json.dumps(document, indent=2, sort_keys=True) + "\n"
-
-
 def validate_campaign_document(document: Dict[str, Any]) -> List[str]:
     """Schema/self-consistency problems in a campaign artifact (empty = ok).
 
@@ -665,65 +625,3 @@ class FleetCampaign:
 
     def to_document(self) -> Dict[str, Any]:
         return self.document
-
-
-# ----------------------------------------------------------------------
-# registry entries: fleet workloads as composable scenarios
-# ----------------------------------------------------------------------
-
-register_scenario(
-    "fleet", run_fleet_workload, kind="fleet",
-    description="generic fleet workload (choose topology/pattern via params)",
-)
-register_scenario(
-    "fleet-star", run_fleet_workload, kind="fleet",
-    defaults={"topology": "star", "pattern": "uniform"},
-    description="uniform any-to-any flows through one hub",
-)
-register_scenario(
-    "fleet-fat-tree", run_fleet_workload, kind="fleet",
-    defaults={"topology": "fat-tree", "pattern": "uniform"},
-    description="uniform flows across a three-tier datacenter tree",
-)
-register_scenario(
-    "fleet-wan-mesh", run_fleet_workload, kind="fleet",
-    defaults={"topology": "wan-mesh", "pattern": "uniform"},
-    description="uniform flows between WAN sites (ring + chords)",
-)
-register_scenario(
-    "fleet-incast", run_fleet_workload, kind="fleet",
-    defaults={"topology": "star", "pattern": "incast"},
-    description="fan-in burst onto a single sink behind the hub",
-)
-register_scenario(
-    "fleet-churn", run_fleet_workload, kind="fleet",
-    defaults={"topology": "fat-tree", "pattern": "churn"},
-    description="mice/elephant mix with Poisson arrivals and mid-life aborts",
-)
-
-# Congestion-control arms: the same fleet workload with every flow pinned
-# to one registry policy (or an interleaved arm list) — the sweep axis the
-# cc-matrix CI entry exercises.
-register_scenario(
-    "cc-reno", run_fleet_workload, kind="fleet", tags=("cc",),
-    defaults={"topology": "star", "pattern": "uniform", "cc_arms": ("reno",)},
-    description="fleet flows all under TCP Reno (registry-constructed)",
-)
-register_scenario(
-    "cc-cubic", run_fleet_workload, kind="fleet", tags=("cc",),
-    defaults={"topology": "star", "pattern": "uniform", "cc_arms": ("cubic",)},
-    description="fleet flows all under CUBIC window growth",
-)
-register_scenario(
-    "cc-bbr", run_fleet_workload, kind="fleet", tags=("cc",),
-    defaults={"topology": "star", "pattern": "uniform", "cc_arms": ("bbr",)},
-    description="fleet flows all under BBR rate pacing",
-)
-register_scenario(
-    "cc-mixed-arms", run_fleet_workload, kind="fleet", tags=("cc",),
-    defaults={
-        "topology": "star", "pattern": "uniform",
-        "cc_arms": ("reno", "cubic", "bbr", "udt"),
-    },
-    description="interleaved congestion-control arms sharing the same fabric",
-)

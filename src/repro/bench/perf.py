@@ -23,20 +23,20 @@ def equivalence_workloads() -> List[Tuple[str, Callable[[], Any]]]:
     """Obs-instrumented workloads shaped like figures 1, 2, 8 and 9.
 
     Each callable returns ``(result, snapshot_document)`` via
-    :func:`repro.bench.harness.run_observed`; the gate only looks at the
-    document.  The figure-shaped entries resolve through the shared
-    scenario registry (the same ``transfer``/``fig8``/``obs`` scenarios
-    the checker and fleet campaigns run); ``meta`` pins the snapshot's
-    ``driver`` name to the underlying driver so documents stay comparable
-    across harnesses.
+    :func:`repro.bench.harness.run_observed`, which names the driver in
+    the snapshot's ``meta``; the gate only looks at the document.
     """
     from repro.bench.harness import (
+        run_latency_experiment,
         run_learner_trace,
+        run_observability_demo,
         run_observed,
         run_selection_skew,
+        run_transfer_once,
     )
-    from repro.bench.scenario import run_scenario
+    from repro.bench.scenario import MB, setup_by_name
     from repro.core import TDRatioLearner
+    from repro.messaging import Transport
 
     def learner() -> Any:
         rng = random.Random(5)
@@ -50,24 +50,21 @@ def equivalence_workloads() -> List[Tuple[str, Callable[[], Any]]]:
 
     return [
         ("fig9-tcp", lambda: run_observed(
-            run_scenario, "transfer", setup="EU2US", transport="tcp",
-            size_mb=32.0, seed=7,
-            meta={"driver": "run_transfer_once"})),
+            run_transfer_once, setup_by_name("EU2US"), Transport.TCP, 32 * MB,
+            seed=7)),
         ("fig9-data", lambda: run_observed(
-            run_scenario, "transfer", setup="EU2AU", transport="data",
-            size_mb=16.0, seed=11,
-            meta={"driver": "run_transfer_once"})),
+            run_transfer_once, setup_by_name("EU2AU"), Transport.DATA, 16 * MB,
+            seed=11)),
         ("fig8", lambda: run_observed(
-            run_scenario, "fig8", setup="EU-VPC", size_mb=24.0,
-            seed=3, warmup=1.0, ping_interval=0.25,
-            meta={"driver": "run_latency_experiment"})),
+            run_latency_experiment, setup_by_name("EU-VPC"), Transport.TCP,
+            Transport.TCP, seed=3, transfer_bytes=24 * MB, warmup=1.0,
+            ping_interval=0.25)),
         ("fig2", lambda: run_observed(learner)),
         ("fig1", lambda: run_observed(
             run_selection_skew, [(0, 1), (3, 100)],
             n_messages=20_000, seed=1)),
         ("obs-demo", lambda: run_observed(
-            run_scenario, "obs", duration=6.0, seed=2,
-            meta={"driver": "run_observability_demo"})),
+            run_observability_demo, duration=6.0, seed=2)),
     ]
 
 

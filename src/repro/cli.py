@@ -19,7 +19,9 @@ import sys
 from typing import List, Optional, Tuple
 
 from repro.bench import AWS_SETUPS, setup_by_name
-from repro.bench.chaos import ALL_TARGETS, DEFAULT_TARGETS
+from repro.bench.chaos import ALL_TARGETS, DEFAULT_TARGETS, run_chaos_campaign
+from repro.bench.faults import run_fault_campaign
+from repro.bench.fleet import SCENARIOS
 from repro.bench.harness import (
     run_latency_experiment,
     run_learner_trace,
@@ -27,6 +29,7 @@ from repro.bench.harness import (
     run_transfer_repeated,
 )
 from repro.bench.report import campaign_summary, format_table
+from repro.check.workloads import WORKLOADS, run_workload
 from repro.core import TDRatioLearner
 from repro.messaging import Transport
 
@@ -230,7 +233,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     fleet_sub = fleet.add_subparsers(dest="fleet_action", required=True)
 
-    fleet_sub.add_parser("list", help="list registered scenarios by kind")
+    fleet_sub.add_parser("list", help="list the fleet presets and their arguments")
 
     fleet_run = fleet_sub.add_parser(
         "run", help="run one fleet workload campaign across seeds",
@@ -258,11 +261,11 @@ def build_parser() -> argparse.ArgumentParser:
                            help="stdout format: human summary or the document")
 
     fleet_sweep = fleet_sub.add_parser(
-        "sweep", help="run any registered scenarios x seeds as one campaign",
+        "sweep", help="run fleet presets x seeds as one campaign",
     )
     fleet_sweep.add_argument("--scenario", action="append", required=True,
-                             metavar="NAME",
-                             help="scenario to include (repeatable); see "
+                             choices=sorted(SCENARIOS), metavar="NAME",
+                             help="preset to include (repeatable); see "
                                   "'fleet list'")
     fleet_sweep.add_argument("--seeds", type=int, default=4)
     fleet_sweep.add_argument("--workers", type=int, default=1)
@@ -290,8 +293,8 @@ def build_parser() -> argparse.ArgumentParser:
                             "self-test")
     check.add_argument("--mutate", action="store_true",
                        help="alias for the 'mutate' action")
-    check.add_argument("--workload", default="transfer",
-                       help="check workload: fig8, transfer or obs")
+    check.add_argument("--workload", default="transfer", choices=sorted(WORKLOADS),
+                       help="check workload")
     check.add_argument("--size-mb", type=float, default=4.0,
                        help="transfer size for fig8/transfer workloads")
     check.add_argument("--duration", type=float, default=4.0,
@@ -438,19 +441,18 @@ def cmd_loopback(args: argparse.Namespace) -> int:
     return _finish(comparison, args.format, args.output)
 
 
-def _sim_campaign(name: str, args: argparse.Namespace, meta: dict,
-                  enforce: bool = True, **kwargs) -> int:
-    """``faults`` and ``chaos``: the registered scenario, observed, then finished."""
+def _sim_campaign(driver, args: argparse.Namespace, enforce: bool = True,
+                  meta: Optional[dict] = None, **kwargs) -> int:
+    """``faults`` and ``chaos``: the campaign driver, observed, then finished."""
     from repro.bench.harness import run_observed
-    from repro.bench.scenario import run_scenario
 
     result, document = run_observed(
-        run_scenario, name,
+        driver,
         duration=args.duration,
         transfer_bytes=args.transfer_mb * MB,
         transfer_transport=args.transport,
         seed=args.seed,
-        meta={"seed": args.seed, "duration": args.duration, **meta},
+        meta={"seed": args.seed, "duration": args.duration, **(meta or {})},
         **kwargs,
     )
     document["meta"]["summary"] = result.to_document()
@@ -461,7 +463,7 @@ def cmd_faults(args: argparse.Namespace) -> int:
     # Bare runs demonstrate the unrecovered floor and are allowed to lose
     # the transfer; with recovery on, any problem is a failure.
     return _sim_campaign(
-        "faults", args, {"driver": "run_fault_campaign"},
+        run_fault_campaign, args,
         enforce=not args.no_recovery,
         cut_at=args.cut_at,
         cut_duration=args.cut_duration,
@@ -476,7 +478,7 @@ def cmd_chaos(args: argparse.Namespace) -> int:
     if args.backend == "aio":
         return _cmd_chaos_aio(args)
     return _sim_campaign(
-        "chaos", args, {"driver": "run_chaos_campaign", "events": args.events},
+        run_chaos_campaign, args, meta={"events": args.events},
         chaos_start=args.chaos_start,
         chaos_end=args.chaos_end,
         events=args.events,
@@ -524,15 +526,13 @@ def cmd_perf(args: argparse.Namespace) -> int:
 
 def cmd_fleet(args: argparse.Namespace) -> int:
     from repro.bench.fleet import FleetCampaign, plan_campaign, run_campaign
-    from repro.bench.scenario import SCENARIOS, UnknownScenarioError, get_scenario
     from repro.obs.export import document_json
 
     if args.fleet_action == "list":
-        scenarios = SCENARIOS.all()
-        width = max(len(s.name) for s in scenarios)
-        for scenario in scenarios:
-            print(f"{scenario.name:<{width}}  [{scenario.kind}] "
-                  f"{scenario.description}")
+        width = max(len(name) for name in SCENARIOS)
+        for name, preset in SCENARIOS.items():
+            args_text = " ".join(f"{k}={v}" for k, v in preset.items())
+            print(f"{name:<{width}}  {args_text or '(run_fleet_workload defaults)'}")
         return 0
 
     if args.fleet_action == "run":
@@ -544,12 +544,6 @@ def cmd_fleet(args: argparse.Namespace) -> int:
             "horizon": args.horizon,
         })]
     else:  # sweep
-        try:
-            for name in args.scenario:
-                get_scenario(name)
-        except UnknownScenarioError as exc:
-            print(str(exc), file=sys.stderr)
-            return 2
         entries = [(name, None) for name in args.scenario]
 
     seeds = list(range(args.seeds))
@@ -597,8 +591,6 @@ def cmd_check(args: argparse.Namespace) -> int:
             return 1
         print("mutation self-test passed: every seeded violation was caught")
         return 0
-
-    from repro.check.workloads import run_workload
 
     def run_once(capture=None, perturbed=False):
         with ExitStack() as stack:

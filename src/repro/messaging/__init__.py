@@ -19,7 +19,6 @@ from repro.messaging.compression import (
     CompressionCodec,
     NoCompression,
     SimulatedSnappy,
-    ZlibCodec,
 )
 from repro.messaging.message import (
     BaseMsg,
@@ -76,6 +75,5 @@ __all__ = [
     "packed_address_size",
     "CompressionCodec",
     "NoCompression",
-    "ZlibCodec",
     "SimulatedSnappy",
 ]

@@ -4,8 +4,7 @@ The paper's Netty pipeline includes a Snappy handler by default, and notes
 (§V-A) that results would differ for easily-compressible data — their
 NetCDF climate payload compresses poorly.  We provide:
 
-* :class:`NoCompression` — identity.
-* :class:`ZlibCodec` — a real codec for the byte paths (asyncio backend).
+* :class:`NoCompression` — identity (the asyncio backend's byte path).
 * :class:`SimulatedSnappy` — for the fluid simulation, where only *sizes*
   travel: it models Snappy's size effect via a per-message compressibility
   hint (``msg.compressibility``, fraction of the original size remaining
@@ -14,7 +13,6 @@ NetCDF climate payload compresses poorly.  We provide:
 
 from __future__ import annotations
 
-import zlib
 from abc import ABC, abstractmethod
 from typing import Any
 
@@ -64,27 +62,6 @@ class NoCompression(CompressionCodec):
 
     def estimate_size(self, size: int, ratio_hint: float) -> int:
         return size
-
-
-class ZlibCodec(CompressionCodec):
-    """Real DEFLATE compression for actual byte paths."""
-
-    name = "zlib"
-
-    def __init__(self, level: int = 6) -> None:
-        if not 0 <= level <= 9:
-            raise ValueError("zlib level must be in [0, 9]")
-        self.level = level
-
-    def compress(self, data: bytes) -> bytes:
-        return zlib.compress(data, self.level)
-
-    def decompress(self, data: bytes) -> bytes:
-        return zlib.decompress(data)
-
-    def estimate_size(self, size: int, ratio_hint: float) -> int:
-        # zlib adds a small header/trailer; ratio applies to the body.
-        return max(int(size * ratio_hint), 16) + 11
 
 
 class SimulatedSnappy(CompressionCodec):

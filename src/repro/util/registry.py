@@ -1,4 +1,4 @@
-"""One strict name -> entry registry (scenarios, cc policies)."""
+"""One strict name -> entry registry (the netsim cc policies)."""
 
 from __future__ import annotations
 

@@ -1,4 +1,4 @@
-"""Fleet layer: topology determinism, campaign merge, registry semantics."""
+"""Fleet layer: topology determinism, presets, campaign merge."""
 
 import gc
 import json
@@ -12,22 +12,17 @@ import pytest
 
 from repro.bench import fleet
 from repro.bench.fleet import (
+    SCENARIOS,
     CampaignUnit,
-    campaign_json,
     plan_campaign,
     plan_flows,
     run_campaign,
     run_fleet_workload,
     validate_campaign_document,
 )
-from repro.bench.scenario import (
-    SCENARIOS,
-    DuplicateScenarioError,
-    UnknownScenarioError,
-    register_scenario,
-)
 from repro.bench.topology import GENERATORS, generate_topology
 from repro.cli import main as cli_main
+from repro.obs.export import document_json
 from repro.stats import OnlineStats
 
 
@@ -167,54 +162,10 @@ class TestStatsMerge:
 
 
 # ----------------------------------------------------------------------
-# scenario registry semantics
-# ----------------------------------------------------------------------
-
-class TestScenarioRegistry:
-    def test_duplicate_registration_rejected(self):
-        register_scenario("tmp-dup", lambda **kw: None)
-        try:
-            with pytest.raises(DuplicateScenarioError, match="already registered"):
-                register_scenario("tmp-dup", lambda **kw: None)
-        finally:
-            SCENARIOS.remove("tmp-dup")
-
-    def test_unknown_name_suggests_close_match(self):
-        with pytest.raises(UnknownScenarioError, match="did you mean 'fleet-star'"):
-            SCENARIOS.get("fleet-stra")
-
-    def test_unknown_name_lists_registered(self):
-        with pytest.raises(UnknownScenarioError, match="registered:"):
-            SCENARIOS.get("no-such-scenario-at-all")
-
-    def test_defaults_merge_under_call_kwargs(self):
-        seen = {}
-        register_scenario(
-            "tmp-defaults", lambda **kw: seen.update(kw),
-            defaults={"a": 1, "b": 2},
-        )
-        try:
-            SCENARIOS.get("tmp-defaults").run(b=3)
-            assert seen == {"a": 1, "b": 3}
-        finally:
-            SCENARIOS.remove("tmp-defaults")
-
-    def test_builtins_present(self):
-        for name in ("transfer", "fig8", "obs", "faults", "chaos", "fleet"):
-            assert name in SCENARIOS
-        assert "transfer" in SCENARIOS.names(tag="check")
-        assert "fleet-star" in SCENARIOS.names(kind="fleet")
-
-
-# ----------------------------------------------------------------------
 # fleet workloads and campaigns
 # ----------------------------------------------------------------------
 
 FAST_FLEET = {"hosts": 6, "flows": 12, "horizon": 20.0}
-
-
-def _crashing_scenario(seed=0, **kwargs):
-    raise RuntimeError(f"boom on seed {seed}")
 
 
 class TestFleetCampaign:
@@ -258,31 +209,27 @@ class TestFleetCampaign:
 
     def test_campaign_json_byte_stable(self):
         units = plan_campaign([("fleet", FAST_FLEET)], [0, 1])
-        assert campaign_json(run_campaign(units, workers=1)) == \
-            campaign_json(run_campaign(units, workers=1))
-
-    def test_campaign_over_generic_scenarios(self):
-        """Non-fleet scenarios (numeric-dataclass results) merge too."""
-        units = plan_campaign(
-            [("faults", {"duration": 8.0, "transfer_bytes": 1 << 20})], [3]
-        )
-        doc = run_campaign(units, workers=1)
-        assert doc["merged"]["totals"] == {"units": 1, "ok": 1, "failed": 0}
-        stats = doc["merged"]["scenarios"]["faults"]["stats"]
-        assert stats["pings_sent"]["count"] == 1
+        assert document_json(run_campaign(units, workers=1)) == \
+            document_json(run_campaign(units, workers=1))
 
     def test_crashed_unit_does_not_sink_campaign(self):
-        register_scenario("tmp-crash", _crashing_scenario)
-        try:
-            units = plan_campaign(["tmp-crash", ("fleet", FAST_FLEET)], [0])
-            doc = run_campaign(units, workers=2)
-        finally:
-            SCENARIOS.remove("tmp-crash")
+        units = plan_campaign(
+            [("fleet-star", {**FAST_FLEET, "pattern": "boom"}), ("fleet", FAST_FLEET)],
+            [0],
+        )
+        doc = run_campaign(units, workers=2)
         assert doc["merged"]["totals"] == {"units": 2, "ok": 1, "failed": 1}
         failed = [u for u in doc["units"] if not u["ok"]]
-        assert failed[0]["scenario"] == "tmp-crash"
-        assert "boom on seed 0" in failed[0]["error"]
+        assert failed[0]["scenario"] == "fleet-star"
+        assert "unknown flow pattern 'boom'" in failed[0]["error"]
         assert doc["merged"]["scenarios"]["fleet"]["units_ok"] == 1
+
+    @pytest.mark.parametrize("name", sorted(SCENARIOS))
+    def test_every_preset_runs(self, name):
+        doc = run_campaign(plan_campaign([(name, FAST_FLEET)], [0]), workers=1)
+        (unit,) = doc["units"]
+        assert unit["ok"], unit.get("error")
+        assert unit["counters"]["flows"] == FAST_FLEET["flows"]
 
     def test_validate_catches_tampering(self):
         units = plan_campaign([("fleet", FAST_FLEET)], [0])
@@ -443,10 +390,10 @@ class TestCcArms:
         assert result.counters["flows_completed"] == result.counters["flows"]
 
     def test_cc_scenarios_registered(self):
-        from repro.bench.scenario import SCENARIOS
-
-        for name in ("cc-reno", "cc-cubic", "cc-bbr", "cc-mixed-arms"):
-            assert SCENARIOS.get(name).kind == "fleet"
+        for name, arms in (("cc-reno", ("reno",)), ("cc-cubic", ("cubic",)),
+                           ("cc-bbr", ("bbr",)),
+                           ("cc-mixed-arms", ("reno", "cubic", "bbr", "udt"))):
+            assert SCENARIOS[name]["cc_arms"] == arms
 
 
 class TestFleetCli:
@@ -464,8 +411,14 @@ class TestFleetCli:
     def test_list_shows_scenarios(self, capsys):
         assert cli_main(["fleet", "list"]) == 0
         out = capsys.readouterr().out
-        assert "fleet-star" in out and "[campaign]" in out
+        lines = out.splitlines()
+        assert len(lines) == len(SCENARIOS)
+        assert any(line.startswith("fleet-incast ") and "pattern=incast" in line
+                   for line in lines)
 
     def test_sweep_unknown_scenario_errors(self, capsys):
-        assert cli_main(["fleet", "sweep", "--scenario", "nope"]) == 2
-        assert "unknown scenario" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["fleet", "sweep", "--scenario", "nope"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "invalid choice: 'nope'" in err and "'cc-mixed-arms'" in err

@@ -18,7 +18,6 @@ from repro.bench.faults import FaultCampaignResult
 from repro.bench.fleet import CampaignUnit, FleetCampaign, run_campaign
 from repro.bench.loopback import LoopbackComparison, LoopbackRun
 from repro.bench.report import campaign_summary
-from repro.bench.scenario import SCENARIOS, register_scenario
 from repro.cli import main as cli_main
 from repro.obs import get_registry
 
@@ -61,17 +60,12 @@ def loopback(**flaw):
 
 
 def fleet(crash=False, tamper=False):
-    """A two-unit campaign document over a throwaway scenario."""
-    def builder(seed):
-        if crash and seed == 1:
-            raise RuntimeError("boom")
-        return {"value": float(seed)}
-
-    register_scenario("tmp-verdict", builder)
-    try:
-        document = run_campaign([CampaignUnit.make("tmp-verdict", s) for s in (0, 1)])
-    finally:
-        SCENARIOS.remove("tmp-verdict")
+    """A two-unit campaign document over tiny fleet units; ``crash`` breaks seed 1."""
+    tiny = {"hosts": 4, "flows": 4, "horizon": 10.0}
+    document = run_campaign([
+        CampaignUnit.make("fleet", s, {**tiny, "pattern": "boom"} if crash and s else tiny)
+        for s in (0, 1)
+    ])
     if tamper:
         document["merged"]["digest"] = "0" * 32
     return FleetCampaign(document)
@@ -131,13 +125,14 @@ def run_cli_and_gate(kind, result, tmp_path, monkeypatch, *extra_argv):
     """``repro <kind>`` over ``result``, then ``ci_checks <kind>`` on its artifact."""
     artifact = str(tmp_path / "artifact.json")
     if kind in ("faults", "chaos"):
-        def fake_scenario(name, **kwargs):
-            assert name == kind
+        def fake_campaign(**kwargs):
             for field in ("restarts", "deadletters"):  # the gate's metric cross-check
                 get_registry().counter(f"kompics.{field}_total").inc(getattr(result, field, 0))
             return result
 
-        monkeypatch.setattr("repro.bench.scenario.run_scenario", fake_scenario)
+        driver = {"faults": "run_fault_campaign", "chaos": "run_chaos_campaign"}[kind]
+        fake_campaign.__name__ = driver
+        monkeypatch.setattr(f"repro.cli.{driver}", fake_campaign)
         argv = [kind, "--format", "json", "--output", artifact]
     elif kind == "chaos-aio":
         monkeypatch.setattr("repro.bench.chaos.run_aio_chaos_campaign", lambda **kw: result)

@@ -33,6 +33,16 @@ class TestParser:
         assert "bogus" in err and valid in err
         assert "Traceback" not in err
 
+    def test_unknown_check_workload_exits_2_naming_the_workloads(self, capsys):
+        # Regression: died with a ValueError traceback (exit 1) whose
+        # message also listed fleet, cc and chaos campaigns.
+        with pytest.raises(SystemExit) as exit_info:
+            main(["check", "--workload", "nope"])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "invalid choice: 'nope' (choose from 'fig8', 'obs', 'transfer')" in err
+        assert "fleet" not in err and "chaos" not in err
+
     def test_command_required(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args([])

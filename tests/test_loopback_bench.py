@@ -1,4 +1,4 @@
-"""Loopback benchmark: registry wiring, real runs, artifact checks."""
+"""Loopback benchmark: real runs, artifact checks."""
 
 import json
 
@@ -12,35 +12,9 @@ from repro.bench.loopback import (
     run_loopback_comparison,
     run_loopback_once,
 )
-from repro.bench.scenario import SCENARIOS, get_scenario
 from repro.messaging import Transport
 
 pytestmark = pytest.mark.integration
-
-
-class TestScenarioRegistration:
-    def test_loopback_is_registered_as_real_workload(self):
-        entry = get_scenario("loopback")
-        assert entry.kind == "workload"
-        assert "real" in entry.tags
-        # deliberately NOT a check workload: it opens real sockets
-        assert "loopback" not in SCENARIOS.names(tag="check")
-
-    def test_builder_parses_transports(self, monkeypatch):
-        import repro.bench.loopback as loopback_mod
-
-        calls = {}
-
-        def fake_comparison(transports, **kwargs):
-            calls["transports"] = tuple(transports)
-            calls.update(kwargs)
-            return "sentinel"
-
-        monkeypatch.setattr(loopback_mod, "run_loopback_comparison", fake_comparison)
-        result = get_scenario("loopback").run(transports="tcp, udt", size_mb=1.0)
-        assert result == "sentinel"
-        assert calls["transports"] == (Transport.TCP, Transport.UDT)
-        assert calls["size"] == 1024 * 1024
 
 
 class TestRealRuns:

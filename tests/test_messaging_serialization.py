@@ -13,7 +13,6 @@ from repro.messaging import (
     SerializerRegistry,
     SimulatedSnappy,
     VirtualAddress,
-    ZlibCodec,
     pack_address,
     packed_address_size,
     unpack_address,
@@ -246,13 +245,6 @@ class TestSizeThenSerializeOnce:
 
 
 class TestCompression:
-    def test_zlib_roundtrip(self):
-        codec = ZlibCodec()
-        data = b"hello world " * 100
-        packed = codec.compress(data)
-        assert len(packed) < len(data)
-        assert codec.decompress(packed) == data
-
     def test_no_compression_identity(self):
         codec = NoCompression()
         assert codec.compress(b"abc") == b"abc"
@@ -270,10 +262,6 @@ class TestCompression:
     def test_snappy_passthrough_bytes(self):
         codec = SimulatedSnappy()
         assert codec.decompress(codec.compress(b"x" * 10)) == b"x" * 10
-
-    def test_zlib_bad_level(self):
-        with pytest.raises(ValueError):
-            ZlibCodec(level=11)
 
 
 def _held(obj):

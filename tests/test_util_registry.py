@@ -1,4 +1,4 @@
-"""The one strict registry under SCENARIOS and CC_POLICIES."""
+"""The one strict registry, under CC_POLICIES."""
 
 import pytest
 
