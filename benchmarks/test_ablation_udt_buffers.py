@@ -9,8 +9,8 @@ control keeps tripping over receiver-side drops.
 
 import pytest
 
-from repro.bench import run_transfer_repeated, setup_by_name
-from repro.bench.scenario import MB
+from repro.bench.harness import run_transfer_repeated
+from repro.bench.scenario import MB, setup_by_name
 from repro.messaging import Transport
 
 from conftest import save_result

@@ -13,8 +13,8 @@ This is Figure 8 + Figure 9 as one program.
 Run:  python examples/control_and_bulk.py
 """
 
-from repro.bench import setup_by_name
 from repro.bench.harness import estimate_rate, run_latency_experiment
+from repro.bench.scenario import setup_by_name
 from repro.messaging import Transport
 
 MB = 1024 * 1024

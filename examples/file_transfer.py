@@ -9,7 +9,8 @@ are both visible.
 Run:  python examples/file_transfer.py
 """
 
-from repro.bench import run_transfer_repeated, setup_by_name
+from repro.bench.harness import run_transfer_repeated
+from repro.bench.scenario import setup_by_name
 from repro.messaging import Transport
 
 MB = 1024 * 1024

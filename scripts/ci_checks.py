@@ -137,7 +137,7 @@ def check_fleet(args: argparse.Namespace) -> int:
 #: ``find src -name '*.py' | xargs cat | wc -l`` may only go down (ROADMAP:
 #: "src/ should end the round smaller"); a PR that shrinks src/ lowers this
 #: to its own total, a PR that must grow it raises it in the open
-SRC_LINE_CEILING = 18714
+SRC_LINE_CEILING = 18492
 
 
 def check_hygiene(args: argparse.Namespace) -> int:

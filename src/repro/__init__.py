@@ -12,38 +12,8 @@ Subpackages
 ``repro.aio``        real asyncio backend (TCP, UDP, UDT-lite)
 ``repro.bench``      experiment harness regenerating the paper's figures
 ``repro.stats``      streaming statistics, confidence intervals
-
-The most common entry points are re-exported here.
 """
 
 from repro._version import __version__
-from repro.kompics import ComponentDefinition, KompicsSystem
-from repro.messaging import (
-    BasicAddress,
-    BasicHeader,
-    DataHeader,
-    MessageNotify,
-    Msg,
-    NettyNetwork,
-    Network,
-    Transport,
-)
-from repro.netsim import LinkSpec, SimNetwork
-from repro.sim import Simulator
 
-__all__ = [
-    "__version__",
-    "Simulator",
-    "SimNetwork",
-    "LinkSpec",
-    "KompicsSystem",
-    "ComponentDefinition",
-    "Network",
-    "NettyNetwork",
-    "Msg",
-    "MessageNotify",
-    "Transport",
-    "BasicAddress",
-    "BasicHeader",
-    "DataHeader",
-]
+__all__ = ["__version__"]

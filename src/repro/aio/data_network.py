@@ -20,7 +20,6 @@ from repro.core.interceptor import PrpFactory, PspFactory
 from repro.kompics.component import Component
 from repro.kompics.timer import WallTimerComponent
 from repro.messaging.address import Address
-from repro.messaging.compression import CompressionCodec
 from repro.messaging.serialization import SerializerRegistry
 from repro.messaging.transport import Transport
 
@@ -37,7 +36,6 @@ class AioDataNetwork(DataNetworkBase):
         window_messages: Optional[int] = None,
         protocols: Iterable[Transport] = DEFAULT_PROTOCOLS,
         serializers: Optional[SerializerRegistry] = None,
-        compression: Optional[CompressionCodec] = None,
         timer: Optional[Component] = None,
         bind_ip: Optional[str] = None,
         udt_adaptor: Optional[object] = None,
@@ -50,7 +48,6 @@ class AioDataNetwork(DataNetworkBase):
             self_address,
             protocols=protocols,
             serializers=serializers,
-            compression=compression,
             bind_ip=bind_ip,
             udt_adaptor=udt_adaptor,
             udp_adaptor=udp_adaptor,

@@ -6,9 +6,9 @@ The port contract — transport choice, ``MessageNotify``, reflection,
 socket-specific lives here, on an asyncio event loop running in a
 dedicated thread (for use with ``KompicsSystem.threaded()``):
 
-* **Bytes**: the component thread serializes, compresses and prefixes
-  every frame with ``EPOCH_HEADER`` (network epoch, per-channel sequence),
-  then hands it to the loop thread.
+* **Bytes**: the component thread serializes and prefixes every frame
+  with ``EPOCH_HEADER`` (network epoch, per-channel sequence), then hands
+  it to the loop thread.
 * **Frame batching**: a per-(remote, transport) drainer task coalesces
   whatever has accumulated into one ``send_frames`` call (one gathered
   ``sendmsg`` per batch on TCP, one pacing-loop wakeup on UDT-lite).
@@ -51,7 +51,6 @@ from repro.aio.udt import UdtLiteTransport
 from repro.check import get_checker
 from repro.errors import AioStartupError, TransportError
 from repro.messaging.address import Address
-from repro.messaging.compression import CompressionCodec, NoCompression
 from repro.messaging.message import Msg
 from repro.messaging.network_component import NetworkComponent, Route
 from repro.messaging.recovery import ReconnectPolicy
@@ -145,15 +144,11 @@ class AioNetwork(NetworkComponent):
         self_address: Address,
         protocols: Iterable[Transport] = DEFAULT_PROTOCOLS,
         serializers: Optional[SerializerRegistry] = None,
-        compression: Optional[CompressionCodec] = None,
         bind_ip: Optional[str] = None,
         udt_adaptor: Optional[object] = None,
         udp_adaptor: Optional[object] = None,
     ) -> None:
-        super().__init__(
-            self_address, protocols, serializers,
-            compression if compression is not None else NoCompression(),
-        )
+        super().__init__(self_address, protocols, serializers)
         if self.serializers.allow_pickle_fallback:
             raise TransportError(
                 "AioNetwork decodes bytes from any peer: its serializer "
@@ -435,7 +430,7 @@ class AioNetwork(NetworkComponent):
     # ------------------------------------------------------------------
     def _transmit(self, msg: Msg, route: Route, notify_id: Optional[int]) -> None:
         transport = route.transport
-        payload = self.compression.compress(self.serializers.serialize(msg))
+        payload = self.serializers.serialize(msg)
         if not self._fits(transport, len(payload), notify_id):
             return
         key = route.key
@@ -657,9 +652,7 @@ class AioNetwork(NetworkComponent):
     def _on_frame(self, frame: bytes, key: Optional[_Key] = None) -> None:
         try:
             epoch, seq = EPOCH_HEADER.unpack_from(frame)
-            msg = self.serializers.deserialize(
-                self.compression.decompress(memoryview(frame)[EPOCH_HEADER.size:])
-            )
+            msg = self.serializers.deserialize(memoryview(frame)[EPOCH_HEADER.size:])
         except Exception:  # noqa: BLE001 - socket bytes are hostile input
             # Whatever a decoder raises on garbage must not escape into
             # the loop thread: count the frame, drop it, keep serving.

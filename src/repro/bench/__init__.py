@@ -24,75 +24,3 @@
   parallel seeds x presets campaign runner with mergeable, digest-gated
   results.
 """
-
-from repro.bench.chaos import (
-    ChaosCampaignResult,
-    ChaosEvent,
-    plan_chaos_timeline,
-    run_chaos_campaign,
-)
-from repro.bench.faults import FAULT_ENV, FaultCampaignResult, run_fault_campaign
-from repro.bench.harness import (
-    LatencyResult,
-    LearnerTrace,
-    TransferResult,
-    run_latency_experiment,
-    run_learner_trace,
-    run_selection_skew,
-    run_transfer_once,
-    run_transfer_repeated,
-)
-from repro.bench.fleet import (
-    CampaignUnit,
-    FleetUnitResult,
-    FlowPlan,
-    plan_campaign,
-    plan_flows,
-    run_campaign,
-    run_fleet_workload,
-    validate_campaign_document,
-)
-from repro.bench.perf import run_equivalence
-from repro.bench.scenario import (
-    AWS_SETUPS,
-    Setup,
-    TestbedPair,
-    aws_testbed,
-    setup_by_name,
-)
-from repro.bench.topology import LinkPlan, Topology, generate_topology
-
-__all__ = [
-    "Setup",
-    "AWS_SETUPS",
-    "aws_testbed",
-    "setup_by_name",
-    "TestbedPair",
-    "TransferResult",
-    "LatencyResult",
-    "LearnerTrace",
-    "run_transfer_once",
-    "run_transfer_repeated",
-    "run_latency_experiment",
-    "run_learner_trace",
-    "run_selection_skew",
-    "FAULT_ENV",
-    "FaultCampaignResult",
-    "run_fault_campaign",
-    "ChaosEvent",
-    "ChaosCampaignResult",
-    "plan_chaos_timeline",
-    "run_chaos_campaign",
-    "run_equivalence",
-    "Topology",
-    "LinkPlan",
-    "generate_topology",
-    "FlowPlan",
-    "FleetUnitResult",
-    "CampaignUnit",
-    "plan_flows",
-    "plan_campaign",
-    "run_fleet_workload",
-    "run_campaign",
-    "validate_campaign_document",
-]

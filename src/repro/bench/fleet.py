@@ -27,8 +27,6 @@ from __future__ import annotations
 import hashlib
 import json
 import random
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
@@ -493,6 +491,10 @@ def run_campaign(
         for i, unit in enumerate(units):
             record(i, unit, _run_unit(unit.scenario, unit.seed, unit.kwargs))
     else:
+        # a fleet unit never starts a pool, so only a campaign pays for it
+        from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+        from concurrent.futures.process import BrokenProcessPool
+
         pending = list(enumerate(units))
         try:
             with ProcessPoolExecutor(max_workers=workers) as pool:

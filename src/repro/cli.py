@@ -18,7 +18,6 @@ import random
 import sys
 from typing import List, Optional, Tuple
 
-from repro.bench import AWS_SETUPS, setup_by_name
 from repro.bench.chaos import ALL_TARGETS, DEFAULT_TARGETS, run_chaos_campaign
 from repro.bench.faults import run_fault_campaign
 from repro.bench.fleet import SCENARIOS
@@ -29,6 +28,7 @@ from repro.bench.harness import (
     run_transfer_repeated,
 )
 from repro.bench.report import campaign_summary, format_table
+from repro.bench.scenario import AWS_SETUPS, setup_by_name
 from repro.check.workloads import WORKLOADS, run_workload
 from repro.core import TDRatioLearner
 from repro.messaging import Transport

@@ -26,7 +26,6 @@ from repro.kompics.event import KompicsEvent
 from repro.kompics.port import Port
 from repro.kompics.timer import SimTimerComponent, Timer
 from repro.messaging.address import Address
-from repro.messaging.compression import CompressionCodec
 from repro.messaging.netty import DEFAULT_PROTOCOLS, NettyNetwork
 from repro.messaging.network_component import NetworkComponent
 from repro.messaging.network_port import MessageNotify, Network, TransportStatus
@@ -140,7 +139,6 @@ class DataNetwork(DataNetworkBase):
         window_messages: Optional[int] = None,
         protocols: Iterable[Transport] = DEFAULT_PROTOCOLS,
         serializers: Optional[SerializerRegistry] = None,
-        compression: Optional[CompressionCodec] = None,
         timer: Optional[Component] = None,
     ) -> None:
         super().__init__()
@@ -151,7 +149,6 @@ class DataNetwork(DataNetworkBase):
             host,
             protocols=protocols,
             serializers=serializers,
-            compression=compression,
         )
         if timer is None:
             timer = self.create(SimTimerComponent)

@@ -18,7 +18,6 @@ lifecycle, timers and hierarchical configuration.
 
 from repro.kompics.channel import Channel, ChannelSelector
 from repro.kompics.component import Component, ComponentDefinition
-from repro.kompics.config import Config
 from repro.kompics.event import (
     DeadLetter,
     Fault,
@@ -46,6 +45,7 @@ from repro.kompics.timer import (
     Timeout,
     Timer,
 )
+from repro.util.config import Config
 
 __all__ = [
     "KompicsEvent",

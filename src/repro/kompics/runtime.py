@@ -15,7 +15,6 @@ from typing import Any, Deque, List, Mapping, Optional, Type
 from repro.errors import ChannelError, ComponentError
 from repro.kompics.channel import Channel, ChannelSelector
 from repro.kompics.component import Component, ComponentCore, ComponentDefinition, _construction
-from repro.kompics.config import Config
 from repro.kompics.event import DeadLetter, Fault, Kill, KompicsEvent, Start, Stop
 from repro.kompics.port import Port
 from repro.kompics.scheduler import Scheduler, SimScheduler, ThreadPoolScheduler
@@ -23,6 +22,7 @@ from repro.kompics.supervision import Supervisor
 from repro.obs import get_registry, get_tracer
 from repro.sim import Simulator
 from repro.util.clock import Clock, WallClock
+from repro.util.config import Config
 from repro.util.ids import IdGenerator
 from repro.util.rng import RngRegistry
 

@@ -10,16 +10,12 @@ Public surface:
 * :class:`NetworkComponent` — the port's send/receive pipeline, shared
   by :class:`NettyNetwork` (simulation backend) and ``repro.aio``.
 * :class:`VirtualNetworkChannel` — vnode routing.
-* Serialization registry and compression codecs.
+* Serialization registry (and :mod:`repro.messaging.compression`, the
+  Snappy size model of the simulated path).
 """
 
 from repro.messaging.address import Address, BasicAddress, VirtualAddress, vnode_id_of
 from repro.messaging.channels import ChannelPool, ChannelRef
-from repro.messaging.compression import (
-    CompressionCodec,
-    NoCompression,
-    SimulatedSnappy,
-)
 from repro.messaging.message import (
     BaseMsg,
     BasicHeader,
@@ -73,7 +69,4 @@ __all__ = [
     "pack_address",
     "unpack_address",
     "packed_address_size",
-    "CompressionCodec",
-    "NoCompression",
-    "SimulatedSnappy",
 ]

@@ -5,7 +5,7 @@ The port contract — transport choice, ``MessageNotify``, reflection,
 is simulator-specific lives here:
 
 * messages travel as objects; only their wire *size* is computed
-  (serializer ``wire_size`` + the compression codec's estimate);
+  (serializer ``wire_size`` through the Snappy size model);
 * a :class:`ChannelPool` over the host's ``NetworkStack``: lazy channel
   establishment, messages buffered until ready, conservative retention
   and the optional idle sweep (§III-C);
@@ -21,7 +21,7 @@ from typing import Any, Iterable, List, Optional
 from repro.errors import TransportError
 from repro.messaging.address import Address
 from repro.messaging.channels import ChannelKey, ChannelPool
-from repro.messaging.compression import CompressionCodec, SimulatedSnappy, compressibility_of
+from repro.messaging.compression import snappy_size
 from repro.messaging.message import Msg, RoutingHeader
 from repro.messaging.network_component import NetworkComponent, Route, Socket
 from repro.messaging.recovery import ReconnectPolicy, fail_sends
@@ -52,9 +52,6 @@ class NettyNetwork(NetworkComponent):
         Wire protocols to listen on (default: TCP, UDP, UDT and LEDBAT).
     serializers:
         Message serializer registry (defaults to one with pickle fallback).
-    compression:
-        Pipeline codec; defaults to :class:`SimulatedSnappy`, matching the
-        paper's default Snappy handler.
     """
 
     def __init__(
@@ -63,7 +60,6 @@ class NettyNetwork(NetworkComponent):
         host: SimHost,
         protocols: Iterable[Transport] = DEFAULT_PROTOCOLS,
         serializers: Optional[SerializerRegistry] = None,
-        compression: Optional[CompressionCodec] = None,
     ) -> None:
         # Messages travel as objects here and are only sized, never
         # decoded from foreign bytes, so pickling an unregistered class to
@@ -72,7 +68,6 @@ class NettyNetwork(NetworkComponent):
             self_address, protocols,
             serializers if serializers is not None
             else SerializerRegistry(allow_pickle_fallback=True),
-            compression if compression is not None else SimulatedSnappy(),
         )
         self.host = host
         if self_address.ip != host.ip:
@@ -164,8 +159,8 @@ class NettyNetwork(NetworkComponent):
         return (remote, transport.to_proto())
 
     def _transmit(self, msg: Msg, route: Route, notify_id: Optional[int]) -> None:
-        size = self.compression.estimate_size(
-            self.serializers.wire_size(msg), compressibility_of(msg)
+        size = snappy_size(
+            self.serializers.wire_size(msg), getattr(msg, "compressibility", 1.0)
         )
         if not self._fits(route.transport, size, notify_id):
             return

@@ -20,7 +20,6 @@ from repro.kompics.channel import Channel
 from repro.kompics.component import ComponentDefinition
 from repro.kompics.port import Port
 from repro.messaging.address import Address
-from repro.messaging.compression import CompressionCodec
 from repro.messaging.message import Msg
 from repro.messaging.network_port import MessageNotify, Network, TransportStatus
 from repro.messaging.serialization import SerializerRegistry
@@ -59,7 +58,6 @@ class NetworkComponent(ComponentDefinition):
         self_address: Address,
         protocols: Iterable[Transport],
         serializers: Optional[SerializerRegistry],
-        compression: CompressionCodec,
     ) -> None:
         super().__init__()
         self.net = self.provides(Network)
@@ -71,7 +69,6 @@ class NetworkComponent(ComponentDefinition):
         # Send-path constant, resolved once instead of per message.
         self._self_socket = self_address.as_socket()
         self.serializers = serializers if serializers is not None else SerializerRegistry()
-        self.compression = compression
         #: (remote socket, transport) pairs currently published as Down
         self._down: Set[Tuple[Socket, Transport]] = set()
         #: (remote socket, transport) -> its Route, made on first send

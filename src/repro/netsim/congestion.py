@@ -19,12 +19,11 @@ protocol set.
 
 from __future__ import annotations
 
+import difflib
 import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional
-
-from repro.util.registry import Registry, UnknownNameError
 
 MSS = 1448.0  # bytes of payload per TCP segment
 
@@ -563,8 +562,11 @@ class BbrCc(CongestionControl):
 # the policy registry: name -> controller factory
 # ----------------------------------------------------------------------
 
-class UnknownCcError(UnknownNameError):
+class UnknownCcError(KeyError):
     """Raised on a lookup of a name no policy was registered under."""
+
+    def __str__(self) -> str:  # KeyError wraps its message in repr()
+        return self.args[0] if self.args else ""
 
 
 class DuplicateCcError(ValueError):
@@ -576,7 +578,7 @@ class CcContext:
     """Everything a policy factory may consult when building a controller.
 
     ``rtt``/``bandwidth``/``udp_cap`` describe the dialed path; ``config``
-    is the owning network's :class:`~repro.kompics.config.Config` (or None
+    is the owning network's :class:`~repro.util.config.Config` (or None
     when built standalone — factories fall back to the netsim defaults).
     """
 
@@ -606,19 +608,54 @@ class CcPolicy:
         return self.factory(ctx)
 
 
-class CcRegistry(Registry[CcPolicy]):
-    """Name -> :class:`CcPolicy` (strict: see :class:`~repro.util.registry.Registry`)."""
+class CcRegistry:
+    """Name -> :class:`CcPolicy`, strict.
+
+    Registering a taken name raises :class:`DuplicateCcError` instead of
+    silently shadowing the earlier policy; an unknown lookup raises
+    :class:`UnknownCcError` with a did-you-mean suggestion and the
+    registered names.
+    """
 
     def __init__(self) -> None:
-        super().__init__(
-            "congestion-control policy", UnknownCcError, DuplicateCcError,
-            owner=lambda policy: policy.factory,
-        )
+        self._policies: Dict[str, CcPolicy] = {}
 
     def register(
         self, name: str, factory: CcFactory, *, description: str = ""
     ) -> CcPolicy:
-        return self.add(name, CcPolicy(name=name, factory=factory, description=description))
+        existing = self._policies.get(name)
+        if existing is not None:
+            raise DuplicateCcError(
+                f"congestion-control policy {name!r} is already registered "
+                f"(by {existing.factory!r}); "
+                f"pick a distinct name or remove() the old entry first"
+            )
+        policy = self._policies[name] = CcPolicy(name, factory, description)
+        return policy
+
+    def remove(self, name: str) -> None:
+        """Drop a registration (test hygiene; unknown names are a no-op)."""
+        self._policies.pop(name, None)
+
+    def get(self, name: str) -> CcPolicy:
+        policy = self._policies.get(name)
+        if policy is not None:
+            return policy
+        close = difflib.get_close_matches(name, sorted(self._policies), n=3)
+        hint = f"; did you mean {' or '.join(repr(c) for c in close)}?" if close else ""
+        raise UnknownCcError(
+            f"unknown congestion-control policy {name!r}{hint} "
+            f"(registered: {', '.join(sorted(self._policies))})"
+        )
+
+    def __contains__(self, name: object) -> bool:
+        return name in self._policies
+
+    def names(self) -> List[str]:
+        return sorted(self._policies)
+
+    def all(self) -> List[CcPolicy]:
+        return [self._policies[name] for name in sorted(self._policies)]
 
 
 #: the process-wide policy registry; connections resolve ``cc=`` names here

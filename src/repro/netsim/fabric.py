@@ -13,7 +13,6 @@ if TYPE_CHECKING:  # pragma: no cover - structural typing only
         links: Tuple[Any, ...]
 
 from repro.errors import AddressError
-from repro.kompics.config import Config
 from repro.netsim.routing import CompositePath
 from repro.netsim.congestion import CongestionControl, make_cc
 from repro.netsim.disk import DiskModel
@@ -21,6 +20,7 @@ from repro.netsim.host import NetworkStack, SimHost
 from repro.netsim.link import Link, LinkDirection, LinkSpec, Proto
 from repro.obs import get_registry, get_tracer
 from repro.sim import Simulator
+from repro.util.config import Config
 from repro.util.ids import IdGenerator
 from repro.util.rng import RngRegistry
 

@@ -90,7 +90,7 @@ class TestChaosCampaign:
         assert counted == result.deadletters
 
     def test_local_setup_is_rejected(self):
-        from repro.bench import setup_by_name
+        from repro.bench.scenario import setup_by_name
 
         with pytest.raises(ValueError):
             run_chaos_campaign(setup=setup_by_name("Local"))

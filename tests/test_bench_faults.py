@@ -59,7 +59,7 @@ class TestFaultCampaign:
         assert first == second
 
     def test_local_setup_is_rejected(self):
-        from repro.bench import setup_by_name
+        from repro.bench.scenario import setup_by_name
 
         with pytest.raises(ValueError):
             run_fault_campaign(setup=setup_by_name("Local"))

@@ -7,7 +7,6 @@ import random
 from contextlib import contextmanager
 
 from repro.apps import ChunkSink, SyntheticDataset, WindowSource
-from repro.bench import AWS_SETUPS, TestbedPair, aws_testbed, setup_by_name
 from repro.bench.harness import (
     estimate_rate,
     run_in_steps,
@@ -19,7 +18,7 @@ from repro.bench.harness import (
 )
 from repro.bench.loopback import loopback_pair
 from repro.bench.report import format_series, format_table
-from repro.bench.scenario import MB, Setup
+from repro.bench.scenario import AWS_SETUPS, MB, Setup, TestbedPair, aws_testbed, setup_by_name
 from repro.core import TDRatioLearner
 from repro.core.data_network import DataNetworkBase
 from repro.messaging import Transport

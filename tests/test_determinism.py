@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro.bench import setup_by_name
 from repro.bench.harness import run_latency_experiment, run_transfer_once
+from repro.bench.scenario import setup_by_name
 from repro.messaging import Transport
 
 from tests.messaging_helpers import MB, make_world

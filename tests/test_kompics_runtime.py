@@ -5,8 +5,8 @@ import pytest
 from repro.errors import ComponentError
 from repro.kompics import ComponentDefinition, KompicsSystem
 from repro.kompics.component import ComponentState
-from repro.kompics.config import Config
 from repro.sim import Simulator
+from repro.util.config import Config
 
 from tests.kompics_fixtures import Client, PingPort, Server
 

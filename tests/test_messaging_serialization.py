@@ -7,16 +7,15 @@ from hypothesis import strategies as st
 from repro.errors import SerializationError
 from repro.messaging import (
     BasicAddress,
-    NoCompression,
     PickleSerializer,
     Serializer,
     SerializerRegistry,
-    SimulatedSnappy,
     VirtualAddress,
     pack_address,
     packed_address_size,
     unpack_address,
 )
+from repro.messaging.compression import SNAPPY_OVERHEAD, snappy_size
 
 
 class TestAddressPacking:
@@ -245,23 +244,17 @@ class TestSizeThenSerializeOnce:
 
 
 class TestCompression:
-    def test_no_compression_identity(self):
-        codec = NoCompression()
-        assert codec.compress(b"abc") == b"abc"
-        assert codec.estimate_size(1000, 0.1) == 1000
-
     def test_snappy_sim_incompressible(self):
-        codec = SimulatedSnappy()
-        assert codec.estimate_size(65536, 1.0) == 65536 + codec.OVERHEAD
+        assert snappy_size(65536, 1.0) == 65536 + SNAPPY_OVERHEAD
 
     def test_snappy_sim_ratio_floor(self):
-        codec = SimulatedSnappy()
         # Snappy never does better than ~25% in this model.
-        assert codec.estimate_size(10000, 0.01) == 2500 + codec.OVERHEAD
+        assert snappy_size(10000, 0.01) == 2500 + SNAPPY_OVERHEAD
 
     def test_snappy_passthrough_bytes(self):
-        codec = SimulatedSnappy()
-        assert codec.decompress(codec.compress(b"x" * 10)) == b"x" * 10
+        # A hint that is not a number, or above 1, leaves the frame as is.
+        for hint in (None, "x", 2.0, float("nan")):
+            assert snappy_size(10, hint) == 10 + SNAPPY_OVERHEAD
 
 
 def _held(obj):

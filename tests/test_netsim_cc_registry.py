@@ -2,6 +2,8 @@
 policy names threaded to connections, abort accounting and
 seed-equivalence of the defaults."""
 
+import re
+
 import pytest
 
 from repro.netsim import Proto, WireMessage
@@ -38,6 +40,10 @@ class FixedRate(CongestionControl):
         return self.rate
 
 
+def _reno(ctx):
+    return TcpCc(rtt=ctx.rtt)
+
+
 @pytest.fixture
 def fixed_rate():
     """``FixedRate`` registered as ``fixed-rate`` for the test's duration."""
@@ -67,6 +73,34 @@ class TestCcRegistry:
         reg.remove("x")
         reg.register("x", lambda ctx: TcpCc(rtt=ctx.rtt), description="again")
         assert "x" in reg
+
+    def test_duplicate_blames_the_existing_factory(self):
+        reg = CcRegistry()
+        first = reg.register("x", _reno)
+        with pytest.raises(DuplicateCcError, match=re.escape(f"'x' is already registered (by {_reno!r})")):
+            reg.register("x", lambda ctx: TcpCc(rtt=ctx.rtt))
+        assert reg.get("x") is first
+
+    def test_unknown_message_is_plain_and_lists_the_names(self):
+        reg = CcRegistry()
+        reg.register("alpha", _reno)
+        reg.register("beta", _reno)
+        with pytest.raises(UnknownCcError) as err:
+            reg.get("alpah")
+        assert str(err.value) == (
+            "unknown congestion-control policy 'alpah'; did you mean 'alpha'? "
+            "(registered: alpha, beta)"
+        )
+
+    def test_names_all_contains_and_remove_of_an_unknown_name(self):
+        reg = CcRegistry()
+        beta = reg.register("beta", _reno)
+        alpha = reg.register("alpha", _reno)
+        assert reg.names() == ["alpha", "beta"]
+        assert reg.all() == [alpha, beta]
+        assert "beta" in reg and "gamma" not in reg
+        reg.remove("gamma")  # a no-op
+        assert reg.names() == ["alpha", "beta"]
 
     def test_registered_custom_policy_builds_by_name(self, fixed_rate):
         cc = make_cc(fixed_rate, rtt=0.2)

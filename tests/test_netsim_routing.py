@@ -161,11 +161,19 @@ class TestRouteTrees:
         assert searched == list(pairs)
         assert set(net._route_trees) == {a.ip, d.ip}
 
+    @staticmethod
+    def _probe(code):
+        """Run ``code`` in a fresh interpreter; its asserts are the test's."""
+        src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+        done = subprocess.run([sys.executable, "-c", code], timeout=120,
+                              env={**os.environ, "PYTHONPATH": src},
+                              capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
+
     def test_a_fabric_without_tied_routes_never_imports_networkx(self):
         # 0.17 s and some 15 MB in every process, socket-backend ones
         # included; scipy rides along to pin its own lazy import
-        src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
-        probe = (
+        self._probe(
             "import sys, repro, repro.aio, repro.apps\n"
             "def heavy(): return sorted({'networkx', 'scipy'} & set(sys.modules))\n"
             "assert not heavy(), ('imported', heavy())\n"
@@ -173,10 +181,23 @@ class TestRouteTrees:
             "run_fleet_workload('wan-mesh', hosts=16, flows=32)\n"
             "assert not heavy(), ('routing', heavy())\n"
         )
-        done = subprocess.run([sys.executable, "-c", probe], timeout=120,
-                              env={**os.environ, "PYTHONPATH": src},
-                              capture_output=True, text=True)
-        assert done.returncode == 0, done.stderr
+
+    def test_a_fleet_unit_imports_only_the_layers_it_runs(self):
+        # every module a process imports is start-up time (setup_s); a
+        # fleet unit runs sim + netsim, so Kompics and the middleware
+        # above it, the socket backend and the paper's harnesses stay out
+        self._probe(
+            "import sys, repro\n"
+            "def loaded(): return sorted(m for m in sys.modules if m.split('.')[0] == 'repro')\n"
+            "assert loaded() == ['repro', 'repro._version'], loaded()\n"
+            "from repro.bench.fleet import run_fleet_workload\n"
+            "run_fleet_workload('wan-mesh', hosts=16, flows=32)\n"
+            "above = ('repro.kompics', 'repro.messaging', 'repro.core', 'repro.apps', 'repro.aio')\n"
+            "harnesses = {'repro.bench.' + m for m in ('harness', 'scenario', 'chaos', 'faults', 'perf')}\n"
+            "stray = [m for m in loaded() if m in harnesses or '.'.join(m.split('.')[:2]) in above]\n"
+            "assert not stray, stray\n"
+            "assert len(loaded()) <= 40, (len(loaded()), loaded())\n"
+        )
 
     def test_connect_hosts_drops_the_trees(self):
         sim = Simulator()
