@@ -33,9 +33,9 @@ import asyncio
 import struct
 import time
 from collections import OrderedDict, deque
-from typing import Callable, Deque, Dict, Iterable, Optional, Sequence, Set, Tuple
+from typing import Callable, Deque, Dict, Iterable, Optional, Sequence, Set, Tuple, Type
 
-from repro.aio.pacing import MSS, SYN_INTERVAL, DaimdPacing, PacerFactory, PacingPolicy
+from repro.aio.pacing import MSS, SYN_INTERVAL, DaimdPacing
 from repro.aio.transport import (
     MAX_FRAME,
     MAX_HELLO,
@@ -82,14 +82,14 @@ class UdtLiteConnection(AioConnection):
         remote: Endpoint,
         initial_rate: float = 2 * 1024 * 1024,
         max_rate: float = 512 * 1024 * 1024,
-        pacer_factory: Optional[PacerFactory] = None,
+        pacer_factory: Optional[Type[DaimdPacing]] = None,
     ) -> None:
         super().__init__()
         self.endpoint = endpoint
         self.remote = remote
         self.max_rate = max_rate
         # The pacing policy owns the rate: DAIMD unless a test substitutes one.
-        self.pacer: PacingPolicy = (pacer_factory or DaimdPacing)(
+        self.pacer = (pacer_factory or DaimdPacing)(
             initial_rate, max_rate, time.monotonic()
         )
 
@@ -392,7 +392,7 @@ class UdtLiteEndpoint:
         on_connection: Optional[ConnectionHandler] = None,
         initial_rate: float = 2 * 1024 * 1024,
         adaptor: Optional[object] = None,
-        pacer_factory: Optional[PacerFactory] = None,
+        pacer_factory: Optional[Type[DaimdPacing]] = None,
     ) -> None:
         self.on_connection = on_connection
         self.initial_rate = initial_rate
@@ -602,7 +602,7 @@ class UdtLiteTransport(AioTransport):
 
     def __init__(self, initial_rate: float = 2 * 1024 * 1024,
                  adaptor: Optional[object] = None,
-                 pacer_factory: Optional[PacerFactory] = None) -> None:
+                 pacer_factory: Optional[Type[DaimdPacing]] = None) -> None:
         self.initial_rate = initial_rate
         self.adaptor = adaptor
         #: pacing policy for every connection this transport creates;

@@ -38,7 +38,7 @@ import time
 from collections import deque
 from contextlib import ExitStack
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Tuple
 
 from repro.bench.faults import FAULT_ENV, run_campaign_workload, wire_campaign_workload
 from repro.bench.report import campaign_document, failed
@@ -191,7 +191,6 @@ def run_chaos_campaign(
     seed: int = 0,
     p_component_fault: float = 0.6,
     cut_range: Tuple[float, float] = (0.3, 1.0),
-    reconnect: Optional[Dict[str, object]] = None,
     connect_timeout: float = 0.4,
 ) -> ChaosCampaignResult:
     """Random faults + link cuts under a fig8-shaped workload.
@@ -215,8 +214,6 @@ def run_chaos_campaign(
         "messaging.reconnect.enabled": True,
         "messaging.reconnect.jitter": 0.0,
     }
-    for key, value in (reconnect or {}).items():
-        sys_config[f"messaging.reconnect.{key}"] = value
 
     pair = TestbedPair(setup, seed=seed, sys_config=sys_config)
     pair.fabric.connect_timeout = connect_timeout

@@ -163,7 +163,7 @@ def run_fault_campaign(
     seed: int = 0,
     recovery: bool = True,
     fallback: bool = False,
-    reconnect: Optional[Dict[str, object]] = None,
+    jitter: Optional[float] = None,
     connect_timeout: float = 1.0,
 ) -> FaultCampaignResult:
     """Ping-pong + file transfer through a scripted fault timeline.
@@ -175,8 +175,8 @@ def run_fault_campaign(
     restored.  ``recovery=False`` runs the same timeline on the bare
     middleware (today's message-loss behaviour) for comparison.
 
-    ``reconnect`` entries override ``messaging.reconnect.*`` keys, e.g.
-    ``{"jitter": 0.0, "base_delay": 0.1}``.  ``connect_timeout`` governs
+    ``jitter`` overrides ``messaging.reconnect.jitter`` (0 gives the
+    exact backoff schedule).  ``connect_timeout`` governs
     how long a dial into a dead link blocks before failing — campaigns
     want it well below the paper-faithful 5 s default so backoff, not the
     dial timeout, dominates the recovery time.
@@ -186,8 +186,8 @@ def run_fault_campaign(
     sys_config: Dict[str, object] = {}
     if recovery:
         sys_config["messaging.reconnect.enabled"] = True
-        for key, value in (reconnect or {}).items():
-            sys_config[f"messaging.reconnect.{key}"] = value
+        if jitter is not None:
+            sys_config["messaging.reconnect.jitter"] = jitter
     if fallback:
         sys_config["messaging.fallback.enabled"] = True
 

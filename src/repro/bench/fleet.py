@@ -79,7 +79,6 @@ def plan_flows(
     pattern: str = "uniform",
     arrival_window: float = 6.0,
     mean_flow_bytes: int = 1 * MB,
-    msg_size: int = 64 * 1024,
     udt_fraction: float = 0.25,
 ) -> Tuple[FlowPlan, ...]:
     """Draw a deterministic flow plan from ``(topology, flows, seed)``.
@@ -187,7 +186,7 @@ def run_fleet_workload(
     errors — incast is *supposed* to leave stragglers).
 
     ``cc_arms`` sweeps congestion-control policies: each flow is pinned
-    to ``arms[index % len(arms)]`` (registry names — ``reno``, ``cubic``,
+    to ``arms[index % len(arms)]`` (``CC_POLICIES`` names — ``reno``, ``cubic``,
     ``bbr``, ...) instead of the plan's TCP/UDT draw.  The assignment is
     index-derived, not RNG-drawn, so the flow plan — and with
     ``cc_arms=None`` the whole run — is byte-identical to the default.
@@ -196,8 +195,7 @@ def run_fleet_workload(
     plans = plan_flows(
         topo, flows, seed=seed, pattern=pattern,
         arrival_window=arrival_window,
-        mean_flow_bytes=max(1, int(mean_flow_mb * MB)),
-        msg_size=msg_size, udt_fraction=udt_fraction,
+        mean_flow_bytes=max(1, int(mean_flow_mb * MB)), udt_fraction=udt_fraction,
     )
 
     sim = Simulator()

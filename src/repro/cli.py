@@ -276,7 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     cc = sub.add_parser(
         "cc",
-        help="pluggable congestion-control policies (the netsim registry)",
+        help="pluggable congestion-control policies (the netsim policy table)",
     )
     cc_sub = cc.add_subparsers(dest="cc_action", required=True)
     cc_sub.add_parser("list", help="list registered congestion-control policies")
@@ -470,7 +470,7 @@ def cmd_faults(args: argparse.Namespace) -> int:
         degrade_at=args.degrade_at,
         recovery=not args.no_recovery,
         fallback=args.fallback,
-        reconnect={} if args.jitter is None else {"jitter": args.jitter},
+        jitter=args.jitter,
     )
 
 
@@ -556,11 +556,10 @@ def cmd_fleet(args: argparse.Namespace) -> int:
 def cmd_cc(args: argparse.Namespace) -> int:
     from repro.netsim.congestion import CC_POLICIES
 
-    policies = CC_POLICIES.all()
-    width = max(len(p.name) for p in policies)
+    width = max(map(len, CC_POLICIES))
     print("netsim congestion-control policies (connect(..., cc=NAME)):")
-    for policy in policies:
-        print(f"  {policy.name:<{width}}  {policy.description}")
+    for name, (_, description) in sorted(CC_POLICIES.items()):
+        print(f"  {name:<{width}}  {description}")
     return 0
 
 

@@ -6,8 +6,8 @@ event queue, lifecycle).  The paper's execution semantics (§II-A) are kept:
 
 * a component is scheduled on at most one thread at a time, so handlers
   access component state without synchronisation;
-* when scheduled, it handles queued events until the queue drains or a
-  configurable maximum batch size is reached (throughput vs fairness
+* when scheduled, it handles queued events until the queue drains or
+  :data:`MAX_EVENTS_PER_SCHEDULE` is reached (throughput vs fairness
   trade-off), then goes to the back of the ready queue;
 * events with no matching subscribed handler are silently dropped.
 """
@@ -28,6 +28,10 @@ from repro.kompics.port import Port, PortType
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.kompics.runtime import KompicsSystem
     from repro.kompics.supervision import SupervisionPolicy
+
+
+#: events one scheduling of a component handles before it yields its thread
+MAX_EVENTS_PER_SCHEDULE = 32
 
 
 class ComponentState(enum.Enum):
@@ -72,7 +76,7 @@ class ComponentCore:
         self._control_queue: Deque[KompicsEvent] = deque()
         self._lock = threading.Lock()
         self._scheduled = False
-        self.max_batch = system.config.get_int("kompics.max_events_per_schedule", 32)
+        self.max_batch = MAX_EVENTS_PER_SCHEDULE
         self.events_handled = 0
         # Under the SimScheduler everything runs on the driving thread, so
         # the intake/batch paths can skip the queue lock entirely; the

@@ -26,18 +26,8 @@ from repro.util.config import Config
 from repro.util.ids import IdGenerator
 from repro.util.rng import RngRegistry
 
-DEFAULT_CONFIG = {
-    "kompics.max_events_per_schedule": 32,
-    "kompics.fault_policy": "raise",  # or "store"
-    # Supervision (see repro.kompics.supervision); default-off keeps the
-    # fault path byte-identical to the unsupervised runtime.
-    "kompics.supervision.enabled": False,
-    "kompics.supervision.action": "escalate",  # ignore|restart|escalate|destroy
-    "kompics.supervision.max_restarts": 5,
-    "kompics.supervision.window": 30.0,
-    # Dead-letter ring buffer capacity (most recent kept).
-    "kompics.deadletters.keep": 256,
-}
+#: dead letters kept for inspection (a ring: the most recent survive)
+DEADLETTERS_KEPT = 256
 
 
 class KompicsSystem:
@@ -56,7 +46,7 @@ class KompicsSystem:
         self.scheduler = scheduler
         self.clock = clock
         self.simulator = simulator
-        self.config = Config(DEFAULT_CONFIG).with_overrides(config or {})
+        self.config = Config(config)
         self.rngs = RngRegistry(seed)
         self.ids = IdGenerator()
         self.components: List[Component] = []
@@ -75,8 +65,7 @@ class KompicsSystem:
         # subscribed to; see repro.kompics.supervision).
         self.supervision = Supervisor(self)
         self.deadletters_total = 0
-        keep = self.config.get_int("kompics.deadletters.keep", 256)
-        self.deadletters: Deque[DeadLetter] = deque(maxlen=keep)
+        self.deadletters: Deque[DeadLetter] = deque(maxlen=DEADLETTERS_KEPT)
         self._m_deadletters = self.metrics.counter("kompics.deadletters_total", system=name)
 
     # ------------------------------------------------------------------

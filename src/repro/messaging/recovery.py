@@ -17,8 +17,8 @@ ChannelPool` hands the key over and the recovery engine
 * queues messages sent towards the recovering destination up to a bounded
   in-flight limit, failing their notifications beyond it;
 * flushes the queue onto the fresh channel on success, or reports the
-  campaign as exhausted after ``max_attempts`` so the owner can degrade
-  (transport fallback) or fail the pending sends.
+  campaign as exhausted after :data:`MAX_ATTEMPTS` dials so the owner can
+  degrade (transport fallback) or fail the pending sends.
 
 Everything is **default-off**: without ``messaging.reconnect.enabled``
 the pool never constructs a recovery engine and behaves byte-for-byte as
@@ -29,17 +29,15 @@ AioNetwork` builds a :class:`ReconnectPolicy` from the same config keys
 and sleeps ``delay_for(attempt)`` between redial attempts of a failed
 batch, so post-crash redial storms back off identically on both backends.
 
-Config keys (all under ``messaging.reconnect.*``)::
+Config keys (both under ``messaging.reconnect.*``)::
 
     enabled       bool    master switch (default False)
-    base_delay    float   first retry delay, seconds (default 0.2)
     jitter        float   +/- fraction of the delay, drawn from a seeded
                           stream (default 0.1; 0 disables draws entirely)
-    max_attempts  int     dials before giving up (default 6)
-    queue_limit   int     max messages parked per recovering channel
-                          (default 128)
 
-The delay doubles per attempt (:data:`MULTIPLIER`) up to :data:`MAX_DELAY`.
+The first retry waits :data:`BASE_DELAY`, the delay doubles per attempt
+(:data:`MULTIPLIER`) up to :data:`MAX_DELAY`, a campaign gives up after
+:data:`MAX_ATTEMPTS` dials and parks at most :data:`QUEUE_LIMIT` messages.
 """
 
 from __future__ import annotations
@@ -57,33 +55,31 @@ Socket = Tuple[str, int]
 #: cycle — ``(remote socket, Proto)``
 ChannelKey = Tuple[Socket, Any]
 
+#: first retry delay, seconds
+BASE_DELAY = 0.2
 #: backoff growth factor per reconnect attempt
 MULTIPLIER = 2.0
 #: backoff cap, seconds
 MAX_DELAY = 5.0
+#: dials before a campaign gives up
+MAX_ATTEMPTS = 6
+#: messages parked per recovering channel; sends beyond it fail
+QUEUE_LIMIT = 128
 
 
 @dataclass(frozen=True)
 class ReconnectPolicy:
-    """Backoff schedule and queueing bounds for one pool's recovery."""
+    """The jitter of one pool's backoff schedule."""
 
-    base_delay: float = 0.2
     jitter: float = 0.1
-    max_attempts: int = 6
-    queue_limit: int = 128
 
     @classmethod
     def from_config(cls, config) -> "ReconnectPolicy":
-        return cls(
-            base_delay=config.get_float("messaging.reconnect.base_delay", cls.base_delay),
-            jitter=config.get_float("messaging.reconnect.jitter", cls.jitter),
-            max_attempts=config.get_int("messaging.reconnect.max_attempts", cls.max_attempts),
-            queue_limit=config.get_int("messaging.reconnect.queue_limit", cls.queue_limit),
-        )
+        return cls(jitter=config.get_float("messaging.reconnect.jitter", cls.jitter))
 
     def delay_for(self, attempt: int, rng=None) -> float:
         """Delay before 0-based reconnect ``attempt``, jittered."""
-        delay = min(self.base_delay * (MULTIPLIER ** attempt), MAX_DELAY)
+        delay = min(BASE_DELAY * (MULTIPLIER ** attempt), MAX_DELAY)
         if rng is not None and self.jitter > 0.0:
             delay *= 1.0 + self.jitter * (2.0 * rng.random() - 1.0)
         return delay
@@ -163,7 +159,7 @@ class ChannelRecovery:
             campaign.dialing = False  # the dial we were waiting on failed
         else:
             return  # duplicate loss report; the next dial is already set
-        if campaign.attempts >= self.policy.max_attempts:
+        if campaign.attempts >= MAX_ATTEMPTS:
             self._finish_give_up(campaign, reason)
             return
         delay = self.policy.delay_for(campaign.attempts, self.rng)
@@ -181,7 +177,7 @@ class ChannelRecovery:
         campaign = self.campaigns.get(key)
         if campaign is None:
             return False
-        if len(campaign.queue) >= self.policy.queue_limit:
+        if len(campaign.queue) >= QUEUE_LIMIT:
             self._m_queue_drops.inc()
             return False
         campaign.queue.append(wire)

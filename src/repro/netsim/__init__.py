@@ -23,20 +23,14 @@ ramps, bandwidth-delay limits and head-of-line queueing delay.
 from repro.netsim.congestion import (
     CC_POLICIES,
     BbrCc,
-    CcContext,
-    CcPolicy,
-    CcRegistry,
     CongestionControl,
     CubicCc,
-    DuplicateCcError,
     LedbatCc,
     TcpCc,
     UdpCc,
     UdtCc,
     UnknownCcError,
-    cc_names,
     make_cc,
-    register_cc,
 )
 from repro.netsim.connection import Connection, ConnectionState, WireMessage
 from repro.netsim.disk import DiskModel
@@ -68,13 +62,7 @@ __all__ = [
     "CubicCc",
     "BbrCc",
     "CC_POLICIES",
-    "CcRegistry",
-    "CcPolicy",
-    "CcContext",
     "UnknownCcError",
-    "DuplicateCcError",
-    "register_cc",
-    "cc_names",
     "make_cc",
     "DiskModel",
     "FaultInjector",

@@ -1,4 +1,4 @@
-"""Fluid-flow congestion-control models and the pluggable policy registry.
+"""Fluid-flow congestion-control models and the table of named policies.
 
 Each reliable connection direction owns a controller that answers "how fast
 does the protocol want to send right now?" (``demand_rate``) and reacts to
@@ -9,12 +9,12 @@ transmitting ``cwnd`` bytes takes exactly one RTT, so slow start doubles
 per RTT and congestion avoidance gains one MSS per RTT.
 
 Controllers are *policies*, not transports: connections look them up by
-name in :data:`CC_POLICIES` (see ``docs/congestion.md``), so new variants
-are drop-in scenario axes without touching the datapath.  The built-in catalog covers the paper's pair
-(Reno-style ``reno``, DAIMD ``udt``) plus ``cubic`` (window growth as a
-cubic of time since the last loss) and ``bbr`` (rate pacing with a
-gain-cycling probe phase), with ``udp`` and ``ledbat`` rounding out the
-protocol set.
+name in :data:`CC_POLICIES` (see ``docs/congestion.md``), so a variant is
+a scenario axis without touching the datapath.  The table covers the
+paper's pair (Reno-style ``reno``, DAIMD ``udt``) plus ``cubic`` (window
+growth as a cubic of time since the last loss) and ``bbr`` (rate pacing
+with a gain-cycling probe phase), with ``udp`` and ``ledbat`` rounding out
+the protocol set.
 """
 
 from __future__ import annotations
@@ -22,8 +22,7 @@ from __future__ import annotations
 import difflib
 import math
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, Optional, Tuple
 
 MSS = 1448.0  # bytes of payload per TCP segment
 
@@ -113,28 +112,27 @@ class CongestionControl(ABC):
         return math.nan
 
 
+#: TCP socket buffer (send and receive alike), bytes: it caps the window
+TCP_BUFFER = 8 * 1024 * 1024
+
+
 class TcpCc(CongestionControl):
     """TCP Reno-style slow start + AIMD with a window cap.
 
-    The window cap ``wnd_max = min(send_buffer, receive_buffer)`` models the
+    The window cap ``wnd_max`` (:data:`TCP_BUFFER`) models the
     socket-buffer/BDP throughput limit that makes TCP collapse on
     high-RTT links (paper §I, §V-B), and random loss triggers at most one
-    multiplicative decrease per RTT (a loss episode).
+    multiplicative decrease per RTT (a loss episode).  Window controllers
+    that differ only in their congestion-avoidance growth and their
+    decrease (:class:`CubicCc`) override :meth:`_avoid` and
+    :meth:`_decrease`.
     """
 
-    subject_to_udp_cap = False
-
-    def __init__(
-        self,
-        rtt: float,
-        send_buffer: float = 8 * 1024 * 1024,
-        receive_buffer: float = 8 * 1024 * 1024,
-        initial_cwnd_segments: int = 10,
-    ) -> None:
+    def __init__(self, rtt: float) -> None:
         super().__init__()
         self.rtt = max(rtt, 1e-5)
-        self.wnd_max = min(send_buffer, receive_buffer)
-        self.cwnd = initial_cwnd_segments * MSS
+        self.wnd_max = TCP_BUFFER
+        self.cwnd = 10 * MSS  # initial window: ten segments
         self.ssthresh = math.inf
         self._last_md = -math.inf
         self.loss_episodes = 0
@@ -154,28 +152,41 @@ class TcpCc(CongestionControl):
         if cwnd < self.ssthresh:
             cwnd += nbytes  # slow start: double per RTT
         else:
-            cwnd += MSS * nbytes / cwnd  # CA: +MSS per RTT
+            cwnd = self._avoid(cwnd, nbytes, now)
         if cwnd > self.wnd_max:
             cwnd = self.wnd_max
         if cwnd != self.cwnd:
             self.cwnd = cwnd
             self.demand_gen += 1
 
+    def _avoid(self, cwnd: float, nbytes: int, now: float) -> float:
+        """The window after ``nbytes`` are acked in congestion avoidance."""
+        return cwnd + MSS * nbytes / cwnd  # +MSS per RTT
+
     def on_loss(self, now: float) -> None:
         if now - self._last_md < self.rtt:
             return  # one decrease per loss episode
         self._last_md = now
         self.loss_episodes += 1
-        self.ssthresh = max(self.cwnd / 2.0, 2 * MSS)
-        if self.cwnd != self.ssthresh:
-            self.cwnd = self.ssthresh
+        cwnd = self.ssthresh = self._decrease(now)
+        if cwnd != self.cwnd:
+            self.cwnd = cwnd
             self.demand_gen += 1
+
+    def _decrease(self, now: float) -> float:
+        """The window (and new ``ssthresh``) after a loss episode starts."""
+        return max(self.cwnd / 2.0, 2 * MSS)
 
     def window_bytes(self) -> float:
         return min(max(self.cwnd, 2 * MSS), self.wnd_max)
 
     def current_rate(self) -> float:
         return self.window_bytes() / self.rtt
+
+
+#: UDT receive buffer, bytes: the paper raised Netty-UDT's 12 MB default
+#: to 100 MB to avoid receiver-side loss on high-BDP links (§V-A)
+UDT_RECEIVE_BUFFER = 100 * 1024 * 1024
 
 
 class UdtCc(CongestionControl):
@@ -203,7 +214,7 @@ class UdtCc(CongestionControl):
         self,
         rtt: float,
         bandwidth_estimate: float,
-        receive_buffer: float = 100 * 1024 * 1024,
+        receive_buffer: float = UDT_RECEIVE_BUFFER,
         initial_rate: float = 128 * 1024,
         min_rate: float = 64 * 1024,
         max_rate: float = math.inf,
@@ -362,7 +373,7 @@ class LedbatCc(CongestionControl):
         return max(self.rate, self.min_rate)
 
 
-class CubicCc(CongestionControl):
+class CubicCc(TcpCc):
     """CUBIC-style window growth (RFC 8312's fluid skeleton).
 
     Between losses the window chases ``W(t) = C·(t−K)³ + W_max`` (in
@@ -380,73 +391,29 @@ class CubicCc(CongestionControl):
     C = 0.4  # cubic coefficient, segments / s^3 (RFC 8312 default)
     BETA = 0.7  # multiplicative decrease factor (RFC 8312 default)
 
-    def __init__(
-        self,
-        rtt: float,
-        send_buffer: float = 8 * 1024 * 1024,
-        receive_buffer: float = 8 * 1024 * 1024,
-        initial_cwnd_segments: int = 10,
-    ) -> None:
-        super().__init__()
-        self.rtt = max(rtt, 1e-5)
-        self.wnd_max = min(send_buffer, receive_buffer)
-        self.cwnd = initial_cwnd_segments * MSS
-        self.ssthresh = math.inf
+    def __init__(self, rtt: float) -> None:
+        super().__init__(rtt)
         self._w_max = 0.0  # plateau window at the last loss, segments
         self._k = 0.0  # seconds from loss to plateau recrossing
         self._epoch_start = -math.inf  # time of the last loss response
-        self._last_md = -math.inf
-        self.loss_episodes = 0
 
-    def demand_rate(self, now: float) -> float:
-        wnd = self.cwnd
-        floor = 2 * MSS
-        if wnd < floor:
-            wnd = floor
-        wnd_max = self.wnd_max
-        if wnd > wnd_max:
-            wnd = wnd_max
-        return wnd / self.rtt
+    def _avoid(self, cwnd: float, nbytes: int, now: float) -> float:
+        # Chase the cubic target, ack-clocked: never more than one byte of
+        # window per acked byte (W(t) is >= cwnd for t >= 0, so the window
+        # is monotone between losses).
+        t = now - self._epoch_start
+        target = (self.C * (t - self._k) ** 3 + self._w_max) * MSS
+        if target > cwnd:
+            grown = cwnd + nbytes
+            return target if target < grown else grown
+        return cwnd
 
-    def on_bytes_sent(self, nbytes: int, now: float) -> None:
-        cwnd = self.cwnd
-        if cwnd < self.ssthresh:
-            cwnd += nbytes  # slow start: double per RTT
-        else:
-            # Chase the cubic target, ack-clocked: never more than one
-            # byte of window per acked byte (W(t) is >= cwnd for t >= 0,
-            # so the window is monotone between losses).
-            t = now - self._epoch_start
-            target = (self.C * (t - self._k) ** 3 + self._w_max) * MSS
-            if target > cwnd:
-                grown = cwnd + nbytes
-                cwnd = target if target < grown else grown
-        if cwnd > self.wnd_max:
-            cwnd = self.wnd_max
-        if cwnd != self.cwnd:
-            self.cwnd = cwnd
-            self.demand_gen += 1
-
-    def on_loss(self, now: float) -> None:
-        if now - self._last_md < self.rtt:
-            return  # one decrease per loss episode
-        self._last_md = now
-        self.loss_episodes += 1
+    def _decrease(self, now: float) -> float:
         w = max(self.cwnd, 2 * MSS)
         self._w_max = w / MSS
         self._k = (self._w_max * (1.0 - self.BETA) / self.C) ** (1.0 / 3.0)
         self._epoch_start = now
-        cwnd = max(w * self.BETA, 2 * MSS)
-        self.ssthresh = cwnd
-        if cwnd != self.cwnd:
-            self.cwnd = cwnd
-            self.demand_gen += 1
-
-    def window_bytes(self) -> float:
-        return min(max(self.cwnd, 2 * MSS), self.wnd_max)
-
-    def current_rate(self) -> float:
-        return self.window_bytes() / self.rtt
+        return max(w * self.BETA, 2 * MSS)
 
 
 class BbrCc(CongestionControl):
@@ -559,115 +526,57 @@ class BbrCc(CongestionControl):
 
 
 # ----------------------------------------------------------------------
-# the policy registry: name -> controller factory
+# the policy table: name -> (controller factory, description)
 # ----------------------------------------------------------------------
 
+#: UDT implementation processing cap ("limited by internal queue and
+#: buffer sizes" on loopback, §V-B): the 40 MiB/s calibration
+UDT_MAX_RATE = 40 * 1024 * 1024
+
+
+def _capped_estimate(bandwidth: float, udp_cap: Optional[float],
+                     ceiling: float = math.inf) -> float:
+    return min(bandwidth, udp_cap if udp_cap is not None else math.inf, ceiling)
+
+
+def _udt(rtt: float, bandwidth: float, udp_cap: Optional[float], config: Any) -> UdtCc:
+    receive_buffer = UDT_RECEIVE_BUFFER if config is None else config.get_float(
+        "net.udt.receive_buffer", UDT_RECEIVE_BUFFER)
+    return UdtCc(
+        rtt=rtt,
+        bandwidth_estimate=_capped_estimate(bandwidth, udp_cap, UDT_MAX_RATE),
+        receive_buffer=receive_buffer,
+        max_rate=UDT_MAX_RATE,
+    )
+
+
+CcFactory = Callable[[float, float, Optional[float], Any], CongestionControl]
+
+#: every congestion-control policy a connection can name (``cc=``).  A
+#: factory takes the dialed path's ``(rtt, bandwidth, udp_cap)`` and the
+#: owning network's :class:`~repro.util.config.Config` (None when a
+#: controller is built standalone).
+CC_POLICIES: Dict[str, Tuple[CcFactory, str]] = {
+    "bbr": (lambda rtt, bandwidth, udp_cap, config: BbrCc(rtt, bandwidth),
+            "BBR rate pacing: startup doubling, then a gain-cycled probe"),
+    "cubic": (lambda rtt, bandwidth, udp_cap, config: CubicCc(rtt),
+              "CUBIC window growth: cubic-of-time recovery/probe around W_max"),
+    "ledbat": (lambda rtt, bandwidth, udp_cap, config:
+               LedbatCc(rtt, _capped_estimate(bandwidth, udp_cap)),
+               "LEDBAT scavenger: yields to any foreground traffic"),
+    "reno": (lambda rtt, bandwidth, udp_cap, config: TcpCc(rtt),
+             "TCP Reno: slow start + AIMD, socket-buffer window cap"),
+    "udp": (lambda rtt, bandwidth, udp_cap, config: UdpCc(),
+            "no congestion control, unreliable, unordered"),
+    "udt": (_udt, "UDT DAIMD rate control (SYN-interval ramp, x8/9 decrease)"),
+}
+
+
 class UnknownCcError(KeyError):
-    """Raised on a lookup of a name no policy was registered under."""
+    """Raised on a lookup of a name no policy is listed under."""
 
     def __str__(self) -> str:  # KeyError wraps its message in repr()
         return self.args[0] if self.args else ""
-
-
-class DuplicateCcError(ValueError):
-    """Raised when a second factory is registered under an existing name."""
-
-
-@dataclass(frozen=True)
-class CcContext:
-    """Everything a policy factory may consult when building a controller.
-
-    ``rtt``/``bandwidth``/``udp_cap`` describe the dialed path; ``config``
-    is the owning network's :class:`~repro.util.config.Config` (or None
-    when built standalone — factories fall back to the netsim defaults).
-    """
-
-    rtt: float = 0.1
-    bandwidth: float = math.inf
-    udp_cap: Optional[float] = None
-    config: Any = None
-
-    def get_float(self, key: str, default: float) -> float:
-        if self.config is None:
-            return default
-        return self.config.get_float(key, default)
-
-
-CcFactory = Callable[[CcContext], CongestionControl]
-
-
-@dataclass(frozen=True)
-class CcPolicy:
-    """One registered congestion-control policy."""
-
-    name: str
-    factory: CcFactory
-    description: str = ""
-
-    def build(self, ctx: CcContext) -> CongestionControl:
-        return self.factory(ctx)
-
-
-class CcRegistry:
-    """Name -> :class:`CcPolicy`, strict.
-
-    Registering a taken name raises :class:`DuplicateCcError` instead of
-    silently shadowing the earlier policy; an unknown lookup raises
-    :class:`UnknownCcError` with a did-you-mean suggestion and the
-    registered names.
-    """
-
-    def __init__(self) -> None:
-        self._policies: Dict[str, CcPolicy] = {}
-
-    def register(
-        self, name: str, factory: CcFactory, *, description: str = ""
-    ) -> CcPolicy:
-        existing = self._policies.get(name)
-        if existing is not None:
-            raise DuplicateCcError(
-                f"congestion-control policy {name!r} is already registered "
-                f"(by {existing.factory!r}); "
-                f"pick a distinct name or remove() the old entry first"
-            )
-        policy = self._policies[name] = CcPolicy(name, factory, description)
-        return policy
-
-    def remove(self, name: str) -> None:
-        """Drop a registration (test hygiene; unknown names are a no-op)."""
-        self._policies.pop(name, None)
-
-    def get(self, name: str) -> CcPolicy:
-        policy = self._policies.get(name)
-        if policy is not None:
-            return policy
-        close = difflib.get_close_matches(name, sorted(self._policies), n=3)
-        hint = f"; did you mean {' or '.join(repr(c) for c in close)}?" if close else ""
-        raise UnknownCcError(
-            f"unknown congestion-control policy {name!r}{hint} "
-            f"(registered: {', '.join(sorted(self._policies))})"
-        )
-
-    def __contains__(self, name: object) -> bool:
-        return name in self._policies
-
-    def names(self) -> List[str]:
-        return sorted(self._policies)
-
-    def all(self) -> List[CcPolicy]:
-        return [self._policies[name] for name in sorted(self._policies)]
-
-
-#: the process-wide policy registry; connections resolve ``cc=`` names here
-CC_POLICIES = CcRegistry()
-
-
-def register_cc(name: str, factory: CcFactory, *, description: str = "") -> CcPolicy:
-    return CC_POLICIES.register(name, factory, description=description)
-
-
-def cc_names() -> List[str]:
-    return CC_POLICIES.names()
 
 
 def make_cc(
@@ -678,73 +587,13 @@ def make_cc(
     udp_cap: Optional[float] = None,
     config: Any = None,
 ) -> CongestionControl:
-    """Build the controller registered as ``name`` for the dialed path."""
-    ctx = CcContext(rtt=rtt, bandwidth=bandwidth, udp_cap=udp_cap, config=config)
-    return CC_POLICIES.get(name).build(ctx)
-
-
-# ----------------------------------------------------------------------
-# built-in policies (parameter resolution matches the historical
-# hard-coded construction in SimNetwork.make_congestion_control exactly,
-# so default runs are byte-identical)
-# ----------------------------------------------------------------------
-
-def _buffered_window_kwargs(ctx: CcContext) -> Dict[str, Any]:
-    return dict(
-        rtt=ctx.rtt,
-        send_buffer=ctx.get_float("net.tcp.send_buffer", 8 * 1024 * 1024),
-        receive_buffer=ctx.get_float("net.tcp.receive_buffer", 8 * 1024 * 1024),
-    )
-
-
-def _reno_factory(ctx: CcContext) -> CongestionControl:
-    return TcpCc(**_buffered_window_kwargs(ctx))
-
-
-def _cubic_factory(ctx: CcContext) -> CongestionControl:
-    return CubicCc(**_buffered_window_kwargs(ctx))
-
-
-def _capped_estimate(ctx: CcContext, ceiling: float = math.inf) -> float:
-    cap = ctx.udp_cap if ctx.udp_cap is not None else math.inf
-    return min(ctx.bandwidth, cap, ceiling)
-
-
-#: UDT implementation processing cap ("limited by internal queue and
-#: buffer sizes" on loopback, §V-B): the 40 MiB/s calibration
-UDT_MAX_RATE = 40 * 1024 * 1024
-
-
-def _udt_factory(ctx: CcContext) -> CongestionControl:
-    return UdtCc(
-        rtt=ctx.rtt,
-        bandwidth_estimate=_capped_estimate(ctx, UDT_MAX_RATE),
-        receive_buffer=ctx.get_float("net.udt.receive_buffer", 100 * 1024 * 1024),
-        max_rate=UDT_MAX_RATE,
-    )
-
-
-def _bbr_factory(ctx: CcContext) -> CongestionControl:
-    return BbrCc(rtt=ctx.rtt, bandwidth_estimate=ctx.bandwidth)
-
-
-def _udp_factory(ctx: CcContext) -> CongestionControl:
-    return UdpCc()
-
-
-def _ledbat_factory(ctx: CcContext) -> CongestionControl:
-    return LedbatCc(rtt=ctx.rtt, bandwidth_estimate=_capped_estimate(ctx))
-
-
-register_cc("reno", _reno_factory,
-            description="TCP Reno: slow start + AIMD, socket-buffer window cap")
-register_cc("cubic", _cubic_factory,
-            description="CUBIC window growth: cubic-of-time recovery/probe around W_max")
-register_cc("bbr", _bbr_factory,
-            description="BBR rate pacing: startup doubling, then a gain-cycled probe")
-register_cc("udt", _udt_factory,
-            description="UDT DAIMD rate control (SYN-interval ramp, x8/9 decrease)")
-register_cc("udp", _udp_factory,
-            description="no congestion control, unreliable, unordered")
-register_cc("ledbat", _ledbat_factory,
-            description="LEDBAT scavenger: yields to any foreground traffic")
+    """Build the controller listed as ``name`` for the dialed path."""
+    entry = CC_POLICIES.get(name)
+    if entry is None:
+        close = difflib.get_close_matches(name, sorted(CC_POLICIES), n=3)
+        hint = f"; did you mean {' or '.join(repr(c) for c in close)}?" if close else ""
+        raise UnknownCcError(
+            f"unknown congestion-control policy {name!r}{hint} "
+            f"(registered: {', '.join(sorted(CC_POLICIES))})"
+        )
+    return entry[0](rtt, bandwidth, udp_cap, config)

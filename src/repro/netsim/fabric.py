@@ -29,18 +29,8 @@ from repro.util.rng import RngRegistry
 #: delays, far below any difference between generated link delays.
 ROUTE_TIE_TOLERANCE = 1e-9
 
-NETSIM_DEFAULTS = {
-    # TCP socket buffers; min(send, receive) caps the window (BDP limit).
-    "net.tcp.send_buffer": 8 * 1024 * 1024,
-    "net.tcp.receive_buffer": 8 * 1024 * 1024,
-    # UDT buffers: the paper raised Netty-UDT's 12 MB default to 100 MB to
-    # avoid receiver-side loss on high-BDP links (§V-A).
-    "net.udt.receive_buffer": 100 * 1024 * 1024,
-    "net.udp.socket_buffer": 2 * 1024 * 1024,
-}
-
 #: the congestion-control policy each wire protocol dials with unless a
-#: connection or listener names another (``cc=``); registry names in
+#: connection or listener names another (``cc=``); names in
 #: :data:`repro.netsim.congestion.CC_POLICIES`
 DEFAULT_CC = {Proto.TCP: "reno", Proto.UDT: "udt", Proto.UDP: "udp", Proto.LEDBAT: "ledbat"}
 
@@ -60,7 +50,7 @@ class SimNetwork:
     ) -> None:
         self.sim = sim
         self.rngs = RngRegistry(seed).fork("netsim")
-        self.config = Config(NETSIM_DEFAULTS).with_overrides(config or {})
+        self.config = Config(config)
         self.ids = IdGenerator()
         self.connect_timeout = connect_timeout
         self.metrics = get_registry()
@@ -324,7 +314,7 @@ class SimNetwork:
     ) -> CongestionControl:
         """Build the congestion controller for a dialing connection.
 
-        The policy is resolved from the registry: an explicit ``cc=`` name
+        The policy is looked up in ``CC_POLICIES``: an explicit ``cc=`` name
         wins, otherwise :data:`DEFAULT_CC` names the protocol's default.
         """
         return make_cc(

@@ -16,6 +16,8 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 Endpoint = Tuple[str, int]
 
 EPHEMERAL_BASE = 49152
+#: bytes a UDP socket queues before sends fail (dropped at the sender)
+UDP_SOCKET_BUFFER = 2 * 1024 * 1024
 
 
 class Listener:
@@ -111,7 +113,7 @@ class NetworkStack:
 
         ``hello`` is an opaque payload carried with the handshake and
         exposed to the acceptor as ``conn.peer_hello``.  ``cc`` picks the
-        congestion-control policy by registry name; None keeps the
+        congestion-control policy by its ``CC_POLICIES`` name; None keeps the
         per-protocol default.
         """
         remote_ip, remote_port = remote
@@ -179,11 +181,7 @@ class NetworkStack:
     ) -> Connection:
         cc = self.network.make_congestion_control(proto, rtt, out_dir, cc=cc)
         conn_id = self.network.ids.next("connection")
-        queue_limit = (
-            self.network.config.get_float("net.udp.socket_buffer", 2 * 1024 * 1024)
-            if proto is Proto.UDP
-            else float("inf")
-        )
+        queue_limit = UDP_SOCKET_BUFFER if proto is Proto.UDP else float("inf")
 
         conn_box: List[Connection] = []
 

@@ -1,8 +1,7 @@
-"""Hierarchical configuration with dotted keys.
+"""Configuration with dotted keys.
 
 Mirrors the Kompics config abstraction: components read typed values by
-dotted key, with library defaults overridable per system and per experiment
-(``with_overrides`` creates cheap layered views).
+dotted key, and each read site states the key's default.
 """
 
 from __future__ import annotations
@@ -15,20 +14,14 @@ _MISSING = object()
 
 
 class Config:
-    """Layered string-keyed configuration."""
+    """String-keyed configuration: the values a system or network was given."""
 
-    def __init__(self, values: Optional[Mapping[str, Any]] = None, parent: Optional["Config"] = None) -> None:
+    def __init__(self, values: Optional[Mapping[str, Any]] = None) -> None:
         self._values: Dict[str, Any] = dict(values or {})
-        self._parent = parent
 
-    # ------------------------------------------------------------------
-    # reads
-    # ------------------------------------------------------------------
     def get(self, key: str, default: Any = _MISSING) -> Any:
         if key in self._values:
             return self._values[key]
-        if self._parent is not None:
-            return self._parent.get(key, default)
         if default is _MISSING:
             raise ConfigError(f"missing config key {key!r}")
         return default
@@ -62,24 +55,3 @@ class Config:
             if lowered in ("false", "no", "off", "0"):
                 return False
         raise ConfigError(f"config key {key!r}={value!r} is not a valid bool")
-
-    def __contains__(self, key: str) -> bool:
-        return key in self._values or (self._parent is not None and key in self._parent)
-
-    # ------------------------------------------------------------------
-    # writes / layering
-    # ------------------------------------------------------------------
-    def set(self, key: str, value: Any) -> None:
-        self._values[key] = value
-
-    def with_overrides(self, overrides: Mapping[str, Any]) -> "Config":
-        """Return a child view where ``overrides`` shadow this config."""
-        return Config(overrides, parent=self)
-
-    def flattened(self) -> Dict[str, Any]:
-        """All visible key/value pairs, overrides applied."""
-        out: Dict[str, Any] = {}
-        if self._parent is not None:
-            out.update(self._parent.flattened())
-        out.update(self._values)
-        return out

@@ -5,7 +5,7 @@ import asyncio
 
 import pytest
 
-from repro.aio.pacing import MIN_RATE, MSS, SYN_INTERVAL, DaimdPacing, PacingPolicy
+from repro.aio.pacing import MIN_RATE, MSS, SYN_INTERVAL, DaimdPacing
 from repro.aio.udt import UdtLiteTransport
 
 HOST = "127.0.0.1"
@@ -23,7 +23,7 @@ async def free_port() -> int:
         return s.getsockname()[1]
 
 
-class FixedPacing(PacingPolicy):
+class FixedPacing(DaimdPacing):
     """A test-local pacer whose rate never moves."""
 
     def on_interval(self, now: float) -> None:
@@ -102,10 +102,3 @@ class TestPacerThreading:
             await listener.close()
 
         run(scenario())
-
-    def test_base_policy_is_abstract(self):
-        p = PacingPolicy(1.0, 2.0, 0.0)
-        with pytest.raises(NotImplementedError):
-            p.on_interval(1.0)
-        with pytest.raises(NotImplementedError):
-            p.on_loss(1.0)

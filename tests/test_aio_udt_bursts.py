@@ -16,7 +16,7 @@ from unittest import mock
 import pytest
 
 from repro.aio import udt
-from repro.aio.pacing import PacingPolicy
+from repro.aio.pacing import DaimdPacing
 from repro.aio.transport import MAX_FRAME, MAX_HELLO
 from repro.aio.udp import DRAIN_MAX, UdpEndpoint
 from repro.aio.udt import (
@@ -50,7 +50,7 @@ def framed(data: bytes) -> bytes:
     return LENGTH.pack(len(data)) + data
 
 
-class ConstantRate(PacingPolicy):
+class ConstantRate(DaimdPacing):
     """A pacer that never moves: the loop's arithmetic is all that is left."""
 
     def on_interval(self, now: float) -> None:

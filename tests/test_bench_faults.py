@@ -19,7 +19,7 @@ CAMPAIGN = dict(
     cut_duration=0.9,
     transfer_bytes=4 * MB,
     seed=3,
-    reconnect={"jitter": 0.0},
+    jitter=0.0,
     connect_timeout=0.4,
 )
 
@@ -68,7 +68,7 @@ class TestFaultCampaign:
         result, document = run_observed(
             run_fault_campaign, duration=6.0, cut_at=0.5, cut_duration=0.5,
             degrade_at=2.0, degrade_duration=1.0, transfer_bytes=2 * MB,
-            seed=4, reconnect={"jitter": 0.0}, connect_timeout=0.4,
+            seed=4, jitter=0.0, connect_timeout=0.4,
         )
         assert result.sim_time >= 6.0
         names = {r["name"] for r in document["trace"]}

@@ -67,20 +67,18 @@ class TestTcpBufferConfig:
     def test_small_socket_buffers_cap_throughput(self):
         from tests.netsim_helpers import make_pair, run_transfer
         from repro.netsim import Proto
+        from repro.netsim.congestion import TCP_BUFFER
 
-        results = {}
-        for label, buf in (("small", 512 * 1024), ("large", 8 * MB)):
-            sim = Simulator()
-            net, a, b = make_pair(
-                sim, bandwidth=100 * MB, delay=0.050,
-                config={"net.tcp.send_buffer": buf, "net.tcp.receive_buffer": buf},
-            )
-            sink = run_transfer(sim, net, a, b, Proto.TCP, 20 * MB)
-            results[label] = sink.goodput()
-        # 512kB window at 100ms RTT caps at ~5 MB/s; the 8MB window is
-        # only slow-start-bound on this short transfer (~16 MB/s mean).
-        assert results["small"] < 6 * MB
-        assert results["large"] > 3 * results["small"]
+        # A 1 s RTT on a 100 MB/s link: past slow start the 8 MiB socket
+        # buffer, not the link, caps TCP at one TCP_BUFFER per RTT (the
+        # paper's BDP collapse).
+        sim = Simulator()
+        net, a, b = make_pair(sim, bandwidth=100 * MB, delay=0.5)
+        sink = run_transfer(sim, net, a, b, Proto.TCP, 64 * MB)
+        steady = sink.arrivals[len(sink.arrivals) // 2:]
+        rate = (len(steady) - 1) * 65536 / (steady[-1][0] - steady[0][0])
+        assert rate == pytest.approx(TCP_BUFFER / 1.0, rel=0.01)
+        assert sink.bytes_received == 64 * MB
 
 
 class TestVnetNotifyBroadcast:

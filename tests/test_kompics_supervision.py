@@ -15,6 +15,7 @@ from repro.kompics import (
     SupervisionPolicy,
 )
 from repro.kompics.component import ComponentState
+from repro.kompics.runtime import DEADLETTERS_KEPT
 from repro.sim import Simulator
 
 from tests.kompics_fixtures import Client, Ping, PingPort, Pong
@@ -361,15 +362,16 @@ class TestDeadLetters:
         assert system.deadletters[-1].dropped
 
     def test_ring_buffer_is_bounded(self, sim):
-        system = KompicsSystem.simulated(
-            sim, config={"kompics.deadletters.keep": 4, "kompics.fault_policy": "store"}
-        )
+        system = KompicsSystem.simulated(sim, config={"kompics.fault_policy": "store"})
         server, client = wire(sim, system)
         client.definition.send(2)
         sim.run()
-        for seq in range(10):
+        sent = DEADLETTERS_KEPT + 10
+        for seq in range(sent):
             client.definition.send(seq + 10)
         sim.run()
-        assert system.deadletters_total == 10
-        assert len(system.deadletters) == 4  # ring keeps only the newest
+        assert system.deadletters_total == sent
+        assert len(system.deadletters) == DEADLETTERS_KEPT
+        # the ring keeps only the newest
+        assert [d.event.seq for d in system.deadletters] == list(range(20, sent + 10))
 

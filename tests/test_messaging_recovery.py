@@ -5,6 +5,7 @@ import pytest
 from repro.kompics import KompicsSystem
 from repro.messaging import BasicAddress, NettyNetwork, Network, Transport
 from repro.messaging.channels import ChannelRef
+from repro.messaging.recovery import BASE_DELAY, MAX_ATTEMPTS, MAX_DELAY, QUEUE_LIMIT
 from repro.netsim import FaultInjector, LinkSpec, SimNetwork
 from repro.netsim.connection import ConnectionState
 from repro.obs import collecting, tracing
@@ -25,10 +26,8 @@ RECOVERY_CONFIG = {
 }
 
 
-def recovery_world(extra=None, **kwargs):
-    config = dict(RECOVERY_CONFIG)
-    config.update(extra or {})
-    world = make_world(config=config, **kwargs)
+def recovery_world():
+    world = make_world(config=RECOVERY_CONFIG)
     # Keep the dial timeout well under the backoff cap so reconnect
     # campaigns, not dial timeouts, dominate the timelines below.
     world.fabric.connect_timeout = 0.5
@@ -58,7 +57,7 @@ class TestReconnect:
 
     def test_backoff_follows_configured_schedule_then_gives_up(self):
         with collecting() as reg, tracing() as tracer:
-            world = recovery_world({"messaging.reconnect.max_attempts": 3})
+            world = recovery_world()
             a, b = world.nodes
             a.app_def.send(b.address, "warm")
             world.sim.run()
@@ -71,7 +70,10 @@ class TestReconnect:
                 r.fields["delay"]
                 for r in tracer.named("messaging.reconnect_scheduled")
             ]
-            assert delays == [0.2, 0.4, 0.8]  # base * multiplier^attempt
+            # base * multiplier^attempt, capped, one per allowed attempt
+            assert len(delays) == MAX_ATTEMPTS
+            assert delays[:3] == [BASE_DELAY, 2 * BASE_DELAY, 4 * BASE_DELAY]
+            assert delays[-1] == MAX_DELAY
             assert reg.total("messaging.reconnect.giveups_total") == 1
             assert tracer.named("messaging.reconnect_giveup")
             assert [r.success for r in a.app_def.notifies] == [False]
@@ -81,7 +83,7 @@ class TestReconnect:
         # Every scheduled attempt dials, fails, and is counted once — no
         # double-counting between the dial callback and the campaign timer.
         with collecting() as reg:
-            world = recovery_world({"messaging.reconnect.max_attempts": 3})
+            world = recovery_world()
             a, b = world.nodes
             a.app_def.send(b.address, "warm")
             world.sim.run()
@@ -90,28 +92,29 @@ class TestReconnect:
             a.app_def.send(b.address, "lost", notify=True)
             world.sim.run()
 
-            assert reg.total("messaging.reconnect.attempts_total") == 3
+            assert reg.total("messaging.reconnect.attempts_total") == MAX_ATTEMPTS
             assert reg.total("messaging.reconnect.giveups_total") == 1
             assert reg.total("messaging.reconnect.recovered_total") == 0
 
     def test_queue_limit_fails_sends_beyond_bound(self):
         with collecting() as reg:
-            world = recovery_world({"messaging.reconnect.queue_limit": 2})
+            world = recovery_world()
             a, b = world.nodes
             a.app_def.send(b.address, "warm")
             world.sim.run()
 
             FaultInjector(world.fabric).cut_link(a.host.ip, b.host.ip, duration=1.0)
-            for i in range(3):
+            for i in range(QUEUE_LIMIT + 1):
                 a.app_def.send(b.address, f"q{i}", notify=True)
             world.sim.run()
 
             outcomes = [r.success for r in a.app_def.notifies]
             assert outcomes.count(False) == 1  # the overflow send
-            assert outcomes.count(True) == 2  # flushed after recovery
+            assert outcomes.count(True) == QUEUE_LIMIT  # flushed after recovery
             assert reg.total("messaging.reconnect.queue_drops_total") == 1
-            tags = [m.tag for m in b.app_def.received]
-            assert "q0" in tags and "q1" in tags and "q2" not in tags
+            tags = {m.tag for m in b.app_def.received}
+            assert {f"q{i}" for i in range(QUEUE_LIMIT)} <= tags
+            assert f"q{QUEUE_LIMIT}" not in tags
 
     def test_recovery_is_off_by_default_and_loses_outage_sends(self):
         world = make_world()
@@ -170,8 +173,6 @@ class TestTransportFallback:
             config={
                 "messaging.reconnect.enabled": True,
                 "messaging.reconnect.jitter": 0.0,
-                "messaging.reconnect.base_delay": 0.05,
-                "messaging.reconnect.max_attempts": 2,
                 "messaging.fallback.enabled": True,
             },
         )

@@ -1,8 +1,6 @@
-"""The pluggable congestion-control layer: registry, new controllers,
+"""The pluggable congestion-control layer: policy table, new controllers,
 policy names threaded to connections, abort accounting and
 seed-equivalence of the defaults."""
-
-import re
 
 import pytest
 
@@ -10,26 +8,23 @@ from repro.netsim import Proto, WireMessage
 from repro.netsim.congestion import (
     CC_POLICIES,
     MSS,
+    UDT_RECEIVE_BUFFER,
     BbrCc,
-    CcContext,
-    CcRegistry,
     CongestionControl,
     CubicCc,
-    DuplicateCcError,
     TcpCc,
     UdtCc,
     UnknownCcError,
-    cc_names,
     make_cc,
-    register_cc,
 )
 from repro.sim import Simulator
+from repro.util.config import Config
 
 from tests.netsim_helpers import MB, Sink, make_pair, run_transfer
 
 
 class FixedRate(CongestionControl):
-    """Minimal custom controller used by the registry tests."""
+    """Minimal custom controller used by the policy-table tests."""
 
     def __init__(self, rtt: float = 0.1, rate: float = 1.0 * 1024 * 1024) -> None:
         super().__init__()
@@ -40,88 +35,61 @@ class FixedRate(CongestionControl):
         return self.rate
 
 
-def _reno(ctx):
-    return TcpCc(rtt=ctx.rtt)
+def _fixed_rate(rtt, bandwidth, udp_cap, config):
+    return FixedRate(rtt=rtt, rate=5.0)
 
 
 @pytest.fixture
-def fixed_rate():
-    """``FixedRate`` registered as ``fixed-rate`` for the test's duration."""
-    register_cc("fixed-rate", lambda ctx: FixedRate(rtt=ctx.rtt, rate=5.0))
-    yield "fixed-rate"
-    CC_POLICIES.remove("fixed-rate")
+def fixed_rate(monkeypatch):
+    """``FixedRate`` listed as ``fixed-rate`` for the test's duration."""
+    monkeypatch.setitem(CC_POLICIES, "fixed-rate", (_fixed_rate, "fixed 5 B/s"))
+    return "fixed-rate"
 
 
 class TestCcRegistry:
     def test_builtins_registered(self):
-        assert {"reno", "cubic", "bbr", "udt", "udp", "ledbat"} <= set(cc_names())
+        assert {"reno", "cubic", "bbr", "udt", "udp", "ledbat"} <= set(CC_POLICIES)
 
     def test_unknown_name_suggests(self):
         with pytest.raises(UnknownCcError) as err:
-            CC_POLICIES.get("rino")
+            make_cc("rino")
         assert "did you mean 'reno'" in str(err.value)
 
     def test_unknown_is_keyerror(self):
         with pytest.raises(KeyError):
-            CC_POLICIES.get("no-such-policy")
-
-    def test_duplicate_registration_rejected(self):
-        reg = CcRegistry()
-        reg.register("x", lambda ctx: TcpCc(rtt=ctx.rtt), description="one")
-        with pytest.raises(DuplicateCcError):
-            reg.register("x", lambda ctx: TcpCc(rtt=ctx.rtt), description="two")
-        reg.remove("x")
-        reg.register("x", lambda ctx: TcpCc(rtt=ctx.rtt), description="again")
-        assert "x" in reg
-
-    def test_duplicate_blames_the_existing_factory(self):
-        reg = CcRegistry()
-        first = reg.register("x", _reno)
-        with pytest.raises(DuplicateCcError, match=re.escape(f"'x' is already registered (by {_reno!r})")):
-            reg.register("x", lambda ctx: TcpCc(rtt=ctx.rtt))
-        assert reg.get("x") is first
+            make_cc("no-such-policy")
 
     def test_unknown_message_is_plain_and_lists_the_names(self):
-        reg = CcRegistry()
-        reg.register("alpha", _reno)
-        reg.register("beta", _reno)
         with pytest.raises(UnknownCcError) as err:
-            reg.get("alpah")
+            make_cc("cubik")
         assert str(err.value) == (
-            "unknown congestion-control policy 'alpah'; did you mean 'alpha'? "
-            "(registered: alpha, beta)"
+            "unknown congestion-control policy 'cubik'; did you mean 'cubic'? "
+            "(registered: bbr, cubic, ledbat, reno, udp, udt)"
         )
-
-    def test_names_all_contains_and_remove_of_an_unknown_name(self):
-        reg = CcRegistry()
-        beta = reg.register("beta", _reno)
-        alpha = reg.register("alpha", _reno)
-        assert reg.names() == ["alpha", "beta"]
-        assert reg.all() == [alpha, beta]
-        assert "beta" in reg and "gamma" not in reg
-        reg.remove("gamma")  # a no-op
-        assert reg.names() == ["alpha", "beta"]
 
     def test_registered_custom_policy_builds_by_name(self, fixed_rate):
         cc = make_cc(fixed_rate, rtt=0.2)
         assert isinstance(cc, FixedRate)
         assert (cc.rtt, cc.rate) == (0.2, 5.0)
-        assert fixed_rate in cc_names()
+        assert fixed_rate in CC_POLICIES
 
     def test_dotted_name_bad_module(self):
         with pytest.raises(UnknownCcError):
-            CC_POLICIES.get("no.such.module:Thing")
+            make_cc("no.such.module:Thing")
 
     def test_udt_factory_matches_seed_parameters(self):
-        # The registry path must reproduce the old hard-coded fabric
+        # The table path must reproduce the old hard-coded fabric
         # arithmetic: estimate = min(bandwidth, udp_cap, UDT_MAX_RATE).
         cc = make_cc("udt", rtt=0.1, bandwidth=100 * MB, udp_cap=10 * MB)
         assert isinstance(cc, UdtCc)
         assert cc.bandwidth_estimate == 10 * MB
 
     def test_context_get_float_falls_back(self):
-        ctx = CcContext(rtt=0.1)
-        assert ctx.get_float("net.nope", 7.5) == 7.5
+        # Without a config (or without the key) a factory uses the default.
+        assert make_cc("udt").receive_buffer == UDT_RECEIVE_BUFFER
+        assert make_cc("udt", config=Config()).receive_buffer == UDT_RECEIVE_BUFFER
+        given = Config({"net.udt.receive_buffer": 12 * MB})
+        assert make_cc("udt", config=given).receive_buffer == 12 * MB
 
 
 class TestDemandGenIsInstanceState:
@@ -276,7 +244,7 @@ class TestSpecThreading:
 
 
 class TestSeedEquivalence:
-    """Registry-built defaults must be digest-identical to the seed path."""
+    """Table-built defaults must be digest-identical to the seed path."""
 
     @pytest.mark.parametrize("proto", [Proto.TCP, Proto.UDT, Proto.LEDBAT])
     def test_explicit_defaults_match_implicit(self, proto):

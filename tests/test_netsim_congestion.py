@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from repro.netsim.congestion import MSS, LedbatCc, TcpCc, UdpCc, UdtCc
+from repro.netsim.congestion import MSS, TCP_BUFFER, LedbatCc, TcpCc, UdpCc, UdtCc
 
 MB = 1024 * 1024
 
@@ -46,10 +46,10 @@ class TestTcpCc:
         assert cc.loss_episodes == 2
 
     def test_window_cap_is_buffer_bound(self):
-        cc = TcpCc(rtt=0.5, send_buffer=1 * MB, receive_buffer=4 * MB)
+        cc = TcpCc(rtt=0.5)
         cc.on_bytes_sent(100 * MB, 0.0)
-        assert cc.cwnd == 1 * MB  # min(send, receive) buffer
-        assert cc.demand_rate(0.0) == pytest.approx(1 * MB / 0.5)
+        assert cc.cwnd == TCP_BUFFER  # the socket buffer caps the window
+        assert cc.demand_rate(0.0) == pytest.approx(TCP_BUFFER / 0.5)
 
     def test_floor_two_segments(self):
         cc = TcpCc(rtt=0.1)

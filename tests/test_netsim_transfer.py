@@ -9,6 +9,7 @@ import pytest
 
 from repro.netsim import ConnectionState, Proto, SimNetwork, WireMessage
 from repro.netsim.congestion import UDT_MAX_RATE
+from repro.netsim.host import UDP_SOCKET_BUFFER
 from repro.sim import Simulator
 
 from tests.netsim_helpers import MB, Sink, make_pair, run_transfer
@@ -120,16 +121,19 @@ class TestUdp:
 
     def test_socket_buffer_overflow_drops_at_sender(self):
         sim = Simulator()
-        net, a, b = make_pair(sim, bandwidth=1 * MB, config={"net.udp.socket_buffer": 64 * 1024})
+        net, a, b = make_pair(sim, bandwidth=1 * MB)
         sink = Sink(sim)
         b.stack.listen(7000, Proto.UDP, on_datagram=sink.on_datagram)
         conn = a.stack.connect((b.ip, 7000), Proto.UDP)
         outcomes = []
-        for i in range(100):
+        sent = 2 * UDP_SOCKET_BUFFER // (16 * 1024)  # a burst of twice the buffer
+        for i in range(sent):
             conn.send(WireMessage(i, 16 * 1024, on_sent=outcomes.append))
         sim.run()
-        assert outcomes.count(False) > 0
-        assert sink.bytes_received < 100 * 16 * 1024
+        # what the 2 MiB buffer held went out; the rest failed at the sender
+        assert outcomes.count(True) == UDP_SOCKET_BUFFER // (16 * 1024)
+        assert outcomes.count(False) == sent - outcomes.count(True)
+        assert sink.bytes_received <= UDP_SOCKET_BUFFER
 
     def test_no_listener_silently_drops(self):
         sim = Simulator()

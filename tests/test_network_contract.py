@@ -92,8 +92,6 @@ class SimRig:
             "kompics.fault_policy": "store",
             "messaging.reconnect.enabled": True,
             "messaging.reconnect.jitter": 0.0,
-            "messaging.reconnect.base_delay": 0.05,
-            "messaging.reconnect.max_attempts": 2,
         })
         self.hosts = [fabric.add_host(f"h{i}", f"10.0.0.{i + 1}") for i in range(3)]
         for i, a in enumerate(self.hosts):
