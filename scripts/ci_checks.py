@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 from typing import Any, Dict
 
@@ -137,13 +138,17 @@ def check_fleet(args: argparse.Namespace) -> int:
 #: ``find src -name '*.py' | xargs cat | wc -l`` may only go down (ROADMAP:
 #: "src/ should end the round smaller"); a PR that shrinks src/ lowers this
 #: to its own total, a PR that must grow it raises it in the open
-SRC_LINE_CEILING = 18249
+SRC_LINE_CEILING = 17970
 
-#: keys ``src/`` reads that no shipped entry point sets.  Idle-channel
-#: reclamation is kept although only tests turn it on: removing it drops
-#: the ``messaging.channels.reaped_total`` family from every obs snapshot
-#: and so moves the golden digests of ``repro perf --equivalence``.
-TEST_ONLY_KEYS = frozenset({"messaging.channel_idle_timeout"})
+_KEY = r"(?:kompics|messaging|net|data)\."
+#: a config key built at run time, in a getter or setter position —
+#: ``.get_*(f"net.{k}")``, ``[f"messaging.{k}"] =``, ``f"net.{k}":`` or
+#: the same with ``"net." + k`` — which the literal census cannot see
+_DYNAMIC_KEY = re.compile(
+    rf'(?:\.get(?:_[a-z]+)?\(\s*|\[\s*)(?:f"{_KEY}|"{_KEY}[a-z0-9_.]*"\s*\+)'
+    rf'|f"{_KEY}[^"\n]*"\s*(?::|\]\s*=)'
+    rf'|"{_KEY}[a-z0-9_.]*"\s*\+[^:\n,]*(?::|\]\s*=)'
+)
 
 
 def check_hygiene(args: argparse.Namespace) -> int:
@@ -157,11 +162,11 @@ def check_hygiene(args: argparse.Namespace) -> int:
     :data:`SRC_LINE_CEILING` and free of ``gc.collect(`` / ``gc.disable(``
     / ``gc.freeze(`` / ``gc.set_threshold(``, every ``repro`` option to at least one
     user under tests/, docs/, examples/, .github/, README or EXPERIMENTS,
-    every dotted config key ``src/`` reads to a setter outside tests/, and
-    every config key set anywhere to a reader under ``src/``.
+    every dotted config key ``src/`` reads to a setter outside tests/,
+    every config key set anywhere to a reader under ``src/``, and every
+    key read or set as a literal (no f-string, no concatenation).
     """
     import pathlib
-    import re
     import subprocess
 
     root = pathlib.Path(__file__).resolve().parent.parent
@@ -192,7 +197,17 @@ def check_hygiene(args: argparse.Namespace) -> int:
     # assignment) in an example, benchmark, CI file, ``src/repro/bench``
     # module or the CLI: a key only tests set is a constant.  And every
     # key set, tests included, must be one ``src/`` reads: a stale key
-    # changes nothing.
+    # changes nothing.  Both halves see only literal keys, so a key built
+    # by an f-string or a concatenation fails on its own.
+    census = ("src", "tests", "examples", "benchmarks", ".github")
+    dynamic = sorted(
+        f"{path.relative_to(root)}:{number}"
+        for d in census for path in (root / d).rglob("*")
+        if path.suffix in (".py", ".yml", ".json")
+        for number, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+        if _DYNAMIC_KEY.search(line)
+    )
+    assert not dynamic, "config keys built at run time (spell them out): " + ", ".join(dynamic)
     keys = set()
     for path in (root / "src").rglob("*.py"):
         keys.update(re.findall(
@@ -214,7 +229,7 @@ def check_hygiene(args: argparse.Namespace) -> int:
 
     shipped = entries(("src/repro/cli.py", "examples", "benchmarks", ".github",
                        "src/repro/bench"))
-    unset = sorted(keys - set(shipped) - TEST_ONLY_KEYS)
+    unset = sorted(keys - set(shipped))
     assert not unset, "config keys only tests set (make them constants): " + ", ".join(unset)
     stale = sorted(f"{k} ({where})" for k, where in {**entries(("tests",)), **shipped}.items()
                    if k not in keys)

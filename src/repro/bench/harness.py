@@ -67,34 +67,27 @@ class TransferResult:
         return self.bytes / self.duration
 
 
-def run_transfer_once(
-    setup: Setup,
-    transport: Transport,
-    size: int,
-    seed: int = 0,
-    psp_factory: Optional[PspFactory] = None,
-    prp_factory: Optional[PrpFactory] = None,
-    window_messages: Optional[int] = None,
-    episode_length: float = 0.25,
-    max_sim_time: float = 3600.0,
-    net_config: Optional[dict] = None,
-) -> TransferResult:
+#: sim seconds one transfer may take before it counts as stuck
+MAX_TRANSFER_TIME = 3600.0
+#: the DATA learner's episode on transfers (the interceptor's default is 1 s)
+TRANSFER_EPISODE_LENGTH = 0.25
+
+
+def run_transfer_once(setup: Setup, transport: Transport, size: int,
+                      seed: int = 0) -> TransferResult:
     """One disk-to-disk transfer; returns its measured duration."""
-    pair = TestbedPair(setup, seed=seed, net_config=net_config)
-    pair.wire(
-        transport, psp_factory=psp_factory,
-        prp_factory=prp_factory or default_transfer_learner(seed),
-        window_messages=window_messages, episode_length=episode_length,
-    )
+    pair = TestbedPair(setup, seed=seed)
+    pair.wire(transport, prp_factory=default_transfer_learner(seed),
+              episode_length=TRANSFER_EPISODE_LENGTH)
     sender = pair.file_sender(SyntheticDataset(size=size, seed=seed), transport)
     receiver = pair.file_receiver()
     pair.start(receiver, sender)
 
-    run_in_steps(pair, max_sim_time, lambda: sender.definition.duration is not None)
+    run_in_steps(pair, MAX_TRANSFER_TIME, lambda: sender.definition.duration is not None)
     duration = sender.definition.duration
     if duration is None:
         raise RuntimeError(
-            f"transfer did not finish within {max_sim_time}s sim time "
+            f"transfer did not finish within {MAX_TRANSFER_TIME}s sim time "
             f"({setup.name}/{transport.value}, progress "
             f"{receiver.definition.progress(sender.definition.transfer_id):.1%})"
         )
@@ -133,7 +126,7 @@ def run_transfer_repeated(
     max_runs: int = 30,
     rse_target: float = 0.10,
     base_seed: int = 0,
-    **kwargs,
+    net_config: Optional[dict] = None,
 ) -> RepeatedTransfer:
     """The paper's §V-B methodology: at least ``min_runs`` runs, continuing
     until the relative standard error drops below ``rse_target``.
@@ -143,17 +136,9 @@ def run_transfer_repeated(
     for the DATA protocol — the per-destination learner state persists, so
     only the first run pays the ramp-up.
     """
-    pair = TestbedPair(setup, seed=base_seed, net_config=kwargs.pop("net_config", None))
-    wiring = dict(
-        psp_factory=kwargs.pop("psp_factory", None),
-        prp_factory=kwargs.pop("prp_factory", None) or default_transfer_learner(base_seed),
-        window_messages=kwargs.pop("window_messages", None),
-        episode_length=kwargs.pop("episode_length", 0.25),
-    )
-    max_sim_time = kwargs.pop("max_sim_time", 3600.0)
-    if kwargs:
-        raise TypeError(f"unexpected arguments {sorted(kwargs)}")
-    pair.wire(transport, **wiring)
+    pair = TestbedPair(setup, seed=base_seed, net_config=net_config)
+    pair.wire(transport, prp_factory=default_transfer_learner(base_seed),
+              episode_length=TRANSFER_EPISODE_LENGTH)
     pair.start(pair.file_receiver())
 
     durations: List[float] = []
@@ -162,12 +147,12 @@ def run_transfer_repeated(
             SyntheticDataset(size=size, seed=base_seed + i), transport, name=f"sender-{i}"
         )
         pair.start(sender)
-        deadline = pair.sim.now + max_sim_time
+        deadline = pair.sim.now + MAX_TRANSFER_TIME
         run_in_steps(pair, deadline, lambda: sender.definition.duration is not None)
         duration = sender.definition.duration
         if duration is None:
             raise RuntimeError(
-                f"run {i} did not finish within {max_sim_time}s sim time "
+                f"run {i} did not finish within {MAX_TRANSFER_TIME}s sim time "
                 f"({setup.name}/{transport.value})"
             )
         pair.system.kill(sender)

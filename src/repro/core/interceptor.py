@@ -6,14 +6,10 @@ released at an adaptive, notify-clocked rate with a concrete transport
 (TCP or UDT) stamped by the protocol selection policy; the protocol ratio
 policy revises the target ratio every learning episode (1 s timer).
 
-Wiring options:
-
-* Standalone: connect consumers to the provided Network port and the
-  required Network port to a NettyNetwork — the interceptor forwards
-  non-data traffic and inbound indications transparently.
-* Via :class:`~repro.core.data_network.DataNetwork`, which adds the
-  ChannelSelectors that route non-data traffic straight past the
-  interceptor as the paper describes.
+It is wired by :class:`~repro.core.data_network.DataNetworkBase`, whose
+ChannelSelectors route non-data traffic and inbound messages straight
+past the interceptor as the paper describes: only DATA requests, its own
+send notifications and transport health events ever reach it.
 """
 
 from __future__ import annotations
@@ -98,7 +94,6 @@ class DataNetworkInterceptor(ComponentDefinition):
 
         self.subscribe(self.upper, Msg, self._on_consumer_msg)
         self.subscribe(self.upper, MessageNotify.Req, self._on_consumer_notify_req)
-        self.subscribe(self.lower, Msg, self._on_network_msg)
         self.subscribe(self.lower, MessageNotify.Resp, self._on_network_notify_resp)
         self.subscribe(self.lower, TransportStatus.Down, self._on_transport_down)
         self.subscribe(self.lower, TransportStatus.Up, self._on_transport_up)
@@ -123,16 +118,9 @@ class DataNetworkInterceptor(ComponentDefinition):
     # consumer-side handlers
     # ------------------------------------------------------------------
     def _on_consumer_msg(self, msg: Msg) -> None:
-        if msg.header.protocol is not Transport.DATA:
-            # Not ours (standalone wiring without selectors): pass through.
-            self.trigger(msg, self.lower)
-            return
         self._flow_for(msg).enqueue(msg, consumer_notify_id=None)
 
     def _on_consumer_notify_req(self, req: MessageNotify.Req) -> None:
-        if req.msg.header.protocol is not Transport.DATA:
-            self.trigger(req, self.lower)
-            return
         self._flow_for(req.msg).enqueue(req.msg, consumer_notify_id=req.notify_id)
 
     def _flow_for(self, msg: Msg) -> DestinationFlow:
@@ -162,13 +150,8 @@ class DataNetworkInterceptor(ComponentDefinition):
     # ------------------------------------------------------------------
     # network-side handlers
     # ------------------------------------------------------------------
-    def _on_network_msg(self, msg: Msg) -> None:
-        # Standalone wiring: inbound traffic is forwarded up transparently.
-        self.trigger(msg, self.upper)
-
     def _on_network_notify_resp(self, resp: MessageNotify.Resp) -> None:
         if resp.notify_id not in self._owned_notify_ids:
-            self.trigger(resp, self.upper)  # a consumer's own non-data notify
             return
         self._owned_notify_ids.discard(resp.notify_id)
         for flow in self.flows.values():

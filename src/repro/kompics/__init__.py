@@ -31,11 +31,7 @@ from repro.kompics.event import (
 from repro.kompics.port import Port, PortType
 from repro.kompics.runtime import KompicsSystem
 from repro.kompics.scheduler import Scheduler, SimScheduler, ThreadPoolScheduler
-from repro.kompics.supervision import (
-    FaultAction,
-    SupervisionPolicy,
-    Supervisor,
-)
+from repro.kompics.supervision import SupervisionPolicy, Supervisor
 from repro.kompics.timer import (
     CancelPeriodicTimeout,
     CancelTimeout,
@@ -56,7 +52,6 @@ __all__ = [
     "Kill",
     "Fault",
     "DeadLetter",
-    "FaultAction",
     "SupervisionPolicy",
     "Supervisor",
     "PortType",

@@ -27,7 +27,6 @@ from repro.kompics.port import Port, PortType
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.kompics.runtime import KompicsSystem
-    from repro.kompics.supervision import SupervisionPolicy
 
 
 #: events one scheduling of a component handles before it yields its thread
@@ -447,19 +446,10 @@ class ComponentDefinition:
     def on_fault(self, fault: Fault) -> None:
         """Called when one of this component's handlers raised.
 
-        Runs before recovery (restart/destroy) or the legacy FAULTY
+        Runs before a supervised restart or the legacy FAULTY
         transition — a place to release external resources (sockets,
         timers) that ``__init__`` would otherwise re-acquire leaked.
         """
-
-    def supervision(self) -> Optional[SupervisionPolicy]:
-        """Per-definition supervision policy override (default: none).
-
-        Return a :class:`~repro.kompics.supervision.SupervisionPolicy`
-        to fix how faults of this component are handled regardless of
-        the global ``kompics.supervision.*`` configuration.
-        """
-        return None
 
     # ------------------------------------------------------------------
     # context accessors

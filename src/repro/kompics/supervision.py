@@ -1,4 +1,4 @@
-"""Hierarchical component supervision (restart / escalate / ignore / destroy).
+"""Hierarchical component supervision: restart within a budget, else escalate.
 
 The Kompics component model promises fault *isolation*: a handler that
 throws marks only its own component FAULTY.  The seed runtime stopped
@@ -7,27 +7,19 @@ running headless, and events sent its way vanished silently.  This module
 adds the recovery half, in the style of actor-family middleware (Erlang
 supervisors, Akka/CAF actor supervision):
 
-* every component resolves a :class:`FaultAction` when one of its
-  handlers (or lifecycle hooks) raises;
-* ``IGNORE`` drops the faulting event and resumes processing;
-* ``RESTART`` kills the component's subtree, re-instantiates the
-  definition from the ``create()`` arguments recorded by the runtime,
-  and replays ``Start`` — channels connected to the component's own
-  ports survive, so the rest of the system never re-wires anything;
+* a component whose handler (or lifecycle hook) raises is *restarted*:
+  its subtree is killed, the definition is re-instantiated from the
+  ``create()`` arguments recorded by the runtime, and ``Start`` is
+  replayed — channels connected to the component's own ports survive, so
+  the rest of the system never re-wires anything;
 * restarts draw from a capped *intensity budget* (at most
   ``max_restarts`` per rolling ``window`` seconds, measured on the
-  system clock — deterministic under the simulated clock); an exhausted
-  budget escalates;
-* ``ESCALATE`` hands the fault to the parent's supervision logic; at the
-  root it degrades to today's ``kompics.fault_policy`` behaviour
-  (``raise`` by default), so an unsupervised fault looks exactly like it
-  always did;
-* ``DESTROY`` tears the faulted subtree down and lets the rest of the
-  system keep running.
-
-A component's policy is its definition's
-:meth:`~repro.kompics.component.ComponentDefinition.supervision` override,
-else the global ``kompics.supervision.*`` config keys.
+  system clock — deterministic under the simulated clock);
+* a component whose budget is spent escalates the fault to its parent,
+  which restarts in its place (taking the faulted child with it) if its
+  own budget allows; at the root, escalation degrades to the
+  ``kompics.fault_policy`` behaviour (``raise`` by default), so an
+  unrecoverable fault looks exactly like an unsupervised one.
 
 Everything is **default-off**: without ``kompics.supervision.enabled``
 the fault path is byte-for-byte the seed behaviour and no RNG or timer
@@ -37,7 +29,6 @@ state is created.  Faults and the actions taken are visible on
 
 from __future__ import annotations
 
-import enum
 import logging
 from collections import deque
 from dataclasses import dataclass
@@ -52,26 +43,12 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 logger = logging.getLogger("repro.kompics.supervision")
 
 
-class FaultAction(enum.Enum):
-    """What a supervisor does with a handler fault."""
-
-    IGNORE = "ignore"
-    RESTART = "restart"
-    ESCALATE = "escalate"
-    DESTROY = "destroy"
-
-
 @dataclass(frozen=True)
 class SupervisionPolicy:
-    """One component's fault handling policy.
+    """The restart budget: more than ``max_restarts`` restarts of one
+    component within a rolling ``window`` seconds escalates the fault
+    instead of restarting again."""
 
-    ``max_restarts`` and ``window`` bound the restart intensity: more
-    than ``max_restarts`` restarts within a rolling ``window`` seconds
-    escalates the fault instead of restarting again.  They only matter
-    for :attr:`FaultAction.RESTART`.
-    """
-
-    action: FaultAction = FaultAction.ESCALATE
     max_restarts: int = 5
     window: float = 30.0
 
@@ -81,29 +58,10 @@ class SupervisionPolicy:
         if self.window <= 0:
             raise ValueError("window must be positive")
 
-    # convenience constructors ------------------------------------------------
-    @classmethod
-    def ignore(cls) -> "SupervisionPolicy":
-        return cls(action=FaultAction.IGNORE)
-
-    @classmethod
-    def restart(cls, max_restarts: int = 5, window: float = 30.0) -> "SupervisionPolicy":
-        return cls(action=FaultAction.RESTART, max_restarts=max_restarts, window=window)
-
-    @classmethod
-    def escalate(cls) -> "SupervisionPolicy":
-        return cls(action=FaultAction.ESCALATE)
-
-    @classmethod
-    def destroy(cls) -> "SupervisionPolicy":
-        return cls(action=FaultAction.DESTROY)
-
     @classmethod
     def from_config(cls, config) -> "SupervisionPolicy":
-        """The global default policy from ``kompics.supervision.*`` keys."""
-        action = FaultAction(config.get_str("kompics.supervision.action", "escalate"))
+        """The budget from the ``kompics.supervision.*`` keys."""
         return cls(
-            action=action,
             max_restarts=config.get_int("kompics.supervision.max_restarts", 5),
             window=config.get_float("kompics.supervision.window", 30.0),
         )
@@ -134,35 +92,20 @@ class Supervisor:
         self.system = system
         config = system.config
         self.enabled = config.get_bool("kompics.supervision.enabled", False)
-        self.default_policy = SupervisionPolicy.from_config(config)
+        self.policy = SupervisionPolicy.from_config(config)
         #: restart timestamps per core id (intensity budget bookkeeping)
         self._restart_times: Dict[int, Deque[float]] = {}
         #: plain counters, valid with or without a metrics registry
         self.restarts_total = 0
-        self.ignored_total = 0
         self.escalations_total = 0
-        self.destroys_total = 0
         self.timeline: List[SupervisionRecord] = []
 
         metrics = system.metrics
         self.tracer = system.tracer
         self._m_restarts = metrics.counter("kompics.restarts_total", system=system.name)
-        self._m_ignored = metrics.counter("kompics.faults_ignored_total", system=system.name)
         self._m_escalations = metrics.counter(
             "kompics.fault_escalations_total", system=system.name
         )
-        self._m_destroys = metrics.counter("kompics.fault_destroys_total", system=system.name)
-
-    # ------------------------------------------------------------------
-    # policy management
-    # ------------------------------------------------------------------
-    def policy_for(self, core: "ComponentCore") -> SupervisionPolicy:
-        """The definition's ``supervision()`` override, else the config default."""
-        if core.definition is not None:
-            override = core.definition.supervision()
-            if override is not None:
-                return override
-        return self.default_policy
 
     # ------------------------------------------------------------------
     # fault handling
@@ -188,59 +131,42 @@ class Supervisor:
         core._fault(event, exception or RuntimeError("injected fault"))
 
     def handle_fault(self, core: "ComponentCore", fault: Fault) -> None:
-        """Resolve and apply a fault action for ``core`` (supervision on)."""
+        """Restart ``core``, or the nearest ancestor whose budget allows it."""
+        policy = self.policy
         target = core
-        while True:
-            policy = self.policy_for(target)
-            action = policy.action
-            if action is FaultAction.RESTART and not self._budget_allows(target, policy):
-                self.tracer.event(
-                    "kompics.supervision.budget_exhausted",
-                    component=target.name,
-                    max_restarts=policy.max_restarts,
-                    window=policy.window,
-                )
-                action = FaultAction.ESCALATE
-            if action is not FaultAction.ESCALATE:
-                break
+        while not self._budget_allows(target):
+            self.tracer.event(
+                "kompics.supervision.budget_exhausted",
+                component=target.name,
+                max_restarts=policy.max_restarts,
+                window=policy.window,
+            )
+            self.escalations_total += 1
+            self._m_escalations.inc()
             if target.parent is None:
                 # Root escalation: degrade to the legacy fault policy.
-                self.escalations_total += 1
-                self._m_escalations.inc()
                 self._note(core, "escalate-root", fault)
                 core._terminal_fault(fault)
                 return
-            self.escalations_total += 1
-            self._m_escalations.inc()
             self.tracer.event(
                 "kompics.supervision.escalate",
                 component=target.name, parent=target.parent.name,
             )
             target = target.parent
-
-        if action is FaultAction.IGNORE:
-            self.ignored_total += 1
-            self._m_ignored.inc()
-            self._note(core, "ignore", fault)
-            return
-        if action is FaultAction.DESTROY:
-            self._note(target, "destroy", fault)
-            self.destroy(target)
-            return
         self._note(target, "restart", fault)
         self.restart(target, fault)
 
     # ------------------------------------------------------------------
     # actions
     # ------------------------------------------------------------------
-    def _budget_allows(self, core: "ComponentCore", policy: SupervisionPolicy) -> bool:
+    def _budget_allows(self, core: "ComponentCore") -> bool:
         times = self._restart_times.get(core.id)
         if not times:
             return True
         now = self.system.clock.now()
-        while times and now - times[0] > policy.window:
+        while times and now - times[0] > self.policy.window:
             times.popleft()
-        return len(times) < policy.max_restarts
+        return len(times) < self.policy.max_restarts
 
     def restart(self, core: "ComponentCore", fault: Optional[Fault] = None) -> None:
         """Kill ``core``'s subtree and re-instantiate its definition.
@@ -296,15 +222,6 @@ class Supervisor:
         finally:
             core.restarting = False
         core.enqueue_control(Start())
-
-    def destroy(self, core: "ComponentCore") -> None:
-        """Synchronously destroy ``core`` and its whole subtree."""
-        self.destroys_total += 1
-        self._m_destroys.inc()
-        self.tracer.event("kompics.supervision.destroy", component=core.name)
-        self._teardown(core)
-        if core.parent is not None and core in core.parent.children:
-            core.parent.children.remove(core)
 
     def _teardown(self, core: "ComponentCore") -> None:
         """Children-first destruction: hooks, queues, channels, registry."""

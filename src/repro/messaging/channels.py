@@ -3,15 +3,15 @@
 One transport channel per (remote socket, protocol), created lazily on
 first use and kept open as long as possible — channel establishment can be
 expensive (the paper mentions NAT hole punching, §III-C), so teardown is
-deliberately conservative.  Inbound connections are registered under the
-sender's *middleware* address (learned from the first message header) so
-replies reuse them instead of dialling back.
+deliberately conservative: a channel closes only when it fails or its
+owner dies.  Inbound connections are registered under the sender's
+*middleware* address (learned from the handshake hello) so replies reuse
+them instead of dialling back.
 """
 
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.messaging.recovery import ChannelRecovery, ReconnectPolicy, fail_sends
@@ -32,24 +32,15 @@ RecoveryExhausted = Callable[[ChannelKey, List[WireMessage], str], None]
 _USABLE = (ConnectionState.ACTIVE, ConnectionState.CONNECTING)
 
 
-@dataclass
-class ChannelStats:
-    messages_in: int = 0
-    bytes_in: int = 0
-
-
 class ChannelRef:
-    """A pooled transport channel plus its counters."""
+    """A pooled transport channel and which side dialled it."""
 
-    __slots__ = ("key", "conn", "stats", "outbound", "last_used")
+    __slots__ = ("key", "conn", "outbound")
 
-    def __init__(self, key: ChannelKey, conn: Connection, outbound: bool,
-                 now: float = 0.0) -> None:
+    def __init__(self, key: ChannelKey, conn: Connection, outbound: bool) -> None:
         self.key = key
         self.conn = conn
         self.outbound = outbound
-        self.stats = ChannelStats()
-        self.last_used = now
 
     @property
     def usable(self) -> bool:
@@ -69,8 +60,6 @@ class ChannelPool:
         recovery_rng: Any = None,
     ) -> None:
         self.stack = stack
-        #: the kernel's clock, read for ``last_used`` on every send/receive
-        self._clock = stack.sim.clock
         self.on_message = on_message
         self.logger = logger or logging.getLogger("repro.messaging.channels")
         #: handshake payload announcing this middleware instance's own
@@ -98,7 +87,6 @@ class ChannelPool:
         self.tracer = get_tracer()
         self._m_dialed = metrics.counter("messaging.channels.dialed_total")
         self._m_inbound = metrics.counter("messaging.channels.inbound_total")
-        self._m_reaped = metrics.counter("messaging.channels.reaped_total")
 
     # ------------------------------------------------------------------
     # outbound
@@ -119,9 +107,6 @@ class ChannelPool:
         ref = self.channels.get(key)
         if ref is None or ref.conn.state not in _USABLE:
             ref = self.get_or_connect(*key)
-        now = self._clock._now
-        if now > ref.last_used:
-            ref.last_used = now
         ref.conn.send(wire)
 
     def get_or_connect(self, remote: Socket, proto: Proto) -> ChannelRef:
@@ -149,12 +134,12 @@ class ChannelPool:
         )
         conn.on_message = self.on_message
         conn.on_closed = lambda c: self._on_gone(key, "closed")
-        ref = self.channels[key] = ChannelRef(key, conn, outbound=True, now=self._clock._now)
+        ref = self.channels[key] = ChannelRef(key, conn, outbound=True)
         self._m_dialed.inc()
         return ref
 
     def _discard_stale(self, ref: ChannelRef) -> None:
-        """Disarm and close a dead-but-unreaped ref before replacing it.
+        """Disarm and close a dead ref still in the pool before replacing it.
 
         Its connection's ``on_closed``/``on_failed`` are still armed with
         ``_on_gone`` for the same key: left in place, a late firing could
@@ -189,7 +174,6 @@ class ChannelPool:
         if ref is None or not ref.usable:  # lost again between dial and flush
             fail_sends(pending)
             return
-        ref.last_used = max(ref.last_used, self._clock._now)
         for wire in pending:
             ref.conn.send(wire)
 
@@ -209,21 +193,8 @@ class ChannelPool:
         if existing is not None and existing.usable:
             return
         conn.on_closed = lambda c: self._on_gone(key, "closed")
-        # The current time matters: a fresh inbound channel with
-        # last_used=0 would be reaped by the first idle sweep right after
-        # being accepted.
-        self.channels[key] = ChannelRef(key, conn, outbound=False, now=self._clock._now)
+        self.channels[key] = ChannelRef(key, conn, outbound=False)
         self._m_inbound.inc()
-
-    def note_traffic_in(self, key: ChannelKey, size: int) -> None:
-        ref = self.channels.get(key)
-        if ref is not None:
-            stats = ref.stats
-            stats.messages_in += 1
-            stats.bytes_in += size
-            now = self._clock._now
-            if now > ref.last_used:
-                ref.last_used = now
 
     # ------------------------------------------------------------------
     # teardown
@@ -233,7 +204,7 @@ class ChannelPool:
         if ref is not None and not ref.usable:
             del self.channels[key]
             self.logger.debug("channel %s dropped (%s)", key, reason)
-            # Deliberate closes (reap_idle, close_all) remove the ref from
+            # A deliberate close (close_all) removes the ref from
             # the map *before* closing, so only genuine failures get here
             # with a live ref — those are the ones worth recovering.
             if self.recovery is not None and ref.outbound:
@@ -246,35 +217,6 @@ class ChannelPool:
         self.channels.clear()  # cleared first: close() must not look like a cut
         for ref in refs:
             ref.conn.close()
-
-    def reap_idle(self, now: float, idle_timeout: float) -> int:
-        """Drop channels unused for ``idle_timeout`` seconds (§III-C).
-
-        The paper is deliberately conservative here — establishment can be
-        expensive (e.g. NAT hole punching) — so reaping only runs when the
-        owner explicitly enables an idle timeout.  Dead channels whose
-        close/fail callbacks never fired are evicted unconditionally so
-        they cannot leak in the pool.  Returns the number of channels
-        dropped.
-        """
-        reaped = 0
-        for key, ref in list(self.channels.items()):
-            if not ref.usable:
-                del self.channels[key]
-                reaped += 1
-                self._m_reaped.inc()
-                self.logger.debug("evicted dead channel %s", key)
-                continue
-            if now - ref.last_used < idle_timeout:
-                continue
-            if ref.conn.flow.queued_bytes > 0 or ref.conn.flow.busy:
-                continue  # definitely still in use
-            del self.channels[key]
-            ref.conn.close()
-            reaped += 1
-            self._m_reaped.inc()
-            self.logger.debug("reaped idle channel %s", key)
-        return reaped
 
     def __len__(self) -> int:
         return len(self.channels)

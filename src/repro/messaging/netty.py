@@ -7,8 +7,8 @@ is simulator-specific lives here:
 * messages travel as objects; only their wire *size* is computed
   (serializer ``wire_size`` through the Snappy size model);
 * a :class:`ChannelPool` over the host's ``NetworkStack``: lazy channel
-  establishment, messages buffered until ready, conservative retention
-  and the optional idle sweep (§III-C);
+  establishment, messages buffered until ready, channels kept open for
+  as long as the component lives (§III-C);
 * reconnect campaigns and degrade-to-TCP fallback (``messaging.reconnect.*``,
   ``messaging.fallback.enabled``), which decide when a transport is Down.
 """
@@ -22,7 +22,7 @@ from repro.errors import TransportError
 from repro.messaging.address import Address
 from repro.messaging.channels import ChannelKey, ChannelPool
 from repro.messaging.compression import snappy_size
-from repro.messaging.message import Msg, RoutingHeader
+from repro.messaging.message import Msg
 from repro.messaging.network_component import NetworkComponent, Route, Socket
 from repro.messaging.recovery import ReconnectPolicy, fail_sends
 from repro.messaging.serialization import SerializerRegistry
@@ -92,9 +92,6 @@ class NettyNetwork(NetworkComponent):
         self.pool.on_recovery_exhausted = self._on_recovery_exhausted
         self.pool.on_channel_up = self._on_channel_up
         self._watch_channels(self.pool)
-        idle = self.config.get("messaging.channel_idle_timeout", None)
-        self._idle_timeout = float(idle) if idle is not None else None
-        self._sweep_armed = False
         self._listeners: list[Listener] = []
         self._m_fallbacks = get_registry().counter("messaging.fallback.activations_total")
 
@@ -111,34 +108,6 @@ class NettyNetwork(NetworkComponent):
                 listener = self.host.stack.listen(port, proto, on_accept=self._on_accept)
             self._listeners.append(listener)
         self.logger.debug("%s listening on %s for %s", self.name, port, self.protocols)
-
-    def _arm_channel_sweep(self) -> None:
-        """Optional idle-channel reclamation (§III-C).
-
-        Disabled unless ``messaging.channel_idle_timeout`` is configured —
-        the paper keeps channels open as long as possible because
-        re-establishment (NAT hole punching, handshakes) is expensive.
-        The sweep only stays armed while channels exist, so an idle system
-        still quiesces (important for ``Simulator.run()`` termination).
-        """
-        if self._sweep_armed or self._idle_timeout is None or self.system.simulator is None:
-            return
-        interval = self._idle_timeout / 2
-        self._sweep_armed = True
-
-        def sweep() -> None:
-            from repro.kompics.component import ComponentState
-
-            if self._core.state is not ComponentState.ACTIVE or len(self.pool) == 0:
-                self._sweep_armed = False
-                return
-            self.pool.reap_idle(self.clock.now(), self._idle_timeout)
-            if len(self.pool) == 0:
-                self._sweep_armed = False
-                return
-            self.system.simulator.schedule(interval, sweep, label=f"sweep:{self.name}")
-
-        self.system.simulator.schedule(interval, sweep, label=f"sweep:{self.name}")
 
     def on_kill(self) -> None:
         for listener in self._listeners:
@@ -169,10 +138,6 @@ class NettyNetwork(NetworkComponent):
             route.sent if notify_id is None
             else partial(self._resolve, route.transport, size, notify_id),
         ))
-        # Inline the common-case guard of _arm_channel_sweep (sweeps are
-        # off unless an idle timeout is configured).
-        if not self._sweep_armed and self._idle_timeout is not None:
-            self._arm_channel_sweep()
 
     # ------------------------------------------------------------------
     # recovery fallback
@@ -223,34 +188,16 @@ class NettyNetwork(NetworkComponent):
     # ------------------------------------------------------------------
     def _on_accept(self, conn: Connection) -> None:
         # The handshake hello names the dialling middleware instance's own
-        # listening socket: register the channel so replies reuse it, and
-        # credit what arrives on this connection to it.  (The message
-        # header's *source* must NOT be used here — with multi-hop
+        # listening socket: register the channel so replies reuse it.  (The
+        # message header's *source* must NOT be used here — with multi-hop
         # RoutingHeaders it names the original sender, not the peer.)
-        if conn.peer_hello is None:
-            conn.on_message = self._on_wire_message
-            return
-        key = (tuple(conn.peer_hello), conn.proto)
-        self.pool.register_inbound(key, conn)
-        conn.on_message = partial(self._on_inbound, key)
-        self._arm_channel_sweep()
-
-    def _on_inbound(self, key: ChannelKey, msg: Any, size: int, conn: Connection) -> None:
-        if isinstance(msg, Msg):
-            self.pool.note_traffic_in(key, size)
-        self._deliver(msg)
+        conn.on_message = self._on_wire_message
+        if conn.peer_hello is not None:
+            self.pool.register_inbound((tuple(conn.peer_hello), conn.proto), conn)
 
     def _on_wire_message(self, msg: Any, size: int, conn: Connection) -> None:
         # fluid path: the envelope is the message itself
         self._deliver(msg)
 
     def _on_datagram(self, msg: Any, size: int, src: Socket) -> None:
-        # Datagrams carry no connection hello, and ``src`` is the sender's
-        # ephemeral socket — but a basic header's source names the sending
-        # middleware instance, which is exactly the key an outbound UDP
-        # channel to that peer is pooled under.  Crediting it keeps UDP
-        # stats symmetric with TCP/UDT and visible to the idle sweep.
-        # (Routed headers name the origin, not the peer — skip those.)
-        if isinstance(msg, Msg) and not isinstance(msg.header, RoutingHeader):
-            self.pool.note_traffic_in((msg.header.source.as_socket(), Proto.UDP), size)
         self._deliver(msg)

@@ -62,18 +62,13 @@ class PickleSerializer(Serializer):
 class SerializerRegistry:
     """Type-id <-> serializer mapping with mro-based lookup.
 
-    Three memoization layers keep the per-message cost flat:
+    Two memoization layers keep the per-message cost flat:
 
     * the MRO walk in :meth:`lookup` resolves once per concrete type and
       is cached (invalidated by :meth:`register`);
     * for serializers that split their size (:meth:`Serializer.variable_size`)
       :meth:`wire_size` computes the part fixed by class and header once
-      per (class, header) pair;
-    * when sizing a message requires encoding it (serializers that don't
-      override :meth:`Serializer.wire_size`, e.g. the pickle fallback),
-      the encoded frame from :meth:`wire_size` is kept for the object and
-      reused by the next :meth:`serialize` call on that same object — the
-      send path sizes and encodes exactly once per message.
+      per (class, header) pair.
 
     An unregistered class is an error unless ``allow_pickle_fallback``
     is set: the fallback would ``pickle.loads`` type-id-0 frames, so only
@@ -88,11 +83,6 @@ class SerializerRegistry:
             self._by_id[PICKLE_TYPE_ID] = self._pickle
         #: concrete type -> resolved (type_id, serializer)
         self._lookup_cache: Dict[Type, Tuple[int, Serializer]] = {}
-        #: frame kept from the last size-by-encoding, valid for exactly
-        #: that object and consumed by the next serialize() of it.  The
-        #: contract is the send path's: size, then send, no mutation in
-        #: between.  One entry only, so nothing can accumulate.
-        self._sized_frame: Optional[Tuple[Any, bytes]] = None
         #: (class, header) -> (framed size they fix, the serializer's
         #: variable_size); emptied when full, so headers made per message
         #: cannot grow it without bound
@@ -113,7 +103,6 @@ class SerializerRegistry:
         self._by_type[cls] = (type_id, serializer)
         self._by_id[type_id] = serializer
         self._lookup_cache.clear()
-        self._sized_frame = None
         self._sizes.clear()
 
     def lookup(self, obj: Any) -> Tuple[int, Serializer]:
@@ -138,10 +127,6 @@ class SerializerRegistry:
     # framed encode/decode
     # ------------------------------------------------------------------
     def serialize(self, obj: Any) -> bytes:
-        sized = self._sized_frame
-        if sized is not None and sized[0] is obj:
-            self._sized_frame = None
-            return sized[1]
         type_id, serializer = self.lookup(obj)
         body = serializer.to_bytes(obj)
         return FRAME_HEADER.pack(type_id, len(body)) + body
@@ -162,10 +147,7 @@ class SerializerRegistry:
         """Framed size without materialising the body where possible.
 
         Serializers that can compute their size do so without encoding;
-        for the rest (notably the pickle fallback, whose ``wire_size``
-        must encode to measure) the frame built here is kept so that an
-        immediately following :meth:`serialize` of the same object reuses
-        it instead of encoding again.
+        the rest (notably the pickle fallback) encode to measure.
         """
         try:
             key = (obj.__class__, obj.header)
@@ -174,13 +156,7 @@ class SerializerRegistry:
             key = sized = None
         if sized is not None:
             return sized[0] + sized[1](obj)
-        type_id, serializer = self.lookup(obj)
-        if type(serializer).wire_size is Serializer.wire_size:
-            # Sizing requires encoding: build the full frame once.
-            body = serializer.to_bytes(obj)
-            frame = FRAME_HEADER.pack(type_id, len(body)) + body
-            self._sized_frame = (obj, frame)
-            return len(frame)
+        serializer = self.lookup(obj)[1]
         size = FRAME_HEADER.size + serializer.wire_size(obj)
         if key is not None:
             variable = serializer.variable_size(obj)

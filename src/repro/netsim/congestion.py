@@ -209,22 +209,21 @@ class UdtCc(CongestionControl):
     SYN = 0.01  # UDT rate-control interval, seconds
     DECREASE = 1.0 - 1.0 / 9.0  # multiplicative decrease factor
     BURST_FACTOR = 8.0  # burstiness multiplier for buffer-overshoot check
+    INITIAL_RATE = 128 * 1024  # bytes/s before the first SYN ramp
+    MIN_RATE = 64 * 1024  # bytes/s floor of the loss response
 
     def __init__(
         self,
         rtt: float,
         bandwidth_estimate: float,
         receive_buffer: float = UDT_RECEIVE_BUFFER,
-        initial_rate: float = 128 * 1024,
-        min_rate: float = 64 * 1024,
         max_rate: float = math.inf,
     ) -> None:
         super().__init__()
         self.rtt = max(rtt, 1e-5)
         self.bandwidth_estimate = bandwidth_estimate
         self.receive_buffer = receive_buffer
-        self.rate = initial_rate
-        self.min_rate = min_rate
+        self.rate = self.INITIAL_RATE
         self.max_rate = max_rate
         self._last_increase = -math.inf
         self.loss_events = 0
@@ -233,8 +232,8 @@ class UdtCc(CongestionControl):
     def demand_rate(self, now: float) -> float:
         self._maybe_increase(now)
         rate = self.rate
-        if rate < self.min_rate:
-            rate = self.min_rate
+        if rate < self.MIN_RATE:
+            rate = self.MIN_RATE
         if rate > self.max_rate:
             rate = self.max_rate
         return rate
@@ -288,7 +287,7 @@ class UdtCc(CongestionControl):
 
     def on_loss(self, now: float) -> None:
         self.loss_events += 1
-        rate = max(self.rate * self.DECREASE, self.min_rate)
+        rate = max(self.rate * self.DECREASE, self.MIN_RATE)
         if rate != self.rate:
             self.rate = rate
             self.demand_gen += 1
@@ -297,7 +296,7 @@ class UdtCc(CongestionControl):
         return self.current_rate() * self.rtt
 
     def current_rate(self) -> float:
-        return min(max(self.rate, self.min_rate), self.max_rate)
+        return min(max(self.rate, self.MIN_RATE), self.max_rate)
 
 
 class UdpCc(CongestionControl):
@@ -329,23 +328,18 @@ class LedbatCc(CongestionControl):
 
     subject_to_udp_cap = True
     scavenger = True
+    INITIAL_RATE = 64 * 1024  # bytes/s
+    MIN_RATE = 16 * 1024  # bytes/s floor of the loss response
 
-    def __init__(
-        self,
-        rtt: float,
-        bandwidth_estimate: float,
-        initial_rate: float = 64 * 1024,
-        min_rate: float = 16 * 1024,
-    ) -> None:
+    def __init__(self, rtt: float, bandwidth_estimate: float) -> None:
         super().__init__()
         self.rtt = max(rtt, 1e-5)
         self.bandwidth_estimate = bandwidth_estimate
-        self.rate = initial_rate
-        self.min_rate = min_rate
+        self.rate = self.INITIAL_RATE
         self.loss_events = 0
 
     def demand_rate(self, now: float) -> float:
-        return max(self.rate, self.min_rate)
+        return max(self.rate, self.MIN_RATE)
 
     def on_bytes_sent(self, nbytes: int, now: float) -> None:
         # Additive increase of ~one rate-quantum per RTT worth of data,
@@ -361,7 +355,7 @@ class LedbatCc(CongestionControl):
 
     def on_loss(self, now: float) -> None:
         self.loss_events += 1
-        rate = max(self.rate / 2.0, self.min_rate)
+        rate = max(self.rate / 2.0, self.MIN_RATE)
         if rate != self.rate:
             self.rate = rate
             self.demand_gen += 1
@@ -370,7 +364,7 @@ class LedbatCc(CongestionControl):
         return self.current_rate() * self.rtt
 
     def current_rate(self) -> float:
-        return max(self.rate, self.min_rate)
+        return max(self.rate, self.MIN_RATE)
 
 
 class CubicCc(TcpCc):
@@ -443,21 +437,14 @@ class BbrCc(CongestionControl):
 
     CYCLE_GAINS = (1.25, 0.75, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0)
     LOSS_DECAY = 0.95  # gentle estimate decay per loss episode
+    INITIAL_RATE = 128 * 1024  # bytes/s startup pacing rate
+    MIN_RATE = 64 * 1024  # bytes/s floor of every pacing rate
 
-    def __init__(
-        self,
-        rtt: float,
-        bandwidth_estimate: float,
-        initial_rate: float = 128 * 1024,
-        min_rate: float = 64 * 1024,
-        max_rate: float = math.inf,
-    ) -> None:
+    def __init__(self, rtt: float, bandwidth_estimate: float) -> None:
         super().__init__()
         self.rtt = max(rtt, 1e-5)
         self.bandwidth_estimate = bandwidth_estimate
-        self.min_rate = min_rate
-        self.max_rate = max_rate
-        self.rate = max(initial_rate, min_rate)  # startup pacing rate
+        self.rate = self.INITIAL_RATE  # startup pacing rate
         self.btl_bw = self.rate  # bottleneck estimate once probing
         self.startup = True
         self._cycle_start = 0.0
@@ -465,11 +452,7 @@ class BbrCc(CongestionControl):
         self.loss_events = 0
 
     def _clip(self, rate: float) -> float:
-        if rate < self.min_rate:
-            return self.min_rate
-        if rate > self.max_rate:
-            return self.max_rate
-        return rate
+        return self.MIN_RATE if rate < self.MIN_RATE else rate
 
     def demand_rate(self, now: float) -> float:
         if self.startup:
@@ -488,7 +471,7 @@ class BbrCc(CongestionControl):
             # Rate doubles per RTT: at pacing rate r the controller sends
             # r·RTT bytes per RTT, so crediting nbytes/RTT adds r per RTT.
             rate = self.rate + nbytes / self.rtt
-            if rate >= min(self.bandwidth_estimate, self.max_rate):
+            if rate >= self.bandwidth_estimate:
                 self._enter_probe(rate, now)
             elif rate != self.rate:
                 self.rate = rate
@@ -513,7 +496,7 @@ class BbrCc(CongestionControl):
             # Full-pipe signal: leave startup at the current rate.
             self._enter_probe(self.rate, now)
             return
-        decayed = max(self.btl_bw * self.LOSS_DECAY, self.min_rate)
+        decayed = max(self.btl_bw * self.LOSS_DECAY, self.MIN_RATE)
         if decayed != self.btl_bw:
             self.btl_bw = decayed
             self.demand_gen += 1

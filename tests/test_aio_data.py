@@ -1,8 +1,9 @@
 """The adaptive DATA layer composed with the REAL network backend.
 
-The interceptor only speaks the Network port and the Timer port, so it
-runs unchanged against AioNetwork + WallTimerComponent — adaptive
-per-message transport selection over genuine loopback sockets.
+The interceptor only speaks the Network port and the Timer port, so
+:class:`AioDataNetwork` runs it unchanged over AioNetwork +
+WallTimerComponent — adaptive per-message transport selection over
+genuine loopback sockets.
 """
 
 import socket
@@ -11,11 +12,10 @@ import time
 
 import pytest
 
-from repro.aio import AioNetwork
+from repro.aio import AioDataNetwork, AioNetwork
 from repro.apps import register_app_serializers
-from repro.core import DataNetworkInterceptor, ProtocolRatio, StaticRatio
-from repro.kompics import ComponentDefinition, KompicsSystem, Timer
-from repro.kompics.timer import WallTimerComponent
+from repro.core import ProtocolRatio, StaticRatio
+from repro.kompics import ComponentDefinition, KompicsSystem
 from repro.messaging import (
     BasicAddress,
     DataHeader,
@@ -68,33 +68,29 @@ class Collector(ComponentDefinition):
 
 @pytest.fixture()
 def stack():
-    """Sender with interceptor over AioNetwork; plain AioNetwork receiver."""
+    """AioDataNetwork sender; plain AioNetwork receiver."""
     system = KompicsSystem.threaded(workers=3)
     addr_a = BasicAddress(HOST, free_port())
     addr_b = BasicAddress(HOST, free_port())
 
-    net_a = system.create(AioNetwork, addr_a, serializers=registry())
-    net_b = system.create(AioNetwork, addr_b, serializers=registry())
-    timer = system.create(WallTimerComponent)
-    interceptor = system.create(
-        DataNetworkInterceptor,
+    net_a = system.create(
+        AioDataNetwork, addr_a, serializers=registry(),
         prp_factory=lambda: StaticRatio(ProtocolRatio.FIFTY_FIFTY),
         episode_length=0.5,
         window_messages=8,
     )
-    # Standalone interceptor wiring: consumer <-> interceptor <-> network.
-    system.connect(timer.provided(Timer), interceptor.required(Timer))
-    system.connect(net_a.provided(Network), interceptor.required(Network))
+    net_b = system.create(AioNetwork, addr_b, serializers=registry())
 
     app_a = system.create(Collector)
-    system.connect(interceptor.provided(Network), app_a.required(Network))
+    net_a.definition.connect_consumer(app_a.required(Network))
     app_b = system.create(Collector)
     system.connect(net_b.provided(Network), app_b.required(Network))
 
-    for c in (net_a, net_b, timer, interceptor, app_a, app_b):
+    for c in (net_a, net_b, app_a, app_b):
         system.start(c)
-    time.sleep(0.3)
-    yield system, (addr_a, app_a), (addr_b, app_b), interceptor
+    for net in (net_a.definition.network_def, net_b.definition):
+        net.wait_ready(10.0)
+    yield system, (addr_a, app_a), (addr_b, app_b), net_a.definition.interceptor
     system.shutdown()
     time.sleep(0.2)
 

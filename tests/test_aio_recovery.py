@@ -105,7 +105,6 @@ def supervised_system(**extra):
     """A threaded system wired for supervised AioNetwork restarts."""
     config = {
         "kompics.supervision.enabled": True,
-        "kompics.supervision.action": "restart",
         "kompics.supervision.max_restarts": 10,
         "kompics.supervision.window": 60.0,
         "kompics.fault_policy": "store",

@@ -34,7 +34,7 @@ CHAOS = ChaosCampaignResult(
     setup="fault-env", seed=3, sim_time=20.0,
     timeline=(ChaosEvent(2.5, "component_fault", "sender", 0.0),
               ChaosEvent(4.0, "link_cut", "link", 0.5)),
-    faults_injected=1, link_cuts=1, restarts=1, escalations=0, destroys=0,
+    faults_injected=1, link_cuts=1, restarts=1, escalations=0,
     deadletters=2, pings_sent=80, pings_answered=70,
     pings_answered_before_tail=58, transfer_bytes=4 * MB,
     transfer_progress=1.0, transfer_done=True, reconnect_attempts=2,

@@ -7,13 +7,7 @@ from typing import List
 import pytest
 
 from repro.errors import ComponentError
-from repro.kompics import (
-    ComponentDefinition,
-    Fault,
-    FaultAction,
-    KompicsSystem,
-    SupervisionPolicy,
-)
+from repro.kompics import ComponentDefinition, Fault, KompicsSystem
 from repro.kompics.component import ComponentState
 from repro.kompics.runtime import DEADLETTERS_KEPT
 from repro.sim import Simulator
@@ -26,11 +20,10 @@ def sim():
     return Simulator()
 
 
-def supervised(sim, action="escalate", max_restarts=5, window=30.0, **config):
-    """A system whose components default to ``action`` on a fault."""
+def supervised(sim, max_restarts=5, window=30.0, **config):
+    """A system that restarts a faulted component within the budget."""
     merged = {
         "kompics.supervision.enabled": True,
-        "kompics.supervision.action": action,
         "kompics.supervision.max_restarts": max_restarts,
         "kompics.supervision.window": window,
     }
@@ -98,20 +91,18 @@ class TestDisabledDefault:
         system = supervised(
             sim,
             **{
-                "kompics.supervision.action": "restart",
                 "kompics.supervision.max_restarts": 2,
                 "kompics.supervision.window": 5.0,
             },
         )
-        policy = system.supervision.default_policy
-        assert policy.action is FaultAction.RESTART
+        policy = system.supervision.policy
         assert policy.max_restarts == 2
         assert policy.window == 5.0
 
 
 class TestRestart:
     def test_restart_reinstantiates_and_keeps_channels(self, sim):
-        system = supervised(sim, "restart")
+        system = supervised(sim)
         server, client = wire(sim, system)
         send_and_run(sim, client, 1, 2, 3)
         # seq 2 faulted; the fresh instance answered seq 3 over the old channel
@@ -124,7 +115,7 @@ class TestRestart:
         assert server.definition.handled == [3]
 
     def test_restart_calls_on_fault_hook_on_old_instance(self, sim):
-        system = supervised(sim, "restart")
+        system = supervised(sim)
         server, client = wire(sim, system)
         old = server.definition
         send_and_run(sim, client, 2)
@@ -143,7 +134,7 @@ class TestRestart:
             def on_ping(self, ping: Ping) -> None:
                 raise RuntimeError("boom")
 
-        system = supervised(sim, "restart")
+        system = supervised(sim)
         parent = system.create(Parent)
         client = system.create(Client)
         system.connect(parent.provided(PingPort), client.required(PingPort))
@@ -161,7 +152,7 @@ class TestRestart:
         # Actor-family restart semantics: the fault consumes only the
         # poisoned event; everything already queued behind it survives the
         # reinstantiation and is delivered to the successor instance.
-        system = supervised(sim, "restart")
+        system = supervised(sim)
         server, client = wire(sim, system)
         for seq in (1, 2, 3, 4):
             client.definition.send(seq)
@@ -173,7 +164,7 @@ class TestRestart:
         assert [p.seq for p in client.definition.pongs] == [1, 3, 4]
 
     def test_budget_exhaustion_escalates(self, sim):
-        system = supervised(sim, "restart", max_restarts=2, window=100.0)
+        system = supervised(sim, max_restarts=2, window=100.0)
         server, client = wire(sim, system, bad_seqs=(1, 2, 3))
         send_and_run(sim, client, 1)
         send_and_run(sim, client, 2)
@@ -186,7 +177,7 @@ class TestRestart:
         assert system.supervision.escalations_total == 1
 
     def test_budget_window_rolls(self, sim):
-        system = supervised(sim, "restart", max_restarts=1, window=2.0)
+        system = supervised(sim, max_restarts=1, window=2.0)
         server, client = wire(sim, system, bad_seqs=(1, 2, 3))
         send_and_run(sim, client, 1)  # restart #1
         sim.run_until(sim.clock.now() + 10.0)  # outlives the window
@@ -196,78 +187,47 @@ class TestRestart:
 
 
 class TestOtherActions:
-    def test_ignore_drops_event_and_resumes(self, sim):
-        system = supervised(sim, "ignore")
-        server, client = wire(sim, system)
-        send_and_run(sim, client, 1, 2, 3)
-        assert [p.seq for p in client.definition.pongs] == [1, 3]
-        assert Flaky.instances == 1  # same instance throughout
-        assert server.state is ComponentState.ACTIVE
-        assert system.supervision.ignored_total == 1
-
-    def test_destroy_tears_down_and_spares_the_rest(self, sim):
-        system = supervised(sim, "destroy")
-        server, client = wire(sim, system)
-        send_and_run(sim, client, 2)
-        assert server.state is ComponentState.DESTROYED
-        assert client.state is ComponentState.ACTIVE
-        assert system.supervision.destroys_total == 1
-        assert all(c.core is not server.core for c in system.components)
-
     def test_escalate_applies_parent_policy(self, sim):
+        # The child's budget allows one restart; its second fault escalates
+        # to the parent, which restarts and re-creates the child.
         class Parent(ComponentDefinition):
             def __init__(self) -> None:
                 super().__init__()
-                self.child = self.create(Flaky)
+                self.child = self.create(Flaky, bad_seqs=(1, 2))
                 self.port = self.child.definition.port
 
-            def supervision(self):
-                return SupervisionPolicy.restart()
-
-        system = supervised(sim)
+        system = supervised(sim, max_restarts=1, window=100.0)
         parent = system.create(Parent)
         client = system.create(Client)
         system.connect(parent.definition.port, client.required(PingPort))
-        # child escalates (the global default); parent restarts
         system.start(parent)
         system.start(client)
         sim.run()
-        send_and_run(sim, client, 2)
+        send_and_run(sim, client, 1)  # the child restarts in place
+        first_child = parent.definition.child
+        assert system.supervision.restarts_of(first_child) == 1
+        send_and_run(sim, client, 2)  # the child's budget is spent
         # the parent was restarted, taking the faulted child with it
-        assert system.supervision.restarts_total == 1
+        assert system.supervision.restarts_total == 2
+        assert system.supervision.escalations_total == 1
+        assert system.supervision.restarts_of(parent) == 1
         assert parent.state is ComponentState.ACTIVE
-        assert Flaky.instances == 2
+        assert first_child.state is ComponentState.DESTROYED
+        assert parent.definition.child.state is ComponentState.ACTIVE
+        assert Flaky.instances == 3
 
     def test_root_escalation_matches_store_policy(self, sim):
-        system = supervised(sim, **{"kompics.fault_policy": "store"})
-        server, client = wire(sim, system)
-        send_and_run(sim, client, 2)
+        system = supervised(sim, max_restarts=1, window=100.0,
+                            **{"kompics.fault_policy": "store"})
+        server, client = wire(sim, system, bad_seqs=(1, 2))
+        send_and_run(sim, client, 1, 2)
         assert server.state is ComponentState.FAULTY
         assert len(system.faults) == 1
 
 
-class TestPolicyResolution:
-    def test_definition_override_beats_global(self, sim):
-        class SelfHealing(Flaky):
-            def supervision(self):
-                return SupervisionPolicy.restart()
-
-        system = supervised(sim)  # global default: escalate -> raise
-        server, client = wire(sim, system, server_cls=SelfHealing)
-        send_and_run(sim, client, 1, 2, 3)
-        assert [p.seq for p in client.definition.pongs] == [1, 3]
-        assert system.supervision.restarts_total == 1
-
-    def test_global_action_from_config(self, sim):
-        system = supervised(sim, **{"kompics.supervision.action": "ignore"})
-        server, client = wire(sim, system)
-        send_and_run(sim, client, 1, 2, 3)
-        assert [p.seq for p in client.definition.pongs] == [1, 3]
-
-
 class TestSupervisionEventsPort:
     def test_inject_fault_behaves_like_handler_exception(self, sim):
-        system = supervised(sim, "restart")
+        system = supervised(sim)
         server, client = wire(sim, system)
         system.supervision.inject_fault(server, RuntimeError("chaos"))
         sim.run()
@@ -276,7 +236,7 @@ class TestSupervisionEventsPort:
         assert system.supervision.restarts_total == 1
 
     def test_timeline_records_actions(self, sim):
-        system = supervised(sim, "restart")
+        system = supervised(sim)
         server, client = wire(sim, system)
         send_and_run(sim, client, 2)
         records = system.supervision.timeline_for(server.name)
@@ -347,7 +307,7 @@ class TestDeadLetters:
         # the root (store policy -> FAULTY), every later send is a dropped
         # dead letter: the "gap" traffic is fully accounted, never lost
         # silently.
-        system = supervised(sim, "restart", max_restarts=1, window=100.0,
+        system = supervised(sim, max_restarts=1, window=100.0,
                             **{"kompics.fault_policy": "store"})
         server, client = wire(sim, system, bad_seqs=(1, 2))
         send_and_run(sim, client, 1)  # restart #1 uses up the budget

@@ -252,34 +252,10 @@ class TestRoutedChannelReuse:
 
 class TestIdleChannelReaping:
     def test_disabled_by_default(self):
+        # There is no idle reaping (§III-C: re-establishment is expensive):
+        # a channel stays pooled for as long as the component lives.
         world = make_world()
         a, b = world.nodes
         a.app_def.send(b.address, "one")
         world.sim.run_until(300.0)
         assert len(a.net_def.pool) == 1  # conservative: kept open
-
-    def test_idle_channels_reaped_when_configured(self):
-        world = make_world(config={"messaging.channel_idle_timeout": 10.0})
-        a, b = world.nodes
-        a.app_def.send(b.address, "one")
-        world.sim.run_until(3.0)
-        assert len(a.net_def.pool) == 1
-        world.sim.run_until(30.0)
-        assert len(a.net_def.pool) == 0
-        # Reaping is transparent: the next send re-establishes the channel.
-        a.app_def.send(b.address, "two")
-        world.sim.run_until(35.0)
-        assert [m.tag for m in b.app_def.received] == ["one", "two"]
-
-    def test_active_channels_survive_sweeps(self):
-        world = make_world(config={"messaging.channel_idle_timeout": 2.0})
-        a, b = world.nodes
-
-        def keep_talking(i=0):
-            a.app_def.send(b.address, f"k{i}")
-            world.sim.schedule(1.0, lambda: keep_talking(i + 1))
-
-        keep_talking()
-        world.sim.run_until(20.0)
-        assert len(a.net_def.pool) == 1
-        assert len(b.app_def.received) >= 19

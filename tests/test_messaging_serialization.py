@@ -192,43 +192,8 @@ class TestLookupCache:
 
 
 class TestSizeThenSerializeOnce:
-    def test_size_then_serialize_encodes_once(self):
-        """The send path's double-serialization fix: size + encode = 1 encode."""
-        counting = CountingSerializer()
-        reg = SerializerRegistry()
-        reg.register(10, Point, counting)
-        p = Point(5, 6)
-        size = reg.wire_size(p)
-        frame = reg.serialize(p)
-        assert size == len(frame)
-        assert counting.encodes == 1
-
-    def test_cached_frame_is_per_object(self):
-        counting = CountingSerializer()
-        reg = SerializerRegistry()
-        reg.register(10, Point, counting)
-        a, b = Point(1, 1), Point(2, 2)
-        reg.wire_size(a)  # caches a's frame
-        frame_b = reg.serialize(b)  # different object: fresh encode
-        assert reg.deserialize(frame_b) == b
-        assert counting.encodes == 2
-        # a's cached frame is still valid for a itself.
-        assert reg.deserialize(reg.serialize(a)) == a
-        assert counting.encodes == 2
-
-    def test_cached_frame_consumed_once(self):
-        counting = CountingSerializer()
-        reg = SerializerRegistry()
-        reg.register(10, Point, counting)
-        p = Point(7, 8)
-        reg.wire_size(p)
-        first = reg.serialize(p)   # consumes the sized frame
-        second = reg.serialize(p)  # re-encodes
-        assert first == second
-        assert counting.encodes == 2
-
     def test_sizing_serializer_skips_frame_cache(self):
-        """Serializers with a real wire_size never trigger the encode cache."""
+        """A serializer with a real wire_size is sized without encoding."""
 
         class SizedSerializer(CountingSerializer):
             def wire_size(self, obj) -> int:
@@ -240,7 +205,6 @@ class TestSizeThenSerializeOnce:
         p = Point(9, 9)
         assert reg.wire_size(p) == len(reg.serialize(p))
         assert counting.encodes == 1  # only the serialize() call encoded
-        assert reg._sized_frame is None
 
 
 class TestCompression:

@@ -206,10 +206,10 @@ class TestBbrCc:
         assert cc.btl_bw == pytest.approx(before * BbrCc.LOSS_DECAY)
 
     def test_rate_never_below_floor(self):
-        cc = BbrCc(rtt=0.1, bandwidth_estimate=10 * MB, min_rate=64 * 1024)
+        cc = BbrCc(rtt=0.1, bandwidth_estimate=10 * MB)
         for t in range(1, 60):
             cc.on_loss(float(t))
-        assert cc.demand_rate(100.0) >= 64 * 1024 - 1e-9
+        assert cc.demand_rate(100.0) >= BbrCc.MIN_RATE - 1e-9
 
 
 class TestSpecThreading:

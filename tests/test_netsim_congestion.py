@@ -60,7 +60,7 @@ class TestTcpCc:
 
 class TestUdtCc:
     def test_ramps_toward_estimate(self):
-        cc = UdtCc(rtt=0.1, bandwidth_estimate=10 * MB, initial_rate=128 * 1024)
+        cc = UdtCc(rtt=0.1, bandwidth_estimate=10 * MB)
         r0 = cc.demand_rate(0.0)
         r1 = cc.demand_rate(1.0)  # 100 SYN intervals later
         assert r1 > r0
@@ -72,20 +72,21 @@ class TestUdtCc:
         assert fast.demand_rate(2.0) == pytest.approx(slow.demand_rate(2.0))
 
     def test_loss_decreases_by_one_ninth(self):
-        cc = UdtCc(rtt=0.1, bandwidth_estimate=10 * MB, initial_rate=9 * MB)
+        cc = UdtCc(rtt=0.1, bandwidth_estimate=10 * MB)
+        cc.rate = 9 * MB
         cc.on_loss(0.0)
         assert cc.rate == pytest.approx(8 * MB)
 
     def test_buffer_overshoot_detected_on_high_bdp(self):
-        cc = UdtCc(rtt=0.3, bandwidth_estimate=10 * MB, initial_rate=10 * MB,
-                   receive_buffer=12 * MB)
+        cc = UdtCc(rtt=0.3, bandwidth_estimate=10 * MB, receive_buffer=12 * MB)
+        cc.rate = 10 * MB
         assert cc.check_receive_buffer(0.0)  # 10MB/s * 0.31 * 8 > 12MB
         assert cc.buffer_overflows == 1
         assert cc.rate < 10 * MB
 
     def test_large_buffer_no_overshoot(self):
-        cc = UdtCc(rtt=0.3, bandwidth_estimate=10 * MB, initial_rate=10 * MB,
-                   receive_buffer=100 * MB)
+        cc = UdtCc(rtt=0.3, bandwidth_estimate=10 * MB, receive_buffer=100 * MB)
+        cc.rate = 10 * MB
         assert not cc.check_receive_buffer(0.0)
 
     def test_max_rate_cap(self):
@@ -111,18 +112,21 @@ class TestLedbatCc:
         assert cc.subject_to_udp_cap
 
     def test_gentle_additive_increase(self):
-        cc = LedbatCc(rtt=0.1, bandwidth_estimate=50 * MB, initial_rate=1 * MB)
+        cc = LedbatCc(rtt=0.1, bandwidth_estimate=50 * MB)
+        cc.rate = 1 * MB
         cc.on_bytes_sent(100_000, 0.0)
         assert 1 * MB < cc.rate < 1.2 * MB
 
     def test_never_exceeds_estimate(self):
-        cc = LedbatCc(rtt=0.1, bandwidth_estimate=5 * MB, initial_rate=1 * MB)
+        cc = LedbatCc(rtt=0.1, bandwidth_estimate=5 * MB)
+        cc.rate = 1 * MB
         for _ in range(1000):
             cc.on_bytes_sent(1_000_000, 0.0)
         assert cc.rate == 5 * MB
 
     def test_halves_on_loss(self):
-        cc = LedbatCc(rtt=0.1, bandwidth_estimate=50 * MB, initial_rate=8 * MB)
+        cc = LedbatCc(rtt=0.1, bandwidth_estimate=50 * MB)
+        cc.rate = 8 * MB
         cc.on_loss(0.0)
         assert cc.rate == pytest.approx(4 * MB)
         assert cc.loss_events == 1
