@@ -12,6 +12,8 @@ dedicated thread (for use with ``KompicsSystem.threaded()``):
 * **Frame batching**: a per-(remote, transport) drainer task coalesces
   whatever has accumulated into one ``send_frames`` call (one gathered
   ``sendmsg`` per batch on TCP, one pacing-loop wakeup on UDT-lite).
+  The drainer is its key's only dialler, so the channel map holds plain
+  connections, dialled or accepted (keyed by the dialler's hello).
 * **Channel recovery**: a failed dial is retried ``REDIAL_ATTEMPTS``
   times on the capped-exponential schedule of
   :class:`~repro.messaging.recovery.ReconnectPolicy`
@@ -163,7 +165,7 @@ class AioNetwork(NetworkComponent):
                 f"{AT_LEAST_ONCE!r}, not {self.redelivery!r}"
             )
         #: capped-exponential backoff between redials (shared with the
-        #: simulated ChannelPool's reconnect campaigns)
+        #: simulated NettyNetwork's reconnect campaigns)
         self.reconnect_policy = ReconnectPolicy.from_config(self.config)
         self._backoff_rng = self.rng("aio-backoff")
         self._hello = pack_address(self_address)
@@ -185,8 +187,8 @@ class AioNetwork(NetworkComponent):
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._thread: Optional[threading.Thread] = None
         self._listeners: list[AioListener] = []
-        #: channel -> future resolving to its AioConnection
-        self._channels: Dict[_Key, "asyncio.Future[AioConnection]"] = {}
+        #: channel -> its connection (only the key's drainer dials it)
+        self._channels: Dict[_Key, AioConnection] = {}
         self._watch_channels(self._channels)
         #: loop-thread outbound queues, drained in batches per channel
         self._sendq: Dict[_Key, Deque[_QueuedSend]] = {}
@@ -354,11 +356,8 @@ class AioNetwork(NetworkComponent):
             self._sendq.clear()
             for listener in self._listeners:
                 await listener.close()
-            for future in list(self._channels.values()):
-                if future.done() and not future.exception():
-                    await future.result().close()
-                elif not future.done():
-                    future.cancel()
+            for conn in list(self._channels.values()):
+                await conn.close()
             self._channels.clear()
             if self._udp is not None:
                 await self._udp.close()
@@ -525,10 +524,9 @@ class AioNetwork(NetworkComponent):
         conn: Optional[AioConnection] = None
         for attempt in range(REDIAL_ATTEMPTS + 1):
             try:
-                conn = await self._channel(remote, transport)
+                conn = await self._channel(key)
                 break
             except (ConnectionError, OSError, asyncio.TimeoutError):
-                self._channels.pop(key, None)
                 conn = None
             if attempt < REDIAL_ATTEMPTS:
                 # Capped-exponential backoff between redials: a restart
@@ -583,35 +581,21 @@ class AioNetwork(NetworkComponent):
                 self._mark_down(remote, transport, "send failures")
             self._resolve(transport, len(frame), notify_id, False)
 
-    async def _channel(self, remote: Endpoint, transport: Transport) -> AioConnection:
-        key = (remote, transport)
-        future = self._channels.get(key)
-        if future is not None:
-            if not future.done() or not future.exception():
-                conn = await asyncio.shield(future)
-                if not conn.closed:
-                    return conn
-            self._channels.pop(key, None)
-
-        loop = asyncio.get_running_loop()
-        future = loop.create_future()
-        self._channels[key] = future
-        try:
-            entry = self._drivers.get(transport)
-            if entry is None:
-                raise TransportError(f"no stream driver for transport {transport!r}")
-            driver, offset = entry
-            target = remote if offset == 0 else (remote[0], remote[1] + offset)
-            conn = await driver.connect(target, self._hello)
-            self._wire_connection(conn, key)
-            future.set_result(conn)
+    async def _channel(self, key: _Key) -> AioConnection:
+        """``key``'s open connection, dialled if there is none."""
+        conn = self._channels.get(key)
+        if conn is not None and not conn.closed:
             return conn
-        except BaseException as exc:
-            self._channels.pop(key, None)
-            future.set_exception(exc)
-            # The exception is re-raised to the caller; mark it retrieved.
-            future.exception()
-            raise
+        remote, transport = key
+        entry = self._drivers.get(transport)
+        if entry is None:
+            raise TransportError(f"no stream driver for transport {transport!r}")
+        driver, offset = entry
+        target = remote if offset == 0 else (remote[0], remote[1] + offset)
+        conn = await driver.connect(target, self._hello)
+        self._wire_connection(conn, key)
+        self._channels[key] = conn
+        return conn
 
     # ------------------------------------------------------------------
     # receive path (loop thread)
@@ -623,12 +607,8 @@ class AioNetwork(NetworkComponent):
                 peer_addr, _ = unpack_address(conn.peer_hello)
                 key = (peer_addr.as_socket(), transport)
                 existing = self._channels.get(key)
-                if existing is None or (existing.done() and (
-                        existing.exception() or existing.result().closed)):
-                    loop = asyncio.get_running_loop()
-                    future = loop.create_future()
-                    future.set_result(conn)
-                    self._channels[key] = future
+                if existing is None or existing.closed:
+                    self._channels[key] = conn
             self._wire_connection(conn, key)
 
         return on_connection
@@ -642,10 +622,8 @@ class AioNetwork(NetworkComponent):
         conn.on_frame = lambda frame: self._on_frame(frame, key)
         if key is not None:
             def on_closed(c: AioConnection) -> None:
-                future = self._channels.get(key)
-                if future is not None and future.done() and not future.exception() \
-                        and future.result() is c:
-                    self._channels.pop(key, None)
+                if self._channels.get(key) is c:
+                    del self._channels[key]
 
             conn.on_closed = on_closed
 

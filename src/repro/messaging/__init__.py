@@ -8,14 +8,15 @@ Public surface:
   :class:`RoutingHeader`, :class:`Route`, :class:`BaseMsg`.
 * :class:`Network` port and :class:`MessageNotify`.
 * :class:`NetworkComponent` — the port's send/receive pipeline, shared
-  by :class:`NettyNetwork` (simulation backend) and ``repro.aio``.
+  by :class:`NettyNetwork` (simulation backend, owner of its channel map
+  and reconnect campaigns) and ``repro.aio``.
+* :class:`ReconnectPolicy` — the redial backoff both backends share.
 * :class:`VirtualNetworkChannel` — vnode routing.
 * Serialization registry (and :mod:`repro.messaging.compression`, the
   Snappy size model of the simulated path).
 """
 
 from repro.messaging.address import Address, BasicAddress, VirtualAddress, vnode_id_of
-from repro.messaging.channels import ChannelPool, ChannelRef
 from repro.messaging.message import (
     BaseMsg,
     BasicHeader,
@@ -28,7 +29,7 @@ from repro.messaging.message import (
 from repro.messaging.netty import NettyNetwork
 from repro.messaging.network_component import NetworkComponent
 from repro.messaging.network_port import MessageNotify, Network, TransportStatus
-from repro.messaging.recovery import ChannelRecovery, ReconnectPolicy
+from repro.messaging.recovery import ReconnectPolicy
 from repro.messaging.serialization import (
     PickleSerializer,
     Serializer,
@@ -59,10 +60,7 @@ __all__ = [
     "NetworkComponent",
     "NettyNetwork",
     "ReconnectPolicy",
-    "ChannelRecovery",
     "VirtualNetworkChannel",
-    "ChannelPool",
-    "ChannelRef",
     "Serializer",
     "SerializerRegistry",
     "PickleSerializer",

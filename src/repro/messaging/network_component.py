@@ -40,8 +40,8 @@ class Route(NamedTuple):
     #: the remote is this instance: reflect, never serialize (§III-B)
     local: bool
     enabled: bool
-    #: what the backend keys the channel by
-    key: Any
+    #: ``(remote, transport)``: the channel key on both backends
+    key: Tuple[Socket, Transport]
     #: completion callback of a send nobody tracks, bound once
     sent: Callable[[bool], None]
 
@@ -156,13 +156,9 @@ class NetworkComponent(ComponentDefinition):
             )
         return Route(
             remote, transport, remote == self._self_socket, enabled,
-            self._channel_key(remote, transport) if enabled else None,
+            (remote, transport),
             partial(self._resolve, transport, 0, None),
         )
-
-    def _channel_key(self, remote: Socket, transport: Transport) -> Any:
-        """Backend hook: what the backend keys the route's channel by."""
-        return (remote, transport)
 
     def _transmit(self, msg: Msg, route: Route, notify_id: Optional[int]) -> None:
         """Backend hook: put ``msg`` on the wire along ``route``.

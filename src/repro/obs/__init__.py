@@ -8,7 +8,7 @@ messaging transports and the RL core all bind instruments from the
 current registry at construction time; see ``docs/observability.md``.
 """
 
-from repro.obs.export import dump, snapshot_document, to_json, to_lines
+from repro.obs.export import snapshot_document
 from repro.obs.metrics import (
     DEFAULT_BUCKETS,
     NULL_REGISTRY,
@@ -28,8 +28,6 @@ from repro.obs.tracer import (
     NullTracer,
     TraceEvent,
     Tracer,
-    disable_tracing,
-    enable_tracing,
     get_tracer,
     set_tracer,
     tracing,
@@ -49,16 +47,11 @@ __all__ = [
     "Tracer",
     "collecting",
     "disable",
-    "disable_tracing",
-    "dump",
     "enable",
-    "enable_tracing",
     "get_registry",
     "get_tracer",
     "set_registry",
     "set_tracer",
     "snapshot_document",
-    "to_json",
-    "to_lines",
     "tracing",
 ]

@@ -2,11 +2,12 @@
 
 Two formats cover the two consumers:
 
-* ``to_json`` — the full structured snapshot (histograms with buckets and
-  quantiles), consumed by :mod:`repro.bench.harness` and figure scripts;
-* ``to_lines`` — a flat, diff-friendly ``name{label=value} value`` line
-  protocol (one scalar per line, histograms expanded to summary series),
-  convenient for quick shell inspection and CI artifact diffing.
+* :func:`document_json` of :func:`snapshot_document` — the full
+  structured snapshot (histograms with buckets and quantiles), consumed by
+  :mod:`repro.bench.harness` and figure scripts;
+* :func:`document_lines` — a flat, diff-friendly ``name{label=value} value``
+  line protocol (one scalar per line, histograms expanded to summary
+  series), convenient for quick shell inspection and CI artifact diffing.
 """
 
 from __future__ import annotations
@@ -44,15 +45,6 @@ def snapshot_document(
     return doc
 
 
-def to_json(
-    registry: MetricsRegistry,
-    tracer: Optional[Tracer] = None,
-    meta: Optional[Dict[str, Any]] = None,
-    indent: int = 2,
-) -> str:
-    return document_json(snapshot_document(registry, tracer, meta), indent=indent)
-
-
 def document_json(document: Dict[str, Any], indent: int = 2) -> str:
     """Strict, key-sorted JSON text of a snapshot or campaign document."""
     return json.dumps(_sanitize(document), indent=indent, sort_keys=True, default=_json_default)
@@ -88,13 +80,9 @@ def _format_value(value: float) -> str:
     return repr(value)
 
 
-def to_lines(registry: MetricsRegistry) -> List[str]:
-    """Flat ``name{labels} value`` lines, sorted for stable diffs."""
-    return document_lines(registry.snapshot())
-
-
 def document_lines(metrics: Dict[str, Any]) -> List[str]:
-    """:func:`to_lines` of a snapshot document's ``metrics`` section."""
+    """Flat ``name{labels} value`` lines of a snapshot's ``metrics``, sorted
+    for stable diffs."""
     lines: List[str] = []
     for name, entries in sorted(metrics.items()):
         for entry in entries:
@@ -110,20 +98,3 @@ def document_lines(metrics: Dict[str, Any]) -> List[str]:
                 lines.append(f"{name}.{stat}{_format_labels(labels)} {_format_value(value)}")
     return lines
 
-
-def dump(
-    path: str,
-    registry: MetricsRegistry,
-    tracer: Optional[Tracer] = None,
-    meta: Optional[Dict[str, Any]] = None,
-    fmt: str = "json",
-) -> None:
-    """Write a snapshot to ``path`` in ``json`` or ``lines`` format."""
-    if fmt == "json":
-        text = to_json(registry, tracer, meta)
-    elif fmt == "lines":
-        text = "\n".join(to_lines(registry)) + "\n"
-    else:
-        raise ValueError(f"unknown export format {fmt!r}; use 'json' or 'lines'")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)

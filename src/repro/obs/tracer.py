@@ -178,17 +178,6 @@ def set_tracer(tracer: Tracer) -> Tracer:
     return previous
 
 
-def enable_tracing(clock: Optional[Clock] = None, keep: Optional[int] = None) -> Tracer:
-    """Install (and return) a recording tracer."""
-    tracer = Tracer(clock=clock, keep=keep)
-    set_tracer(tracer)
-    return tracer
-
-
-def disable_tracing() -> None:
-    set_tracer(NULL_TRACER)
-
-
 @contextlib.contextmanager
 def tracing(clock: Optional[Clock] = None, keep: Optional[int] = None) -> Iterator[Tracer]:
     """Context manager installing a fresh tracer, restoring on exit."""

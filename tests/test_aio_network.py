@@ -201,9 +201,7 @@ class TestSendFailure:
                 writer.setblocking(False)
                 conn = TcpConnection(writer)
                 conn.start_reading()
-                channel = asyncio.get_running_loop().create_future()
-                channel.set_result(conn)
-                network._channels[(ghost.as_socket(), Transport.TCP)] = channel
+                network._channels[(ghost.as_socket(), Transport.TCP)] = conn
                 return conn, reader
 
             conn, reader = asyncio.run_coroutine_threadsafe(install(), network._loop).result(5.0)
@@ -245,7 +243,7 @@ class TestHostileFrames:
         # TCP: a well-framed body of garbage on an established channel.
         send_blob(app_a, addr_a, addr_b, "tcp-first", Transport.TCP)
         assert app_b.definition.wait(lambda: len(app_b.definition.received) == 2)
-        conn = net_a.definition._channels[(addr_b.as_socket(), Transport.TCP)].result()
+        conn = net_a.definition._channels[(addr_b.as_socket(), Transport.TCP)]
         asyncio.run_coroutine_threadsafe(
             conn.send_frames([b"\x00\x00\x00\x01\x00\x00\x00\x02not-a-frame", b"x"]),
             net_a.definition._loop,
@@ -274,7 +272,7 @@ class TestHostileFrames:
 
         send_blob(app_a, addr_a, addr_b, "tcp-first", Transport.TCP)
         assert app_b.definition.wait(lambda: len(app_b.definition.received) == 1)
-        conn = net_a.definition._channels[(addr_b.as_socket(), Transport.TCP)].result()
+        conn = net_a.definition._channels[(addr_b.as_socket(), Transport.TCP)]
         asyncio.run_coroutine_threadsafe(
             conn.send_frames([frame]), net_a.definition._loop,
         ).result(timeout=5.0)

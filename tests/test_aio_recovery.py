@@ -169,7 +169,7 @@ class TestTransportStatusRecovery:
         # Kill the channel under the component's feet.
         import asyncio
 
-        conn = net_a.definition._channels[key].result()
+        conn = net_a.definition._channels[key]
         asyncio.run_coroutine_threadsafe(
             conn.close(), net_a.definition._loop
         ).result(timeout=5.0)

@@ -73,8 +73,8 @@ class TestBasicDelivery:
         a.app_def.send(b.address, "d", transport=Transport.UDP)
         world.sim.run()
         assert sorted(m.tag for m in b.app_def.received) == ["d", "t", "u"]
-        # Three distinct channels in a's pool (tcp, udt, udp).
-        assert len(a.net_def.pool) == 3
+        # Three distinct channels in a's map (tcp, udt, udp).
+        assert len(a.net_def.channels) == 3
 
 
 class TestMessageNotify:
@@ -197,7 +197,7 @@ class TestChannelLifecycle:
         world.system.kill(a.network)
         world.sim.run()
         assert a.network.state is ComponentState.DESTROYED
-        assert len(a.net_def.pool) == 0
+        assert len(a.net_def.channels) == 0
         # New inbound connections are refused after unlisten.
         b.app_def.send(a.address, "late", notify=True)
         world.sim.run()
@@ -258,4 +258,4 @@ class TestIdleChannelReaping:
         a, b = world.nodes
         a.app_def.send(b.address, "one")
         world.sim.run_until(300.0)
-        assert len(a.net_def.pool) == 1  # conservative: kept open
+        assert len(a.net_def.channels) == 1  # conservative: kept open

@@ -115,11 +115,39 @@ class TestReconnect:
             assert {f"q{i}" for i in range(QUEUE_LIMIT)} <= tags
             assert f"q{QUEUE_LIMIT}" not in tags
 
+    def test_kill_mid_campaign_fails_parked_sends_once_and_stops_redialing(self):
+        with collecting() as reg, tracing() as tracer:
+            world = recovery_world()
+            a, b = world.nodes
+            a.app_def.send(b.address, "warm", notify=True)
+            world.sim.run()
+
+            FaultInjector(world.fabric).cut_link(a.host.ip, b.host.ip)  # permanent
+            # A cold UDT dial into the dead link fails with its send and
+            # starts a campaign; the next three sends park behind it.
+            a.app_def.send(b.address, "first", transport=Transport.UDT, notify=True)
+            world.sim.run_until(world.sim.now + 0.6)
+            for i in range(3):
+                a.app_def.send(b.address, f"parked-{i}", transport=Transport.UDT, notify=True)
+            world.sim.run_until(world.sim.now + 0.3)
+            assert reg.total("messaging.reconnect.attempts_total") >= 1
+            world.system.kill(a.network)
+            killed_at = world.sim.now
+            world.sim.run()
+
+            assert [r.success for r in a.app_def.notifies] == [True] + [False] * 4
+            counters = a.net_def.counters
+            assert (counters["sent"], counters["send_failures"]) == (1, 4)
+            assert not [r for r in tracer.named("messaging.reconnect_attempt")
+                        if r.time > killed_at]
+            assert reg.total("messaging.reconnect.giveups_total") == 0
+            assert not tracer.named("messaging.reconnect_giveup")
+
     def test_recovery_is_off_by_default_and_loses_outage_sends(self):
         world = make_world()
         world.fabric.connect_timeout = 0.5
         a, b = world.nodes
-        assert a.net_def.pool.recovery is None
+        assert a.net_def.campaigns is None
         a.app_def.send(b.address, "before")
         world.sim.run()
 
@@ -154,9 +182,8 @@ class TestReconnect:
             # The middleware re-established its channel without any new
             # application send: the reconnect campaign redialled it.
             assert reg.total("messaging.reconnect.recovered_total") == 1
-            key = (b.address.as_socket(), Transport.TCP.to_proto())
-            ref = a.net_def.pool.channels.get(key)
-            assert ref is not None and ref.conn.state is ConnectionState.ACTIVE
+            conn = a.net_def.channels.get((b.address.as_socket(), Transport.TCP))
+            assert conn is not None and conn.state is ConnectionState.ACTIVE
 
 
 class TestTransportFallback:
@@ -203,7 +230,7 @@ class TestTransportFallback:
             # First send cold-dials UDT; the refusal starts the campaign.
             app_a.send(b_addr, "first", transport=Transport.UDT, notify=True)
             sim.run_until(sim.now + 0.03)
-            assert net_a.definition.pool.recovery.campaigns
+            assert net_a.definition.campaigns
             # Sends during the campaign are queued, then degraded to TCP
             # once both re-dials are refused.
             app_a.send(b_addr, "rescued", transport=Transport.UDT, notify=True)
@@ -291,35 +318,33 @@ class TestInterceptorFallback:
         assert (a1.as_socket(), Transport.UDT) in icept._transport_down
 
 
-class TestChannelPoolRegressions:
-    def test_get_or_connect_disarms_stale_conn_before_replacing(self):
-        # Regression: a dead-but-unreaped ref was silently overwritten with
-        # its on_closed/on_failed still armed for the same key — a late
-        # firing could evict the *replacement* or start a spurious recovery
-        # campaign that parked healthy traffic.
+class TestChannelRegressions:
+    def test_send_disarms_stale_conn_before_replacing(self):
+        # Regression: a dead channel still in the map was silently
+        # overwritten with its on_closed/on_failed still armed for the same
+        # key — a late firing could evict the *replacement* or start a
+        # spurious recovery campaign that parked healthy traffic.
         world = make_world()
         a, b = world.nodes
         a.app_def.send(b.address, "warm")
         world.sim.run()
 
-        key = (b.address.as_socket(), Transport.TCP.to_proto())
-        pool = a.net_def.pool
-        stale = pool.channels[key]
-        old_conn = stale.conn
+        key = (b.address.as_socket(), Transport.TCP)
+        channels = a.net_def.channels
+        old_conn = channels[key]
         assert old_conn.on_closed is not None
         # Simulate a connection that died without its callbacks firing.
         old_conn.state = ConnectionState.FAILED
 
-        replacement = pool.get_or_connect(b.address.as_socket(), Transport.TCP.to_proto())
-        assert replacement.conn is not old_conn
-        assert pool.channels[key] is replacement
+        a.app_def.send(b.address, "after")
+        world.sim.run_until(world.sim.now + 0.001)  # the send, not its 5 ms handshake
+        replacement = channels[key]
+        assert replacement is not old_conn
         # The stale conn is fully disarmed: a late close/fail can no longer
-        # reach _on_gone for this key.
+        # reach _channel_lost for this key.
         assert old_conn.on_closed is None
         assert old_conn.on_failed is None
 
         world.sim.run()
-        assert pool.channels.get(key) is replacement  # replacement survived
-        a.app_def.send(b.address, "after")
-        world.sim.run()
+        assert channels.get(key) is replacement  # replacement survived
         assert any(m.tag == "after" for m in b.app_def.received)

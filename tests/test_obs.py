@@ -17,10 +17,9 @@ from repro.obs import (
     collecting,
     get_registry,
     get_tracer,
-    to_json,
-    to_lines,
     tracing,
 )
+from repro.obs.export import document_json, document_lines, snapshot_document
 from repro.sim import Simulator
 
 from tests.kompics_fixtures import Client, PingPort, Server
@@ -271,16 +270,16 @@ class TestExport:
         reg.counter("b.total").inc(2)
         reg.counter("a.total", x="1").inc()
         reg.histogram("h", buckets=(10,)).observe(5)
-        lines = to_lines(reg)
+        lines = document_lines(reg.snapshot())
         assert lines[0] == "a.total{x=1} 1"
         assert lines[1] == "b.total 2"
         assert any(line.startswith("h.count ") for line in lines)
-        assert lines == to_lines(reg)  # deterministic
+        assert lines == document_lines(reg.snapshot())  # deterministic
 
     def test_to_json_handles_nan(self):
         reg = MetricsRegistry()
         reg.histogram("empty")
-        text = to_json(reg)
+        text = document_json(snapshot_document(reg))
         assert "NaN" not in text
 
     def test_json_document_includes_trace(self):
@@ -290,23 +289,7 @@ class TestExport:
         reg.counter("c").inc()
         tracer = Tracer()
         tracer.event("e", detail="d")
-        doc = json.loads(to_json(reg, tracer))
+        doc = json.loads(document_json(snapshot_document(reg, tracer)))
         assert doc["metrics"]["c"][0]["value"] == 1.0
         assert doc["trace"][0]["name"] == "e"
         assert doc["trace"][0]["fields"] == {"detail": "d"}
-
-    def test_dump_json_and_lines(self, tmp_path):
-        import json
-
-        from repro.obs import dump
-
-        reg = MetricsRegistry()
-        reg.counter("c").inc(4)
-        json_path = tmp_path / "snap.json"
-        lines_path = tmp_path / "snap.lines"
-        dump(str(json_path), reg, fmt="json")
-        dump(str(lines_path), reg, fmt="lines")
-        assert json.loads(json_path.read_text())["metrics"]["c"][0]["value"] == 4.0
-        assert lines_path.read_text() == "c 4\n"
-        with pytest.raises(ValueError):
-            dump(str(json_path), reg, fmt="xml")

@@ -122,16 +122,16 @@ class TestDeterminism:
 class TestLineProtocol:
     def test_cli_lines_are_the_export_line_protocol(self, tmp_path):
         # `repro obs --format lines` used to render through a private copy
-        # that wrote `0.0` where obs.dump(fmt="lines") writes `0`.
+        # that wrote `0.0` where the export line protocol writes `0`.
         from repro.cli import main
-        from repro.obs import to_lines
+        from repro.obs.export import document_lines
 
         path = tmp_path / "snapshot.lines"
         assert main(["obs", "--duration", "1", "--seed", "3", "--format", "lines",
                      "--output", str(path)]) == 0
         with collecting(MetricsRegistry("bench")) as registry, tracing():
             run_observability_demo(duration=1.0, seed=3)
-        assert path.read_text().splitlines() == to_lines(registry)
+        assert path.read_text().splitlines() == document_lines(registry.snapshot())
 
 
 class TestFaultMetrics:
