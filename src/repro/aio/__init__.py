@@ -8,7 +8,7 @@ makes the same middleware usable on actual sockets:
 * :mod:`repro.aio.udp` — plain datagrams (one frame per datagram).
 * :mod:`repro.aio.udt` — **UDT-lite**: a from-scratch reliable-UDP
   transport with sequence numbers, batched cumulative + selective ACKs,
-  NAK-triggered retransmission, 0-RTT handshake resume and UDT-style
+  NAK-triggered retransmission, one socket per dial and UDT-style
   DAIMD rate pacing.  Python has no maintained UDT binding, so the
   library ships its own wire protocol with the same guarantees (reliable,
   ordered) and behaviour class (rate-based, RTT-insensitive congestion

@@ -38,8 +38,6 @@ class AioDataNetwork(DataNetworkBase):
         serializers: Optional[SerializerRegistry] = None,
         timer: Optional[Component] = None,
         bind_ip: Optional[str] = None,
-        udt_adaptor: Optional[object] = None,
-        udp_adaptor: Optional[object] = None,
     ) -> None:
         super().__init__()
         self.self_address = self_address
@@ -49,8 +47,6 @@ class AioDataNetwork(DataNetworkBase):
             protocols=protocols,
             serializers=serializers,
             bind_ip=bind_ip,
-            udt_adaptor=udt_adaptor,
-            udp_adaptor=udp_adaptor,
         )
         if timer is None:
             timer = self.create(WallTimerComponent)

@@ -147,8 +147,6 @@ class AioNetwork(NetworkComponent):
         protocols: Iterable[Transport] = DEFAULT_PROTOCOLS,
         serializers: Optional[SerializerRegistry] = None,
         bind_ip: Optional[str] = None,
-        udt_adaptor: Optional[object] = None,
-        udp_adaptor: Optional[object] = None,
     ) -> None:
         super().__init__(self_address, protocols, serializers)
         if self.serializers.allow_pickle_fallback:
@@ -173,12 +171,9 @@ class AioNetwork(NetworkComponent):
         self.epoch = next_network_epoch()
 
         self._tcp = TcpTransport()
-        self._udt = UdtLiteTransport(adaptor=udt_adaptor)
+        self._udt = UdtLiteTransport()
         self._udp: Optional[UdpEndpoint] = None
-        self._udp_adaptor = udp_adaptor
-        #: per-transport (driver, port offset) strategy objects — the dial
-        #: and listen paths consult this map instead of branching on the
-        #: transport kind, so new stream transports are one entry away
+        #: per-transport (driver, port offset) for the dial and listen paths
         self._drivers: Dict[Transport, Tuple[AioTransport, int]] = {
             Transport.TCP: (self._tcp, 0),
             Transport.UDT: (self._udt, UDT_PORT_OFFSET),
@@ -312,7 +307,7 @@ class AioNetwork(NetworkComponent):
                 await driver.listen(self.bind_ip, port + offset, self._accept(transport))
             )
         if Transport.UDP in self.protocols:
-            self._udp = UdpEndpoint(adaptor=self._udp_adaptor)
+            self._udp = UdpEndpoint()
             await self._udp.open(self.bind_ip, port, self._on_datagram)
 
     def on_kill(self) -> None:

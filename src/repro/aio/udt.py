@@ -17,10 +17,10 @@ Computer Networks 2007) sufficient for the middleware:
   Selectively-acknowledged packets leave the loss ledger immediately, so
   a single hole never forces the whole flight to retransmit.
 * Handshake packets exchange the middleware hello and are retransmitted
-  until acknowledged.  A dialler that has completed a handshake with a
-  remote before may *resume* 0-RTT style: data flows immediately while
-  the handshake confirmation completes in the background (COMP4621's
-  "0RTT Handshaking" pattern).
+  until acknowledged, for at most :data:`HANDSHAKE_TIMEOUT`.  A listening
+  socket accepts HANDSHAKEs from any source, within bounds; each dial
+  gets a socket of its own that serves its one remote and ignores every
+  HANDSHAKE.
 
 An optional :class:`~repro.aio.adaptors.SocketAdaptor` can perturb every
 outgoing packet (drop DATA or ACKs, duplicate, delay, truncate) to
@@ -33,7 +33,7 @@ import asyncio
 import struct
 import time
 from collections import OrderedDict, deque
-from typing import Callable, Deque, Dict, Iterable, Optional, Sequence, Set, Tuple, Type
+from typing import Deque, Dict, Iterable, Optional, Sequence, Set, Tuple, Type
 
 from repro.aio.pacing import MSS, SYN_INTERVAL, DaimdPacing
 from repro.aio.transport import (
@@ -58,9 +58,6 @@ ACK = 4
 NAK = 5
 CLOSE = 6
 
-#: HANDSHAKE field flag: the dialler believes this is a resumed session
-RESUME = 1
-
 #: the pacing loop sleeps once per this much accumulated pacing gap ...
 PACING_QUANTUM = 0.001
 #: ... or after this many packets, so ACK/NAK processing is never starved
@@ -69,8 +66,12 @@ RTO = 0.25
 FLIGHT_WINDOW = 2048  # max unacked packets
 MAX_NAK_BATCH = 128
 MAX_SACK = 64  # selective acks carried per ACK packet
-#: most connections an endpoint holds: at the cap a new peer evicts a silent one or is refused
+#: most connections a listener holds: at the cap a new peer evicts a silent one or is refused
 MAX_CONNECTIONS = 1024
+#: a dial resends its HANDSHAKE this often until acknowledged ...
+HANDSHAKE_RESEND = 0.2
+#: ... and gives up after this long
+HANDSHAKE_TIMEOUT = 5.0
 
 
 class UdtLiteConnection(AioConnection):
@@ -111,10 +112,6 @@ class UdtLiteConnection(AioConnection):
             "messaging.aio.udt.packets_per_sleep", buckets=(1, 2, 4, 8, PACING_BURST)
         )
 
-        # handshake state (0-RTT resume diagnostics)
-        self.zero_rtt = False
-        self.handshake_confirmed = False
-
         # receiver state
         self._expected = 0
         self._ooo: Dict[int, bytes] = {}
@@ -145,9 +142,6 @@ class UdtLiteConnection(AioConnection):
                 self._fresh.append((seq, bytes(stream[offset:offset + MSS])))
         self._all_acked.clear()
         self._work.set()
-
-    async def send_frame(self, data: bytes) -> None:
-        self._enqueue_frames((data,))
 
     async def send_frames(self, frames: Sequence[bytes]) -> None:
         # One enqueue pass and one pacing-loop wakeup for the whole batch.
@@ -368,24 +362,20 @@ class UdtLiteConnection(AioConnection):
     def _teardown(self) -> None:
         for task in self._tasks:
             task.cancel()
-        # Torn down mid 0-RTT resume: _confirm_handshake was cancelled
-        # above before it could decide, so the transport's session cache
-        # still lists this peer.  Purge it here — a later dial must not
-        # resume 0-RTT against a session the peer never confirmed (e.g.
-        # the peer crashed and restarted with empty reassembly state).
-        if self.zero_rtt and not self.handshake_confirmed:
-            if self.endpoint.on_resume_failed is not None:
-                self.endpoint.on_resume_failed(self.remote)
         self.endpoint._forget(self.remote)
-        if getattr(self, "owns_endpoint", False):
-            self.endpoint._release_socket()
         self._closed()
         # Wake drain(): it raises if anything is still unacknowledged.
         self._all_acked.set()
 
 
-class UdtLiteEndpoint:
-    """One UDP socket multiplexing UDT-lite connections by peer address."""
+class UdtLiteEndpoint(AioListener):
+    """One UDP socket carrying UDT-lite connections, keyed by peer address.
+
+    With an ``on_connection`` handler it listens: any source may
+    handshake, within :data:`MAX_CONNECTIONS` and :data:`MAX_HELLO`.
+    Without one it dials: :meth:`dial` makes its only connection, every
+    HANDSHAKE is ignored, and the socket closes with that connection.
+    """
 
     def __init__(
         self,
@@ -400,18 +390,16 @@ class UdtLiteEndpoint:
         #: fault-injecting :class:`repro.aio.adaptors.SocketAdaptor` (tests)
         self.adaptor = adaptor
         self.connections: Dict[Endpoint, UdtLiteConnection] = {}
-        #: the shared datagram socket: drained reads, adaptor on the way out
+        #: the datagram socket: drained reads, adaptor on the way out
         self._socket: Optional[UdpEndpoint] = None
         self._m_datagrams_per_wakeup = get_registry().histogram(
             "messaging.aio.udt.datagrams_per_wakeup", buckets=(1, 2, 4, 8, 16, 32, DRAIN_MAX)
         )
-        self._handshake_acks: Dict[Endpoint, asyncio.Event] = {}
+        #: set by the dialled remote's HANDSHAKE_ACK
+        self._acked: Optional[asyncio.Event] = None
         self.local: Optional[Endpoint] = None
-        self.resumed_handshakes = 0
         self.refused_handshakes = 0
         self.evicted_connections = 0
-        #: called when a 0-RTT resume never got its HANDSHAKE_ACK
-        self.on_resume_failed: Optional[Callable[[Endpoint], None]] = None
 
     async def open(self, host: str, port: int) -> Endpoint:
         self._socket = UdpEndpoint(
@@ -434,6 +422,8 @@ class UdtLiteEndpoint:
         ptype, field = HEADER.unpack_from(data)
         payload = data[HEADER.size:]
         if ptype == HANDSHAKE:
+            if self.on_connection is None:
+                return  # a dialling socket serves its one remote
             conn = self.connections.get(src)
             if conn is None:
                 # Before anything is allocated: any source can send this.
@@ -447,19 +437,8 @@ class UdtLiteEndpoint:
                 )
                 conn.peer_hello = payload
                 self.connections[src] = conn
-                if field & RESUME:
-                    self.resumed_handshakes += 1
-                if self.on_connection is not None:
-                    self.on_connection(conn)
+                self.on_connection(conn)
             self._send_packet(HANDSHAKE_ACK, 0, b"", src)
-            return
-        if ptype == HANDSHAKE_ACK:
-            event = self._handshake_acks.get(src)
-            if event is not None:
-                event.set()
-            conn = self.connections.get(src)
-            if conn is not None:
-                conn.handshake_confirmed = True
             return
         conn = self.connections.get(src)
         if conn is None:
@@ -477,92 +456,34 @@ class UdtLiteEndpoint:
             conn._on_nak(seqs)
         elif ptype == CLOSE:
             conn._teardown()
+        elif ptype == HANDSHAKE_ACK and self._acked is not None:
+            self._acked.set()
 
     # ------------------------------------------------------------------
     # client-side establishment
     # ------------------------------------------------------------------
-    async def dial(
-        self,
-        remote: Endpoint,
-        hello: bytes,
-        timeout: float = 5.0,
-        resume: bool = False,
-    ) -> UdtLiteConnection:
-        existing = self.connections.get(remote)
-        if existing is not None and not existing.closed:
-            event = self._handshake_acks.get(remote)
-            if event is None or event.is_set():
-                return existing  # already established
-            # Another dial to the same remote is mid-handshake: ride it
-            # instead of clobbering its event (which would strand the
-            # first dialler waiting on an Event nobody will ever set).
-            await asyncio.wait_for(event.wait(), timeout)
-            return existing
-
-        event = asyncio.Event()
-        self._handshake_acks[remote] = event
-        conn = UdtLiteConnection(
+    async def dial(self, remote: Endpoint, hello: bytes) -> UdtLiteConnection:
+        """Make this socket's one connection: resend the hello until
+        ``remote`` acknowledges it, or fail after :data:`HANDSHAKE_TIMEOUT`."""
+        acked = self._acked = asyncio.Event()
+        conn = self.connections[remote] = UdtLiteConnection(
             self, remote, initial_rate=self.initial_rate,
             pacer_factory=self.pacer_factory,
         )
-        self.connections[remote] = conn
-
-        if resume:
-            # 0-RTT resume: the remote has seen us before, so send the
-            # handshake and start pushing DATA immediately; confirmation
-            # (and retransmission of the hello) continues in the
-            # background.  An unknown receiver simply drops DATA from an
-            # unestablished source until the retried HANDSHAKE lands —
-            # the sender's RTO machinery re-sends the early packets.
-            conn.zero_rtt = True
-            self._send_packet(HANDSHAKE, RESUME, hello, remote)
-            conn._tasks.append(asyncio.ensure_future(
-                self._confirm_handshake(conn, event, hello, remote, timeout)
-            ))
-            return conn
-
-        deadline = time.monotonic() + timeout
+        deadline = time.monotonic() + HANDSHAKE_TIMEOUT
         try:
-            while True:
+            while not acked.is_set():
+                if time.monotonic() > deadline:
+                    raise ConnectionError(f"UDT-lite handshake to {remote} timed out")
                 self._send_packet(HANDSHAKE, 0, hello, remote)
                 try:
-                    await asyncio.wait_for(event.wait(), timeout=0.2)
-                    conn.handshake_confirmed = True
-                    return conn
+                    await asyncio.wait_for(acked.wait(), timeout=HANDSHAKE_RESEND)
                 except asyncio.TimeoutError:
-                    if time.monotonic() > deadline:
-                        conn._teardown()
-                        raise ConnectionError(f"UDT-lite handshake to {remote} timed out")
-        finally:
-            if self._handshake_acks.get(remote) is event:
-                self._handshake_acks.pop(remote, None)
-
-    async def _confirm_handshake(
-        self,
-        conn: UdtLiteConnection,
-        event: asyncio.Event,
-        hello: bytes,
-        remote: Endpoint,
-        timeout: float,
-    ) -> None:
-        """Background retransmit-until-acked for a 0-RTT resumed dial."""
-        deadline = time.monotonic() + timeout
-        try:
-            while not conn.closed:
-                try:
-                    await asyncio.wait_for(event.wait(), timeout=0.2)
-                    conn.handshake_confirmed = True
-                    return
-                except asyncio.TimeoutError:
-                    if time.monotonic() > deadline:
-                        if self.on_resume_failed is not None:
-                            self.on_resume_failed(remote)
-                        conn._teardown()
-                        return
-                    self._send_packet(HANDSHAKE, RESUME, hello, remote)
-        finally:
-            if self._handshake_acks.get(remote) is event:
-                self._handshake_acks.pop(remote, None)
+                    pass
+        except BaseException:
+            conn._teardown()  # and with it the socket
+            raise
+        return conn
 
     def _evict_silent(self) -> bool:
         """Tear down the oldest accepted connection that never got DATA (likely spoofed)."""
@@ -575,6 +496,8 @@ class UdtLiteEndpoint:
 
     def _forget(self, remote: Endpoint) -> None:
         self.connections.pop(remote, None)
+        if self.on_connection is None:
+            self._release_socket()  # a dialling socket dies with its connection
 
     def _release_socket(self) -> None:
         if self._socket is not None:
@@ -585,14 +508,6 @@ class UdtLiteEndpoint:
         for conn in list(self.connections.values()):
             await conn.close()
         self._release_socket()
-
-
-class _UdtListener(AioListener):
-    def __init__(self, endpoint: UdtLiteEndpoint) -> None:
-        self.endpoint = endpoint
-
-    async def close(self) -> None:
-        await self.endpoint.close()
 
 
 class UdtLiteTransport(AioTransport):
@@ -608,18 +523,15 @@ class UdtLiteTransport(AioTransport):
         #: pacing policy for every connection this transport creates;
         #: None is DAIMD (tests substitute fixed-rate pacers here)
         self.pacer_factory = pacer_factory
-        #: remotes that completed a full handshake: eligible for 0-RTT
-        self._sessions: Set[Endpoint] = set()
-        self.zero_rtt_resumes = 0
 
-    async def listen(self, host: str, port: int, on_connection: ConnectionHandler) -> AioListener:
+    async def listen(self, host: str, port: int, on_connection: ConnectionHandler) -> UdtLiteEndpoint:
         endpoint = UdtLiteEndpoint(
             on_connection=on_connection,
             initial_rate=self.initial_rate, adaptor=self.adaptor,
             pacer_factory=self.pacer_factory,
         )
         await endpoint.open(host, port)
-        return _UdtListener(endpoint)
+        return endpoint
 
     async def connect(self, remote: Endpoint, hello: bytes) -> UdtLiteConnection:
         endpoint = UdtLiteEndpoint(
@@ -627,16 +539,4 @@ class UdtLiteTransport(AioTransport):
             adaptor=self.adaptor, pacer_factory=self.pacer_factory,
         )
         await endpoint.open("0.0.0.0", 0)
-        resume = remote in self._sessions
-        if resume:
-            # A failed resume must fall back to a full handshake next time.
-            endpoint.on_resume_failed = self._sessions.discard
-            self.zero_rtt_resumes += 1
-        try:
-            conn = await endpoint.dial(remote, hello, resume=resume)
-        except BaseException:
-            endpoint._release_socket()  # no connection will ever own it
-            raise
-        self._sessions.add(remote)
-        conn.owns_endpoint = True  # dialling side: socket dies with the conn
-        return conn
+        return await endpoint.dial(remote, hello)

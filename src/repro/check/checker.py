@@ -193,7 +193,7 @@ class InvariantChecker:
         Called *after* the receiver's own dedup window admitted the frame,
         so a second admission of the same pair means the window failed —
         exactly the double-delivery the ``aio.nodup`` invariant guards
-        against (e.g. a UDT session-cache resume replaying a crashed
+        against (e.g. an at-least-once requeue replaying a crashed
         sender's frames past the dedup bound).
         """
         seen = self._aio_seen.get((instance, peer))

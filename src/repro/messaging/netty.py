@@ -200,12 +200,12 @@ class NettyNetwork(NetworkComponent):
             )
         conn.send(wire)
 
-    def _dial(self, key: _Key, redial: bool = False) -> Connection:
+    def _dial(self, key: _Key) -> Connection:
         remote, transport = key
         conn = self.host.stack.connect(
             remote,
             transport.to_proto(),
-            on_connected=lambda c: self._on_channel_up(key, redial),
+            on_connected=lambda c: self._on_channel_up(key),
             on_failed=lambda c, reason: self._channel_lost(key, reason),
             hello=self._self_socket,
         )
@@ -284,18 +284,17 @@ class NettyNetwork(NetworkComponent):
         stale = self.channels.get(key)
         if stale is not None and stale.state not in _USABLE:
             self._discard_stale(stale)
-        self._dial(key, redial=True)
+        self._dial(key)
 
-    def _on_channel_up(self, key: _Key, redial: bool) -> None:
+    def _on_channel_up(self, key: _Key) -> None:
         """A dial over ``key`` completed: end its campaign, lift any Down mark.
 
         Deliberately keyed to *dial success on that transport*, not to a
         delivered message — a fallback delivery over TCP says nothing
-        about whether UDT is back.  Only a campaign's own ``redial`` ends
-        it: a cold dial cut mid-handshake can still complete afterwards.
+        about whether UDT is back.
         """
         remote, transport = key
-        campaign = self.campaigns.pop(key, None) if redial and self.campaigns else None
+        campaign = self.campaigns.pop(key, None) if self.campaigns else None
         if campaign is not None:
             self._m_recovered.inc()
             self.tracer.event(

@@ -340,6 +340,8 @@ class Connection:
     # state transitions (driven by the owning stack)
     # ------------------------------------------------------------------
     def _activate(self) -> None:
+        if self.state is not ConnectionState.CONNECTING:
+            return  # closed or failed mid-handshake: it stays down
         self.state = ConnectionState.ACTIVE
         if self.on_connected is not None:
             self.on_connected(self)

@@ -3,7 +3,7 @@
 The adaptors manufacture loss patterns — lost DATA or ACKs, duplicated
 packets, reordering, truncation — on a real loopback socket.  The protocol-level tests here are regression
 tests for sender/receiver control-plane bugs: the lost-ACK livelock,
-NAK-driven retransmission, selective ACKs and 0-RTT handshake resume.
+NAK-driven retransmission and selective ACKs.
 """
 
 import asyncio
@@ -20,7 +20,7 @@ from repro.aio.adaptors import (
     TruncateAdaptor,
     udt_packet_type,
 )
-from repro.aio.udt import UdtLiteEndpoint, UdtLiteTransport
+from repro.aio.udt import UdtLiteTransport
 
 pytestmark = pytest.mark.integration
 
@@ -263,82 +263,6 @@ class TestLossRecoveryViaAdaptors:
             assert received == frames
             assert conn.sacked >= 1  # packets past the hole left the ledger
             await conn.close()
-            await listener.close()
-
-        run(scenario())
-
-
-class TestZeroRttResume:
-    def test_second_connect_resumes_without_handshake_wait(self):
-        async def scenario():
-            port = await free_port()
-            received = []
-            accepted = []
-            listener = await UdtLiteTransport().listen(
-                HOST, port,
-                lambda c: (accepted.append(c), setattr(c, "on_frame", received.append)),
-            )
-            transport = UdtLiteTransport()
-
-            conn1 = await transport.connect((HOST, port), b"h")
-            assert not conn1.zero_rtt
-            await conn1.send_frame(b"first")
-            await asyncio.wait_for(conn1.drain(), timeout=10.0)
-            await conn1.close()
-            await asyncio.sleep(0.1)
-
-            conn2 = await transport.connect((HOST, port), b"h")
-            assert conn2.zero_rtt  # resumed: no handshake round-trip wait
-            assert transport.zero_rtt_resumes == 1
-            await conn2.send_frame(b"second")
-            await asyncio.wait_for(conn2.drain(), timeout=10.0)
-            await asyncio.sleep(0.2)
-            assert received == [b"first", b"second"]
-            assert conn2.handshake_confirmed
-            assert listener.endpoint.resumed_handshakes == 1
-            await conn2.close()
-            await listener.close()
-
-        run(scenario())
-
-    def test_failed_resume_falls_back_to_full_handshake(self):
-        async def scenario():
-            port = await free_port()
-            listener = await UdtLiteTransport().listen(HOST, port, lambda c: None)
-            transport = UdtLiteTransport()
-            conn1 = await transport.connect((HOST, port), b"h")
-            await conn1.close()
-            await listener.close()  # remote gone: the resume cannot confirm
-
-            conn2 = await transport.connect((HOST, port), b"h")
-            assert conn2.zero_rtt
-            # Short-circuit the 5 s confirm deadline for the test.
-            transport._sessions.discard((HOST, port))
-            conn2.endpoint.on_resume_failed((HOST, port))
-            await conn2.close()
-            assert (HOST, port) not in transport._sessions  # full handshake next
-
-        run(scenario())
-
-
-class TestDialRace:
-    def test_concurrent_dials_share_one_handshake(self):
-        """Regression: two sends racing to dial one remote must not clobber
-        each other's handshake event (stranding the first dialler)."""
-
-        async def scenario():
-            port = await free_port()
-            listener = await UdtLiteTransport().listen(HOST, port, lambda c: None)
-            endpoint = UdtLiteEndpoint()
-            await endpoint.open(HOST, 0)
-            conn_a, conn_b = await asyncio.gather(
-                endpoint.dial((HOST, port), b"h", timeout=5.0),
-                endpoint.dial((HOST, port), b"h", timeout=5.0),
-            )
-            assert conn_a is conn_b  # joined the in-flight handshake
-            assert len(endpoint.connections) == 1
-            await conn_a.close()
-            await endpoint.close()
             await listener.close()
 
         run(scenario())

@@ -69,8 +69,6 @@ class VirtualWire:
     stamped with the virtual time it left at.
     """
 
-    on_resume_failed = None
-
     def __init__(self, expect: int, oversleeps=()) -> None:
         self.now = 0.0
         self.expect = expect
@@ -225,6 +223,11 @@ class TestHostileNak:
         assert naks == [[9], [], [3]]
 
 
+def listening() -> UdtLiteEndpoint:
+    """An endpoint that accepts handshakes, as a listener's does."""
+    return UdtLiteEndpoint(on_connection=lambda conn: None)
+
+
 class TestHostileHandshake:
     """Any source can send a HANDSHAKE; what handshakes allocate is bounded."""
 
@@ -236,7 +239,7 @@ class TestHostileHandshake:
     async def on_loop(drive):
         """Run ``drive(endpoint, acked)`` on a running loop; ``acked`` lists
         the sources answered with a HANDSHAKE_ACK."""
-        endpoint = UdtLiteEndpoint()
+        endpoint = listening()
         acked = []
         endpoint._send_packet = lambda ptype, field, payload, remote: (
             acked.append(remote) if ptype == udt.HANDSHAKE_ACK else None)
@@ -285,7 +288,7 @@ class TestHostileHandshake:
         assert run(self.on_loop(drive)) == (False, False, 0, 1)
 
     def test_a_long_hello_is_refused_before_anything_is_allocated(self):
-        endpoint = UdtLiteEndpoint()  # no running loop: allocating would raise
+        endpoint = listening()  # no running loop: allocating would raise
         endpoint._on_packet(packet(udt.HANDSHAKE, 0, b"h" * (MAX_HELLO + 1)), REMOTE)
         assert endpoint.connections == {}
         assert endpoint.refused_handshakes == 1
@@ -322,7 +325,7 @@ class TestHostileData:
 
     def test_a_close_with_data_unacknowledged_fails_drain(self):
         async def scenario():
-            endpoint = UdtLiteEndpoint()
+            endpoint = listening()
             endpoint._send_packet = lambda ptype, field, payload, remote: None
             endpoint._on_packet(packet(udt.HANDSHAKE), REMOTE)
             conn = endpoint.connections[REMOTE]
@@ -427,7 +430,7 @@ class TestDrainedRead:
                 conn.on_frame = lambda frame: (frames.append(frame), delivered.set())
 
             listener = await UdtLiteTransport().listen(HOST, 0, on_connection)
-            addr = listener.endpoint.local
+            addr = listener.local
             rng = random.Random(7)
             # CLOSE is left out: it is valid, and would end the connection
             kinds = (0, udt.HANDSHAKE_ACK, udt.DATA, udt.ACK, udt.NAK, 7, 255)
@@ -463,7 +466,7 @@ class TestBurstInstruments:
                 conn.on_frame = lambda f: (received.append(f), len(received) == 40 and done.set())
 
             listener = await UdtLiteTransport().listen(HOST, 0, on_connection)
-            conn = await UdtLiteTransport().connect(listener.endpoint.local, b"h")
+            conn = await UdtLiteTransport().connect(listener.local, b"h")
             await conn.send_frames([bytes([i]) * 3000 for i in range(40)])
             await asyncio.wait_for(conn.drain(), timeout=10.0)
             await asyncio.wait_for(done.wait(), timeout=10.0)

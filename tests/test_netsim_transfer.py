@@ -294,6 +294,23 @@ class TestFaults:
         sim.run()
         assert sink.payloads == ["back"]
 
+    def test_a_cut_mid_handshake_keeps_the_connection_down(self):
+        """The SYN lands at 5 ms, the cut at 7 ms, the activation was due at 10 ms."""
+        from repro.netsim import FaultInjector
+
+        sim = Simulator()
+        net, a, b = make_pair(sim, delay=0.005)
+        b.stack.listen(7000, Proto.TCP, on_accept=lambda c: None)
+        connected = []
+        conn = a.stack.connect((b.ip, 7000), Proto.TCP, on_connected=connected.append)
+        outcomes = []
+        conn.send(WireMessage("never", 100, on_sent=outcomes.append))
+        sim.schedule(0.007, lambda: FaultInjector(net).cut_link(a.ip, b.ip))
+        sim.run()
+        assert conn.state is ConnectionState.CLOSED
+        assert connected == []
+        assert outcomes == [False]
+
     def test_send_on_closed_connection_raises(self):
         from repro.errors import ConnectionClosedError
 
