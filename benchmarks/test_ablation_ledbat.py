@@ -22,28 +22,28 @@ BACKGROUND = 240 * MB
 
 def foreground_duration(background_transport) -> float:
     """Foreground TCP transfer time while a background stream runs."""
-    pair = TestbedPair(SETUP, seed=5)
-    pair.wire()
-    pair.start(pair.file_receiver())
+    with TestbedPair(SETUP, seed=5) as pair:
+        pair.wire()
+        pair.start(pair.file_receiver())
 
-    if background_transport is not None:
-        # memory-to-memory: the background must not share the foreground's disk
-        bg = pair.system.create(
-            FileSender, pair.sender.address, pair.receiver.address,
-            SyntheticDataset(size=BACKGROUND, seed=1),
-            transport=background_transport, name="bg-sender",
+        if background_transport is not None:
+            # memory-to-memory: the background must not share the foreground's disk
+            bg = pair.system.create(
+                FileSender, pair.sender.address, pair.receiver.address,
+                SyntheticDataset(size=BACKGROUND, seed=1),
+                transport=background_transport, name="bg-sender",
+            )
+            pair.sender.attach(bg)
+            pair.start(bg)
+
+        fg = pair.file_sender(
+            SyntheticDataset(size=FOREGROUND, seed=2), Transport.TCP, name="fg-sender"
         )
-        pair.sender.attach(bg)
-        pair.start(bg)
+        pair.start(fg)
 
-    fg = pair.file_sender(
-        SyntheticDataset(size=FOREGROUND, seed=2), Transport.TCP, name="fg-sender"
-    )
-    pair.start(fg)
-
-    run_in_steps(pair, 600.0, lambda: fg.definition.duration is not None)
-    assert fg.definition.duration is not None
-    return fg.definition.duration
+        run_in_steps(pair, 600.0, lambda: fg.definition.duration is not None)
+        assert fg.definition.duration is not None
+        return fg.definition.duration
 
 
 def experiment():

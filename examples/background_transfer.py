@@ -20,27 +20,27 @@ SETUP = Setup(name="office-uplink", rtt=0.006, bandwidth=40 * MB, udp_cap=None)
 
 
 def run_scenario(background: Transport | None) -> float:
-    pair = TestbedPair(SETUP, seed=11)
-    pair.wire()
-    pair.start(pair.file_receiver())
+    with TestbedPair(SETUP, seed=11) as pair:
+        pair.wire()
+        pair.start(pair.file_receiver())
 
-    if background is not None:
-        # memory-to-memory (no disk model), so it does not share the
-        # foreground's disk — attached like any app, by hand
-        bulk = pair.system.create(
-            FileSender, pair.sender.address, pair.receiver.address,
-            SyntheticDataset(size=400 * MB, seed=1),
-            transport=background, name="background-sync",
+        if background is not None:
+            # memory-to-memory (no disk model), so it does not share the
+            # foreground's disk — attached like any app, by hand
+            bulk = pair.system.create(
+                FileSender, pair.sender.address, pair.receiver.address,
+                SyntheticDataset(size=400 * MB, seed=1),
+                transport=background, name="background-sync",
+            )
+            pair.sender.attach(bulk)
+            pair.start(bulk)
+
+        foreground = pair.file_sender(
+            SyntheticDataset(size=40 * MB, seed=2), Transport.TCP, name="foreground"
         )
-        pair.sender.attach(bulk)
-        pair.start(bulk)
-
-    foreground = pair.file_sender(
-        SyntheticDataset(size=40 * MB, seed=2), Transport.TCP, name="foreground"
-    )
-    pair.start(foreground)
-    run_in_steps(pair, 600.0, lambda: foreground.definition.duration is not None)
-    return foreground.definition.duration
+        pair.start(foreground)
+        run_in_steps(pair, 600.0, lambda: foreground.definition.duration is not None)
+        return foreground.definition.duration
 
 
 def main() -> None:

@@ -138,7 +138,7 @@ def check_fleet(args: argparse.Namespace) -> int:
 #: ``find src -name '*.py' | xargs cat | wc -l`` may only go down (ROADMAP:
 #: "src/ should end the round smaller"); a PR that shrinks src/ lowers this
 #: to its own total, a PR that must grow it raises it in the open
-SRC_LINE_CEILING = 17554
+SRC_LINE_CEILING = 17545
 
 _KEY = r"(?:kompics|messaging|net|data)\."
 #: a config key built at run time, in a getter or setter position —
@@ -158,7 +158,9 @@ def check_hygiene(args: argparse.Namespace) -> int:
     fresh-clone determinism, and a tracked ``*.egg-info/`` lists sources
     that have since moved; this gate fails the build if ``git ls-files``
     reports any ``__pycache__`` / ``*.egg-info`` directory or ``*.pyc``
-    file (all three are in ``.gitignore``).  It also holds ``src/`` under
+    file (all three are in ``.gitignore``); outside a git checkout (a
+    ``git archive`` copy) that half prints that it did not run, and the
+    rest still does.  It also holds ``src/`` under
     :data:`SRC_LINE_CEILING` and free of ``gc.collect(`` / ``gc.disable(``
     / ``gc.freeze(`` / ``gc.set_threshold(``, every ``repro`` option to at least one
     user under tests/, docs/, examples/, .github/, README or EXPERIMENTS,
@@ -234,21 +236,26 @@ def check_hygiene(args: argparse.Namespace) -> int:
     stale = sorted(f"{k} ({where})" for k, where in {**entries(("tests",)), **shipped}.items()
                    if k not in keys)
     assert not stale, "config keys set but never read by src/: " + ", ".join(stale)
-    out = subprocess.run(
-        ["git", "ls-files"], capture_output=True, text=True, check=True, cwd=root,
-    )
-    tracked = out.stdout.splitlines()
-    offenders = [
-        path for path in tracked
-        if path.endswith(".pyc") or any(
-            part == "__pycache__" or part.endswith(".egg-info")
-            for part in path.split("/")[:-1]
+    if (root / ".git").exists():
+        out = subprocess.run(
+            ["git", "ls-files"], capture_output=True, text=True, check=True, cwd=root,
         )
-    ]
-    assert not offenders, \
-        "build artifacts tracked by git: " + ", ".join(offenders)
-    print(f"hygiene OK: {len(tracked)} tracked files, "
-          f"no __pycache__/*.pyc/*.egg-info, src/ {src_lines} <= {SRC_LINE_CEILING} lines "
+        tracked = out.stdout.splitlines()
+        offenders = [
+            path for path in tracked
+            if path.endswith(".pyc") or any(
+                part == "__pycache__" or part.endswith(".egg-info")
+                for part in path.split("/")[:-1]
+            )
+        ]
+        assert not offenders, \
+            "build artifacts tracked by git: " + ", ".join(offenders)
+        artifacts = f"{len(tracked)} tracked files, no __pycache__/*.pyc/*.egg-info"
+    else:
+        # An exported tree (git archive) has no index to list.
+        print("hygiene: tracked-artifact check not run: no git index")
+        artifacts = "tracked files not checked"
+    print(f"hygiene OK: {artifacts}, src/ {src_lines} <= {SRC_LINE_CEILING} lines "
           f"and no gc calls, "
           f"{len(flags)} repro options and {len(keys)} config keys all set somewhere")
     return 0

@@ -213,55 +213,55 @@ def run_chaos_campaign(
         "messaging.reconnect.jitter": 0.0,
     }
 
-    pair = TestbedPair(setup, seed=seed, sys_config=sys_config)
-    pair.fabric.connect_timeout = connect_timeout
-    components = wire_campaign_workload(
-        pair, seed, transfer_bytes, transfer_transport, ping_interval
-    )
-    unknown = {e.target for e in timeline if e.kind == "component_fault"} - set(ALL_TARGETS)
-    if unknown:
-        raise ValueError(f"unknown chaos targets {sorted(unknown)}")
+    with TestbedPair(setup, seed=seed, sys_config=sys_config) as pair:
+        pair.fabric.connect_timeout = connect_timeout
+        components = wire_campaign_workload(
+            pair, seed, transfer_bytes, transfer_transport, ping_interval
+        )
+        unknown = {e.target for e in timeline if e.kind == "component_fault"} - set(ALL_TARGETS)
+        if unknown:
+            raise ValueError(f"unknown chaos targets {sorted(unknown)}")
 
-    injector = FaultInjector(pair.fabric)
-    ip_a, ip_b = pair.sender.host.ip, pair.receiver.host.ip
-    supervision = pair.system.supervision
-    for event in timeline:
-        if event.kind == "component_fault":
-            injector.at(
-                event.time,
-                lambda e=event: supervision.inject_fault(
-                    components[e.target],
-                    RuntimeError(f"chaos: {e.target} at {e.time:.3f}s"),
-                ),
-                label="chaos-fault",
-            )
-        else:
-            injector.at(
-                event.time,
-                lambda e=event: injector.cut_link(ip_a, ip_b, duration=e.duration),
-                label="chaos-cut",
-            )
+        injector = FaultInjector(pair.fabric)
+        ip_a, ip_b = pair.sender.host.ip, pair.receiver.host.ip
+        supervision = pair.system.supervision
+        for event in timeline:
+            if event.kind == "component_fault":
+                injector.at(
+                    event.time,
+                    lambda e=event: supervision.inject_fault(
+                        components[e.target],
+                        RuntimeError(f"chaos: {e.target} at {e.time:.3f}s"),
+                    ),
+                    label="chaos-fault",
+                )
+            else:
+                injector.at(
+                    event.time,
+                    lambda e=event: injector.cut_link(ip_a, ip_b, duration=e.duration),
+                    label="chaos-cut",
+                )
 
-    # Convergence probe: pings answered before the chaos-free tail starts.
-    probe = {"answered": 0}
+        # Convergence probe: pings answered before the chaos-free tail starts.
+        probe = {"answered": 0}
 
-    def take_probe() -> None:
-        probe["answered"] = len(components["pinger"].definition.rtts)
+        def take_probe() -> None:
+            probe["answered"] = len(components["pinger"].definition.rtts)
 
-    pair.sim.schedule_at(duration - tail, take_probe, label="chaos-probe")
+        pair.sim.schedule_at(duration - tail, take_probe, label="chaos-probe")
 
-    observed = run_campaign_workload(pair, components, duration)
-    return ChaosCampaignResult(
-        seed=seed,
-        timeline=timeline,
-        faults_injected=sum(1 for e in timeline if e.kind == "component_fault"),
-        link_cuts=sum(1 for e in timeline if e.kind == "link_cut"),
-        restarts=supervision.restarts_total,
-        escalations=supervision.escalations_total,
-        deadletters=pair.system.deadletters_total,
-        pings_answered_before_tail=probe["answered"],
-        **observed,
-    )
+        observed = run_campaign_workload(pair, components, duration)
+        return ChaosCampaignResult(
+            seed=seed,
+            timeline=timeline,
+            faults_injected=sum(1 for e in timeline if e.kind == "component_fault"),
+            link_cuts=sum(1 for e in timeline if e.kind == "link_cut"),
+            restarts=supervision.restarts_total,
+            escalations=supervision.escalations_total,
+            deadletters=pair.system.deadletters_total,
+            pings_answered_before_tail=probe["answered"],
+            **observed,
+        )
 
 
 # ----------------------------------------------------------------------

@@ -116,15 +116,18 @@ def wire_campaign_workload(
     The workload both campaigns disturb.  Returns its components by label
     (component ids and RNG streams follow the creation order here).
     """
-    pair.wire()
+    pair.wire(transfer_transport)
     pinger, ponger, timer = pair.pings(Transport.TCP, ping_interval)
     sender = pair.file_sender(
         SyntheticDataset(size=transfer_bytes, seed=seed), transfer_transport
     )
+    net_snd = pair.sender.network
+    if transfer_transport is Transport.DATA:
+        net_snd = net_snd.definition.network  # the wire network behind the interceptor
     return {
         "timer": timer, "pinger": pinger, "ponger": ponger,
         "sender": sender, "receiver": pair.file_receiver(),
-        "net-snd": pair.sender.network, "net-rcv": pair.receiver.network,
+        "net-snd": net_snd, "net-rcv": pair.receiver.network,
     }
 
 
@@ -191,28 +194,28 @@ def run_fault_campaign(
     if fallback:
         sys_config["messaging.fallback.enabled"] = True
 
-    pair = TestbedPair(setup, seed=seed, sys_config=sys_config)
-    pair.fabric.connect_timeout = connect_timeout
-    parts = wire_campaign_workload(
-        pair, seed, transfer_bytes, transfer_transport, ping_interval
-    )
-
-    injector = FaultInjector(pair.fabric)
-    ip_a, ip_b = pair.sender.host.ip, pair.receiver.host.ip
-    injector.at(
-        cut_at, lambda: injector.cut_link(ip_a, ip_b, duration=cut_duration)
-    )
-    if degrade_at is not None:
-        degraded = LinkSpec(
-            bandwidth=setup.bandwidth / 4, delay=setup.one_way_delay,
-            loss=0.01, udp_cap=setup.udp_cap,
+    with TestbedPair(setup, seed=seed, sys_config=sys_config) as pair:
+        pair.fabric.connect_timeout = connect_timeout
+        parts = wire_campaign_workload(
+            pair, seed, transfer_bytes, transfer_transport, ping_interval
         )
+
+        injector = FaultInjector(pair.fabric)
+        ip_a, ip_b = pair.sender.host.ip, pair.receiver.host.ip
         injector.at(
-            degrade_at,
-            lambda: injector.degrade_link(ip_a, ip_b, degraded, duration=degrade_duration),
+            cut_at, lambda: injector.cut_link(ip_a, ip_b, duration=cut_duration)
         )
+        if degrade_at is not None:
+            degraded = LinkSpec(
+                bandwidth=setup.bandwidth / 4, delay=setup.one_way_delay,
+                loss=0.01, udp_cap=setup.udp_cap,
+            )
+            injector.at(
+                degrade_at,
+                lambda: injector.degrade_link(ip_a, ip_b, degraded, duration=degrade_duration),
+            )
 
-    observed = run_campaign_workload(pair, parts, duration)
+        observed = run_campaign_workload(pair, parts, duration)
     metrics = get_registry()
     tracer = get_tracer()
     backoff = tuple(

@@ -2,11 +2,12 @@
 
 All drivers are deterministic in their ``seed`` and run on the simulated
 testbed of :mod:`repro.bench.scenario`.  A new driver starts from the
-pair, not from a copy of another driver: ``TestbedPair(setup, seed)``,
-``pair.wire(transport)``, then the workloads it names — ``pair.pings``,
-``pair.file_sender`` / ``pair.file_receiver``, ``pair.stream`` —
-``pair.start(...)`` in the order it wants, :func:`run_in_steps`, read
-the results off the returned components.
+pair, not from a copy of another driver: ``with TestbedPair(setup, seed)
+as pair:``, ``pair.wire(transport)``, then the workloads it names —
+``pair.pings``, ``pair.file_sender`` / ``pair.file_receiver``,
+``pair.stream`` — ``pair.start(...)`` in the order it wants,
+:func:`run_in_steps`, and read the results off the returned components
+before the ``with`` ends (its exit frees the world).
 """
 
 from __future__ import annotations
@@ -76,21 +77,21 @@ TRANSFER_EPISODE_LENGTH = 0.25
 def run_transfer_once(setup: Setup, transport: Transport, size: int,
                       seed: int = 0) -> TransferResult:
     """One disk-to-disk transfer; returns its measured duration."""
-    pair = TestbedPair(setup, seed=seed)
-    pair.wire(transport, prp_factory=default_transfer_learner(seed),
-              episode_length=TRANSFER_EPISODE_LENGTH)
-    sender = pair.file_sender(SyntheticDataset(size=size, seed=seed), transport)
-    receiver = pair.file_receiver()
-    pair.start(receiver, sender)
+    with TestbedPair(setup, seed=seed) as pair:
+        pair.wire(transport, prp_factory=default_transfer_learner(seed),
+                  episode_length=TRANSFER_EPISODE_LENGTH)
+        sender = pair.file_sender(SyntheticDataset(size=size, seed=seed), transport)
+        receiver = pair.file_receiver()
+        pair.start(receiver, sender)
 
-    run_in_steps(pair, MAX_TRANSFER_TIME, lambda: sender.definition.duration is not None)
-    duration = sender.definition.duration
-    if duration is None:
-        raise RuntimeError(
-            f"transfer did not finish within {MAX_TRANSFER_TIME}s sim time "
-            f"({setup.name}/{transport.value}, progress "
-            f"{receiver.definition.progress(sender.definition.transfer_id):.1%})"
-        )
+        run_in_steps(pair, MAX_TRANSFER_TIME, lambda: sender.definition.duration is not None)
+        duration = sender.definition.duration
+        if duration is None:
+            raise RuntimeError(
+                f"transfer did not finish within {MAX_TRANSFER_TIME}s sim time "
+                f"({setup.name}/{transport.value}, progress "
+                f"{receiver.definition.progress(sender.definition.transfer_id):.1%})"
+            )
     return TransferResult(setup.name, transport.value, size, duration, seed)
 
 
@@ -136,31 +137,31 @@ def run_transfer_repeated(
     for the DATA protocol — the per-destination learner state persists, so
     only the first run pays the ramp-up.
     """
-    pair = TestbedPair(setup, seed=base_seed, net_config=net_config)
-    pair.wire(transport, prp_factory=default_transfer_learner(base_seed),
-              episode_length=TRANSFER_EPISODE_LENGTH)
-    pair.start(pair.file_receiver())
-
     durations: List[float] = []
-    for i in range(max_runs):
-        sender = pair.file_sender(
-            SyntheticDataset(size=size, seed=base_seed + i), transport, name=f"sender-{i}"
-        )
-        pair.start(sender)
-        deadline = pair.sim.now + MAX_TRANSFER_TIME
-        run_in_steps(pair, deadline, lambda: sender.definition.duration is not None)
-        duration = sender.definition.duration
-        if duration is None:
-            raise RuntimeError(
-                f"run {i} did not finish within {MAX_TRANSFER_TIME}s sim time "
-                f"({setup.name}/{transport.value})"
+    with TestbedPair(setup, seed=base_seed, net_config=net_config) as pair:
+        pair.wire(transport, prp_factory=default_transfer_learner(base_seed),
+                  episode_length=TRANSFER_EPISODE_LENGTH)
+        pair.start(pair.file_receiver())
+
+        for i in range(max_runs):
+            sender = pair.file_sender(
+                SyntheticDataset(size=size, seed=base_seed + i), transport, name=f"sender-{i}"
             )
-        pair.system.kill(sender)
-        durations.append(duration)
-        if len(durations) >= min_runs and enough_runs(
-            [size / d for d in durations], min_runs, rse_target
-        ):
-            break
+            pair.start(sender)
+            deadline = pair.sim.now + MAX_TRANSFER_TIME
+            run_in_steps(pair, deadline, lambda: sender.definition.duration is not None)
+            duration = sender.definition.duration
+            if duration is None:
+                raise RuntimeError(
+                    f"run {i} did not finish within {MAX_TRANSFER_TIME}s sim time "
+                    f"({setup.name}/{transport.value})"
+                )
+            pair.system.kill(sender)
+            durations.append(duration)
+            if len(durations) >= min_runs and enough_runs(
+                [size / d for d in durations], min_runs, rse_target
+            ):
+                break
     return RepeatedTransfer(setup.name, transport.value, size, tuple(durations))
 
 
@@ -227,42 +228,42 @@ def run_latency_experiment(
     queued behind bulk TCP data reports its true, head-of-line-inflated
     RTT).  Without a data transport, ``baseline_pings`` probes are sent.
     """
-    pair = TestbedPair(setup, seed=seed)
-    pair.wire(data_transport)
-    pinger, ponger, timer = pair.pings(ping_transport, ping_interval)
-    sender = None
-    if data_transport is not None:
-        sender = pair.file_sender(
-            SyntheticDataset(size=transfer_bytes, seed=seed), data_transport
-        )
-        pair.start(pair.file_receiver(), sender)
-    pair.start(timer, ponger, pinger)
-
-    if sender is None:
-        window = warmup + (baseline_pings + 2) * ping_interval
-        run_in_steps(pair, window, lambda: False, step=1.0)
-        transfer_end = window
-    else:
-        run_in_steps(
-            pair, max_sim_time, lambda: sender.definition.duration is not None, step=1.0
-        )
-        if sender.definition.duration is None:
-            raise RuntimeError(
-                f"parallel transfer did not finish within {max_sim_time}s "
-                f"({setup.name}, {data_transport.value} data)"
+    with TestbedPair(setup, seed=seed) as pair:
+        pair.wire(data_transport)
+        pinger, ponger, timer = pair.pings(ping_transport, ping_interval)
+        sender = None
+        if data_transport is not None:
+            sender = pair.file_sender(
+                SyntheticDataset(size=transfer_bytes, seed=seed), data_transport
             )
-        transfer_end = sender.definition.started_at + sender.definition.duration
-        # Drain: every ping sent during the transfer must come home.
-        run_in_steps(
-            pair, pair.sim.now + max_sim_time,
-            lambda: pinger.definition.outstanding == 0, step=1.0,
-        )
+            pair.start(pair.file_receiver(), sender)
+        pair.start(timer, ponger, pinger)
 
-    # Ping i is sent at (i+1) * interval.
-    rtts = [
-        rtt for i, rtt in enumerate(pinger.definition.rtts)
-        if warmup <= (i + 1) * ping_interval <= transfer_end
-    ]
+        if sender is None:
+            window = warmup + (baseline_pings + 2) * ping_interval
+            run_in_steps(pair, window, lambda: False, step=1.0)
+            transfer_end = window
+        else:
+            run_in_steps(
+                pair, max_sim_time, lambda: sender.definition.duration is not None, step=1.0
+            )
+            if sender.definition.duration is None:
+                raise RuntimeError(
+                    f"parallel transfer did not finish within {max_sim_time}s "
+                    f"({setup.name}, {data_transport.value} data)"
+                )
+            transfer_end = sender.definition.started_at + sender.definition.duration
+            # Drain: every ping sent during the transfer must come home.
+            run_in_steps(
+                pair, pair.sim.now + max_sim_time,
+                lambda: pinger.definition.outstanding == 0, step=1.0,
+            )
+
+        # Ping i is sent at (i+1) * interval.
+        rtts = [
+            rtt for i, rtt in enumerate(pinger.definition.rtts)
+            if warmup <= (i + 1) * ping_interval <= transfer_end
+        ]
     combo = (
         f"{ping_transport.value} ping"
         + (f" + {data_transport.value} data" if data_transport is not None else " only")
@@ -305,21 +306,21 @@ def run_learner_trace(
     degrade the link to test the learner's re-adaptation): each
     ``(time, fn)`` pair runs ``fn(pair)`` at the given simulated time.
     """
-    pair = TestbedPair(setup, seed=seed)
-    for at, fn in scheduled_events:
-        pair.sim.schedule(at, lambda f=fn: f(pair), label="scheduled-event")
-    pair.wire(
-        Transport.DATA, psp_factory=psp_factory, prp_factory=prp_factory,
-        window_messages=window_messages, episode_length=episode_length,
-    )
-    source, sink = pair.stream(sink_name="sink")
-    pair.start(sink, source)
+    with TestbedPair(setup, seed=seed) as pair:
+        for at, fn in scheduled_events:
+            pair.sim.schedule(at, lambda f=fn: f(pair), label="scheduled-event")
+        pair.wire(
+            Transport.DATA, psp_factory=psp_factory, prp_factory=prp_factory,
+            window_messages=window_messages, episode_length=episode_length,
+        )
+        source, sink = pair.stream(sink_name="sink")
+        pair.start(sink, source)
 
-    run_in_steps(pair, duration, lambda: False, step=1.0)
+        run_in_steps(pair, duration, lambda: False, step=1.0)
 
-    flow = _data_flow(pair)
-    if flow is None:
-        raise RuntimeError("no flow was created; source never sent")
+        flow = _data_flow(pair)
+        if flow is None:
+            raise RuntimeError("no flow was created; source never sent")
     return LearnerTrace(
         label=label,
         throughput=flow.telemetry.throughput,
@@ -444,24 +445,24 @@ def run_observability_demo(
     application itself measured, for cross-checking against the metrics
     snapshot.
     """
-    pair = TestbedPair(setup, seed=seed)
-    pair.wire(
-        Transport.DATA, prp_factory=default_transfer_learner(seed),
-        episode_length=episode_length,
-    )
-    pinger, ponger, timer = pair.pings(Transport.TCP, ping_interval)
-    source, sink = pair.stream(sink_name="obs-sink")
-    pair.start(timer, ponger, pinger, sink, source)
-    run_in_steps(pair, duration, lambda: False, step=1.0)
+    with TestbedPair(setup, seed=seed) as pair:
+        pair.wire(
+            Transport.DATA, prp_factory=default_transfer_learner(seed),
+            episode_length=episode_length,
+        )
+        pinger, ponger, timer = pair.pings(Transport.TCP, ping_interval)
+        source, sink = pair.stream(sink_name="obs-sink")
+        pair.start(timer, ponger, pinger, sink, source)
+        run_in_steps(pair, duration, lambda: False, step=1.0)
 
-    flow = _data_flow(pair)
-    rtts = pinger.definition.rtts
-    return {
-        "setup": setup.name,
-        "sim_time": pair.sim.now,
-        "pings_answered": len(rtts),
-        "mean_rtt_ms": (sum(rtts) / len(rtts)) * 1000.0 if rtts else None,
-        "data_messages_delivered": sink.definition.count,
-        "data_bytes_acked": flow.total_bytes_acked if flow is not None else 0,
-        "data_messages_total": flow.total_messages if flow is not None else 0,
-    }
+        flow = _data_flow(pair)
+        rtts = pinger.definition.rtts
+        return {
+            "setup": setup.name,
+            "sim_time": pair.sim.now,
+            "pings_answered": len(rtts),
+            "mean_rtt_ms": (sum(rtts) / len(rtts)) * 1000.0 if rtts else None,
+            "data_messages_delivered": sink.definition.count,
+            "data_bytes_acked": flow.total_bytes_acked if flow is not None else 0,
+            "data_messages_total": flow.total_messages if flow is not None else 0,
+        }

@@ -207,7 +207,26 @@ class LoopbackComparison:
         return [f"{run.transport}: {p}" for run in self.runs for p in run.problems()]
 
     def summary(self) -> str:
-        return format_comparison(self)
+        """Human-readable sim-vs-real table."""
+        rows = []
+        for run in self.runs:
+            sim_rate = self.sim_throughput.get(run.transport)
+            rows.append((
+                run.transport,
+                f"{sim_rate / MB:8.2f}" if sim_rate is not None else "      - ",
+                f"{run.throughput / MB:8.2f}",
+                f"{run.delivered}/{run.chunks}",
+                f"{run.notifies_failed}+{run.leaked_notifies}",
+                f"{run.batches}",
+                ",".join(f"{k}:{v}" for k, v in sorted(run.protocols.items())) or "-",
+            ))
+        return format_table(
+            ("transport", "sim MB/s", "real MB/s", "delivered", "failed+leaked",
+             "batches", "wire protocols"),
+            rows,
+            title=f"Loopback sim-vs-real, {self.size // MB} MB "
+                  f"(seed {self.seed})",
+        )
 
     def to_document(self) -> Dict[str, Any]:
         document = campaign_document(self)
@@ -244,27 +263,4 @@ def run_loopback_comparison(
         )
     return LoopbackComparison(
         size=size, seed=seed, runs=tuple(runs), sim_throughput=sim_throughput
-    )
-
-
-def format_comparison(comparison: LoopbackComparison) -> str:
-    """Human-readable sim-vs-real table."""
-    rows = []
-    for run in comparison.runs:
-        sim_rate = comparison.sim_throughput.get(run.transport)
-        rows.append((
-            run.transport,
-            f"{sim_rate / MB:8.2f}" if sim_rate is not None else "      - ",
-            f"{run.throughput / MB:8.2f}",
-            f"{run.delivered}/{run.chunks}",
-            f"{run.notifies_failed}+{run.leaked_notifies}",
-            f"{run.batches}",
-            ",".join(f"{k}:{v}" for k, v in sorted(run.protocols.items())) or "-",
-        ))
-    return format_table(
-        ("transport", "sim MB/s", "real MB/s", "delivered", "failed+leaked",
-         "batches", "wire protocols"),
-        rows,
-        title=f"Loopback sim-vs-real, {comparison.size // MB} MB "
-              f"(seed {comparison.seed})",
     )

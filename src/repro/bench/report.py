@@ -56,12 +56,6 @@ def format_table(headers: Sequence[str], rows: Iterable[Sequence[object]], title
     return "\n".join(out)
 
 
-def format_series(label: str, pairs: Iterable[tuple], fmt: str = "{:.2f}") -> str:
-    """Compact one-line rendering of a (time, value) series."""
-    cells = ", ".join(f"{t:.0f}s={fmt.format(v)}" for t, v in pairs)
-    return f"{label}: {cells}"
-
-
 SPARK_LEVELS = " ▁▂▃▄▅▆▇█"
 
 

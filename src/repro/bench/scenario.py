@@ -151,7 +151,9 @@ class TestbedPair(Pair):
     (on one host for the Local setup, otherwise on two linked hosts).
     :meth:`wire` gives them their network components; the workload
     methods create the apps, attach them and leave starting to the driver
-    (creation, attach and start order are what the digests pin).
+    (creation, attach and start order are what the digests pin).  A
+    driver reads its results inside ``with TestbedPair(...) as pair:``,
+    whose exit ends the world (:meth:`close`).
     """
 
     __test__ = False  # not a pytest class, despite the name
@@ -191,6 +193,22 @@ class TestbedPair(Pair):
             EndpointHandle(BasicAddress(h_send.ip, MIDDLEWARE_PORT), h_send, h_send.disk),
             EndpointHandle(BasicAddress(h_recv.ip, recv_port), h_recv, h_recv.disk),
         )
+
+    def close(self) -> None:
+        """End the world: the Kompics system, the fabric, then the simulator.
+
+        Each cuts its own reference cycles, so the world is freed by
+        refcounting once the driver drops the pair.  Read results first.
+        """
+        self.system.close()
+        self.fabric.close()
+        self.sim.close()
+
+    def __enter__(self) -> "TestbedPair":
+        return self
+
+    def __exit__(self, *exc: object) -> None:
+        self.close()
 
     def wire(self, transport: Optional[Transport] = None, **interceptor_args: Any) -> None:
         """Create and start both network components.

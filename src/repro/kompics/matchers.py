@@ -49,16 +49,6 @@ def match_fields(**expected: Any) -> Predicate:
 _MISSING = object()
 
 
-def match_any(*predicates: Predicate) -> Predicate:
-    """True when any sub-predicate is."""
-    return lambda event: any(p(event) for p in predicates)
-
-
-def match_all(*predicates: Predicate) -> Predicate:
-    """True when every sub-predicate is."""
-    return lambda event: all(p(event) for p in predicates)
-
-
 def subscribe_matching(
     port: Port,
     event_type: Type[KompicsEvent],

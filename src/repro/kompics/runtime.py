@@ -183,6 +183,33 @@ class KompicsSystem:
                 self.kill(component)
         self.scheduler.shutdown()
 
+    def close(self) -> None:
+        """Cut this system's reference cycles so refcounting frees it.
+
+        Runs no lifecycle hook and schedules nothing: every core, children
+        included, loses its ports' wiring, its queues, its links to the
+        tree and the system, and its definition loses its state (handlers
+        and the objects they close over).  Function gauges are pinned
+        first, so a snapshot taken afterwards reads the values at close.
+        Unusable after, idempotent.
+        """
+        self.metrics.pin_functions()
+        for component in self.components:
+            core = component.core
+            for port in core._ports.values():
+                port._channels.clear()
+                port._subscriptions.clear()
+                port._dispatch_cache.clear()
+            core._ports.clear()
+            core._queue.clear()
+            core._control_queue.clear()
+            core.children.clear()
+            core.parent = core._schedule_ready = core.system = core.create_args = None
+            if core.definition is not None:
+                vars(core.definition).clear()
+        self.components = []
+        self.supervision = None
+
     # ------------------------------------------------------------------
     # dead letters
     # ------------------------------------------------------------------

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import threading
+from functools import partial
 from typing import Dict
 
 from repro.kompics.component import ComponentDefinition
@@ -108,14 +109,18 @@ class SimTimerComponent(ComponentDefinition):
     def _schedule_periodic(self, event: SchedulePeriodicTimeout) -> None:
         tid = event.timeout.timeout_id
         label = f"ptimeout:{tid}" if self._labels else ""
-
-        def fire() -> None:
-            if tid not in self._handles:
-                return
-            self._handles[tid] = self._sim().schedule(event.period, fire, label=label)
-            self.trigger(event.timeout, self.timer)
-
+        fire = partial(self._fire_periodic, event, label)
         self._handles[tid] = self._sim().schedule(event.delay, fire, label=label)
+
+    def _fire_periodic(self, event: SchedulePeriodicTimeout, label: str) -> None:
+        # A method, not a closure that reschedules itself: such a closure
+        # is a reference cycle that outlives the simulator.
+        tid = event.timeout.timeout_id
+        if tid not in self._handles:
+            return
+        fire = partial(self._fire_periodic, event, label)
+        self._handles[tid] = self._sim().schedule(event.period, fire, label=label)
+        self.trigger(event.timeout, self.timer)
 
     def _cancel(self, event) -> None:
         handle = self._handles.pop(event.timeout_id, None)

@@ -277,6 +277,18 @@ class MetricsRegistry:
         with self._lock:
             self._metrics.clear()
 
+    def pin_functions(self) -> None:
+        """Replace every lazy gauge's function by its current value.
+
+        Called when the world the functions read is torn down: later
+        snapshots read what it held at that moment, and the registry no
+        longer keeps it alive.
+        """
+        for metric in self._metrics.values():
+            if isinstance(metric, Gauge) and metric._fn is not None:
+                metric._value = metric.value
+                metric._fn = None
+
     # ------------------------------------------------------------------
     # snapshots
     # ------------------------------------------------------------------

@@ -171,7 +171,9 @@ class Simulator:
         """Drop every queued event and refuse new ones (not through a bound method
         taken before); ``now``, the clock and ``events_executed`` stay readable."""
         for entry in self._heap:
-            entry[2].owner = None
+            # A callback may hold its own handle (to cancel it): a cycle.
+            handle = entry[2]
+            handle.owner = handle.callback = None
         # In place, so that a run loop this is called from sees an empty heap.
         self._heap.clear()
         self._tombstones = 0

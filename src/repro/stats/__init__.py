@@ -1,13 +1,12 @@
 """Streaming and summary statistics used across the middleware and benches."""
 
 from repro.stats.confidence import ConfidenceInterval, mean_confidence_interval, relative_standard_error
-from repro.stats.online import Ewma, OnlineStats
+from repro.stats.online import OnlineStats
 from repro.stats.reservoir import ReservoirSampler, summarize_distribution
 from repro.stats.timeseries import TimeSeries
 
 __all__ = [
     "OnlineStats",
-    "Ewma",
     "ReservoirSampler",
     "summarize_distribution",
     "ConfidenceInterval",

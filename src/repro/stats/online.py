@@ -1,4 +1,4 @@
-"""Streaming statistics: Welford mean/variance and exponential moving average."""
+"""Streaming statistics: Welford mean/variance."""
 
 from __future__ import annotations
 
@@ -89,37 +89,3 @@ class OnlineStats:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"OnlineStats(n={self.count}, mean={self.mean:.6g}, sd={self.stddev:.6g})"
-
-
-class Ewma:
-    """Exponentially weighted moving average.
-
-    ``alpha`` is the weight of each new observation; the first observation
-    initialises the average directly.
-    """
-
-    __slots__ = ("alpha", "_value", "_initialized")
-
-    def __init__(self, alpha: float = 0.2) -> None:
-        if not 0.0 < alpha <= 1.0:
-            raise ValueError(f"alpha must be in (0, 1], got {alpha}")
-        self.alpha = alpha
-        self._value = 0.0
-        self._initialized = False
-
-    def add(self, value: float) -> float:
-        """Fold in one observation and return the updated average."""
-        if self._initialized:
-            self._value += self.alpha * (value - self._value)
-        else:
-            self._value = value
-            self._initialized = True
-        return self._value
-
-    @property
-    def value(self) -> float:
-        return self._value
-
-    @property
-    def initialized(self) -> bool:
-        return self._initialized

@@ -48,25 +48,3 @@ class TimeSeries:
             return None
         window = self._values[lo:hi]
         return sum(window) / len(window)
-
-    def resample(self, interval: float, end: Optional[float] = None) -> List[Tuple[float, float]]:
-        """Bucket the series into fixed intervals of width ``interval``.
-
-        Returns (bucket_end_time, bucket_mean) pairs; empty buckets carry the
-        previous bucket's mean (or are skipped at the head).
-        """
-        if not self._times:
-            return []
-        stop = end if end is not None else self._times[-1]
-        out: List[Tuple[float, float]] = []
-        t = interval
-        prev: Optional[float] = None
-        while t <= stop + 1e-12:
-            mean = self.window_mean(t - interval, t)
-            if mean is None:
-                mean = prev
-            if mean is not None:
-                out.append((t, mean))
-                prev = mean
-            t += interval
-        return out

@@ -8,6 +8,7 @@ from repro.bench.chaos import (
     run_chaos_campaign,
 )
 from repro.bench.harness import run_observed
+from repro.messaging import Transport
 
 pytestmark = pytest.mark.integration
 
@@ -77,6 +78,17 @@ class TestChaosCampaign:
         assert "kompics.deadletters_total" in metrics
         restarts = sum(e["value"] for e in metrics["kompics.restarts_total"])
         assert restarts == result.restarts
+
+    def test_net_snd_of_a_data_campaign_is_the_wire_network(self):
+        result, document = run_observed(
+            run_chaos_campaign, targets=("net-snd",), transfer_transport=Transport.DATA,
+            **CAMPAIGN,
+        )
+        assert result.restarts >= 1
+        assert result.transfer_done
+        restarted = {r["fields"]["component"] for r in document["trace"]
+                     if r["name"] == "kompics.restart"}
+        assert restarted == {"NettyNetwork-0"}  # not the DataNetwork bundle around it
 
     def test_campaign_is_deterministic(self):
         first, _ = run_observed(run_chaos_campaign, **CAMPAIGN)

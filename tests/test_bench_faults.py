@@ -4,7 +4,7 @@ import pytest
 
 from repro.bench.faults import FAULT_ENV, run_fault_campaign
 from repro.bench.harness import run_observed
-from repro.messaging import ReconnectPolicy
+from repro.messaging import ReconnectPolicy, Transport
 
 pytestmark = pytest.mark.integration
 
@@ -45,6 +45,14 @@ class TestFaultCampaign:
         metrics = document["metrics"]
         assert "messaging.reconnect.attempts_total" in metrics
         assert "messaging.reconnect.recovered_total" in metrics
+
+    def test_a_data_campaign_returns_a_result(self):
+        result, _ = run_observed(
+            run_fault_campaign, transfer_transport=Transport.DATA, fallback=True, **CAMPAIGN
+        )
+        assert result.transfer_progress > 0.0
+        assert result.pings_answered > 0
+        assert result.reconnect_recovered >= 1
 
     def test_recovery_beats_the_bare_middleware(self):
         recovered, _ = run_observed(run_fault_campaign, **CAMPAIGN)

@@ -17,7 +17,7 @@ from repro.bench.harness import (
     run_transfer_repeated,
 )
 from repro.bench.loopback import loopback_pair
-from repro.bench.report import format_series, format_table
+from repro.bench.report import format_table
 from repro.bench.scenario import AWS_SETUPS, MB, Setup, TestbedPair, aws_testbed, setup_by_name
 from repro.core import TDRatioLearner
 from repro.core.data_network import DataNetworkBase
@@ -211,10 +211,6 @@ class TestReport:
         assert "long-header" in lines[2]
         assert lines[3].startswith("-")
         assert len(lines) == 6
-
-    def test_format_series(self):
-        out = format_series("thr", [(1.0, 2.5), (2.0, 3.5)])
-        assert out == "thr: 1s=2.50, 2s=3.50"
 
 
 class TestSparkline:

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.kompics import ComponentDefinition, KompicsSystem
-from repro.kompics.matchers import match_all, match_any, match_fields
+from repro.kompics.matchers import match_fields
 from repro.sim import Simulator
 
 from tests.kompics_fixtures import Client, Ping, PingPort, Server
@@ -38,15 +38,6 @@ class TestPredicates:
         predicate = match_fields(a=1, b=2)
         assert predicate(Pair(1, 2))
         assert not predicate(Pair(1, 3))
-
-    def test_match_any_all(self):
-        odd = lambda e: e.seq % 2 == 1
-        big = lambda e: e.seq > 10
-        assert match_any(odd, big)(Ping(3))
-        assert match_any(odd, big)(Ping(12))
-        assert not match_any(odd, big)(Ping(2))
-        assert match_all(odd, big)(Ping(13))
-        assert not match_all(odd, big)(Ping(3))
 
 
 class TestSubscribeMatching:

@@ -8,7 +8,6 @@ from repro.bench.loopback import (
     LOOPBACK_CHUNK,
     LoopbackComparison,
     LoopbackRun,
-    format_comparison,
     run_loopback_comparison,
     run_loopback_once,
 )
@@ -84,7 +83,7 @@ class TestArtifactAndRendering:
         assert "unstamped" in capsys.readouterr().err
 
     def test_format_comparison_renders_table(self):
-        text = format_comparison(self._fake_comparison())
+        text = self._fake_comparison().summary()
         assert "sim MB/s" in text
         assert "real MB/s" in text
         assert "35/35" in text

@@ -9,7 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.stats import (
-    Ewma,
     OnlineStats,
     ReservoirSampler,
     TimeSeries,
@@ -89,24 +88,6 @@ class TestOnlineStats:
             assert merged.max == 7.0
             assert merged.mean == pytest.approx(3.0)
             assert merged.variance == pytest.approx(full.variance)
-
-
-class TestEwma:
-    def test_first_value_initialises(self):
-        e = Ewma(0.5)
-        assert e.add(10.0) == 10.0
-
-    def test_moves_toward_new_values(self):
-        e = Ewma(0.5)
-        e.add(0.0)
-        assert e.add(10.0) == 5.0
-        assert e.add(10.0) == 7.5
-
-    def test_alpha_validation(self):
-        with pytest.raises(ValueError):
-            Ewma(0.0)
-        with pytest.raises(ValueError):
-            Ewma(1.5)
 
 
 class TestReservoir:
@@ -206,13 +187,3 @@ class TestTimeSeries:
             ts.record(float(t), float(t))
         assert ts.window_mean(0.0, 5.0) == pytest.approx(2.0)
         assert ts.window_mean(100.0, 200.0) is None
-
-    def test_resample_fills_gaps(self):
-        ts = TimeSeries()
-        ts.record(0.5, 10.0)
-        ts.record(3.5, 20.0)
-        out = ts.resample(1.0, end=4.0)
-        assert out == [(1.0, 10.0), (2.0, 10.0), (3.0, 10.0), (4.0, 20.0)]
-
-    def test_resample_empty(self):
-        assert TimeSeries().resample(1.0) == []
