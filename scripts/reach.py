@@ -10,6 +10,14 @@ a ``sys.setprofile`` hook, then prints, per module, the functions none of
 them entered, and the totals::
 
     python scripts/reach.py
+    python scripts/reach.py --write REACH.txt
+
+``--write`` also writes the unreached functions to a file, one
+``repro.module Qualname — reason`` line each.  A reason already in that
+file is kept; a new entry gets ``unexplained``, which
+``ci_checks.py hygiene`` rejects until someone states why the function
+stays (see :func:`ci_checks.check_reach` for the reasons it accepts) or
+deletes it.
 
 The hook is a generated ``sitecustomize`` put first on ``PYTHONPATH``, so
 subprocesses are counted too (``perf/run.py``'s children,
@@ -25,7 +33,7 @@ is not a CI step.
 
 from __future__ import annotations
 
-import ast
+import argparse
 import os
 import subprocess
 import sys
@@ -33,6 +41,8 @@ import tempfile
 from collections import defaultdict
 from pathlib import Path
 from typing import Dict, List, Optional, Set, Tuple
+
+from ci_checks import functions, module_name
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 SRC = REPO_ROOT / "src"
@@ -100,8 +110,14 @@ def entries() -> List[Tuple[str, List[Command]]]:
                  "--seeds", "2", "--workers", "1", "--horizon", "60")
     cc_sweep = ("fleet", "sweep", "--scenario", "cc-reno", "--scenario", "cc-cubic",
                 "--scenario", "cc-bbr", "--seeds", "2", "--workers", "1")
+    fleet_ft = ("fleet", "run", "--topology", "fat-tree", "--pattern", "churn", "--hosts", "32",
+                "--flows", "200", "--seeds", "2", "--workers", "1", "--horizon", "60")
     faults = ("faults", "--duration", "12", "--cut-at", "2", "--cut-duration", "2",
               "--transfer-mb", "4", "--seed", "3", "--jitter", "0", "--format", "json")
+    faults_data = ("faults", "--transport", "data", "--fallback", "--duration", "12",
+                   "--cut-at", "2", "--format", "json")
+    give_up = ("faults", "--transport", "data", "--fallback", "--duration", "40",
+               "--cut-duration", "20", "--jitter", "0", "--seed", "3", "--format", "json")
     chaos = ("chaos", "--duration", "20", "--events", "5", "--seed", "3", "--format", "json")
     aio_chaos = [("tcp", "at-least-once", "3"), ("udt", "at-least-once", "4"),
                  ("tcp", "at-most-once", "5")]
@@ -113,6 +129,12 @@ def entries() -> List[Tuple[str, List[Command]]]:
         ("ci faults", _twice(lambda s, n: cli(*faults, "--output", f"{{out}}/faults-{n}.json",
                                               hash_seed=s))
          + [script("scripts/ci_checks.py", "faults", "{out}/faults-a.json")]),
+        ("ci faults-data", _twice(lambda s, n: cli(*faults_data, "--output",
+                                                   f"{{out}}/faults-data-{n}.json", hash_seed=s))
+         + [script("scripts/ci_checks.py", "faults", "{out}/faults-data-a.json")]),
+        ("ci faults-give-up", _twice(lambda s, n: cli(*give_up, "--output",
+                                                      f"{{out}}/give-up-{n}.json", hash_seed=s))
+         + [script("scripts/ci_checks.py", "faults", "{out}/give-up-a.json")]),
         ("ci chaos", _twice(lambda s, n: cli(*chaos, "--output", f"{{out}}/chaos-{n}.json",
                                              hash_seed=s))
          + [script("scripts/ci_checks.py", "chaos", "{out}/chaos-a.json")]),
@@ -136,15 +158,23 @@ def entries() -> List[Tuple[str, List[Command]]]:
         ("ci fleet-wan-mesh", _twice(lambda s, n: cli(*fleet_wan, "--out", f"{{out}}/wan-{n}.json",
                                                       hash_seed=s))
          + [script("scripts/ci_checks.py", "fleet", "{out}/wan-a.json", "{out}/wan-b.json",
-                   "--baseline", "")]),
+                   "--baseline", "BENCH_FLEET_WAN.json")]),
+        ("ci fleet-fat-tree", _twice(lambda s, n: cli(*fleet_ft, "--out", f"{{out}}/ft-{n}.json",
+                                                      hash_seed=s))
+         + [script("scripts/ci_checks.py", "fleet", "{out}/ft-a.json", "{out}/ft-b.json",
+                   "--baseline", "BENCH_FLEET_FAT_TREE.json")]),
         ("ci cc-matrix", _twice(lambda s, n: cli(*cc_sweep, "--out", f"{{out}}/ccm-{n}.json",
                                                  hash_seed=s))
          + [script("scripts/ci_checks.py", "cc-matrix", "{out}/ccm-a.json", "{out}/ccm-b.json")]),
         ("ci determinism", [script("scripts/check_determinism.py")]),
     ]
-    # the CLI commands no CI entry runs
+    # the CLI commands no CI entry runs; the campaigns in their default
+    # summary format (CI writes JSON), faults with its degrade window, and
+    # the check workload CI does not pick
     for args in (("setups",), ("figures", "all"), ("transfer",), ("latency",), ("learn",),
-                 ("fleet", "list"), ("cc", "list"), ("check", "bisect")):
+                 ("fleet", "list"), ("cc", "list"), ("check", "bisect"),
+                 ("faults", "--degrade-at", "4"), ("chaos",), ("chaos", "--backend", "aio"),
+                 ("loopback",), ("check", "run", "--workload", "obs")):
         runs.append(("cli " + " ".join(args), [cli(*args)]))
     for example in sorted((REPO_ROOT / "examples").glob("*.py")):
         runs.append((f"example {example.stem}", [script(f"examples/{example.name}")]))
@@ -189,28 +219,21 @@ def reached(out_dir: Path) -> Set[Tuple[str, int, str]]:
     return seen
 
 
-def functions(path: Path) -> List[Tuple[int, int, str]]:
-    """Every ``def`` in a file, in source order: (first line with decorators, last line, name)."""
-    found = []
-    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            first = min([d.lineno for d in node.decorator_list] + [node.lineno])
-            found.append((first, node.end_lineno, node.name))
-    return sorted(found)
-
-
-def report(seen: Set[Tuple[str, int, str]]) -> None:
-    total = unreached = body_lines = 0
+def report(seen: Set[Tuple[str, int, str]]) -> List[str]:
+    """Print the unreached functions per module and the totals; return them
+    as ``repro.module Qualname`` entries."""
+    total = body_lines = 0
+    unreached: List[str] = []
     per_module: Dict[str, List[str]] = defaultdict(list)
     for path in sorted((SRC / "repro").rglob("*.py")):
-        module = ".".join(path.relative_to(SRC).with_suffix("").parts)
+        module = module_name(SRC, path)
         real = os.path.realpath(path)
         spans = []  # unreached (first, last): lines nested in one count once
         for first, last, name in functions(path):
             total += 1
-            if (real, first, name) in seen:
+            if (real, first, name.rpartition(".")[2]) in seen:
                 continue
-            unreached += 1
+            unreached.append(f"{module} {name}")
             per_module[module].append(f"    {first:5d} {name} ({last - first + 1} lines)")
             if not any(a <= first and last <= b for a, b in spans):
                 spans.append((first, last))
@@ -218,10 +241,26 @@ def report(seen: Set[Tuple[str, int, str]]) -> None:
     for module, rows in per_module.items():
         print(f"{module}: {len(rows)} unreached")
         print("\n".join(rows))
-    print(f"unreached: {unreached} of {total} functions ({body_lines} lines) under src/")
+    print(f"unreached: {len(unreached)} of {total} functions ({body_lines} lines) under src/")
+    return unreached
+
+
+def write(path: Path, unreached: List[str]) -> None:
+    """One ``entry — reason`` line per unreached function, keeping known reasons."""
+    reasons = {}
+    if path.exists():
+        for line in path.read_text(encoding="utf-8").splitlines():
+            entry, _, reason = line.partition(" — ")
+            reasons[entry] = reason
+    path.write_text("".join(f"{entry} — {reasons.get(entry) or 'unexplained'}\n"
+                            for entry in unreached), encoding="utf-8")
 
 
 def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--write", metavar="PATH", type=Path, default=None,
+                        help="also write the unreached functions to PATH (REACH.txt)")
+    args = parser.parse_args()
     with tempfile.TemporaryDirectory(prefix="repro-reach-") as tmp:
         hook_dir, out_dir, scratch = (Path(tmp) / d for d in ("hook", "out", "scratch"))
         for d in (hook_dir, out_dir, scratch):
@@ -229,7 +268,9 @@ def main() -> int:
         (hook_dir / "sitecustomize.py").write_text(
             SITECUSTOMIZE.format(hook_dir=str(hook_dir), out_dir=str(out_dir)), encoding="utf-8")
         failed = run_entries(hook_dir, out_dir, scratch)
-        report(reached(out_dir))
+        unreached = report(reached(out_dir))
+    if args.write is not None:
+        write(args.write, unreached)
     if failed:
         print(f"{failed} entry command(s) exited non-zero (listed above)", file=sys.stderr)
     return 0

@@ -13,8 +13,6 @@ makes the same middleware usable on actual sockets:
   library ships its own wire protocol with the same guarantees (reliable,
   ordered) and behaviour class (rate-based, RTT-insensitive congestion
   control).
-* :mod:`repro.aio.adaptors` — fault-injecting socket adaptors
-  (drop/dup/delay/truncate) for deterministic loss testing.
 * :mod:`repro.aio.network` — ``AioNetwork``, a drop-in sibling of
   ``NettyNetwork`` for thread-pool Kompics systems, with frame batching
   and TransportStatus-based channel recovery.
@@ -22,15 +20,6 @@ makes the same middleware usable on actual sockets:
   bundle (interceptor + Sarsa(lambda) selection) over real sockets.
 """
 
-from repro.aio.adaptors import (
-    ChainAdaptor,
-    DelayAdaptor,
-    DropAdaptor,
-    DupAdaptor,
-    RecordingAdaptor,
-    SocketAdaptor,
-    TruncateAdaptor,
-)
 from repro.aio.data_network import AioDataNetwork
 from repro.aio.network import AioNetwork
 from repro.aio.tcp import TcpTransport
@@ -44,11 +33,4 @@ __all__ = [
     "UdtLiteTransport",
     "AioNetwork",
     "AioDataNetwork",
-    "SocketAdaptor",
-    "DropAdaptor",
-    "DupAdaptor",
-    "DelayAdaptor",
-    "TruncateAdaptor",
-    "ChainAdaptor",
-    "RecordingAdaptor",
 ]

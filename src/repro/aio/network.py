@@ -134,9 +134,6 @@ class _DedupWindow:
             self._seen.discard(self._order.popleft())
         return True
 
-    def __len__(self) -> int:
-        return len(self._order)
-
 
 class AioNetwork(NetworkComponent):
     """Network component over real asyncio transports."""

@@ -33,7 +33,7 @@ class UdpEndpoint:
     costs one trip through the selector, not one per datagram.
 
     ``adaptor`` optionally interposes a fault-injecting
-    :class:`repro.aio.adaptors.SocketAdaptor` on the outgoing path;
+    ``SocketAdaptor`` (``tests/aio_adaptors.py``) on the outgoing path;
     ``per_wakeup`` observes how many datagrams each readiness event
     handled.
     """

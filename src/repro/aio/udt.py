@@ -22,7 +22,7 @@ Computer Networks 2007) sufficient for the middleware:
   gets a socket of its own that serves its one remote and ignores every
   HANDSHAKE.
 
-An optional :class:`~repro.aio.adaptors.SocketAdaptor` can perturb every
+An optional ``SocketAdaptor`` (``tests/aio_adaptors.py``) can perturb every
 outgoing packet (drop DATA or ACKs, duplicate, delay, truncate) to
 exercise loss recovery and the control plane on a loopback socket.
 """
@@ -387,7 +387,7 @@ class UdtLiteEndpoint(AioListener):
         self.on_connection = on_connection
         self.initial_rate = initial_rate
         self.pacer_factory = pacer_factory
-        #: fault-injecting :class:`repro.aio.adaptors.SocketAdaptor` (tests)
+        #: fault-injecting ``SocketAdaptor`` of ``tests/aio_adaptors.py``
         self.adaptor = adaptor
         self.connections: Dict[Endpoint, UdtLiteConnection] = {}
         #: the datagram socket: drained reads, adaptor on the way out

@@ -13,7 +13,6 @@ from __future__ import annotations
 import hashlib
 import itertools
 import math
-from typing import Iterator, Tuple
 
 from repro.messaging.message import BaseMsg, Header
 
@@ -59,11 +58,6 @@ class SyntheticDataset:
             rest = self.size - index * self.chunk_size
             return rest
         return self.chunk_size
-
-    def chunk_lengths(self) -> Iterator[Tuple[int, int]]:
-        """All (index, length) pairs in order."""
-        for i in range(self.total_chunks):
-            yield i, self.chunk_length(i)
 
     def chunk_bytes(self, index: int) -> bytes:
         """Materialise chunk ``index`` (real-byte paths and tests only)."""

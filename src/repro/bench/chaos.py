@@ -116,10 +116,6 @@ class ChaosCampaignResult:
              f"planned: supervision never restarted anything"),
         )
 
-    @property
-    def healthy_at_end(self) -> bool:
-        return not self.problems()
-
     def summary(self) -> str:
         lines = [
             f"chaos campaign on {self.setup} (seed {self.seed}): "
@@ -197,7 +193,7 @@ def run_chaos_campaign(
     (:data:`RESTART_POLICY`); channel recovery is on so cut links
     re-establish on demand.  ``tail`` seconds at the end
     of the run are chaos-free: pings answered in that window are the
-    convergence signal (:attr:`ChaosCampaignResult.healthy_at_end`).
+    convergence signal (an empty :meth:`ChaosCampaignResult.problems`).
     """
     if setup.local:
         raise ValueError("chaos campaigns need a point-to-point setup (a link to cut)")
@@ -345,10 +341,6 @@ class AioChaosResult:
             (at_most_once or self.failed == 0,
              f"failed={self.failed} notifies under at-least-once"),
         )
-
-    @property
-    def converged(self) -> bool:
-        return not self.problems()
 
     def summary(self) -> str:
         return "\n".join([

@@ -81,10 +81,6 @@ class FaultCampaignResult:
              f"reconnect_recovered=0 {cut}: channel never recovered"),
         )
 
-    @property
-    def converged(self) -> bool:
-        return not self.problems()
-
     def summary(self) -> str:
         lines = [
             f"fault campaign on {self.setup}: "

@@ -38,7 +38,7 @@ def _fig8(size_mb: float, duration: float, seed: int) -> Any:
 
 
 def _obs(size_mb: float, duration: float, seed: int) -> Any:
-    """The observability demo: pings + learner + vnode traffic."""
+    """The observability demo: pings + the learner's DATA stream."""
     return run_observability_demo(duration=duration, seed=seed)
 
 

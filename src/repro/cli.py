@@ -16,7 +16,7 @@ from __future__ import annotations
 import argparse
 import random
 import sys
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 from repro.bench.chaos import ALL_TARGETS, DEFAULT_TARGETS, run_chaos_campaign
 from repro.bench.faults import run_fault_campaign
@@ -48,16 +48,6 @@ def _transport(name: str) -> Transport:
             f"unknown transport {name!r}; choose from "
             f"{[t.value for t in Transport]}"
         )
-
-
-def _targets(text: str) -> Tuple[str, ...]:
-    targets = tuple(t.strip() for t in text.split(",") if t.strip())
-    unknown = [t for t in targets if t not in ALL_TARGETS]
-    if unknown:
-        raise argparse.ArgumentTypeError(
-            f"unknown chaos target(s) {unknown}; choose from {list(ALL_TARGETS)}"
-        )
-    return targets
 
 
 def _emit(text: str, output: Optional[str], what: str) -> None:
@@ -134,8 +124,6 @@ def build_parser() -> argparse.ArgumentParser:
     obs.add_argument("--duration", type=float, default=10.0,
                      help="simulated seconds to run")
     obs.add_argument("--seed", type=int, default=3)
-    obs.add_argument("--format", choices=("json", "lines"), default="json",
-                     help="snapshot format: full JSON or flat line protocol")
     obs.add_argument("--output", default=None,
                      help="write the snapshot to this file instead of stdout")
     obs.add_argument("--trace", action="store_true",
@@ -207,8 +195,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="latest chaos event (sim seconds)")
     chaos.add_argument("--tail", type=float, default=3.0,
                        help="chaos-free convergence window at the end")
-    chaos.add_argument("--targets", type=_targets, default=DEFAULT_TARGETS,
-                       help=f"comma-separated fault targets ({','.join(ALL_TARGETS)})")
+    chaos.add_argument("--targets", nargs="+", choices=ALL_TARGETS, default=DEFAULT_TARGETS,
+                       help="fault targets")
     chaos.add_argument("--transfer-mb", type=int, default=4,
                        help="parallel file-transfer size")
     chaos.add_argument("--transport", type=_transport, default=Transport.TCP,
@@ -415,7 +403,7 @@ def cmd_learn(args: argparse.Namespace) -> int:
 
 def cmd_obs(args: argparse.Namespace) -> int:
     from repro.bench.harness import LEARNER_ENV, run_observability_demo, run_observed
-    from repro.obs.export import document_json, document_lines
+    from repro.obs.export import document_json
 
     setup = LEARNER_ENV if args.setup is None else setup_by_name(args.setup)
     summary, document = run_observed(
@@ -426,11 +414,7 @@ def cmd_obs(args: argparse.Namespace) -> int:
     if not args.trace:
         document.pop("trace", None)
 
-    if args.format == "json":
-        text = document_json(document)
-    else:
-        text = "\n".join(document_lines(document["metrics"]))
-    _emit(text, args.output, f"{args.format} snapshot")
+    _emit(document_json(document), args.output, "json snapshot")
     return 0
 
 
@@ -482,7 +466,7 @@ def cmd_chaos(args: argparse.Namespace) -> int:
         chaos_start=args.chaos_start,
         chaos_end=args.chaos_end,
         events=args.events,
-        targets=args.targets,
+        targets=tuple(args.targets),
         tail=args.tail,
     )
 
@@ -549,7 +533,7 @@ def cmd_fleet(args: argparse.Namespace) -> int:
     seeds = list(range(args.seeds))
     campaign = FleetCampaign(run_campaign(plan_campaign(entries, seeds), workers=args.workers))
     if args.out is not None:
-        _emit(document_json(campaign.document), args.out, "campaign document")
+        _emit(document_json(campaign.to_document()), args.out, "campaign document")
     return _finish(campaign, args.format, None)
 
 

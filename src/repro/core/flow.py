@@ -257,14 +257,3 @@ class DestinationFlow:
         self._tcp_released = 0
         self._udt_released = 0
         return stats, new_ratio
-
-    # ------------------------------------------------------------------
-    # introspection
-    # ------------------------------------------------------------------
-    @property
-    def queued(self) -> int:
-        return len(self._queue)
-
-    @property
-    def in_flight(self) -> int:
-        return len(self._in_flight)

@@ -101,13 +101,9 @@ class PatternSelection(ProtocolSelectionPolicy):
         ratio = self._ratio
         if ratio.pattern_form().total > MAX_PATTERN_LENGTH:
             snapped = ratio.probability.limit_denominator(MAX_PATTERN_LENGTH)
-            ratio = ProtocolRatio.from_probability(snapped)
+            ratio = ProtocolRatio(snapped)
         self._pattern, self._form = pattern_for_ratio(ratio)
         self._index = 0
-
-    @property
-    def pattern(self) -> Pattern:
-        return self._pattern
 
     def _select(self) -> Transport:
         is_minority = self._pattern[self._index]

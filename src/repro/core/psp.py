@@ -24,10 +24,6 @@ class ProtocolSelectionPolicy(ABC):
         self.tcp_selected = 0
         self.udt_selected = 0
 
-    @property
-    def ratio(self) -> ProtocolRatio:
-        return self._ratio
-
     def set_ratio(self, ratio: ProtocolRatio) -> None:
         """Adopt a new target ratio (called by the PRP each episode)."""
         self._ratio = ratio

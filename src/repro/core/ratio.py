@@ -61,10 +61,6 @@ class ProtocolRatio:
     # constructors
     # ------------------------------------------------------------------
     @classmethod
-    def from_probability(cls, u: Rational) -> "ProtocolRatio":
-        return cls(u)
-
-    @classmethod
     def from_signed(cls, r: Rational) -> "ProtocolRatio":
         r = _to_fraction(r)
         if not -1 <= r <= 1:

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.core.ratio import signed_of_counts
+
 MB = 1024 * 1024
 
 
@@ -37,10 +39,10 @@ class EpisodeStats:
 
     @property
     def true_ratio(self) -> float:
-        """Observed signed protocol ratio of the released messages."""
+        """Observed signed protocol ratio of the released messages (0 if none)."""
         if self.released == 0:
             return 0.0
-        return (self.udt_released - self.tcp_released) / self.released
+        return signed_of_counts(self.tcp_released, self.udt_released)
 
 
 def reward(stats: EpisodeStats) -> float:

@@ -74,10 +74,3 @@ class ModelBasedV(ActionValueFunction):
     def adjust(self, state: Hashable, action: Hashable, amount: float) -> None:
         target = self.model.next_state(state, action)
         self._v[target] = self._v.get(target, 0.0) + amount
-
-    def state_value(self, state: Hashable) -> Optional[float]:
-        return self._v.get(state)
-
-    @property
-    def states_learned(self) -> int:
-        return len(self._v)

@@ -52,7 +52,3 @@ class MatrixQ(ActionValueFunction):
         self._q[key] = value = self._q.get(key, 0.0) + amount
         if self._inv is not None:
             self._inv.check_q(state, action, value)
-
-    @property
-    def entries_learned(self) -> int:
-        return len(self._q)

@@ -59,9 +59,3 @@ class EligibilityTraces:
 
     def items(self) -> Iterator[Tuple[StateAction, float]]:
         return iter(list(self._traces.items()))
-
-    def __len__(self) -> int:
-        return len(self._traces)
-
-    def clear(self) -> None:
-        self._traces.clear()

@@ -149,18 +149,3 @@ class TDRatioLearner(ProtocolRatioPolicy):
         self._m_reward.set(r)
         self._current_state = self.sarsa.step(r, self._current_state)
         return ProtocolRatio.from_signed(self._current_state)
-
-    # ------------------------------------------------------------------
-    # diagnostics
-    # ------------------------------------------------------------------
-    @property
-    def epsilon(self) -> float:
-        return self.policy.epsilon
-
-    @property
-    def current_state(self) -> Optional[Fraction]:
-        return self._current_state
-
-    @property
-    def episodes(self) -> int:
-        return self.sarsa.steps

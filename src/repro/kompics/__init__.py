@@ -24,9 +24,7 @@ from repro.kompics.event import (
     Kill,
     KompicsEvent,
     Start,
-    Started,
     Stop,
-    Stopped,
 )
 from repro.kompics.port import Port, PortType
 from repro.kompics.runtime import KompicsSystem
@@ -46,9 +44,7 @@ from repro.util.config import Config
 __all__ = [
     "KompicsEvent",
     "Start",
-    "Started",
     "Stop",
-    "Stopped",
     "Kill",
     "Fault",
     "DeadLetter",

@@ -466,10 +466,6 @@ class ComponentDefinition:
     def name(self) -> str:
         return self._core.name
 
-    @property
-    def id(self) -> int:
-        return self._core.id
-
     def rng(self, label: str = "default"):
         """Deterministic per-component random stream."""
         return self._core.system.rngs.get(f"component.{self._core.name}.{label}")
@@ -487,10 +483,6 @@ class Component:
     def definition(self) -> ComponentDefinition:
         assert self.core.definition is not None
         return self.core.definition
-
-    @property
-    def id(self) -> int:
-        return self.core.id
 
     @property
     def name(self) -> str:

@@ -21,28 +21,10 @@ class Start(KompicsEvent):
     __slots__ = ()
 
 
-class Started(KompicsEvent):
-    """Indication that a component finished starting."""
-
-    __slots__ = ("component_id",)
-
-    def __init__(self, component_id: int) -> None:
-        self.component_id = component_id
-
-
 class Stop(KompicsEvent):
     """Request a component to stop; cascades to its children."""
 
     __slots__ = ()
-
-
-class Stopped(KompicsEvent):
-    """Indication that a component finished stopping."""
-
-    __slots__ = ("component_id",)
-
-    def __init__(self, component_id: int) -> None:
-        self.component_id = component_id
 
 
 class Kill(KompicsEvent):

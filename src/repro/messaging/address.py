@@ -106,10 +106,6 @@ class VirtualAddress(BasicAddress):
     def vnode_id(self) -> bytes:
         return self._vnode_id
 
-    def host_address(self) -> BasicAddress:
-        """The underlying host address, without the vnode id."""
-        return BasicAddress(self.ip, self.port)
-
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, Address)

@@ -11,8 +11,6 @@ routed here like any other indication.
 
 from __future__ import annotations
 
-
-from repro.check import get_checker
 from repro.kompics.channel import Channel, ChannelSelector
 from repro.kompics.component import Component
 from repro.kompics.event import KompicsEvent
@@ -39,46 +37,10 @@ class VirtualNetworkChannel:
         """Deliver only messages whose destination carries ``vnode_id``."""
         if not isinstance(vnode_id, bytes) or not vnode_id:
             raise ValueError("vnode_id must be non-empty bytes")
-        checker = get_checker()
-        dig = checker.digest("vnet") if checker.enabled else None
 
-        if dig is None:
-            def matches(event: KompicsEvent) -> bool:
-                if isinstance(event, Msg):
-                    return vnode_id_of(event.header.destination) == vnode_id
-                return True
-        else:
-            def matches(event: KompicsEvent) -> bool:
-                if isinstance(event, Msg):
-                    ok = vnode_id_of(event.header.destination) == vnode_id
-                    if ok:
-                        dig.fold(("vnode", vnode_id.hex(), event.__class__.__name__))
-                    return ok
-                return True
+        def matches(event: KompicsEvent) -> bool:
+            if isinstance(event, Msg):
+                return vnode_id_of(event.header.destination) == vnode_id
+            return True
 
         return self.system.connect(self.network_port, port, ChannelSelector(on_indication=matches))
-
-    def connect_host(self, port: Port) -> Channel:
-        """Deliver only messages addressed to the plain host (no vnode id)."""
-        checker = get_checker()
-        dig = checker.digest("vnet") if checker.enabled else None
-
-        if dig is None:
-            def matches(event: KompicsEvent) -> bool:
-                if isinstance(event, Msg):
-                    return vnode_id_of(event.header.destination) is None
-                return True
-        else:
-            def matches(event: KompicsEvent) -> bool:
-                if isinstance(event, Msg):
-                    ok = vnode_id_of(event.header.destination) is None
-                    if ok:
-                        dig.fold(("host", event.__class__.__name__))
-                    return ok
-                return True
-
-        return self.system.connect(self.network_port, port, ChannelSelector(on_indication=matches))
-
-    def connect_promiscuous(self, port: Port) -> Channel:
-        """Deliver everything (monitoring / routers)."""
-        return self.system.connect(self.network_port, port)

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from heapq import heappop, heappush
-from typing import TYPE_CHECKING, Any, Dict, FrozenSet, List, Mapping, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Dict, List, Mapping, Optional, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover - structural typing only
     from typing import Protocol
@@ -66,13 +66,9 @@ class SimNetwork:
         self._neighbours: Dict[str, List[Tuple[str, float]]] = {}
         self._delay_total = 0.0
         self._route_cache: Dict[Tuple[str, str], CompositePath] = {}
-        #: source -> (parent of every reachable node on the delay-shortest
-        #: tree, nodes that another route reaches at practically the same
-        #: delay); dropped with ``_route_cache``
-        self._route_trees: Dict[str, Tuple[Dict[str, str], FrozenSet[str]]] = {}
-        #: the ``networkx.Graph`` of :meth:`_pair_search`, built when first
-        #: asked for; dropped with ``_route_cache``
-        self._pair_graph: Any = None
+        #: source -> parent of every reachable node on its route tree;
+        #: dropped with ``_route_cache``
+        self._route_trees: Dict[str, Dict[str, str]] = {}
 
     # ------------------------------------------------------------------
     # topology construction
@@ -99,7 +95,6 @@ class SimNetwork:
         self._delay_total += spec.delay
         self._route_cache.clear()
         self._route_trees.clear()
-        self._pair_graph = None
         return link
 
     # ------------------------------------------------------------------
@@ -157,87 +152,60 @@ class SimNetwork:
         return composite
 
     def _tree_hops(self, src_ip: str, dst_ip: str) -> List[str]:
-        """The hop list ``networkx.shortest_path(graph, src, dst, "delay")`` gives.
+        """The delay-shortest hop list from ``src_ip`` to ``dst_ip``.
 
-        Routes come from one single-source shortest-path tree per source
-        instead of one bidirectional search per pair.  The two searches
-        agree wherever the shortest route is unique; a destination whose
-        tree route passes a node that a second route reaches within
-        rounding distance of the same delay (equal-cost multipath) is
-        looked up with the pair search instead, so no path ever differs
-        from the uncached one.  A stub host (one link) routes through its
-        only neighbour, so trees grow only from hosts with two or more.
+        Routes come from one single-source shortest-path tree per source.
+        Among routes within rounding of the same delay (equal-cost
+        multipath) the tree keeps the one with the fewest hops, then the
+        smallest hop list, so every pair has exactly one route.  A stub
+        host (one link) routes through its only neighbour, so trees grow
+        only from hosts with two or more.
         """
         neighbours = self._neighbours
         root = neighbours[src_ip][0][0] if len(neighbours[src_ip]) == 1 else src_ip
         last = neighbours[dst_ip][0][0] if len(neighbours[dst_ip]) == 1 else dst_ip
-        tree = self._route_trees.get(root)
-        if tree is None:
-            tree = self._route_trees[root] = self._route_tree(root)
-        parent, tied = tree
+        parent = self._route_trees.get(root)
+        if parent is None:
+            parent = self._route_trees[root] = self._route_tree(root)
         if last not in parent and last != root:
             raise AddressError(f"no route from {src_ip} to {dst_ip}")
-        hops = [last]
-        node = last
-        while node != root:
-            if node in tied:
-                return self._pair_search(src_ip, dst_ip)
-            node = parent[node]
-            hops.append(node)
-        hops.reverse()
         head = [src_ip] if root != src_ip else []
         tail = [dst_ip] if last != dst_ip else []
-        return head + hops + tail
+        return head + _hops_to(parent, root, last) + tail
 
-    def _pair_search(self, src_ip: str, dst_ip: str) -> List[str]:
-        """``networkx.shortest_path``, whose pick among tied routes is the contract."""
-        # Imported here: 0.17 s and some 15 MB that only a fabric with
-        # equal-cost routes needs (no generated family or testbed has any).
-        import networkx
+    def _route_tree(self, src_ip: str) -> Dict[str, str]:
+        """Dijkstra from ``src_ip``: each reachable node's parent.
 
-        graph = self._pair_graph
-        if graph is None:
-            # The delays routing goes by (``update_spec`` does not re-route),
-            # the edges in the order they were made: networkx breaks ties by it.
-            delays = {
-                (a, b): delay
-                for a, peers in self._neighbours.items() for b, delay in peers
-            }
-            graph = self._pair_graph = networkx.Graph()
-            for a, b in self.links:
-                graph.add_edge(a, b, delay=delays[a, b])
-        return networkx.shortest_path(graph, src_ip, dst_ip, weight="delay")
-
-    def _route_tree(self, src_ip: str) -> Tuple[Dict[str, str], FrozenSet[str]]:
-        """Dijkstra from ``src_ip``: each node's parent, and the tied nodes."""
+        Two routes within rounding of the same delay are tied; the tie goes
+        to the route with fewer hops, then to the smaller hop list.
+        """
         neighbours = self._neighbours
         # No route is longer than every link end to end, so this margin is
         # ROUTE_TIE_TOLERANCE relative to any route's delay or more.
         margin = ROUTE_TIE_TOLERANCE * self._delay_total
         dist = {src_ip: 0.0}
         parent: Dict[str, str] = {}
-        tied = set()
         settled = set()
         heap = [(0.0, src_ip)]
         while heap:
-            reached, node = heappop(heap)
+            _, node = heappop(heap)
             if node in settled:
                 continue
             settled.add(node)
+            reached = dist[node]
             for peer, delay in neighbours[node]:
                 via = reached + delay
                 known = dist.get(peer)
-                if known is None or via < known:
-                    if known is not None and known - via <= margin:
-                        tied.add(peer)
-                    else:
-                        tied.discard(peer)
-                    dist[peer] = via
-                    parent[peer] = node
-                    heappush(heap, (via, peer))
-                elif via - known <= margin:
-                    tied.add(peer)
-        return parent, frozenset(tied)
+                if known is not None:
+                    if abs(via - known) <= margin:
+                        if peer in settled or not _fewer_hops(parent, src_ip, node, parent[peer]):
+                            continue
+                    elif via > known:
+                        continue
+                dist[peer] = via
+                parent[peer] = node
+                heappush(heap, (via, peer))
+        return parent
 
     def link_between(self, ip_a: str, ip_b: str) -> Link:
         if ip_a == ip_b:
@@ -300,7 +268,6 @@ class SimNetwork:
         for table in (self.hosts, self.links, self._loopbacks, self._neighbours,
                       self._route_cache, self._route_trees):
             table.clear()
-        self._pair_graph = None
 
     # ------------------------------------------------------------------
     # protocol parameters
@@ -324,3 +291,23 @@ class SimNetwork:
             udp_cap=out_dir.spec.udp_cap,
             config=self.config,
         )
+
+
+def _hops_to(parent: Dict[str, str], root: str, node: str) -> List[str]:
+    """The tree route from ``root`` to ``node``, both ends included."""
+    hops = [node]
+    while node != root:
+        node = parent[node]
+        hops.append(node)
+    hops.reverse()
+    return hops
+
+
+def _fewer_hops(parent: Dict[str, str], root: str, via: str, current: str) -> bool:
+    """Whether the route through ``via`` beats the one through ``current``.
+
+    Both reach the same next node at practically the same delay: the one
+    with fewer hops wins, then the smaller hop list.
+    """
+    a, b = _hops_to(parent, root, via), _hops_to(parent, root, current)
+    return (len(a), a) < (len(b), b)

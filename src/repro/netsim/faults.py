@@ -1,4 +1,4 @@
-"""Fault injection: link cuts and connection drops.
+"""Fault injection: link cuts and link degradations.
 
 Used to verify the middleware's at-most-once semantics: "Even over TCP and
 UDT a sudden channel drop may lead to the loss of messages" (§III-B).
@@ -24,7 +24,9 @@ class FaultInjector:
         self._m_cuts = metrics.counter("netsim.faults.link_cuts_total")
         self._m_restores = metrics.counter("netsim.faults.link_restores_total")
         self._m_degrades = metrics.counter("netsim.faults.link_degrades_total")
-        self._m_conn_drops = metrics.counter("netsim.faults.connection_drops_total")
+        # Nothing drops a single connection any more; the family stays, at
+        # zero, so pinned snapshots keep their shape.
+        metrics.counter("netsim.faults.connection_drops_total")
 
     # ------------------------------------------------------------------
     # scripting
@@ -63,13 +65,6 @@ class FaultInjector:
                 )
 
             self.network.sim.schedule(duration, auto_restore, label="link-restore")
-        return link
-
-    def restore_link(self, ip_a: str, ip_b: str) -> Link:
-        link = self.network.link_between(ip_a, ip_b)
-        link.set_up(True)
-        self._m_restores.inc()
-        self.tracer.event("netsim.fault.link_restore", a=ip_a, b=ip_b)
         return link
 
     def degrade_link(
@@ -115,20 +110,6 @@ class FaultInjector:
 
             self.network.sim.schedule(duration, auto_restore, label="degrade-restore")
         return link
-
-    # ------------------------------------------------------------------
-    # connection faults
-    # ------------------------------------------------------------------
-    def drop_connection(self, conn: Connection) -> None:
-        """Abort one connection (both sides, instantly)."""
-        peer = conn.peer
-        self._m_conn_drops.inc()
-        self.tracer.event(
-            "netsim.fault.connection_drop", conn=conn.id, proto=conn.proto.value
-        )
-        conn.close(notify_peer=False)
-        if peer is not None:
-            peer.close(notify_peer=False)
 
     def _connections_over(self, ip_a: str, ip_b: str) -> List[Connection]:
         """Live connections whose route traverses the (ip_a, ip_b) link —

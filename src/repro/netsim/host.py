@@ -232,16 +232,6 @@ class NetworkStack:
         assert listener.on_datagram is not None
         listener.on_datagram(msg.payload, msg.size, src)
 
-    # ------------------------------------------------------------------
-    # maintenance
-    # ------------------------------------------------------------------
-    def active_connections(self) -> List[Connection]:
-        self.connections = [
-            c for c in self.connections
-            if c.state in (ConnectionState.CONNECTING, ConnectionState.ACTIVE)
-        ]
-        return list(self.connections)
-
 
 class SimHost:
     """A simulated machine: one IP, one network stack, one disk."""

@@ -63,10 +63,6 @@ class LinkSpec:
         if self.udp_cap is not None and self.udp_cap <= 0:
             raise ValueError("udp_cap must be positive or None")
 
-    @property
-    def rtt(self) -> float:
-        return 2.0 * self.delay
-
 
 def max_min_allocation(demands: Sequence[float], capacity: float) -> List[float]:
     """Progressive-filling max-min fair allocation.
@@ -555,10 +551,6 @@ class Link:
         if (src, dst) == (self.b, self.a):
             return self.backward
         raise KeyError(f"link {self.a}<->{self.b} does not join {src}->{dst}")
-
-    @property
-    def up(self) -> bool:
-        return self.forward.up and self.backward.up
 
     def set_up(self, up: bool) -> None:
         self.forward.up = up

@@ -1,20 +1,12 @@
-"""Snapshot export: JSON documents and a line protocol.
-
-Two formats cover the two consumers:
-
-* :func:`document_json` of :func:`snapshot_document` — the full
-  structured snapshot (histograms with buckets and quantiles), consumed by
-  :mod:`repro.bench.harness` and figure scripts;
-* :func:`document_lines` — a flat, diff-friendly ``name{label=value} value``
-  line protocol (one scalar per line, histograms expanded to summary
-  series), convenient for quick shell inspection and CI artifact diffing.
-"""
+"""Snapshot export: :func:`document_json` of :func:`snapshot_document` is
+the full structured snapshot (histograms with buckets and quantiles),
+consumed by :mod:`repro.bench.harness`, the CLI and figure scripts."""
 
 from __future__ import annotations
 
 import json
 import math
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, Optional
 
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracer import Tracer
@@ -47,7 +39,7 @@ def snapshot_document(
 
 def document_json(document: Dict[str, Any], indent: int = 2) -> str:
     """Strict, key-sorted JSON text of a snapshot or campaign document."""
-    return json.dumps(_sanitize(document), indent=indent, sort_keys=True, default=_json_default)
+    return json.dumps(_sanitize(document), indent=indent, sort_keys=True)
 
 
 def _sanitize(value: Any) -> Any:
@@ -59,42 +51,3 @@ def _sanitize(value: Any) -> Any:
     if isinstance(value, (list, tuple)):
         return [_sanitize(v) for v in value]
     return value
-
-
-def _json_default(value: Any) -> Any:
-    if isinstance(value, float) and (math.isnan(value) or math.isinf(value)):
-        return None
-    return str(value)
-
-
-def _format_labels(labels: Dict[str, str]) -> str:
-    if not labels:
-        return ""
-    inner = ",".join(f"{k}={v}" for k, v in sorted(labels.items()))
-    return "{" + inner + "}"
-
-
-def _format_value(value: float) -> str:
-    if isinstance(value, float) and value.is_integer() and abs(value) < 1e15:
-        return str(int(value))
-    return repr(value)
-
-
-def document_lines(metrics: Dict[str, Any]) -> List[str]:
-    """Flat ``name{labels} value`` lines of a snapshot's ``metrics``, sorted
-    for stable diffs."""
-    lines: List[str] = []
-    for name, entries in sorted(metrics.items()):
-        for entry in entries:
-            labels = entry["labels"]
-            if entry["type"] in ("counter", "gauge"):
-                lines.append(f"{name}{_format_labels(labels)} {_format_value(entry['value'])}")
-                continue
-            # Histograms expand to a summary series per label set.
-            for stat in ("count", "mean", "p50", "p90", "p99", "min", "max"):
-                value = entry[stat]
-                if isinstance(value, float) and math.isnan(value):
-                    continue
-                lines.append(f"{name}.{stat}{_format_labels(labels)} {_format_value(value)}")
-    return lines
-

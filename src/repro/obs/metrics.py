@@ -270,13 +270,6 @@ class MetricsRegistry:
     def __iter__(self) -> Iterator[Tuple[MetricKey, Any]]:
         return iter(sorted(self._metrics.items()))
 
-    def __len__(self) -> int:
-        return len(self._metrics)
-
-    def clear(self) -> None:
-        with self._lock:
-            self._metrics.clear()
-
     def pin_functions(self) -> None:
         """Replace every lazy gauge's function by its current value.
 

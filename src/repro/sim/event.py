@@ -24,7 +24,7 @@ class EventHandle:
         if self.cancelled:
             return
         self.cancelled = True
-        self.callback = _noop
+        self.callback = None
         owner = self.owner
         if owner is not None:
             owner._note_cancelled()  # type: ignore[attr-defined]
@@ -32,7 +32,3 @@ class EventHandle:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "cancelled" if self.cancelled else "pending"
         return f"EventHandle(t={self.time:.9f}, seq={self.seq}, {state}, {self.label!r})"
-
-
-def _noop() -> None:
-    return None

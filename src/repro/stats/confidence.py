@@ -21,17 +21,6 @@ class ConfidenceInterval:
     level: float
     n: int
 
-    @property
-    def low(self) -> float:
-        return self.mean - self.half_width
-
-    @property
-    def high(self) -> float:
-        return self.mean + self.half_width
-
-    def __str__(self) -> str:
-        return f"{self.mean:.4g} ± {self.half_width:.3g} ({self.level:.0%}, n={self.n})"
-
 
 def mean_confidence_interval(values: Sequence[float], level: float = 0.95) -> ConfidenceInterval:
     """Student-t confidence interval for the mean of ``values``."""

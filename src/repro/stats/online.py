@@ -41,11 +41,6 @@ class OnlineStats:
     def stddev(self) -> float:
         return math.sqrt(self.variance)
 
-    @property
-    def stderr(self) -> float:
-        """Standard error of the mean."""
-        return self.stddev / math.sqrt(self.count) if self.count else 0.0
-
     def merge(self, other: "OnlineStats") -> "OnlineStats":
         """Return a new summary combining both inputs (parallel Welford)."""
         merged = OnlineStats()

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 
 class ReservoirSampler:
@@ -33,16 +33,9 @@ class ReservoirSampler:
         if j < self.capacity:
             self._items[j] = value
 
-    def extend(self, values: Iterable[float]) -> None:
-        for value in values:
-            self.add(value)
-
     @property
     def samples(self) -> Sequence[float]:
         return tuple(self._items)
-
-    def __len__(self) -> int:
-        return len(self._items)
 
 
 @dataclass(frozen=True)
@@ -56,14 +49,6 @@ class BoxStats:
     p75: float
     maximum: float
     mean: float
-
-    def row(self) -> str:
-        """One-line fixed-width rendering for bench tables."""
-        return (
-            f"n={self.count:>7d}  min={self.minimum:+.3f}  p25={self.p25:+.3f}  "
-            f"med={self.median:+.3f}  p75={self.p75:+.3f}  max={self.maximum:+.3f}  "
-            f"mean={self.mean:+.3f}"
-        )
 
 
 def summarize_distribution(values: Sequence[float]) -> BoxStats:

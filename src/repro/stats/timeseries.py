@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from bisect import bisect_right
-from typing import Iterator, List, Optional, Tuple
+from typing import List, Optional
 
 
 class TimeSeries:
@@ -21,12 +21,6 @@ class TimeSeries:
         self._times.append(t)
         self._values.append(value)
 
-    def __len__(self) -> int:
-        return len(self._times)
-
-    def __iter__(self) -> Iterator[Tuple[float, float]]:
-        return iter(zip(self._times, self._values))
-
     @property
     def times(self) -> List[float]:
         return list(self._times)
@@ -34,11 +28,6 @@ class TimeSeries:
     @property
     def values(self) -> List[float]:
         return list(self._values)
-
-    def last(self) -> Optional[Tuple[float, float]]:
-        if not self._times:
-            return None
-        return self._times[-1], self._values[-1]
 
     def window_mean(self, start: float, end: float) -> Optional[float]:
         """Mean of values with ``start <= t < end``; None if the window is empty."""

@@ -19,10 +19,6 @@ class Clock(ABC):
     def now(self) -> float:
         """Return the current time in seconds."""
 
-    def millis(self) -> float:
-        """Return the current time in milliseconds."""
-        return self.now() * 1000.0
-
 
 class SimulatedClock(Clock):
     """Clock advanced explicitly by the simulation kernel.

@@ -11,7 +11,7 @@ import asyncio
 import pytest
 
 from repro.aio import udt
-from repro.aio.adaptors import (
+from tests.aio_adaptors import (
     ChainAdaptor,
     DelayAdaptor,
     DropAdaptor,

@@ -126,4 +126,4 @@ class TestAdaptiveOverRealSockets:
         flow = interceptor.definition.flow_to(addr_b.ip, addr_b.port)
         assert flow is not None
         assert flow.total_bytes_acked > 0
-        assert len(flow.telemetry.throughput) >= 1
+        assert len(flow.telemetry.throughput.values) >= 1

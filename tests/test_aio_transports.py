@@ -11,7 +11,7 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from repro.aio import udt
-from repro.aio.adaptors import DropAdaptor, udt_packet_type
+from tests.aio_adaptors import DropAdaptor, udt_packet_type
 from repro.aio.tcp import HELLO_BUFFER, HIGH_WATER, LENGTH, MAX_FRAME, MAX_HELLO, TcpConnection, TcpTransport
 from repro.aio.udp import UdpEndpoint
 from repro.aio.udt import UdtLiteTransport

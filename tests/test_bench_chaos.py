@@ -71,7 +71,7 @@ class TestChaosCampaign:
         assert result.escalations == 0
         assert result.transfer_done
         assert result.transfer_progress == 1.0
-        assert result.healthy_at_end
+        assert not result.problems()
         # supervision counters land in the snapshot document
         metrics = document["metrics"]
         assert "kompics.restarts_total" in metrics

@@ -182,11 +182,8 @@ def test_flipped_condition_fails(
 
 
 def test_properties_are_the_verdict():
-    for kind, prop in (("faults", "converged"), ("chaos", "healthy_at_end"),
-                       ("chaos-aio", "converged")):
-        clean, flips = CASES[kind]
-        assert getattr(clean, prop) is True
-        assert all(getattr(result, prop) is False for result, _ in flips)
+    # a loopback run's ``complete`` is its verdict; the campaign results
+    # have no property beside ``problems()``
     assert LOOPBACK_RUN.complete
     assert not dataclasses.replace(LOOPBACK_RUN, delivered=0).complete
 

@@ -21,7 +21,7 @@ class TestParser:
         (["transfer", "--setup", "bogus"], "EU2US"),
         (["latency", "--setup", "bogus"], "EU2US"),
         (["obs", "--setup", "bogus"], "EU2US"),
-        (["chaos", "--targets", "sender,bogus"], "net-rcv"),
+        (["chaos", "--targets", "sender", "bogus"], "net-rcv"),
     ])
     def test_bad_setup_or_target_exits_2_naming_the_valid_values(
         self, argv, valid, capsys

@@ -32,7 +32,7 @@ class TestInterceptorUnderFaults:
         # Failures were accounted; at-most-once — nothing retried.
         assert flow.total_messages > 0
         received = len(app1.definition.received)
-        acked = flow.total_messages - flow.queued
+        acked = flow.total_messages - len(flow._queue)
         assert received <= flow.total_messages
         assert len(app1.definition.received) < 100
 

@@ -43,8 +43,8 @@ class TestWindowing:
         for i in range(10):
             h.flow.enqueue(data_blob(f"m{i}"))
         assert len(h.released) == 4
-        assert h.flow.queued == 6
-        assert h.flow.in_flight == 4
+        assert len(h.flow._queue) == 6
+        assert len(h.flow._in_flight) == 4
 
     def test_ack_releases_next(self):
         h = Harness(window=2)
@@ -53,7 +53,7 @@ class TestWindowing:
         assert len(h.released) == 2
         h.ack(0)
         assert len(h.released) == 3
-        assert h.flow.in_flight == 2
+        assert len(h.flow._in_flight) == 2
 
     def test_window_validation(self):
         with pytest.raises(PolicyError):
@@ -179,9 +179,9 @@ class TestEpisodes:
         h.ack(0)
         h.clock._advance_to(1.0)
         h.flow.end_episode()
-        assert len(h.flow.telemetry.throughput) == 1
-        assert len(h.flow.telemetry.ratio_prescribed) == 1
-        assert len(h.flow.telemetry.ratio_true) == 1
+        assert len(h.flow.telemetry.throughput.values) == 1
+        assert len(h.flow.telemetry.ratio_prescribed.values) == 1
+        assert len(h.flow.telemetry.ratio_true.values) == 1
 
     def test_true_ratio_reflects_released_mix(self):
         h = Harness(ratio=ProtocolRatio.ALL_UDT, window=10)
@@ -196,9 +196,9 @@ class TestLearnerDefaults:
     def test_epsilon_defaults_by_kind(self):
         import random
 
-        assert TDRatioLearner(random.Random(0), "matrix").epsilon == 0.8
-        assert TDRatioLearner(random.Random(0), "model").epsilon == 0.3
-        assert TDRatioLearner(random.Random(0), "approx").epsilon == 0.3
+        assert TDRatioLearner(random.Random(0), "matrix").policy.epsilon == 0.8
+        assert TDRatioLearner(random.Random(0), "model").policy.epsilon == 0.3
+        assert TDRatioLearner(random.Random(0), "approx").policy.epsilon == 0.3
 
     def test_initial_ratio_on_grid(self):
         import random
@@ -238,7 +238,7 @@ class TestLearnerDefaults:
         learner.initial_ratio()
         for i in range(5):
             learner.update(EpisodeStats(i, 1.0, 1000, 1, 0, 1, 0))
-        assert learner.episodes == 5
+        assert learner.sarsa.steps == 5
         assert learner.last_reward is not None
 
 
@@ -257,13 +257,13 @@ class TestFlowProperties:
     def test_conservation_after_full_drain(self, notify_flags, window, u):
         from fractions import Fraction
 
-        h = Harness(ratio=ProtocolRatio.from_probability(u), window=window)
+        h = Harness(ratio=ProtocolRatio(u), window=window)
         for i, wants_notify in enumerate(notify_flags):
             h.flow.enqueue(data_blob(f"m{i}"), consumer_notify_id=i if wants_notify else None)
         consumer_resps = []
         # Ack everything that was released, pumping the rest through.
         acked = 0
-        while h.flow.in_flight > 0:
+        while len(h.flow._in_flight) > 0:
             resp = h.ack(acked, size=1000)
             if resp is not None:
                 consumer_resps.append(resp.notify_id)
@@ -271,7 +271,7 @@ class TestFlowProperties:
         n = len(notify_flags)
         # Everything enqueued was released exactly once and acked.
         assert len(h.released) == n
-        assert h.flow.queued == 0 and h.flow.in_flight == 0
+        assert len(h.flow._queue) == 0 and len(h.flow._in_flight) == 0
         assert h.flow.total_messages == n
         assert h.flow.total_bytes_acked == 1000 * n
         # Consumer notifications: exactly the requested ones, in order.
@@ -285,7 +285,7 @@ class TestFlowProperties:
         # (skip when the ratio was snapped to the max pattern length).
         from repro.core.patterns import MAX_PATTERN_LENGTH
 
-        form = ProtocolRatio.from_probability(u).pattern_form()
+        form = ProtocolRatio(u).pattern_form()
         if form.total <= MAX_PATTERN_LENGTH and n % form.total == 0:
             minority = udt if form.minority is Transport.UDT else tcp
             assert minority == form.p * (n // form.total)

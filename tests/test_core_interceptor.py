@@ -85,7 +85,7 @@ class TestDataDelivery:
     def test_pattern_selection_hits_exact_ratio(self):
         sim, fabric, system, nodes = make_data_world(
             psp_factory=PatternSelection,
-            prp_factory=lambda: StaticRatio(ProtocolRatio.from_probability(Fraction(1, 4))),
+            prp_factory=lambda: StaticRatio(ProtocolRatio(Fraction(1, 4))),
         )
         (h0, a0, dn0, app0), (h1, a1, dn1, app1) = nodes
         for i in range(40):
@@ -160,7 +160,7 @@ class TestEpisodesAndTelemetry:
         sim.run_until(3.5)
         flow = dn0.definition.interceptor_def.flow_to(a1.ip, a1.port)
         assert flow is not None
-        assert len(flow.telemetry.throughput) == 3  # ticks at 1s, 2s, 3s
+        assert len(flow.telemetry.throughput.values) == 3  # ticks at 1s, 2s, 3s
         assert flow.telemetry.throughput.values[1] > 0
 
     @pytest.mark.integration
@@ -187,7 +187,7 @@ class TestEpisodesAndTelemetry:
 
         def top_up():
             flow = dn0.definition.interceptor_def.flow_to(a1.ip, a1.port)
-            backlog = flow.queued if flow is not None else 0
+            backlog = len(flow._queue) if flow is not None else 0
             for _ in range(200 - backlog):
                 send_data(app0, a0, a1, f"m{next(counter)}", nbytes=60000)
             sim.schedule(0.5, top_up)

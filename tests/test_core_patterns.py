@@ -108,7 +108,7 @@ class TestBestPattern:
 
 class TestPatternSelection:
     def test_emits_configured_ratio(self):
-        psp = PatternSelection(ProtocolRatio.from_probability(Fraction(1, 4)))
+        psp = PatternSelection(ProtocolRatio(Fraction(1, 4)))
         picks = [psp.select() for _ in range(80)]
         assert picks.count(Transport.UDT) == 20
         assert picks.count(Transport.TCP) == 60
@@ -141,7 +141,7 @@ class TestPatternSelection:
 
 class TestRandomSelection:
     def test_matches_ratio_in_the_long_run(self):
-        psp = RandomSelection(random.Random(42), ProtocolRatio.from_probability(0.3))
+        psp = RandomSelection(random.Random(42), ProtocolRatio(0.3))
         picks = [psp.select() for _ in range(20000)]
         share = picks.count(Transport.UDT) / len(picks)
         assert share == pytest.approx(0.3, abs=0.02)
@@ -179,8 +179,8 @@ class TestPatternLengthCap:
 
         from repro.core.patterns import MAX_PATTERN_LENGTH
 
-        psp = PatternSelection(ProtocolRatio.from_probability(Fraction(539, 317905793351)))
-        assert len(psp.pattern) <= MAX_PATTERN_LENGTH
+        psp = PatternSelection(ProtocolRatio(Fraction(539, 317905793351)))
+        assert len(psp._pattern) <= MAX_PATTERN_LENGTH
         # The snapped mix is still overwhelmingly TCP.
         picks = [psp.select() for _ in range(MAX_PATTERN_LENGTH)]
         assert picks.count(Transport.UDT) <= 2
@@ -192,7 +192,7 @@ class TestPatternLengthCap:
 
         # denominator == cap: exactly representable, no snapping.
         u = Fraction(1, MAX_PATTERN_LENGTH)
-        psp = PatternSelection(ProtocolRatio.from_probability(u))
-        assert len(psp.pattern) == MAX_PATTERN_LENGTH
+        psp = PatternSelection(ProtocolRatio(u))
+        assert len(psp._pattern) == MAX_PATTERN_LENGTH
         picks = [psp.select() for _ in range(MAX_PATTERN_LENGTH)]
         assert picks.count(Transport.UDT) == 1

@@ -44,7 +44,7 @@ class TestConversions:
     def test_signed_roundtrip(self, r):
         ratio = ProtocolRatio.from_signed(r)
         assert ratio.signed == r
-        assert ProtocolRatio.from_probability(ratio.probability).signed == r
+        assert ProtocolRatio(ratio.probability).signed == r
 
     def test_pattern_form_fifty_fifty(self):
         form = ProtocolRatio.FIFTY_FIFTY.pattern_form()
@@ -52,13 +52,13 @@ class TestConversions:
 
     def test_pattern_form_mostly_tcp(self):
         # 20% UDT -> 1 UDT per 4 TCP, minority UDT.
-        form = ProtocolRatio.from_probability(Fraction(1, 5)).pattern_form()
+        form = ProtocolRatio(Fraction(1, 5)).pattern_form()
         assert (form.p, form.q) == (1, 4)
         assert form.minority is Transport.UDT
         assert form.majority is Transport.TCP
 
     def test_pattern_form_mostly_udt(self):
-        form = ProtocolRatio.from_probability(Fraction(4, 5)).pattern_form()
+        form = ProtocolRatio(Fraction(4, 5)).pattern_form()
         assert (form.p, form.q) == (1, 4)
         assert form.minority is Transport.TCP
         assert form.majority is Transport.UDT
@@ -86,7 +86,7 @@ class TestConversions:
     @given(st.fractions(min_value=0, max_value=1))
     @settings(max_examples=100, deadline=None)
     def test_pattern_form_consistent_with_probability(self, u):
-        ratio = ProtocolRatio.from_probability(u)
+        ratio = ProtocolRatio(u)
         form = ratio.pattern_form()
         minority_share = Fraction(form.p, form.total)
         if form.minority is Transport.UDT:

@@ -95,13 +95,13 @@ class TestTraces:
         assert traces.get("s", "a") == 0.25
         for _ in range(20):
             traces.decay(0.5, 0.5)
-        assert len(traces) == 0
+        assert list(traces.items()) == []
 
     def test_zero_factor_clears(self):
         traces = EligibilityTraces("replacing")
         traces.visit("s", "a")
         traces.decay(0.0, 0.9)
-        assert len(traces) == 0
+        assert list(traces.items()) == []
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
@@ -119,7 +119,7 @@ class TestMatrixQ:
         q.adjust("s", "a", 1.5)
         q.adjust("s", "a", -0.5)
         assert q.value("s", "a") == 1.0
-        assert q.entries_learned == 1
+        assert len(q._q) == 1
 
     def test_entries_independent(self):
         q = MatrixQ()
@@ -157,8 +157,8 @@ class TestModelBasedV:
         # Two different (s, a) pairs landing on the same s' share the entry.
         v.adjust(Fraction(0), Fraction(1, 5), 2.0)
         assert v.value(Fraction(2, 5), Fraction(-1, 5)) == 2.0
-        assert v.state_value(Fraction(1, 5)) == 2.0
-        assert v.states_learned == 1
+        assert v._v.get(Fraction(1, 5)) == 2.0
+        assert len(v._v) == 1
 
     def test_unknown_state_none(self):
         v = ModelBasedV(TransitionModel(STATES))

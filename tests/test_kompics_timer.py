@@ -42,6 +42,25 @@ def setup():
     return sim, system, user.definition
 
 
+class TestKill:
+    def test_killing_the_timer_cancels_its_pending_timeouts(self):
+        sim = Simulator()
+        system = KompicsSystem.simulated(sim, seed=3)
+        timer = system.create(SimTimerComponent)
+        user = system.create(TimerUser)
+        system.connect(timer.provided(Timer), user.required(Timer))
+        system.start(timer)
+        system.start(user)
+        sim.run()
+        user.definition.trigger(ScheduleTimeout(5.0, Tick()), user.definition.timer)
+        user.definition.trigger(SchedulePeriodicTimeout(1.0, 1.0, Tick()), user.definition.timer)
+        sim.run_until(0.5)
+        system.kill(timer)
+        sim.run_until(20.0)
+        assert user.definition.fired == []
+        assert not timer.definition._handles
+
+
 class TestOneShot:
     def test_fires_after_delay(self, setup):
         sim, system, user = setup

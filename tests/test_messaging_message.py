@@ -43,9 +43,10 @@ class TestAddress:
         v = A.with_vnode(b"x1")
         assert isinstance(v, VirtualAddress)
         assert v.vnode_id == b"x1"
-        assert v.host_address() == A
         assert v != A  # vnode id distinguishes
+        assert v == A.with_vnode(b"x1") and hash(v) == hash(A.with_vnode(b"x1"))
         assert v.same_host_as(A)
+        assert v.as_socket() == A.as_socket()  # a vnode is dialled at its host
         assert vnode_id_of(v) == b"x1"
         assert vnode_id_of(A) is None
 

@@ -209,9 +209,8 @@ class TestChannelLifecycle:
         injector = FaultInjector(world.fabric)
         a.app_def.send(b.address, "before")
         world.sim.run()
-        injector.cut_link(a.address.ip, b.address.ip)
+        injector.cut_link(a.address.ip, b.address.ip, duration=1.0)
         world.sim.run()
-        injector.restore_link(a.address.ip, b.address.ip)
         a.app_def.send(b.address, "after")
         world.sim.run()
         assert [m.tag for m in b.app_def.received] == ["before", "after"]

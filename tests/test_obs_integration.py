@@ -119,21 +119,6 @@ class TestDeterminism:
         assert set(doc_a["metrics"]) == set(doc_b["metrics"])
 
 
-class TestLineProtocol:
-    def test_cli_lines_are_the_export_line_protocol(self, tmp_path):
-        # `repro obs --format lines` used to render through a private copy
-        # that wrote `0.0` where the export line protocol writes `0`.
-        from repro.cli import main
-        from repro.obs.export import document_lines
-
-        path = tmp_path / "snapshot.lines"
-        assert main(["obs", "--duration", "1", "--seed", "3", "--format", "lines",
-                     "--output", str(path)]) == 0
-        with collecting(MetricsRegistry("bench")) as registry, tracing():
-            run_observability_demo(duration=1.0, seed=3)
-        assert path.read_text().splitlines() == document_lines(registry.snapshot())
-
-
 class TestFaultMetrics:
     def test_link_cut_and_degrade_counted(self):
         from repro.netsim.faults import FaultInjector
@@ -145,8 +130,8 @@ class TestFaultMetrics:
             sim = Simulator()
             net, a, b = make_pair(sim)
             injector = FaultInjector(net)
-            injector.cut_link(a.ip, b.ip)
-            injector.restore_link(a.ip, b.ip)
+            injector.cut_link(a.ip, b.ip, duration=1.0)
+            sim.run()
             injector.degrade_link(a.ip, b.ip, LinkSpec(bandwidth=MB, delay=0.05))
             assert reg.value("netsim.faults.link_cuts_total") == 1
             assert reg.value("netsim.faults.link_restores_total") == 1

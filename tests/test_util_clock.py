@@ -27,10 +27,6 @@ class TestSimulatedClock:
         with pytest.raises(ValueError):
             clock._advance_to(9.0)
 
-    def test_millis(self):
-        clock = SimulatedClock(1.5)
-        assert clock.millis() == 1500.0
-
 
 class TestWallClock:
     def test_zeroed_at_start(self):
