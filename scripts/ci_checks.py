@@ -212,7 +212,7 @@ def check_reach(root) -> int:
 #: ``find src -name '*.py' | xargs cat | wc -l`` may only go down (ROADMAP:
 #: "src/ should end the round smaller"); a PR that shrinks src/ lowers this
 #: to its own total, a PR that must grow it raises it in the open
-SRC_LINE_CEILING = 16942
+SRC_LINE_CEILING = 16677
 
 _KEY = r"(?:kompics|messaging|net|data)\."
 #: a config key built at run time, in a getter or setter position —

@@ -144,10 +144,9 @@ def entries() -> List[Tuple[str, List[Command]]]:
                 "--output", f"{{out}}/chaos-aio-{seed}.json"),
             script("scripts/ci_checks.py", "chaos-aio", f"{{out}}/chaos-aio-{seed}.json"))]),
         ("ci perf-equivalence", _twice(lambda s, n: cli("perf", "--equivalence", hash_seed=s))),
-        ("ci check", [cli("check", "run", "--workload", "fig8", "--size-mb", "8",
+        ("ci check", [cli("check", "run", "--workload", "fig8",
                           "--output", "{out}/check-fig8.json"),
-                      cli("check", "compare", "--workload", "transfer", "--size-mb", "2"),
-                      cli("check", "--mutate")]),
+                      cli("check", "mutate")]),
         ("ci loopback", [cli("loopback", "--size-mb", "1", "--seed", "3", "--format", "json",
                              "--output", "{out}/loopback.json"),
                          script("scripts/ci_checks.py", "loopback", "{out}/loopback.json")]),
@@ -172,9 +171,9 @@ def entries() -> List[Tuple[str, List[Command]]]:
     # summary format (CI writes JSON), faults with its degrade window, and
     # the check workload CI does not pick
     for args in (("setups",), ("figures", "all"), ("transfer",), ("latency",), ("learn",),
-                 ("fleet", "list"), ("cc", "list"), ("check", "bisect"),
+                 ("fleet", "list"), ("cc", "list"),
                  ("faults", "--degrade-at", "4"), ("chaos",), ("chaos", "--backend", "aio"),
-                 ("loopback",), ("check", "run", "--workload", "obs")):
+                 ("loopback",), ("check", "run", "--workload", "obs-demo")):
         runs.append(("cli " + " ".join(args), [cli(*args)]))
     for example in sorted((REPO_ROOT / "examples").glob("*.py")):
         runs.append((f"example {example.stem}", [script(f"examples/{example.name}")]))

@@ -1,14 +1,15 @@
 """repro.check — default-off runtime correctness layer.
 
-Three pieces, mirroring a sanitizer:
+Two pieces, mirroring a sanitizer:
 
 - an **invariant registry** (:mod:`repro.check.checker`) with cheap hook
   points in the sim kernel, destination flows, the wire layer, the RL
   stack and link allocation;
 - a **trace digester** (:mod:`repro.check.digest`) folding canonical
-  per-subsystem event streams into rolling hashes with checkpoints;
-- a **divergence bisector** (:mod:`repro.check.bisection`) that binary-
-  searches the checkpoints of two runs to name the first divergent event.
+  per-subsystem event streams into rolling hashes with checkpoints, and
+  comparing two runs' checkpoints to name the first diverging window.
+  ``repro perf --equivalence`` compares them with the committed
+  ``GOLDEN.json`` (:mod:`repro.bench.perf`).
 
 Everything is off by default; enable per run with::
 
@@ -22,8 +23,8 @@ Like the observability layer, instruments bind at construction time —
 components built *before* ``checking()`` is entered stay unhooked.
 
 This module imports only stdlib-backed pieces so any subsystem can import
-it without cycles; workloads, mutations and the self-test live in
-submodules imported lazily by the CLI.
+it without cycles; mutations and the self-test live in submodules
+imported lazily by the CLI.
 """
 
 from __future__ import annotations

@@ -13,7 +13,7 @@ checking is off — the same discipline the metrics/tracer instruments use,
 so invariants-off runs stay byte-identical to unhooked code.
 
 Invariants carry stable dotted names used by violations, tests and the
-``repro check --mutate`` self-test:
+``repro check mutate`` self-test:
 
 ===================  ==============================================================
 ``sim.clock``        executed event time went backwards (heap order corrupted)
@@ -33,9 +33,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Mapping, Optional, Tuple
+from typing import Any, Dict, List, Mapping, Tuple
 
-from repro.check.digest import DEFAULT_CHECKPOINT_EVERY, RollingDigest
+from repro.check.digest import RollingDigest
 
 
 class InvariantError(AssertionError):
@@ -60,8 +60,7 @@ class InvariantChecker:
 
     ``strict=True`` raises :class:`InvariantError` on the first violation
     (useful in tests); the default collects everything so one run reports
-    every broken invariant.  ``capture`` maps stream name to a
-    ``(start, end]`` event-count window recorded verbatim for bisection.
+    every broken invariant.
     """
 
     enabled = True
@@ -69,17 +68,13 @@ class InvariantChecker:
     def __init__(
         self,
         strict: bool = False,
-        checkpoint_every: int = DEFAULT_CHECKPOINT_EVERY,
-        capture: Optional[Mapping[str, Tuple[int, int]]] = None,
         tolerance: float = 1e-6,
         max_violations: int = 1000,
     ) -> None:
         self.strict = strict
-        self.checkpoint_every = checkpoint_every
         self.tolerance = tolerance
         self.max_violations = max_violations
         self.violations: List[Violation] = []
-        self._capture = dict(capture or {})
         self._digests: Dict[str, RollingDigest] = {}
         self._wire_streams = 0
         self._wire_last: Dict[int, int] = {}
@@ -99,7 +94,7 @@ class InvariantChecker:
     def digest(self, name: str) -> RollingDigest:
         dig = self._digests.get(name)
         if dig is None:
-            dig = RollingDigest(name, self.checkpoint_every, self._capture.get(name))
+            dig = RollingDigest(name)
             self._digests[name] = dig
         return dig
 
@@ -213,10 +208,11 @@ class InvariantChecker:
 class _SimHook:
     """Monotonic clock + no post-stop execution, plus the ``sim`` digest.
 
-    The ``sim`` digest folds every executed event's ``(time, label)``, so
-    it moves with any change to what the kernel runs, including how many
-    events a delivery train coalesces; two runs of one code path compare
-    on it like any other stream.
+    The ``sim`` digest folds every executed event's time, so it moves
+    with any change to when the kernel runs something, including how many
+    events a delivery train coalesces.  The label only names the event in
+    a violation: schedulers build labels only while a tracer is installed,
+    so folding them would make the stream depend on tracing.
     """
 
     __slots__ = ("checker", "last_time", "running", "stopped", "_digest")
@@ -253,7 +249,7 @@ class _SimHook:
                 "event executed after Simulator.stop()",
                 time=time, label=label,
             )
-        self._digest.fold((time, label))
+        self._digest.fold((time,))
 
 
 class _FlowHook:

@@ -1,4 +1,4 @@
-"""Seeded invariant violations for the ``repro check --mutate`` self-test.
+"""Seeded invariant violations for the ``repro check mutate`` self-test.
 
 Each context manager temporarily installs one *realistic* bug — the kind
 a hot-path refactor could introduce — so the self-test can prove the
@@ -67,6 +67,36 @@ def in_flight_leak() -> Iterator[None]:
         yield
     finally:
         DestinationFlow.on_notify_response = original
+
+
+@contextmanager
+def rx_reorder(at: int = 2) -> Iterator[None]:
+    """An ordered flow's RX delivery train swaps its tail once.
+
+    On the ``at``-th append to the train of a sequence-stamped flow (an
+    ordered flow built under a checker), the last two entries trade
+    places, so two wire messages are delivered out of order and the wire
+    hook reports ``wire.fifo``.  Appends are counted across all flows.
+    """
+    from repro.netsim.connection import FlowState
+
+    original = FlowState._enqueue_delivery
+    appends = [0]
+
+    def reordering(self, due, msg) -> None:
+        original(self, due, msg)
+        train = self._train
+        if self._wire_stream is None or not train or train[-1][1] is not msg:
+            return
+        appends[0] += 1
+        if appends[0] == at and len(train) >= 2:
+            train[-1], train[-2] = train[-2], train[-1]
+
+    FlowState._enqueue_delivery = reordering
+    try:
+        yield
+    finally:
+        FlowState._enqueue_delivery = original
 
 
 @contextmanager

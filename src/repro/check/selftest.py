@@ -1,9 +1,9 @@
-"""``repro check --mutate``: prove the checker catches seeded violations.
+"""``repro check mutate``: prove the checker catches seeded violations.
 
 Each scenario builds a tiny checked system, installs one mutation from
-:mod:`repro.check.mutations` (or the RX-train perturbation), runs it, and
-verifies the expected invariant fired — a self-test of the sanitizer
-itself, in the spirit of mutation testing.
+:mod:`repro.check.mutations`, runs it, and verifies the expected
+invariant fired — a self-test of the sanitizer itself, in the spirit of
+mutation testing.
 """
 
 from __future__ import annotations
@@ -11,8 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, List, Tuple
 
-from repro.check import checking
-from repro.check import mutations, perturb
+from repro.check import checking, mutations
 
 MB = 1024 * 1024
 
@@ -87,7 +86,7 @@ def _scenario_fifo() -> None:
     from repro.netsim import LinkSpec, Proto, SimNetwork, WireMessage
     from repro.sim import Simulator
 
-    with perturb.rx_swap(at=2):
+    with mutations.rx_reorder(at=2):
         sim = Simulator()
         net = SimNetwork(sim, seed=1)
         a = net.add_host("a", "10.0.0.1")

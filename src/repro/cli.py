@@ -27,9 +27,9 @@ from repro.bench.harness import (
     run_static_reference,
     run_transfer_repeated,
 )
+from repro.bench.perf import WORKLOADS, checked_run, run_equivalence
 from repro.bench.report import campaign_summary, format_table
 from repro.bench.scenario import AWS_SETUPS, setup_by_name
-from repro.check.workloads import WORKLOADS, run_workload
 from repro.core import TDRatioLearner
 from repro.messaging import Transport
 
@@ -209,11 +209,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     perf = sub.add_parser(
         "perf",
-        help="golden-digest gate (rates: python3 perf/run.py)",
+        help="golden-stream gate (rates: python3 perf/run.py)",
     )
     perf.add_argument("--equivalence", action="store_true",
-                      help="check each workload's obs snapshot against its "
-                           "committed golden digest")
+                      help="check every check stream of each workload against "
+                           "the committed GOLDEN.json")
 
     fleet = sub.add_parser(
         "fleet",
@@ -271,26 +271,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     check = sub.add_parser(
         "check",
-        help="runtime invariant checker, trace digests, divergence bisection",
+        help="runtime invariant checker and trace digests over one workload",
     )
-    check.add_argument("action", nargs="?", default="run",
-                       choices=("run", "compare", "bisect", "mutate"),
-                       help="run: workload with invariants on; compare: digest "
-                            "a --perturb'ed run vs. a clean one; bisect: name "
-                            "the first divergent event; mutate: seeded-violation "
-                            "self-test")
-    check.add_argument("--mutate", action="store_true",
-                       help="alias for the 'mutate' action")
-    check.add_argument("--workload", default="transfer", choices=sorted(WORKLOADS),
-                       help="check workload")
-    check.add_argument("--size-mb", type=float, default=4.0,
-                       help="transfer size for fig8/transfer workloads")
-    check.add_argument("--duration", type=float, default=4.0,
-                       help="sim duration for the obs workload")
-    check.add_argument("--seed", type=int, default=3)
-    check.add_argument("--perturb", type=int, default=None, metavar="N",
-                       help="arm the seeded RX-train swap on the Nth eligible "
-                            "append (the divergence compare/bisect look for)")
+    check.add_argument("action", nargs="?", default="run", choices=("run", "mutate"),
+                       help="run: one workload with invariants on; mutate: "
+                            "seeded-violation self-test")
+    check.add_argument("--workload", default="fig9-data", choices=sorted(WORKLOADS),
+                       help="a workload of the 'perf --equivalence' gate")
     check.add_argument("--output", default=None,
                        help="write the checker document (JSON) to this file")
 
@@ -486,25 +473,27 @@ def _cmd_chaos_aio(args: argparse.Namespace) -> int:
 
 
 def cmd_perf(args: argparse.Namespace) -> int:
-    from repro.bench.perf import run_equivalence
-
     if not args.equivalence:
-        print("repro perf only runs the digest gate (--equivalence); "
+        print("repro perf only runs the golden-stream gate (--equivalence); "
               "rates are measured by: python3 perf/run.py --workload NAME",
               file=sys.stderr)
         return 2
     outcomes = run_equivalence()
     width = max(len(name) for name, _, _ in outcomes)
     bad = []
-    for name, golden, digest in outcomes:
-        print(f"{name:<{width}}  {'IDENTICAL' if digest == golden else 'DIFFER'}")
-        if digest != golden:
+    for name, divergences, violations in outcomes:
+        print(f"{name:<{width}}  {'DIFFER' if divergences or violations else 'IDENTICAL'}")
+        for d in divergences:
+            print(f"  {name}: stream '{d.stream}' first diverges from its golden in "
+                  f"events {d.window[0] + 1}..{d.window[1]}", file=sys.stderr)
+        for v in violations:
+            print(f"  {name}: VIOLATION {v.format()}", file=sys.stderr)
+        if divergences or violations:
             bad.append(name)
-            print(f"  {name}: golden {golden}, got {digest}", file=sys.stderr)
     if bad:
         print(f"equivalence gate FAILED: {', '.join(bad)}", file=sys.stderr)
         return 1
-    print("equivalence gate passed: every workload matches its golden digest")
+    print("equivalence gate passed: every stream of every workload matches GOLDEN.json")
     return 0
 
 
@@ -549,15 +538,8 @@ def cmd_cc(args: argparse.Namespace) -> int:
 
 def cmd_check(args: argparse.Namespace) -> int:
     import json
-    from contextlib import ExitStack
 
-    from repro.check import checking
-    from repro.check import perturb as check_perturb
-    from repro.check.bisection import bisect_divergence, compare_documents
-
-    action = "mutate" if args.mutate else args.action
-
-    if action == "mutate":
+    if args.action == "mutate":
         from repro.check.selftest import run_selftest
 
         results = run_selftest()
@@ -575,60 +557,21 @@ def cmd_check(args: argparse.Namespace) -> int:
         print("mutation self-test passed: every seeded violation was caught")
         return 0
 
-    def run_once(capture=None, perturbed=False):
-        with ExitStack() as stack:
-            if perturbed and args.perturb is not None:
-                stack.enter_context(check_perturb.rx_swap(at=args.perturb))
-            chk = stack.enter_context(checking(capture=capture))
-            run_workload(args.workload, size_mb=args.size_mb,
-                         duration=args.duration, seed=args.seed)
-        return chk.document()
-
-    if action == "run":
-        doc = run_once(perturbed=True)
-        for name, stream in doc["streams"].items():
-            print(f"stream {name:<8} events={stream['count']:>8} "
-                  f"digest={stream['digest']} "
-                  f"checkpoints={len(stream['checkpoints'])}")
-        if args.output is not None:
-            _emit(json.dumps(doc, indent=2, sort_keys=True), args.output, "checker document")
-        violations = doc["violations"]
-        if violations:
-            for v in violations:
-                detail = " ".join(f"{k}={val}" for k, val in v["fields"].items())
-                print(f"VIOLATION [{v['invariant']}] {v['message']} ({detail})",
-                      file=sys.stderr)
-            print(f"{len(violations)} invariant violation(s)", file=sys.stderr)
-            return 1
-        print("invariants held: no violations")
-        return 0
-
-    if action == "compare":
-        doc_a = run_once(perturbed=True)
-        doc_b = run_once()
-        divergences = compare_documents(doc_a, doc_b)
-        names = sorted(set(doc_a["streams"]) | set(doc_b["streams"]))
-        diverged = {d.stream for d in divergences}
-        for name in names:
-            print(f"stream {name:<8} "
-                  f"{'DIVERGED' if name in diverged else 'IDENTICAL'}")
-        for d in divergences:
-            print(f"  '{d.stream}' first diverges in events "
-                  f"{d.window[0] + 1}..{d.window[1]}", file=sys.stderr)
-        if divergences:
-            print("runs diverge (use 'check bisect' to name the first event)",
-                  file=sys.stderr)
-            return 1
-        print("runs identical on every stream")
-        return 0
-
-    # action == "bisect"
-    def run_pair(capture):
-        return run_once(capture=capture, perturbed=True), run_once(capture=capture)
-
-    report = bisect_divergence(run_pair)
-    print(report.format())
-    return 0 if report.identical else 1
+    chk = checked_run(args.workload)
+    doc = chk.document()
+    for name, stream in doc["streams"].items():
+        print(f"stream {name:<8} events={stream['count']:>8} "
+              f"digest={stream['digest']} "
+              f"checkpoints={len(stream['checkpoints'])}")
+    if args.output is not None:
+        _emit(json.dumps(doc, indent=2, sort_keys=True), args.output, "checker document")
+    if chk.violations:
+        for v in chk.violations:
+            print(f"VIOLATION {v.format()}", file=sys.stderr)
+        print(f"{len(chk.violations)} invariant violation(s)", file=sys.stderr)
+        return 1
+    print("invariants held: no violations")
+    return 0
 
 
 def main(argv: Optional[List[str]] = None) -> int:

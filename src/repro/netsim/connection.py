@@ -9,7 +9,6 @@ from random import Random
 from typing import TYPE_CHECKING, Any, Callable, Deque, List, Optional, Tuple
 
 from repro.check import get_checker
-from repro.check import perturb as check_perturb
 from repro.errors import ConnectionClosedError
 from repro.netsim.congestion import CongestionControl
 from repro.netsim.link import LinkDirection, Proto
@@ -232,10 +231,6 @@ class FlowState:
             self.sim.schedule_at(due, lambda m=msg: self.deliver(m), label="flow-rx")
             return
         train.append((due, msg))
-        if self._wire_stream is not None and check_perturb.rx_swap_due() and len(train) >= 2:
-            # Seeded fault for the bisection demo/self-test:
-            # swap the train tail so two deliveries come out reordered.
-            train[-1], train[-2] = train[-2], train[-1]
         if not self._pump_scheduled:
             self._pump_scheduled = True
             self.sim.schedule_at(due, self._pump_rx, label="flow-rx")

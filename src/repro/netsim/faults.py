@@ -24,9 +24,6 @@ class FaultInjector:
         self._m_cuts = metrics.counter("netsim.faults.link_cuts_total")
         self._m_restores = metrics.counter("netsim.faults.link_restores_total")
         self._m_degrades = metrics.counter("netsim.faults.link_degrades_total")
-        # Nothing drops a single connection any more; the family stays, at
-        # zero, so pinned snapshots keep their shape.
-        metrics.counter("netsim.faults.connection_drops_total")
 
     # ------------------------------------------------------------------
     # scripting

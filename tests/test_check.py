@@ -1,32 +1,34 @@
-"""Invariant checker, rolling digests, and divergence bisection."""
+"""Invariant checker, rolling digests, and their comparison."""
 
 import math
 
 import pytest
 
 from repro.check import checking, get_checker, set_checker
-from repro.check.bisection import (
-    DivergenceReport,
-    bisect_divergence,
-    compare_documents,
-    first_checkpoint_divergence,
-)
 from repro.check.checker import (
     NULL_CHECKER,
     InvariantChecker,
     InvariantError,
     Violation,
 )
-from repro.check.digest import RollingDigest
+from repro.check.digest import (
+    DEFAULT_CHECKPOINT_EVERY,
+    RollingDigest,
+    compare_documents,
+    first_checkpoint_divergence,
+)
 
 
 class TestRollingDigest:
     def test_count_and_checkpoints(self):
-        dig = RollingDigest("s", checkpoint_every=3)
-        for i in range(7):
+        dig = RollingDigest("s")
+        hashes = []
+        for i in range(2 * DEFAULT_CHECKPOINT_EVERY + 7):
             dig.fold((i,))
-        assert dig.count == 7
-        assert [count for count, _ in dig.checkpoints] == [3, 6]
+            hashes.append(dig.hexdigest)
+        assert dig.count == 2 * DEFAULT_CHECKPOINT_EVERY + 7
+        assert dig.checkpoints == [hashes[DEFAULT_CHECKPOINT_EVERY - 1],
+                                   hashes[2 * DEFAULT_CHECKPOINT_EVERY - 1]]
 
     def test_same_events_same_digest(self):
         a, b = RollingDigest("s"), RollingDigest("s")
@@ -56,28 +58,11 @@ class TestRollingDigest:
         b.fold((1,))
         assert a.hexdigest != b.hexdigest
 
-    def test_capture_window_is_half_open(self):
-        dig = RollingDigest("s", checkpoint_every=100, capture=(2, 4))
-        for i in range(6):
-            dig.fold((i,))
-        # (start, end]: events 3 and 4 (1-based counts), not 2 or 5
-        assert [count for count, _ in dig.captured] == [3, 4]
-        assert dig.captured[0][1] == repr((2,))
-
     def test_document_shape(self):
-        dig = RollingDigest("s", checkpoint_every=2, capture=(0, 1))
+        dig = RollingDigest("s")
         dig.fold(("a",))
         dig.fold(("b",))
-        doc = dig.document()
-        assert doc["name"] == "s"
-        assert doc["count"] == 2
-        assert doc["digest"] == dig.hexdigest
-        assert doc["checkpoints"] == [[2, dig.hexdigest]]
-        assert doc["captured"] == [[1, repr(("a",))]]
-
-    def test_invalid_checkpoint_every(self):
-        with pytest.raises(ValueError):
-            RollingDigest("s", checkpoint_every=0)
+        assert dig.document() == {"count": 2, "digest": dig.hexdigest, "checkpoints": []}
 
 
 class TestCheckerPlumbing:
@@ -137,7 +122,7 @@ class TestInvariantChecker:
         assert len(chk.violations) == 3
 
     def test_document_shape(self):
-        chk = InvariantChecker(checkpoint_every=2)
+        chk = InvariantChecker()
         chk.digest("port").fold(("x",))
         chk.violation("rl.trace", "poisoned", key="k")
         doc = chk.document()
@@ -201,6 +186,15 @@ class TestHooks:
         hook.on_execute(2.0, "c")  # after stop
         hook.on_run_end()
         assert [v.invariant for v in chk.violations] == ["sim.clock", "sim.stopped"]
+        assert chk.violations[1].fields["label"] == "c"
+
+    def test_sim_digest_folds_the_time_not_the_label(self):
+        """Schedulers label events only under a tracer: the label must
+        not reach the digest, or tracing would move the ``sim`` stream."""
+        labelled, bare = InvariantChecker(), InvariantChecker()
+        labelled.sim_hook().on_execute(1.0, "exec:sender")
+        bare.sim_hook().on_execute(1.0, "")
+        assert labelled.document() == bare.document()
 
     def test_flow_hook_window_and_conservation(self):
         chk = InvariantChecker()
@@ -264,122 +258,59 @@ class TestHooks:
 
 
 class TestCheckpointBisection:
-    def _cps(self, digests):
-        return [[(i + 1) * 4, d] for i, d in enumerate(digests)]
-
     def test_identical_and_empty(self):
         assert first_checkpoint_divergence([], []) is None
-        same = self._cps(["a", "b", "c"])
+        same = ["a", "b", "c"]
         assert first_checkpoint_divergence(same, same) is None
 
     def test_prefix_match_shorter_list(self):
-        a = self._cps(["a", "b"])
-        b = self._cps(["a", "b", "c"])
+        a = ["a", "b"]
+        b = ["a", "b", "c"]
         assert first_checkpoint_divergence(a, b) is None
 
     @pytest.mark.parametrize("split", [0, 1, 2, 5, 9])
     def test_finds_first_divergent_index(self, split):
-        a = self._cps([f"h{i}" for i in range(10)])
-        b = self._cps([f"h{i}" if i < split else f"x{i}" for i in range(10)])
+        a = [f"h{i}" for i in range(10)]
+        b = [f"h{i}" if i < split else f"x{i}" for i in range(10)]
         assert first_checkpoint_divergence(a, b) == split
 
     def test_compare_documents_windows(self):
-        def doc(digests, count, every=4):
+        n = DEFAULT_CHECKPOINT_EVERY
+
+        def doc(digests, count):
             return {
                 "streams": {
                     "port": {
-                        "name": "port", "count": count,
+                        "count": count,
                         "digest": digests[-1] if digests else "empty",
-                        "checkpoint_every": every,
-                        "checkpoints": self._cps(digests),
+                        "checkpoints": digests,
                     }
                 }
             }
 
-        # checkpoint divergence at index 1 -> window (4, 8]
-        d = compare_documents(doc(["a", "b", "c"], 12), doc(["a", "X", "Y"], 12))
+        # checkpoint divergence at index 1 -> window (n, 2n]
+        d = compare_documents(doc(["a", "b", "c"], 3 * n), doc(["a", "X", "Y"], 3 * n))
         assert len(d) == 1
         assert d[0].stream == "port"
-        assert d[0].window == (4, 8)
+        assert d[0].window == (n, 2 * n)
         assert d[0].checkpoint_index == 1
 
         # identical
-        assert compare_documents(doc(["a"], 5), doc(["a"], 5)) == []
+        assert compare_documents(doc(["a"], n + 1), doc(["a"], n + 1)) == []
 
         # tail divergence: checkpoints agree, counts differ
-        d = compare_documents(doc(["a"], 5), doc(["a"], 7))
-        assert d[0].window == (4, 7)
+        d = compare_documents(doc(["a"], n + 1), doc(["a"], n + 3))
+        assert d[0].window == (n, n + 3)
         assert d[0].checkpoint_index is None
 
     def test_compare_documents_missing_stream(self):
-        full = {
-            "streams": {
-                "wire": {"name": "wire", "count": 3, "digest": "d",
-                         "checkpoint_every": 4, "checkpoints": []}
-            }
-        }
+        full = {"streams": {"wire": {"count": 3, "digest": "d", "checkpoints": []}}}
         d = compare_documents(full, {"streams": {}})
         assert d[0].stream == "wire"
         assert d[0].window == (0, 3)
 
     def test_compare_includes_sim_by_default(self):
         def doc(digest):
-            return {
-                "streams": {
-                    "sim": {"name": "sim", "count": 9, "digest": digest,
-                            "checkpoint_every": 4, "checkpoints": []}
-                }
-            }
+            return {"streams": {"sim": {"count": 9, "digest": digest, "checkpoints": []}}}
 
         assert [d.stream for d in compare_documents(doc("a"), doc("b"))] == ["sim"]
-        assert compare_documents(doc("a"), doc("b"), streams=[]) == []
-
-    def test_bisect_names_first_divergent_event(self):
-        # Synthetic run_pair: stream "s", run B's 6th event differs.
-        def make_doc(capture, variant):
-            dig = RollingDigest("s", checkpoint_every=2,
-                                capture=(capture or {}).get("s"))
-            for i in range(8):
-                ev = ("B6",) if (variant == "b" and i == 5) else (f"e{i}",)
-                dig.fold(ev)
-            return {"streams": {"s": dig.document()}, "violations": []}
-
-        calls = []
-
-        def run_pair(capture):
-            calls.append(capture)
-            return make_doc(capture, "a"), make_doc(capture, "b")
-
-        report = bisect_divergence(run_pair, streams=["s"])
-        assert not report.identical
-        assert report.stream == "s"
-        assert report.event_count == 6
-        assert report.event_a == repr(("e5",))
-        assert report.event_b == repr(("B6",))
-        # phase 1 digests-only, phase 2 captured exactly the divergent window
-        assert calls == [None, {"s": (4, 6)}]
-        text = report.format()
-        assert "first divergent event: 's' #6" in text
-
-    def test_bisect_identical(self):
-        def run_pair(capture):
-            dig = RollingDigest("s")
-            dig.fold((1,))
-            doc = {"streams": {"s": dig.document()}, "violations": []}
-            return doc, doc
-
-        report = bisect_divergence(run_pair, streams=["s"])
-        assert report.identical
-        assert report.format() == "streams identical: no divergence"
-
-    def test_report_format_lists_all_streams(self):
-        report = DivergenceReport(
-            identical=False,
-            streams=[
-                type("D", (), {"stream": "wire", "window": (0, 4)})(),
-                type("D", (), {"stream": "port", "window": (8, 12)})(),
-            ],
-        )
-        text = report.format()
-        assert "stream 'wire' diverges in events 1..4" in text
-        assert "stream 'port' diverges in events 9..12" in text

@@ -2,46 +2,29 @@
 
 import pytest
 
+from repro.bench.perf import WORKLOADS, checked_run
 from repro.check import checking, get_checker
-from repro.check.bisection import bisect_divergence
 from repro.check.checker import InvariantError
 from repro.check.selftest import SCENARIOS, run_selftest
-from repro.check.workloads import run_workload
-from repro.check import perturb
 
 pytestmark = pytest.mark.integration
-
-MB = 1024 * 1024
-
-
-def checked_transfer(capture=None, perturbed=False, size_mb=1.0):
-    from contextlib import ExitStack
-
-    with ExitStack() as stack:
-        if perturbed:
-            stack.enter_context(perturb.rx_swap(at=2))
-        chk = stack.enter_context(checking(capture=capture))
-        run_workload("transfer", size_mb=size_mb)
-    return chk
 
 
 class TestCleanRuns:
     def test_transfer_holds_all_invariants(self):
-        chk = checked_transfer()
+        chk = checked_run("fig9-data")
         assert chk.ok, [v.format() for v in chk.violations]
         streams = chk.document()["streams"]
         # every hooked subsystem produced events
-        for name in ("sim", "port", "wire", "flow", "link", "rl"):
+        for name in ("sim", "port", "wire", "flow", "link", "rl", "result"):
             assert streams[name]["count"] > 0, name
 
     def test_checked_run_is_deterministic(self):
-        doc_a = checked_transfer().document()
-        doc_b = checked_transfer().document()
-        assert doc_a == doc_b
+        assert checked_run("fig9-data").document() == checked_run("fig9-data").document()
 
     def test_strict_mode_passes_clean_run(self):
         with checking(strict=True) as chk:
-            run_workload("transfer", size_mb=1.0)
+            WORKLOADS["fig9-data"]()
         assert chk.ok
 
     def test_disabled_by_default_no_hooks_bound(self):
@@ -84,42 +67,3 @@ class TestMutationSelftest:
                     sim.schedule(t, lambda: None, label="noop")
                 with mutations.heap_disorder(sim):
                     sim.run()
-
-
-class TestBisect:
-    def test_perturbed_fastpath_names_first_divergent_event(self):
-        def run_pair(capture):
-            a = checked_transfer(capture=capture, perturbed=True)
-            b = checked_transfer(capture=capture)
-            return a.document(), b.document()
-
-        report = bisect_divergence(run_pair)
-        assert not report.identical
-        assert report.streams, "expected at least one divergent stream"
-        assert report.stream is not None
-        assert report.event_count is not None
-        assert report.event_a != report.event_b
-        # the report names a concrete event, not just a window
-        assert f"#{report.event_count}" in report.format()
-
-    def test_unperturbed_pair_is_identical(self):
-        def run_pair(capture):
-            return tuple(checked_transfer(capture=capture).document() for _ in range(2))
-
-        report = bisect_divergence(run_pair)
-        assert report.identical
-
-
-class TestPerturb:
-    def test_rx_swap_counts_and_restores(self):
-        assert perturb.RX_SWAP_AT is None
-        with perturb.rx_swap(at=3):
-            assert perturb.RX_SWAP_AT == 3
-            assert not perturb.rx_swap_due()  # 1st
-            assert not perturb.rx_swap_due()  # 2nd
-            assert perturb.rx_swap_due()      # 3rd
-            assert not perturb.rx_swap_due()  # only once
-        assert perturb.RX_SWAP_AT is None
-
-    def test_disarmed_never_fires(self):
-        assert not perturb.rx_swap_due()

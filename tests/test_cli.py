@@ -40,7 +40,8 @@ class TestParser:
             main(["check", "--workload", "nope"])
         assert exit_info.value.code == 2
         err = capsys.readouterr().err
-        assert "invalid choice: 'nope' (choose from 'fig8', 'obs', 'transfer')" in err
+        assert ("invalid choice: 'nope' (choose from 'fig1', 'fig2', 'fig8', 'fig9-data', "
+                "'fig9-tcp', 'obs-demo')") in err
         assert "fleet" not in err and "chaos" not in err
 
     def test_command_required(self):
