@@ -30,14 +30,14 @@ def foreground_duration(background_transport) -> float:
             # memory-to-memory: the background must not share the foreground's disk
             bg = pair.system.create(
                 FileSender, pair.sender.address, pair.receiver.address,
-                SyntheticDataset(size=BACKGROUND, seed=1),
+                SyntheticDataset(size=BACKGROUND),
                 transport=background_transport, name="bg-sender",
             )
             pair.sender.attach(bg)
             pair.start(bg)
 
         fg = pair.file_sender(
-            SyntheticDataset(size=FOREGROUND, seed=2), Transport.TCP, name="fg-sender"
+            SyntheticDataset(size=FOREGROUND), Transport.TCP, name="fg-sender"
         )
         pair.start(fg)
 

@@ -29,14 +29,14 @@ def run_scenario(background: Transport | None) -> float:
             # foreground's disk — attached like any app, by hand
             bulk = pair.system.create(
                 FileSender, pair.sender.address, pair.receiver.address,
-                SyntheticDataset(size=400 * MB, seed=1),
+                SyntheticDataset(size=400 * MB),
                 transport=background, name="background-sync",
             )
             pair.sender.attach(bulk)
             pair.start(bulk)
 
         foreground = pair.file_sender(
-            SyntheticDataset(size=40 * MB, seed=2), Transport.TCP, name="foreground"
+            SyntheticDataset(size=40 * MB), Transport.TCP, name="foreground"
         )
         pair.start(foreground)
         run_in_steps(pair, 600.0, lambda: foreground.definition.duration is not None)

@@ -138,7 +138,7 @@ def check_fleet(args: argparse.Namespace) -> int:
 #: entries ``REACH.txt`` may hold: the functions under ``src/`` that no
 #: shipped entry point reaches (``python scripts/reach.py --write
 #: REACH.txt``), each with its reason; like the line count, it only goes down
-UNREACHED_CEILING = 137
+UNREACHED_CEILING = 135
 
 #: why a function no shipped entry point reaches stays in ``src/``; the
 #: last two name the test that reaches it
@@ -212,7 +212,7 @@ def check_reach(root) -> int:
 #: ``find src -name '*.py' | xargs cat | wc -l`` may only go down (ROADMAP:
 #: "src/ should end the round smaller"); a PR that shrinks src/ lowers this
 #: to its own total, a PR that must grow it raises it in the open
-SRC_LINE_CEILING = 16677
+SRC_LINE_CEILING = 16563
 
 _KEY = r"(?:kompics|messaging|net|data)\."
 #: a config key built at run time, in a getter or setter position —

@@ -1,8 +1,9 @@
 """Chunked transfer over selectable transports (paper §V-A).
 
-Two clocking disciplines, one implementation each: the disk-clocked,
-fire-and-forget :class:`FileSender` / :class:`FileReceiver` (the paper's
-app) and the notify-clocked :class:`WindowSource` / :class:`ChunkSink`.
+One app: :class:`FileSender` streams a dataset, disk-clocked and
+fire-and-forget (the paper's app) or, with ``window=N``, notify-clocked;
+:class:`FileReceiver` counts what arrives, writes it to disk and answers
+each completed transfer with :class:`TransferDone`.
 """
 
 from repro.apps.filetransfer.chunks import (
@@ -15,7 +16,6 @@ from repro.apps.filetransfer.chunks import (
 )
 from repro.apps.filetransfer.receiver import FileReceiver
 from repro.apps.filetransfer.sender import FileSender
-from repro.apps.filetransfer.window import ChunkSink, WindowSource
 
 __all__ = [
     "SyntheticDataset",
@@ -23,8 +23,6 @@ __all__ = [
     "TransferDone",
     "FileSender",
     "FileReceiver",
-    "WindowSource",
-    "ChunkSink",
     "PAPER_DATASET_BYTES",
     "PAPER_CHUNK_BYTES",
     "next_transfer_id",

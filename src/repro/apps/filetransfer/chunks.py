@@ -1,16 +1,14 @@
 """Datasets and chunk messages for the file-transfer workload (§V-A).
 
 The paper transfers a 395 MB NetCDF climate file split into messages that
-fit the 65 kB serialization buffers.  We model the dataset synthetically:
-its payload bytes are deterministic pseudo-random (so, like the NetCDF
-floats, effectively incompressible — ``compressibility = 1.0`` — unless
-configured otherwise), and chunk contents are generated on demand for the
-real-byte paths while the fluid simulation only carries sizes.
+fit the 65 kB serialization buffers.  We model the dataset synthetically,
+by size alone: a chunk carries its length and the dataset's
+compressibility (1.0, like the NetCDF floats, unless configured
+otherwise), and the wire serializer writes that many zero bytes.
 """
 
 from __future__ import annotations
 
-import hashlib
 import itertools
 import math
 
@@ -35,7 +33,6 @@ class SyntheticDataset:
         size: int = PAPER_DATASET_BYTES,
         chunk_size: int = PAPER_CHUNK_BYTES,
         compressibility: float = 1.0,
-        seed: int = 0,
     ) -> None:
         if size <= 0 or chunk_size <= 0:
             raise ValueError("size and chunk_size must be positive")
@@ -44,7 +41,6 @@ class SyntheticDataset:
         self.size = size
         self.chunk_size = chunk_size
         self.compressibility = compressibility
-        self.seed = seed
         # Datasets are immutable after construction; the sender consults
         # total_chunks several times per chunk, so it is a plain attribute.
         self.total_chunks = math.ceil(size / chunk_size)
@@ -59,23 +55,12 @@ class SyntheticDataset:
             return rest
         return self.chunk_size
 
-    def chunk_bytes(self, index: int) -> bytes:
-        """Materialise chunk ``index`` (real-byte paths and tests only)."""
-        length = self.chunk_length(index)
-        out = bytearray()
-        counter = 0
-        while len(out) < length:
-            block = hashlib.sha256(f"{self.seed}:{index}:{counter}".encode()).digest()
-            out.extend(block)
-            counter += 1
-        return bytes(out[:length])
-
 
 class DataChunkMsg(BaseMsg):
     """One 65 kB-class piece of the dataset.
 
-    The fluid simulation carries only ``length`` (plus a small header);
-    ``payload`` is populated on the real-byte paths.
+    The apps send only ``length`` (plus a small header); a non-empty
+    ``payload`` is serialized as given, an empty one as ``length`` zero bytes.
     """
 
     __slots__ = ("transfer_id", "seq", "length", "total_chunks", "total_bytes",

@@ -1,16 +1,17 @@
 """The file-transfer receiver component (§V-A item 1).
 
 Reassembles chunk messages and writes them to disk; writing "has to be
-synchronised", which the disk model's FIFO write queue provides.  When
-every byte of the transfer is on disk, a :class:`TransferDone` notice goes
-back to the sender (over TCP — a control message) so disk-to-disk timing
-can be read on either side.
+synchronised", which the disk model's FIFO write queue provides.  Once a
+transfer's every byte is on disk (or delivered, without one), a
+:class:`TransferDone` goes back to the sender over TCP, a control message.
 """
 
 from __future__ import annotations
 
+import threading
+from collections import defaultdict
 from functools import partial
-from typing import Callable, Dict, Optional, Set
+from typing import Dict, Optional, Set
 
 from repro.apps.filetransfer.chunks import DataChunkMsg, TransferDone
 from repro.kompics.component import ComponentDefinition
@@ -22,45 +23,42 @@ from repro.netsim.disk import DiskModel
 
 
 class _TransferState:
-    __slots__ = ("expected_bytes", "expected_chunks", "seen", "bytes_written", "first_at", "done")
+    """What one transfer delivered: distinct chunks, repeats, bytes written."""
 
-    def __init__(self, expected_bytes: int, expected_chunks: int, first_at: float) -> None:
+    __slots__ = ("expected_bytes", "seen", "duplicates", "bytes_written", "done")
+
+    def __init__(self, expected_bytes: int) -> None:
         self.expected_bytes = expected_bytes
-        self.expected_chunks = expected_chunks
         self.seen: Set[int] = set()
+        self.duplicates = 0  # zero unless redelivery beats the dedup window
         self.bytes_written = 0
-        self.first_at = first_at
         self.done = False
 
 
 class FileReceiver(ComponentDefinition):
     """Accepts any number of concurrent transfers and writes them to disk."""
 
-    def __init__(
-        self,
-        self_address: Address,
-        disk: Optional[DiskModel] = None,
-        on_complete: Optional[Callable[[int, float], None]] = None,
-        done_transport: Transport = Transport.TCP,
-    ) -> None:
+    def __init__(self, self_address: Address, disk: Optional[DiskModel] = None) -> None:
         super().__init__()
         self.net = self.requires(Network)
         self.self_address = self_address
         self.disk = disk
-        self.on_complete = on_complete
-        self.done_transport = done_transport
         self.transfers: Dict[int, _TransferState] = {}
+        #: transfer id -> completion time, on the component's clock
         self.completed: Dict[int, float] = {}
-        self.duplicate_chunks = 0
+        #: chunk deliveries per wire transport, duplicates included
+        self.protocols: Dict[Transport, int] = defaultdict(int)  # counts without a call
+        #: set whenever a transfer completes
+        self.complete = threading.Event()
         self.subscribe(self.net, DataChunkMsg, self._on_chunk)
 
     def _on_chunk(self, msg: DataChunkMsg) -> None:
+        self.protocols[msg.header.protocol] += 1
         state = self.transfers.get(msg.transfer_id)
         if state is None:
-            state = _TransferState(msg.total_bytes, msg.total_chunks, self.clock.now())
-            self.transfers[msg.transfer_id] = state
+            state = self.transfers[msg.transfer_id] = _TransferState(msg.total_bytes)
         if msg.seq in state.seen:
-            self.duplicate_chunks += 1  # must not happen on TCP/UDT paths
+            state.duplicates += 1
             return
         state.seen.add(msg.seq)
         source = msg.header.source
@@ -75,18 +73,18 @@ class FileReceiver(ComponentDefinition):
             state.done = True
             now = self.clock.now()
             self.completed[msg.transfer_id] = now
-            if self.on_complete is not None:
-                self.on_complete(msg.transfer_id, now)
+            self.complete.set()
             done = TransferDone(
-                BasicHeader(self.self_address, source, self.done_transport),
-                msg.transfer_id,
-                now,
+                BasicHeader(self.self_address, source, Transport.TCP), msg.transfer_id, now,
             )
             self.trigger(done, self.net)
 
+    def transfer(self, transfer_id: int) -> _TransferState:
+        """What arrived of ``transfer_id`` (empty before its first chunk)."""
+        state = self.transfers.get(transfer_id)
+        return _TransferState(0) if state is None else state
+
     def progress(self, transfer_id: int) -> float:
         """Fraction of the transfer's bytes already on disk."""
-        state = self.transfers.get(transfer_id)
-        if state is None:
-            return 0.0
-        return state.bytes_written / state.expected_bytes
+        state = self.transfer(transfer_id)
+        return state.bytes_written / state.expected_bytes if state.expected_bytes else 0.0

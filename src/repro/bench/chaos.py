@@ -414,7 +414,7 @@ def run_aio_chaos_campaign(
     if redelivery not in ("at-most-once", "at-least-once"):
         raise ValueError(f"unknown redelivery mode {redelivery!r}")
 
-    dataset = SyntheticDataset(size=size, chunk_size=LOOPBACK_CHUNK, seed=seed)
+    dataset = SyntheticDataset(size=size, chunk_size=LOOPBACK_CHUNK)
     chunks = dataset.total_chunks
     kill_points = plan_aio_kill_points(seed, restarts, chunks)
 
@@ -478,16 +478,21 @@ def run_aio_chaos_campaign(
         else:
             # at-most-once: no completion promise — wait for the receive
             # side to go quiet so late frames are counted, not raced.
-            settled = rcv_def.delivered
+            def delivered() -> int:
+                received = rcv_def.transfer(snd_def.transfer_id)
+                return len(received.seen) + received.duplicates
+
+            settled = delivered()
             settle_deadline = min(deadline, time.monotonic() + 5.0)
             while time.monotonic() < settle_deadline:
                 time.sleep(0.1)
-                now_count = rcv_def.delivered
+                now_count = delivered()
                 if now_count == settled:
                     break
                 settled = now_count
 
         final_snd = net_snd.definition
+        received = rcv_def.transfer(snd_def.transfer_id)
         return AioChaosResult(
             transport=transport.value,
             redelivery=redelivery,
@@ -498,11 +503,11 @@ def run_aio_chaos_campaign(
             restarts_done=kill_state["restarts"],
             kill_points=kill_points,
             epochs=tuple(epochs),
-            requested=snd_def.requested,
+            requested=snd_def.chunks_sent,
             ok=snd_def.ok,
             failed=snd_def.failed,
-            delivered_unique=rcv_def.delivered_unique,
-            duplicates_delivered=rcv_def.duplicates,
+            delivered_unique=len(received.seen),
+            duplicates_delivered=received.duplicates,
             dups_suppressed=(
                 net_rcv.definition.counters["dups_suppressed"]
                 + final_snd.counters["dups_suppressed"]

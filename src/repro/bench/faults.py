@@ -5,12 +5,12 @@ Drives the channel-recovery layer end to end: a ping-pong control stream
 :class:`~repro.netsim.faults.FaultInjector` timeline takes that link down
 mid-transfer (and optionally degrades it afterwards), and the campaign
 reports how the middleware recovered — reconnect attempts, recovered
-channels, fallback activations — through ``repro.obs`` metrics and trace
-events.
+channels, give-ups, fallback activations — from the network components'
+own counters, so the verdict is the same with observability on or off.
 
 Run it instrumented via :func:`repro.bench.harness.run_observed` (the
-``repro faults`` CLI subcommand does) so the recovery counters and the
-``messaging.reconnect_*`` trace events land in the snapshot document.
+``repro faults`` CLI subcommand does) to also get the backoff delays and
+the ``messaging.reconnect_*`` trace events in the snapshot document.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from repro.kompics import Component
 from repro.messaging import Transport
 from repro.netsim import LinkSpec
 from repro.netsim.faults import FaultInjector
-from repro.obs import get_registry, get_tracer
+from repro.obs import get_tracer
 
 #: the default campaign environment: a modest point-to-point WAN-ish link
 #: whose RTT keeps reconnect handshakes visibly non-free
@@ -35,8 +35,8 @@ FAULT_ENV = Setup(name="fault-env", rtt=0.01, bandwidth=20 * MB, udp_cap=None)
 
 @dataclass(frozen=True)
 class FaultCampaignResult:
-    """What one scripted campaign observed (metrics read from the active
-    registry; zeros when run without instrumentation)."""
+    """What one scripted campaign observed (``backoff_delays`` is empty
+    when run without tracing)."""
 
     setup: str
     sim_time: float
@@ -115,7 +115,7 @@ def wire_campaign_workload(
     pair.wire(transfer_transport)
     pinger, ponger, timer = pair.pings(Transport.TCP, ping_interval)
     sender = pair.file_sender(
-        SyntheticDataset(size=transfer_bytes, seed=seed), transfer_transport
+        SyntheticDataset(size=transfer_bytes), transfer_transport
     )
     net_snd = pair.sender.network
     if transfer_transport is Transport.DATA:
@@ -134,7 +134,6 @@ def run_campaign_workload(
     fields both campaign results record."""
     pair.start(*(parts[label] for label in ("timer", "ponger", "receiver", "pinger", "sender")))
     run_in_steps(pair, duration, lambda: False, step=0.25)
-    metrics = get_registry()
     pinger, sender = parts["pinger"].definition, parts["sender"].definition
     return dict(
         setup=pair.setup.name,
@@ -144,9 +143,14 @@ def run_campaign_workload(
         transfer_bytes=sender.dataset.size,
         transfer_progress=parts["receiver"].definition.progress(sender.transfer_id),
         transfer_done=sender.duration is not None,
-        reconnect_attempts=int(metrics.total("messaging.reconnect.attempts_total")),
-        reconnect_recovered=int(metrics.total("messaging.reconnect.recovered_total")),
+        reconnect_attempts=network_total(parts, "reconnect_attempts"),
+        reconnect_recovered=network_total(parts, "reconnect_recovered"),
     )
+
+
+def network_total(parts: Dict[str, Component], counter: str) -> int:
+    """``counter`` summed over both endpoints' current network components."""
+    return sum(parts[label].definition.counters[counter] for label in ("net-snd", "net-rcv"))
 
 
 def run_fault_campaign(
@@ -212,7 +216,10 @@ def run_fault_campaign(
             )
 
         observed = run_campaign_workload(pair, parts, duration)
-    metrics = get_registry()
+        observed.update(
+            reconnect_giveups=network_total(parts, "reconnect_giveups"),
+            fallback_activations=network_total(parts, "fallback_activations"),
+        )
     tracer = get_tracer()
     backoff = tuple(
         r.fields["delay"] for r in tracer.named("messaging.reconnect_scheduled")
@@ -220,8 +227,6 @@ def run_fault_campaign(
     return FaultCampaignResult(
         cut_at=cut_at,
         cut_duration=cut_duration,
-        reconnect_giveups=int(metrics.total("messaging.reconnect.giveups_total")),
-        fallback_activations=int(metrics.total("messaging.fallback.activations_total")),
         backoff_delays=backoff,
         **observed,
     )

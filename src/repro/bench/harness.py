@@ -80,7 +80,7 @@ def run_transfer_once(setup: Setup, transport: Transport, size: int,
     with TestbedPair(setup, seed=seed) as pair:
         pair.wire(transport, prp_factory=default_transfer_learner(seed),
                   episode_length=TRANSFER_EPISODE_LENGTH)
-        sender = pair.file_sender(SyntheticDataset(size=size, seed=seed), transport)
+        sender = pair.file_sender(SyntheticDataset(size=size), transport)
         receiver = pair.file_receiver()
         pair.start(receiver, sender)
 
@@ -145,7 +145,7 @@ def run_transfer_repeated(
 
         for i in range(max_runs):
             sender = pair.file_sender(
-                SyntheticDataset(size=size, seed=base_seed + i), transport, name=f"sender-{i}"
+                SyntheticDataset(size=size), transport, name=f"sender-{i}"
             )
             pair.start(sender)
             deadline = pair.sim.now + MAX_TRANSFER_TIME
@@ -234,7 +234,7 @@ def run_latency_experiment(
         sender = None
         if data_transport is not None:
             sender = pair.file_sender(
-                SyntheticDataset(size=transfer_bytes, seed=seed), data_transport
+                SyntheticDataset(size=transfer_bytes), data_transport
             )
             pair.start(pair.file_receiver(), sender)
         pair.start(timer, ponger, pinger)
@@ -462,7 +462,7 @@ def run_observability_demo(
             "sim_time": pair.sim.now,
             "pings_answered": len(rtts),
             "mean_rtt_ms": (sum(rtts) / len(rtts)) * 1000.0 if rtts else None,
-            "data_messages_delivered": sink.definition.count,
+            "data_messages_delivered": sum(sink.definition.protocols.values()),
             "data_bytes_acked": flow.total_bytes_acked if flow is not None else 0,
             "data_messages_total": flow.total_messages if flow is not None else 0,
         }

@@ -154,7 +154,7 @@ def run_loopback_once(
     interceptor, learner and wall-clock episode timer included — so the
     paper's transport-selection loop runs against the OS network stack.
     """
-    dataset = SyntheticDataset(size=size, chunk_size=chunk, seed=seed)
+    dataset = SyntheticDataset(size=size, chunk_size=chunk)
     with loopback_pair(
         transport, seed, episode_length=episode_length, window_messages=window_messages,
     ) as pair:
@@ -175,18 +175,20 @@ def run_loopback_once(
         )
 
         aio_net = pair.sender.network.definition.network_def
+        received = rcv_def.transfer(snd_def.transfer_id)
+        finished = rcv_def.completed.get(snd_def.transfer_id, pair.system.clock.now())
         return LoopbackRun(
             transport=transport.value,
-            bytes=rcv_def.bytes,
+            bytes=received.bytes_written,
             chunks=dataset.total_chunks,
-            duration=snd_def.finished_at - snd_def.started_at,
-            delivered=rcv_def.delivered,
+            duration=finished - snd_def.started_at,
+            delivered=len(received.seen) + received.duplicates,
             notifies_ok=snd_def.ok,
             notifies_failed=snd_def.failed,
-            leaked_notifies=snd_def.leaked,
+            leaked_notifies=snd_def.outstanding,
             send_failures=aio_net.counters["send_failures"],
             batches=aio_net.counters["batches"],
-            protocols=dict(rcv_def.protocols),
+            protocols={t.value: n for t, n in dict(rcv_def.protocols).items()},
         )
 
 

@@ -21,13 +21,11 @@ from dataclasses import dataclass
 from typing import Any, Optional, Tuple
 
 from repro.apps import (
-    ChunkSink,
     FileReceiver,
     FileSender,
     Pinger,
     Ponger,
     SyntheticDataset,
-    WindowSource,
     register_app_serializers,
 )
 from repro.core import DataNetwork
@@ -128,17 +126,17 @@ class Pair:
         window: int = 256,
         sink_name: Optional[str] = None,
     ) -> Tuple[Component, Component]:
-        """The notify-clocked windowed stream: ``(source, sink)``, attached.
+        """The notify-clocked transfer, memory to memory: ``(sender,
+        receiver)``, attached.
 
-        Sends ``dataset`` once, or streams endlessly without one.
+        Sends ``dataset`` once, or streams endlessly without one.  Neither
+        end has a disk, so the stream schedules no disk events.
         """
         source = self.system.create(
-            WindowSource, self.sender.address, self.receiver.address,
-            dataset, transport, window,
+            FileSender, self.sender.address, self.receiver.address,
+            dataset, transport, window=window,
         )
-        sink = self.system.create(
-            ChunkSink, None if dataset is None else dataset.total_chunks, name=sink_name,
-        )
+        sink = self.system.create(FileReceiver, self.receiver.address, name=sink_name)
         self.sender.attach(source)
         self.receiver.attach(sink)
         return source, sink

@@ -103,6 +103,12 @@ class NettyNetwork(NetworkComponent):
                 f"self address {self_address!r} does not match host ip {host.ip}"
             )
         metrics = get_registry()
+        # Recovery outcomes, kept with or without a metrics registry: the
+        # fault campaigns' verdict reads them.
+        self.counters.update(
+            reconnect_attempts=0, reconnect_recovered=0, reconnect_giveups=0,
+            fallback_activations=0,
+        )
         #: (remote socket, transport) -> its channel, dialled or accepted
         self.channels: Dict[_Key, Connection] = {}
         #: running reconnect campaigns (§III-B/§III-C); None while
@@ -275,6 +281,7 @@ class NettyNetwork(NetworkComponent):
         campaign.attempts += 1
         campaign.dialing = True
         self._m_attempts.inc()
+        self.counters["reconnect_attempts"] += 1
         remote, transport = key
         self.tracer.event(
             "messaging.reconnect_attempt",
@@ -297,6 +304,7 @@ class NettyNetwork(NetworkComponent):
         campaign = self.campaigns.pop(key, None) if self.campaigns else None
         if campaign is not None:
             self._m_recovered.inc()
+            self.counters["reconnect_recovered"] += 1
             self.tracer.event(
                 "messaging.reconnect_success",
                 remote=f"{remote[0]}:{remote[1]}", proto=transport.value,
@@ -327,6 +335,7 @@ class NettyNetwork(NetworkComponent):
         remote, transport = key
         pending = list(campaign.queue)
         self._m_giveups.inc()
+        self.counters["reconnect_giveups"] += 1
         self.tracer.event(
             "messaging.reconnect_giveup",
             remote=f"{remote[0]}:{remote[1]}", proto=transport.value,
@@ -344,6 +353,7 @@ class NettyNetwork(NetworkComponent):
         )
         if can_fall_back and pending:
             self._m_fallbacks.inc()
+            self.counters["fallback_activations"] += 1
             self.tracer.event(
                 "messaging.transport_fallback",
                 remote=f"{remote[0]}:{remote[1]}", down=transport.value, via="tcp",

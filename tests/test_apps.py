@@ -47,12 +47,6 @@ class TestSyntheticDataset:
         assert ds.total_chunks == 3
         assert ds.chunk_length(2) == 30_000
 
-    def test_chunk_bytes_deterministic(self):
-        ds = SyntheticDataset(size=10_000, chunk_size=4_000, seed=5)
-        assert ds.chunk_bytes(1) == SyntheticDataset(size=10_000, chunk_size=4_000, seed=5).chunk_bytes(1)
-        assert len(ds.chunk_bytes(2)) == 2_000
-        assert ds.chunk_bytes(0) != ds.chunk_bytes(1)
-
     def test_validation(self):
         with pytest.raises(ValueError):
             SyntheticDataset(size=0)
@@ -151,10 +145,8 @@ class TestFileTransfer:
     def test_disk_to_disk_transfer_completes(self):
         sim, system, (ha, net_a), (hb, net_b) = build_pair()
         dataset = SyntheticDataset(size=4 * MB, chunk_size=PAPER_CHUNK_BYTES)
-        done = []
         sender = system.create(
-            FileSender, A, B, dataset, transport=Transport.TCP,
-            disk=ha.disk, on_done=done.append,
+            FileSender, A, B, dataset, transport=Transport.TCP, disk=ha.disk,
         )
         receiver = system.create(FileReceiver, B, disk=hb.disk)
         system.connect(net_a.provided(Network), sender.required(Network))
@@ -162,13 +154,13 @@ class TestFileTransfer:
         system.start(receiver)
         system.start(sender)
         sim.run()
-        assert len(done) == 1
-        assert sender.definition.duration == pytest.approx(done[0])
+        tid = sender.definition.transfer_id
         assert sender.definition.chunks_sent == dataset.total_chunks
-        assert receiver.definition.progress(sender.definition.transfer_id) == 1.0
-        assert receiver.definition.duplicate_chunks == 0
+        assert receiver.definition.progress(tid) == 1.0
+        assert receiver.definition.transfer(tid).duplicates == 0
+        assert receiver.definition.protocols == {Transport.TCP: dataset.total_chunks}
         # Disk-to-disk time is bounded below by size / min(bw, disk rate).
-        assert done[0] >= 4 * MB / (50 * MB)
+        assert sender.definition.duration >= 4 * MB / (50 * MB)
 
     def test_transfer_without_disks(self):
         sim, system, (ha, net_a), (hb, net_b) = build_pair()
@@ -181,6 +173,11 @@ class TestFileTransfer:
         system.start(sender)
         sim.run()
         assert sender.definition.duration is not None
+
+    def test_an_endless_stream_needs_a_window(self):
+        _, system, _, _ = build_pair()
+        with pytest.raises(ValueError, match="window"):
+            system.create(FileSender, A, B)
 
     def test_two_concurrent_transfers_distinct_ids(self):
         sim, system, (ha, net_a), (hb, net_b) = build_pair()

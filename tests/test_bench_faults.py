@@ -54,6 +54,22 @@ class TestFaultCampaign:
         assert result.pings_answered > 0
         assert result.reconnect_recovered >= 1
 
+    @pytest.mark.parametrize("campaign", [
+        # the CI ``faults`` campaign: reconnects recover the cut channel
+        dict(duration=12, cut_at=2, cut_duration=2, transfer_bytes=4 * MB, seed=3, jitter=0),
+        # the CI ``faults-give-up`` campaign: dials run out, DATA falls back
+        dict(transfer_transport=Transport.DATA, fallback=True, duration=40,
+             cut_duration=20, jitter=0, seed=3),
+    ], ids=["recover", "give-up"])
+    def test_the_verdict_does_not_depend_on_observability(self, campaign):
+        fields = ("reconnect_attempts", "reconnect_recovered",
+                  "reconnect_giveups", "fallback_activations")
+        direct = run_fault_campaign(**campaign)
+        observed, _ = run_observed(run_fault_campaign, **campaign)
+        assert [getattr(direct, f) for f in fields] == [getattr(observed, f) for f in fields]
+        assert direct.problems() == observed.problems()
+        assert direct.reconnect_attempts > 0
+
     def test_recovery_beats_the_bare_middleware(self):
         recovered, _ = run_observed(run_fault_campaign, **CAMPAIGN)
         bare, _ = run_observed(run_fault_campaign, recovery=False, **CAMPAIGN)

@@ -4,9 +4,10 @@ import pytest
 
 import hashlib
 import random
+import time
 from contextlib import contextmanager
 
-from repro.apps import ChunkSink, SyntheticDataset, WindowSource
+from repro.apps import FileReceiver, FileSender, SyntheticDataset
 from repro.bench.harness import (
     estimate_rate,
     run_in_steps,
@@ -111,16 +112,27 @@ class TestTransferRunners:
                                   min_runs=1, max_runs=1, bogus=1)
 
 
+def _finished(source):
+    """Every notify resolved and the receiver's TransferDone is back."""
+    return source.done.is_set() and source.duration is not None
+
+
+def _wait_until(predicate, timeout):
+    deadline = time.monotonic() + timeout
+    while not predicate() and time.monotonic() < deadline:
+        time.sleep(0.01)
+
+
 @contextmanager
 def pair_on(backend, transport):
-    """``(pair, wait)`` on either backend; ``wait(source, sink)`` runs the stream out."""
+    """``(pair, wait)`` on either backend; ``wait(source)`` runs the stream out."""
     if backend == "sim":
         pair = TestbedPair(setup_by_name("EU-VPC"), seed=1)
         pair.wire(transport)
-        yield pair, lambda source, sink: run_in_steps(pair, 60.0, source.done.is_set)
+        yield pair, lambda source: run_in_steps(pair, 60.0, lambda: _finished(source))
     else:
         with loopback_pair(transport, seed=1) as pair:
-            yield pair, lambda source, sink: source.done.wait(30.0) and sink.complete.wait(30.0)
+            yield pair, lambda source: _wait_until(lambda: _finished(source), 30.0)
 
 
 @pytest.mark.integration
@@ -128,7 +140,7 @@ class TestPairStream:
     @pytest.mark.parametrize("transport", [Transport.TCP, Transport.DATA], ids=["tcp", "data"])
     @pytest.mark.parametrize("backend", ["sim", "aio"])
     def test_every_chunk_once(self, backend, transport):
-        dataset = SyntheticDataset(size=500_000, chunk_size=20_000, seed=1)
+        dataset = SyntheticDataset(size=500_000, chunk_size=20_000)
         n = dataset.total_chunks
         with pair_on(backend, transport) as (pair, wait):
             # the one attach call, DATA or not: stream() never asks which
@@ -137,34 +149,40 @@ class TestPairStream:
             components = pair.stream(dataset, transport, window=8)
             pair.start(*reversed(components))
             source, sink = (c.definition for c in components)
-            wait(source, sink)
-            assert source.requested == source.ok == n
-            assert (source.failed, source.leaked, source.outstanding) == (0, 0, 0)
-            assert (sink.delivered_unique, sink.duplicates) == (n, 0)
-            assert sink.bytes == dataset.size
-            assert "data" not in sink.protocols  # DATA is stamped before the wire
+            wait(source)
+            assert source.chunks_sent == source.ok == n
+            assert (source.failed, source.outstanding) == (0, 0)
+            assert source.duration is not None  # the receiver's TransferDone came back
+            received = sink.transfer(source.transfer_id)
+            assert (len(received.seen), received.duplicates) == (n, 0)
+            assert received.bytes_written == dataset.size
+            assert sink.completed.keys() == {source.transfer_id}
+            assert sum(sink.protocols.values()) == n
+            assert Transport.DATA not in sink.protocols  # DATA is stamped before the wire
 
     def test_endless_source_stays_inside_its_window(self):
         peaks = []
 
-        class SamplingSink(ChunkSink):
-            def _on_msg(self, msg):
+        class SamplingReceiver(FileReceiver):
+            def _on_chunk(self, msg):
                 peaks.append(source.definition.outstanding)
-                super()._on_msg(msg)
+                super()._on_chunk(msg)
 
         pair = TestbedPair(setup_by_name("EU-VPC"), seed=1)
         pair.wire(Transport.DATA)
         source = pair.system.create(
-            WindowSource, pair.sender.address, pair.receiver.address, window=8
+            FileSender, pair.sender.address, pair.receiver.address,
+            transport=Transport.DATA, window=8,
         )
-        sink = pair.system.create(SamplingSink)
+        sink = pair.system.create(SamplingReceiver, pair.receiver.address)
         pair.sender.attach(source)
         pair.receiver.attach(sink)
         pair.start(sink, source)
         run_in_steps(pair, 2.0, lambda: False)
         assert len(peaks) > 100 and max(peaks) == 8
         assert not source.definition.done.is_set()
-        assert source.definition.leaked == source.definition.outstanding <= 8
+        assert source.definition.outstanding <= 8
+        assert source.definition.chunks_sent == source.definition.ok + source.definition.outstanding
 
 
 @pytest.mark.integration
@@ -195,8 +213,7 @@ class TestCreationOrderPins:
             "sim_time": 3.0,
             "pings_answered": 11,
             "mean_rtt_ms": 5.260720857743267,
-            # every message that reached the sink's port: 446 chunks + 11 pings
-            "data_messages_delivered": 457,
+            "data_messages_delivered": 446,
             "data_bytes_acked": 29210556,
             "data_messages_total": 447,
         }
